@@ -4,14 +4,16 @@ Three measures of how much observation j moves the estimated reduction
 subspace, all scaled so they estimate the same population rate:
 
 * SRIS: (n-1) |sin| of the angle between each direction refitted without
-  observation j and the full-sample span.  Exact but needs n extra
-  eigendecompositions.
+  observation j and the full-sample span.  Exact: the refit directions are
+  the eigenvectors of the leave-one-out Hessian H_(j) = S_(j)^-1 M_(j) S_(j)^-1.
 * ERIS: the closed-form population influence rate with every parameter
   replaced by its full-sample estimate and (y_j, x_j) as the contamination
   point.  One pass, no refits.
 * HRIS: like ERIS but with the influence matrix of the Hessian replaced by
-  the exact deletion effect (n-1)(H - H_(j)), where H_(j) comes from the
-  closed-form leave-one-out downdates.  No per-observation eigenwork.
+  the exact deletion effect (n-1)(H - H_(j)).
+
+SRIS, HRIS and the order_swap flags of observation j all read the H_(j) of
+one closed-form downdate, which alone decides the leverage singularity.
 
 The plug-in model behind ERIS uses the rank-K reconstruction of the Hessian
 and projects the fitted OLS slope onto the estimated span, which is the
@@ -28,24 +30,18 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .errors import (
-    DegenerateEigenvalue,
-    DegenerateLeverage,
-    NotPositiveDefinite,
-    UndefinedCorrelation,
-)
-from .linalg import mirror, project_out, sine_to_subspace
+from .errors import DegenerateEigenvalue, DegenerateLeverage, UndefinedCorrelation
+from .linalg import mirror, project_out, sym_eigen
 from .moments import (
     Dataset,
+    LooMoments,
     MomentSet,
     compute_moments,
     loo_downdate,
     mahalanobis,
-    _moments_from_arrays,
 )
-from .phd import PhdFit, fit_from_moments
+from .phd import VARIANTS, PhdFit, fit_from_moments
 from .population import (
     ContaminationPoint,
     PopulationModel,
@@ -60,7 +56,6 @@ from .population import (
 #: beaten by another refit direction by more than this is flagged order_swap.
 ORDER_SWAP_TOL = 0.2
 
-VARIANTS = ("y", "r")
 TARGETS = ("eris", "hris", "md")
 
 
@@ -85,35 +80,28 @@ def estimated_model(fit: PhdFit, m: MomentSet) -> PopulationModel:
     )
 
 
-def _loo_directions(d: Dataset, j: int):
-    """Moments and eigensystem of the sample without row j.
+def _deletion_row(fit: PhdFit, m: MomentSet, lm: LooMoments) -> tuple[np.ndarray, ...]:
+    """(SRIS, HRIS, order_swap flags) of one left-out observation.
 
-    Raises DegenerateLeverage when the leave-one-out covariance is singular.
+    Both measures read the leave-one-out Hessian H_(j): SRIS the sines of its
+    leading eigenvectors against the full-sample span, HRIS the part of the
+    deletion effect (n-1)(H - H_(j)) that leaves the span.
     """
-    mask = np.ones(d.n, dtype=bool)
-    mask[j] = False
-    try:
-        return _moments_from_arrays(d.y[mask], d.x[mask])
-    except NotPositiveDefinite as exc:
-        raise DegenerateLeverage(
-            f"leave-one-out covariance is singular at observation {j}: {exc}",
-            index=j,
-        ) from exc
+    n = m.n
+    g = fit.gamma_hat.columns
+    mat_j = lm.sigma_yxx_j if fit.variant == "y" else lm.sigma_rxx_j
+    h_j = mirror(lm.s_inv_j @ mat_j @ lm.s_inv_j)
 
+    vectors = sym_eigen(h_j).vectors
+    sines = np.linalg.norm(project_out(fit.gamma_hat, vectors[:, : fit.k]), axis=0)
+    sris_vals = (n - 1) * np.clip(sines, 0.0, 1.0)
+    overlaps = np.abs(vectors.T @ g)
+    swapped = overlaps.max(axis=0) - overlaps.diagonal() > ORDER_SWAP_TOL
 
-def _sris_row(d: Dataset, fit: PhdFit, sub_moments) -> tuple[np.ndarray, np.ndarray]:
-    """(values, order_swap flags) for one left-out observation."""
-    refit = fit_from_moments(sub_moments, fit.variant, fit.k)
-    n = d.n
-    vals = np.empty(fit.k)
-    swapped = np.zeros(fit.k, dtype=bool)
-    for k in range(fit.k):
-        direction = refit.eig.vectors[:, k]
-        vals[k] = (n - 1) * sine_to_subspace(direction, fit.gamma_hat)
-        overlaps = np.abs(refit.eig.vectors.T @ fit.gamma_hat.columns[:, k])
-        if float(overlaps.max() - overlaps[k]) > ORDER_SWAP_TOL:
-            swapped[k] = True
-    return vals, swapped
+    sif = (n - 1) * (fit.h - h_j)
+    resid = project_out(fit.gamma_hat, sif @ g)
+    hris_vals = np.linalg.norm(resid, axis=0) / np.abs(fit.lambda_hat)
+    return sris_vals, hris_vals, swapped
 
 
 def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
@@ -122,9 +110,10 @@ def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
     Row j refits the same PHD variant on the sample without observation j and
     measures (n-1) |sin| of each direction against the full-sample span.
     """
+    m = compute_moments(d)
     out = np.empty((d.n, fit.k))
     for j in range(d.n):
-        out[j], _ = _sris_row(d, fit, _loo_directions(d, j))
+        out[j] = _deletion_row(fit, m, loo_downdate(d, m, j))[0]
     return out
 
 
@@ -161,43 +150,43 @@ def eris_matrix_route(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     return out
 
 
-def _hris_row(fit: PhdFit, m: MomentSet, lm) -> np.ndarray:
-    n = m.n
-    mat_j = lm.sigma_yxx_j if fit.variant == "y" else lm.sigma_rxx_j
-    h_j = mirror(lm.s_inv_j @ mat_j @ lm.s_inv_j)
-    sif = (n - 1) * (fit.h - h_j)
-    vals = np.empty(fit.k)
-    for k in range(fit.k):
-        lam_k = abs(float(fit.lambda_hat[k]))
-        if lam_k < 1e-12:
-            raise DegenerateEigenvalue("fitted eigenvalue is numerically zero")
-        resid = project_out(fit.gamma_hat, sif @ fit.gamma_hat.columns[:, k])
-        vals[k] = float(np.linalg.norm(resid)) / lam_k
-    return vals
-
-
 def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Hybrid influence via the closed-form leave-one-out Hessian, n x K.
 
-    Equals the value obtained by recomputing the Hessian on the n-1 subset,
-    but costs no per-observation eigendecomposition.
+    Equals the value obtained by recomputing the Hessian on the n-1 subset.
     """
+    if np.any(np.abs(fit.lambda_hat) < 1e-12):
+        raise DegenerateEigenvalue("fitted eigenvalue is numerically zero")
     out = np.empty((d.n, fit.k))
     for j in range(d.n):
-        out[j] = _hris_row(fit, m, loo_downdate(d, m, j))
+        out[j] = _deletion_row(fit, m, loo_downdate(d, m, j))[1]
     return out
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector; tied entries share their average rank."""
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], a.size]
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(a, b) -> float:
-    """Spearman rank correlation with average ranks for ties."""
+    """Spearman rank correlation with average ranks for ties; NaN if either
+    vector holds a NaN."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or a.size < 2:
         raise ValueError("spearman needs two equal-length vectors of size >= 2")
+    if np.isnan(a).any() or np.isnan(b).any():
+        return float("nan")
     if float(a.max() - a.min()) == 0.0 or float(b.max() - b.min()) == 0.0:
         raise UndefinedCorrelation("rank correlation is undefined for a constant vector")
-    ra = rankdata(a) - (a.size + 1) / 2.0
-    rb = rankdata(b) - (b.size + 1) / 2.0
+    ra = _average_ranks(a) - (a.size + 1) / 2.0
+    rb = _average_ranks(b) - (b.size + 1) / 2.0
     return float((ra @ rb) / np.sqrt((ra @ ra) * (rb @ rb)))
 
 
@@ -249,8 +238,8 @@ class InfluenceReport:
 def influence_report(d: Dataset, k: int) -> InfluenceReport:
     """Fit both variants at rank k and compute SRIS/ERIS/HRIS plus MD.
 
-    Observations at the leverage singularity get NaN refit/downdate
-    diagnostics and a flag instead of aborting the report.  Records come back
+    Observations at the leverage singularity get NaN SRIS and HRIS and a
+    ``degenerate_leverage`` flag instead of aborting the report.  Records come back
     sorted by ascending y-based average SRIS (flagged records last).
     """
     m = compute_moments(d)
@@ -266,22 +255,14 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
         hrs = {v: np.full(k, np.nan) for v in VARIANTS}
 
         try:
-            sub = _loo_directions(d, j)
-            for v in VARIANTS:
-                vals, swapped = _sris_row(d, fits[v], sub)
-                srs[v] = vals
-                for i in np.flatnonzero(swapped):
-                    flags.append(f"order_swap:{v}:{i + 1}")
+            lm = loo_downdate(d, m, j)
         except DegenerateLeverage:
             flags.append("degenerate_leverage")
-
-        try:
-            lm = loo_downdate(d, m, j)
+        else:
             for v in VARIANTS:
-                hrs[v] = _hris_row(fits[v], m, lm)
-        except DegenerateLeverage:
-            if "degenerate_leverage" not in flags:
-                flags.append("degenerate_leverage")
+                srs[v], hrs[v], swapped = _deletion_row(fits[v], m, lm)
+                for i in np.flatnonzero(swapped):
+                    flags.append(f"order_swap:{v}:{i + 1}")
 
         records.append(
             InfluenceRecord(

@@ -18,9 +18,14 @@ full-sample moments, never by re-scanning the data.  With
 
 and the residual-weighted analogue subtracts the same-shaped downdate of the
 predictor third moment contracted with the leave-one-out OLS slope.  The
-formulas are validated against brute-force refits in the test suite.  The
-scalar (n-1)^2/n - z'z is zero exactly when deleting row j leaves a singular
-covariance (the leverage singularity); that case raises DegenerateLeverage.
+formulas are validated against brute-force refits in the test suite.
+
+Leverage criterion: the scalar (n-1)^2/n - z'z is zero exactly when deleting
+row j leaves a singular covariance (the leverage singularity).  Its whitened
+margin, (n-1)^2/n - z'z divided by (n-1)^2/n, is the smallest eigenvalue of
+the whitened leave-one-out covariance relative to the others and lies in
+[0, 1].  A margin at or below LEVERAGE_RTOL raises DegenerateLeverage; this
+is the only place the leverage singularity is decided.
 """
 
 from __future__ import annotations
@@ -32,7 +37,10 @@ import numpy as np
 from .errors import DegenerateLeverage, InsufficientData
 from .linalg import inv_sqrt, mirror, sym_inverse
 
-LEVERAGE_TOL = 1e-10
+#: smallest whitened leverage margin a downdate accepts.  The z z' / denom
+#: term amplifies the rounding error in denom by 1/margin, so below sqrt(eps)
+#: the leave-one-out inverse keeps fewer than half of its significant digits.
+LEVERAGE_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -123,8 +131,12 @@ class LooMoments:
     sigma_rxx_j: np.ndarray
 
 
-def _moments_from_arrays(y: np.ndarray, x: np.ndarray) -> MomentSet:
-    """Moment computation on raw arrays; used for full fits and refits."""
+def compute_moments(d: Dataset) -> MomentSet:
+    """All first/second/third-order sample moments of a dataset.
+
+    Raises NotPositiveDefinite when the sample covariance is singular.
+    """
+    y, x = d.y, d.x
     n, p = x.shape
     xbar = x.mean(axis=0)
     ybar = float(y.mean())
@@ -159,14 +171,6 @@ def _moments_from_arrays(y: np.ndarray, x: np.ndarray) -> MomentSet:
     )
 
 
-def compute_moments(d: Dataset) -> MomentSet:
-    """All first/second/third-order sample moments of a dataset.
-
-    Raises NotPositiveDefinite when the sample covariance is singular.
-    """
-    return _moments_from_arrays(d.y, d.x)
-
-
 def loo_downdate(d: Dataset, m: MomentSet, j: int) -> LooMoments:
     """Closed-form moments of the sample with observation j deleted."""
     n = d.n
@@ -181,10 +185,11 @@ def loo_downdate(d: Dataset, m: MomentSet, j: int) -> LooMoments:
 
     z = m.s_inv_sqrt @ dj
     denom = (n - 1) ** 2 / n - float(z @ z)
-    if abs(denom) <= LEVERAGE_TOL:
+    margin = denom / ((n - 1) ** 2 / n)
+    if margin <= LEVERAGE_RTOL:
         raise DegenerateLeverage(
             f"observation {j} sits at the leverage singularity: "
-            f"(n-1)^2/n - z'z = {denom:.3e}",
+            f"whitened margin ((n-1)^2/n - z'z) / ((n-1)^2/n) = {margin:.3e}",
             index=j,
         )
     core = np.eye(d.p) + np.outer(z, z) / denom

@@ -48,7 +48,7 @@ class PhdFit:
 
 
 def fit_from_moments(m: MomentSet, variant: str, k: int) -> PhdFit:
-    """Fit a PHD variant directly from a MomentSet (used for refits too)."""
+    """Fit a PHD variant directly from a MomentSet."""
     check_variant(variant)
     p = m.p
     if not 1 <= k <= p:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,11 +30,12 @@ from phdinfluence.simulate import SimSpec, simulate
 
 
 # ----------------------------------------------------------------------
-# brute-force oracle for the hybrid measure: recompute the Hessian on the
-# n-1 subset from scratch and take the deletion effect directly
+# brute-force oracle for the refit and hybrid measures: recompute the
+# Hessian on the n-1 subset from scratch, read SRIS from its leading
+# eigenvectors and HRIS from the deletion effect
 # ----------------------------------------------------------------------
 
-def bf_hris(d, fit, j):
+def bf_sris_hris(d, fit, j):
     mask = np.ones(d.n, bool)
     mask[j] = False
     ys, xs = d.y[mask], d.x[mask]
@@ -45,12 +50,15 @@ def bf_hris(d, fit, j):
         resid = yc - xc @ (s_inv @ (xc.T @ yc / (m - 1)))
         third = (xc.T * resid) @ xc / m
     h_j = s_inv @ third @ s_inv
+    w, v = np.linalg.eigh((h_j + h_j.T) / 2)
+    leading = v[:, np.argsort(-np.abs(w))[: fit.k]]
+    sris_vals = (d.n - 1) * np.linalg.norm(project_out(fit.gamma_hat, leading), axis=0)
     sif = (d.n - 1) * (fit.h - h_j)
-    vals = np.empty(fit.k)
+    hris_vals = np.empty(fit.k)
     for k in range(fit.k):
         resid_vec = project_out(fit.gamma_hat, sif @ fit.gamma_hat.columns[:, k])
-        vals[k] = np.linalg.norm(resid_vec) / abs(fit.lambda_hat[k])
-    return vals
+        hris_vals[k] = np.linalg.norm(resid_vec) / abs(fit.lambda_hat[k])
+    return sris_vals, hris_vals
 
 
 def cosine_data(seed, n=80, p=3, sigma=0.3):
@@ -87,6 +95,20 @@ def test_spearman_average_ranks_for_ties():
 def test_spearman_rejects_constant_input():
     with pytest.raises(UndefinedCorrelation):
         spearman(np.ones(5), np.arange(5.0))
+
+
+def test_package_imports_and_ranks_without_scipy():
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import phdinfluence\n"
+        "r = phdinfluence.spearman([1.0, 1.0, 2.0, 3.0], [10.0, 20.0, 30.0, 40.0])\n"
+        "assert abs(r - 0.9486832980505138) < 1e-12, r\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ----------------------------------------------------------------------
@@ -238,11 +260,13 @@ def test_hris_matches_brute_force_refit():
     m = compute_moments(d)
     for variant in ("y", "r"):
         fit = fit_phd(d, variant, 2, moments=m)
-        vals = hris(d, fit, m)
+        got = {"sris": sris(d, fit), "hris": hris(d, fit, m)}
         for j in range(d.n):
-            expected = bf_hris(d, fit, j)
-            rel = np.abs(vals[j] - expected) / np.maximum(np.abs(expected), 1e-12)
-            assert rel.max() <= 1e-9
+            expected = dict(zip(("sris", "hris"), bf_sris_hris(d, fit, j)))
+            for measure, vals in got.items():
+                want = expected[measure]
+                rel = np.abs(vals[j] - want) / np.maximum(np.abs(want), 1e-12)
+                assert rel.max() <= 1e-9, (variant, measure, j)
 
 
 def test_hris_small_at_an_exactly_average_observation():
@@ -345,6 +369,27 @@ def test_report_flags_leverage_singularity_without_aborting():
     for target in ("eris", "hris", "md"):
         val = report.correlations.get("y", target)
         assert -1.0 <= val <= 1.0
+
+
+def test_leverage_flag_iff_refit_and_hybrid_are_undefined():
+    # a predictor that is 1e-6 noise except at row 7: deleting row 7 leaves
+    # a covariance singular to about 1e-11 of its scale, near enough to the
+    # leverage singularity that neither measure has a meaningful value
+    d0 = cosine_data(0, n=60, p=3)
+    rng = np.random.default_rng(0)
+    x = d0.x.copy()
+    x[:, 2] = 1e-6 * rng.standard_normal(60)
+    x[7, 2] = 1.0
+    report = influence_report(Dataset(y=d0.y, x=x), 1)
+    flagged = set()
+    for rec in report.records:
+        values = np.concatenate([rec.sris[v] for v in "yr"] + [rec.hris[v] for v in "yr"])
+        if "degenerate_leverage" in rec.flags:
+            flagged.add(rec.j)
+            assert np.isnan(values).all()
+        else:
+            assert np.isfinite(values).all()
+    assert flagged == {7}
 
 
 def test_report_correlations_match_recomputation():
