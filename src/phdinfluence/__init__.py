@@ -38,6 +38,7 @@ from .moments import (
     MomentSet,
     compute_moments,
     loo_downdate,
+    loo_downdates,
     mahalanobis,
 )
 from .phd import PhdFit, fit_phd, population_h
@@ -56,6 +57,7 @@ from .population import (
     ris_from_if_matrix,
     ris_numeric_oracle,
     ris_r,
+    ris_rows,
     ris_y,
     write_surface_csv,
 )
@@ -76,6 +78,7 @@ __all__ = [
     "MomentSet",
     "compute_moments",
     "loo_downdate",
+    "loo_downdates",
     "mahalanobis",
     "PhdFit",
     "fit_phd",
@@ -94,6 +97,7 @@ __all__ = [
     "ris_from_if_matrix",
     "ris_numeric_oracle",
     "ris_r",
+    "ris_rows",
     "ris_y",
     "write_surface_csv",
     "CorrelationReport",

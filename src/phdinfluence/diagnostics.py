@@ -8,12 +8,18 @@ subspace, all scaled so they estimate the same population rate:
   the eigenvectors of the leave-one-out Hessian H_(j) = S_(j)^-1 M_(j) S_(j)^-1.
 * ERIS: the closed-form population influence rate with every parameter
   replaced by its full-sample estimate and (y_j, x_j) as the contamination
-  point.  One pass, no refits.
+  point.  One call of the vectorised closed form ``ris_rows`` for all n
+  observations, no refits.
 * HRIS: like ERIS but with the influence matrix of the Hessian replaced by
   the exact deletion effect (n-1)(H - H_(j)).
 
-SRIS, HRIS and the order_swap flags of observation j all read the H_(j) of
-one closed-form downdate, which alone decides the leverage singularity.
+SRIS, HRIS and the order_swap flags all read one blocked deletion table.  It
+walks the sample in blocks of ``loo_block_rows(p)`` observations (a fixed
+byte budget per (rows, p, p) stack, see ``moments``); per block, one
+closed-form downdate (``loo_downdates``) decides the leverage singularity,
+and the stack of leave-one-out Hessians H_(j) is built once per variant.
+HRIS reads that stack directly; SRIS and order_swap read its eigenvectors,
+one ``eigh`` per H_(j).
 
 The plug-in model behind ERIS uses the rank-K reconstruction of the Hessian
 and projects the fitted OLS slope onto the estimated span, which is the
@@ -31,15 +37,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateEigenvalue, DegenerateLeverage, UndefinedCorrelation
-from .linalg import mirror, project_out, sym_eigen
+from .errors import DegenerateEigenvalue, UndefinedCorrelation
+from .linalg import mirror, ordered_eigh, project_out
 from .moments import (
     Dataset,
-    LooMoments,
     MomentSet,
     compute_moments,
-    loo_downdate,
+    loo_block_rows,
+    loo_downdates,
     mahalanobis,
+    require_regular,
 )
 from .phd import VARIANTS, PhdFit, fit_from_moments
 from .population import (
@@ -48,8 +55,7 @@ from .population import (
     if_h_r,
     if_h_y,
     ris_from_if_matrix,
-    ris_r,
-    ris_y,
+    ris_rows,
 )
 
 #: a leave-one-out direction whose overlap with its full-sample partner is
@@ -80,28 +86,83 @@ def estimated_model(fit: PhdFit, m: MomentSet) -> PopulationModel:
     )
 
 
-def _deletion_row(fit: PhdFit, m: MomentSet, lm: LooMoments) -> tuple[np.ndarray, ...]:
-    """(SRIS, HRIS, order_swap flags) of one left-out observation.
+@dataclass
+class _DeletionTable:
+    """Per-observation deletion diagnostics of one or both fitted variants.
 
-    Both measures read the leave-one-out Hessian H_(j): SRIS the sines of its
-    leading eigenvectors against the full-sample span, HRIS the part of the
-    deletion effect (n-1)(H - H_(j)) that leaves the span.
+    Arrays are n x K and keyed by variant; rows at the leverage singularity
+    (``degenerate``) hold NaN, and so does ``sris`` when the table was built
+    without eigenvectors.
     """
-    n = m.n
+
+    degenerate: np.ndarray
+    sris: dict[str, np.ndarray]
+    hris: dict[str, np.ndarray]
+    swapped: dict[str, np.ndarray]
+
+
+def _deletion_table(
+    d: Dataset,
+    m: MomentSet,
+    fits: dict[str, PhdFit],
+    directions: bool = True,
+    strict: bool = False,
+) -> _DeletionTable:
+    """SRIS, HRIS and order_swap flags of every left-out observation.
+
+    Walks the sample in blocks of ``loo_block_rows(p)`` rows.  Per block and
+    variant it builds the stack of leave-one-out Hessians
+    H_(j) = S_(j)^-1 M_(j) S_(j)^-1 once; HRIS is the part of the deletion
+    effect (n-1)(H - H_(j)) that leaves the span, and, when ``directions``,
+    SRIS is the sines of the leading eigenvectors of H_(j) against the
+    full-sample span.  ``strict`` raises DegenerateLeverage at the first row
+    at the leverage singularity instead of leaving it NaN.
+    """
+    n = d.n
+    table = _DeletionTable(
+        degenerate=np.zeros(n, dtype=bool),
+        sris={v: np.full((n, f.k), np.nan) for v, f in fits.items()},
+        hris={v: np.full((n, f.k), np.nan) for v, f in fits.items()},
+        swapped={v: np.zeros((n, f.k), dtype=bool) for v, f in fits.items()},
+    )
+    step = loo_block_rows(d.p)
+    for start in range(0, n, step):
+        lm, degenerate = loo_downdates(d, m, np.arange(start, min(start + step, n)))
+        if strict:
+            require_regular(lm, degenerate)
+        table.degenerate[lm.j] = degenerate
+        keep = ~degenerate
+        rows = lm.j[keep]
+        s_inv = lm.s_inv_j[keep]
+        for v, fit in fits.items():
+            mat = lm.sigma_yxx_j if v == "y" else lm.sigma_rxx_j
+            h = mirror(s_inv @ mat[keep] @ s_inv)
+            table.hris[v][rows] = _hris_rows(fit, h, n)
+            if directions:
+                table.sris[v][rows], table.swapped[v][rows] = _sris_rows(fit, h, n)
+    return table
+
+
+def _hris_rows(fit: PhdFit, h: np.ndarray, n: int) -> np.ndarray:
+    """HRIS of a stack of leave-one-out Hessians."""
+    sif = (n - 1) * (fit.h - h)
+    resid = project_out(fit.gamma_hat, sif @ fit.gamma_hat.columns)
+    return np.linalg.norm(resid, axis=-2) / np.abs(fit.lambda_hat)
+
+
+def _sris_rows(fit: PhdFit, h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(SRIS, order_swap flags) of a stack of leave-one-out Hessians, from one
+    eigendecomposition per Hessian."""
+    w = np.empty(h.shape[:-1])
+    v = np.empty_like(h)
+    for i, h_j in enumerate(h):
+        w[i], v[i] = np.linalg.eigh(h_j)
+    _, vectors = ordered_eigh(w, v)
     g = fit.gamma_hat.columns
-    mat_j = lm.sigma_yxx_j if fit.variant == "y" else lm.sigma_rxx_j
-    h_j = mirror(lm.s_inv_j @ mat_j @ lm.s_inv_j)
-
-    vectors = sym_eigen(h_j).vectors
-    sines = np.linalg.norm(project_out(fit.gamma_hat, vectors[:, : fit.k]), axis=0)
-    sris_vals = (n - 1) * np.clip(sines, 0.0, 1.0)
-    overlaps = np.abs(vectors.T @ g)
-    swapped = overlaps.max(axis=0) - overlaps.diagonal() > ORDER_SWAP_TOL
-
-    sif = (n - 1) * (fit.h - h_j)
-    resid = project_out(fit.gamma_hat, sif @ g)
-    hris_vals = np.linalg.norm(resid, axis=0) / np.abs(fit.lambda_hat)
-    return sris_vals, hris_vals, swapped
+    sines = np.linalg.norm(project_out(fit.gamma_hat, vectors[..., : fit.k]), axis=-2)
+    overlaps = np.abs(np.swapaxes(vectors, -1, -2) @ g)
+    swapped = overlaps.max(axis=-2) - np.diagonal(overlaps, axis1=-2, axis2=-1) > ORDER_SWAP_TOL
+    return (n - 1) * np.clip(sines, 0.0, 1.0), swapped
 
 
 def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
@@ -111,24 +172,14 @@ def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
     measures (n-1) |sin| of each direction against the full-sample span.
     """
     m = compute_moments(d)
-    out = np.empty((d.n, fit.k))
-    for j in range(d.n):
-        out[j] = _deletion_row(fit, m, loo_downdate(d, m, j))[0]
-    return out
+    return _deletion_table(d, m, {fit.variant: fit}, strict=True).sris[fit.variant]
 
 
 def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Plug-in closed-form influence of every observation, an n x K matrix."""
     model = estimated_model(fit, m)
-    out = np.empty((d.n, fit.k))
-    for j in range(d.n):
-        pt = ContaminationPoint(y0=float(d.y[j]), x0=d.x[j])
-        for k in range(fit.k):
-            if fit.variant == "y":
-                out[j, k] = ris_y(model, pt, k + 1).value
-            else:
-                out[j, k] = ris_r(model, pt, k + 1, residual=float(m.residuals[j])).value
-    return out
+    w0 = d.y if fit.variant == "y" else m.residuals
+    return ris_rows(model, fit.variant, d.x, w0)
 
 
 def eris_matrix_route(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
@@ -154,13 +205,12 @@ def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Hybrid influence via the closed-form leave-one-out Hessian, n x K.
 
     Equals the value obtained by recomputing the Hessian on the n-1 subset.
+    Reads only the Hessian stack: no eigendecomposition.
     """
     if np.any(np.abs(fit.lambda_hat) < 1e-12):
         raise DegenerateEigenvalue("fitted eigenvalue is numerically zero")
-    out = np.empty((d.n, fit.k))
-    for j in range(d.n):
-        out[j] = _deletion_row(fit, m, loo_downdate(d, m, j))[1]
-    return out
+    table = _deletion_table(d, m, {fit.variant: fit}, directions=False, strict=True)
+    return table.hris[fit.variant]
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
@@ -247,48 +297,37 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     md = mahalanobis(d, m)
 
     eris_vals = {v: eris(d, fits[v], m) for v in VARIANTS}
+    table = _deletion_table(d, m, fits)
 
-    records: list[InfluenceRecord] = []
-    for j in range(d.n):
-        flags: list[str] = []
-        srs = {v: np.full(k, np.nan) for v in VARIANTS}
-        hrs = {v: np.full(k, np.nan) for v in VARIANTS}
+    flags: list[list[str]] = [[] for _ in range(d.n)]
+    for j in np.flatnonzero(table.degenerate):
+        flags[j].append("degenerate_leverage")
+    for v in VARIANTS:
+        for j, i in zip(*np.nonzero(table.swapped[v])):
+            flags[j].append(f"order_swap:{v}:{i + 1}")
 
-        try:
-            lm = loo_downdate(d, m, j)
-        except DegenerateLeverage:
-            flags.append("degenerate_leverage")
-        else:
-            for v in VARIANTS:
-                srs[v], hrs[v], swapped = _deletion_row(fits[v], m, lm)
-                for i in np.flatnonzero(swapped):
-                    flags.append(f"order_swap:{v}:{i + 1}")
-
-        records.append(
-            InfluenceRecord(
-                j=j,
-                sris=srs,
-                eris={v: eris_vals[v][j].copy() for v in VARIANTS},
-                hris=hrs,
-                md=float(md[j]),
-                flags=tuple(flags),
-            )
+    avg = table.sris["y"].mean(axis=1)
+    order = np.lexsort((avg, np.isnan(avg)))
+    records = [
+        InfluenceRecord(
+            j=int(j),
+            sris={v: table.sris[v][j] for v in VARIANTS},
+            eris={v: eris_vals[v][j] for v in VARIANTS},
+            hris={v: table.hris[v][j] for v in VARIANTS},
+            md=float(md[j]),
+            flags=tuple(flags[j]),
         )
-
-    def sort_key(rec: InfluenceRecord):
-        avg = rec.avg("sris", "y")
-        return (np.isnan(avg), avg)
-
-    records.sort(key=sort_key)
+        for j in order
+    ]
 
     corr = CorrelationReport(k=k)
     for v in VARIANTS:
         corr.values[v] = {}
-        sris_mat = np.array([rec.sris[v] for rec in records])
+        sris_mat = table.sris[v][order]
         target_mats = {
-            "eris": np.array([rec.eris[v] for rec in records]),
-            "hris": np.array([rec.hris[v] for rec in records]),
-            "md": np.array([[rec.md] * k for rec in records]),
+            "eris": eris_vals[v][order],
+            "hris": table.hris[v][order],
+            "md": np.repeat(md[order][:, None], k, axis=1),
         }
         for t in TARGETS:
             row = []

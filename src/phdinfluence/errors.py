@@ -35,6 +35,10 @@ class TooFewRows(PhdError):
     exit_code = 3
 
 
+class DuplicateColumn(PhdError):
+    exit_code = 3
+
+
 class NonNumericCell(PhdError):
     exit_code = 3
 

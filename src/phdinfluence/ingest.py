@@ -1,11 +1,13 @@
 """CSV ingestion into datasets.
 
 The reader is strict: predictor cells that do not parse as numbers raise with
-their row and column instead of being coerced, and only rows whose response
-is missing can be dropped (when configured).  When no explicit predictor list
-is given, every column other than the response that is numeric in all
-retained rows is used, and the resolved list travels with the dataset so runs
-are auditable.
+their row and column instead of being coerced, a header or predictor list
+that names a column twice is rejected, and only rows whose response is
+missing can be dropped (when configured).  A leading UTF-8 byte order mark
+is not part of the first column name.  When no explicit predictor list is
+given, every column other than the response that is numeric in all retained
+rows is used, and the resolved list travels with the dataset so runs are
+auditable.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .errors import InsufficientData, MissingColumn, NonNumericCell, TooFewRows
+from .errors import (
+    DuplicateColumn,
+    InsufficientData,
+    MissingColumn,
+    NonNumericCell,
+    TooFewRows,
+)
 from .moments import Dataset
 
 #: cell contents treated as a missing value
@@ -50,15 +58,23 @@ def _resolve_response(header: list[str], ref: str | int) -> int:
     raise MissingColumn(f"response column {ref!r} not found in header {header}")
 
 
+def _reject_duplicates(names: list[str], what: str) -> None:
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise DuplicateColumn(f"{what} names {duplicates} more than once")
+
+
 def ingest_csv(path, cfg: IngestConfig) -> Dataset:
     """Read a delimited text file with a header row into a Dataset."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=cfg.delimiter)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise TooFewRows(f"{path}: file is empty") from None
         rows = [row for row in reader if any(cell.strip() for cell in row)]
+
+    _reject_duplicates(header, f"{path}: header")
 
     if not rows:
         raise TooFewRows(f"{path}: no data rows")
@@ -109,6 +125,7 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
 
     if cfg.predictor_columns is not None:
         pred_names = list(cfg.predictor_columns)
+        _reject_duplicates(pred_names, "predictor list")
         for name in pred_names:
             if name not in header:
                 raise MissingColumn(f"predictor column {name!r} not found")

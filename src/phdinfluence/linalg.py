@@ -9,7 +9,12 @@ Eigendecompositions are ordered by descending absolute eigenvalue, with ties
 broken by descending signed value and then position, and every eigenvector is
 sign-canonicalized so that its entry of largest magnitude is positive.  The
 ordering matches how dimension-reduction directions are ranked; the sign rule
-exists only so repeated runs print identical bases.
+exists only so repeated runs print identical bases.  One helper,
+:func:`ordered_eigh`, applies both rules, to a single decomposition or to a
+stack of them.
+
+A positive definite matrix is decomposed once for its inverse, inverse square
+root and square root together (:func:`spd_roots`).
 """
 
 from __future__ import annotations
@@ -26,16 +31,17 @@ PD_RTOL = 1e-12
 
 
 def mirror(a: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy of a matrix that is symmetric up to rounding
-    (upper triangle mirrored onto the lower one).  No symmetry check: use it
-    on products like B' A B whose skew is pure float noise at any scale."""
+    """Exactly symmetric copy of a matrix, or of each matrix in a (..., p, p)
+    stack, that is symmetric up to rounding (upper triangle mirrored onto the
+    lower one).  No symmetry check: use it on products like B' A B whose skew
+    is pure float noise at any scale."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix has non-finite entries")
     upper = np.triu(a)
-    return upper + np.triu(a, 1).T
+    return upper + np.swapaxes(np.triu(a, 1), -1, -2)
 
 
 def symmetrize(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -57,19 +63,12 @@ class EigenSystem:
     """Full ordered eigensystem of a symmetric matrix.
 
     ``values[k]`` pairs with column ``vectors[:, k]``; values are sorted by
-    descending ``|value|`` and columns are orthonormal with canonical signs.
+    descending ``|value|`` and columns are orthonormal with canonical signs
+    (built by :func:`sym_eigen`, which checks both through :func:`ordered_eigh`).
     """
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def __post_init__(self):
-        v = self.vectors
-        gram_err = float(np.abs(v.T @ v - np.eye(v.shape[1])).max())
-        if gram_err > ORTHONORMAL_TOL:
-            raise InvalidMatrix(
-                f"eigenvector columns are not orthonormal: max |V'V - I| = {gram_err:.3e}"
-            )
 
 
 @dataclass(frozen=True)
@@ -98,28 +97,39 @@ class Basis:
         return self.columns.shape[1]
 
 
-def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so the entry of largest magnitude is positive (ties break
-    to the lowest index, which is what argmax does)."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, k])))
-        if out[i, k] < 0:
-            out[:, k] = -out[:, k]
-    return out
+def ordered_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the ordering and sign rule to ``np.linalg.eigh`` output.
+
+    Works on one decomposition (w of shape (p,), v of shape (p, p)) or on a
+    stack of them ((..., p) and (..., p, p)).  Each set of eigenvalues is
+    sorted by descending |value|, ties by descending signed value, then by
+    position; each eigenvector is flipped so its entry of largest magnitude
+    (the first one on ties) is positive.  Raises InvalidMatrix when the
+    columns of any decomposition are not orthonormal.
+    """
+    order = np.lexsort((-w, -np.abs(w)), axis=-1)
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    v = np.where(pivot < 0, -v, v)
+    gram_err = float(np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(v.shape[-1])).max(initial=0.0))
+    if gram_err > ORTHONORMAL_TOL:
+        raise InvalidMatrix(
+            f"eigenvector columns are not orthonormal: max |V'V - I| = {gram_err:.3e}"
+        )
+    return w, v
 
 
 def sym_eigen(a: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a symmetric matrix, ordered by descending |eigenvalue|."""
-    a = symmetrize(a)
-    w, v = np.linalg.eigh(a)
-    order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), -w[i], i))
-    return EigenSystem(values=w[order], vectors=_canonical_signs(v[:, order]))
+    w, v = np.linalg.eigh(symmetrize(a))
+    w, v = ordered_eigh(w[None], v[None])
+    return EigenSystem(values=w[0], vectors=v[0])
 
 
 def _pd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """eigh of a symmetric matrix that must be positive definite."""
-    w, v = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(symmetrize(a))
     w_min, w_max = float(w[0]), float(w[-1])
     if w_max <= 0.0 or w_min <= PD_RTOL * w_max:
         raise NotPositiveDefinite(
@@ -130,25 +140,39 @@ def _pd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _inverse_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return mirror((v / w) @ v.T)
+
+
+def _inv_sqrt_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return mirror((v * w**-0.5) @ v.T)
+
+
+def _sqrt_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return mirror((v * w**0.5) @ v.T)
+
+
 def inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root R of a positive definite matrix: R a R = I."""
-    a = symmetrize(a)
-    w, v = _pd_eigh(a)
-    return mirror((v * w**-0.5) @ v.T)
+    return _inv_sqrt_of(*_pd_eigh(a))
 
 
 def sym_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric square root of a positive definite matrix."""
-    a = symmetrize(a)
-    w, v = _pd_eigh(a)
-    return mirror((v * w**0.5) @ v.T)
+    return _sqrt_of(*_pd_eigh(a))
 
 
 def sym_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, exactly symmetric."""
-    a = symmetrize(a)
+    return _inverse_of(*_pd_eigh(a))
+
+
+def spd_roots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inverse, inverse square root, square root) of a symmetric positive
+    definite matrix from one eigendecomposition; each equals the standalone
+    function bit for bit."""
     w, v = _pd_eigh(a)
-    return mirror((v / w) @ v.T)
+    return _inverse_of(w, v), _inv_sqrt_of(w, v), _sqrt_of(w, v)
 
 
 def residual_projector(b: Basis) -> np.ndarray:

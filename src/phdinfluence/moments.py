@@ -20,12 +20,21 @@ and the residual-weighted analogue subtracts the same-shaped downdate of the
 predictor third moment contracted with the leave-one-out OLS slope.  The
 formulas are validated against brute-force refits in the test suite.
 
+Blocked evaluation: :func:`loo_downdates` evaluates these closed forms once
+for a whole block of rows, as (rows, p, p) stacks, and :func:`loo_downdate`
+is its one-row view.  Callers walk the sample in blocks of
+:func:`loo_block_rows` rows, sized so that one (rows, p, p) float64 stack
+fits in LOO_BLOCK_BYTES; the byte budget, not the sample size, bounds the
+memory of a leave-one-out pass.
+
 Leverage criterion: the scalar (n-1)^2/n - z'z is zero exactly when deleting
 row j leaves a singular covariance (the leverage singularity).  Its whitened
 margin, (n-1)^2/n - z'z divided by (n-1)^2/n, is the smallest eigenvalue of
 the whitened leave-one-out covariance relative to the others and lies in
-[0, 1].  A margin at or below LEVERAGE_RTOL raises DegenerateLeverage; this
-is the only place the leverage singularity is decided.
+[0, 1].  A margin at or below LEVERAGE_RTOL puts the row in the
+``degenerate`` mask of :func:`loo_downdates` (and makes
+:func:`loo_downdate` raise DegenerateLeverage); this is the only place the
+leverage singularity is decided.
 """
 
 from __future__ import annotations
@@ -35,12 +44,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLeverage, InsufficientData
-from .linalg import inv_sqrt, mirror, sym_inverse
+from .linalg import mirror, spd_roots
 
 #: smallest whitened leverage margin a downdate accepts.  The z z' / denom
 #: term amplifies the rounding error in denom by 1/margin, so below sqrt(eps)
 #: the leave-one-out inverse keeps fewer than half of its significant digits.
 LEVERAGE_RTOL = float(np.sqrt(np.finfo(float).eps))
+
+#: byte budget of one (rows, p, p) float64 stack in a blocked downdate: 32
+#: rows at p = 16.  Larger blocks buy little speed and raise peak memory.
+LOO_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -120,15 +133,24 @@ class MomentSet:
 
 @dataclass(frozen=True)
 class LooMoments:
-    """Moments of the sample with row j removed, from closed-form downdates."""
+    """Moments of the sample with row j removed, from closed-form downdates.
 
-    j: int
+    From :func:`loo_downdates` every field carries a leading axis over the
+    rows of a block (``j`` is then an integer array); from
+    :func:`loo_downdate` it is the one-row view, with scalar ``j``,
+    ``ybar_j`` and ``margin``.  ``margin`` is the whitened leverage margin.
+    Rows at the leverage singularity hold NaN in ``s_inv_j`` and
+    ``sigma_rxx_j``, the quantities that need S_(j)^-1.
+    """
+
+    j: int | np.ndarray
     xbar_j: np.ndarray
-    ybar_j: float
+    ybar_j: float | np.ndarray
     s_inv_j: np.ndarray
     s_xy_j: np.ndarray
     sigma_yxx_j: np.ndarray
     sigma_rxx_j: np.ndarray
+    margin: float | np.ndarray
 
 
 def compute_moments(d: Dataset) -> MomentSet:
@@ -144,8 +166,8 @@ def compute_moments(d: Dataset) -> MomentSet:
     yc = y - ybar
 
     s = mirror(xc.T @ xc / (n - 1))
-    s_inv = sym_inverse(s)  # raises NotPositiveDefinite on singular designs
-    s_inv_sqrt = inv_sqrt(s)
+    # raises NotPositiveDefinite on singular designs
+    s_inv, s_inv_sqrt, _ = spd_roots(s)
     s_xy = xc.T @ yc / (n - 1)
 
     sigma_yxx = mirror((xc.T * yc) @ xc / n)
@@ -171,69 +193,113 @@ def compute_moments(d: Dataset) -> MomentSet:
     )
 
 
-def loo_downdate(d: Dataset, m: MomentSet, j: int) -> LooMoments:
-    """Closed-form moments of the sample with observation j deleted."""
+def loo_block_rows(p: int) -> int:
+    """Rows per block of :func:`loo_downdates` callers at p predictors: as
+    many as fit one (rows, p, p) float64 stack into LOO_BLOCK_BYTES."""
+    return max(1, LOO_BLOCK_BYTES // (8 * p * p))
+
+
+def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarray]:
+    """Closed-form moments of the sample without each observation in ``rows``.
+
+    Returns the block's LooMoments (leading axis over ``rows``) and the
+    boolean mask of rows at the leverage singularity, whose whitened margin
+    is at or below LEVERAGE_RTOL.
+    """
     n = d.n
-    if not 0 <= j < n:
-        raise IndexError(f"observation index {j} out of range for n={n}")
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 1 or np.any((rows < 0) | (rows >= n)):
+        raise IndexError(f"observation indices {rows.tolist()} out of range for n={n}")
 
-    dj = d.x[j] - m.xbar
-    dyj = float(d.y[j] - m.ybar)
+    dj = d.x[rows] - m.xbar
+    dyj = d.y[rows] - m.ybar
 
-    xbar_j = (n * m.xbar - d.x[j]) / (n - 1)
-    ybar_j = float((n * m.ybar - d.y[j]) / (n - 1))
+    xbar_j = (n * m.xbar - d.x[rows]) / (n - 1)
+    ybar_j = (n * m.ybar - d.y[rows]) / (n - 1)
 
-    z = m.s_inv_sqrt @ dj
-    denom = (n - 1) ** 2 / n - float(z @ z)
-    margin = denom / ((n - 1) ** 2 / n)
-    if margin <= LEVERAGE_RTOL:
-        raise DegenerateLeverage(
-            f"observation {j} sits at the leverage singularity: "
-            f"whitened margin ((n-1)^2/n - z'z) / ((n-1)^2/n) = {margin:.3e}",
-            index=j,
-        )
-    core = np.eye(d.p) + np.outer(z, z) / denom
+    z = dj @ m.s_inv_sqrt
+    full = (n - 1) ** 2 / n
+    denom = full - np.einsum("ij,ij->i", z, z)
+    margin = denom / full
+    degenerate = margin <= LEVERAGE_RTOL
+    # Degenerate rows get a harmless denominator here and NaN below.
+    denom = np.where(degenerate, full, denom)
+    core = np.eye(d.p) + z[:, :, None] * z[:, None, :] / denom[:, None, None]
     s_inv_j = mirror((n - 2) / (n - 1) * m.s_inv_sqrt @ core @ m.s_inv_sqrt)
 
-    s_xy_j = ((n - 1) * m.s_xy - (n / (n - 1)) * dyj * dj) / (n - 2)
+    s_xy_j = ((n - 1) * m.s_xy - (n / (n - 1)) * dyj[:, None] * dj) / (n - 2)
 
     lever = n * (n + 1) / (n - 1) ** 2
-    ddt = np.outer(dj, dj)
+    ddt = dj[:, :, None] * dj[:, None, :]
     sigma_yxx_j = mirror(
         (
             n * m.sigma_yxx_hat
-            + np.outer(m.s_xy, dj)
-            + np.outer(dj, m.s_xy)
-            + dyj * (m.s - lever * ddt)
+            + m.s_xy[:, None] * dj[:, None, :]
+            + dj[:, :, None] * m.s_xy
+            + dyj[:, None, None] * (m.s - lever * ddt)
         )
         / (n - 1)
     )
 
     # Residual-weighted analogue: subtract the downdated predictor third
     # moment contracted with the leave-one-out OLS slope.
-    beta_j = s_inv_j @ s_xy_j
-    t_beta = np.tensordot(m.x_third, beta_j, axes=([0], [0]))
-    s_beta = m.s @ beta_j
-    d_beta = float(dj @ beta_j)
+    beta_j = np.einsum("rab,rb->ra", s_inv_j, s_xy_j)
+    t_beta = np.tensordot(beta_j, m.x_third, axes=([1], [0]))
+    s_beta = beta_j @ m.s
+    d_beta = np.einsum("ra,ra->r", dj, beta_j)
     sigma_rxx_j = mirror(
         sigma_yxx_j
         - (
             n * t_beta
-            + np.outer(s_beta, dj)
-            + np.outer(dj, s_beta)
-            + d_beta * (m.s - lever * ddt)
+            + s_beta[:, :, None] * dj[:, None, :]
+            + dj[:, :, None] * s_beta[:, None, :]
+            + d_beta[:, None, None] * (m.s - lever * ddt)
         )
         / (n - 1)
     )
+    s_inv_j[degenerate] = np.nan
+    sigma_rxx_j[degenerate] = np.nan
 
-    return LooMoments(
-        j=j,
+    lm = LooMoments(
+        j=rows,
         xbar_j=xbar_j,
         ybar_j=ybar_j,
         s_inv_j=s_inv_j,
         s_xy_j=s_xy_j,
         sigma_yxx_j=sigma_yxx_j,
         sigma_rxx_j=sigma_rxx_j,
+        margin=margin,
+    )
+    return lm, degenerate
+
+
+def require_regular(lm: LooMoments, degenerate: np.ndarray) -> None:
+    """Raise DegenerateLeverage for the first row of a block that sits at the
+    leverage singularity."""
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        j = int(lm.j[i])
+        raise DegenerateLeverage(
+            f"observation {j} sits at the leverage singularity: "
+            f"whitened margin ((n-1)^2/n - z'z) / ((n-1)^2/n) = {lm.margin[i]:.3e}",
+            index=j,
+        )
+
+
+def loo_downdate(d: Dataset, m: MomentSet, j: int) -> LooMoments:
+    """Closed-form moments of the sample with observation j deleted: the
+    one-row view of :func:`loo_downdates`."""
+    lm, degenerate = loo_downdates(d, m, [j])
+    require_regular(lm, degenerate)
+    return LooMoments(
+        j=j,
+        xbar_j=lm.xbar_j[0],
+        ybar_j=float(lm.ybar_j[0]),
+        s_inv_j=lm.s_inv_j[0],
+        s_xy_j=lm.s_xy_j[0],
+        sigma_yxx_j=lm.sigma_yxx_j[0],
+        sigma_rxx_j=lm.sigma_rxx_j[0],
+        margin=float(lm.margin[0]),
     )
 
 

@@ -15,6 +15,11 @@ residual of (y0, x0),
     alpha_{r,k} = { r0 g_k' Sigma^{-1/2} z0 - lambda_k g_k' Sigma^{1/2} z0 } z0
                   -  r0 Sigma^{-1/2} g_k .
 
+The alpha displays are evaluated in one place, :func:`ris_rows`, for a whole
+array of contamination points at once: ``ris_y``/``ris_r`` are its one-row
+views, the sample plug-in ERIS calls it once for all n observations, and the
+influence surface once for all grid cells.
+
 Two independent routes to the same number are implemented: the alpha displays
 above, and the influence matrix of the Hessian estimator
 
@@ -23,7 +28,8 @@ above, and the influence matrix of the Hessian estimator
 
 (for the r variant drop the sigma_yx terms and weight by r0) followed by
 || (I - P) F g_k || / |lambda_k|.  They agree to rounding and are cross-checked
-in the tests.
+in the tests; the influence-matrix route is evaluated point by point and
+serves only as that check.
 
 Everything is additionally validated against a numeric oracle that builds the
 EXACT moments of the contaminated mixture at a small finite eps, recomputes
@@ -61,7 +67,16 @@ from .errors import (
     InvalidEpsilon,
     UnsupportedModel,
 )
-from .linalg import Basis, mirror, project_out, sine_to_subspace, sym_eigen, sym_inverse, sym_sqrt, inv_sqrt, symmetrize
+from .linalg import (
+    Basis,
+    mirror,
+    project_out,
+    sine_to_subspace,
+    spd_roots,
+    sym_eigen,
+    sym_inverse,
+    symmetrize,
+)
 from .phd import check_variant, population_h
 
 SPECTRUM_TOL = 1e-9
@@ -111,7 +126,7 @@ class PopulationModel:
                         f"({lam[i]!r} vs {lam[j]!r}); the eigenvector influence "
                         "is undefined for tied spectra"
                     )
-        sigma_inv = sym_inverse(sigma)
+        sigma_inv, sigma_inv_sqrt, sigma_sqrt = spd_roots(sigma)
         beta = sigma_inv @ sigma_xy
         leak = float(np.abs(project_out(self.gamma, beta)).max())
         if leak > 1e-10 * (1.0 + float(np.abs(beta).max())):
@@ -124,8 +139,8 @@ class PopulationModel:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "sigma_xy", sigma_xy)
         object.__setattr__(self, "_sigma_inv", sigma_inv)
-        object.__setattr__(self, "_sigma_inv_sqrt", inv_sqrt(sigma))
-        object.__setattr__(self, "_sigma_sqrt", sym_sqrt(sigma))
+        object.__setattr__(self, "_sigma_inv_sqrt", sigma_inv_sqrt)
+        object.__setattr__(self, "_sigma_sqrt", sigma_sqrt)
         object.__setattr__(self, "_beta", beta)
 
     @property
@@ -189,21 +204,40 @@ def population_ols_residual(model: PopulationModel, pt: ContaminationPoint) -> f
     return float(pt.y0 - model.mu_y - (pt.x0 - model.mu) @ model.beta)
 
 
+def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
+    """Closed-form influence rates of m contamination points, an m x K array.
+
+    Row i is contaminated at x0[i]; ``w0[i]`` is its response y0 for the y
+    variant and its OLS residual r0 for the r variant.  Column k - 1 holds
+    RIS_k, evaluated through the alpha display of the module docstring.
+    """
+    check_variant(variant)
+    x0 = np.asarray(x0, dtype=float)
+    w = np.asarray(w0, dtype=float)
+    if x0.ndim != 2 or x0.shape[1] != model.p or w.shape != x0.shape[:1]:
+        raise ValueError(
+            f"need an m x {model.p} x0 and a length-m w0, got {x0.shape} and {w.shape}"
+        )
+    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(w))):
+        raise ValueError("contamination points must be finite")
+    if variant == "y":
+        w = w - model.mu_y
+    g = model.gamma.columns
+    root_inv = model.sigma_inv_sqrt
+    z0 = (x0 - model.mu) @ root_inv
+    scal = w[:, None] * ((z0 @ root_inv) @ g) - model.lam * ((z0 @ model.sigma_sqrt) @ g)
+    if variant == "y":
+        scal = scal - g.T @ model.beta
+    alpha = scal[:, :, None] * z0[:, None, :] - w[:, None, None] * (root_inv @ g).T
+    resid = project_out(model.gamma, root_inv @ np.swapaxes(alpha, -1, -2))
+    return np.linalg.norm(resid, axis=-2) / np.abs(model.lam)
+
+
 def ris_y(model: PopulationModel, pt: ContaminationPoint, k: int) -> RisValue:
     """Closed-form influence rate on the k-th y-based direction (k is 1-based)."""
     i = _direction_index(model, k)
-    g = model.gamma.columns[:, i]
-    lam_k = float(model.lam[i])
-    dy = pt.y0 - model.mu_y
-    z0 = model.sigma_inv_sqrt @ (pt.x0 - model.mu)
-    scal = (
-        dy * float(g @ (model.sigma_inv_sqrt @ z0))
-        - lam_k * float(g @ (model.sigma_sqrt @ z0))
-        - float(g @ model.beta)
-    )
-    alpha = scal * z0 - dy * (model.sigma_inv_sqrt @ g)
-    resid = project_out(model.gamma, model.sigma_inv_sqrt @ alpha)
-    return RisValue("y", k, float(np.linalg.norm(resid)) / abs(lam_k))
+    value = ris_rows(model, "y", pt.x0[None], [pt.y0])[0, i]
+    return RisValue("y", k, float(value))
 
 
 def ris_r(
@@ -218,16 +252,9 @@ def ris_r(
     plug-in diagnostics pass the fitted residual of the observation here.
     """
     i = _direction_index(model, k)
-    g = model.gamma.columns[:, i]
-    lam_k = float(model.lam[i])
     r0 = population_ols_residual(model, pt) if residual is None else float(residual)
-    z0 = model.sigma_inv_sqrt @ (pt.x0 - model.mu)
-    scal = r0 * float(g @ (model.sigma_inv_sqrt @ z0)) - lam_k * float(
-        g @ (model.sigma_sqrt @ z0)
-    )
-    alpha = scal * z0 - r0 * (model.sigma_inv_sqrt @ g)
-    resid = project_out(model.gamma, model.sigma_inv_sqrt @ alpha)
-    return RisValue("r", k, float(np.linalg.norm(resid)) / abs(lam_k))
+    value = ris_rows(model, "r", pt.x0[None], [r0])[0, i]
+    return RisValue("r", k, float(value))
 
 
 def if_h_y(model: PopulationModel, pt: ContaminationPoint) -> np.ndarray:
@@ -433,41 +460,42 @@ def influence_surface(
     """Influence surface over (||x0||, cos theta0) for the cosine model.
 
     x0 = ||x0|| (cos(theta0) beta_1 + sin(theta0) u) for a fixed unit u
-    orthogonal to beta_1, with y0 on the noiseless curve.  Every cell is
-    evaluated through the general closed form AND through the single-index
-    shortcut (the c_y / c_r factorisation); the two must agree to 1e-9.
+    orthogonal to beta_1, with y0 on the noiseless curve.  All cells go
+    through one :func:`ris_rows` call, and every cell is also evaluated
+    through the single-index shortcut (the c_y / c_r factorisation); the two
+    must agree to 1e-9, else the error names the worst cell.
     """
     check_variant(variant)
     beta1 = _check_surface_model(model)
     u = _unit_perpendicular(beta1)
     norms = np.asarray(list(norm_grid), dtype=float)
     costhetas = np.asarray(list(costheta_grid), dtype=float)
-    if np.any(np.abs(costhetas) > 1.0):
-        raise ValueError("cos(theta0) grid must lie in [-1, 1]")
+    if not (np.all(np.isfinite(norms)) and np.all(np.abs(costhetas) <= 1.0)):
+        raise ValueError("norm grid must be finite and cos(theta0) grid must lie in [-1, 1]")
     mu_y = model.mu_y
     lam1 = float(model.lam[0])
     bxy = float(beta1 @ model.sigma_xy)
 
-    out = np.empty((norms.size, costhetas.size))
-    for a, nrm in enumerate(norms):
-        for b, ct in enumerate(costhetas):
-            st = math.sqrt(max(0.0, 1.0 - ct * ct))
-            x0 = nrm * (ct * beta1 + st * u)
-            y0 = math.cos(2.0 * nrm * ct - math.pi / 4.0)
-            pt = ContaminationPoint(y0=y0, x0=x0)
-            if variant == "y":
-                val = ris_y(model, pt, 1).value
-                c = abs(((y0 - mu_y) * nrm * ct - lam1 * nrm * ct - bxy) / lam1)
-            else:
-                val = ris_r(model, pt, 1).value
-                c = abs(((y0 - mu_y - bxy * nrm * ct) * nrm * ct - lam1 * nrm * ct) / lam1)
-            shortcut = c * nrm * st
-            if abs(val - shortcut) > 1e-9:
-                raise AssertionError(
-                    "general and shortcut influence disagree at "
-                    f"(||x0||={nrm}, cos={ct}): {val!r} vs {shortcut!r}"
-                )
-            out[a, b] = val
+    nrm = norms[:, None]
+    ct = costhetas[None, :]
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    x0 = nrm[..., None] * (ct[..., None] * beta1 + st[..., None] * u)
+    y0 = np.cos(2.0 * nrm * ct - math.pi / 4.0)
+    if variant == "y":
+        w0 = y0
+        c = np.abs(((y0 - mu_y) * nrm * ct - lam1 * nrm * ct - bxy) / lam1)
+    else:
+        w0 = y0 - mu_y - (x0 - model.mu) @ model.beta
+        c = np.abs(((y0 - mu_y - bxy * nrm * ct) * nrm * ct - lam1 * nrm * ct) / lam1)
+    out = ris_rows(model, variant, x0.reshape(-1, model.p), w0.ravel())[:, 0].reshape(w0.shape)
+    shortcut = c * nrm * st
+    gap = np.abs(out - shortcut)
+    if gap.max(initial=0.0) > 1e-9:
+        a, b = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        raise AssertionError(
+            "general and shortcut influence disagree at "
+            f"(||x0||={norms[a]}, cos={costhetas[b]}): {out[a, b]!r} vs {shortcut[a, b]!r}"
+        )
     return out
 
 

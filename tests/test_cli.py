@@ -101,6 +101,19 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert "error" in record and "message" in record
 
 
+def test_duplicate_header_exits_with_one_json_error_line(tmp_path, capsys):
+    path = tmp_path / "dupes.csv"
+    path.write_text("y,a,a,b\n" + "".join(f"{i},{i % 3},{i * i % 5},{i % 4}\n" for i in range(12)))
+    code = run(["fit", "--input", path, "--response", "y",
+                "--variant", "y", "--k", 1, "--output-dir", tmp_path / "out"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "DuplicateColumn"
+    assert "'a'" in record["message"]
+
+
 def test_numeric_error_exit_code(tmp_path, capsys):
     # exactly collinear predictors make the covariance singular
     lines = ["y,x1,x2"]

@@ -26,6 +26,7 @@ from phdinfluence.errors import (
     UndefinedCorrelation,
 )
 from phdinfluence.linalg import project_out
+from phdinfluence.moments import loo_block_rows
 from phdinfluence.simulate import SimSpec, simulate
 
 
@@ -269,6 +270,18 @@ def test_hris_matches_brute_force_refit():
                 assert rel.max() <= 1e-9, (variant, measure, j)
 
 
+def test_hris_reads_the_hessian_stack_without_eigendecompositions(monkeypatch):
+    d = cosine_data(31, n=40, p=4)
+    m = compute_moments(d)
+    fit = fit_phd(d, "y", 2, moments=m)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
+    vals = hris(d, fit, m)
+    assert calls == []
+    assert vals.shape == (40, 2) and np.isfinite(vals).all()
+
+
 def test_hris_small_at_an_exactly_average_observation():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((29, 3))
@@ -390,6 +403,40 @@ def test_leverage_flag_iff_refit_and_hybrid_are_undefined():
         else:
             assert np.isfinite(values).all()
     assert flagged == {7}
+
+
+@pytest.mark.parametrize("side", ["last_of_first_block", "first_of_second_block"])
+def test_leverage_flag_at_a_block_boundary(side):
+    # the construction of the test above, at p = 16 where a block holds
+    # loo_block_rows(16) rows, with the spiked row on either side of the
+    # first block boundary and a short third block
+    p = 16
+    rows = loo_block_rows(p)
+    n = 2 * rows + 3
+    spike = rows - 1 if side == "last_of_first_block" else rows
+    d0 = cosine_data(0, n=n, p=p)
+    x = d0.x.copy()
+    x[:, p - 1] = 1e-6 * np.random.default_rng(0).standard_normal(n)
+    x[spike, p - 1] = 1.0
+    d = Dataset(y=d0.y, x=x)
+    report = influence_report(d, 1)
+    flagged = {rec.j for rec in report.records if "degenerate_leverage" in rec.flags}
+    assert flagged == {spike}
+    by_j = {rec.j: rec for rec in report.records}
+    for v in ("y", "r"):
+        rec = by_j[spike]
+        assert np.isnan(rec.sris[v]).all() and np.isnan(rec.hris[v]).all()
+        fit = report.fits[v]
+        for j in range(n):
+            if j == spike:
+                continue
+            for measure, want in zip(("sris", "hris"), bf_sris_hris(d, fit, j)):
+                got = getattr(by_j[j], measure)[v]
+                rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-12)
+                assert rel.max() <= 1e-9, (v, measure, j)
+    with pytest.raises(DegenerateLeverage) as err:
+        hris(d, report.fits["y"], compute_moments(d))
+    assert err.value.index == spike
 
 
 def test_report_correlations_match_recomputation():

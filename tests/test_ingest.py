@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phdinfluence import IngestConfig, SimSpec, ingest_csv, simulate, write_dataset_csv
-from phdinfluence.errors import MissingColumn, NonNumericCell, TooFewRows
+from phdinfluence.errors import DuplicateColumn, MissingColumn, NonNumericCell, TooFewRows
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -94,3 +94,28 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back.y, d.y)
     assert np.array_equal(back.x, d.x)
     assert back.names == d.names
+
+
+SMALL = "y,a,b\n1,2,3\n2,3,5\n3,5,4\n4,1,1\n5,8,2\n"
+
+
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + SMALL.encode())
+    d = ingest_csv(path, IngestConfig(response_column="y"))
+    plain = ingest_csv(write(tmp_path, SMALL), IngestConfig(response_column="y"))
+    assert d.names == plain.names == ("a", "b")
+    assert np.array_equal(d.y, plain.y) and np.array_equal(d.x, plain.x)
+
+
+def test_duplicate_header_names_are_a_data_error(tmp_path):
+    path = write(tmp_path, SMALL.replace("y,a,b", "y,a,a"))
+    with pytest.raises(DuplicateColumn, match="'a'") as err:
+        ingest_csv(path, IngestConfig(response_column="y"))
+    assert err.value.exit_code == 3
+
+
+def test_duplicate_predictor_names_are_a_data_error(tmp_path):
+    path = write(tmp_path, SMALL)
+    with pytest.raises(DuplicateColumn, match="'a'"):
+        ingest_csv(path, IngestConfig(response_column="y", predictor_columns=("a", "a")))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phdinfluence import (
     Basis,
@@ -10,6 +12,13 @@ from phdinfluence import (
     symmetrize,
 )
 from phdinfluence.errors import InvalidMatrix, InvalidVector, NotPositiveDefinite
+from phdinfluence.linalg import (
+    mirror,
+    ordered_eigh,
+    spd_roots,
+    sym_inverse,
+    sym_sqrt,
+)
 from conftest import random_orthonormal, random_spd
 
 
@@ -146,3 +155,98 @@ def test_sine_matches_cosine_identity(rng):
 def test_basis_rejects_non_orthonormal():
     with pytest.raises(InvalidMatrix):
         Basis(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+# ----------------------------------------------------------------------
+# stacks: mirror, the ordering/sign rule, and one eigh of an SPD matrix
+# ----------------------------------------------------------------------
+
+def test_mirror_of_a_stack_mirrors_each_slice(rng):
+    stack = rng.standard_normal((3, 5, 5))
+    got = mirror(stack)
+    for i in range(3):
+        assert np.array_equal(got[i], mirror(stack[i]))
+    assert np.array_equal(got, np.swapaxes(got, -1, -2))
+
+
+def test_mirror_rejects_non_square_stacks():
+    with pytest.raises(InvalidMatrix):
+        mirror(np.zeros((3, 4, 5)))
+    with pytest.raises(InvalidMatrix):
+        mirror(np.zeros(4))
+
+
+def reference_order(w, v):
+    """The ordering and sign rule written out column by column."""
+    order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), -w[i], i))
+    v = v[:, order].copy()
+    for k in range(v.shape[1]):
+        if v[int(np.argmax(np.abs(v[:, k]))), k] < 0:
+            v[:, k] = -v[:, k]
+    return w[order], v
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """Stacks of symmetric matrices; diagonal and small-integer slices give
+    exact ties in |eigenvalue| and in signed eigenvalue."""
+    p = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 4))
+    slices = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["diagonal", "integer", "float"]))
+        if kind == "diagonal":
+            a = np.diag(draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]),
+                                      min_size=p, max_size=p)))
+        else:
+            elems = (st.integers(-2, 2).map(float) if kind == "integer"
+                     else st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+            a = np.array(draw(st.lists(elems, min_size=p * p, max_size=p * p))).reshape(p, p)
+        slices.append(mirror(a))
+    return np.stack(slices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_stacks())
+def test_ordered_eigh_on_a_stack_equals_sym_eigen_slice_by_slice(stack):
+    w = np.empty(stack.shape[:-1])
+    v = np.empty_like(stack)
+    for i, a in enumerate(stack):
+        w[i], v[i] = np.linalg.eigh(a)
+    ws, vs = ordered_eigh(w, v)
+    for i, a in enumerate(stack):
+        es = sym_eigen(a)
+        assert np.array_equal(ws[i], es.values)
+        assert np.array_equal(vs[i], es.vectors)
+        ref_w, ref_v = reference_order(w[i], v[i])
+        assert np.array_equal(ws[i], ref_w)
+        assert np.array_equal(vs[i], ref_v)
+
+
+def test_ordered_eigh_breaks_ties_by_signed_value_then_position():
+    w, v = ordered_eigh(np.array([1.0, -2.0, 2.0, -1.0]), -np.eye(4))
+    assert w.tolist() == [2.0, -2.0, 1.0, -1.0]
+    assert np.array_equal(v, np.eye(4)[:, [2, 1, 0, 3]])
+
+
+def test_ordered_eigh_rejects_non_orthonormal_columns():
+    with pytest.raises(InvalidMatrix):
+        ordered_eigh(np.ones((2, 2)), np.ones((2, 2, 2)))
+
+
+def test_spd_roots_are_the_standalone_functions_bit_for_bit(rng):
+    a = random_spd(rng, 6, spread=0.01)
+    inverse, root_inv, root = spd_roots(a)
+    assert np.array_equal(inverse, sym_inverse(a))
+    assert np.array_equal(root_inv, inv_sqrt(a))
+    assert np.array_equal(root, sym_sqrt(a))
+    with pytest.raises(NotPositiveDefinite):
+        spd_roots(np.diag([1.0, 0.0]))
+
+
+def test_spd_roots_decompose_once(rng, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    spd_roots(random_spd(rng, 4))
+    assert len(calls) == 1

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from phdinfluence import Dataset, MomentSet, compute_moments, loo_downdate, mahalanobis
+from phdinfluence import (
+    Dataset,
+    LooMoments,
+    MomentSet,
+    compute_moments,
+    loo_downdate,
+    mahalanobis,
+)
+from phdinfluence.linalg import inv_sqrt, sym_inverse
+from phdinfluence.moments import LOO_BLOCK_BYTES, loo_block_rows, loo_downdates
 from phdinfluence.errors import (
     DegenerateLeverage,
     InsufficientData,
@@ -71,6 +80,18 @@ def test_exact_linear_fit_kills_residual_moment(rng):
     scale = np.abs(d.y).max()
     assert np.abs(m.residuals).max() <= 1e-10 * scale
     assert np.abs(m.sigma_rxx_hat).max() <= 1e-9 * scale
+
+
+def test_moments_decompose_the_covariance_once(rng, monkeypatch):
+    d = make_data(rng, 30, 4)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    m = compute_moments(d)
+    assert len(calls) == 1
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert np.array_equal(m.s_inv, sym_inverse(m.s))
+    assert np.array_equal(m.s_inv_sqrt, inv_sqrt(m.s))
 
 
 def test_third_moment_matches_triple_loop(rng):
@@ -147,17 +168,25 @@ def test_singular_design_rejected(rng):
 # ----------------------------------------------------------------------
 
 def test_downdate_matches_brute_force_everywhere(rng):
+    # every row as its own one-row view, and all rows as one block in
+    # reverse order
     d = make_data(rng, 30, 4)
     m = compute_moments(d)
+    block, degenerate = loo_downdates(d, m, np.arange(d.n)[::-1])
+    assert not degenerate.any()
+    assert block.s_inv_j.shape == (d.n, 4, 4) and block.ybar_j.shape == (d.n,)
     for j in range(d.n):
-        lm = loo_downdate(d, m, j)
+        i = d.n - 1 - j
+        assert block.j[i] == j
         xbar, ybar, s, s_xy, yxx, rxx = bf_loo(d.y, d.x, j)
-        assert np.abs(lm.xbar_j - xbar).max() <= 1e-12
-        assert lm.ybar_j == pytest.approx(ybar, abs=1e-12)
-        assert np.abs(lm.s_inv_j @ s - np.eye(4)).max() <= 1e-9
-        assert np.abs(lm.s_xy_j - s_xy).max() <= 1e-9 * (1 + np.abs(s_xy).max())
-        assert np.abs(lm.sigma_yxx_j - yxx).max() <= 1e-9 * (1 + np.abs(yxx).max())
-        assert np.abs(lm.sigma_rxx_j - rxx).max() <= 1e-9 * (1 + np.abs(rxx).max())
+        row_i = LooMoments(**{name: value[i] for name, value in vars(block).items()})
+        for lm in (loo_downdate(d, m, j), row_i):
+            assert np.abs(lm.xbar_j - xbar).max() <= 1e-12
+            assert lm.ybar_j == pytest.approx(ybar, abs=1e-12)
+            assert np.abs(lm.s_inv_j @ s - np.eye(4)).max() <= 1e-9
+            assert np.abs(lm.s_xy_j - s_xy).max() <= 1e-9 * (1 + np.abs(s_xy).max())
+            assert np.abs(lm.sigma_yxx_j - yxx).max() <= 1e-9 * (1 + np.abs(yxx).max())
+            assert np.abs(lm.sigma_rxx_j - rxx).max() <= 1e-9 * (1 + np.abs(rxx).max())
 
 
 def test_downdate_of_only_distinct_point_hits_leverage_singularity():
@@ -186,6 +215,26 @@ def test_downdate_index_out_of_range(rng):
     m = compute_moments(d)
     with pytest.raises(IndexError):
         loo_downdate(d, m, 10)
+    with pytest.raises(IndexError):
+        loo_downdates(d, m, [3, -1])
+
+
+def test_block_downdate_masks_the_leverage_singularity():
+    x = np.array([[1.0], [1.0], [1.0], [1.0], [1.0], [4.0]])
+    y = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 7.0])
+    d = Dataset(y=y, x=x)
+    lm, degenerate = loo_downdates(d, compute_moments(d), np.arange(6))
+    assert degenerate.tolist() == [False] * 5 + [True]
+    assert np.isnan(lm.s_inv_j[5]).all() and np.isnan(lm.sigma_rxx_j[5]).all()
+    assert np.isfinite(lm.s_inv_j[:5]).all() and np.isfinite(lm.sigma_rxx_j[:5]).all()
+
+
+def test_block_rows_follow_the_byte_budget():
+    assert loo_block_rows(16) == 32
+    assert loo_block_rows(100) == 1  # one 80 kB matrix exceeds the budget
+    for p in (1, 3, 16, 32):
+        stack = 8 * p * p
+        assert loo_block_rows(p) * stack <= LOO_BLOCK_BYTES < (loo_block_rows(p) + 1) * stack
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,9 @@ from phdinfluence import (
     ris_y,
     write_surface_csv,
 )
+from phdinfluence import population
+from phdinfluence.linalg import inv_sqrt, sym_inverse, sym_sqrt
+from phdinfluence.population import ris_rows
 from phdinfluence.errors import (
     DegenerateSpectrum,
     InvalidEpsilon,
@@ -148,6 +151,38 @@ def test_rotation_invariance(rng):
             assert ris_r(model, pt, k).value == pytest.approx(
                 ris_r(rotated, pt_rot, k).value, abs=1e-10
             )
+
+
+def test_model_decomposes_sigma_once(rng, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    model = random_model(rng, 5, 2)
+    assert len(calls) == 1
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert np.array_equal(model.sigma_inv, sym_inverse(model.sigma))
+    assert np.array_equal(model.sigma_inv_sqrt, inv_sqrt(model.sigma))
+    assert np.array_equal(model.sigma_sqrt, sym_sqrt(model.sigma))
+
+
+def test_ris_rows_matches_the_influence_matrix_route(rng):
+    model = random_model(rng, 5, 2)
+    x0 = model.mu + 2.0 * rng.standard_normal((30, 5))
+    y0 = model.mu_y + rng.standard_normal(30)
+    r0 = rng.standard_normal(30)
+    got = {"y": ris_rows(model, "y", x0, y0), "r": ris_rows(model, "r", x0, r0)}
+    assert got["y"].shape == got["r"].shape == (30, 2)
+    for i in range(30):
+        pt = ContaminationPoint(y0=float(y0[i]), x0=x0[i])
+        f = {"y": if_h_y(model, pt), "r": if_h_r(model, pt, residual=float(r0[i]))}
+        for v in ("y", "r"):
+            for k in (1, 2):
+                want = ris_from_if_matrix(model, f[v], k)
+                assert got[v][i, k - 1] == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert got["y"][i, 1] == pytest.approx(ris_y(model, pt, 2).value, rel=1e-12)
+        assert got["r"][i, 0] == pytest.approx(
+            ris_r(model, pt, 1, residual=float(r0[i])).value, rel=1e-12
+        )
 
 
 def test_degenerate_spectrum_is_rejected(rng):
@@ -391,6 +426,34 @@ def test_surface_cross_section_peak_favors_residual_variant():
     grid_y = influence_surface(model, "y", [2.0], costhetas)
     grid_r = influence_surface(model, "r", [2.0], costhetas)
     assert grid_r.max() > grid_y.max()
+
+
+def test_surface_shortcut_check_names_the_worst_cell(monkeypatch):
+    model = cosine_model(p=3)
+    general = population.ris_rows
+
+    def off_at_one_cell(*args):
+        out = general(*args)
+        out[7, 0] += 1e-6  # cell (1, 2) of a 3 x 5 grid
+        out[3, 0] += 1e-8
+        return out
+
+    monkeypatch.setattr(population, "ris_rows", off_at_one_cell)
+    with pytest.raises(AssertionError, match=r"\(\|\|x0\|\|=1\.0, cos=0\.0\)"):
+        influence_surface(model, "r", [0.5, 1.0, 2.0], [-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+def test_ris_rows_and_surface_reject_bad_points():
+    model = cosine_model(p=3)
+    with pytest.raises(ValueError):
+        ris_rows(model, "y", np.zeros(3), [0.0])
+    with pytest.raises(ValueError):
+        ris_rows(model, "y", np.zeros((2, 3)), [0.0])
+    with pytest.raises(ValueError):
+        ris_rows(model, "r", np.full((1, 3), np.inf), [0.0])
+    for norms, costhetas in (([np.nan], [0.0]), ([1.0], [np.nan]), ([1.0], [1.5])):
+        with pytest.raises(ValueError):
+            influence_surface(model, "y", norms, costhetas)
 
 
 def test_surface_rejects_wrong_shape(rng):
