@@ -5,117 +5,101 @@ closed-form population influence of contamination on the estimated reduction
 directions, and compute the per-observation sample diagnostics (leave-one-out
 refit, closed-form plug-in, and hybrid downdate) that flag observations
 distorting the estimated subspace.
+
+Importing the package loads no submodule and no numpy: every public name
+is resolved from its module on first access (PEP 562), so the CLI can cap the
+BLAS thread pools before numpy starts.
 """
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-from . import errors
-from .diagnostics import (
-    CorrelationReport,
-    InfluenceRecord,
-    InfluenceReport,
-    eris,
-    eris_matrix_route,
-    estimated_model,
-    hris,
-    influence_report,
-    spearman,
-    sris,
-)
-from .ingest import IngestConfig, ingest_csv, write_dataset_csv
-from .linalg import (
-    Basis,
-    EigenSystem,
-    inv_sqrt,
-    residual_projector,
-    sine_to_subspace,
-    sym_eigen,
-    symmetrize,
-)
-from .moments import (
-    Dataset,
-    LooMoments,
-    MomentSet,
-    compute_moments,
-    loo_downdate,
-    loo_downdates,
-    mahalanobis,
-)
-from .phd import PhdFit, fit_phd, population_h
-from .population import (
-    ContaminatedMoments,
-    ContaminationPoint,
-    PopulationModel,
-    RisValue,
-    contaminated_moments,
-    cosine_model_constants,
-    cosine_model,
-    influence_surface,
-    if_h_r,
-    if_h_y,
-    population_ols_residual,
-    ris_from_if_matrix,
-    ris_numeric_oracle,
-    ris_r,
-    ris_rows,
-    ris_y,
-    write_surface_csv,
-)
-from .simulate import LINK_CATALOG, McConstants, SimSpec, mc_constants, simulate
+#: public name -> the submodule that defines it; None for a public submodule
+_EXPORTS = {
+    "errors": None,
+    "Basis": "linalg",
+    "EigenSystem": "linalg",
+    "inv_sqrt": "linalg",
+    "residual_projector": "linalg",
+    "sine_to_subspace": "linalg",
+    "sym_eigen": "linalg",
+    "symmetrize": "linalg",
+    "Dataset": "moments",
+    "LooMoments": "moments",
+    "MomentSet": "moments",
+    "compute_moments": "moments",
+    "loo_downdate": "moments",
+    "loo_downdates": "moments",
+    "mahalanobis": "moments",
+    "PhdFit": "phd",
+    "fit_phd": "phd",
+    "population_h": "phd",
+    "ContaminatedMoments": "population",
+    "ContaminationPoint": "population",
+    "PopulationModel": "population",
+    "RisValue": "population",
+    "contaminated_moments": "population",
+    "cosine_model_constants": "population",
+    "cosine_model": "population",
+    "influence_surface": "population",
+    "if_h_r": "population",
+    "if_h_y": "population",
+    "population_ols_residual": "population",
+    "ris_from_if_matrix": "population",
+    "ris_numeric_oracle": "population",
+    "ris_r": "population",
+    "ris_rows": "population",
+    "ris_y": "population",
+    "write_surface_csv": "population",
+    "CorrelationReport": "diagnostics",
+    "InfluenceRecord": "diagnostics",
+    "InfluenceReport": "diagnostics",
+    "eris": "diagnostics",
+    "eris_matrix_route": "diagnostics",
+    "estimated_model": "diagnostics",
+    "hris": "diagnostics",
+    "influence_report": "diagnostics",
+    "spearman": "diagnostics",
+    "sris": "diagnostics",
+    "IngestConfig": "ingest",
+    "ingest_csv": "ingest",
+    "write_dataset_csv": "ingest",
+    "LINK_CATALOG": "simulate",
+    "McConstants": "simulate",
+    "SimSpec": "simulate",
+    "mc_constants": "simulate",
+    "simulate": "simulate",
+}
 
-__all__ = [
-    "__version__",
-    "errors",
-    "Basis",
-    "EigenSystem",
-    "inv_sqrt",
-    "residual_projector",
-    "sine_to_subspace",
-    "sym_eigen",
-    "symmetrize",
-    "Dataset",
-    "LooMoments",
-    "MomentSet",
-    "compute_moments",
-    "loo_downdate",
-    "loo_downdates",
-    "mahalanobis",
-    "PhdFit",
-    "fit_phd",
-    "population_h",
-    "ContaminatedMoments",
-    "ContaminationPoint",
-    "PopulationModel",
-    "RisValue",
-    "contaminated_moments",
-    "cosine_model_constants",
-    "cosine_model",
-    "influence_surface",
-    "if_h_r",
-    "if_h_y",
-    "population_ols_residual",
-    "ris_from_if_matrix",
-    "ris_numeric_oracle",
-    "ris_r",
-    "ris_rows",
-    "ris_y",
-    "write_surface_csv",
-    "CorrelationReport",
-    "InfluenceRecord",
-    "InfluenceReport",
-    "eris",
-    "eris_matrix_route",
-    "estimated_model",
-    "hris",
-    "influence_report",
-    "spearman",
-    "sris",
-    "IngestConfig",
-    "ingest_csv",
-    "write_dataset_csv",
-    "LINK_CATALOG",
-    "McConstants",
-    "SimSpec",
-    "mc_constants",
-    "simulate",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+class _Package(types.ModuleType):
+    """The package module.  Loading a submodule binds it on the package; where
+    a public function shares the submodule's name (``simulate``), that
+    binding is skipped so the name keeps resolving to the function whichever
+    import loads the submodule first."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if isinstance(value, types.ModuleType) and _EXPORTS.get(name) is not None:
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    if module is None:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -9,10 +9,11 @@ Exit codes: 0 success, 1 validation failure (validate-constants), 2 usage
 error, 3 data error, 4 numeric degeneracy.  Errors go to stderr as one-line
 JSON records.
 
-numpy and the numeric modules are imported lazily so the --threads cap can be
-applied to the BLAS thread pools before numpy starts; all numeric kernels
-here are deterministic regardless, and --threads 1 output is byte-identical
-to any other setting.
+numpy and the numeric modules are imported lazily (the package itself loads
+neither) so the --threads cap is applied to the BLAS thread pools before
+numpy starts; manifest.json records the thread variables the run saw.  All
+numeric kernels here are deterministic regardless, and --threads 1 output is
+byte-identical to any other setting.
 """
 
 from __future__ import annotations
@@ -66,7 +67,10 @@ def _utcnow() -> str:
 
 
 class _Manifest:
-    """Collects run metadata and writes manifest.json next to the outputs."""
+    """Collects run metadata and writes manifest.json next to the outputs.
+
+    ``thread_env`` holds the BLAS thread variables as the run sees them, after
+    any --threads cap (None where unset)."""
 
     def __init__(self, command: str, config: dict, input_path=None, seed=None):
         self.data = {
@@ -77,6 +81,7 @@ class _Manifest:
             ).hexdigest(),
             "seed": seed,
             "version": __version__,
+            "thread_env": {var: os.environ.get(var) for var in _THREAD_ENV_VARS},
             "input": None,
             "outputs": [],
             "started_at": _utcnow(),

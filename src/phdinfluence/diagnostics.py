@@ -33,6 +33,7 @@ ERIS for the r variant plugs in the observation's fitted OLS residual.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -384,8 +385,10 @@ def _f(x) -> float | None:
     return x if np.isfinite(x) else None
 
 
-def report_to_json_dict(report: InfluenceReport) -> dict:
-    """The full report as one strictly-JSON-serializable document."""
+_MEASURES = ("sris", "eris", "hris")
+
+
+def _head_json(report: InfluenceReport) -> dict:
     return {
         "n": report.n,
         "p": report.p,
@@ -398,6 +401,28 @@ def report_to_json_dict(report: InfluenceReport) -> dict:
             }
             for v in VARIANTS
         },
+    }
+
+
+def _correlations_json(report: InfluenceReport) -> dict:
+    return {
+        v: {
+            t: {
+                "directions": [
+                    _f(report.correlations.values[v][t][i]) for i in range(report.k)
+                ],
+                "average": _f(report.correlations.values[v][t][-1]),
+            }
+            for t in TARGETS
+        }
+        for v in VARIANTS
+    }
+
+
+def report_to_json_dict(report: InfluenceReport) -> dict:
+    """The full report as one strictly-JSON-serializable document."""
+    return {
+        **_head_json(report),
         "records": [
             {
                 "j": rec.j,
@@ -409,22 +434,57 @@ def report_to_json_dict(report: InfluenceReport) -> dict:
             }
             for rec in report.records
         ],
-        "correlations": {
-            v: {
-                t: {
-                    "directions": [
-                        _f(report.correlations.values[v][t][i]) for i in range(report.k)
-                    ],
-                    "average": _f(report.correlations.values[v][t][-1]),
-                }
-                for t in TARGETS
-            }
-            for v in VARIANTS
-        },
+        "correlations": _correlations_json(report),
     }
 
 
+def _record_template(k: int) -> str:
+    """%-template of one record at rank k, laid out as json.dumps(indent=2)
+    lays out an element of the top-level "records" list.  Its fields are j,
+    md, the flags text, then the 6k values in (measure, variant) order."""
+    values = ",\n".join(["          %s"] * k)
+    lists = ",\n".join(f'        "{v}": [\n{values}\n        ]' for v in VARIANTS)
+    measures = ",\n".join(f'      "{m}": {{\n{lists}\n      }}' for m in _MEASURES)
+    return '    {\n      "j": %d,\n      "md": %s,\n      "flags": %s,\n' + measures + "\n    }"
+
+
+def _flags_json(flags: tuple[str, ...]) -> str:
+    if not flags:
+        return "[]"
+    return "[\n" + ",\n".join("        " + json.dumps(f) for f in flags) + "\n      ]"
+
+
 def write_report_json(path, report: InfluenceReport) -> None:
+    """Write ``json.dumps(report_to_json_dict(report), indent=2,
+    allow_nan=False)`` plus a newline, byte for byte, streaming the records.
+
+    The records are formatted from one n x 6K value matrix and one template
+    (non-finite values become null); only the head and the correlations go
+    through ``json``.  A non-finite Mahalanobis distance raises ValueError
+    before the file is opened.
+    """
+    records = report.records
+    for rec in records:
+        if not math.isfinite(rec.md):
+            raise ValueError(f"Out of range float values are not JSON compliant: {rec.md!r}")
+    values = np.concatenate(
+        [
+            np.array([getattr(rec, m)[v] for rec in records])
+            for m in _MEASURES
+            for v in VARIANTS
+        ],
+        axis=1,
+    )
+    rows = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values).all(axis=1)):
+        rows[i] = [x if math.isfinite(x) else "null" for x in rows[i]]
+    template = _record_template(report.k)
+    head = json.dumps(_head_json(report), indent=2, allow_nan=False)[:-2]
+    tail = json.dumps(_correlations_json(report), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_to_json_dict(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(head + ',\n  "records": [')
+        sep = "\n"
+        for rec, row in zip(records, rows):
+            fh.write(sep + template % (rec.j, rec.md, _flags_json(rec.flags), *row))
+            sep = ",\n"
+        fh.write('\n  ],\n  "correlations": ' + tail.replace("\n", "\n  ") + "\n}\n")

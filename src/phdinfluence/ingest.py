@@ -148,25 +148,21 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
                 parsed.append(val)
             x_vals.append(parsed)
     else:
-        # All columns except the response that are numeric in every kept row.
+        # All columns except the response that are numeric in every kept row,
+        # each parsed once.
         pred_names = []
-        pred_idx = []
+        columns = []
         for c, name in enumerate(header):
             if c == resp_idx:
                 continue
-            ok = True
-            for row in kept_rows:
-                try:
-                    if _parse_cell(row[c]) is None:
-                        ok = False
-                        break
-                except ValueError:
-                    ok = False
-                    break
-            if ok:
+            try:
+                column = [_parse_cell(row[c]) for row in kept_rows]
+            except ValueError:
+                continue
+            if None not in column:
                 pred_names.append(name)
-                pred_idx.append(c)
-        x_vals = [[float(row[c]) for c in pred_idx] for row in kept_rows]
+                columns.append(column)
+        x_vals = list(zip(*columns))
 
     if len(pred_names) < 2:
         raise MissingColumn(

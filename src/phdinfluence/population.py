@@ -501,13 +501,14 @@ def influence_surface(
 
 def write_surface_csv(path, norm_grid, costheta_grid, ris_y_grid, ris_r_grid) -> None:
     """Serialize the two influence surfaces to CSV in row-major grid order."""
-    norms = np.asarray(list(norm_grid), dtype=float)
-    costhetas = np.asarray(list(costheta_grid), dtype=float)
+    norms = [f"{a:.17g}" for a in np.asarray(list(norm_grid), dtype=float).tolist()]
+    costhetas = [f"{b:.17g}" for b in np.asarray(list(costheta_grid), dtype=float).tolist()]
+    ys = np.asarray(ris_y_grid, dtype=float).tolist()
+    rs = np.asarray(ris_r_grid, dtype=float).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("norm_x0,cos_theta0,ris_y,ris_r\n")
-        for a in range(norms.size):
-            for b in range(costhetas.size):
-                fh.write(
-                    f"{norms[a]:.17g},{costhetas[b]:.17g},"
-                    f"{ris_y_grid[a, b]:.17g},{ris_r_grid[a, b]:.17g}\n"
-                )
+        for norm, y_row, r_row in zip(norms, ys, rs, strict=True):
+            fh.writelines(
+                f"{norm},{c},{y:.17g},{r:.17g}\n"
+                for c, y, r in zip(costhetas, y_row, r_row, strict=True)
+            )

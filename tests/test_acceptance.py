@@ -36,6 +36,7 @@ from phdinfluence import (
     ris_y,
     simulate,
 )
+from phdinfluence.cli import _THREAD_ENV_VARS
 from conftest import random_model
 
 
@@ -316,7 +317,9 @@ def test_criterion_7_plug_in_route_agreement():
 
 def _run_cli(outdir: Path, args: list[str]) -> None:
     cmd = [sys.executable, "-m", "phdinfluence", *args, "--output-dir", str(outdir)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -349,6 +352,8 @@ def test_criterion_8_thread_count_determinism(tmp_path):
             default = tmp_path / f"{name}_default"
             _run_cli(single, args + ["--threads", "1"])
             _run_cli(default, args)
+            manifest = json.loads((single / "manifest.json").read_text())
+            assert manifest["thread_env"] == dict.fromkeys(_THREAD_ENV_VARS, "1"), name
             files_a, files_b = _numeric_files(single), _numeric_files(default)
             assert files_a.keys() == files_b.keys()
             for fname in files_a:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phdinfluence import (
     Basis,
@@ -20,6 +23,7 @@ from phdinfluence import (
     spearman,
     sris,
 )
+from phdinfluence.diagnostics import report_to_json_dict, write_report_json
 from phdinfluence.errors import (
     DegenerateEigenvalue,
     DegenerateLeverage,
@@ -439,6 +443,38 @@ def test_leverage_flag_at_a_block_boundary(side):
     assert err.value.index == spike
 
 
+#: a 16-predictor sample that crosses the first loo_block_rows boundary
+PERMUTED_N = loo_block_rows(16) + 8
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.permutations(range(PERMUTED_N)))
+def test_row_permutation_permutes_the_report(perm):
+    d = cosine_data(9, n=PERMUTED_N, p=16)
+    perm = np.array(perm)
+    base = influence_report(d, 2)
+    moved = influence_report(Dataset(y=d.y[perm], x=d.x[perm]), 2)
+    base_by_j = {rec.j: rec for rec in base.records}
+    moved_by_j = {rec.j: rec for rec in moved.records}
+    for i, j in enumerate(perm):
+        got, want = moved_by_j[i], base_by_j[int(j)]
+        assert got.flags == want.flags
+        assert got.md == pytest.approx(want.md, rel=1e-9, abs=0)
+        for measure in ("sris", "eris", "hris"):
+            for v in ("y", "r"):
+                np.testing.assert_allclose(
+                    getattr(got, measure)[v], getattr(want, measure)[v], rtol=1e-9, atol=0
+                )
+    for v in ("y", "r"):
+        for target in ("eris", "hris", "md"):
+            np.testing.assert_allclose(
+                moved.correlations.values[v][target],
+                base.correlations.values[v][target],
+                rtol=1e-9,
+                atol=0,
+            )
+
+
 def test_report_correlations_match_recomputation():
     d = cosine_data(55, n=60, p=3)
     report = influence_report(d, 1)
@@ -451,3 +487,59 @@ def test_report_correlations_match_recomputation():
     assert report.correlations.get("y", "md") == pytest.approx(
         spearman(s_vals, md_vals)
     )
+
+
+# ----------------------------------------------------------------------
+# report.json: the streamed writer against the json module
+# ----------------------------------------------------------------------
+
+def _order_swap_design():
+    # the duplicated design of test_order_swap_is_flagged: one flag per record
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.5]])
+    ys = np.array([0.1, 0.9, -0.4, 1.2])
+    return Dataset(y=np.repeat(ys, 3), x=np.repeat(pts, 3, axis=0)), 1
+
+
+def _line_design():
+    # the design of test_report_flags_leverage_singularity_without_aborting
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0],
+                  [0.0, 1.0]])
+    return Dataset(y=np.array([0.0, 1.0, 4.2, 8.8, 16.5, 2.0]), x=x), 1
+
+
+def _spiked_rank_three():
+    # at k = 3 several records carry several order_swap flags; the last
+    # predictor is 1e-6 noise except at row 4, which sits at the leverage
+    # singularity
+    d0 = simulate(SimSpec(model="cosine_index", n=40, p=4, seed=0, sigma=0.5))
+    x = d0.x.copy()
+    x[:, 3] = 1e-6 * np.random.default_rng(0).standard_normal(40)
+    x[4, 3] = 1.0
+    return Dataset(y=d0.y, x=x), 3
+
+
+@pytest.mark.parametrize("design", [_order_swap_design, _line_design, _spiked_rank_three])
+def test_report_json_is_the_json_module_layout(design, tmp_path):
+    d, k = design()
+    report = influence_report(d, k)
+    flags = [rec.flags for rec in report.records]
+    if design is _order_swap_design:
+        assert any("order_swap:y:1" in f for f in flags)
+    if design is _spiked_rank_three:
+        assert max(len(f) for f in flags) >= 3
+    if design is not _order_swap_design:
+        assert any("degenerate_leverage" in f for f in flags)
+    path = tmp_path / "report.json"
+    write_report_json(path, report)
+    want = json.dumps(report_to_json_dict(report), indent=2, allow_nan=False) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+    assert (b"null" in path.read_bytes()) == (design is not _order_swap_design)
+
+
+def test_report_json_rejects_a_non_finite_distance(tmp_path):
+    report = influence_report(cosine_data(1, n=20), 1)
+    report.records[3] = replace(report.records[3], md=float("nan"))
+    with pytest.raises(ValueError):
+        json.dumps(report_to_json_dict(report), allow_nan=False)
+    with pytest.raises(ValueError):
+        write_report_json(tmp_path / "report.json", report)

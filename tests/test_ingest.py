@@ -30,6 +30,19 @@ def test_missing_response_rows_dropped(tmp_path):
     assert d.names == ("AtBat", "Hits")  # name column is not numeric
 
 
+def test_auto_resolution_skips_a_missing_marker_and_a_text_cell(tmp_path):
+    vals = np.random.default_rng(3).standard_normal((8, 6))
+    cells = [[repr(v) for v in row] for row in vals.tolist()]
+    cells[5][2] = "NA"
+    cells[2][4] = "abc"
+    cells[1][3] = f"  {cells[1][3]} "
+    text = "y,a,with_na,b,with_text,c\n" + "".join(",".join(row) + "\n" for row in cells)
+    d = ingest_csv(write(tmp_path, text), IngestConfig(response_column="y"))
+    assert d.names == ("a", "b", "c")
+    assert d.y.tobytes() == vals[:, 0].tobytes()
+    assert d.x.tobytes() == np.ascontiguousarray(vals[:, [1, 3, 5]]).tobytes()
+
+
 def test_missing_response_error_when_keeping(tmp_path):
     path = write(tmp_path, TOY)
     cfg = IngestConfig(response_column="Salary",

@@ -420,6 +420,22 @@ def test_surface_checkpoints(tmp_path):
     assert float(cells[2]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_surface_csv_is_the_per_cell_layout(tmp_path):
+    model = cosine_model(p=3)
+    norms = np.linspace(0.0, 3.0, 8)
+    costhetas = np.linspace(-1.0, 1.0, 6)
+    grid_y = influence_surface(model, "y", norms, costhetas)
+    grid_r = influence_surface(model, "r", norms, costhetas)
+    path = tmp_path / "surface.csv"
+    write_surface_csv(path, norms, costhetas, grid_y, grid_r)
+    want = "norm_x0,cos_theta0,ris_y,ris_r\n" + "".join(
+        f"{norms[a]:.17g},{costhetas[b]:.17g},{grid_y[a, b]:.17g},{grid_r[a, b]:.17g}\n"
+        for a in range(norms.size)
+        for b in range(costhetas.size)
+    )
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_surface_cross_section_peak_favors_residual_variant():
     model = cosine_model(p=3)
     costhetas = np.linspace(-1.0, 1.0, 201)
