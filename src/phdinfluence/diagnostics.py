@@ -19,7 +19,7 @@ byte budget per (rows, p, p) stack, see ``moments``); per block, one
 closed-form downdate (``loo_downdates``) decides the leverage singularity,
 and the stack of leave-one-out Hessians H_(j) is built once per variant.
 HRIS reads that stack directly; SRIS and order_swap read its eigenvectors,
-one ``eigh`` per H_(j).
+one ``eigh`` per H_(j), of which SRIS keeps the K leading ones.
 
 The plug-in model behind ERIS uses the rank-K reconstruction of the Hessian
 and projects the fitted OLS slope onto the estimated span, which is the
@@ -35,11 +35,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateEigenvalue, UndefinedCorrelation
-from .linalg import mirror, ordered_eigh, project_out
+from .linalg import check_orthonormal, eigen_order, mirror, project_out
 from .moments import (
     Dataset,
     MomentSet,
@@ -153,16 +154,24 @@ def _hris_rows(fit: PhdFit, h: np.ndarray, n: int) -> np.ndarray:
 
 def _sris_rows(fit: PhdFit, h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(SRIS, order_swap flags) of a stack of leave-one-out Hessians, from one
-    eigendecomposition per Hessian."""
+    eigendecomposition per Hessian.
+
+    Only the K leading eigenvectors are picked out (by ``eigen_order``); the
+    order_swap maximum runs over the unsorted ones, and no output reads the
+    sign of a leave-one-out eigenvector, so no sign rule is applied.
+    """
     w = np.empty(h.shape[:-1])
     v = np.empty_like(h)
     for i, h_j in enumerate(h):
         w[i], v[i] = np.linalg.eigh(h_j)
-    _, vectors = ordered_eigh(w, v)
-    g = fit.gamma_hat.columns
-    sines = np.linalg.norm(project_out(fit.gamma_hat, vectors[..., : fit.k]), axis=-2)
-    overlaps = np.abs(np.swapaxes(vectors, -1, -2) @ g)
-    swapped = overlaps.max(axis=-2) - np.diagonal(overlaps, axis1=-2, axis2=-1) > ORDER_SWAP_TOL
+    check_orthonormal(v)
+    leading = eigen_order(w)[:, None, : fit.k]
+    sines = np.linalg.norm(
+        project_out(fit.gamma_hat, np.take_along_axis(v, leading, axis=-1)), axis=-2
+    )
+    overlaps = np.abs(np.swapaxes(v, -1, -2) @ fit.gamma_hat.columns)
+    own = np.take_along_axis(overlaps, leading, axis=-2)[:, 0]
+    swapped = overlaps.max(axis=-2) - own > ORDER_SWAP_TOL
     return (n - 1) * np.clip(sines, 0.0, 1.0), swapped
 
 
@@ -274,16 +283,52 @@ class CorrelationReport:
         return row[-1] if direction is None else row[direction - 1]
 
 
+_MEASURES = ("sris", "eris", "hris")
+
+
 @dataclass
 class InfluenceReport:
-    """Everything cmd_influence serializes: records, correlations, both fits."""
+    """Everything cmd_influence serializes, as read-only arrays in report
+    order (ascending y-based average SRIS, flagged records last).
 
-    records: list[InfluenceRecord]
+    Row i is one record: ``j[i]`` is its observation index, ``md[i]`` its
+    Mahalanobis distance, ``flags[i]`` its flags, and ``values[i]`` its 6K
+    values of SRIS, ERIS and HRIS in (measure, variant, direction) order, the
+    order report.json writes them.  ``records`` is the per-record view.
+    """
+
+    j: np.ndarray
+    values: np.ndarray
+    md: np.ndarray
+    flags: list[tuple[str, ...]]
     correlations: CorrelationReport
     fits: dict[str, PhdFit]
     n: int
     p: int
     k: int
+
+    def column(self, measure: str, variant: str) -> np.ndarray:
+        """The n x K block of ``values`` holding one measure of one variant."""
+        start = (_MEASURES.index(measure) * len(VARIANTS) + VARIANTS.index(variant)) * self.k
+        return self.values[:, start : start + self.k]
+
+    @cached_property
+    def records(self) -> list[InfluenceRecord]:
+        blocks = self.values.reshape(self.n, len(_MEASURES), len(VARIANTS), self.k)
+        return [
+            InfluenceRecord(
+                j=j,
+                md=md,
+                flags=flags,
+                **{m: dict(zip(VARIANTS, block[i])) for i, m in enumerate(_MEASURES)},
+            )
+            for j, md, flags, block in zip(self.j.tolist(), self.md.tolist(), self.flags, blocks)
+        ]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def influence_report(d: Dataset, k: int) -> InfluenceReport:
@@ -309,39 +354,34 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
 
     avg = table.sris["y"].mean(axis=1)
     order = np.lexsort((avg, np.isnan(avg)))
-    records = [
-        InfluenceRecord(
-            j=int(j),
-            sris={v: table.sris[v][j] for v in VARIANTS},
-            eris={v: eris_vals[v][j] for v in VARIANTS},
-            hris={v: table.hris[v][j] for v in VARIANTS},
-            md=float(md[j]),
-            flags=tuple(flags[j]),
-        )
-        for j in order
-    ]
-
-    corr = CorrelationReport(k=k)
-    for v in VARIANTS:
-        corr.values[v] = {}
-        sris_mat = table.sris[v][order]
-        target_mats = {
-            "eris": eris_vals[v][order],
-            "hris": table.hris[v][order],
-            "md": np.repeat(md[order][:, None], k, axis=1),
-        }
-        for t in TARGETS:
-            row = []
-            for i in range(k):
-                row.append(_masked_spearman(sris_mat[:, i], target_mats[t][:, i]))
-            row.append(
-                _masked_spearman(sris_mat.mean(axis=1), target_mats[t].mean(axis=1))
-            )
-            corr.values[v][t] = row
-
-    return InfluenceReport(
-        records=records, correlations=corr, fits=fits, n=d.n, p=d.p, k=k
+    measures = {"sris": table.sris, "eris": eris_vals, "hris": table.hris}
+    report = InfluenceReport(
+        j=_read_only(order),
+        values=_read_only(
+            np.concatenate([measures[t][v][order] for t in _MEASURES for v in VARIANTS], axis=1)
+        ),
+        md=_read_only(md[order]),
+        flags=[tuple(flags[j]) for j in order],
+        correlations=CorrelationReport(k=k),
+        fits=fits,
+        n=d.n,
+        p=d.p,
+        k=k,
     )
+
+    for v in VARIANTS:
+        sris_mat = report.column("sris", v)
+        target_mats = {
+            "eris": report.column("eris", v),
+            "hris": report.column("hris", v),
+            "md": np.repeat(report.md[:, None], k, axis=1),
+        }
+        report.correlations.values[v] = {
+            t: [_masked_spearman(sris_mat[:, i], target_mats[t][:, i]) for i in range(k)]
+            + [_masked_spearman(sris_mat.mean(axis=1), target_mats[t].mean(axis=1))]
+            for t in TARGETS
+        }
+    return report
 
 
 def _masked_spearman(a: np.ndarray, b: np.ndarray) -> float:
@@ -353,19 +393,27 @@ def _masked_spearman(a: np.ndarray, b: np.ndarray) -> float:
 # Serialization
 # ----------------------------------------------------------------------
 
+def _csv_template(k: int) -> str:
+    """str.format template of one record's 2K lines of records.csv.  Its
+    fields are j, md, the flags text, then the 6K values in (measure,
+    variant, direction) order; every number is written as ``.17g``."""
+    lines = []
+    for a, v in enumerate(VARIANTS):
+        for i in range(k):
+            cells = (f"{{{3 + (t * len(VARIANTS) + a) * k + i}:.17g}}" for t in range(len(_MEASURES)))
+            lines.append(f"{{0}},{v},{i + 1},{','.join(cells)},{{1:.17g}},{{2}}\n")
+    return "".join(lines)
+
+
 def write_records_csv(path, report: InfluenceReport) -> None:
     """Long-format CSV: one row per (observation, variant, direction)."""
+    template = _csv_template(report.k)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("j,variant,direction,sris,eris,hris,md,flags\n")
-        for rec in report.records:
-            flags = ";".join(rec.flags)
-            for v in VARIANTS:
-                for i in range(report.k):
-                    fh.write(
-                        f"{rec.j},{v},{i + 1},"
-                        f"{rec.sris[v][i]:.17g},{rec.eris[v][i]:.17g},"
-                        f"{rec.hris[v][i]:.17g},{rec.md:.17g},{flags}\n"
-                    )
+        for j, md, flags, row in zip(
+            report.j.tolist(), report.md.tolist(), report.flags, report.values.tolist()
+        ):
+            fh.write(template.format(j, md, ";".join(flags), *row))
 
 
 def write_correlations_csv(path, report: InfluenceReport) -> None:
@@ -383,9 +431,6 @@ def _f(x) -> float | None:
     """Finite float or None; flagged NaN entries become JSON null."""
     x = float(x)
     return x if np.isfinite(x) else None
-
-
-_MEASURES = ("sris", "eris", "hris")
 
 
 def _head_json(report: InfluenceReport) -> dict:
@@ -458,25 +503,18 @@ def write_report_json(path, report: InfluenceReport) -> None:
     """Write ``json.dumps(report_to_json_dict(report), indent=2,
     allow_nan=False)`` plus a newline, byte for byte, streaming the records.
 
-    The records are formatted from one n x 6K value matrix and one template
-    (non-finite values become null); only the head and the correlations go
-    through ``json``.  A non-finite Mahalanobis distance raises ValueError
-    before the file is opened.
+    The records are formatted from the report's value matrix and one
+    template (non-finite values become null); only the head and the
+    correlations go through ``json``.  A non-finite Mahalanobis distance
+    raises ValueError before the file is opened.
     """
-    records = report.records
-    for rec in records:
-        if not math.isfinite(rec.md):
-            raise ValueError(f"Out of range float values are not JSON compliant: {rec.md!r}")
-    values = np.concatenate(
-        [
-            np.array([getattr(rec, m)[v] for rec in records])
-            for m in _MEASURES
-            for v in VARIANTS
-        ],
-        axis=1,
-    )
-    rows = values.tolist()
-    for i in np.flatnonzero(~np.isfinite(values).all(axis=1)):
+    bad = np.flatnonzero(~np.isfinite(report.md))
+    if bad.size:
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {float(report.md[bad[0]])!r}"
+        )
+    rows = report.values.tolist()
+    for i in np.flatnonzero(~np.isfinite(report.values).all(axis=1)):
         rows[i] = [x if math.isfinite(x) else "null" for x in rows[i]]
     template = _record_template(report.k)
     head = json.dumps(_head_json(report), indent=2, allow_nan=False)[:-2]
@@ -484,7 +522,7 @@ def write_report_json(path, report: InfluenceReport) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + ',\n  "records": [')
         sep = "\n"
-        for rec, row in zip(records, rows):
-            fh.write(sep + template % (rec.j, rec.md, _flags_json(rec.flags), *row))
+        for j, md, flags, row in zip(report.j.tolist(), report.md.tolist(), report.flags, rows):
+            fh.write(sep + template % (j, md, _flags_json(flags), *row))
             sep = ",\n"
         fh.write('\n  ],\n  "correlations": ' + tail.replace("\n", "\n  ") + "\n}\n")

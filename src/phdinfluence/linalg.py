@@ -9,9 +9,11 @@ Eigendecompositions are ordered by descending absolute eigenvalue, with ties
 broken by descending signed value and then position, and every eigenvector is
 sign-canonicalized so that its entry of largest magnitude is positive.  The
 ordering matches how dimension-reduction directions are ranked; the sign rule
-exists only so repeated runs print identical bases.  One helper,
-:func:`ordered_eigh`, applies both rules, to a single decomposition or to a
-stack of them.
+exists only so repeated runs print identical bases.  :func:`eigen_order` is
+the one ordering rule and :func:`check_orthonormal` the one check on
+eigenvector columns; :func:`ordered_eigh` applies both plus the sign rule, to
+a single decomposition or to a stack of them.  Callers that read only some
+leading eigenvectors, or only sign-free quantities, use the first two alone.
 
 A positive definite matrix is decomposed once for its inverse, inverse square
 root and square root together (:func:`spd_roots`).
@@ -40,8 +42,9 @@ def mirror(a: np.ndarray) -> np.ndarray:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix has non-finite entries")
-    upper = np.triu(a)
-    return upper + np.swapaxes(np.triu(a, 1), -1, -2)
+    p = a.shape[-1]
+    upper = np.arange(p)[:, None] <= np.arange(p)
+    return np.where(upper, a, np.swapaxes(a, -1, -2))
 
 
 def symmetrize(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -97,26 +100,37 @@ class Basis:
         return self.columns.shape[1]
 
 
-def ordered_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the ordering and sign rule to ``np.linalg.eigh`` output.
+def eigen_order(w: np.ndarray) -> np.ndarray:
+    """Indices that sort each set of eigenvalues in ``w`` (shape (..., p)) by
+    descending |value|, ties by descending signed value, then by position."""
+    return np.lexsort((-w, -np.abs(w)), axis=-1)
 
-    Works on one decomposition (w of shape (p,), v of shape (p, p)) or on a
-    stack of them ((..., p) and (..., p, p)).  Each set of eigenvalues is
-    sorted by descending |value|, ties by descending signed value, then by
-    position; each eigenvector is flipped so its entry of largest magnitude
-    (the first one on ties) is positive.  Raises InvalidMatrix when the
-    columns of any decomposition are not orthonormal.
-    """
-    order = np.lexsort((-w, -np.abs(w)), axis=-1)
-    w = np.take_along_axis(w, order, axis=-1)
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
-    v = np.where(pivot < 0, -v, v)
+
+def check_orthonormal(v: np.ndarray) -> None:
+    """Raise InvalidMatrix unless the columns of v, or of every matrix in a
+    (..., p, p) stack, are orthonormal to ORTHONORMAL_TOL."""
     gram_err = float(np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(v.shape[-1])).max(initial=0.0))
     if gram_err > ORTHONORMAL_TOL:
         raise InvalidMatrix(
             f"eigenvector columns are not orthonormal: max |V'V - I| = {gram_err:.3e}"
         )
+
+
+def ordered_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the ordering and sign rule to ``np.linalg.eigh`` output.
+
+    Works on one decomposition (w of shape (p,), v of shape (p, p)) or on a
+    stack of them ((..., p) and (..., p, p)).  Each set is reordered by
+    :func:`eigen_order`; each eigenvector is flipped so its entry of largest
+    magnitude (the first one on ties) is positive.  Raises InvalidMatrix when
+    the columns of any decomposition are not orthonormal.
+    """
+    order = eigen_order(w)
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    v = np.where(pivot < 0, -v, v)
+    check_orthonormal(v)
     return w, v
 
 

@@ -17,8 +17,9 @@ full-sample moments, never by re-scanning the data.  With
                       + dy (S - n(n+1)/(n-1)^2 * d d') ] / (n-1)
 
 and the residual-weighted analogue subtracts the same-shaped downdate of the
-predictor third moment contracted with the leave-one-out OLS slope.  The
-formulas are validated against brute-force refits in the test suite.
+predictor third moment contracted with the leave-one-out OLS slope, which
+gets one refinement step against S_(j).  The formulas are validated against
+brute-force refits in the test suite.
 
 Blocked evaluation: :func:`loo_downdates` evaluates these closed forms once
 for a whole block of rows, as (rows, p, p) stacks, and :func:`loo_downdate`
@@ -242,8 +243,15 @@ def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarra
     )
 
     # Residual-weighted analogue: subtract the downdated predictor third
-    # moment contracted with the leave-one-out OLS slope.
+    # moment contracted with the leave-one-out OLS slope.  n T_beta amplifies
+    # the rounding error of the slope from the downdated inverse, so the
+    # slope gets one refinement step against S_(j) beta_j, formed from
+    # vectors as ((n-1) S beta_j - n/(n-1) d (d' beta_j)) / (n-2).
     beta_j = np.einsum("rab,rb->ra", s_inv_j, s_xy_j)
+    s_j_beta = (
+        (n - 1) * beta_j @ m.s - (n / (n - 1)) * np.einsum("ra,ra->r", dj, beta_j)[:, None] * dj
+    ) / (n - 2)
+    beta_j += np.einsum("rab,rb->ra", s_inv_j, s_xy_j - s_j_beta)
     t_beta = np.tensordot(beta_j, m.x_third, axes=([1], [0]))
     s_beta = beta_j @ m.s
     d_beta = np.einsum("ra,ra->r", dj, beta_j)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -23,7 +24,12 @@ from phdinfluence import (
     spearman,
     sris,
 )
-from phdinfluence.diagnostics import report_to_json_dict, write_report_json
+from phdinfluence.diagnostics import (
+    _deletion_table,
+    report_to_json_dict,
+    write_records_csv,
+    write_report_json,
+)
 from phdinfluence.errors import (
     DegenerateEigenvalue,
     DegenerateLeverage,
@@ -409,20 +415,18 @@ def test_leverage_flag_iff_refit_and_hybrid_are_undefined():
     assert flagged == {7}
 
 
-@pytest.mark.parametrize("side", ["last_of_first_block", "first_of_second_block"])
-def test_leverage_flag_at_a_block_boundary(side):
-    # the construction of the test above, at p = 16 where a block holds
-    # loo_block_rows(16) rows, with the spiked row on either side of the
-    # first block boundary and a short third block
+def _spiked_p16(n, spike):
+    # a 16-predictor cosine sample whose last predictor is 1e-6 noise except
+    # at the spiked row, which sits at the leverage singularity
     p = 16
-    rows = loo_block_rows(p)
-    n = 2 * rows + 3
-    spike = rows - 1 if side == "last_of_first_block" else rows
     d0 = cosine_data(0, n=n, p=p)
     x = d0.x.copy()
     x[:, p - 1] = 1e-6 * np.random.default_rng(0).standard_normal(n)
     x[spike, p - 1] = 1.0
-    d = Dataset(y=d0.y, x=x)
+    return Dataset(y=d0.y, x=x)
+
+
+def _check_spiked_report_against_refits(d, spike):
     report = influence_report(d, 1)
     flagged = {rec.j for rec in report.records if "degenerate_leverage" in rec.flags}
     assert flagged == {spike}
@@ -431,20 +435,56 @@ def test_leverage_flag_at_a_block_boundary(side):
         rec = by_j[spike]
         assert np.isnan(rec.sris[v]).all() and np.isnan(rec.hris[v]).all()
         fit = report.fits[v]
-        for j in range(n):
+        for j in range(d.n):
             if j == spike:
                 continue
             for measure, want in zip(("sris", "hris"), bf_sris_hris(d, fit, j)):
                 got = getattr(by_j[j], measure)[v]
                 rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-12)
                 assert rel.max() <= 1e-9, (v, measure, j)
+    return report
+
+
+@pytest.mark.parametrize("side", ["last_of_first_block", "first_of_second_block"])
+def test_leverage_flag_at_a_block_boundary(side):
+    # the construction of the test above, at p = 16 where a block holds
+    # loo_block_rows(16) rows, with the spiked row on either side of the
+    # first block boundary and a short third block
+    rows = loo_block_rows(16)
+    spike = rows - 1 if side == "last_of_first_block" else rows
+    d = _spiked_p16(2 * rows + 3, spike)
+    report = _check_spiked_report_against_refits(d, spike)
     with pytest.raises(DegenerateLeverage) as err:
         hris(d, report.fits["y"], compute_moments(d))
     assert err.value.index == spike
 
 
+def test_residual_measures_match_refits_on_a_larger_spiked_sample():
+    # the same construction at a fixed n = 259 with the spike at row 127:
+    # n T_beta in the residual-weighted downdate amplifies a 1e-13 error of
+    # the leave-one-out OLS slope, so without a refinement step of that
+    # slope the r-variant HRIS of row 243 misses the refit by 1.6e-9
+    _check_spiked_report_against_refits(_spiked_p16(259, 127), 127)
+
+
 #: a 16-predictor sample that crosses the first loo_block_rows boundary
 PERMUTED_N = loo_block_rows(16) + 8
+
+
+def _assert_same_records(got, want, perm):
+    """The record of observation i in ``got`` matches the record of
+    observation perm[i] in ``want``: flags exactly, values at rtol 1e-9."""
+    got_by_j = {rec.j: rec for rec in got.records}
+    want_by_j = {rec.j: rec for rec in want.records}
+    for i, j in enumerate(perm):
+        g, w = got_by_j[i], want_by_j[int(j)]
+        assert g.flags == w.flags
+        assert g.md == pytest.approx(w.md, rel=1e-9, abs=0)
+        for measure in ("sris", "eris", "hris"):
+            for v in ("y", "r"):
+                np.testing.assert_allclose(
+                    getattr(g, measure)[v], getattr(w, measure)[v], rtol=1e-9, atol=0
+                )
 
 
 @settings(max_examples=15, deadline=None)
@@ -454,17 +494,7 @@ def test_row_permutation_permutes_the_report(perm):
     perm = np.array(perm)
     base = influence_report(d, 2)
     moved = influence_report(Dataset(y=d.y[perm], x=d.x[perm]), 2)
-    base_by_j = {rec.j: rec for rec in base.records}
-    moved_by_j = {rec.j: rec for rec in moved.records}
-    for i, j in enumerate(perm):
-        got, want = moved_by_j[i], base_by_j[int(j)]
-        assert got.flags == want.flags
-        assert got.md == pytest.approx(want.md, rel=1e-9, abs=0)
-        for measure in ("sris", "eris", "hris"):
-            for v in ("y", "r"):
-                np.testing.assert_allclose(
-                    getattr(got, measure)[v], getattr(want, measure)[v], rtol=1e-9, atol=0
-                )
+    _assert_same_records(moved, base, perm)
     for v in ("y", "r"):
         for target in ("eris", "hris", "md"):
             np.testing.assert_allclose(
@@ -473,6 +503,37 @@ def test_row_permutation_permutes_the_report(perm):
                 rtol=1e-9,
                 atol=0,
             )
+
+
+@functools.cache
+def _invariance_base():
+    d = cosine_data(9, n=PERMUTED_N, p=16)
+    return d, influence_report(d, 2)
+
+
+def _assert_invariant(transform):
+    d, base = _invariance_base()
+    y, x = transform(d.y, d.x)
+    _assert_same_records(influence_report(Dataset(y=y, x=x), 2), base, range(d.n))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16))
+def test_translating_x_leaves_the_report_unchanged(shift):
+    _assert_invariant(lambda y, x: (y, x + np.array(shift)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rotating_x_leaves_the_report_unchanged(seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((16, 16)))
+    _assert_invariant(lambda y, x: (y, x @ q))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(0.1, 10.0))
+def test_scaling_y_leaves_the_report_unchanged(c):
+    _assert_invariant(lambda y, x: (c * y, x))
 
 
 def test_report_correlations_match_recomputation():
@@ -538,8 +599,71 @@ def test_report_json_is_the_json_module_layout(design, tmp_path):
 
 def test_report_json_rejects_a_non_finite_distance(tmp_path):
     report = influence_report(cosine_data(1, n=20), 1)
-    report.records[3] = replace(report.records[3], md=float("nan"))
+    md = report.md.copy()
+    md[3] = np.nan
+    report = replace(report, md=md)
     with pytest.raises(ValueError):
         json.dumps(report_to_json_dict(report), allow_nan=False)
     with pytest.raises(ValueError):
         write_report_json(tmp_path / "report.json", report)
+
+
+# ----------------------------------------------------------------------
+# records.csv and the records view
+# ----------------------------------------------------------------------
+
+def records_csv_reference(report):
+    """records.csv written cell by cell with ``.17g`` f-strings."""
+    lines = ["j,variant,direction,sris,eris,hris,md,flags\n"]
+    for rec in report.records:
+        flags = ";".join(rec.flags)
+        for v in ("y", "r"):
+            for i in range(report.k):
+                lines.append(
+                    f"{rec.j},{v},{i + 1},"
+                    f"{rec.sris[v][i]:.17g},{rec.eris[v][i]:.17g},"
+                    f"{rec.hris[v][i]:.17g},{rec.md:.17g},{flags}\n"
+                )
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three])
+def test_records_csv_is_the_per_cell_layout(design, tmp_path):
+    d, k = design()
+    report = influence_report(d, k)
+    flags = ";".join(";".join(f) for f in report.flags)
+    assert ("order_swap" in flags, "degenerate_leverage" in flags) == (
+        (True, False) if design is _order_swap_design else (True, True)
+    )
+    path = tmp_path / "records.csv"
+    write_records_csv(path, report)
+    want = records_csv_reference(report)
+    assert path.read_bytes() == want.encode("utf-8")
+    assert (",nan," in want) == (design is _spiked_rank_three)
+
+
+@pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three])
+def test_records_view_is_built_from_the_deletion_table(design):
+    d, k = design()
+    report = influence_report(d, k)
+    m = compute_moments(d)
+    table = _deletion_table(d, m, report.fits)
+    measures = {
+        "sris": table.sris,
+        "eris": {v: eris(d, report.fits[v], m) for v in ("y", "r")},
+        "hris": table.hris,
+    }
+    md = mahalanobis(d, m)
+    avg = table.sris["y"].mean(axis=1)
+    order = sorted(range(d.n), key=lambda j: (np.isnan(avg[j]), np.nan_to_num(avg[j]), j))
+    assert [rec.j for rec in report.records] == order
+    for rec in report.records:
+        j = rec.j
+        want_flags = ["degenerate_leverage"] if table.degenerate[j] else []
+        for v in ("y", "r"):
+            want_flags += [f"order_swap:{v}:{i + 1}" for i in np.flatnonzero(table.swapped[v][j])]
+        assert rec.flags == tuple(want_flags)
+        assert rec.md == md[j]
+        for measure, by_variant in measures.items():
+            for v in ("y", "r"):
+                assert np.array_equal(getattr(rec, measure)[v], by_variant[v][j], equal_nan=True)

@@ -169,6 +169,13 @@ def test_mirror_of_a_stack_mirrors_each_slice(rng):
     assert np.array_equal(got, np.swapaxes(got, -1, -2))
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (3, 5, 5), (2, 3, 4, 4), (1, 1), (4, 1, 1)])
+def test_mirror_keeps_the_upper_triangle_bit_for_bit(rng, shape):
+    a = rng.standard_normal(shape)
+    want = np.triu(a) + np.swapaxes(np.triu(a, 1), -1, -2)
+    assert np.array_equal(mirror(a), want)
+
+
 def test_mirror_rejects_non_square_stacks():
     with pytest.raises(InvalidMatrix):
         mirror(np.zeros((3, 4, 5)))

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -51,6 +54,36 @@ def bf_loo(y, x, j):
     resid = yc - xc @ beta
     rxx = (xc.T * resid) @ xc / m
     return xbar, ybar, s, s_xy, yxx, rxx
+
+
+def mp_residual_third_moment(y, x, j, dps=40):
+    """Sigma_rxx of the sample without row j, refitted in dps-digit
+    arithmetic from the float inputs taken as exact."""
+    keep = np.arange(len(y)) != j
+    with mpmath.workdps(dps):
+        xs = mpmath.matrix(x[keep].tolist())
+        ys = y[keep].tolist()
+        m, p = xs.rows, xs.cols
+        xbar = [mpmath.fsum(xs[i, a] for i in range(m)) / m for a in range(p)]
+        ybar = mpmath.fsum(ys) / m
+        xc = mpmath.matrix([[xs[i, a] - xbar[a] for a in range(p)] for i in range(m)])
+        yc = mpmath.matrix([v - ybar for v in ys])
+        beta = mpmath.lu_solve(xc.T * xc, xc.T * yc)
+        r = yc - xc * beta
+        weighted = mpmath.matrix([[xc[i, a] * r[i] for a in range(p)] for i in range(m)])
+        return np.array((weighted.T * xc / m).tolist(), dtype=float)
+
+
+def hitters_like(seed=1987, n=263, p=16):
+    """A simulated 263 x 16 sample shaped like the 1987 hitters data:
+    predictors in mixed units (cond(S) about 4.5e6) and a log salary that
+    follows a two-index model."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, p))
+    e = rng.standard_normal(n)
+    x = np.geomspace(1.0, 2000.0, p) * (3.0 + z)
+    salary = np.exp(6.0 + 0.5 * z[:, 0] + 0.35 * (z[:, 1] ** 2 - 1.0) + 0.4 * e)
+    return Dataset(y=np.array([math.log(v) for v in salary]), x=x)
 
 
 def make_data(rng, n, p, link=None):
@@ -187,6 +220,19 @@ def test_downdate_matches_brute_force_everywhere(rng):
             assert np.abs(lm.s_xy_j - s_xy).max() <= 1e-9 * (1 + np.abs(s_xy).max())
             assert np.abs(lm.sigma_yxx_j - yxx).max() <= 1e-9 * (1 + np.abs(yxx).max())
             assert np.abs(lm.sigma_rxx_j - rxx).max() <= 1e-9 * (1 + np.abs(rxx).max())
+
+
+def test_residual_downdate_matches_a_high_precision_refit():
+    # n T_beta in the residual-weighted downdate amplifies the rounding
+    # error of the leave-one-out OLS slope; with one refinement step of that
+    # slope Sigma_rxx,(j) stays within 2e-14 of its largest entry on these
+    # rows, against 5e-11 from the downdated inverse alone
+    d = hitters_like()
+    m = compute_moments(d)
+    for j in (33, 114, 231):
+        want = mp_residual_third_moment(d.y, d.x, j)
+        got = loo_downdate(d, m, j).sigma_rxx_j
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), j
 
 
 def test_downdate_of_only_distinct_point_hits_leverage_singularity():
