@@ -6,14 +6,18 @@ directions, and compute the per-observation sample diagnostics (leave-one-out
 refit, closed-form plug-in, and hybrid downdate) that flag observations
 distorting the estimated subspace.
 
+Each quantity is computed one way here.  The independent second routes that
+check them (the influence-matrix route to the closed form and to ERIS, the
+single-index shortcut of the cosine influence surface, and the report as one
+JSON document) are test oracles and live in the test suite's ``oracles``
+module, not in the package.
+
 Importing the package loads no submodule and no numpy: every public name
 is resolved from its module on first access (PEP 562), so the CLI can cap the
 BLAS thread pools before numpy starts.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -23,7 +27,6 @@ _EXPORTS = {
     "Basis": "linalg",
     "EigenSystem": "linalg",
     "inv_sqrt": "linalg",
-    "residual_projector": "linalg",
     "sine_to_subspace": "linalg",
     "sym_eigen": "linalg",
     "symmetrize": "linalg",
@@ -45,10 +48,7 @@ _EXPORTS = {
     "cosine_model_constants": "population",
     "cosine_model": "population",
     "influence_surface": "population",
-    "if_h_r": "population",
-    "if_h_y": "population",
     "population_ols_residual": "population",
-    "ris_from_if_matrix": "population",
     "ris_numeric_oracle": "population",
     "ris_r": "population",
     "ris_rows": "population",
@@ -58,7 +58,6 @@ _EXPORTS = {
     "InfluenceRecord": "diagnostics",
     "InfluenceReport": "diagnostics",
     "eris": "diagnostics",
-    "eris_matrix_route": "diagnostics",
     "estimated_model": "diagnostics",
     "hris": "diagnostics",
     "influence_report": "diagnostics",
@@ -67,29 +66,14 @@ _EXPORTS = {
     "IngestConfig": "ingest",
     "ingest_csv": "ingest",
     "write_dataset_csv": "ingest",
-    "LINK_CATALOG": "simulate",
-    "McConstants": "simulate",
-    "SimSpec": "simulate",
-    "mc_constants": "simulate",
-    "simulate": "simulate",
+    "LINK_CATALOG": "simulation",
+    "McConstants": "simulation",
+    "SimSpec": "simulation",
+    "mc_constants": "simulation",
+    "simulate": "simulation",
 }
 
 __all__ = ["__version__", *_EXPORTS]
-
-
-class _Package(types.ModuleType):
-    """The package module.  Loading a submodule binds it on the package; where
-    a public function shares the submodule's name (``simulate``), that
-    binding is skipped so the name keeps resolving to the function whichever
-    import loads the submodule first."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if isinstance(value, types.ModuleType) and _EXPORTS.get(name) is not None:
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 
 def __getattr__(name: str):

@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import PhdError
+from .errors import InvalidArgument, PhdError
 
 _THREAD_ENV_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -220,6 +221,10 @@ def cmd_surface(args) -> int:
 
     from .population import cosine_model, influence_surface, write_surface_csv
 
+    if args.grid < 1:
+        raise InvalidArgument(f"--grid must be at least 1, got {args.grid}")
+    if not (math.isfinite(args.norm_max) and args.norm_max >= 0):
+        raise InvalidArgument(f"--norm-max must be finite and nonnegative, got {args.norm_max}")
     model = cosine_model(p=args.p)
     norms = np.linspace(0.0, args.norm_max, args.grid)
     costhetas = np.linspace(-1.0, 1.0, args.grid)
@@ -242,11 +247,16 @@ def cmd_simulate(args) -> int:
     import numpy as np
 
     from .ingest import write_dataset_csv
-    from .simulate import SimSpec, simulate
+    from .simulation import SimSpec, simulate
 
     beta = None
     if args.beta:
-        beta = np.array([float(v) for v in args.beta.split(",")])
+        try:
+            beta = np.array([float(v) for v in args.beta.split(",")])
+        except ValueError:
+            raise InvalidArgument(
+                f"--beta must be comma-separated numbers, got {args.beta!r}"
+            ) from None
     spec = SimSpec(
         model=args.model,
         n=args.n,
@@ -279,7 +289,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate_constants(args) -> int:
     from .population import cosine_model_constants
-    from .simulate import SimSpec, mc_constants
+    from .simulation import SimSpec, mc_constants
 
     spec = SimSpec(model="cosine_index", n=1, p=2, seed=args.seed, sigma=args.sigma)
     est = mc_constants(spec, args.n)

@@ -26,7 +26,8 @@ and projects the fitted OLS slope onto the estimated span, which is the
 plug-in that satisfies the population model's own constraints.  The reported
 value is unchanged by that projection (it only enters through inner products
 with basis vectors), and it makes the alpha-display route and the
-influence-matrix route agree to rounding, which the acceptance suite checks.
+influence-matrix route (a test oracle) agree to rounding, which the
+acceptance suite checks.
 ERIS for the r variant plugs in the observation's fitted OLS residual.
 """
 
@@ -51,30 +52,41 @@ from .moments import (
     require_regular,
 )
 from .phd import VARIANTS, PhdFit, fit_from_moments
-from .population import (
-    ContaminationPoint,
-    PopulationModel,
-    if_h_r,
-    if_h_y,
-    ris_from_if_matrix,
-    ris_rows,
-)
+from .population import PopulationModel, ris_rows
 
 #: a leave-one-out direction whose overlap with its full-sample partner is
 #: beaten by another refit direction by more than this is flagged order_swap.
 ORDER_SWAP_TOL = 0.2
 
+#: a fitted eigenvalue at or below this share of sd(y) ||S^-1||_F is
+#: numerically zero (see _require_nonzero_eigenvalues).
+ZERO_EIGENVALUE_RTOL = 1e-12
+
 TARGETS = ("eris", "hris", "md")
+
+
+def _require_nonzero_eigenvalues(fit: PhdFit, m: MomentSet) -> None:
+    """Raise DegenerateEigenvalue when a fitted eigenvalue is numerically zero.
+
+    The Hessian carries the units of y over those of x squared, so the test
+    is made against sd(y) ||S^-1||_F, with var(y) = s_xy' S^-1 s_xy +
+    r'r/(n-1) read from the moments: rescaling y or x leaves the decision
+    unchanged.  It does not use the fit's own |lambda_1|, which is zero
+    when the whole Hessian is.
+    """
+    var_y = float(m.s_xy @ m.s_inv @ m.s_xy) + float(m.residuals @ m.residuals) / (m.n - 1)
+    scale = math.sqrt(var_y) * float(np.linalg.norm(m.s_inv))
+    for lam in fit.lambda_hat.tolist():
+        if abs(lam) <= ZERO_EIGENVALUE_RTOL * scale:
+            raise DegenerateEigenvalue(
+                f"fitted eigenvalue {lam!r} is numerically zero against "
+                f"sd(y) ||S^-1||_F = {scale:.6e}; the plug-in influence is undefined"
+            )
 
 
 def estimated_model(fit: PhdFit, m: MomentSet) -> PopulationModel:
     """The fitted population model that the plug-in diagnostics evaluate."""
-    for lam in fit.lambda_hat:
-        if abs(float(lam)) < 1e-12:
-            raise DegenerateEigenvalue(
-                f"fitted eigenvalue {float(lam)!r} is numerically zero; "
-                "the plug-in influence is undefined"
-            )
+    _require_nonzero_eigenvalues(fit, m)
     g = fit.gamma_hat.columns
     beta_hat = m.s_inv @ m.s_xy
     sigma_xy_proj = m.s @ (g @ (g.T @ beta_hat))
@@ -192,33 +204,13 @@ def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     return ris_rows(model, fit.variant, d.x, w0)
 
 
-def eris_matrix_route(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
-    """ERIS through the influence matrix of the Hessian estimator.
-
-    Independent code path from :func:`eris` (which goes through the alpha
-    displays); the two must agree to rounding.
-    """
-    model = estimated_model(fit, m)
-    out = np.empty((d.n, fit.k))
-    for j in range(d.n):
-        pt = ContaminationPoint(y0=float(d.y[j]), x0=d.x[j])
-        if fit.variant == "y":
-            f = if_h_y(model, pt)
-        else:
-            f = if_h_r(model, pt, residual=float(m.residuals[j]))
-        for k in range(fit.k):
-            out[j, k] = ris_from_if_matrix(model, f, k + 1)
-    return out
-
-
 def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Hybrid influence via the closed-form leave-one-out Hessian, n x K.
 
     Equals the value obtained by recomputing the Hessian on the n-1 subset.
     Reads only the Hessian stack: no eigendecomposition.
     """
-    if np.any(np.abs(fit.lambda_hat) < 1e-12):
-        raise DegenerateEigenvalue("fitted eigenvalue is numerically zero")
+    _require_nonzero_eigenvalues(fit, m)
     table = _deletion_table(d, m, {fit.variant: fit}, directions=False, strict=True)
     return table.hris[fit.variant]
 
@@ -464,25 +456,6 @@ def _correlations_json(report: InfluenceReport) -> dict:
     }
 
 
-def report_to_json_dict(report: InfluenceReport) -> dict:
-    """The full report as one strictly-JSON-serializable document."""
-    return {
-        **_head_json(report),
-        "records": [
-            {
-                "j": rec.j,
-                "md": rec.md,
-                "flags": list(rec.flags),
-                "sris": {v: [_f(x) for x in rec.sris[v]] for v in VARIANTS},
-                "eris": {v: [_f(x) for x in rec.eris[v]] for v in VARIANTS},
-                "hris": {v: [_f(x) for x in rec.hris[v]] for v in VARIANTS},
-            }
-            for rec in report.records
-        ],
-        "correlations": _correlations_json(report),
-    }
-
-
 def _record_template(k: int) -> str:
     """%-template of one record at rank k, laid out as json.dumps(indent=2)
     lays out an element of the top-level "records" list.  Its fields are j,
@@ -500,13 +473,15 @@ def _flags_json(flags: tuple[str, ...]) -> str:
 
 
 def write_report_json(path, report: InfluenceReport) -> None:
-    """Write ``json.dumps(report_to_json_dict(report), indent=2,
-    allow_nan=False)`` plus a newline, byte for byte, streaming the records.
+    """Write the report as one JSON document, streaming the records.
 
-    The records are formatted from the report's value matrix and one
-    template (non-finite values become null); only the head and the
-    correlations go through ``json``.  A non-finite Mahalanobis distance
-    raises ValueError before the file is opened.
+    The bytes are those of ``json.dumps(doc, indent=2, allow_nan=False)``
+    plus a newline, where ``doc`` holds n, p, k and the fits, the records in
+    report order (j, md, flags, then sris, eris and hris lists per variant,
+    non-finite values as null) and the correlations.  The records are
+    formatted from the report's value matrix and one template; only the head
+    and the correlations go through ``json``.  A non-finite Mahalanobis
+    distance raises ValueError before the file is opened.
     """
     bad = np.flatnonzero(~np.isfinite(report.md))
     if bad.size:

@@ -13,6 +13,13 @@ class PhdError(Exception):
 
 # -- usage -------------------------------------------------------------
 
+class InvalidArgument(PhdError, ValueError):
+    """A parameter outside its domain (a size, a scale, a vector's shape).
+    Also a ValueError, the type such checks raise in plain Python."""
+
+    exit_code = 2
+
+
 class InvalidRank(PhdError):
     exit_code = 2
 

@@ -189,12 +189,6 @@ def spd_roots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _inverse_of(w, v), _inv_sqrt_of(w, v), _sqrt_of(w, v)
 
 
-def residual_projector(b: Basis) -> np.ndarray:
-    """I - B B', the orthogonal projector onto the complement of span(b)."""
-    p = b.dim
-    return mirror(np.eye(p) - b.columns @ b.columns.T)
-
-
 def project_out(b: Basis, v: np.ndarray) -> np.ndarray:
     """(I - B B') v without forming the projector."""
     return v - b.columns @ (b.columns.T @ v)

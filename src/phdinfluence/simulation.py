@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .moments import Dataset
 
 MODELS = ("cosine_index", "quadratic_first", "linear_index", "custom_index")
@@ -43,30 +44,30 @@ class SimSpec:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+            raise InvalidArgument(f"model must be one of {MODELS}, got {self.model!r}")
         if self.n < 1 or self.p < 1:
-            raise ValueError("n and p must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+            raise InvalidArgument("n and p must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise InvalidArgument(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         beta = self.beta
         if beta is None:
             if self.model == "custom_index":
-                raise ValueError("custom_index needs an explicit p x K beta matrix")
+                raise InvalidArgument("custom_index needs an explicit p x K beta matrix")
             beta = np.zeros(self.p)
             beta[0] = 1.0
         beta = np.asarray(beta, dtype=float)
         if self.model == "custom_index":
             if beta.ndim != 2 or beta.shape[0] != self.p or beta.shape[1] < 1:
-                raise ValueError(f"beta must be p x K for custom_index, got {beta.shape}")
+                raise InvalidArgument(f"beta must be p x K for custom_index, got {beta.shape}")
             if self.link not in LINK_CATALOG:
-                raise ValueError(
+                raise InvalidArgument(
                     f"link must be one of {sorted(LINK_CATALOG)}, got {self.link!r}"
                 )
         else:
             if beta.shape != (self.p,):
-                raise ValueError(f"beta must be a length-p vector, got shape {beta.shape}")
+                raise InvalidArgument(f"beta must be a length-p vector, got shape {beta.shape}")
             if self.model == "cosine_index" and abs(np.linalg.norm(beta) - 1.0) > 1e-10:
-                raise ValueError("the cosine model requires a unit-norm beta")
+                raise InvalidArgument("the cosine model requires a unit-norm beta")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
 
@@ -114,9 +115,9 @@ def mc_constants(spec: SimSpec, n_mc: int) -> McConstants:
     full predictor vector is exact and keeps 1e7-sample runs cheap.
     """
     if spec.model != "cosine_index":
-        raise ValueError("mc_constants is defined for the cosine model only")
+        raise InvalidArgument("mc_constants is defined for the cosine model only")
     if n_mc < 2:
-        raise ValueError("n_mc must be at least 2")
+        raise InvalidArgument(f"n_mc must be at least 2, got {n_mc}")
     rng = np.random.default_rng(spec.seed)
     z = rng.standard_normal(n_mc)
     y = np.cos(2.0 * z - math.pi / 4.0)

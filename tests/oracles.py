@@ -1,0 +1,126 @@
+"""Second routes to quantities the package computes one way.
+
+Each function here reaches a number that the package also computes, along an
+independent path, and the tests compare the two.  None of them is part of
+the package.
+
+* The influence matrix of the Hessian estimator,
+
+      F_y = H - [Sigma^{-1} d (d' H + sigma_yx Sigma^{-1})] - [...]'
+              + (y0 - mu_y) Sigma^{-1} (d d' - Sigma) Sigma^{-1},   d = x0 - mu
+
+  (for the r variant drop the sigma_yx terms and weight by r0), followed by
+  || (I - P) F g_k || / |lambda_k|: the closed-form influence rate without
+  the alpha displays of ``population.ris_rows``, evaluated point by point
+  (:func:`if_h_y`, :func:`if_h_r`, :func:`ris_from_if_matrix`), and ERIS
+  through it (:func:`eris_matrix_route`).
+* The single-index shortcut of the cosine influence surface,
+  RIS = c * ||x0|| * sin(theta0) (:func:`surface_shortcut`).
+* The influence report as one JSON document (:func:`report_to_json_dict`),
+  whose ``json.dumps(indent=2)`` is the byte layout that
+  ``diagnostics.write_report_json`` streams.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from phdinfluence.diagnostics import _correlations_json, _f, _head_json, estimated_model
+from phdinfluence.linalg import project_out
+from phdinfluence.phd import VARIANTS, population_h
+from phdinfluence.population import ContaminationPoint, population_ols_residual
+
+
+def if_h_y(model, pt: ContaminationPoint) -> np.ndarray:
+    """Influence matrix of the y-based Hessian estimator (the product-rule
+    expansion of the sandwich), evaluated literally."""
+    h = population_h(model)
+    d = pt.x0 - model.mu
+    dy = pt.y0 - model.mu_y
+    si = model.sigma_inv
+    bracket = np.outer(si @ d, d @ h + model.sigma_xy @ si)
+    tail = dy * si @ (np.outer(d, d) - model.sigma) @ si
+    return h - bracket - bracket.T + tail
+
+
+def if_h_r(model, pt: ContaminationPoint, residual: float | None = None) -> np.ndarray:
+    """Influence matrix of the r-based Hessian estimator.  Identical shape to
+    the y-based one with the covariance-with-Y terms absent and the OLS
+    residual replacing the centered response."""
+    h = population_h(model)
+    d = pt.x0 - model.mu
+    r0 = population_ols_residual(model, pt) if residual is None else float(residual)
+    si = model.sigma_inv
+    bracket = np.outer(si @ d, d @ h)
+    tail = r0 * si @ (np.outer(d, d) - model.sigma) @ si
+    return h - bracket - bracket.T + tail
+
+
+def ris_from_if_matrix(model, f: np.ndarray, k: int) -> float:
+    """|| (I - P) F g_k || / |lambda_k| for an influence matrix F (k is 1-based)."""
+    if not 1 <= k <= model.k:
+        raise IndexError(f"direction index must satisfy 1 <= k <= {model.k}, got {k}")
+    g = model.gamma.columns[:, k - 1]
+    resid = project_out(model.gamma, f @ g)
+    return float(np.linalg.norm(resid)) / abs(float(model.lam[k - 1]))
+
+
+def eris_matrix_route(d, fit, m) -> np.ndarray:
+    """ERIS, an n x K matrix, through the influence matrix of the Hessian
+    estimator at the plug-in model, one observation at a time."""
+    model = estimated_model(fit, m)
+    out = np.empty((d.n, fit.k))
+    for j in range(d.n):
+        pt = ContaminationPoint(y0=float(d.y[j]), x0=d.x[j])
+        if fit.variant == "y":
+            f = if_h_y(model, pt)
+        else:
+            f = if_h_r(model, pt, residual=float(m.residuals[j]))
+        for k in range(fit.k):
+            out[j, k] = ris_from_if_matrix(model, f, k + 1)
+    return out
+
+
+def surface_shortcut(model, variant: str, norm_grid, costheta_grid) -> np.ndarray:
+    """The cosine influence surface through its single-index factorisation.
+
+    With y0 on the noiseless curve and x0 at (||x0||, cos theta0), the rank-1
+    closed form reduces to c * ||x0|| * sin(theta0), where, with
+    t = ||x0|| cos(theta0) and b = beta_1' sigma_xy,
+
+        c_y = |((y0 - mu_y) t - lambda_1 t - b) / lambda_1|
+        c_r = |((y0 - mu_y - b t) t - lambda_1 t) / lambda_1| .
+    """
+    beta1 = model.gamma.columns[:, 0]
+    lam1 = float(model.lam[0])
+    bxy = float(beta1 @ model.sigma_xy)
+    nrm = np.asarray(list(norm_grid), dtype=float)[:, None]
+    ct = np.asarray(list(costheta_grid), dtype=float)[None, :]
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    dy = np.cos(2.0 * nrm * ct - math.pi / 4.0) - model.mu_y
+    if variant == "y":
+        c = np.abs((dy * nrm * ct - lam1 * nrm * ct - bxy) / lam1)
+    else:
+        c = np.abs(((dy - bxy * nrm * ct) * nrm * ct - lam1 * nrm * ct) / lam1)
+    return c * nrm * st
+
+
+def report_to_json_dict(report) -> dict:
+    """The full influence report as one strictly-JSON-serializable document."""
+    return {
+        **_head_json(report),
+        "records": [
+            {
+                "j": rec.j,
+                "md": rec.md,
+                "flags": list(rec.flags),
+                "sris": {v: [_f(x) for x in rec.sris[v]] for v in VARIANTS},
+                "eris": {v: [_f(x) for x in rec.eris[v]] for v in VARIANTS},
+                "hris": {v: [_f(x) for x in rec.hris[v]] for v in VARIANTS},
+            }
+            for rec in report.records
+        ],
+        "correlations": _correlations_json(report),
+    }

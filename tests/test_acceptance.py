@@ -23,7 +23,6 @@ from phdinfluence import (
     SimSpec,
     compute_moments,
     eris,
-    eris_matrix_route,
     cosine_model,
     influence_surface,
     fit_phd,
@@ -38,6 +37,7 @@ from phdinfluence import (
 )
 from phdinfluence.cli import _THREAD_ENV_VARS
 from conftest import random_model
+from oracles import eris_matrix_route, surface_shortcut
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -163,6 +163,13 @@ def test_criterion_4_surface_checkpoints():
         for grid in (grid_y, grid_r):
             assert np.abs(grid[:, 0]).max() <= 1e-9
             assert np.abs(grid[:, -1]).max() <= 1e-9
+        # the CLI's default grid against the single-index shortcut
+        norms61 = np.linspace(0.0, 3.0, 61)
+        costhetas61 = np.linspace(-1.0, 1.0, 61)
+        for variant in ("y", "r"):
+            general = influence_surface(model, variant, norms61, costhetas61)
+            shortcut = surface_shortcut(model, variant, norms61, costhetas61)
+            assert np.abs(general - shortcut).max() <= 1e-9
         cross = np.linspace(-1.0, 1.0, 201)
         max_y = influence_surface(model, "y", [2.0], cross).max()
         max_r = influence_surface(model, "r", [2.0], cross).max()

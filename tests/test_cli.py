@@ -92,6 +92,33 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["surface", "--grid", "-1"], id="negative-grid"),
+        pytest.param(["surface", "--norm-max", "nan"], id="nan-norm-max"),
+        pytest.param(["simulate", "--n", "0", "--p", "3", "--seed", "1"], id="zero-n"),
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,2"],
+                     id="short-beta"),
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,x,0"],
+                     id="text-beta"),
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--sigma", "-1"],
+                     id="negative-sigma"),
+        pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3",
+                      "--seed", "1"], id="custom-index-without-beta"),
+        pytest.param(["validate-constants", "--n", "1"], id="one-mc-sample"),
+    ],
+)
+def test_bad_argument_exits_2_with_one_json_error_line(argv, tmp_path, capsys):
+    code = run([*argv, "--output-dir", tmp_path / "out"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "InvalidArgument"
+    assert not (tmp_path / "out").exists()
+
+
 def test_data_error_exit_code(tmp_path, capsys):
     code = run(["fit", "--input", tmp_path / "missing.csv", "--response", "y",
                 "--variant", "y", "--k", 1, "--output-dir", tmp_path])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phdinfluence import (
@@ -16,7 +16,6 @@ from phdinfluence import (
     Dataset,
     compute_moments,
     eris,
-    eris_matrix_route,
     fit_phd,
     hris,
     influence_report,
@@ -24,12 +23,7 @@ from phdinfluence import (
     spearman,
     sris,
 )
-from phdinfluence.diagnostics import (
-    _deletion_table,
-    report_to_json_dict,
-    write_records_csv,
-    write_report_json,
-)
+from phdinfluence.diagnostics import _deletion_table, write_records_csv, write_report_json
 from phdinfluence.errors import (
     DegenerateEigenvalue,
     DegenerateLeverage,
@@ -37,7 +31,8 @@ from phdinfluence.errors import (
 )
 from phdinfluence.linalg import project_out
 from phdinfluence.moments import loo_block_rows
-from phdinfluence.simulate import SimSpec, simulate
+from phdinfluence.simulation import SimSpec, simulate
+from oracles import eris_matrix_route, report_to_json_dict
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +200,21 @@ def test_eris_rejects_numerically_zero_eigenvalue():
     assert abs(fit.lambda_hat[0]) < 1e-12
     with pytest.raises(DegenerateEigenvalue):
         eris(d, fit, m)
+
+
+@pytest.mark.parametrize("y_scale, x_scale", [(1e-12, 1.0), (1e12, 1.0), (1.0, 1e-6), (1.0, 1e6)])
+def test_zero_eigenvalue_decision_ignores_units(y_scale, x_scale):
+    # the design above in other units: still an identically zero r-variant
+    # Hessian, though its rounding-level eigenvalue is far from 1e-12
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    ys = np.array([0.0, 1.0, 2.0])
+    d = Dataset(y=y_scale * np.tile(ys, 4), x=x_scale * np.tile(pts, (4, 1)))
+    m = compute_moments(d)
+    fit = fit_phd(d, "r", 1, moments=m)
+    with pytest.raises(DegenerateEigenvalue):
+        eris(d, fit, m)
+    with pytest.raises(DegenerateEigenvalue):
+        hris(d, fit, m)
 
 
 def test_sris_cross_flags_top_observation():
@@ -530,10 +540,26 @@ def test_rotating_x_leaves_the_report_unchanged(seed):
     _assert_invariant(lambda y, x: (y, x @ q))
 
 
+# rescaling y or x by 10^u changes the units of every fitted eigenvalue; the
+# degeneracy decisions must not see it
+
+
 @settings(max_examples=10, deadline=None)
-@given(st.floats(0.1, 10.0))
-def test_scaling_y_leaves_the_report_unchanged(c):
+@given(st.floats(-12.0, 12.0))
+@example(-12.0)
+@example(12.0)
+def test_scaling_y_leaves_the_report_unchanged(u):
+    c = 10.0**u
     _assert_invariant(lambda y, x: (c * y, x))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(-12.0, 12.0))
+@example(-12.0)
+@example(12.0)
+def test_scaling_x_leaves_the_report_unchanged(u):
+    c = 10.0**u
+    _assert_invariant(lambda y, x: (y, c * x))
 
 
 def test_report_correlations_match_recomputation():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from phdinfluence import (
     Basis,
     inv_sqrt,
-    residual_projector,
     sine_to_subspace,
     sym_eigen,
     symmetrize,
@@ -15,6 +14,7 @@ from phdinfluence.errors import InvalidMatrix, InvalidVector, NotPositiveDefinit
 from phdinfluence.linalg import (
     mirror,
     ordered_eigh,
+    project_out,
     spd_roots,
     sym_inverse,
     sym_sqrt,
@@ -100,22 +100,29 @@ def test_inv_sqrt_rejects_non_pd():
     assert err.value.eigenvalue == pytest.approx(-2.0)
 
 
+# the residual projector I - B B' is applied through project_out; on the
+# identity it returns the projector itself
+
+
 def test_residual_projector_full_basis_is_zero(rng):
     b = Basis(random_orthonormal(rng, 4, 4))
-    assert np.abs(residual_projector(b)).max() <= 1e-12
+    assert np.abs(project_out(b, np.eye(4))).max() <= 1e-12
 
 
 def test_residual_projector_single_axis():
     b = Basis(np.array([[1.0], [0.0], [0.0]]))
-    assert np.allclose(residual_projector(b), np.diag([0.0, 1.0, 1.0]))
+    assert np.allclose(project_out(b, np.eye(3)), np.diag([0.0, 1.0, 1.0]))
 
 
 def test_residual_projector_idempotent_and_annihilating(rng):
     b = Basis(random_orthonormal(rng, 6, 2))
-    q = residual_projector(b)
+    q = project_out(b, np.eye(6))
+    assert np.abs(project_out(b, q) - q).max() <= 1e-12
     assert np.abs(q @ q - q).max() <= 1e-10
-    assert np.array_equal(q, q.T)
+    assert np.abs(q - q.T).max() <= 1e-15
     assert np.abs(q @ b.columns).max() <= 1e-12
+    v = np.random.default_rng(3).standard_normal((6, 5))
+    assert np.allclose(project_out(b, v), q @ v, rtol=0, atol=1e-12)
 
 
 def test_sine_inside_and_orthogonal(rng):

@@ -1,0 +1,106 @@
+"""The package's public names."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phdinfluence
+
+PUBLIC_NAMES = [
+    "__version__",
+    "errors",
+    "Basis",
+    "EigenSystem",
+    "inv_sqrt",
+    "sine_to_subspace",
+    "sym_eigen",
+    "symmetrize",
+    "Dataset",
+    "LooMoments",
+    "MomentSet",
+    "compute_moments",
+    "loo_downdate",
+    "loo_downdates",
+    "mahalanobis",
+    "PhdFit",
+    "fit_phd",
+    "population_h",
+    "ContaminatedMoments",
+    "ContaminationPoint",
+    "PopulationModel",
+    "RisValue",
+    "contaminated_moments",
+    "cosine_model_constants",
+    "cosine_model",
+    "influence_surface",
+    "population_ols_residual",
+    "ris_numeric_oracle",
+    "ris_r",
+    "ris_rows",
+    "ris_y",
+    "write_surface_csv",
+    "CorrelationReport",
+    "InfluenceRecord",
+    "InfluenceReport",
+    "eris",
+    "estimated_model",
+    "hris",
+    "influence_report",
+    "spearman",
+    "sris",
+    "IngestConfig",
+    "ingest_csv",
+    "write_dataset_csv",
+    "LINK_CATALOG",
+    "McConstants",
+    "SimSpec",
+    "mc_constants",
+    "simulate",
+]
+
+#: none of these is package API; all but the last are test oracles (tests/oracles.py)
+NOT_PUBLIC = [
+    "eris_matrix_route",
+    "if_h_y",
+    "if_h_r",
+    "ris_from_if_matrix",
+    "report_to_json_dict",
+    "residual_projector",
+]
+
+
+def test_public_names_are_the_written_out_list():
+    assert phdinfluence.__all__ == PUBLIC_NAMES
+    for name in NOT_PUBLIC:
+        with pytest.raises(AttributeError):
+            getattr(phdinfluence, name)
+
+
+_SIMULATE_IS_THE_FUNCTION = (
+    "import types\n"
+    "import phdinfluence\n"
+    "assert not isinstance(simulate, types.ModuleType), simulate\n"
+    "assert simulate is phdinfluence.simulate is phdinfluence.simulation.simulate\n"
+    "d = simulate(phdinfluence.SimSpec(model='cosine_index', n=6, p=2, seed=1))\n"
+    "assert d.x.shape == (6, 2)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "imports",
+    [
+        pytest.param("import phdinfluence.simulation\nfrom phdinfluence import simulate\n",
+                     id="submodule-first"),
+        pytest.param("from phdinfluence import simulate\nimport phdinfluence.simulation\n",
+                     id="function-first"),
+    ],
+)
+def test_simulate_is_the_function_in_either_import_order(imports):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", imports + _SIMULATE_IS_THE_FUNCTION],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

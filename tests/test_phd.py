@@ -13,7 +13,7 @@ from phdinfluence import (
 )
 from phdinfluence.errors import InvalidRank
 from phdinfluence.population import COSINE_MODEL_LAMBDA1, cosine_model
-from phdinfluence.simulate import SimSpec, simulate
+from phdinfluence.simulation import SimSpec, simulate
 from conftest import random_orthonormal
 
 

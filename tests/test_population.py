@@ -11,17 +11,13 @@ from phdinfluence import (
     cosine_model_constants,
     cosine_model,
     influence_surface,
-    if_h_r,
-    if_h_y,
     population_h,
     population_ols_residual,
-    ris_from_if_matrix,
     ris_numeric_oracle,
     ris_r,
     ris_y,
     write_surface_csv,
 )
-from phdinfluence import population
 from phdinfluence.linalg import inv_sqrt, sym_inverse, sym_sqrt
 from phdinfluence.population import ris_rows
 from phdinfluence.errors import (
@@ -30,6 +26,7 @@ from phdinfluence.errors import (
     UnsupportedModel,
 )
 from conftest import random_model, random_orthonormal
+from oracles import if_h_r, if_h_y, ris_from_if_matrix, surface_shortcut
 
 
 def identity_cov_model(rng, p=4, k=2):
@@ -196,6 +193,19 @@ def test_degenerate_spectrum_is_rejected(rng):
             mu_y=0.0,
             sigma_xy=np.zeros(4),
         )
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_spectrum_tie_is_decided_relative_to_the_leading_eigenvalue(rng, scale):
+    gamma = Basis(random_orthonormal(rng, 4, 2))
+
+    def model(lam):
+        return PopulationModel(mu=np.zeros(4), sigma=np.eye(4), gamma=gamma,
+                               lam=scale * np.array(lam), mu_y=0.0, sigma_xy=np.zeros(4))
+
+    assert model([-0.45, 0.42]).lam.shape == (2,)
+    with pytest.raises(DegenerateSpectrum):
+        model([1.5, 1.5 * (1.0 - 1e-10)])
 
 
 def test_membership_violation_is_rejected(rng):
@@ -444,19 +454,16 @@ def test_surface_cross_section_peak_favors_residual_variant():
     assert grid_r.max() > grid_y.max()
 
 
-def test_surface_shortcut_check_names_the_worst_cell(monkeypatch):
+@pytest.mark.parametrize("variant", ["y", "r"])
+def test_surface_matches_the_single_index_shortcut(variant):
+    # the CLI's default grid: p = 3, ||x0|| <= 3, 61 x 61
     model = cosine_model(p=3)
-    general = population.ris_rows
-
-    def off_at_one_cell(*args):
-        out = general(*args)
-        out[7, 0] += 1e-6  # cell (1, 2) of a 3 x 5 grid
-        out[3, 0] += 1e-8
-        return out
-
-    monkeypatch.setattr(population, "ris_rows", off_at_one_cell)
-    with pytest.raises(AssertionError, match=r"\(\|\|x0\|\|=1\.0, cos=0\.0\)"):
-        influence_surface(model, "r", [0.5, 1.0, 2.0], [-1.0, -0.5, 0.0, 0.5, 1.0])
+    norms = np.linspace(0.0, 3.0, 61)
+    costhetas = np.linspace(-1.0, 1.0, 61)
+    got = influence_surface(model, variant, norms, costhetas)
+    want = surface_shortcut(model, variant, norms, costhetas)
+    assert got.shape == want.shape == (61, 61)
+    assert np.abs(got - want).max() <= 1e-9
 
 
 def test_ris_rows_and_surface_reject_bad_points():
