@@ -26,7 +26,6 @@ _EXPORTS = {
     "errors": None,
     "Basis": "linalg",
     "EigenSystem": "linalg",
-    "inv_sqrt": "linalg",
     "sine_to_subspace": "linalg",
     "sym_eigen": "linalg",
     "symmetrize": "linalg",
@@ -34,10 +33,10 @@ _EXPORTS = {
     "LooMoments": "moments",
     "MomentSet": "moments",
     "compute_moments": "moments",
-    "loo_downdate": "moments",
     "loo_downdates": "moments",
     "mahalanobis": "moments",
     "PhdFit": "phd",
+    "fit_from_moments": "phd",
     "fit_phd": "phd",
     "population_h": "phd",
     "ContaminatedMoments": "population",

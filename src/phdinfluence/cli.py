@@ -135,7 +135,7 @@ def _load_dataset(args):
         "log_response": args.log_response,
         "drop_rows_with_missing_response": not args.keep_missing_response,
         "predictors_requested": args.predictors or "all numeric except response",
-        "predictors_resolved": list(dataset.names or ()),
+        "predictors_resolved": list(dataset.names),
         "delimiter": args.delimiter,
         "n": dataset.n,
         "p": dataset.p,
@@ -166,10 +166,9 @@ def cmd_fit(args) -> int:
     manifest.add_output(eig_path)
 
     basis_path = out / "basis.csv"
-    names = dataset.names or tuple(f"x{i + 1}" for i in range(dataset.p))
     with open(basis_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("predictor," + ",".join(f"direction{i + 1}" for i in range(args.k)) + "\n")
-        for r, name in enumerate(names):
+        for r, name in enumerate(dataset.names):
             cells = [f"{fit.gamma_hat.columns[r, c]:.17g}" for c in range(args.k)]
             fh.write(name + "," + ",".join(cells) + "\n")
     manifest.add_output(basis_path)
@@ -225,6 +224,8 @@ def cmd_surface(args) -> int:
         raise InvalidArgument(f"--grid must be at least 1, got {args.grid}")
     if not (math.isfinite(args.norm_max) and args.norm_max >= 0):
         raise InvalidArgument(f"--norm-max must be finite and nonnegative, got {args.norm_max}")
+    if args.p < 2:
+        raise InvalidArgument(f"--p must be at least 2 for the cosine example, got {args.p}")
     model = cosine_model(p=args.p)
     norms = np.linspace(0.0, args.norm_max, args.grid)
     costhetas = np.linspace(-1.0, 1.0, args.grid)
@@ -252,11 +253,15 @@ def cmd_simulate(args) -> int:
     beta = None
     if args.beta:
         try:
-            beta = np.array([float(v) for v in args.beta.split(",")])
+            vectors = [[float(v) for v in part.split(",")] for part in args.beta.split(";")]
+            beta = np.array(vectors).T
         except ValueError:
             raise InvalidArgument(
-                f"--beta must be comma-separated numbers, got {args.beta!r}"
+                "--beta must be ';'-separated index vectors of comma-separated numbers, "
+                f"all of one length, got {args.beta!r}"
             ) from None
+        if args.model != "custom_index" and beta.shape[1] == 1:
+            beta = beta[:, 0]  # the other models take a single p-vector
     spec = SimSpec(
         model=args.model,
         n=args.n,
@@ -274,7 +279,7 @@ def cmd_simulate(args) -> int:
         "n": args.n,
         "p": args.p,
         "sigma": args.sigma,
-        "beta": None if beta is None else [float(v) for v in beta],
+        "beta": None if beta is None else beta.tolist(),
         "link": args.link,
     }
     manifest = _Manifest("simulate", config, seed=args.seed)
@@ -419,7 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--sigma", type=float, default=1.0)
-    p_sim.add_argument("--beta", default=None, help="comma-separated index vector")
+    p_sim.add_argument("--beta", default=None, help="index vector of p comma-separated "
+                       "numbers; custom_index takes K of them, separated by ';'")
     p_sim.add_argument("--link", default=None, help="link name for custom_index")
     _add_common(p_sim)
     p_sim.set_defaults(handler=cmd_simulate)
@@ -443,6 +449,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads is not None and args.threads < 1:
+            raise InvalidArgument(f"--threads must be at least 1, got {args.threads}")
         return args.handler(args)
     except PhdError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

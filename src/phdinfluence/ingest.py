@@ -175,11 +175,11 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
         raise TooFewRows(f"{path}: {exc}") from exc
 
 
-def write_dataset_csv(path, d: Dataset, response_name: str = "y") -> None:
-    """Full-precision CSV that round-trips bit-exactly through ingest_csv."""
-    names = d.names or tuple(f"x{i + 1}" for i in range(d.p))
+def write_dataset_csv(path, d: Dataset) -> None:
+    """Full-precision CSV, response column ``y`` first, that round-trips
+    bit-exactly through ingest_csv."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([response_name, *names]) + "\n")
+        fh.write(",".join(["y", *d.names]) + "\n")
         for i in range(d.n):
             cells = [f"{d.y[i]:.17g}"] + [f"{v:.17g}" for v in d.x[i]]
             fh.write(",".join(cells) + "\n")

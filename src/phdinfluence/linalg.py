@@ -11,12 +11,13 @@ sign-canonicalized so that its entry of largest magnitude is positive.  The
 ordering matches how dimension-reduction directions are ranked; the sign rule
 exists only so repeated runs print identical bases.  :func:`eigen_order` is
 the one ordering rule and :func:`check_orthonormal` the one check on
-eigenvector columns; :func:`ordered_eigh` applies both plus the sign rule, to
-a single decomposition or to a stack of them.  Callers that read only some
-leading eigenvectors, or only sign-free quantities, use the first two alone.
+eigenvector columns, both on a single decomposition or on a stack of them;
+:func:`sym_eigen` applies both plus the sign rule to one matrix.  Callers
+that read only some leading eigenvectors, or only sign-free quantities, use
+the first two alone.
 
 A positive definite matrix is decomposed once for its inverse, inverse square
-root and square root together (:func:`spd_roots`).
+root and square root together (:func:`spd_roots`), the one SPD routine.
 """
 
 from __future__ import annotations
@@ -47,16 +48,16 @@ def mirror(a: np.ndarray) -> np.ndarray:
     return np.where(upper, a, np.swapaxes(a, -1, -2))
 
 
-def symmetrize(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Check `a` is square, finite and symmetric to absolute `tol`; return the
-    exactly symmetric copy."""
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """Check `a` is square, finite and symmetric to absolute SYMMETRY_TOL;
+    return the exactly symmetric copy."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix has non-finite entries")
     skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-    if skew > tol:
+    if skew > SYMMETRY_TOL:
         raise InvalidMatrix(f"matrix is not symmetric: max |a - a'| = {skew:.3e}")
     return mirror(a)
 
@@ -67,7 +68,7 @@ class EigenSystem:
 
     ``values[k]`` pairs with column ``vectors[:, k]``; values are sorted by
     descending ``|value|`` and columns are orthonormal with canonical signs
-    (built by :func:`sym_eigen`, which checks both through :func:`ordered_eigh`).
+    (built by :func:`sym_eigen`, which checks both).
     """
 
     values: np.ndarray
@@ -116,33 +117,32 @@ def check_orthonormal(v: np.ndarray) -> None:
         )
 
 
-def ordered_eigh(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the ordering and sign rule to ``np.linalg.eigh`` output.
+def sym_eigen(a: np.ndarray) -> EigenSystem:
+    """Eigendecomposition of a symmetric matrix, ordered by :func:`eigen_order`.
 
-    Works on one decomposition (w of shape (p,), v of shape (p, p)) or on a
-    stack of them ((..., p) and (..., p, p)).  Each set is reordered by
-    :func:`eigen_order`; each eigenvector is flipped so its entry of largest
-    magnitude (the first one on ties) is positive.  Raises InvalidMatrix when
-    the columns of any decomposition are not orthonormal.
+    Each eigenvector is flipped so its entry of largest magnitude (the first
+    one on ties) is positive.  Raises InvalidMatrix when the columns are not
+    orthonormal.  ``take_along_axis`` keeps the vectors C-ordered; ``v[:,
+    order]`` would make them F-ordered and change how BLAS rounds the
+    products callers form with them.
     """
+    w, v = np.linalg.eigh(symmetrize(a))
     order = eigen_order(w)
-    w = np.take_along_axis(w, order, axis=-1)
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    w = w[order]
+    v = np.take_along_axis(v, order[None, :], axis=1)
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     v = np.where(pivot < 0, -v, v)
     check_orthonormal(v)
-    return w, v
+    return EigenSystem(values=w, vectors=v)
 
 
-def sym_eigen(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a symmetric matrix, ordered by descending |eigenvalue|."""
-    w, v = np.linalg.eigh(symmetrize(a))
-    w, v = ordered_eigh(w[None], v[None])
-    return EigenSystem(values=w[0], vectors=v[0])
+def spd_roots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inverse, inverse square root, square root) of a symmetric positive
+    definite matrix from one eigendecomposition, each exactly symmetric.
 
-
-def _pd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a symmetric matrix that must be positive definite."""
+    Raises NotPositiveDefinite when the smallest eigenvalue is not above
+    PD_RTOL times the largest.
+    """
     w, v = np.linalg.eigh(symmetrize(a))
     w_min, w_max = float(w[0]), float(w[-1])
     if w_max <= 0.0 or w_min <= PD_RTOL * w_max:
@@ -151,42 +151,11 @@ def _pd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"vs max {w_max:.6e}",
             eigenvalue=w_min,
         )
-    return w, v
-
-
-def _inverse_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return mirror((v / w) @ v.T)
-
-
-def _inv_sqrt_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return mirror((v * w**-0.5) @ v.T)
-
-
-def _sqrt_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return mirror((v * w**0.5) @ v.T)
-
-
-def inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root R of a positive definite matrix: R a R = I."""
-    return _inv_sqrt_of(*_pd_eigh(a))
-
-
-def sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a positive definite matrix."""
-    return _sqrt_of(*_pd_eigh(a))
-
-
-def sym_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, exactly symmetric."""
-    return _inverse_of(*_pd_eigh(a))
-
-
-def spd_roots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(inverse, inverse square root, square root) of a symmetric positive
-    definite matrix from one eigendecomposition; each equals the standalone
-    function bit for bit."""
-    w, v = _pd_eigh(a)
-    return _inverse_of(w, v), _inv_sqrt_of(w, v), _sqrt_of(w, v)
+    return (
+        mirror((v / w) @ v.T),
+        mirror((v * w**-0.5) @ v.T),
+        mirror((v * w**0.5) @ v.T),
+    )
 
 
 def project_out(b: Basis, v: np.ndarray) -> np.ndarray:

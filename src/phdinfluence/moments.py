@@ -22,8 +22,8 @@ gets one refinement step against S_(j).  The formulas are validated against
 brute-force refits in the test suite.
 
 Blocked evaluation: :func:`loo_downdates` evaluates these closed forms once
-for a whole block of rows, as (rows, p, p) stacks, and :func:`loo_downdate`
-is its one-row view.  Callers walk the sample in blocks of
+for a whole block of rows, as (rows, p, p) stacks; a single row is a block
+of one.  Callers walk the sample in blocks of
 :func:`loo_block_rows` rows, sized so that one (rows, p, p) float64 stack
 fits in LOO_BLOCK_BYTES; the byte budget, not the sample size, bounds the
 memory of a leave-one-out pass.
@@ -33,9 +33,9 @@ row j leaves a singular covariance (the leverage singularity).  Its whitened
 margin, (n-1)^2/n - z'z divided by (n-1)^2/n, is the smallest eigenvalue of
 the whitened leave-one-out covariance relative to the others and lies in
 [0, 1].  A margin at or below LEVERAGE_RTOL puts the row in the
-``degenerate`` mask of :func:`loo_downdates` (and makes
-:func:`loo_downdate` raise DegenerateLeverage); this is the only place the
-leverage singularity is decided.
+``degenerate`` mask of :func:`loo_downdates`, which :func:`require_regular`
+turns into DegenerateLeverage; this is the only place the leverage
+singularity is decided.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class Dataset:
     """n observations of (scalar response, p-vector predictor).
 
     Requires n >= p + 2 so that every leave-one-out covariance can still be
-    invertible.  Arrays are stored read-only.
+    invertible.  Arrays are stored read-only.  ``names`` defaults to
+    x1, ..., xp.
     """
 
     y: np.ndarray
@@ -85,14 +86,14 @@ class Dataset:
             raise InsufficientData(f"need n >= p + 2 observations, got n={n}, p={p}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise InsufficientData("dataset has non-finite entries")
-        if self.names is not None and len(self.names) != p:
-            raise InsufficientData(
-                f"got {len(self.names)} column names for p={p} predictors"
-            )
+        names = tuple(f"x{i + 1}" for i in range(p)) if self.names is None else self.names
+        if len(names) != p:
+            raise InsufficientData(f"got {len(names)} column names for p={p} predictors")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "names", names)
 
     @property
     def n(self) -> int:
@@ -134,24 +135,21 @@ class MomentSet:
 
 @dataclass(frozen=True)
 class LooMoments:
-    """Moments of the sample with row j removed, from closed-form downdates.
+    """Moments of the sample with each row of a block removed, from
+    closed-form downdates (:func:`loo_downdates`).
 
-    From :func:`loo_downdates` every field carries a leading axis over the
-    rows of a block (``j`` is then an integer array); from
-    :func:`loo_downdate` it is the one-row view, with scalar ``j``,
-    ``ybar_j`` and ``margin``.  ``margin`` is the whitened leverage margin.
+    Every field carries a leading axis over the block's rows: ``j`` holds
+    their observation indices and ``margin`` their whitened leverage margins.
     Rows at the leverage singularity hold NaN in ``s_inv_j`` and
     ``sigma_rxx_j``, the quantities that need S_(j)^-1.
     """
 
-    j: int | np.ndarray
-    xbar_j: np.ndarray
-    ybar_j: float | np.ndarray
+    j: np.ndarray
     s_inv_j: np.ndarray
     s_xy_j: np.ndarray
     sigma_yxx_j: np.ndarray
     sigma_rxx_j: np.ndarray
-    margin: float | np.ndarray
+    margin: np.ndarray
 
 
 def compute_moments(d: Dataset) -> MomentSet:
@@ -215,9 +213,6 @@ def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarra
     dj = d.x[rows] - m.xbar
     dyj = d.y[rows] - m.ybar
 
-    xbar_j = (n * m.xbar - d.x[rows]) / (n - 1)
-    ybar_j = (n * m.ybar - d.y[rows]) / (n - 1)
-
     z = dj @ m.s_inv_sqrt
     full = (n - 1) ** 2 / n
     denom = full - np.einsum("ij,ij->i", z, z)
@@ -270,8 +265,6 @@ def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarra
 
     lm = LooMoments(
         j=rows,
-        xbar_j=xbar_j,
-        ybar_j=ybar_j,
         s_inv_j=s_inv_j,
         s_xy_j=s_xy_j,
         sigma_yxx_j=sigma_yxx_j,
@@ -292,23 +285,6 @@ def require_regular(lm: LooMoments, degenerate: np.ndarray) -> None:
             f"whitened margin ((n-1)^2/n - z'z) / ((n-1)^2/n) = {lm.margin[i]:.3e}",
             index=j,
         )
-
-
-def loo_downdate(d: Dataset, m: MomentSet, j: int) -> LooMoments:
-    """Closed-form moments of the sample with observation j deleted: the
-    one-row view of :func:`loo_downdates`."""
-    lm, degenerate = loo_downdates(d, m, [j])
-    require_regular(lm, degenerate)
-    return LooMoments(
-        j=j,
-        xbar_j=lm.xbar_j[0],
-        ybar_j=float(lm.ybar_j[0]),
-        s_inv_j=lm.s_inv_j[0],
-        s_xy_j=lm.s_xy_j[0],
-        sigma_yxx_j=lm.sigma_yxx_j[0],
-        sigma_rxx_j=lm.sigma_rxx_j[0],
-        margin=float(lm.margin[0]),
-    )
 
 
 def mahalanobis(d: Dataset, m: MomentSet) -> np.ndarray:

@@ -34,8 +34,8 @@ def check_variant(variant: str) -> str:
 class PhdFit:
     """One estimated average Hessian with its ordered eigensystem.
 
-    ``eig`` holds all p eigenpairs; ``gamma_hat`` the first ``k`` eigenvectors,
-    ``p_hat`` their projector and ``lambda_hat`` the matching eigenvalues.
+    ``eig`` holds all p eigenpairs; ``gamma_hat`` the first ``k`` eigenvectors
+    and ``lambda_hat`` the matching eigenvalues.
     """
 
     variant: str
@@ -43,7 +43,6 @@ class PhdFit:
     eig: EigenSystem
     k: int
     gamma_hat: Basis
-    p_hat: np.ndarray
     lambda_hat: np.ndarray
 
 
@@ -56,26 +55,21 @@ def fit_from_moments(m: MomentSet, variant: str, k: int) -> PhdFit:
     mat = m.sigma_yxx_hat if variant == "y" else m.sigma_rxx_hat
     h = mirror(m.s_inv @ mat @ m.s_inv)
     eig = sym_eigen(h)
-    gamma = Basis(eig.vectors[:, :k])
     return PhdFit(
         variant=variant,
         h=h,
         eig=eig,
         k=k,
-        gamma_hat=gamma,
-        p_hat=mirror(gamma.columns @ gamma.columns.T),
+        gamma_hat=Basis(eig.vectors[:, :k]),
         lambda_hat=eig.values[:k].copy(),
     )
 
 
-def fit_phd(d: Dataset, variant: str, k: int, moments: MomentSet | None = None) -> PhdFit:
-    """Fit the y-based or r-based PHD estimator at rank k.
-
-    Pass precomputed ``moments`` to avoid recomputing them when fitting both
-    variants on the same data.
-    """
-    m = moments if moments is not None else compute_moments(d)
-    return fit_from_moments(m, variant, k)
+def fit_phd(d: Dataset, variant: str, k: int) -> PhdFit:
+    """Fit the y-based or r-based PHD estimator at rank k.  To fit both
+    variants on the same data, compute the moments once and call
+    :func:`fit_from_moments`."""
+    return fit_from_moments(compute_moments(d), variant, k)
 
 
 def population_h(model) -> np.ndarray:

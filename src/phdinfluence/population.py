@@ -50,7 +50,7 @@ where the Gaussian predictor makes all centered third moments of X vanish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from .linalg import (
     sine_to_subspace,
     spd_roots,
     sym_eigen,
-    sym_inverse,
     symmetrize,
 )
 from .phd import check_variant, population_h
@@ -96,6 +95,11 @@ class PopulationModel:
     lam: np.ndarray
     mu_y: float
     sigma_xy: np.ndarray
+    sigma_inv: np.ndarray = field(init=False)
+    sigma_inv_sqrt: np.ndarray = field(init=False)
+    sigma_sqrt: np.ndarray = field(init=False)
+    #: population OLS slope Sigma^{-1} sigma_xy
+    beta: np.ndarray = field(init=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -133,10 +137,10 @@ class PopulationModel:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "sigma_xy", sigma_xy)
-        object.__setattr__(self, "_sigma_inv", sigma_inv)
-        object.__setattr__(self, "_sigma_inv_sqrt", sigma_inv_sqrt)
-        object.__setattr__(self, "_sigma_sqrt", sigma_sqrt)
-        object.__setattr__(self, "_beta", beta)
+        object.__setattr__(self, "sigma_inv", sigma_inv)
+        object.__setattr__(self, "sigma_inv_sqrt", sigma_inv_sqrt)
+        object.__setattr__(self, "sigma_sqrt", sigma_sqrt)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def p(self) -> int:
@@ -145,23 +149,6 @@ class PopulationModel:
     @property
     def k(self) -> int:
         return self.gamma.rank
-
-    @property
-    def sigma_inv(self) -> np.ndarray:
-        return self._sigma_inv
-
-    @property
-    def sigma_inv_sqrt(self) -> np.ndarray:
-        return self._sigma_inv_sqrt
-
-    @property
-    def sigma_sqrt(self) -> np.ndarray:
-        return self._sigma_sqrt
-
-    @property
-    def beta(self) -> np.ndarray:
-        """Population OLS slope Sigma^{-1} sigma_xy."""
-        return self._beta
 
 
 @dataclass(frozen=True)
@@ -235,20 +222,11 @@ def ris_y(model: PopulationModel, pt: ContaminationPoint, k: int) -> RisValue:
     return RisValue("y", k, float(value))
 
 
-def ris_r(
-    model: PopulationModel,
-    pt: ContaminationPoint,
-    k: int,
-    residual: float | None = None,
-) -> RisValue:
-    """Closed-form influence rate on the k-th r-based direction (k is 1-based).
-
-    ``residual`` overrides the population OLS residual of (y0, x0); the sample
-    plug-in diagnostics pass the fitted residual of the observation here.
-    """
+def ris_r(model: PopulationModel, pt: ContaminationPoint, k: int) -> RisValue:
+    """Closed-form influence rate on the k-th r-based direction (k is 1-based),
+    at the population OLS residual of (y0, x0)."""
     i = _direction_index(model, k)
-    r0 = population_ols_residual(model, pt) if residual is None else float(residual)
-    value = ris_rows(model, "r", pt.x0[None], [r0])[0, i]
+    value = ris_rows(model, "r", pt.x0[None], [population_ols_residual(model, pt)])[0, i]
     return RisValue("r", k, float(value))
 
 
@@ -333,7 +311,7 @@ def ris_numeric_oracle(
     i = _direction_index(model, k)
     cm = contaminated_moments(model, pt, eps)
     mat = cm.sigma_yxx_eps if variant == "y" else cm.sigma_rxx_eps
-    sig_inv_eps = sym_inverse(cm.sigma_eps)
+    sig_inv_eps = spd_roots(cm.sigma_eps)[0]
     h_eps = mirror(sig_inv_eps @ mat @ sig_inv_eps)
     eig = sym_eigen(h_eps)
     inner = np.abs(eig.vectors.T @ model.gamma.columns[:, i])
@@ -369,16 +347,13 @@ def cosine_model_constants() -> tuple[float, float, float]:
     return (COSINE_MODEL_MU_Y, COSINE_MODEL_SIGMA_XY_COEF, COSINE_MODEL_LAMBDA1)
 
 
-def cosine_model(p: int = 3, beta1: np.ndarray | None = None) -> PopulationModel:
-    """The cosine single-index population model on standard normal predictors."""
+def cosine_model(p: int = 3) -> PopulationModel:
+    """The cosine single-index population model on standard normal
+    predictors, with beta_1 the first coordinate axis."""
     if p < 2:
         raise UnsupportedModel("the cosine example needs p >= 2")
-    if beta1 is None:
-        beta1 = np.zeros(p)
-        beta1[0] = 1.0
-    beta1 = np.asarray(beta1, dtype=float)
-    if beta1.shape != (p,) or abs(np.linalg.norm(beta1) - 1.0) > 1e-10:
-        raise UnsupportedModel("beta1 must be a unit p-vector")
+    beta1 = np.zeros(p)
+    beta1[0] = 1.0
     return PopulationModel(
         mu=np.zeros(p),
         sigma=np.eye(p),

@@ -89,8 +89,7 @@ def simulate(spec: SimSpec) -> Dataset:
     y = _noiseless(spec, x)
     if spec.sigma > 0:
         y = y + spec.sigma * rng.standard_normal(spec.n)
-    names = tuple(f"x{i + 1}" for i in range(spec.p))
-    return Dataset(y=y, x=x, names=names)
+    return Dataset(y=y, x=x)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from phdinfluence import Basis, PopulationModel
+from phdinfluence import Basis, LooMoments, PopulationModel, loo_downdates
+from phdinfluence.moments import require_regular
 
 
 def random_spd(rng: np.random.Generator, p: int, spread: float = 1.0) -> np.ndarray:
@@ -45,6 +46,15 @@ def random_model(
         mu_y=float(rng.standard_normal()),
         sigma_xy=sigma_xy,
     )
+
+
+def loo_row(d, m, j: int) -> LooMoments:
+    """Closed-form downdate of observation j alone: a block of one row,
+    required regular (DegenerateLeverage otherwise), with its leading axis
+    dropped."""
+    lm, degenerate = loo_downdates(d, m, [j])
+    require_regular(lm, degenerate)
+    return LooMoments(**{name: value[0] for name, value in vars(lm).items()})
 
 
 @pytest.fixture

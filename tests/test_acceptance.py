@@ -25,18 +25,18 @@ from phdinfluence import (
     eris,
     cosine_model,
     influence_surface,
+    fit_from_moments,
     fit_phd,
     hris,
     influence_report,
     ingest_csv,
-    loo_downdate,
     ris_numeric_oracle,
     ris_r,
     ris_y,
     simulate,
 )
 from phdinfluence.cli import _THREAD_ENV_VARS
-from conftest import random_model
+from conftest import loo_row, random_model
 from oracles import eris_matrix_route, surface_shortcut
 
 
@@ -193,14 +193,14 @@ def test_criterion_5_downdates_match_refits():
         y = np.cos(2 * x[:, 0] - np.pi / 4) + 0.5 * rng.standard_normal(40)
         d = Dataset(y=y, x=x)
         m = compute_moments(d)
-        fits = {v: fit_phd(d, v, 2, moments=m) for v in ("y", "r")}
+        fits = {v: fit_from_moments(m, v, 2) for v in ("y", "r")}
         hris_vals = {v: hris(d, fits[v], m) for v in ("y", "r")}
 
         def rel(a, b):
             return np.abs(a - b).max() / max(1e-12, np.abs(b).max())
 
         for j in range(d.n):
-            lm = loo_downdate(d, m, j)
+            lm = loo_row(d, m, j)
             mask = np.ones(d.n, bool)
             mask[j] = False
             ys, xs = y[mask], x[mask]
@@ -308,7 +308,7 @@ def test_criterion_7_plug_in_route_agreement():
         d = simulate(SimSpec(model="cosine_index", n=80, p=4, seed=707, sigma=0.4))
         m = compute_moments(d)
         for variant in ("y", "r"):
-            fit = fit_phd(d, variant, 2, moments=m)
+            fit = fit_from_moments(m, variant, 2)
             a = eris(d, fit, m)
             b = eris_matrix_route(d, fit, m)
             assert np.abs(a - b).max() <= 1e-9

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from phdinfluence.cli import main
+from phdinfluence.ingest import write_dataset_csv
+from phdinfluence.simulation import SimSpec, simulate
 
 
 def run(args):
@@ -20,6 +22,25 @@ def test_simulate_writes_dataset_and_manifest(tmp_path):
     assert manifest["seed"] == 4
     assert "dataset.csv" in manifest["outputs"]
     assert manifest["version"]
+
+
+@pytest.mark.parametrize(
+    "beta, link, matrix",
+    [
+        pytest.param("1,0,0", "cosine", [[1.0], [0.0], [0.0]], id="K1-cosine"),
+        pytest.param("1,0,0;0,1,0", "product", [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                     id="K2-product"),
+    ],
+)
+def test_simulate_custom_index_reads_beta_as_index_vectors(tmp_path, beta, link, matrix):
+    code = run(["simulate", "--model", "custom_index", "--n", 50, "--p", 3, "--seed", 1,
+                "--beta", beta, "--link", link, "--output-dir", tmp_path / "cli"])
+    assert code == 0
+    spec = SimSpec(model="custom_index", n=50, p=3, seed=1, beta=matrix, link=link)
+    write_dataset_csv(tmp_path / "want.csv", simulate(spec))
+    assert (tmp_path / "cli" / "dataset.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+    assert manifest["config"]["beta"] == matrix
 
 
 def test_fit_pipeline(tmp_path, capsys):
@@ -107,6 +128,15 @@ def test_usage_error_exit_code():
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3",
                       "--seed", "1"], id="custom-index-without-beta"),
         pytest.param(["validate-constants", "--n", "1"], id="one-mc-sample"),
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,0,0;0,1,0"],
+                     id="two-index-vectors-for-cosine"),
+        pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",
+                      "1", "--beta", "1,0,0;0,1", "--link", "product"], id="ragged-beta"),
+        pytest.param(["surface", "--p", "1"], id="surface-p1"),
+        pytest.param(["surface", "--threads", "0"], id="zero-threads"),
+        # the input does not exist: the thread check comes before any read
+        pytest.param(["fit", "--input", "missing.csv", "--response", "y", "--variant", "y",
+                      "--k", "1", "--threads", "-1"], id="fit-negative-threads"),
     ],
 )
 def test_bad_argument_exits_2_with_one_json_error_line(argv, tmp_path, capsys):

@@ -5,19 +5,17 @@ from hypothesis import strategies as st
 
 from phdinfluence import (
     Basis,
-    inv_sqrt,
     sine_to_subspace,
     sym_eigen,
     symmetrize,
 )
 from phdinfluence.errors import InvalidMatrix, InvalidVector, NotPositiveDefinite
 from phdinfluence.linalg import (
+    check_orthonormal,
+    eigen_order,
     mirror,
-    ordered_eigh,
     project_out,
     spd_roots,
-    sym_inverse,
-    sym_sqrt,
 )
 from conftest import random_orthonormal, random_spd
 
@@ -76,6 +74,10 @@ def test_symmetrize_rejects_asymmetric():
         symmetrize(np.array([[1.0, 2.0], [0.5, 3.0]]))
 
 
+def inv_sqrt(a):
+    return spd_roots(a)[1]
+
+
 def test_inv_sqrt_identity_and_diagonal():
     assert np.allclose(inv_sqrt(np.eye(3)), np.eye(3))
     assert np.allclose(inv_sqrt(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0]))
@@ -98,6 +100,8 @@ def test_inv_sqrt_rejects_non_pd():
     with pytest.raises(NotPositiveDefinite) as err:
         inv_sqrt(np.diag([1.0, -2.0]))
     assert err.value.eigenvalue == pytest.approx(-2.0)
+    with pytest.raises(NotPositiveDefinite):
+        spd_roots(np.diag([1.0, 0.0]))
 
 
 # the residual projector I - B B' is applied through project_out; on the
@@ -190,9 +194,15 @@ def test_mirror_rejects_non_square_stacks():
         mirror(np.zeros(4))
 
 
+def reference_indices(w):
+    """The ordering rule written out: descending |value|, then descending
+    signed value, then position."""
+    return sorted(range(len(w)), key=lambda i: (-abs(w[i]), -w[i], i))
+
+
 def reference_order(w, v):
     """The ordering and sign rule written out column by column."""
-    order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), -w[i], i))
+    order = reference_indices(w)
     v = v[:, order].copy()
     for k in range(v.shape[1]):
         if v[int(np.argmax(np.abs(v[:, k]))), k] < 0:
@@ -222,40 +232,44 @@ def symmetric_stacks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(symmetric_stacks())
-def test_ordered_eigh_on_a_stack_equals_sym_eigen_slice_by_slice(stack):
+def test_sym_eigen_and_eigen_order_follow_the_written_out_rule(stack):
+    # sym_eigen per matrix against the written-out rule, and eigen_order on
+    # the whole stack (as the leave-one-out kernel calls it) row by row
     w = np.empty(stack.shape[:-1])
     v = np.empty_like(stack)
     for i, a in enumerate(stack):
         w[i], v[i] = np.linalg.eigh(a)
-    ws, vs = ordered_eigh(w, v)
+    order = eigen_order(w)
     for i, a in enumerate(stack):
+        assert order[i].tolist() == reference_indices(w[i])
         es = sym_eigen(a)
-        assert np.array_equal(ws[i], es.values)
-        assert np.array_equal(vs[i], es.vectors)
         ref_w, ref_v = reference_order(w[i], v[i])
-        assert np.array_equal(ws[i], ref_w)
-        assert np.array_equal(vs[i], ref_v)
+        assert np.array_equal(es.values, ref_w)
+        assert np.array_equal(es.vectors, ref_v)
+        # C order: BLAS rounds products with F-ordered vectors differently
+        assert es.vectors.flags.c_contiguous
 
 
-def test_ordered_eigh_breaks_ties_by_signed_value_then_position():
-    w, v = ordered_eigh(np.array([1.0, -2.0, 2.0, -1.0]), -np.eye(4))
-    assert w.tolist() == [2.0, -2.0, 1.0, -1.0]
-    assert np.array_equal(v, np.eye(4)[:, [2, 1, 0, 3]])
+def test_sym_eigen_breaks_ties_by_signed_value_then_position():
+    es = sym_eigen(np.diag([1.0, -2.0, 2.0, -1.0]))
+    assert es.values.tolist() == [2.0, -2.0, 1.0, -1.0]
+    assert np.array_equal(es.vectors, np.eye(4)[:, [2, 1, 0, 3]])
 
 
-def test_ordered_eigh_rejects_non_orthonormal_columns():
+def test_check_orthonormal_rejects_non_orthonormal_columns():
+    check_orthonormal(np.broadcast_to(np.eye(3), (2, 3, 3)))
     with pytest.raises(InvalidMatrix):
-        ordered_eigh(np.ones((2, 2)), np.ones((2, 2, 2)))
+        check_orthonormal(np.ones((2, 2, 2)))
 
 
-def test_spd_roots_are_the_standalone_functions_bit_for_bit(rng):
+def test_spd_roots_are_symmetric_inverse_and_roots(rng):
     a = random_spd(rng, 6, spread=0.01)
     inverse, root_inv, root = spd_roots(a)
-    assert np.array_equal(inverse, sym_inverse(a))
-    assert np.array_equal(root_inv, inv_sqrt(a))
-    assert np.array_equal(root, sym_sqrt(a))
-    with pytest.raises(NotPositiveDefinite):
-        spd_roots(np.diag([1.0, 0.0]))
+    for r in (inverse, root_inv, root):
+        assert np.array_equal(r, r.T)
+    assert np.abs(inverse @ a - np.eye(6)).max() <= 1e-9
+    assert np.abs(root @ root - a).max() <= 1e-9 * np.abs(a).max()
+    assert np.abs(root_inv @ root - np.eye(6)).max() <= 1e-9
 
 
 def test_spd_roots_decompose_once(rng, monkeypatch):

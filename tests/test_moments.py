@@ -9,16 +9,16 @@ from phdinfluence import (
     LooMoments,
     MomentSet,
     compute_moments,
-    loo_downdate,
     mahalanobis,
 )
-from phdinfluence.linalg import inv_sqrt, sym_inverse
+from phdinfluence.linalg import spd_roots
 from phdinfluence.moments import LOO_BLOCK_BYTES, loo_block_rows, loo_downdates
 from phdinfluence.errors import (
     DegenerateLeverage,
     InsufficientData,
     NotPositiveDefinite,
 )
+from conftest import loo_row
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +123,9 @@ def test_moments_decompose_the_covariance_once(rng, monkeypatch):
     m = compute_moments(d)
     assert len(calls) == 1
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    assert np.array_equal(m.s_inv, sym_inverse(m.s))
-    assert np.array_equal(m.s_inv_sqrt, inv_sqrt(m.s))
+    s_inv, s_inv_sqrt, _ = spd_roots(m.s)
+    assert np.array_equal(m.s_inv, s_inv)
+    assert np.array_equal(m.s_inv_sqrt, s_inv_sqrt)
 
 
 def test_third_moment_matches_triple_loop(rng):
@@ -189,6 +190,14 @@ def test_insufficient_rows_rejected(rng):
         Dataset(y=np.zeros(4), x=x)
 
 
+def test_dataset_names_default_to_x1_through_xp(rng):
+    d = Dataset(y=np.zeros(6), x=rng.standard_normal((6, 4)))
+    assert d.names == ("x1", "x2", "x3", "x4")
+    assert Dataset(y=d.y, x=d.x, names=("a", "b", "c", "d")).names == ("a", "b", "c", "d")
+    with pytest.raises(InsufficientData):
+        Dataset(y=d.y, x=d.x, names=("a", "b"))
+
+
 def test_singular_design_rejected(rng):
     x = rng.standard_normal((20, 3))
     x[:, 2] = x[:, 0]  # exact collinearity
@@ -201,21 +210,19 @@ def test_singular_design_rejected(rng):
 # ----------------------------------------------------------------------
 
 def test_downdate_matches_brute_force_everywhere(rng):
-    # every row as its own one-row view, and all rows as one block in
+    # every row as a block of one, and all rows as one block in
     # reverse order
     d = make_data(rng, 30, 4)
     m = compute_moments(d)
     block, degenerate = loo_downdates(d, m, np.arange(d.n)[::-1])
     assert not degenerate.any()
-    assert block.s_inv_j.shape == (d.n, 4, 4) and block.ybar_j.shape == (d.n,)
+    assert block.s_inv_j.shape == (d.n, 4, 4) and block.margin.shape == (d.n,)
     for j in range(d.n):
         i = d.n - 1 - j
         assert block.j[i] == j
-        xbar, ybar, s, s_xy, yxx, rxx = bf_loo(d.y, d.x, j)
+        _, _, s, s_xy, yxx, rxx = bf_loo(d.y, d.x, j)
         row_i = LooMoments(**{name: value[i] for name, value in vars(block).items()})
-        for lm in (loo_downdate(d, m, j), row_i):
-            assert np.abs(lm.xbar_j - xbar).max() <= 1e-12
-            assert lm.ybar_j == pytest.approx(ybar, abs=1e-12)
+        for lm in (loo_row(d, m, j), row_i):
             assert np.abs(lm.s_inv_j @ s - np.eye(4)).max() <= 1e-9
             assert np.abs(lm.s_xy_j - s_xy).max() <= 1e-9 * (1 + np.abs(s_xy).max())
             assert np.abs(lm.sigma_yxx_j - yxx).max() <= 1e-9 * (1 + np.abs(yxx).max())
@@ -231,7 +238,7 @@ def test_residual_downdate_matches_a_high_precision_refit():
     m = compute_moments(d)
     for j in (33, 114, 231):
         want = mp_residual_third_moment(d.y, d.x, j)
-        got = loo_downdate(d, m, j).sigma_rxx_j
+        got = loo_row(d, m, j).sigma_rxx_j
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), j
 
 
@@ -244,12 +251,11 @@ def test_downdate_of_only_distinct_point_hits_leverage_singularity():
     d = Dataset(y=y, x=x)
     m = compute_moments(d)
     with pytest.raises(DegenerateLeverage) as err:
-        loo_downdate(d, m, 5)
+        loo_row(d, m, 5)
     assert err.value.index == 5
     # removing one of the duplicates instead is fine and matches brute force
-    lm = loo_downdate(d, m, 2)
-    xbar, ybar, s, s_xy, yxx, rxx = bf_loo(d.y, d.x, 2)
-    assert np.abs(lm.xbar_j - xbar).max() <= 1e-12
+    lm = loo_row(d, m, 2)
+    _, _, s, s_xy, yxx, rxx = bf_loo(d.y, d.x, 2)
     assert np.abs(lm.s_inv_j - np.linalg.inv(s)).max() <= 1e-9 * np.abs(
         np.linalg.inv(s)
     ).max()
@@ -260,7 +266,7 @@ def test_downdate_index_out_of_range(rng):
     d = make_data(rng, 10, 2)
     m = compute_moments(d)
     with pytest.raises(IndexError):
-        loo_downdate(d, m, 10)
+        loo_row(d, m, 10)
     with pytest.raises(IndexError):
         loo_downdates(d, m, [3, -1])
 

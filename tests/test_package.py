@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,7 +15,6 @@ PUBLIC_NAMES = [
     "errors",
     "Basis",
     "EigenSystem",
-    "inv_sqrt",
     "sine_to_subspace",
     "sym_eigen",
     "symmetrize",
@@ -22,10 +22,10 @@ PUBLIC_NAMES = [
     "LooMoments",
     "MomentSet",
     "compute_moments",
-    "loo_downdate",
     "loo_downdates",
     "mahalanobis",
     "PhdFit",
+    "fit_from_moments",
     "fit_phd",
     "population_h",
     "ContaminatedMoments",
@@ -77,6 +77,34 @@ def test_public_names_are_the_written_out_list():
     for name in NOT_PUBLIC:
         with pytest.raises(AttributeError):
             getattr(phdinfluence, name)
+
+
+PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "phdinfluence"
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # a top-level function or class must be named (as a Name or an attribute)
+    # somewhere in the package outside its own definition, or be public API
+    definitions, references = [], set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = (path.stem, stmt.name)
+                definitions.append(owner)
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    references.add((path.stem, owner, name))
+    assert len(definitions) > 50
+    dead = [
+        f"{module}.{name}"
+        for module, name in definitions
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in phdinfluence._EXPORTS
+        and not any(ref == name and where != (module, name) for _, where, ref in references)
+    ]
+    assert dead == []
 
 
 _SIMULATE_IS_THE_FUNCTION = (

@@ -18,7 +18,7 @@ from phdinfluence import (
     ris_y,
     write_surface_csv,
 )
-from phdinfluence.linalg import inv_sqrt, sym_inverse, sym_sqrt
+from phdinfluence.linalg import spd_roots
 from phdinfluence.population import ris_rows
 from phdinfluence.errors import (
     DegenerateSpectrum,
@@ -157,9 +157,10 @@ def test_model_decomposes_sigma_once(rng, monkeypatch):
     model = random_model(rng, 5, 2)
     assert len(calls) == 1
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    assert np.array_equal(model.sigma_inv, sym_inverse(model.sigma))
-    assert np.array_equal(model.sigma_inv_sqrt, inv_sqrt(model.sigma))
-    assert np.array_equal(model.sigma_sqrt, sym_sqrt(model.sigma))
+    sigma_inv, sigma_inv_sqrt, sigma_sqrt = spd_roots(model.sigma)
+    assert np.array_equal(model.sigma_inv, sigma_inv)
+    assert np.array_equal(model.sigma_inv_sqrt, sigma_inv_sqrt)
+    assert np.array_equal(model.sigma_sqrt, sigma_sqrt)
 
 
 def test_ris_rows_matches_the_influence_matrix_route(rng):
@@ -177,8 +178,10 @@ def test_ris_rows_matches_the_influence_matrix_route(rng):
                 want = ris_from_if_matrix(model, f[v], k)
                 assert got[v][i, k - 1] == pytest.approx(want, rel=1e-9, abs=1e-12)
         assert got["y"][i, 1] == pytest.approx(ris_y(model, pt, 2).value, rel=1e-12)
-        assert got["r"][i, 0] == pytest.approx(
-            ris_r(model, pt, 1, residual=float(r0[i])).value, rel=1e-12
+        # ris_r is the one-row view at the population OLS residual
+        r_pop = population_ols_residual(model, pt)
+        assert ris_r(model, pt, 1).value == pytest.approx(
+            ris_rows(model, "r", x0[i][None], [r_pop])[0, 0], rel=1e-12
         )
 
 
