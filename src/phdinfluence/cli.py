@@ -10,8 +10,9 @@ error, 3 data error, 4 numeric degeneracy.  Errors go to stderr as one-line
 JSON records.
 
 numpy and the numeric modules are imported lazily (the package itself loads
-neither) so the --threads cap is applied to the BLAS thread pools before
-numpy starts; manifest.json records the thread variables the run saw.  All
+neither), so ``main`` sets the BLAS thread variables from the parsed --threads
+value before a subcommand starts numpy; once numpy is loaded (library use) the
+cap is a no-op.  manifest.json records the thread variables the run saw.  All
 numeric kernels here are deterministic regardless, and --threads 1 output is
 byte-identical to any other setting.
 """
@@ -36,23 +37,6 @@ _THREAD_ENV_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-
-def _apply_thread_cap(argv: list[str]) -> None:
-    """Cap BLAS pools before numpy is imported.  Best effort: if numpy is
-    already loaded (library use), the cap is a no-op and determinism rests on
-    the kernels themselves."""
-    threads = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
-    if threads is None or "numpy" in sys.modules:
-        return
-    if threads.isdigit() and int(threads) >= 1:
-        for var in _THREAD_ENV_VARS:
-            os.environ[var] = threads
 
 
 def _sha256_file(path) -> str:
@@ -260,8 +244,6 @@ def cmd_simulate(args) -> int:
                 "--beta must be ';'-separated index vectors of comma-separated numbers, "
                 f"all of one length, got {args.beta!r}"
             ) from None
-        if args.model != "custom_index" and beta.shape[1] == 1:
-            beta = beta[:, 0]  # the other models take a single p-vector
     spec = SimSpec(
         model=args.model,
         n=args.n,
@@ -279,7 +261,7 @@ def cmd_simulate(args) -> int:
         "n": args.n,
         "p": args.p,
         "sigma": args.sigma,
-        "beta": None if beta is None else beta.tolist(),
+        "beta": None if beta is None else spec.beta.tolist(),
         "link": args.link,
     }
     manifest = _Manifest("simulate", config, seed=args.seed)
@@ -294,10 +276,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate_constants(args) -> int:
     from .population import cosine_model_constants
-    from .simulation import SimSpec, mc_constants
+    from .simulation import mc_constants
 
-    spec = SimSpec(model="cosine_index", n=1, p=2, seed=args.seed, sigma=args.sigma)
-    est = mc_constants(spec, args.n)
+    est = mc_constants(args.n, args.seed, args.sigma)
     mu_y, cov_zy, lam1 = cosine_model_constants()
     wrong_lam1 = -cov_zy  # the factor-two-off eigenvalue the validator must reject
 
@@ -444,22 +425,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_cap(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
-            raise InvalidArgument(f"--threads must be at least 1, got {args.threads}")
+        if args.threads is not None:
+            if args.threads < 1:
+                raise InvalidArgument(f"--threads must be at least 1, got {args.threads}")
+            if "numpy" not in sys.modules:
+                os.environ.update(dict.fromkeys(_THREAD_ENV_VARS, str(args.threads)))
         return args.handler(args)
-    except PhdError as exc:
+    except (PhdError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record), file=sys.stderr)
-        return 3
+        return exc.exit_code if isinstance(exc, PhdError) else 3
 
 
 def entrypoint() -> None:

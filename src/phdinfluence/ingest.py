@@ -1,13 +1,14 @@
 """CSV ingestion into datasets.
 
-The reader is strict: predictor cells that do not parse as numbers raise with
-their row and column instead of being coerced, a header or predictor list
-that names a column twice is rejected, and only rows whose response is
-missing can be dropped (when configured).  A leading UTF-8 byte order mark
-is not part of the first column name.  When no explicit predictor list is
-given, every column other than the response that is numeric in all retained
-rows is used, and the resolved list travels with the dataset so runs are
-auditable.
+One column parser reads the response and every predictor: a cell is a
+number, a missing marker (MISSING_MARKERS, ``nan`` among them) or bad.  The
+reader is strict: a bad or missing predictor cell raises with its row and
+column, the first such row winning (ties in predictor-list order), and only
+rows whose response is missing can be dropped (when configured).  A header
+or predictor list that names a column twice is rejected, and a leading UTF-8
+byte order mark is not part of the first column name.  Without an explicit
+predictor list, every other column that is numeric in all retained rows is
+used, and the resolved list travels with the dataset so runs are auditable.
 """
 
 from __future__ import annotations
@@ -38,12 +39,20 @@ class IngestConfig:
     delimiter: str = ","
 
 
-def _parse_cell(cell: str) -> float | None:
-    """Float value, or None for a missing marker, or raise ValueError."""
-    text = cell.strip()
-    if text in MISSING_MARKERS:
-        return None
-    return float(text)
+def _parse_column(rows: list[list[str]], c: int) -> tuple[list[float | None], int | None]:
+    """Column c as floats, None for a missing marker, up to the first cell that
+    is neither, and that cell's row index (None when every cell parsed)."""
+    values: list[float | None] = []
+    for i, row in enumerate(rows):
+        text = row[c].strip()
+        if text in MISSING_MARKERS:
+            values.append(None)
+            continue
+        try:
+            values.append(float(text))
+        except ValueError:
+            return values, i
+    return values, None
 
 
 def _resolve_response(header: list[str], ref: str | int) -> int:
@@ -87,29 +96,23 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
 
     resp_idx = _resolve_response(header, cfg.response_column)
 
-    # Response first: parse, drop missing if configured.
-    y_vals: list[float] = []
-    kept_rows: list[list[str]] = []
-    for i, row in enumerate(rows):
-        try:
-            val = _parse_cell(row[resp_idx])
-        except ValueError:
-            raise NonNumericCell(
-                f"non-numeric response {row[resp_idx]!r} at row {i + 1}",
-                row=i,
-                column=header[resp_idx],
-            ) from None
-        if val is None:
-            if cfg.drop_rows_with_missing_response:
-                continue
-            raise NonNumericCell(
-                f"missing response at row {i + 1} and dropping is disabled",
-                row=i,
-                column=header[resp_idx],
-            )
-        y_vals.append(val)
-        kept_rows.append(row)
-
+    # Response first: a missing marker and a non-numeric cell compete in row
+    # order, and rows with a missing response are dropped if configured.
+    resp_name = header[resp_idx]
+    y_vals, text_row = _parse_column(rows, resp_idx)
+    if None in y_vals and not cfg.drop_rows_with_missing_response:
+        i = y_vals.index(None)
+        raise NonNumericCell(
+            f"missing response at row {i + 1} and dropping is disabled", row=i, column=resp_name
+        )
+    if text_row is not None:
+        raise NonNumericCell(
+            f"non-numeric response {rows[text_row][resp_idx]!r} at row {text_row + 1}",
+            row=text_row,
+            column=resp_name,
+        )
+    kept_rows = [row for row, val in zip(rows, y_vals) if val is not None]
+    y_vals = [val for val in y_vals if val is not None]
     if not kept_rows:
         raise TooFewRows(f"{path}: every row has a missing response")
 
@@ -117,52 +120,36 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
         for i, val in enumerate(y_vals):
             if val <= 0:
                 raise NonNumericCell(
-                    f"cannot log-transform nonpositive response {val!r}",
-                    row=i,
-                    column=header[resp_idx],
+                    f"cannot log-transform nonpositive response {val!r}", row=i, column=resp_name
                 )
         y_vals = [math.log(v) for v in y_vals]
 
+    # Predictors: each candidate column parsed once.  An explicit list must be
+    # numeric in every kept row; otherwise the columns that are become the list.
     if cfg.predictor_columns is not None:
-        pred_names = list(cfg.predictor_columns)
-        _reject_duplicates(pred_names, "predictor list")
-        for name in pred_names:
-            if name not in header:
-                raise MissingColumn(f"predictor column {name!r} not found")
-        pred_idx = [header.index(name) for name in pred_names]
-        x_vals = []
-        for i, row in enumerate(kept_rows):
-            parsed = []
-            for name, c in zip(pred_names, pred_idx):
-                try:
-                    val = _parse_cell(row[c])
-                except ValueError:
-                    val = None
-                if val is None:
-                    raise NonNumericCell(
-                        f"non-numeric predictor cell {row[c]!r} at row {i + 1}, "
-                        f"column {name!r}",
-                        row=i,
-                        column=name,
-                    )
-                parsed.append(val)
-            x_vals.append(parsed)
+        candidates = list(cfg.predictor_columns)
+        _reject_duplicates(candidates, "predictor list")
     else:
-        # All columns except the response that are numeric in every kept row,
-        # each parsed once.
-        pred_names = []
-        columns = []
-        for c, name in enumerate(header):
-            if c == resp_idx:
-                continue
-            try:
-                column = [_parse_cell(row[c]) for row in kept_rows]
-            except ValueError:
-                continue
-            if None not in column:
-                pred_names.append(name)
-                columns.append(column)
-        x_vals = list(zip(*columns))
+        candidates = [name for c, name in enumerate(header) if c != resp_idx]
+    pred_names, columns, bad = [], [], []
+    for name in candidates:
+        if name not in header:
+            raise MissingColumn(f"predictor column {name!r} not found")
+        c = header.index(name)
+        column, text_row = _parse_column(kept_rows, c)
+        i = column.index(None) if None in column else text_row
+        if i is None:
+            pred_names.append(name)
+            columns.append(column)
+        else:
+            bad.append((i, name, kept_rows[i][c]))
+    if cfg.predictor_columns is not None and bad:
+        i, name, cell = min(bad, key=lambda b: b[0])  # the first row; ties in list order
+        raise NonNumericCell(
+            f"non-numeric predictor cell {cell!r} at row {i + 1}, column {name!r}",
+            row=i,
+            column=name,
+        )
 
     if len(pred_names) < 2:
         raise MissingColumn(
@@ -170,7 +157,7 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
         )
 
     try:
-        return Dataset(y=y_vals, x=x_vals, names=tuple(pred_names))
+        return Dataset(y=y_vals, x=list(zip(*columns)), names=tuple(pred_names))
     except InsufficientData as exc:
         raise TooFewRows(f"{path}: {exc}") from exc
 

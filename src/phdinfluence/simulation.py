@@ -4,7 +4,8 @@ Predictors are always i.i.d. standard p-variate normal and the noise is
 independent N(0, sigma^2); streams come from numpy's PCG64 generator so a
 (seed, spec) pair reproduces the dataset bit for bit on any platform.  The
 link catalog is closed: simulations stay reproducible artifacts, this is not
-a modeling framework.
+a modeling framework.  :class:`SimSpec` is the one judge of a request: it
+rejects sizes no dataset can have and a parameter its model would not read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ LINK_CATALOG = {
 
 @dataclass(frozen=True)
 class SimSpec:
-    """One reproducible simulation: model family, sizes, parameters, seed."""
+    """One reproducible simulation: model family, sizes, parameters, seed.
+
+    ``beta`` is a length-p vector (or p x 1 matrix) for cosine_index and
+    linear_index and a p x K matrix for custom_index; quadratic_first reads
+    none.  ``link``, a LINK_CATALOG name, is read by custom_index only.
+    """
 
     model: str
     n: int
@@ -45,10 +51,14 @@ class SimSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidArgument(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.n < 1 or self.p < 1:
-            raise InvalidArgument("n and p must be positive")
+        if self.p < 1 or self.n < self.p + 2:
+            raise InvalidArgument(f"need p >= 1 and n >= p + 2, got n={self.n}, p={self.p}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise InvalidArgument(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if self.link is not None and self.model != "custom_index":
+            raise InvalidArgument(f"link is read by custom_index only, not {self.model}")
+        if self.beta is not None and self.model == "quadratic_first":
+            raise InvalidArgument("quadratic_first reads no beta: its index is the first axis")
         beta = self.beta
         if beta is None:
             if self.model == "custom_index":
@@ -64,6 +74,8 @@ class SimSpec:
                     f"link must be one of {sorted(LINK_CATALOG)}, got {self.link!r}"
                 )
         else:
+            if beta.ndim == 2 and beta.shape[1] == 1:
+                beta = beta[:, 0]
             if beta.shape != (self.p,):
                 raise InvalidArgument(f"beta must be a length-p vector, got shape {beta.shape}")
             if self.model == "cosine_index" and abs(np.linalg.norm(beta) - 1.0) > 1e-10:
@@ -106,22 +118,23 @@ class McConstants:
     se_lambda1: float
 
 
-def mc_constants(spec: SimSpec, n_mc: int) -> McConstants:
+def mc_constants(n_mc: int, seed: int, sigma: float) -> McConstants:
     """Estimate E(Y), cov(beta'X, Y) and E[(Y - mu_y)(beta'X)^2] for the
-    cosine model by direct sampling of the scalar index Z = beta'X ~ N(0,1).
+    cosine model with noise sd sigma from n_mc seeded draws of the scalar
+    index Z = beta'X ~ N(0,1).
 
     The three targets depend on (Z, Y) only, so sampling Z instead of the
     full predictor vector is exact and keeps 1e7-sample runs cheap.
     """
-    if spec.model != "cosine_index":
-        raise InvalidArgument("mc_constants is defined for the cosine model only")
     if n_mc < 2:
         raise InvalidArgument(f"n_mc must be at least 2, got {n_mc}")
-    rng = np.random.default_rng(spec.seed)
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidArgument(f"sigma must be finite and nonnegative, got {sigma!r}")
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_mc)
     y = np.cos(2.0 * z - math.pi / 4.0)
-    if spec.sigma > 0:
-        y = y + spec.sigma * rng.standard_normal(n_mc)
+    if sigma > 0:
+        y = y + sigma * rng.standard_normal(n_mc)
 
     ybar = float(y.mean())
     se_mu = float(y.std(ddof=1) / math.sqrt(n_mc))

@@ -1,6 +1,12 @@
-"""Shared builders for seeded models and matrices."""
+"""Shared builders for seeded models and matrices, and a runner for fresh
+interpreters."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +61,15 @@ def loo_row(d, m, j: int) -> LooMoments:
     lm, degenerate = loo_downdates(d, m, [j])
     require_regular(lm, degenerate)
     return LooMoments(**{name: value[0] for name, value in vars(lm).items()})
+
+
+def run_python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a fresh interpreter that imports this checkout's
+    src/ first; stdout and stderr are captured as text."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 @pytest.fixture

@@ -9,8 +9,6 @@ synthetic equivalent.
 
 import json
 import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -36,7 +34,7 @@ from phdinfluence import (
     simulate,
 )
 from phdinfluence.cli import _THREAD_ENV_VARS
-from conftest import loo_row, random_model
+from conftest import loo_row, random_model, run_python
 from oracles import eris_matrix_route, surface_shortcut
 
 
@@ -323,10 +321,7 @@ def test_criterion_7_plug_in_route_agreement():
 # ----------------------------------------------------------------------
 
 def _run_cli(outdir: Path, args: list[str]) -> None:
-    cmd = [sys.executable, "-m", "phdinfluence", *args, "--output-dir", str(outdir)]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300, env=env)
+    proc = run_python(["-m", "phdinfluence", *args, "--output-dir", str(outdir)], timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,11 +1,14 @@
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from phdinfluence.cli import main
+from phdinfluence.cli import _THREAD_ENV_VARS, main
 from phdinfluence.ingest import write_dataset_csv
 from phdinfluence.simulation import SimSpec, simulate
+from conftest import run_python
 
 
 def run(args):
@@ -41,6 +44,32 @@ def test_simulate_custom_index_reads_beta_as_index_vectors(tmp_path, beta, link,
     assert (tmp_path / "cli" / "dataset.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
     assert manifest["config"]["beta"] == matrix
+
+
+def test_simulate_single_index_reads_one_beta_vector(tmp_path):
+    code = run(["simulate", "--model", "cosine_index", "--n", 50, "--p", 3, "--seed", 1,
+                "--beta", "1,0,0", "--output-dir", tmp_path / "cli"])
+    assert code == 0
+    spec = SimSpec(model="cosine_index", n=50, p=3, seed=1, beta=[1.0, 0.0, 0.0])
+    write_dataset_csv(tmp_path / "want.csv", simulate(spec))
+    assert (tmp_path / "cli" / "dataset.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+    assert manifest["config"]["beta"] == [1.0, 0.0, 0.0]
+
+
+def test_threads_equals_spelling_caps_every_thread_variable(tmp_path):
+    proc = run_python(["-m", "phdinfluence", "surface", "--grid", "3", "--threads=2",
+                       "--output-dir", str(tmp_path)], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["thread_env"] == {var: "2" for var in _THREAD_ENV_VARS}
+
+
+def test_threads_is_a_no_op_once_numpy_is_loaded(tmp_path):
+    assert "numpy" in sys.modules
+    before = dict(os.environ)
+    assert run(["surface", "--grid", 3, "--threads", 2, "--output-dir", tmp_path]) == 0
+    assert dict(os.environ) == before
 
 
 def test_fit_pipeline(tmp_path, capsys):
@@ -128,11 +157,18 @@ def test_usage_error_exit_code():
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3",
                       "--seed", "1"], id="custom-index-without-beta"),
         pytest.param(["validate-constants", "--n", "1"], id="one-mc-sample"),
+        pytest.param(["validate-constants", "--n", "1000", "--sigma", "-1"],
+                     id="validate-negative-sigma"),
         pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,0,0;0,1,0"],
                      id="two-index-vectors-for-cosine"),
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",
                       "1", "--beta", "1,0,0;0,1", "--link", "product"], id="ragged-beta"),
         pytest.param(["surface", "--p", "1"], id="surface-p1"),
+        pytest.param(["simulate", "--n", "3", "--p", "3", "--seed", "1"], id="n-below-p-plus-2"),
+        pytest.param(["simulate", "--model", "cosine_index", "--n", "30", "--p", "3", "--seed",
+                      "1", "--link", "product"], id="link-for-cosine"),
+        pytest.param(["simulate", "--model", "quadratic_first", "--n", "30", "--p", "3",
+                      "--seed", "1", "--beta", "0,1,0"], id="beta-for-quadratic-first"),
         pytest.param(["surface", "--threads", "0"], id="zero-threads"),
         # the input does not exist: the thread check comes before any read
         pytest.param(["fit", "--input", "missing.csv", "--response", "y", "--variant", "y",

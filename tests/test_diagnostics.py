@@ -1,10 +1,6 @@
 import functools
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +29,7 @@ from phdinfluence.errors import (
 from phdinfluence.linalg import project_out
 from phdinfluence.moments import loo_block_rows
 from phdinfluence.simulation import SimSpec, simulate
+from conftest import run_python
 from oracles import eris_matrix_route, report_to_json_dict
 
 
@@ -111,10 +108,7 @@ def test_package_imports_and_ranks_without_scipy():
         "r = phdinfluence.spearman([1.0, 1.0, 2.0, 3.0], [10.0, 20.0, 30.0, 40.0])\n"
         "assert abs(r - 0.9486832980505138) < 1e-12, r\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(["-c", code], timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

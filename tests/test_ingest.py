@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from phdinfluence import IngestConfig, SimSpec, ingest_csv, simulate, write_dataset_csv
-from phdinfluence.errors import DuplicateColumn, MissingColumn, NonNumericCell, TooFewRows
+from phdinfluence.errors import (
+    DuplicateColumn,
+    MissingColumn,
+    NonNumericCell,
+    PhdError,
+    TooFewRows,
+)
+from phdinfluence.ingest import MISSING_MARKERS
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -132,3 +141,115 @@ def test_duplicate_predictor_names_are_a_data_error(tmp_path):
     path = write(tmp_path, SMALL)
     with pytest.raises(DuplicateColumn, match="'a'"):
         ingest_csv(path, IngestConfig(response_column="y", predictor_columns=("a", "a")))
+
+
+# ----------------------------------------------------------------------
+# spec: a grid of cell kinds in the response and predictor columns
+# ----------------------------------------------------------------------
+
+_NUMBER = st.floats(-2.0, 50.0, allow_nan=False).flatmap(
+    lambda v: st.sampled_from([repr(v), f"  {v!r} "]))
+_ODD_CELL = st.sampled_from(sorted(MISSING_MARKERS) + ["abc", "1.2.3"])
+
+
+def _spec_outcome(path, header, rows, resp, predictors, drop, log):
+    """What ingest_csv must return or raise for a grid of cells, derived from
+    the documented rules alone: (error type, row, column, message) or
+    (names, y, x)."""
+    def number(cell):
+        text = cell.strip()
+        if text in MISSING_MARKERS:
+            return None
+        try:
+            return float(text)
+        except ValueError:
+            return "text"
+
+    rows = [row for row in rows if any(cell.strip() for cell in row)]
+    if not rows:
+        return (TooFewRows, None, None, f"{path}: no data rows")
+    c_resp = header.index(resp)
+    kept, y = [], []
+    for i, row in enumerate(rows):
+        v = number(row[c_resp])
+        if v == "text":
+            return (NonNumericCell, i, resp, f"non-numeric response {row[c_resp]!r} at row {i + 1}")
+        if v is None:
+            if drop:
+                continue
+            return (NonNumericCell, i, resp,
+                    f"missing response at row {i + 1} and dropping is disabled")
+        kept.append(row)
+        y.append(v)
+    if not kept:
+        return (TooFewRows, None, None, f"{path}: every row has a missing response")
+    if log:
+        for i, v in enumerate(y):
+            if v <= 0:
+                return (NonNumericCell, i, resp, f"cannot log-transform nonpositive response {v!r}")
+        y = [math.log(v) for v in y]
+    if predictors is None:
+        names = [name for c, name in enumerate(header) if c != c_resp
+                 and all(isinstance(number(row[c]), float) for row in kept)]
+    else:
+        names = list(predictors)
+        for i, row in enumerate(kept):
+            for name in names:
+                cell = row[header.index(name)]
+                if not isinstance(number(cell), float):
+                    return (NonNumericCell, i, name,
+                            f"non-numeric predictor cell {cell!r} at row {i + 1}, column {name!r}")
+    if len(names) < 2:
+        return (MissingColumn, None, None,
+                f"need at least 2 numeric predictor columns, resolved {names}")
+    if len(kept) < len(names) + 2:
+        return (TooFewRows, None, None, f"{path}: need n >= p + 2 observations, "
+                f"got n={len(kept)}, p={len(names)}")
+    x = [[number(row[header.index(name)]) for name in names] for row in kept]
+    return (tuple(names), np.array(y).tobytes(), np.array(x).tobytes())
+
+
+@st.composite
+def _cell_grid(draw):
+    """Numbers everywhere but for a few missing markers and text cells."""
+    n_pred = draw(st.integers(1, 4))
+    header = [f"c{j}" for j in range(n_pred)]
+    header.insert(draw(st.integers(0, n_pred)), "y")
+    rows = draw(st.lists(st.lists(_NUMBER, min_size=n_pred + 1, max_size=n_pred + 1),
+                         min_size=1, max_size=9))
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, n_pred))] = draw(_ODD_CELL)
+    predictors = None
+    if draw(st.booleans()):
+        predictors = tuple(draw(st.permutations([h for h in header if h != "y"])))
+        predictors = predictors[: draw(st.integers(1, len(predictors)))]
+    return header, rows, predictors, draw(st.booleans()), draw(st.booleans())
+
+
+_TIES = [["1.5", "2", "3"], ["2.5", "NA", "abc"], ["3.5", "x", "4"], ["4", "5", "6"]]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cell_grid())
+@example((["y", "c0", "c1"], _TIES, ("c1", "c0"), False, False))  # a tie goes to list order
+@example((["y", "c0", "c1"], [_TIES[0], _TIES[2], _TIES[1]], ("c1", "c0"), True, False))
+def test_spec_cell_grid_resolves_or_raises_at_the_first_offending_cell(tmp_path, grid):
+    header, rows, predictors, drop, log = grid
+    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    path = write(tmp_path, text)
+    cfg = IngestConfig(response_column="y", log_response=log,
+                       drop_rows_with_missing_response=drop, predictor_columns=predictors)
+    want = _spec_outcome(path, header, rows, "y", predictors, drop, log)
+    if isinstance(want[0], tuple):
+        d = ingest_csv(path, cfg)
+        assert (d.names, d.y.tobytes(), d.x.tobytes()) == want
+        return
+    kind, row, column, message = want
+    with pytest.raises(PhdError) as err:
+        ingest_csv(path, cfg)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    if kind is NonNumericCell:
+        assert (err.value.row, err.value.column) == (row, column)

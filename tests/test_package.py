@@ -1,14 +1,12 @@
 """The package's public names."""
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import phdinfluence
+from conftest import run_python
 
 PUBLIC_NAMES = [
     "__version__",
@@ -127,8 +125,5 @@ _SIMULATE_IS_THE_FUNCTION = (
     ],
 )
 def test_simulate_is_the_function_in_either_import_order(imports):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", imports + _SIMULATE_IS_THE_FUNCTION],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python(["-c", imports + _SIMULATE_IS_THE_FUNCTION], timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phdinfluence import SimSpec, cosine_model_constants, mc_constants, simulate
+from phdinfluence.errors import InvalidArgument
 from phdinfluence.moments import Dataset, compute_moments
 
 
@@ -65,6 +66,32 @@ def test_spec_validation():
                 beta=np.eye(2), link="nope")
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        pytest.param(dict(model="cosine_index", n=3, p=2), id="n-below-p-plus-2"),
+        pytest.param(dict(model="linear_index", n=4, p=3), id="linear-n-below-p-plus-2"),
+        pytest.param(dict(model="cosine_index", n=10, p=2, link="product"), id="link-for-cosine"),
+        pytest.param(dict(model="linear_index", n=10, p=2, link="linear"), id="link-for-linear"),
+        pytest.param(dict(model="quadratic_first", n=10, p=2, link="quadratic"),
+                     id="link-for-quadratic-first"),
+        pytest.param(dict(model="quadratic_first", n=10, p=3, beta=[0.0, 1.0, 0.0]),
+                     id="beta-for-quadratic-first"),
+    ],
+)
+def test_spec_rejects_what_its_model_does_not_allow(kwargs):
+    with pytest.raises(InvalidArgument):
+        SimSpec(seed=0, **kwargs)
+
+
+def test_single_index_models_take_a_p_by_1_beta():
+    for model, beta in (("cosine_index", [0.6, 0.8, 0.0]), ("linear_index", [1.0, -0.5, 2.0])):
+        flat = simulate(SimSpec(model=model, n=40, p=3, seed=8, beta=beta))
+        column = SimSpec(model=model, n=40, p=3, seed=8, beta=[[v] for v in beta])
+        assert column.beta.shape == (3,)
+        assert simulate(column).y.tobytes() == flat.y.tobytes()
+
+
 def test_returns_dataset_type():
     d = simulate(SimSpec(model="cosine_index", n=50, p=3, seed=2, sigma=0.1))
     assert isinstance(d, Dataset)
@@ -77,8 +104,7 @@ def test_returns_dataset_type():
 
 def test_mc_constants_hit_their_targets():
     mu_y, cov_zy, lam1 = cosine_model_constants()
-    spec = SimSpec(model="cosine_index", n=1, p=2, seed=7, sigma=0.0)
-    est = mc_constants(spec, 1_000_000)
+    est = mc_constants(1_000_000, seed=7, sigma=0.0)
     assert abs(est.mu_y - mu_y) <= 3 * est.se_mu_y
     assert abs(est.cov_zy - cov_zy) <= 3 * est.se_cov_zy
     assert abs(est.lambda1 - lam1) <= 3 * est.se_lambda1
@@ -88,16 +114,9 @@ def test_mc_constants_hit_their_targets():
 
 
 def test_mc_constants_insensitive_to_noise_level():
-    spec0 = SimSpec(model="cosine_index", n=1, p=2, seed=15, sigma=0.0)
-    spec1 = SimSpec(model="cosine_index", n=1, p=2, seed=16, sigma=1.0)
-    a = mc_constants(spec0, 400_000)
-    b = mc_constants(spec1, 400_000)
+    a = mc_constants(400_000, seed=15, sigma=0.0)
+    b = mc_constants(400_000, seed=16, sigma=1.0)
     for field in ("mu_y", "cov_zy", "lambda1"):
         va, vb = getattr(a, field), getattr(b, field)
         se = np.hypot(getattr(a, "se_" + field), getattr(b, "se_" + field))
         assert abs(va - vb) <= 3 * se
-
-
-def test_mc_constants_needs_cosine_model():
-    with pytest.raises(ValueError):
-        mc_constants(SimSpec(model="linear_index", n=1, p=2, seed=0), 100)
