@@ -1,7 +1,7 @@
 """CSV ingestion into datasets.
 
 One column parser reads the response and every predictor: a cell is a
-number, a missing marker (MISSING_MARKERS, ``nan`` among them) or bad.  The
+finite number, a missing marker (MISSING_MARKERS, with ``nan``) or bad.  The
 reader is strict: a bad or missing predictor cell raises with its row and
 column, the first such row winning (ties in predictor-list order), and only
 rows whose response is missing can be dropped (when configured).  A header
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import (
     DuplicateColumn,
     InsufficientData,
+    InvalidArgument,
     MissingColumn,
     NonNumericCell,
     TooFewRows,
@@ -38,10 +39,14 @@ class IngestConfig:
     predictor_columns: tuple[str, ...] | None = None
     delimiter: str = ","
 
+    def __post_init__(self):
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise InvalidArgument(f"delimiter must be one character, got {self.delimiter!r}")
+
 
 def _parse_column(rows: list[list[str]], c: int) -> tuple[list[float | None], int | None]:
-    """Column c as floats, None for a missing marker, up to the first cell that
-    is neither, and that cell's row index (None when every cell parsed)."""
+    """Column c as finite floats, None for a missing marker, up to the first cell
+    that is neither, and that cell's row index (None when every cell parsed)."""
     values: list[float | None] = []
     for i, row in enumerate(rows):
         text = row[c].strip()
@@ -49,9 +54,12 @@ def _parse_column(rows: list[list[str]], c: int) -> tuple[list[float | None], in
             values.append(None)
             continue
         try:
-            values.append(float(text))
+            value = float(text)
         except ValueError:
             return values, i
+        if not math.isfinite(value):
+            return values, i
+        values.append(value)
     return values, None
 
 

@@ -8,34 +8,33 @@ Conventions (they matter downstream, do not mix):
 * OLS residuals are ``r_i = y_i - ybar - (x_i - xbar)' s_inv s_xy``.
 
 The leave-one-out quantities are computed by exact rank-one downdates of the
-full-sample moments, never by re-scanning the data.  With
-``d = x_j - xbar``, ``dy = y_j - ybar`` and ``z = s^{-1/2} d``:
+full-sample moments (Sherman-Morrison for the inverse), never by re-scanning
+the data.  With ``d = x_j - xbar``, ``dy = y_j - ybar`` and ``u = S^{-1} d``:
 
-    S_(j)^{-1} = (n-2)/(n-1) * S^{-1/2} [I + z z' / ((n-1)^2/n - z'z)] S^{-1/2}
+    S_(j)^{-1} = (n-2)/(n-1) * [S^{-1} + u u' / ((n-1)^2/n - d'u)]
 
     Sigma_yxx,(j) = [ n Sigma_yxx + s_xy d' + d s_xy'
                       + dy (S - n(n+1)/(n-1)^2 * d d') ] / (n-1)
 
 and the residual-weighted analogue subtracts the same-shaped downdate of the
-predictor third moment contracted with the leave-one-out OLS slope, which
-gets one refinement step against S_(j).  The formulas are validated against
-brute-force refits in the test suite.
+predictor third moment contracted with the leave-one-out OLS slope
+S_(j)^{-1} s_xy,(j).  The formulas are validated against brute-force and
+high-precision refits in the test suite.
 
 Blocked evaluation: :func:`loo_downdates` evaluates these closed forms once
 for a whole block of rows, as (rows, p, p) stacks; a single row is a block
-of one.  Callers walk the sample in blocks of
-:func:`loo_block_rows` rows, sized so that one (rows, p, p) float64 stack
-fits in LOO_BLOCK_BYTES; the byte budget, not the sample size, bounds the
-memory of a leave-one-out pass.
+of one.  Callers walk the sample in blocks of :func:`loo_block_rows` rows,
+sized so that one (rows, p, p) float64 stack fits in LOO_BLOCK_BYTES; the
+byte budget, not the sample size, bounds the memory of a leave-one-out pass.
 
-Leverage criterion: the scalar (n-1)^2/n - z'z is zero exactly when deleting
-row j leaves a singular covariance (the leverage singularity).  Its whitened
-margin, (n-1)^2/n - z'z divided by (n-1)^2/n, is the smallest eigenvalue of
-the whitened leave-one-out covariance relative to the others and lies in
-[0, 1].  A margin at or below LEVERAGE_RTOL puts the row in the
-``degenerate`` mask of :func:`loo_downdates`, which :func:`require_regular`
-turns into DegenerateLeverage; this is the only place the leverage
-singularity is decided.
+Leverage criterion: with z'z = d'S^{-1}d = d'u, the scalar (n-1)^2/n - z'z is
+zero exactly when deleting row j leaves a singular covariance (the leverage
+singularity).  Its whitened margin, (n-1)^2/n - z'z divided by (n-1)^2/n, is
+the smallest eigenvalue of the whitened leave-one-out covariance relative to
+the others and lies in [0, 1].  A margin at or below LEVERAGE_RTOL puts the
+row in the ``degenerate`` mask of :func:`loo_downdates`, which
+:func:`require_regular` turns into DegenerateLeverage; this is the only place
+the leverage singularity is decided.
 """
 
 from __future__ import annotations
@@ -45,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLeverage, InsufficientData
-from .linalg import mirror, spd_roots
+from .linalg import mirror, spd_inverse
 
-#: smallest whitened leverage margin a downdate accepts.  The z z' / denom
+#: smallest whitened leverage margin a downdate accepts.  The u u' / denom
 #: term amplifies the rounding error in denom by 1/margin, so below sqrt(eps)
 #: the leave-one-out inverse keeps fewer than half of its significant digits.
 LEVERAGE_RTOL = float(np.sqrt(np.finfo(float).eps))
@@ -117,7 +116,6 @@ class MomentSet:
     ybar: float
     s: np.ndarray
     s_inv: np.ndarray
-    s_inv_sqrt: np.ndarray
     s_xy: np.ndarray
     sigma_yxx_hat: np.ndarray
     sigma_rxx_hat: np.ndarray
@@ -165,8 +163,7 @@ def compute_moments(d: Dataset) -> MomentSet:
     yc = y - ybar
 
     s = mirror(xc.T @ xc / (n - 1))
-    # raises NotPositiveDefinite on singular designs
-    s_inv, s_inv_sqrt, _ = spd_roots(s)
+    s_inv = spd_inverse(s)
     s_xy = xc.T @ yc / (n - 1)
 
     sigma_yxx = mirror((xc.T * yc) @ xc / n)
@@ -183,7 +180,6 @@ def compute_moments(d: Dataset) -> MomentSet:
         ybar=ybar,
         s=s,
         s_inv=s_inv,
-        s_inv_sqrt=s_inv_sqrt,
         s_xy=s_xy,
         sigma_yxx_hat=sigma_yxx,
         sigma_rxx_hat=sigma_rxx,
@@ -213,15 +209,14 @@ def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarra
     dj = d.x[rows] - m.xbar
     dyj = d.y[rows] - m.ybar
 
-    z = dj @ m.s_inv_sqrt
+    u = dj @ m.s_inv
     full = (n - 1) ** 2 / n
-    denom = full - np.einsum("ij,ij->i", z, z)
+    denom = full - np.einsum("ij,ij->i", dj, u)
     margin = denom / full
     degenerate = margin <= LEVERAGE_RTOL
     # Degenerate rows get a harmless denominator here and NaN below.
     denom = np.where(degenerate, full, denom)
-    core = np.eye(d.p) + z[:, :, None] * z[:, None, :] / denom[:, None, None]
-    s_inv_j = mirror((n - 2) / (n - 1) * m.s_inv_sqrt @ core @ m.s_inv_sqrt)
+    s_inv_j = (n - 2) / (n - 1) * (m.s_inv + u[:, :, None] * u[:, None, :] / denom[:, None, None])
 
     s_xy_j = ((n - 1) * m.s_xy - (n / (n - 1)) * dyj[:, None] * dj) / (n - 2)
 
@@ -238,15 +233,8 @@ def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarra
     )
 
     # Residual-weighted analogue: subtract the downdated predictor third
-    # moment contracted with the leave-one-out OLS slope.  n T_beta amplifies
-    # the rounding error of the slope from the downdated inverse, so the
-    # slope gets one refinement step against S_(j) beta_j, formed from
-    # vectors as ((n-1) S beta_j - n/(n-1) d (d' beta_j)) / (n-2).
+    # moment contracted with the leave-one-out OLS slope.
     beta_j = np.einsum("rab,rb->ra", s_inv_j, s_xy_j)
-    s_j_beta = (
-        (n - 1) * beta_j @ m.s - (n / (n - 1)) * np.einsum("ra,ra->r", dj, beta_j)[:, None] * dj
-    ) / (n - 2)
-    beta_j += np.einsum("rab,rb->ra", s_inv_j, s_xy_j - s_j_beta)
     t_beta = np.tensordot(beta_j, m.x_third, axes=([1], [0]))
     s_beta = beta_j @ m.s
     d_beta = np.einsum("ra,ra->r", dj, beta_j)

@@ -15,6 +15,10 @@ residual of (y0, x0),
     alpha_{r,k} = { r0 g_k' Sigma^{-1/2} z0 - lambda_k g_k' Sigma^{1/2} z0 } z0
                   -  r0 Sigma^{-1/2} g_k .
 
+The code evaluates Sigma^{-1/2} alpha_k through Sigma^{-1} only: with
+d = x0 - mu, Sigma^{-1/2} z0 = Sigma^{-1} d, g_k' Sigma^{-1/2} z0 =
+g_k' Sigma^{-1} d and g_k' Sigma^{1/2} z0 = g_k' d.
+
 The alpha displays are evaluated in one place, :func:`ris_rows`, for a whole
 array of contamination points at once: ``ris_y``/``ris_r`` are its one-row
 views, the sample plug-in ERIS calls it once for all n observations, and the
@@ -65,7 +69,7 @@ from .linalg import (
     mirror,
     project_out,
     sine_to_subspace,
-    spd_roots,
+    spd_inverse,
     sym_eigen,
     symmetrize,
 )
@@ -96,8 +100,6 @@ class PopulationModel:
     mu_y: float
     sigma_xy: np.ndarray
     sigma_inv: np.ndarray = field(init=False)
-    sigma_inv_sqrt: np.ndarray = field(init=False)
-    sigma_sqrt: np.ndarray = field(init=False)
     #: population OLS slope Sigma^{-1} sigma_xy
     beta: np.ndarray = field(init=False)
 
@@ -125,7 +127,7 @@ class PopulationModel:
                         f"({lam[i]!r} vs {lam[j]!r}); the eigenvector influence "
                         "is undefined for tied spectra"
                     )
-        sigma_inv, sigma_inv_sqrt, sigma_sqrt = spd_roots(sigma)
+        sigma_inv = spd_inverse(sigma)
         beta = sigma_inv @ sigma_xy
         leak = float(np.abs(project_out(self.gamma, beta)).max())
         if leak > 1e-10 * (1.0 + float(np.abs(beta).max())):
@@ -138,8 +140,6 @@ class PopulationModel:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "sigma_xy", sigma_xy)
         object.__setattr__(self, "sigma_inv", sigma_inv)
-        object.__setattr__(self, "sigma_inv_sqrt", sigma_inv_sqrt)
-        object.__setattr__(self, "sigma_sqrt", sigma_sqrt)
         object.__setattr__(self, "beta", beta)
 
     @property
@@ -205,13 +205,14 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
     if variant == "y":
         w = w - model.mu_y
     g = model.gamma.columns
-    root_inv = model.sigma_inv_sqrt
-    z0 = (x0 - model.mu) @ root_inv
-    scal = w[:, None] * ((z0 @ root_inv) @ g) - model.lam * ((z0 @ model.sigma_sqrt) @ g)
+    d = x0 - model.mu
+    u = d @ model.sigma_inv
+    scal = w[:, None] * (u @ g) - model.lam * (d @ g)
     if variant == "y":
         scal = scal - g.T @ model.beta
-    alpha = scal[:, :, None] * z0[:, None, :] - w[:, None, None] * (root_inv @ g).T
-    resid = project_out(model.gamma, root_inv @ np.swapaxes(alpha, -1, -2))
+    # Sigma^{-1/2} alpha_k of every point, an m x p x K stack
+    root_alpha = u[:, :, None] * scal[:, None, :] - w[:, None, None] * (model.sigma_inv @ g)
+    resid = project_out(model.gamma, root_alpha)
     return np.linalg.norm(resid, axis=-2) / np.abs(model.lam)
 
 
@@ -311,7 +312,7 @@ def ris_numeric_oracle(
     i = _direction_index(model, k)
     cm = contaminated_moments(model, pt, eps)
     mat = cm.sigma_yxx_eps if variant == "y" else cm.sigma_rxx_eps
-    sig_inv_eps = spd_roots(cm.sigma_eps)[0]
+    sig_inv_eps = spd_inverse(cm.sigma_eps)
     h_eps = mirror(sig_inv_eps @ mat @ sig_inv_eps)
     eig = sym_eigen(h_eps)
     inner = np.abs(eig.vectors.T @ model.gamma.columns[:, i])

@@ -1,8 +1,11 @@
-"""Shared builders for seeded models and matrices, and a runner for fresh
+"""Shared builders for seeded models, matrices and the hitters-shaped sample
+(with its cached high-precision refits), and a runner for fresh
 interpreters."""
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phdinfluence import Basis, LooMoments, PopulationModel, loo_downdates
+from phdinfluence import Basis, Dataset, LooMoments, PopulationModel, loo_downdates
 from phdinfluence.moments import require_regular
+from oracles import MpRefit, mp_refit
 
 
 def random_spd(rng: np.random.Generator, p: int, spread: float = 1.0) -> np.ndarray:
@@ -52,6 +56,29 @@ def random_model(
         mu_y=float(rng.standard_normal()),
         sigma_xy=sigma_xy,
     )
+
+
+def hitters_like(seed=1987, n=263, p=16):
+    """A simulated 263 x 16 sample shaped like the 1987 hitters data:
+    predictors in mixed units (cond(S) about 4.5e6) and a log salary that
+    follows a two-index model."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, p))
+    e = rng.standard_normal(n)
+    x = np.geomspace(1.0, 2000.0, p) * (3.0 + z)
+    salary = np.exp(6.0 + 0.5 * z[:, 0] + 0.35 * (z[:, 1] ** 2 - 1.0) + 0.4 * e)
+    return Dataset(y=np.array([math.log(v) for v in salary]), x=x)
+
+
+@functools.cache
+def hitters_refit(j: int | None) -> MpRefit:
+    """40-digit refit of hitters_like() without row j (the whole sample when
+    j is None), computed once per test session; its arrays are read-only
+    because every caller shares them."""
+    refit = mp_refit(hitters_like(), j)
+    for a in refit:
+        a.setflags(write=False)
+    return refit
 
 
 def loo_row(d, m, j: int) -> LooMoments:

@@ -16,6 +16,10 @@ the package.
   through it (:func:`eris_matrix_route`).
 * The single-index shortcut of the cosine influence surface,
   RIS = c * ||x0|| * sin(theta0) (:func:`surface_shortcut`).
+* The moments of the sample without one row, refitted from scratch in
+  40-digit arithmetic (:func:`mp_refit`), and the 40-digit eigensystem of a
+  symmetric matrix (:func:`mp_eigh`): the references for the accuracy of the
+  closed-form leave-one-out downdates and of everything built on S^-1.
 * The influence report as one JSON document (:func:`report_to_json_dict`),
   whose ``json.dumps(indent=2)`` is the byte layout that
   ``diagnostics.write_report_json`` streams.
@@ -24,7 +28,9 @@ the package.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from phdinfluence.diagnostics import _correlations_json, _f, _head_json, estimated_model
@@ -105,6 +111,47 @@ def surface_shortcut(model, variant: str, norm_grid, costheta_grid) -> np.ndarra
     else:
         c = np.abs(((dy - bxy * nrm * ct) * nrm * ct - lam1 * nrm * ct) / lam1)
     return c * nrm * st
+
+
+class MpRefit(NamedTuple):
+    """High-precision moments of one sample, rounded to float64."""
+
+    s_inv: np.ndarray
+    sigma_yxx: np.ndarray
+    sigma_rxx: np.ndarray
+    h_y: np.ndarray
+    h_r: np.ndarray
+
+
+def mp_refit(d, j: int | None, dps: int = 40) -> MpRefit:
+    """S^-1, Sigma_yxx, Sigma_rxx and the two Hessians S^-1 M S^-1 of the
+    sample without row j (the whole sample when j is None), refitted from
+    scratch in dps-digit arithmetic with the float inputs taken as exact."""
+    keep = np.arange(d.n) != (-1 if j is None else j)
+    with mpmath.workdps(dps):
+        mpf = np.vectorize(mpmath.mpf, otypes=[object])
+        xs, ys = mpf(d.x[keep]), mpf(d.y[keep])
+        m = len(ys)
+        xc = xs - xs.sum(axis=0) / m
+        yc = ys - ys.sum() / m
+        s_inv = np.array(mpmath.inverse(mpmath.matrix((xc.T @ xc / (m - 1)).tolist())).tolist())
+        r = yc - xc @ (s_inv @ (xc.T @ yc / (m - 1)))
+        yxx = (xc.T * yc) @ xc / m
+        rxx = (xc.T * r) @ xc / m
+        out = (s_inv, yxx, rxx, s_inv @ yxx @ s_inv, s_inv @ rxx @ s_inv)
+        return MpRefit(*(np.array(a, dtype=float) for a in out))
+
+
+def mp_eigh(a: np.ndarray, dps: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a float symmetric matrix taken as
+    exact, from a dps-digit eigensolver, rounded to float64 and ordered by
+    descending |eigenvalue|."""
+    with mpmath.workdps(dps):
+        w, v = mpmath.eigsy(mpmath.matrix(a.tolist()))
+        w = np.array(w.tolist(), dtype=float).ravel()
+        v = np.array(v.tolist(), dtype=float)
+    order = np.argsort(-np.abs(w), kind="stable")
+    return w[order], v[:, order]
 
 
 def report_to_json_dict(report) -> dict:

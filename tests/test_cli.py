@@ -173,6 +173,11 @@ def test_usage_error_exit_code():
         # the input does not exist: the thread check comes before any read
         pytest.param(["fit", "--input", "missing.csv", "--response", "y", "--variant", "y",
                       "--k", "1", "--threads", "-1"], id="fit-negative-threads"),
+        # the delimiter is checked where the ingest config is built, before any read
+        pytest.param(["fit", "--input", "missing.csv", "--response", "y", "--variant", "y",
+                      "--k", "1", "--delimiter", ";;"], id="two-character-delimiter"),
+        pytest.param(["fit", "--input", "missing.csv", "--response", "y", "--variant", "y",
+                      "--k", "1", "--delimiter", ""], id="empty-delimiter"),
     ],
 )
 def test_bad_argument_exits_2_with_one_json_error_line(argv, tmp_path, capsys):
@@ -205,6 +210,20 @@ def test_duplicate_header_exits_with_one_json_error_line(tmp_path, capsys):
     record = json.loads(lines[0])
     assert record["error"] == "DuplicateColumn"
     assert "'a'" in record["message"]
+
+
+def test_non_finite_predictor_cell_exits_3_naming_its_cell(tmp_path, capsys):
+    rows = [f"{i},{i * i % 7},{'inf' if i == 4 else i % 3}\n" for i in range(8)]
+    path = tmp_path / "inf.csv"
+    path.write_text("y,a,b\n" + "".join(rows))
+    code = run(["fit", "--input", path, "--response", "y", "--predictors", "a,b",
+                "--variant", "y", "--k", 1, "--output-dir", tmp_path / "out"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "NonNumericCell"
+    assert "row 5" in record["message"] and "'b'" in record["message"]
 
 
 def test_numeric_error_exit_code(tmp_path, capsys):

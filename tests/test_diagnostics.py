@@ -2,6 +2,7 @@ import functools
 import json
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,8 +30,8 @@ from phdinfluence.errors import (
 from phdinfluence.linalg import project_out
 from phdinfluence.moments import loo_block_rows
 from phdinfluence.simulation import SimSpec, simulate
-from conftest import run_python
-from oracles import eris_matrix_route, report_to_json_dict
+from conftest import hitters_like, hitters_refit, run_python
+from oracles import eris_matrix_route, mp_eigh, report_to_json_dict
 
 
 # ----------------------------------------------------------------------
@@ -462,9 +463,9 @@ def test_leverage_flag_at_a_block_boundary(side):
 
 def test_residual_measures_match_refits_on_a_larger_spiked_sample():
     # the same construction at a fixed n = 259 with the spike at row 127:
-    # n T_beta in the residual-weighted downdate amplifies a 1e-13 error of
-    # the leave-one-out OLS slope, so without a refinement step of that
-    # slope the r-variant HRIS of row 243 misses the refit by 1.6e-9
+    # n T_beta in the residual-weighted downdate amplifies any error of the
+    # leave-one-out OLS slope S_(j)^-1 s_xy,(j), so the r-variant HRIS of
+    # row 243 (3e-11 from the refit) watches the accuracy of S_(j)^-1
     _check_spiked_report_against_refits(_spiked_p16(259, 127), 127)
 
 
@@ -684,3 +685,71 @@ def test_records_view_is_built_from_the_deletion_table(design):
         for measure, by_variant in measures.items():
             for v in ("y", "r"):
                 assert np.array_equal(getattr(rec, measure)[v], by_variant[v][j], equal_nan=True)
+
+
+# ----------------------------------------------------------------------
+# accuracy on mixed-unit predictors, against 40-digit references
+# ----------------------------------------------------------------------
+
+def mp_eris(d, fit, m, rows, dps=40):
+    """ERIS of the given rows from the alpha display, evaluated in dps-digit
+    arithmetic with the exact inverse of the float S, on the fit's own
+    Gamma and lambda (the float moments taken as exact)."""
+    with mpmath.workdps(dps):
+        mp = np.vectorize(mpmath.mpf, otypes=[object])
+        s_inv = np.array(mpmath.inverse(mpmath.matrix(m.s.tolist())).tolist())
+        g, lam = mp(fit.gamma_hat.columns), mp(fit.lambda_hat)
+        beta_hat = s_inv @ mp(m.s_xy)
+        beta = g @ (g.T @ beta_hat)  # the plug-in model's OLS slope
+        out = np.empty((len(rows), fit.k))
+        for i, j in enumerate(rows):
+            dj = mp(d.x[j]) - mp(m.xbar)
+            w = mpmath.mpf(d.y[j]) - mpmath.mpf(m.ybar)
+            if fit.variant == "r":
+                w -= dj @ beta_hat
+            u = s_inv @ dj
+            scal = w * (u @ g) - lam * (dj @ g)
+            if fit.variant == "y":
+                scal -= g.T @ beta
+            for k in range(fit.k):
+                ra = scal[k] * u - w * (s_inv @ g[:, k])
+                resid = ra - g @ (g.T @ ra)
+                out[i, k] = float(mpmath.sqrt(resid @ resid) / abs(lam[k]))
+    return out
+
+
+@pytest.mark.parametrize("variant", ["y", "r"])
+def test_eris_matches_a_high_precision_closed_form_on_mixed_units(variant):
+    # the alpha display through an accurate S^-1 keeps ERIS at rounding on
+    # this input (cond(S) about 4.5e6); through an eigenbasis inverse of S
+    # alone it is off by 1.4e-10 of the row's largest value
+    d = hitters_like()
+    m = compute_moments(d)
+    fit = fit_from_moments(m, variant, 2)
+    rows = [0, 33, 40, 114, 231, 262]
+    want = mp_eris(d, fit, m, rows)
+    got = eris(d, fit, m)[rows]
+    assert (np.abs(got - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1)).all()
+
+
+@pytest.mark.parametrize("variant", ["y", "r"])
+def test_sris_and_hris_match_a_high_precision_refit_on_mixed_units(variant):
+    # SRIS from the 40-digit eigenvectors of the refitted H_(j), HRIS from
+    # the 40-digit H and H_(j), both on the fit's own Gamma and lambda
+    d = hitters_like()
+    m = compute_moments(d)
+    fit = fit_from_moments(m, variant, 2)
+    g = fit.gamma_hat.columns
+    h = getattr(hitters_refit(None), f"h_{variant}")
+    table = _deletion_table(d, m, {variant: fit})
+    for j in (33, 231):
+        h_j = getattr(hitters_refit(j), f"h_{variant}")
+        leading = mp_eigh(h_j)[1][:, : fit.k]
+        want_sris = (d.n - 1) * np.linalg.norm(project_out(fit.gamma_hat, leading), axis=0)
+        sif = (d.n - 1) * (h - h_j)
+        want_hris = np.linalg.norm(project_out(fit.gamma_hat, sif @ g), axis=0) / np.abs(
+            fit.lambda_hat
+        )
+        for got, want in ((table.sris[variant][j], want_sris),
+                          (table.hris[variant][j], want_hris)):
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max(), j

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from phdinfluence import IngestConfig, SimSpec, ingest_csv, simulate, write_dataset_csv
 from phdinfluence.errors import (
     DuplicateColumn,
+    InvalidArgument,
     MissingColumn,
     NonNumericCell,
     PhdError,
@@ -107,6 +108,26 @@ def test_alternative_delimiter(tmp_path):
     assert d.n == 4
 
 
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_delimiter_must_be_one_character(delimiter):
+    with pytest.raises(InvalidArgument):
+        IngestConfig(delimiter=delimiter)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+def test_a_non_finite_number_is_a_bad_cell(tmp_path, cell):
+    rows = [f"{i},{i * i % 7},{cell if i == 1 else i % 3},{i % 4}\n" for i in range(6)]
+    path = write(tmp_path, "y,a,b,c\n" + "".join(rows))
+    with pytest.raises(NonNumericCell) as err:
+        ingest_csv(path, IngestConfig(response_column="y", predictor_columns=("a", "b")))
+    assert (err.value.row, err.value.column) == (1, "b")
+    with pytest.raises(NonNumericCell) as err:
+        ingest_csv(path, IngestConfig(response_column="b"))
+    assert (err.value.row, err.value.column) == (1, "b")
+    # auto-detection drops the column, as it drops a text column
+    assert ingest_csv(path, IngestConfig(response_column="y")).names == ("a", "c")
+
+
 def test_round_trip_is_bit_exact(tmp_path):
     d = simulate(SimSpec(model="cosine_index", n=120, p=4, seed=99, sigma=0.5))
     path = tmp_path / "sim.csv"
@@ -149,7 +170,7 @@ def test_duplicate_predictor_names_are_a_data_error(tmp_path):
 
 _NUMBER = st.floats(-2.0, 50.0, allow_nan=False).flatmap(
     lambda v: st.sampled_from([repr(v), f"  {v!r} "]))
-_ODD_CELL = st.sampled_from(sorted(MISSING_MARKERS) + ["abc", "1.2.3"])
+_ODD_CELL = st.sampled_from(sorted(MISSING_MARKERS) + ["abc", "1.2.3", "inf", "-inf", "1e999"])
 
 
 def _spec_outcome(path, header, rows, resp, predictors, drop, log):
@@ -161,9 +182,10 @@ def _spec_outcome(path, header, rows, resp, predictors, drop, log):
         if text in MISSING_MARKERS:
             return None
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             return "text"
+        return value if math.isfinite(value) else "text"
 
     rows = [row for row in rows if any(cell.strip() for cell in row)]
     if not rows:

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from phdinfluence.linalg import (
     eigen_order,
     mirror,
     project_out,
-    spd_roots,
+    spd_inverse,
 )
 from conftest import random_orthonormal, random_spd
 
@@ -74,34 +77,12 @@ def test_symmetrize_rejects_asymmetric():
         symmetrize(np.array([[1.0, 2.0], [0.5, 3.0]]))
 
 
-def inv_sqrt(a):
-    return spd_roots(a)[1]
-
-
-def test_inv_sqrt_identity_and_diagonal():
-    assert np.allclose(inv_sqrt(np.eye(3)), np.eye(3))
-    assert np.allclose(inv_sqrt(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0]))
-
-
-def test_inv_sqrt_seeded_spd(rng):
-    a = random_spd(rng, 7)
-    r = inv_sqrt(a)
-    assert np.abs(r @ a @ r - np.eye(7)).max() <= 1e-9
-    assert np.array_equal(r, r.T)
-
-
-def test_inv_sqrt_commutes(rng):
-    a = random_spd(rng, 5)
-    r = inv_sqrt(a)
-    assert np.abs(r @ a - a @ r).max() <= 1e-9
-
-
 def test_inv_sqrt_rejects_non_pd():
     with pytest.raises(NotPositiveDefinite) as err:
-        inv_sqrt(np.diag([1.0, -2.0]))
+        spd_inverse(np.diag([1.0, -2.0]))
     assert err.value.eigenvalue == pytest.approx(-2.0)
     with pytest.raises(NotPositiveDefinite):
-        spd_roots(np.diag([1.0, 0.0]))
+        spd_inverse(np.diag([1.0, 0.0]))
 
 
 # the residual projector I - B B' is applied through project_out; on the
@@ -264,17 +245,46 @@ def test_check_orthonormal_rejects_non_orthonormal_columns():
 
 def test_spd_roots_are_symmetric_inverse_and_roots(rng):
     a = random_spd(rng, 6, spread=0.01)
-    inverse, root_inv, root = spd_roots(a)
-    for r in (inverse, root_inv, root):
-        assert np.array_equal(r, r.T)
+    inverse = spd_inverse(a)
+    assert np.array_equal(inverse, inverse.T)
     assert np.abs(inverse @ a - np.eye(6)).max() <= 1e-9
-    assert np.abs(root @ root - a).max() <= 1e-9 * np.abs(a).max()
-    assert np.abs(root_inv @ root - np.eye(6)).max() <= 1e-9
+    assert np.array_equal(spd_inverse(np.eye(3)), np.eye(3))
 
 
 def test_spd_roots_decompose_once(rng, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
-    spd_roots(random_spd(rng, 4))
+    spd_inverse(random_spd(rng, 4))
     assert len(calls) == 1
+
+
+def mp_inverse(a, dps=50):
+    """Inverse of a float matrix taken as exact, in dps-digit arithmetic."""
+    with mpmath.workdps(dps):
+        return np.array(mpmath.inverse(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
+def test_spd_inverse_is_accurate_on_mixed_unit_covariances(cond):
+    # a well-conditioned correlation scaled by columns in mixed units: the
+    # eigenbasis inverse alone is off by about eps cond, the Newton step
+    # brings it to rounding of the largest entry
+    rng = np.random.default_rng(int(math.log10(cond)))
+    corr = np.corrcoef(rng.standard_normal((64, 16)).T)
+    scale = np.geomspace(1.0, math.sqrt(cond), 16)
+    a = mirror(corr * scale[:, None] * scale)
+    want = mp_inverse(a)
+    assert np.abs(spd_inverse(a) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_spd_inverse_is_backward_stable_when_ill_conditioned_in_every_basis(cond):
+    # a rotated spectrum from 1 down to 1/cond: no inverse in float64 does
+    # better than about eps cond
+    rng = np.random.default_rng(int(math.log10(cond)))
+    q = random_orthonormal(rng, 16, 16)
+    a = mirror((q * np.geomspace(1.0, 1.0 / cond, 16)) @ q.T)
+    want = mp_inverse(a)
+    err = np.abs(spd_inverse(a) - want).max() / np.abs(want).max()
+    assert err <= 10 * np.finfo(float).eps * cond

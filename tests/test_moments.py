@@ -1,6 +1,3 @@
-import math
-
-import mpmath
 import numpy as np
 import pytest
 
@@ -11,14 +8,14 @@ from phdinfluence import (
     compute_moments,
     mahalanobis,
 )
-from phdinfluence.linalg import spd_roots
+from phdinfluence.linalg import spd_inverse
 from phdinfluence.moments import LOO_BLOCK_BYTES, loo_block_rows, loo_downdates
 from phdinfluence.errors import (
     DegenerateLeverage,
     InsufficientData,
     NotPositiveDefinite,
 )
-from conftest import loo_row
+from conftest import hitters_like, hitters_refit, loo_row
 
 
 # ----------------------------------------------------------------------
@@ -54,36 +51,6 @@ def bf_loo(y, x, j):
     resid = yc - xc @ beta
     rxx = (xc.T * resid) @ xc / m
     return xbar, ybar, s, s_xy, yxx, rxx
-
-
-def mp_residual_third_moment(y, x, j, dps=40):
-    """Sigma_rxx of the sample without row j, refitted in dps-digit
-    arithmetic from the float inputs taken as exact."""
-    keep = np.arange(len(y)) != j
-    with mpmath.workdps(dps):
-        xs = mpmath.matrix(x[keep].tolist())
-        ys = y[keep].tolist()
-        m, p = xs.rows, xs.cols
-        xbar = [mpmath.fsum(xs[i, a] for i in range(m)) / m for a in range(p)]
-        ybar = mpmath.fsum(ys) / m
-        xc = mpmath.matrix([[xs[i, a] - xbar[a] for a in range(p)] for i in range(m)])
-        yc = mpmath.matrix([v - ybar for v in ys])
-        beta = mpmath.lu_solve(xc.T * xc, xc.T * yc)
-        r = yc - xc * beta
-        weighted = mpmath.matrix([[xc[i, a] * r[i] for a in range(p)] for i in range(m)])
-        return np.array((weighted.T * xc / m).tolist(), dtype=float)
-
-
-def hitters_like(seed=1987, n=263, p=16):
-    """A simulated 263 x 16 sample shaped like the 1987 hitters data:
-    predictors in mixed units (cond(S) about 4.5e6) and a log salary that
-    follows a two-index model."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, p))
-    e = rng.standard_normal(n)
-    x = np.geomspace(1.0, 2000.0, p) * (3.0 + z)
-    salary = np.exp(6.0 + 0.5 * z[:, 0] + 0.35 * (z[:, 1] ** 2 - 1.0) + 0.4 * e)
-    return Dataset(y=np.array([math.log(v) for v in salary]), x=x)
 
 
 def make_data(rng, n, p, link=None):
@@ -123,9 +90,7 @@ def test_moments_decompose_the_covariance_once(rng, monkeypatch):
     m = compute_moments(d)
     assert len(calls) == 1
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    s_inv, s_inv_sqrt, _ = spd_roots(m.s)
-    assert np.array_equal(m.s_inv, s_inv)
-    assert np.array_equal(m.s_inv_sqrt, s_inv_sqrt)
+    assert np.array_equal(m.s_inv, spd_inverse(m.s))
 
 
 def test_third_moment_matches_triple_loop(rng):
@@ -229,17 +194,33 @@ def test_downdate_matches_brute_force_everywhere(rng):
             assert np.abs(lm.sigma_rxx_j - rxx).max() <= 1e-9 * (1 + np.abs(rxx).max())
 
 
-def test_residual_downdate_matches_a_high_precision_refit():
-    # n T_beta in the residual-weighted downdate amplifies the rounding
-    # error of the leave-one-out OLS slope; with one refinement step of that
-    # slope Sigma_rxx,(j) stays within 2e-14 of its largest entry on these
-    # rows, against 5e-11 from the downdated inverse alone
+#: rows of hitters_like() where an eigenbasis inverse of S puts the
+#: closed-form downdates furthest from a high-precision refit
+HITTERS_ROWS = (33, 40, 114, 231)
+
+
+def test_downdated_inverse_matches_a_high_precision_refit():
+    # Sherman-Morrison of an accurate S^-1 keeps S_(j)^-1 at rounding of its
+    # largest entry on this mixed-unit input (cond(S) about 4.5e6); from an
+    # eigenbasis inverse of S alone it is off by 5.7e-11
     d = hitters_like()
     m = compute_moments(d)
-    for j in (33, 114, 231):
-        want = mp_residual_third_moment(d.y, d.x, j)
+    for j in HITTERS_ROWS:
+        want = hitters_refit(j).s_inv
+        got = loo_row(d, m, j).s_inv_j
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), j
+
+
+def test_residual_downdate_matches_a_high_precision_refit():
+    # n T_beta in the residual-weighted downdate amplifies the error of the
+    # leave-one-out OLS slope S_(j)^-1 s_xy,(j); with S_(j)^-1 accurate the
+    # plain slope keeps Sigma_rxx,(j) within 2e-14 of its largest entry
+    d = hitters_like()
+    m = compute_moments(d)
+    for j in HITTERS_ROWS:
+        want = hitters_refit(j).sigma_rxx
         got = loo_row(d, m, j).sigma_rxx_j
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), j
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), j
 
 
 def test_downdate_of_only_distinct_point_hits_leverage_singularity():
@@ -312,7 +293,6 @@ def test_mahalanobis_euclidean_case(rng):
         ybar=0.0,
         s=np.eye(3),
         s_inv=np.eye(3),
-        s_inv_sqrt=np.eye(3),
         s_xy=np.zeros(3),
         sigma_yxx_hat=np.zeros((3, 3)),
         sigma_rxx_hat=np.zeros((3, 3)),

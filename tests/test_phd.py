@@ -15,7 +15,8 @@ from phdinfluence import (
 from phdinfluence.errors import InvalidRank
 from phdinfluence.population import COSINE_MODEL_LAMBDA1, cosine_model
 from phdinfluence.simulation import SimSpec, simulate
-from conftest import random_orthonormal
+from conftest import hitters_like, hitters_refit, random_orthonormal
+from oracles import mp_eigh
 
 
 def test_population_h_rank_one():
@@ -125,3 +126,12 @@ def test_residual_variant_resists_added_linear_trend():
             mod = fit_phd(d_mod, variant, 1)
             acc.append(sine_to_subspace(mod.gamma_hat.columns[:, 0], base.gamma_hat))
     assert np.median(dist_r) < np.median(dist_y)
+
+
+@pytest.mark.parametrize("variant", ["y", "r"])
+def test_fitted_spectrum_matches_a_high_precision_fit_on_mixed_units(variant):
+    # predictors in mixed units (cond(S) about 4.5e6): with an accurate S^-1
+    # every fitted eigenvalue sits at rounding of |lambda_1|
+    fit = fit_phd(hitters_like(), variant, 2)
+    want = mp_eigh(getattr(hitters_refit(None), f"h_{variant}"))[0]
+    assert np.abs(fit.eig.values - want).max() <= 1e-13 * abs(want[0])

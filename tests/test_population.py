@@ -18,7 +18,7 @@ from phdinfluence import (
     ris_y,
     write_surface_csv,
 )
-from phdinfluence.linalg import spd_roots
+from phdinfluence.linalg import spd_inverse
 from phdinfluence.population import ris_rows
 from phdinfluence.errors import (
     DegenerateSpectrum,
@@ -157,10 +157,7 @@ def test_model_decomposes_sigma_once(rng, monkeypatch):
     model = random_model(rng, 5, 2)
     assert len(calls) == 1
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    sigma_inv, sigma_inv_sqrt, sigma_sqrt = spd_roots(model.sigma)
-    assert np.array_equal(model.sigma_inv, sigma_inv)
-    assert np.array_equal(model.sigma_inv_sqrt, sigma_inv_sqrt)
-    assert np.array_equal(model.sigma_sqrt, sigma_sqrt)
+    assert np.array_equal(model.sigma_inv, spd_inverse(model.sigma))
 
 
 def test_ris_rows_matches_the_influence_matrix_route(rng):
