@@ -37,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -145,7 +146,7 @@ def _deletion_table(
         if strict:
             require_regular(lm, degenerate)
         table.degenerate[lm.j] = degenerate
-        keep = ~degenerate
+        keep = ~degenerate if degenerate.any() else slice(None)  # a slice copies nothing
         rows = lm.j[keep]
         s_inv = lm.s_inv_j[keep]
         for v, fit in fits.items():
@@ -226,20 +227,29 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(a, b) -> float:
-    """Spearman rank correlation with average ranks for ties; NaN if either
-    vector holds a NaN."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _centred_ranks(a: np.ndarray) -> np.ndarray:
+    """Average ranks of a vector minus their mean, (a.size + 1) / 2."""
+    return _average_ranks(a) - (a.size + 1) / 2.0
+
+
+def _rank_correlation(a: np.ndarray, b: np.ndarray, ranks=_centred_ranks) -> float:
+    """Spearman rank correlation of two float vectors; NaN if either holds a
+    NaN.  ``ranks`` returns a vector's centred ranks (a cache may stand in for
+    :func:`_centred_ranks`)."""
     if a.ndim != 1 or a.shape != b.shape or a.size < 2:
         raise ValueError("spearman needs two equal-length vectors of size >= 2")
     if np.isnan(a).any() or np.isnan(b).any():
         return float("nan")
     if float(a.max() - a.min()) == 0.0 or float(b.max() - b.min()) == 0.0:
         raise UndefinedCorrelation("rank correlation is undefined for a constant vector")
-    ra = _average_ranks(a) - (a.size + 1) / 2.0
-    rb = _average_ranks(b) - (b.size + 1) / 2.0
+    ra, rb = ranks(a), ranks(b)
     return float((ra @ rb) / np.sqrt((ra @ ra) * (rb @ rb)))
+
+
+def spearman(a, b) -> float:
+    """Spearman rank correlation with average ranks for ties; NaN if either
+    vector holds a NaN."""
+    return _rank_correlation(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 @dataclass
@@ -361,6 +371,32 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
         k=k,
     )
 
+    report.correlations.values = _correlation_table(report)
+    return report
+
+
+def _correlation_table(report: InfluenceReport) -> dict[str, dict[str, list[float]]]:
+    """Spearman correlations of SRIS against each target, per variant, per
+    direction and of the direction averages, each pair on the rows where both
+    vectors are finite.
+
+    A vector is ranked once per distinct finite mask: the ranks are cached
+    by the bytes of the masked vector, for this call only.
+    """
+    cache: dict[bytes, np.ndarray] = {}
+
+    def ranks(a: np.ndarray) -> np.ndarray:
+        key = a.tobytes()
+        if key not in cache:
+            cache[key] = _centred_ranks(a)
+        return cache[key]
+
+    def masked(a: np.ndarray, b: np.ndarray) -> float:
+        keep = np.isfinite(a) & np.isfinite(b)
+        return _rank_correlation(a[keep], b[keep], ranks)
+
+    k = report.k
+    table = {}
     for v in VARIANTS:
         sris_mat = report.column("sris", v)
         target_mats = {
@@ -368,44 +404,62 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
             "hris": report.column("hris", v),
             "md": np.repeat(report.md[:, None], k, axis=1),
         }
-        report.correlations.values[v] = {
-            t: [_masked_spearman(sris_mat[:, i], target_mats[t][:, i]) for i in range(k)]
-            + [_masked_spearman(sris_mat.mean(axis=1), target_mats[t].mean(axis=1))]
+        table[v] = {
+            t: [masked(sris_mat[:, i], target_mats[t][:, i]) for i in range(k)]
+            + [masked(sris_mat.mean(axis=1), target_mats[t].mean(axis=1))]
             for t in TARGETS
         }
-    return report
-
-
-def _masked_spearman(a: np.ndarray, b: np.ndarray) -> float:
-    keep = np.isfinite(a) & np.isfinite(b)
-    return spearman(a[keep], b[keep])
+    return table
 
 
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------
 
-def _csv_template(k: int) -> str:
-    """str.format template of one record's 2K lines of records.csv.  Its
-    fields are j, md, the flags text, then the 6K values in (measure,
-    variant, direction) order; every number is written as ``.17g``."""
-    lines = []
+#: records formatted per write by the two record writers, so the text held in
+#: memory is bounded whatever n is
+WRITE_CHUNK = 64
+
+
+def _record_chunks(report: InfluenceReport):
+    """The records in report order, WRITE_CHUNK at a time: per record its j,
+    md, flags and 6K values, as Python scalars."""
+    for start in range(0, report.n, WRITE_CHUNK):
+        rows = slice(start, start + WRITE_CHUNK)
+        yield list(zip(
+            report.j[rows].tolist(),
+            report.md[rows].tolist(),
+            report.flags[rows],
+            report.values[rows].tolist(),
+        ))
+
+
+def _csv_record(k: int):
+    """(%-template, argument picker) of one record's 2K lines of records.csv.
+
+    The picker takes the record's 6K values in (measure, variant, direction)
+    order followed by j and the record's ``md,flags`` text, and returns the
+    template's fields line by line: j, the three ``.17g`` values, the text.
+    """
+    lines, fields = [], []
     for a, v in enumerate(VARIANTS):
         for i in range(k):
-            cells = (f"{{{3 + (t * len(VARIANTS) + a) * k + i}:.17g}}" for t in range(len(_MEASURES)))
-            lines.append(f"{{0}},{v},{i + 1},{','.join(cells)},{{1:.17g}},{{2}}\n")
-    return "".join(lines)
+            lines.append(f"%d,{v},{i + 1},%.17g,%.17g,%.17g,%s\n")
+            values = ((t * len(VARIANTS) + a) * k + i for t in range(len(_MEASURES)))
+            fields += [6 * k, *values, 6 * k + 1]
+    return "".join(lines), itemgetter(*fields)
 
 
 def write_records_csv(path, report: InfluenceReport) -> None:
     """Long-format CSV: one row per (observation, variant, direction)."""
-    template = _csv_template(report.k)
+    template, pick = _csv_record(report.k)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("j,variant,direction,sris,eris,hris,md,flags\n")
-        for j, md, flags, row in zip(
-            report.j.tolist(), report.md.tolist(), report.flags, report.values.tolist()
-        ):
-            fh.write(template.format(j, md, ";".join(flags), *row))
+        for chunk in _record_chunks(report):
+            fh.write("".join([
+                template % pick([*row, j, "%.17g,%s" % (md, ";".join(flags))])
+                for j, md, flags, row in chunk
+            ]))
 
 
 def write_correlations_csv(path, report: InfluenceReport) -> None:
@@ -479,25 +533,29 @@ def write_report_json(path, report: InfluenceReport) -> None:
     plus a newline, where ``doc`` holds n, p, k and the fits, the records in
     report order (j, md, flags, then sris, eris and hris lists per variant,
     non-finite values as null) and the correlations.  The records are
-    formatted from the report's value matrix and one template; only the head
-    and the correlations go through ``json``.  A non-finite Mahalanobis
-    distance raises ValueError before the file is opened.
+    formatted WRITE_CHUNK at a time from the report's value matrix, with one
+    template per chunk; only the head and the correlations go through
+    ``json``.  A non-finite Mahalanobis distance raises ValueError before the
+    file is opened.
     """
     bad = np.flatnonzero(~np.isfinite(report.md))
     if bad.size:
         raise ValueError(
             f"Out of range float values are not JSON compliant: {float(report.md[bad[0]])!r}"
         )
-    rows = report.values.tolist()
-    for i in np.flatnonzero(~np.isfinite(report.values).all(axis=1)):
-        rows[i] = [x if math.isfinite(x) else "null" for x in rows[i]]
-    template = _record_template(report.k)
+    record = _record_template(report.k)
     head = json.dumps(_head_json(report), indent=2, allow_nan=False)[:-2]
     tail = json.dumps(_correlations_json(report), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head + ',\n  "records": [')
-        sep = "\n"
-        for j, md, flags, row in zip(report.j.tolist(), report.md.tolist(), report.flags, rows):
-            fh.write(sep + template % (j, md, _flags_json(flags), *row))
+        fh.write(head + ',\n  "records": [\n')
+        sep = ""
+        for chunk in _record_chunks(report):
+            template = ",\n".join([record] * len(chunk))
+            fields = []
+            for j, md, flags, row in chunk:
+                if not math.isfinite(sum(row)):  # a non-finite entry makes the sum so
+                    row = [x if math.isfinite(x) else "null" for x in row]
+                fields += [j, md, _flags_json(flags), *row]
+            fh.write(sep + template % tuple(fields))
             sep = ",\n"
         fh.write('\n  ],\n  "correlations": ' + tail.replace("\n", "\n  ") + "\n}\n")

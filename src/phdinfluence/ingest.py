@@ -9,6 +9,9 @@ or predictor list that names a column twice is rejected, and a leading UTF-8
 byte order mark is not part of the first column name.  Without an explicit
 predictor list, every other column that is numeric in all retained rows is
 used, and the resolved list travels with the dataset so runs are auditable.
+Every cell fault counts rows the same way: its ``row`` is the 0-based index
+among the non-blank data rows, and its message says "at row N", 1-based,
+whether or not rows with a missing response were dropped before it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DuplicateColumn,
@@ -44,23 +49,37 @@ class IngestConfig:
             raise InvalidArgument(f"delimiter must be one character, got {self.delimiter!r}")
 
 
-def _parse_column(rows: list[list[str]], c: int) -> tuple[list[float | None], int | None]:
-    """Column c as finite floats, None for a missing marker, up to the first cell
-    that is neither, and that cell's row index (None when every cell parsed)."""
-    values: list[float | None] = []
-    for i, row in enumerate(rows):
-        text = row[c].strip()
+def _parse_column(cells) -> tuple[np.ndarray, int | None]:
+    """A column's cells as float64, NaN for a missing marker, up to the first
+    cell that is neither a finite number nor a missing marker, and that cell's
+    index (None when every cell parsed).
+
+    A column of finite numbers is read by one conversion, which calls
+    ``float`` on every cell as the classifier below does; any other column is
+    walked cell by cell, and only that walk tells a missing marker from a bad
+    cell.
+    """
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(values).all():
+            return values, None
+    parsed: list[float] = []
+    for i, cell in enumerate(cells):
+        text = cell.strip()
         if text in MISSING_MARKERS:
-            values.append(None)
+            parsed.append(math.nan)
             continue
         try:
             value = float(text)
         except ValueError:
-            return values, i
+            return np.array(parsed), i
         if not math.isfinite(value):
-            return values, i
-        values.append(value)
-    return values, None
+            return np.array(parsed), i
+        parsed.append(value)
+    return np.array(parsed), None
 
 
 def _resolve_response(header: list[str], ref: str | int) -> int:
@@ -106,10 +125,13 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
 
     # Response first: a missing marker and a non-numeric cell compete in row
     # order, and rows with a missing response are dropped if configured.
+    # ``kept`` maps the remaining rows to their data row numbers, which every
+    # cell fault reports.
     resp_name = header[resp_idx]
-    y_vals, text_row = _parse_column(rows, resp_idx)
-    if None in y_vals and not cfg.drop_rows_with_missing_response:
-        i = y_vals.index(None)
+    y, text_row = _parse_column([row[resp_idx] for row in rows])
+    missing = np.flatnonzero(np.isnan(y))
+    if missing.size and not cfg.drop_rows_with_missing_response:
+        i = int(missing[0])
         raise NonNumericCell(
             f"missing response at row {i + 1} and dropping is disabled", row=i, column=resp_name
         )
@@ -119,38 +141,49 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
             row=text_row,
             column=resp_name,
         )
-    kept_rows = [row for row, val in zip(rows, y_vals) if val is not None]
-    y_vals = [val for val in y_vals if val is not None]
-    if not kept_rows:
+    kept = np.flatnonzero(~np.isnan(y))
+    if not kept.size:
         raise TooFewRows(f"{path}: every row has a missing response")
+    if missing.size:
+        rows = [rows[i] for i in kept]
+        y = y[kept]
 
     if cfg.log_response:
-        for i, val in enumerate(y_vals):
-            if val <= 0:
-                raise NonNumericCell(
-                    f"cannot log-transform nonpositive response {val!r}", row=i, column=resp_name
-                )
-        y_vals = [math.log(v) for v in y_vals]
+        nonpositive = np.flatnonzero(y <= 0)
+        if nonpositive.size:
+            i = int(kept[nonpositive[0]])
+            raise NonNumericCell(
+                f"cannot log-transform nonpositive response {float(y[nonpositive[0]])!r} "
+                f"at row {i + 1}",
+                row=i,
+                column=resp_name,
+            )
+        y = np.array([math.log(v) for v in y.tolist()])
 
-    # Predictors: each candidate column parsed once.  An explicit list must be
-    # numeric in every kept row; otherwise the columns that are become the list.
+    # Predictors: the kept rows are transposed once and each candidate column
+    # parsed once.  An explicit list must be numeric in every kept row;
+    # otherwise the columns that are become the list.
     if cfg.predictor_columns is not None:
         candidates = list(cfg.predictor_columns)
         _reject_duplicates(candidates, "predictor list")
     else:
         candidates = [name for c, name in enumerate(header) if c != resp_idx]
+    cells = list(zip(*rows))
+    del rows  # the row lists go before the columns are converted and x is built
     pred_names, columns, bad = [], [], []
     for name in candidates:
         if name not in header:
             raise MissingColumn(f"predictor column {name!r} not found")
         c = header.index(name)
-        column, text_row = _parse_column(kept_rows, c)
-        i = column.index(None) if None in column else text_row
+        column, text_row = _parse_column(cells[c])
+        missing = np.flatnonzero(np.isnan(column))
+        i = int(missing[0]) if missing.size else text_row
         if i is None:
             pred_names.append(name)
             columns.append(column)
         else:
-            bad.append((i, name, kept_rows[i][c]))
+            bad.append((int(kept[i]), name, cells[c][i]))
+    del cells
     if cfg.predictor_columns is not None and bad:
         i, name, cell = min(bad, key=lambda b: b[0])  # the first row; ties in list order
         raise NonNumericCell(
@@ -165,7 +198,8 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
         )
 
     try:
-        return Dataset(y=y_vals, x=list(zip(*columns)), names=tuple(pred_names))
+        # stacked C-ordered: BLAS rounds products of an F-ordered x differently
+        return Dataset(y=y, x=np.stack(columns, axis=1), names=tuple(pred_names))
     except InsufficientData as exc:
         raise TooFewRows(f"{path}: {exc}") from exc
 

@@ -221,13 +221,13 @@ def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarra
     s_xy_j = ((n - 1) * m.s_xy - (n / (n - 1)) * dyj[:, None] * dj) / (n - 2)
 
     lever = n * (n + 1) / (n - 1) ** 2
-    ddt = dj[:, :, None] * dj[:, None, :]
+    s_lever = m.s - lever * (dj[:, :, None] * dj[:, None, :])
     sigma_yxx_j = mirror(
         (
             n * m.sigma_yxx_hat
             + m.s_xy[:, None] * dj[:, None, :]
             + dj[:, :, None] * m.s_xy
-            + dyj[:, None, None] * (m.s - lever * ddt)
+            + dyj[:, None, None] * s_lever
         )
         / (n - 1)
     )
@@ -244,7 +244,7 @@ def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarra
             n * t_beta
             + s_beta[:, :, None] * dj[:, None, :]
             + dj[:, :, None] * s_beta[:, None, :]
-            + d_beta[:, None, None] * (m.s - lever * ddt)
+            + d_beta[:, None, None] * s_lever
         )
         / (n - 1)
     )

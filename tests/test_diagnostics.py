@@ -21,7 +21,12 @@ from phdinfluence import (
     spearman,
     sris,
 )
-from phdinfluence.diagnostics import _deletion_table, write_records_csv, write_report_json
+from phdinfluence.diagnostics import (
+    WRITE_CHUNK,
+    _deletion_table,
+    write_records_csv,
+    write_report_json,
+)
 from phdinfluence.errors import (
     DegenerateEigenvalue,
     DegenerateLeverage,
@@ -555,17 +560,28 @@ def test_scaling_x_leaves_the_report_unchanged(u):
 
 
 def test_report_correlations_match_recomputation():
-    d = cosine_data(55, n=60, p=3)
-    report = influence_report(d, 1)
-    s_vals = np.array([rec.sris["y"][0] for rec in report.records])
-    e_vals = np.array([rec.eris["y"][0] for rec in report.records])
-    assert report.correlations.get("y", "eris", 1) == pytest.approx(
-        spearman(s_vals, e_vals)
-    )
-    md_vals = np.array([rec.md for rec in report.records])
-    assert report.correlations.get("y", "md") == pytest.approx(
-        spearman(s_vals, md_vals)
-    )
+    # every (variant, target, direction or average) entry against spearman()
+    # on the rows where both vectors are finite, on a clean design and on one
+    # whose SRIS and HRIS hold NaN at the leverage singularity
+    for (d, k), spiked in (((cosine_data(55, n=60, p=3), 2), False), (_spiked_rank_three(), True)):
+        report = influence_report(d, k)
+        recs = report.records
+        assert spiked == any(np.isnan(rec.sris["y"]).any() for rec in recs)
+        assert spiked == any(np.isnan(rec.hris["r"]).any() for rec in recs)
+        for v in ("y", "r"):
+            sris_mat = np.array([rec.sris[v] for rec in recs])
+            targets = {
+                "eris": np.array([rec.eris[v] for rec in recs]),
+                "hris": np.array([rec.hris[v] for rec in recs]),
+                "md": np.array([[rec.md] * k for rec in recs]),
+            }
+            for t, mat in targets.items():
+                pairs = [(sris_mat[:, i], mat[:, i], i + 1) for i in range(k)]
+                pairs.append((sris_mat.mean(axis=1), mat.mean(axis=1), None))
+                for a, b, direction in pairs:
+                    keep = np.isfinite(a) & np.isfinite(b)
+                    want = spearman(a[keep], b[keep])
+                    assert report.correlations.get(v, t, direction) == want, (v, t, direction)
 
 
 # ----------------------------------------------------------------------
@@ -597,10 +613,32 @@ def _spiked_rank_three():
     return Dataset(y=d0.y, x=x), 3
 
 
-@pytest.mark.parametrize("design", [_order_swap_design, _line_design, _spiked_rank_three])
+def _spiked_across_chunks():
+    # more records than one write chunk, and not a whole number of chunks:
+    # row 4 sits at the leverage singularity and a dozen records carry
+    # order_swap flags
+    n = 2 * WRITE_CHUNK + 2
+    d0 = simulate(SimSpec(model="cosine_index", n=n, p=4, seed=1, sigma=0.5))
+    x = d0.x.copy()
+    x[:, 3] = 1e-6 * np.random.default_rng(1).standard_normal(n)
+    x[4, 3] = 1.0
+    return Dataset(y=d0.y, x=x), 3
+
+
+def _assert_spans_chunks_with_both_flags(report):
+    assert report.n > WRITE_CHUNK and report.n % WRITE_CHUNK
+    flags = ";".join(";".join(f) for f in report.flags)
+    assert "degenerate_leverage" in flags and "order_swap" in flags
+
+
+@pytest.mark.parametrize(
+    "design", [_order_swap_design, _line_design, _spiked_rank_three, _spiked_across_chunks]
+)
 def test_report_json_is_the_json_module_layout(design, tmp_path):
     d, k = design()
     report = influence_report(d, k)
+    if design is _spiked_across_chunks:
+        _assert_spans_chunks_with_both_flags(report)
     flags = [rec.flags for rec in report.records]
     if design is _order_swap_design:
         assert any("order_swap:y:1" in f for f in flags)
@@ -645,10 +683,12 @@ def records_csv_reference(report):
     return "".join(lines)
 
 
-@pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three])
+@pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three, _spiked_across_chunks])
 def test_records_csv_is_the_per_cell_layout(design, tmp_path):
     d, k = design()
     report = influence_report(d, k)
+    if design is _spiked_across_chunks:
+        _assert_spans_chunks_with_both_flags(report)
     flags = ";".join(";".join(f) for f in report.flags)
     assert ("order_swap" in flags, "degenerate_leverage" in flags) == (
         (True, False) if design is _order_swap_design else (True, True)
@@ -657,7 +697,7 @@ def test_records_csv_is_the_per_cell_layout(design, tmp_path):
     write_records_csv(path, report)
     want = records_csv_reference(report)
     assert path.read_bytes() == want.encode("utf-8")
-    assert (",nan," in want) == (design is _spiked_rank_three)
+    assert (",nan," in want) == (design is not _order_swap_design)
 
 
 @pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three])

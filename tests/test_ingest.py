@@ -19,7 +19,7 @@ from phdinfluence.ingest import MISSING_MARKERS
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -169,8 +169,11 @@ def test_duplicate_predictor_names_are_a_data_error(tmp_path):
 # ----------------------------------------------------------------------
 
 _NUMBER = st.floats(-2.0, 50.0, allow_nan=False).flatmap(
-    lambda v: st.sampled_from([repr(v), f"  {v!r} "]))
-_ODD_CELL = st.sampled_from(sorted(MISSING_MARKERS) + ["abc", "1.2.3", "inf", "-inf", "1e999"])
+    lambda v: st.sampled_from([repr(v), f"  {v!r} ", f"\t{v!r}\t", f"\u2003{v!r}\u2003"]))
+# "+nan" and "1_000" pass a bulk float conversion: the first must still end
+# as a bad cell, the second as a number
+_ODD_CELL = st.sampled_from(
+    sorted(MISSING_MARKERS) + ["abc", "1.2.3", "inf", "-inf", "1e999", "+nan", "1_000"])
 
 
 def _spec_outcome(path, header, rows, resp, predictors, drop, log):
@@ -191,6 +194,7 @@ def _spec_outcome(path, header, rows, resp, predictors, drop, log):
     if not rows:
         return (TooFewRows, None, None, f"{path}: no data rows")
     c_resp = header.index(resp)
+    # a fault's row is its index among the non-blank data rows, dropped or not
     kept, y = [], []
     for i, row in enumerate(rows):
         v = number(row[c_resp])
@@ -201,21 +205,22 @@ def _spec_outcome(path, header, rows, resp, predictors, drop, log):
                 continue
             return (NonNumericCell, i, resp,
                     f"missing response at row {i + 1} and dropping is disabled")
-        kept.append(row)
+        kept.append((i, row))
         y.append(v)
     if not kept:
         return (TooFewRows, None, None, f"{path}: every row has a missing response")
     if log:
-        for i, v in enumerate(y):
+        for (i, _), v in zip(kept, y):
             if v <= 0:
-                return (NonNumericCell, i, resp, f"cannot log-transform nonpositive response {v!r}")
+                return (NonNumericCell, i, resp,
+                        f"cannot log-transform nonpositive response {v!r} at row {i + 1}")
         y = [math.log(v) for v in y]
     if predictors is None:
         names = [name for c, name in enumerate(header) if c != c_resp
-                 and all(isinstance(number(row[c]), float) for row in kept)]
+                 and all(isinstance(number(row[c]), float) for _, row in kept)]
     else:
         names = list(predictors)
-        for i, row in enumerate(kept):
+        for i, row in kept:
             for name in names:
                 cell = row[header.index(name)]
                 if not isinstance(number(cell), float):
@@ -227,7 +232,7 @@ def _spec_outcome(path, header, rows, resp, predictors, drop, log):
     if len(kept) < len(names) + 2:
         return (TooFewRows, None, None, f"{path}: need n >= p + 2 observations, "
                 f"got n={len(kept)}, p={len(names)}")
-    x = [[number(row[header.index(name)]) for name in names] for row in kept]
+    x = [[number(row[header.index(name)]) for name in names] for _, row in kept]
     return (tuple(names), np.array(y).tobytes(), np.array(x).tobytes())
 
 
@@ -275,3 +280,31 @@ def test_spec_cell_grid_resolves_or_raises_at_the_first_offending_cell(tmp_path,
     assert str(err.value) == message
     if kind is NonNumericCell:
         assert (err.value.row, err.value.column) == (row, column)
+
+
+def test_a_cell_fault_counts_every_non_blank_data_row(tmp_path):
+    # data row 2 has a missing response and is dropped; the fault at data row
+    # 4 still reports row 4, as a response fault there would
+    text = "y,a,b\n1,2,3\nNA,3,5\n\n3,5,4\n4,abc,1\n5,8,2\n6,1,7\n"
+    path = write(tmp_path, text)
+    with pytest.raises(NonNumericCell, match="at row 4, column 'a'") as err:
+        ingest_csv(path, IngestConfig(response_column="y", predictor_columns=("a", "b")))
+    assert (err.value.row, err.value.column) == (3, "a")
+    path = write(tmp_path, text.replace("4,abc,1", "-4,9,1"))
+    with pytest.raises(NonNumericCell, match=r"response -4\.0 at row 4$") as err:
+        ingest_csv(path, IngestConfig(response_column="y", log_response=True))
+    assert (err.value.row, err.value.column) == (3, "y")
+
+
+def test_x_is_c_ordered_and_equals_a_cell_by_cell_build(tmp_path):
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal((40, 6)) * 10.0 ** rng.uniform(-8, 8, 6)
+    pads = [" {} ", "\t{}", "{} ", "{}"]
+    cells = [[pads[(i + c) % 4].format(repr(v)) for c, v in enumerate(row)]
+             for i, row in enumerate(vals.tolist())]
+    text = "y,a,b,c,d,e\n" + "".join(",".join(row) + "\n" for row in cells)
+    d = ingest_csv(write(tmp_path, text), IngestConfig(response_column="y"))
+    want = np.array([[float(cell.strip()) for cell in row[1:]] for row in cells])
+    assert d.x.flags["C_CONTIGUOUS"]
+    assert d.x.tobytes() == want.tobytes()
+    assert d.y.tobytes() == np.array([float(row[0].strip()) for row in cells]).tobytes()

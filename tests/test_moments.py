@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phdinfluence import (
     Dataset,
@@ -310,3 +312,53 @@ def test_mahalanobis_matches_quadratic_form(rng):
         diff = d.x[i] - m.xbar
         assert md[i] == pytest.approx(np.sqrt(diff @ m.s_inv @ diff), abs=1e-12)
     assert np.all(md >= 0)
+
+
+def _moments_or_reject(d):
+    # spd_inverse's positive-definiteness test reads raw eigenvalues, so
+    # predictor scales 10^6 apart can fail it; such designs are not drawn
+    try:
+        return compute_moments(d)
+    except NotPositiveDefinite:
+        assume(False)
+
+
+#: largest cond(S) of a drawn design.  Every downdate starts from S^-1, which
+#: spd_inverse gets to about 1e-11 in unit-free coordinates at cond 1e9 but
+#: only to 4e-10 at 1e10 and 1e-8 at 1e11.
+SCALED_DESIGN_COND = 1e9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda p: st.tuples(
+        st.integers(p + 3, 40),
+        st.just(p),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p),
+    ))
+)
+def test_downdate_equals_a_refit_on_random_scaled_designs(case):
+    # every row as one block against compute_moments on the sample without
+    # it, with each predictor in its own unit c = 10^u; each quantity is
+    # compared in the unit-free coordinates x / c, where the tolerances of
+    # test_downdate_matches_brute_force_everywhere apply unchanged
+    n, p, seed, u = case
+    c = 10.0 ** np.array(u)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, p))
+    y = np.sin(z[:, 0]) + 0.5 * rng.standard_normal(n)
+    d = Dataset(y=y, x=z * c)
+    m = _moments_or_reject(d)
+    w = np.linalg.eigvalsh(m.s)
+    assume(w[-1] <= SCALED_DESIGN_COND * w[0])
+    lm, degenerate = loo_downdates(d, m, np.arange(n))
+    cc = np.outer(c, c)
+    for j in np.flatnonzero(~degenerate):
+        keep = np.arange(n) != j
+        refit = _moments_or_reject(Dataset(y=y[keep], x=d.x[keep]))
+        assert np.abs((lm.s_inv_j[j] * cc) @ (refit.s / cc) - np.eye(p)).max() <= 1e-9
+        for got, want in ((lm.s_xy_j[j] / c, refit.s_xy / c),
+                          (lm.sigma_yxx_j[j] / cc, refit.sigma_yxx_hat / cc),
+                          (lm.sigma_rxx_j[j] / cc, refit.sigma_rxx_hat / cc)):
+            assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
