@@ -53,8 +53,6 @@ _EXPORTS = {
     "ris_rows": "population",
     "ris_y": "population",
     "write_surface_csv": "population",
-    "CorrelationReport": "diagnostics",
-    "InfluenceRecord": "diagnostics",
     "InfluenceReport": "diagnostics",
     "eris": "diagnostics",
     "estimated_model": "diagnostics",

@@ -191,7 +191,7 @@ def cmd_influence(args) -> int:
 
     print(f"influence: n={report.n} p={report.p} k={report.k}")
     for v in ("y", "r"):
-        row = report.correlations.values[v]
+        row = report.correlations[v]
         print(
             f"  {v}-based spearman(SRIS, .) avg-direction: "
             f"eris={row['eris'][-1]:.3f} hris={row['hris'][-1]:.3f} md={row['md'][-1]:.3f}"

@@ -16,10 +16,16 @@ subspace, all scaled so they estimate the same population rate:
 SRIS, HRIS and the order_swap flags all read one blocked deletion table.  It
 walks the sample in blocks of ``loo_block_rows(p)`` observations (a fixed
 byte budget per (rows, p, p) stack, see ``moments``); per block, one
-closed-form downdate (``loo_downdates``) decides the leverage singularity,
-and the stack of leave-one-out Hessians H_(j) is built once per variant.
-HRIS reads that stack directly; SRIS and order_swap read its eigenvectors,
-one ``eigh`` per H_(j), of which SRIS keeps the K leading ones.
+closed-form downdate (``loo_downdates``) gives the leave-one-out moments and
+their ``degenerate`` mask of rows at the leverage singularity, and the stack
+of leave-one-out Hessians H_(j) is built once per variant.  HRIS reads that
+stack directly; SRIS and order_swap read its eigenvectors, one ``eigh`` per
+H_(j), of which SRIS keeps the K leading ones.
+
+:func:`influence_report` returns all of it as one :class:`InfluenceReport`
+of read-only arrays in report order, with the Spearman correlations of SRIS
+against ERIS, HRIS and the Mahalanobis distance as a plain dict; the three
+writers serialize that report and nothing else.
 
 The plug-in model behind ERIS uses the rank-K reconstruction of the Hessian
 and projects the fitted OLS slope onto the estimated span, which is the
@@ -35,13 +41,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateEigenvalue, UndefinedCorrelation
+from .errors import DegenerateEigenvalue, InvalidRank, UndefinedCorrelation
 from .linalg import check_orthonormal, eigen_order, mirror, project_out
 from .moments import (
     Dataset,
@@ -142,9 +147,10 @@ def _deletion_table(
     )
     step = loo_block_rows(d.p)
     for start in range(0, n, step):
-        lm, degenerate = loo_downdates(d, m, np.arange(start, min(start + step, n)))
+        lm = loo_downdates(d, m, np.arange(start, min(start + step, n)))
         if strict:
-            require_regular(lm, degenerate)
+            require_regular(lm)
+        degenerate = lm.degenerate
         table.degenerate[lm.j] = degenerate
         keep = ~degenerate if degenerate.any() else slice(None)  # a slice copies nothing
         rows = lm.j[keep]
@@ -252,40 +258,14 @@ def spearman(a, b) -> float:
     return _rank_correlation(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
-@dataclass
-class InfluenceRecord:
-    """All diagnostics for one observation.
-
-    Arrays are K-vectors keyed by variant; flagged entries are NaN and the
-    reason is in ``flags``.
-    """
-
-    j: int
-    sris: dict[str, np.ndarray]
-    eris: dict[str, np.ndarray]
-    hris: dict[str, np.ndarray]
-    md: float
-    flags: tuple[str, ...] = ()
-
-    def avg(self, measure: str, variant: str) -> float:
-        return float(np.mean(getattr(self, measure)[variant]))
-
-
-@dataclass
-class CorrelationReport:
-    """Spearman correlations of SRIS against ERIS, HRIS and the Mahalanobis
-    distance, per variant, per direction plus the direction average."""
-
-    k: int
-    values: dict[str, dict[str, list[float]]] = field(default_factory=dict)
-
-    def get(self, variant: str, target: str, direction: int | None = None) -> float:
-        """direction is 1-based; None means the direction average."""
-        row = self.values[variant][target]
-        return row[-1] if direction is None else row[direction - 1]
-
-
 _MEASURES = ("sris", "eris", "hris")
+
+
+def _column(values: np.ndarray, k: int, measure: str, variant: str) -> np.ndarray:
+    """The n x K block of a report's value matrix holding one measure of one
+    variant."""
+    start = (_MEASURES.index(measure) * len(VARIANTS) + VARIANTS.index(variant)) * k
+    return values[:, start : start + k]
 
 
 @dataclass
@@ -296,14 +276,16 @@ class InfluenceReport:
     Row i is one record: ``j[i]`` is its observation index, ``md[i]`` its
     Mahalanobis distance, ``flags[i]`` its flags, and ``values[i]`` its 6K
     values of SRIS, ERIS and HRIS in (measure, variant, direction) order, the
-    order report.json writes them.  ``records`` is the per-record view.
+    order report.json writes them.  ``correlations[variant][target]`` holds
+    Spearman(SRIS, target) per direction followed by that of the direction
+    averages, for the targets in TARGETS.
     """
 
     j: np.ndarray
     values: np.ndarray
     md: np.ndarray
     flags: list[tuple[str, ...]]
-    correlations: CorrelationReport
+    correlations: dict[str, dict[str, list[float]]]
     fits: dict[str, PhdFit]
     n: int
     p: int
@@ -311,21 +293,7 @@ class InfluenceReport:
 
     def column(self, measure: str, variant: str) -> np.ndarray:
         """The n x K block of ``values`` holding one measure of one variant."""
-        start = (_MEASURES.index(measure) * len(VARIANTS) + VARIANTS.index(variant)) * self.k
-        return self.values[:, start : start + self.k]
-
-    @cached_property
-    def records(self) -> list[InfluenceRecord]:
-        blocks = self.values.reshape(self.n, len(_MEASURES), len(VARIANTS), self.k)
-        return [
-            InfluenceRecord(
-                j=j,
-                md=md,
-                flags=flags,
-                **{m: dict(zip(VARIANTS, block[i])) for i, m in enumerate(_MEASURES)},
-            )
-            for j, md, flags, block in zip(self.j.tolist(), self.md.tolist(), self.flags, blocks)
-        ]
+        return _column(self.values, self.k, measure, variant)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -338,8 +306,12 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
 
     Observations at the leverage singularity get NaN SRIS and HRIS and a
     ``degenerate_leverage`` flag instead of aborting the report.  Records come back
-    sorted by ascending y-based average SRIS (flagged records last).
+    sorted by ascending y-based average SRIS (flagged records last).  Raises
+    InvalidRank unless 1 <= k < p: at k = p the span is the whole space and
+    every measure is rounding noise.
     """
+    if not 1 <= k < d.p:
+        raise InvalidRank(f"influence needs rank 1 <= k < p={d.p}, got {k}")
     m = compute_moments(d)
     fits = {v: fit_from_moments(m, v, k) for v in VARIANTS}
     md = mahalanobis(d, m)
@@ -357,28 +329,29 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     avg = table.sris["y"].mean(axis=1)
     order = np.lexsort((avg, np.isnan(avg)))
     measures = {"sris": table.sris, "eris": eris_vals, "hris": table.hris}
-    report = InfluenceReport(
+    values = _read_only(
+        np.concatenate([measures[t][v][order] for t in _MEASURES for v in VARIANTS], axis=1)
+    )
+    md = _read_only(md[order])
+    return InfluenceReport(
         j=_read_only(order),
-        values=_read_only(
-            np.concatenate([measures[t][v][order] for t in _MEASURES for v in VARIANTS], axis=1)
-        ),
-        md=_read_only(md[order]),
+        values=values,
+        md=md,
         flags=[tuple(flags[j]) for j in order],
-        correlations=CorrelationReport(k=k),
+        correlations=_correlation_table(values, md, k),
         fits=fits,
         n=d.n,
         p=d.p,
         k=k,
     )
 
-    report.correlations.values = _correlation_table(report)
-    return report
 
-
-def _correlation_table(report: InfluenceReport) -> dict[str, dict[str, list[float]]]:
+def _correlation_table(
+    values: np.ndarray, md: np.ndarray, k: int
+) -> dict[str, dict[str, list[float]]]:
     """Spearman correlations of SRIS against each target, per variant, per
     direction and of the direction averages, each pair on the rows where both
-    vectors are finite.
+    vectors are finite.  ``values`` and ``md`` are the report's arrays.
 
     A vector is ranked once per distinct finite mask: the ranks are cached
     by the bytes of the masked vector, for this call only.
@@ -395,14 +368,13 @@ def _correlation_table(report: InfluenceReport) -> dict[str, dict[str, list[floa
         keep = np.isfinite(a) & np.isfinite(b)
         return _rank_correlation(a[keep], b[keep], ranks)
 
-    k = report.k
     table = {}
     for v in VARIANTS:
-        sris_mat = report.column("sris", v)
+        sris_mat = _column(values, k, "sris", v)
         target_mats = {
-            "eris": report.column("eris", v),
-            "hris": report.column("hris", v),
-            "md": np.repeat(report.md[:, None], k, axis=1),
+            "eris": _column(values, k, "eris", v),
+            "hris": _column(values, k, "hris", v),
+            "md": np.repeat(md[:, None], k, axis=1),
         }
         table[v] = {
             t: [masked(sris_mat[:, i], target_mats[t][:, i]) for i in range(k)]
@@ -467,7 +439,7 @@ def write_correlations_csv(path, report: InfluenceReport) -> None:
         fh.write("variant,target,direction,spearman\n")
         for v in VARIANTS:
             for t in TARGETS:
-                row = report.correlations.values[v][t]
+                row = report.correlations[v][t]
                 for i in range(report.k):
                     fh.write(f"{v},{t},{i + 1},{row[i]:.17g}\n")
                 fh.write(f"{v},{t},average,{row[-1]:.17g}\n")
@@ -499,10 +471,8 @@ def _correlations_json(report: InfluenceReport) -> dict:
     return {
         v: {
             t: {
-                "directions": [
-                    _f(report.correlations.values[v][t][i]) for i in range(report.k)
-                ],
-                "average": _f(report.correlations.values[v][t][-1]),
+                "directions": [_f(x) for x in report.correlations[v][t][:-1]],
+                "average": _f(report.correlations[v][t][-1]),
             }
             for t in TARGETS
         }

@@ -17,7 +17,8 @@ that read only some leading eigenvectors, or only sign-free quantities, use
 the first two alone.
 
 A positive definite matrix is inverted by one routine, :func:`spd_inverse`
-(one eigendecomposition and one Newton step); no matrix square root is needed.
+(scaling to unit diagonal, one eigendecomposition and one Newton step); no
+matrix square root is needed.
 """
 
 from __future__ import annotations
@@ -139,25 +140,38 @@ def sym_eigen(a: np.ndarray) -> EigenSystem:
 def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Exactly symmetric inverse of a symmetric positive definite matrix.
 
-    The eigenbasis inverse X is off by about eps cond(a) even when `a` is only
-    badly scaled (mixed units); one Newton step X + X (I - a X) takes that to
-    rounding (Higham, Accuracy and Stability, ch. 14).  The step contracts:
-    ||I - a X|| < 2.3e-4 whenever cond(a) < 1 / PD_RTOL.
+    The matrix is first scaled to unit diagonal, C = D^-1 a D^-1 with
+    D = diag(a)^1/2, so that neither the decision nor the accuracy depends
+    on the units of its rows and columns (van der Sluis, Numer. Math. 14,
+    1969).  The eigenbasis inverse X of C is off by about eps cond(C); one
+    Newton step X + X (I - C X) takes that to rounding (Higham, Accuracy and
+    Stability, ch. 14), and the step contracts: ||I - C X|| < 2.3e-4 whenever
+    cond(C) < 1 / PD_RTOL.  Returns D^-1 C^-1 D^-1.
 
-    Raises NotPositiveDefinite when the smallest eigenvalue is not above
-    PD_RTOL times the largest.
+    Raises NotPositiveDefinite when a diagonal entry is not positive or the
+    smallest eigenvalue of C is not above PD_RTOL times the largest.
     """
     a = symmetrize(a)
-    w, v = np.linalg.eigh(a)
+    diag = np.diag(a)
+    if not (diag > 0.0).all():
+        i = int(np.argmin(diag > 0.0))
+        raise NotPositiveDefinite(
+            f"matrix is not positive definite: diagonal entry {i} is {diag[i]:.6e}",
+            eigenvalue=float(diag[i]),
+        )
+    r = 1.0 / np.sqrt(diag)
+    scale = np.outer(r, r)
+    c = a * scale
+    w, v = np.linalg.eigh(c)
     w_min, w_max = float(w[0]), float(w[-1])
-    if w_max <= 0.0 or w_min <= PD_RTOL * w_max:
+    if w_min <= PD_RTOL * w_max:
         raise NotPositiveDefinite(
             f"matrix is not positive definite: min eigenvalue {w_min:.6e} "
-            f"vs max {w_max:.6e}",
+            f"vs max {w_max:.6e} after scaling to unit diagonal",
             eigenvalue=w_min,
         )
     x = mirror((v / w) @ v.T)
-    return mirror(x + x @ (np.eye(a.shape[0]) - a @ x))
+    return mirror(x + x @ (np.eye(a.shape[0]) - c @ x)) * scale
 
 
 def project_out(b: Basis, v: np.ndarray) -> np.ndarray:

@@ -32,9 +32,9 @@ zero exactly when deleting row j leaves a singular covariance (the leverage
 singularity).  Its whitened margin, (n-1)^2/n - z'z divided by (n-1)^2/n, is
 the smallest eigenvalue of the whitened leave-one-out covariance relative to
 the others and lies in [0, 1].  A margin at or below LEVERAGE_RTOL puts the
-row in the ``degenerate`` mask of :func:`loo_downdates`, which
-:func:`require_regular` turns into DegenerateLeverage; this is the only place
-the leverage singularity is decided.
+row in :attr:`LooMoments.degenerate`, which :func:`require_regular` turns
+into DegenerateLeverage; that property is the only place the leverage
+singularity is decided.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ class LooMoments:
 
     Every field carries a leading axis over the block's rows: ``j`` holds
     their observation indices and ``margin`` their whitened leverage margins.
-    Rows at the leverage singularity hold NaN in ``s_inv_j`` and
-    ``sigma_rxx_j``, the quantities that need S_(j)^-1.
+    Rows at the leverage singularity (``degenerate``) hold NaN in ``s_inv_j``
+    and ``sigma_rxx_j``, the quantities that need S_(j)^-1.
     """
 
     j: np.ndarray
@@ -148,6 +148,12 @@ class LooMoments:
     sigma_yxx_j: np.ndarray
     sigma_rxx_j: np.ndarray
     margin: np.ndarray
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Mask of the rows at the leverage singularity: whitened margin at
+        or below LEVERAGE_RTOL."""
+        return self.margin <= LEVERAGE_RTOL
 
 
 def compute_moments(d: Dataset) -> MomentSet:
@@ -194,13 +200,9 @@ def loo_block_rows(p: int) -> int:
     return max(1, LOO_BLOCK_BYTES // (8 * p * p))
 
 
-def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarray]:
-    """Closed-form moments of the sample without each observation in ``rows``.
-
-    Returns the block's LooMoments (leading axis over ``rows``) and the
-    boolean mask of rows at the leverage singularity, whose whitened margin
-    is at or below LEVERAGE_RTOL.
-    """
+def loo_downdates(d: Dataset, m: MomentSet, rows) -> LooMoments:
+    """Closed-form moments of the sample without each observation in ``rows``,
+    with a leading axis over ``rows``."""
     n = d.n
     rows = np.asarray(rows, dtype=np.intp)
     if rows.ndim != 1 or np.any((rows < 0) | (rows >= n)):
@@ -213,9 +215,10 @@ def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarra
     full = (n - 1) ** 2 / n
     denom = full - np.einsum("ij,ij->i", dj, u)
     margin = denom / full
-    degenerate = margin <= LEVERAGE_RTOL
-    # Degenerate rows get a harmless denominator here and NaN below.
-    denom = np.where(degenerate, full, denom)
+    # A denominator at or below LEVERAGE_RTOL * full is a row at the leverage
+    # singularity (LooMoments.degenerate): the floor keeps it finite until it
+    # is set to NaN below.
+    denom = np.maximum(denom, LEVERAGE_RTOL * full)
     s_inv_j = (n - 2) / (n - 1) * (m.s_inv + u[:, :, None] * u[:, None, :] / denom[:, None, None])
 
     s_xy_j = ((n - 1) * m.s_xy - (n / (n - 1)) * dyj[:, None] * dj) / (n - 2)
@@ -248,9 +251,6 @@ def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarra
         )
         / (n - 1)
     )
-    s_inv_j[degenerate] = np.nan
-    sigma_rxx_j[degenerate] = np.nan
-
     lm = LooMoments(
         j=rows,
         s_inv_j=s_inv_j,
@@ -259,12 +259,15 @@ def loo_downdates(d: Dataset, m: MomentSet, rows) -> tuple[LooMoments, np.ndarra
         sigma_rxx_j=sigma_rxx_j,
         margin=margin,
     )
-    return lm, degenerate
+    s_inv_j[lm.degenerate] = np.nan
+    sigma_rxx_j[lm.degenerate] = np.nan
+    return lm
 
 
-def require_regular(lm: LooMoments, degenerate: np.ndarray) -> None:
+def require_regular(lm: LooMoments) -> None:
     """Raise DegenerateLeverage for the first row of a block that sits at the
     leverage singularity."""
+    degenerate = lm.degenerate
     if degenerate.any():
         i = int(np.argmax(degenerate))
         j = int(lm.j[i])

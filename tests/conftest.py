@@ -85,16 +85,18 @@ def loo_row(d, m, j: int) -> LooMoments:
     """Closed-form downdate of observation j alone: a block of one row,
     required regular (DegenerateLeverage otherwise), with its leading axis
     dropped."""
-    lm, degenerate = loo_downdates(d, m, [j])
-    require_regular(lm, degenerate)
+    lm = loo_downdates(d, m, [j])
+    require_regular(lm)
     return LooMoments(**{name: value[0] for name, value in vars(lm).items()})
 
 
-def run_python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+def run_python(args: list[str], timeout: float, unset=()) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a fresh interpreter that imports this checkout's
-    src/ first; stdout and stderr are captured as text."""
+    src/ first, without the environment variables named in ``unset``; stdout
+    and stderr are captured as text."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {name: value for name, value in os.environ.items() if name not in unset}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=timeout)
 

@@ -155,19 +155,22 @@ def mp_eigh(a: np.ndarray, dps: int = 40) -> tuple[np.ndarray, np.ndarray]:
 
 
 def report_to_json_dict(report) -> dict:
-    """The full influence report as one strictly-JSON-serializable document."""
+    """The full influence report as one strictly-JSON-serializable document,
+    one record per row of the report's arrays."""
+    rows = zip(report.j.tolist(), report.md.tolist(), report.flags)
     return {
         **_head_json(report),
         "records": [
             {
-                "j": rec.j,
-                "md": rec.md,
-                "flags": list(rec.flags),
-                "sris": {v: [_f(x) for x in rec.sris[v]] for v in VARIANTS},
-                "eris": {v: [_f(x) for x in rec.eris[v]] for v in VARIANTS},
-                "hris": {v: [_f(x) for x in rec.hris[v]] for v in VARIANTS},
+                "j": j,
+                "md": md,
+                "flags": list(flags),
+                **{
+                    t: {v: [_f(x) for x in report.column(t, v)[i]] for v in VARIANTS}
+                    for t in ("sris", "eris", "hris")
+                },
             }
-            for rec in report.records
+            for i, (j, md, flags) in enumerate(rows)
         ],
         "correlations": _correlations_json(report),
     }

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from phdinfluence import Dataset
 from phdinfluence.cli import _THREAD_ENV_VARS, main
 from phdinfluence.ingest import write_dataset_csv
 from phdinfluence.simulation import SimSpec, simulate
@@ -250,3 +251,31 @@ def test_invalid_rank_maps_to_usage_error(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "InvalidRank"
+
+
+def test_influence_rank_equal_to_p_is_a_usage_error(tmp_path, capsys):
+    # at k = p the span is the whole space and every measure is rounding noise
+    run(["simulate", "--model", "cosine_index", "--n", 40, "--p", 3,
+         "--seed", 1, "--output-dir", tmp_path])
+    code = run(["influence", "--input", tmp_path / "dataset.csv", "--response", "y",
+                "--k", 3, "--output-dir", tmp_path / "inf"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "InvalidRank"
+    assert not (tmp_path / "inf").exists()
+
+
+def test_influence_runs_on_predictors_in_units_far_apart(tmp_path):
+    # predictor units 10^7 apart put cond(S) near 2e14 while the correlation
+    # matrix has cond(C) about 1.6: positive definiteness is a property of C.
+    # The flags are not compared with the unit-scale design's, because
+    # H = S^-1 M S^-1 is not equivariant under per-column rescaling.
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((40, 3))
+    y = np.cos(2.0 * z[:, 0] - np.pi / 4.0) + 0.5 * rng.standard_normal(40)
+    write_dataset_csv(tmp_path / "mixed.csv", Dataset(y=y, x=z * [1.0, 1e-7, 1.0]))
+    code = run(["influence", "--input", tmp_path / "mixed.csv", "--response", "y",
+                "--k", 1, "--output-dir", tmp_path / "inf"])
+    assert code == 0
+    report = json.loads((tmp_path / "inf" / "report.json").read_text())
+    assert sorted(rec["j"] for rec in report["records"]) == list(range(40))

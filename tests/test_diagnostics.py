@@ -182,8 +182,7 @@ def test_order_swap_is_flagged():
     ys = np.array([0.1, 0.9, -0.4, 1.2])
     d = Dataset(y=np.repeat(ys, 3), x=np.repeat(pts, 3, axis=0))
     report = influence_report(d, 1)
-    swapped = {rec.j for rec in report.records if "order_swap:y:1" in rec.flags}
-    assert swapped == {6, 7, 8}
+    assert flagged_with(report, "order_swap:y:1") == {6, 7, 8}
 
 
 def test_eris_rejects_numerically_zero_eigenvalue():
@@ -364,16 +363,21 @@ def test_plug_in_approaches_refit_with_sample_size():
 # the assembled report
 # ----------------------------------------------------------------------
 
+def flagged_with(report, flag: str) -> set[int]:
+    """Observations whose record carries the flag."""
+    return {j for j, flags in zip(report.j.tolist(), report.flags) if flag in flags}
+
+
 def test_report_on_independent_noise_completes():
     d = simulate(SimSpec(model="linear_index", n=80, p=3, seed=44, sigma=1.0,
                          beta=np.zeros(3)))
     report = influence_report(d, 2)
-    assert len(report.records) == 80
-    avgs = [rec.avg("sris", "y") for rec in report.records]
+    assert sorted(report.j.tolist()) == list(range(80))
+    avgs = report.column("sris", "y").mean(axis=1).tolist()
     assert avgs == sorted(avgs)
     for variant in ("y", "r"):
         for target in ("eris", "hris", "md"):
-            row = report.correlations.values[variant][target]
+            row = report.correlations[variant][target]
             assert len(row) == 3  # two directions plus the average
             assert all(-1.0 <= v <= 1.0 for v in row)
 
@@ -386,18 +390,14 @@ def test_report_flags_leverage_singularity_without_aborting():
     y = np.array([0.0, 1.0, 4.2, 8.8, 16.5, 2.0])
     d = Dataset(y=y, x=x)
     report = influence_report(d, 1)
-    flagged = {rec.j for rec in report.records if "degenerate_leverage" in rec.flags}
-    assert flagged == {5}
-    for rec in report.records:
-        if rec.j in flagged:
-            assert np.isnan(rec.sris["y"]).all()
-            assert np.isnan(rec.hris["y"]).all()
-            assert np.isfinite(rec.eris["y"]).all()
-        else:
-            assert np.isfinite(rec.sris["y"]).all()
-            assert np.isfinite(rec.hris["y"]).all()
+    assert flagged_with(report, "degenerate_leverage") == {5}
+    flagged = report.j == 5
+    for measure in ("sris", "hris"):
+        assert np.isnan(report.column(measure, "y")[flagged]).all()
+        assert np.isfinite(report.column(measure, "y")[~flagged]).all()
+    assert np.isfinite(report.column("eris", "y")[flagged]).all()
     for target in ("eris", "hris", "md"):
-        val = report.correlations.get("y", target)
+        val = report.correlations["y"][target][-1]
         assert -1.0 <= val <= 1.0
 
 
@@ -411,15 +411,11 @@ def test_leverage_flag_iff_refit_and_hybrid_are_undefined():
     x[:, 2] = 1e-6 * rng.standard_normal(60)
     x[7, 2] = 1.0
     report = influence_report(Dataset(y=d0.y, x=x), 1)
-    flagged = set()
-    for rec in report.records:
-        values = np.concatenate([rec.sris[v] for v in "yr"] + [rec.hris[v] for v in "yr"])
-        if "degenerate_leverage" in rec.flags:
-            flagged.add(rec.j)
-            assert np.isnan(values).all()
-        else:
-            assert np.isfinite(values).all()
-    assert flagged == {7}
+    values = np.concatenate([report.column(t, v) for t in ("sris", "hris") for v in "yr"], axis=1)
+    flagged = np.array(["degenerate_leverage" in flags for flags in report.flags])
+    assert np.isnan(values[flagged]).all()
+    assert np.isfinite(values[~flagged]).all()
+    assert set(report.j[flagged].tolist()) == {7}
 
 
 def _spiked_p16(n, spike):
@@ -435,18 +431,17 @@ def _spiked_p16(n, spike):
 
 def _check_spiked_report_against_refits(d, spike):
     report = influence_report(d, 1)
-    flagged = {rec.j for rec in report.records if "degenerate_leverage" in rec.flags}
-    assert flagged == {spike}
-    by_j = {rec.j: rec for rec in report.records}
+    assert flagged_with(report, "degenerate_leverage") == {spike}
+    at = np.argsort(report.j)  # at[j] is the report row of observation j
     for v in ("y", "r"):
-        rec = by_j[spike]
-        assert np.isnan(rec.sris[v]).all() and np.isnan(rec.hris[v]).all()
+        got_sris, got_hris = report.column("sris", v)[at], report.column("hris", v)[at]
+        assert np.isnan(got_sris[spike]).all() and np.isnan(got_hris[spike]).all()
         fit = report.fits[v]
         for j in range(d.n):
             if j == spike:
                 continue
-            for measure, want in zip(("sris", "hris"), bf_sris_hris(d, fit, j)):
-                got = getattr(by_j[j], measure)[v]
+            for measure, got, want in zip(("sris", "hris"), (got_sris[j], got_hris[j]),
+                                          bf_sris_hris(d, fit, j)):
                 rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-12)
                 assert rel.max() <= 1e-9, (v, measure, j)
     return report
@@ -481,17 +476,11 @@ PERMUTED_N = loo_block_rows(16) + 8
 def _assert_same_records(got, want, perm):
     """The record of observation i in ``got`` matches the record of
     observation perm[i] in ``want``: flags exactly, values at rtol 1e-9."""
-    got_by_j = {rec.j: rec for rec in got.records}
-    want_by_j = {rec.j: rec for rec in want.records}
-    for i, j in enumerate(perm):
-        g, w = got_by_j[i], want_by_j[int(j)]
-        assert g.flags == w.flags
-        assert g.md == pytest.approx(w.md, rel=1e-9, abs=0)
-        for measure in ("sris", "eris", "hris"):
-            for v in ("y", "r"):
-                np.testing.assert_allclose(
-                    getattr(g, measure)[v], getattr(w, measure)[v], rtol=1e-9, atol=0
-                )
+    g = np.argsort(got.j)
+    w = np.argsort(want.j)[np.asarray(perm)]
+    assert [got.flags[i] for i in g] == [want.flags[i] for i in w]
+    np.testing.assert_allclose(got.md[g], want.md[w], rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got.values[g], want.values[w], rtol=1e-9, atol=0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -505,8 +494,8 @@ def test_row_permutation_permutes_the_report(perm):
     for v in ("y", "r"):
         for target in ("eris", "hris", "md"):
             np.testing.assert_allclose(
-                moved.correlations.values[v][target],
-                base.correlations.values[v][target],
+                moved.correlations[v][target],
+                base.correlations[v][target],
                 rtol=1e-9,
                 atol=0,
             )
@@ -565,23 +554,23 @@ def test_report_correlations_match_recomputation():
     # whose SRIS and HRIS hold NaN at the leverage singularity
     for (d, k), spiked in (((cosine_data(55, n=60, p=3), 2), False), (_spiked_rank_three(), True)):
         report = influence_report(d, k)
-        recs = report.records
-        assert spiked == any(np.isnan(rec.sris["y"]).any() for rec in recs)
-        assert spiked == any(np.isnan(rec.hris["r"]).any() for rec in recs)
+        assert spiked == bool(np.isnan(report.column("sris", "y")).any())
+        assert spiked == bool(np.isnan(report.column("hris", "r")).any())
         for v in ("y", "r"):
-            sris_mat = np.array([rec.sris[v] for rec in recs])
+            sris_mat = report.column("sris", v)
             targets = {
-                "eris": np.array([rec.eris[v] for rec in recs]),
-                "hris": np.array([rec.hris[v] for rec in recs]),
-                "md": np.array([[rec.md] * k for rec in recs]),
+                "eris": report.column("eris", v),
+                "hris": report.column("hris", v),
+                "md": np.repeat(report.md[:, None], k, axis=1),
             }
             for t, mat in targets.items():
-                pairs = [(sris_mat[:, i], mat[:, i], i + 1) for i in range(k)]
-                pairs.append((sris_mat.mean(axis=1), mat.mean(axis=1), None))
-                for a, b, direction in pairs:
+                # entry i is direction i + 1; entry k is the direction average
+                pairs = [(sris_mat[:, i], mat[:, i]) for i in range(k)]
+                pairs.append((sris_mat.mean(axis=1), mat.mean(axis=1)))
+                for i, (a, b) in enumerate(pairs):
                     keep = np.isfinite(a) & np.isfinite(b)
                     want = spearman(a[keep], b[keep])
-                    assert report.correlations.get(v, t, direction) == want, (v, t, direction)
+                    assert report.correlations[v][t][i] == want, (v, t, i)
 
 
 # ----------------------------------------------------------------------
@@ -639,7 +628,7 @@ def test_report_json_is_the_json_module_layout(design, tmp_path):
     report = influence_report(d, k)
     if design is _spiked_across_chunks:
         _assert_spans_chunks_with_both_flags(report)
-    flags = [rec.flags for rec in report.records]
+    flags = report.flags
     if design is _order_swap_design:
         assert any("order_swap:y:1" in f for f in flags)
     if design is _spiked_rank_three:
@@ -665,20 +654,21 @@ def test_report_json_rejects_a_non_finite_distance(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# records.csv and the records view
+# records.csv and the report's arrays
 # ----------------------------------------------------------------------
 
 def records_csv_reference(report):
     """records.csv written cell by cell with ``.17g`` f-strings."""
     lines = ["j,variant,direction,sris,eris,hris,md,flags\n"]
-    for rec in report.records:
-        flags = ";".join(rec.flags)
+    for r, (j, md, flags) in enumerate(zip(report.j.tolist(), report.md.tolist(), report.flags)):
+        flags = ";".join(flags)
         for v in ("y", "r"):
+            sris_, eris_, hris_ = (report.column(t, v)[r] for t in ("sris", "eris", "hris"))
             for i in range(report.k):
                 lines.append(
-                    f"{rec.j},{v},{i + 1},"
-                    f"{rec.sris[v][i]:.17g},{rec.eris[v][i]:.17g},"
-                    f"{rec.hris[v][i]:.17g},{rec.md:.17g},{flags}\n"
+                    f"{j},{v},{i + 1},"
+                    f"{sris_[i]:.17g},{eris_[i]:.17g},"
+                    f"{hris_[i]:.17g},{md:.17g},{flags}\n"
                 )
     return "".join(lines)
 
@@ -701,7 +691,7 @@ def test_records_csv_is_the_per_cell_layout(design, tmp_path):
 
 
 @pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three])
-def test_records_view_is_built_from_the_deletion_table(design):
+def test_report_arrays_are_built_from_the_deletion_table(design):
     d, k = design()
     report = influence_report(d, k)
     m = compute_moments(d)
@@ -714,17 +704,17 @@ def test_records_view_is_built_from_the_deletion_table(design):
     md = mahalanobis(d, m)
     avg = table.sris["y"].mean(axis=1)
     order = sorted(range(d.n), key=lambda j: (np.isnan(avg[j]), np.nan_to_num(avg[j]), j))
-    assert [rec.j for rec in report.records] == order
-    for rec in report.records:
-        j = rec.j
+    assert report.j.tolist() == order
+    for r, j in enumerate(order):
         want_flags = ["degenerate_leverage"] if table.degenerate[j] else []
         for v in ("y", "r"):
             want_flags += [f"order_swap:{v}:{i + 1}" for i in np.flatnonzero(table.swapped[v][j])]
-        assert rec.flags == tuple(want_flags)
-        assert rec.md == md[j]
+        assert report.flags[r] == tuple(want_flags)
+        assert report.md[r] == md[j]
         for measure, by_variant in measures.items():
             for v in ("y", "r"):
-                assert np.array_equal(getattr(rec, measure)[v], by_variant[v][j], equal_nan=True)
+                got = report.column(measure, v)[r]
+                assert np.array_equal(got, by_variant[v][j], equal_nan=True)
 
 
 # ----------------------------------------------------------------------

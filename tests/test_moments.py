@@ -181,8 +181,8 @@ def test_downdate_matches_brute_force_everywhere(rng):
     # reverse order
     d = make_data(rng, 30, 4)
     m = compute_moments(d)
-    block, degenerate = loo_downdates(d, m, np.arange(d.n)[::-1])
-    assert not degenerate.any()
+    block = loo_downdates(d, m, np.arange(d.n)[::-1])
+    assert not block.degenerate.any()
     assert block.s_inv_j.shape == (d.n, 4, 4) and block.margin.shape == (d.n,)
     for j in range(d.n):
         i = d.n - 1 - j
@@ -258,8 +258,8 @@ def test_block_downdate_masks_the_leverage_singularity():
     x = np.array([[1.0], [1.0], [1.0], [1.0], [1.0], [4.0]])
     y = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 7.0])
     d = Dataset(y=y, x=x)
-    lm, degenerate = loo_downdates(d, compute_moments(d), np.arange(6))
-    assert degenerate.tolist() == [False] * 5 + [True]
+    lm = loo_downdates(d, compute_moments(d), np.arange(6))
+    assert lm.degenerate.tolist() == [False] * 5 + [True]
     assert np.isnan(lm.s_inv_j[5]).all() and np.isnan(lm.sigma_rxx_j[5]).all()
     assert np.isfinite(lm.s_inv_j[:5]).all() and np.isfinite(lm.sigma_rxx_j[:5]).all()
 
@@ -315,8 +315,8 @@ def test_mahalanobis_matches_quadratic_form(rng):
 
 
 def _moments_or_reject(d):
-    # spd_inverse's positive-definiteness test reads raw eigenvalues, so
-    # predictor scales 10^6 apart can fail it; such designs are not drawn
+    # a design whose unit-diagonal covariance fails spd_inverse's
+    # positive-definiteness test is not drawn
     try:
         return compute_moments(d)
     except NotPositiveDefinite:
@@ -352,9 +352,9 @@ def test_downdate_equals_a_refit_on_random_scaled_designs(case):
     m = _moments_or_reject(d)
     w = np.linalg.eigvalsh(m.s)
     assume(w[-1] <= SCALED_DESIGN_COND * w[0])
-    lm, degenerate = loo_downdates(d, m, np.arange(n))
+    lm = loo_downdates(d, m, np.arange(n))
     cc = np.outer(c, c)
-    for j in np.flatnonzero(~degenerate):
+    for j in np.flatnonzero(~lm.degenerate):
         keep = np.arange(n) != j
         refit = _moments_or_reject(Dataset(y=y[keep], x=d.x[keep]))
         assert np.abs((lm.s_inv_j[j] * cc) @ (refit.s / cc) - np.eye(p)).max() <= 1e-9

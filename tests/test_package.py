@@ -40,8 +40,6 @@ PUBLIC_NAMES = [
     "ris_rows",
     "ris_y",
     "write_surface_csv",
-    "CorrelationReport",
-    "InfluenceRecord",
     "InfluenceReport",
     "eris",
     "estimated_model",
