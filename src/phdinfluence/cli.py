@@ -20,6 +20,7 @@ byte-identical to any other setting.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -54,16 +55,17 @@ def _utcnow() -> str:
 class _Manifest:
     """Collects run metadata and writes manifest.json next to the outputs.
 
-    ``thread_env`` holds the BLAS thread variables as the run sees them, after
-    any --threads cap (None where unset)."""
+    A command makes its manifest first, before it reads any input, so
+    ``started_at`` spans the whole run; the resolved configuration and the
+    input digest are recorded by ``write``.  ``thread_env`` holds the BLAS
+    thread variables as the run sees them, after any --threads cap (None
+    where unset)."""
 
-    def __init__(self, command: str, config: dict, input_path=None, seed=None):
+    def __init__(self, command: str, seed=None):
         self.data = {
             "command": command,
-            "config": config,
-            "config_sha256": hashlib.sha256(
-                json.dumps(config, sort_keys=True).encode()
-            ).hexdigest(),
+            "config": None,
+            "config_sha256": None,
             "seed": seed,
             "version": __version__,
             "thread_env": {var: os.environ.get(var) for var in _THREAD_ENV_VARS},
@@ -71,16 +73,17 @@ class _Manifest:
             "outputs": [],
             "started_at": _utcnow(),
         }
-        if input_path is not None:
-            self.data["input"] = {
-                "path": str(input_path),
-                "sha256": _sha256_file(input_path),
-            }
 
     def add_output(self, path) -> None:
         self.data["outputs"].append(Path(path).name)
 
-    def write(self, outdir: Path) -> None:
+    def write(self, outdir: Path, config: dict, input_path=None) -> None:
+        self.data["config"] = config
+        self.data["config_sha256"] = hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode()
+        ).hexdigest()
+        if input_path is not None:
+            self.data["input"] = {"path": str(input_path), "sha256": _sha256_file(input_path)}
         self.data["finished_at"] = _utcnow()
         with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(self.data, fh, indent=2)
@@ -130,12 +133,12 @@ def _load_dataset(args):
 def cmd_fit(args) -> int:
     from .phd import fit_phd
 
+    manifest = _Manifest("fit")
     dataset, config = _load_dataset(args)
     config.update({"variant": args.variant, "k": args.k})
     fit = fit_phd(dataset, args.variant, args.k)
 
     out = _outdir(args)
-    manifest = _Manifest("fit", config, input_path=args.input)
 
     eig_path = out / "eigenvalues.csv"
     with open(eig_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -152,11 +155,11 @@ def cmd_fit(args) -> int:
     basis_path = out / "basis.csv"
     with open(basis_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("predictor," + ",".join(f"direction{i + 1}" for i in range(args.k)) + "\n")
+        rows = csv.writer(fh, lineterminator="\n")  # quotes a name only where csv needs it
         for r, name in enumerate(dataset.names):
-            cells = [f"{fit.gamma_hat.columns[r, c]:.17g}" for c in range(args.k)]
-            fh.write(name + "," + ",".join(cells) + "\n")
+            rows.writerow([name, *(f"{fit.gamma_hat.columns[r, c]:.17g}" for c in range(args.k))])
     manifest.add_output(basis_path)
-    manifest.write(out)
+    manifest.write(out, config, input_path=args.input)
 
     print(f"fit: variant={args.variant} n={dataset.n} p={dataset.p} k={args.k}")
     shown = ", ".join(f"{v:.6g}" for v in fit.eig.values[: min(5, dataset.p)])
@@ -172,12 +175,12 @@ def cmd_influence(args) -> int:
         write_report_json,
     )
 
+    manifest = _Manifest("influence")
     dataset, config = _load_dataset(args)
     config.update({"k": args.k})
     report = influence_report(dataset, args.k)
 
     out = _outdir(args)
-    manifest = _Manifest("influence", config, input_path=args.input)
     records_path = out / "records.csv"
     write_records_csv(records_path, report)
     manifest.add_output(records_path)
@@ -187,7 +190,7 @@ def cmd_influence(args) -> int:
     json_path = out / "report.json"
     write_report_json(json_path, report)
     manifest.add_output(json_path)
-    manifest.write(out)
+    manifest.write(out, config, input_path=args.input)
 
     print(f"influence: n={report.n} p={report.p} k={report.k}")
     for v in ("y", "r"):
@@ -204,6 +207,7 @@ def cmd_surface(args) -> int:
 
     from .population import cosine_model, influence_surface, write_surface_csv
 
+    manifest = _Manifest("surface")
     if args.grid < 1:
         raise InvalidArgument(f"--grid must be at least 1, got {args.grid}")
     if not (math.isfinite(args.norm_max) and args.norm_max >= 0):
@@ -218,11 +222,10 @@ def cmd_surface(args) -> int:
 
     out = _outdir(args)
     config = {"norm_max": args.norm_max, "grid": args.grid, "p": args.p}
-    manifest = _Manifest("surface", config)
     surf_path = out / "surface.csv"
     write_surface_csv(surf_path, norms, costhetas, grid_y, grid_r)
     manifest.add_output(surf_path)
-    manifest.write(out)
+    manifest.write(out, config)
 
     print(f"surface: {args.grid}x{args.grid} grid written to {surf_path}")
     return 0
@@ -234,6 +237,7 @@ def cmd_simulate(args) -> int:
     from .ingest import write_dataset_csv
     from .simulation import SimSpec, simulate
 
+    manifest = _Manifest("simulate", seed=args.seed)
     beta = None
     if args.beta:
         try:
@@ -264,11 +268,10 @@ def cmd_simulate(args) -> int:
         "beta": None if beta is None else spec.beta.tolist(),
         "link": args.link,
     }
-    manifest = _Manifest("simulate", config, seed=args.seed)
     data_path = out / "dataset.csv"
     write_dataset_csv(data_path, dataset)
     manifest.add_output(data_path)
-    manifest.write(out)
+    manifest.write(out, config)
 
     print(f"simulate: wrote n={dataset.n} p={dataset.p} rows to {data_path}")
     return 0
@@ -278,6 +281,7 @@ def cmd_validate_constants(args) -> int:
     from .population import cosine_model_constants
     from .simulation import mc_constants
 
+    manifest = _Manifest("validate-constants", seed=args.seed)
     est = mc_constants(args.n, args.seed, args.sigma)
     mu_y, cov_zy, lam1 = cosine_model_constants()
     wrong_lam1 = -cov_zy  # the factor-two-off eigenvalue the validator must reject
@@ -289,7 +293,6 @@ def cmd_validate_constants(args) -> int:
     ]
     out = _outdir(args)
     config = {"n": args.n, "sigma": args.sigma}
-    manifest = _Manifest("validate-constants", config, seed=args.seed)
 
     all_pass = True
     results = []
@@ -331,7 +334,7 @@ def cmd_validate_constants(args) -> int:
         )
         fh.write("\n")
     manifest.add_output(report_path)
-    manifest.write(out)
+    manifest.write(out, config)
     return 0 if all_pass else 1
 
 

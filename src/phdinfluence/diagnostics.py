@@ -13,19 +13,30 @@ subspace, all scaled so they estimate the same population rate:
 * HRIS: like ERIS but with the influence matrix of the Hessian replaced by
   the exact deletion effect (n-1)(H - H_(j)).
 
-SRIS, HRIS and the order_swap flags all read one blocked deletion table.  It
-walks the sample in blocks of ``loo_block_rows(p)`` observations (a fixed
-byte budget per (rows, p, p) stack, see ``moments``); per block, one
-closed-form downdate (``loo_downdates``) gives the leave-one-out moments and
-their ``degenerate`` mask of rows at the leverage singularity, and the stack
-of leave-one-out Hessians H_(j) is built once per variant.  HRIS reads that
-stack directly; SRIS and order_swap read its eigenvectors, one ``eigh`` per
-H_(j), of which SRIS keeps the K leading ones.
+Every measure accepts the same fits.  One gate, ``_require_measurable``,
+raises InvalidRank unless 1 <= k < p (at k = p every measure is rounding
+noise) and DegenerateEigenvalue when a fitted eigenvalue is numerically
+zero.  ``sris``, ``hris`` and ``eris`` (through ``estimated_model``) call
+it; ``influence_report`` checks the rank before any work and meets the rest
+of the gate through ``eris``.
+
+SRIS, HRIS and the order_swap flags all read one leave-one-out walk,
+``_loo_hessians``: per block of ``loo_block_rows(p)`` observations (a fixed
+byte budget per (rows, p, p) stack, see ``moments``) it yields the
+``LooMoments`` of one closed-form downdate, the block's regular rows and,
+per variant, the stack of their leave-one-out Hessians H_(j).  Each caller
+applies the row kernels itself: ``hris`` reads the stack and makes no
+eigendecomposition; ``sris`` and the report make one ``eigh`` per H_(j) and
+keep its K leading eigenvectors.  At a row on the leverage singularity
+``sris`` and ``hris`` raise DegenerateLeverage, while the report leaves
+SRIS and HRIS NaN and flags the row ``degenerate_leverage``.
 
 :func:`influence_report` returns all of it as one :class:`InfluenceReport`
 of read-only arrays in report order, with the Spearman correlations of SRIS
 against ERIS, HRIS and the Mahalanobis distance as a plain dict; the three
-writers serialize that report and nothing else.
+writers serialize that report and nothing else.  Every correlation is taken
+over the same rows, the records without a ``degenerate_leverage`` flag, and
+each vector is ranked once.
 
 The plug-in model behind ERIS uses the rank-K reconstruction of the Hessian
 and projects the fitted OLS slope onto the estimated span, which is the
@@ -65,21 +76,30 @@ from .population import PopulationModel, ris_rows
 ORDER_SWAP_TOL = 0.2
 
 #: a fitted eigenvalue at or below this share of sd(y) ||S^-1||_F is
-#: numerically zero (see _require_nonzero_eigenvalues).
+#: numerically zero (see _require_measurable).
 ZERO_EIGENVALUE_RTOL = 1e-12
 
 TARGETS = ("eris", "hris", "md")
 
 
-def _require_nonzero_eigenvalues(fit: PhdFit, m: MomentSet) -> None:
-    """Raise DegenerateEigenvalue when a fitted eigenvalue is numerically zero.
+def _require_rank(k: int, p: int) -> None:
+    """Raise InvalidRank unless 1 <= k < p: at k = p the span is the whole
+    space and every measure is rounding noise."""
+    if not 1 <= k < p:
+        raise InvalidRank(f"influence needs rank 1 <= k < p={p}, got {k}")
 
-    The Hessian carries the units of y over those of x squared, so the test
-    is made against sd(y) ||S^-1||_F, with var(y) = s_xy' S^-1 s_xy +
+
+def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
+    """The gate on the fits every influence measure accepts: rank 1 <= k < p
+    and no fitted eigenvalue numerically zero (DegenerateEigenvalue).
+
+    The Hessian carries the units of y over those of x squared, so the zero
+    test is made against sd(y) ||S^-1||_F, with var(y) = s_xy' S^-1 s_xy +
     r'r/(n-1) read from the moments: rescaling y or x leaves the decision
     unchanged.  It does not use the fit's own |lambda_1|, which is zero
     when the whole Hessian is.
     """
+    _require_rank(fit.k, m.p)
     var_y = float(m.s_xy @ m.s_inv @ m.s_xy) + float(m.residuals @ m.residuals) / (m.n - 1)
     scale = math.sqrt(var_y) * float(np.linalg.norm(m.s_inv))
     for lam in fit.lambda_hat.tolist():
@@ -92,7 +112,7 @@ def _require_nonzero_eigenvalues(fit: PhdFit, m: MomentSet) -> None:
 
 def estimated_model(fit: PhdFit, m: MomentSet) -> PopulationModel:
     """The fitted population model that the plug-in diagnostics evaluate."""
-    _require_nonzero_eigenvalues(fit, m)
+    _require_measurable(fit, m)
     g = fit.gamma_hat.columns
     beta_hat = m.s_inv @ m.s_xy
     sigma_xy_proj = m.s @ (g @ (g.T @ beta_hat))
@@ -106,62 +126,21 @@ def estimated_model(fit: PhdFit, m: MomentSet) -> PopulationModel:
     )
 
 
-@dataclass
-class _DeletionTable:
-    """Per-observation deletion diagnostics of one or both fitted variants.
-
-    Arrays are n x K and keyed by variant; rows at the leverage singularity
-    (``degenerate``) hold NaN, and so does ``sris`` when the table was built
-    without eigenvectors.
-    """
-
-    degenerate: np.ndarray
-    sris: dict[str, np.ndarray]
-    hris: dict[str, np.ndarray]
-    swapped: dict[str, np.ndarray]
-
-
-def _deletion_table(
-    d: Dataset,
-    m: MomentSet,
-    fits: dict[str, PhdFit],
-    directions: bool = True,
-    strict: bool = False,
-) -> _DeletionTable:
-    """SRIS, HRIS and order_swap flags of every left-out observation.
-
-    Walks the sample in blocks of ``loo_block_rows(p)`` rows.  Per block and
-    variant it builds the stack of leave-one-out Hessians
-    H_(j) = S_(j)^-1 M_(j) S_(j)^-1 once; HRIS is the part of the deletion
-    effect (n-1)(H - H_(j)) that leaves the span, and, when ``directions``,
-    SRIS is the sines of the leading eigenvectors of H_(j) against the
-    full-sample span.  ``strict`` raises DegenerateLeverage at the first row
-    at the leverage singularity instead of leaving it NaN.
-    """
-    n = d.n
-    table = _DeletionTable(
-        degenerate=np.zeros(n, dtype=bool),
-        sris={v: np.full((n, f.k), np.nan) for v, f in fits.items()},
-        hris={v: np.full((n, f.k), np.nan) for v, f in fits.items()},
-        swapped={v: np.zeros((n, f.k), dtype=bool) for v, f in fits.items()},
-    )
+def _loo_hessians(d: Dataset, m: MomentSet, variants):
+    """Per block of ``loo_block_rows(p)`` observations, yield its
+    ``LooMoments``, the indices of its regular rows (not ``degenerate``) and,
+    per variant in ``variants``, the stack of their leave-one-out Hessians
+    H_(j) = S_(j)^-1 M_(j) S_(j)^-1."""
     step = loo_block_rows(d.p)
-    for start in range(0, n, step):
-        lm = loo_downdates(d, m, np.arange(start, min(start + step, n)))
-        if strict:
-            require_regular(lm)
+    for start in range(0, d.n, step):
+        lm = loo_downdates(d, m, np.arange(start, min(start + step, d.n)))
         degenerate = lm.degenerate
-        table.degenerate[lm.j] = degenerate
         keep = ~degenerate if degenerate.any() else slice(None)  # a slice copies nothing
-        rows = lm.j[keep]
         s_inv = lm.s_inv_j[keep]
-        for v, fit in fits.items():
-            mat = lm.sigma_yxx_j if v == "y" else lm.sigma_rxx_j
-            h = mirror(s_inv @ mat[keep] @ s_inv)
-            table.hris[v][rows] = _hris_rows(fit, h, n)
-            if directions:
-                table.sris[v][rows], table.swapped[v][rows] = _sris_rows(fit, h, n)
-    return table
+        yield lm, lm.j[keep], {
+            v: mirror(s_inv @ (lm.sigma_yxx_j if v == "y" else lm.sigma_rxx_j)[keep] @ s_inv)
+            for v in variants
+        }
 
 
 def _hris_rows(fit: PhdFit, h: np.ndarray, n: int) -> np.ndarray:
@@ -201,7 +180,12 @@ def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
     measures (n-1) |sin| of each direction against the full-sample span.
     """
     m = compute_moments(d)
-    return _deletion_table(d, m, {fit.variant: fit}, strict=True).sris[fit.variant]
+    _require_measurable(fit, m)
+    out = np.empty((d.n, fit.k))
+    for lm, rows, h in _loo_hessians(d, m, (fit.variant,)):
+        require_regular(lm)
+        out[rows] = _sris_rows(fit, h[fit.variant], d.n)[0]
+    return out
 
 
 def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
@@ -217,9 +201,12 @@ def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     Equals the value obtained by recomputing the Hessian on the n-1 subset.
     Reads only the Hessian stack: no eigendecomposition.
     """
-    _require_nonzero_eigenvalues(fit, m)
-    table = _deletion_table(d, m, {fit.variant: fit}, directions=False, strict=True)
-    return table.hris[fit.variant]
+    _require_measurable(fit, m)
+    out = np.empty((d.n, fit.k))
+    for lm, rows, h in _loo_hessians(d, m, (fit.variant,)):
+        require_regular(lm)
+        out[rows] = _hris_rows(fit, h[fit.variant], d.n)
+    return out
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
@@ -238,24 +225,24 @@ def _centred_ranks(a: np.ndarray) -> np.ndarray:
     return _average_ranks(a) - (a.size + 1) / 2.0
 
 
-def _rank_correlation(a: np.ndarray, b: np.ndarray, ranks=_centred_ranks) -> float:
-    """Spearman rank correlation of two float vectors; NaN if either holds a
-    NaN.  ``ranks`` returns a vector's centred ranks (a cache may stand in for
-    :func:`_centred_ranks`)."""
-    if a.ndim != 1 or a.shape != b.shape or a.size < 2:
-        raise ValueError("spearman needs two equal-length vectors of size >= 2")
-    if np.isnan(a).any() or np.isnan(b).any():
-        return float("nan")
-    if float(a.max() - a.min()) == 0.0 or float(b.max() - b.min()) == 0.0:
+def _rank_correlation(ra: np.ndarray, rb: np.ndarray) -> float:
+    """Spearman rank correlation from two vectors' centred ranks.  A constant
+    vector's centred ranks are all zero, and its correlation is undefined."""
+    norms = (ra @ ra) * (rb @ rb)
+    if norms == 0.0:
         raise UndefinedCorrelation("rank correlation is undefined for a constant vector")
-    ra, rb = ranks(a), ranks(b)
-    return float((ra @ rb) / np.sqrt((ra @ ra) * (rb @ rb)))
+    return float((ra @ rb) / np.sqrt(norms))
 
 
 def spearman(a, b) -> float:
     """Spearman rank correlation with average ranks for ties; NaN if either
     vector holds a NaN."""
-    return _rank_correlation(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape or a.size < 2:
+        raise ValueError("spearman needs two equal-length vectors of size >= 2")
+    if np.isnan(a).any() or np.isnan(b).any():
+        return float("nan")
+    return _rank_correlation(_centred_ranks(a), _centred_ranks(b))
 
 
 _MEASURES = ("sris", "eris", "hris")
@@ -307,28 +294,35 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     Observations at the leverage singularity get NaN SRIS and HRIS and a
     ``degenerate_leverage`` flag instead of aborting the report.  Records come back
     sorted by ascending y-based average SRIS (flagged records last).  Raises
-    InvalidRank unless 1 <= k < p: at k = p the span is the whole space and
-    every measure is rounding noise.
+    InvalidRank unless 1 <= k < p before any work.
     """
-    if not 1 <= k < d.p:
-        raise InvalidRank(f"influence needs rank 1 <= k < p={d.p}, got {k}")
+    _require_rank(k, d.p)
     m = compute_moments(d)
     fits = {v: fit_from_moments(m, v, k) for v in VARIANTS}
     md = mahalanobis(d, m)
 
     eris_vals = {v: eris(d, fits[v], m) for v in VARIANTS}
-    table = _deletion_table(d, m, fits)
+    n = d.n
+    sris_vals = {v: np.full((n, k), np.nan) for v in VARIANTS}
+    hris_vals = {v: np.full((n, k), np.nan) for v in VARIANTS}
+    swapped = {v: np.zeros((n, k), dtype=bool) for v in VARIANTS}
+    degenerate = np.zeros(n, dtype=bool)
+    for lm, rows, h in _loo_hessians(d, m, VARIANTS):
+        degenerate[lm.j] = lm.degenerate
+        for v, fit in fits.items():
+            hris_vals[v][rows] = _hris_rows(fit, h[v], n)
+            sris_vals[v][rows], swapped[v][rows] = _sris_rows(fit, h[v], n)
 
-    flags: list[list[str]] = [[] for _ in range(d.n)]
-    for j in np.flatnonzero(table.degenerate):
+    flags: list[list[str]] = [[] for _ in range(n)]
+    for j in np.flatnonzero(degenerate):
         flags[j].append("degenerate_leverage")
     for v in VARIANTS:
-        for j, i in zip(*np.nonzero(table.swapped[v])):
+        for j, i in zip(*np.nonzero(swapped[v])):
             flags[j].append(f"order_swap:{v}:{i + 1}")
 
-    avg = table.sris["y"].mean(axis=1)
+    avg = sris_vals["y"].mean(axis=1)
     order = np.lexsort((avg, np.isnan(avg)))
-    measures = {"sris": table.sris, "eris": eris_vals, "hris": table.hris}
+    measures = {"sris": sris_vals, "eris": eris_vals, "hris": hris_vals}
     values = _read_only(
         np.concatenate([measures[t][v][order] for t in _MEASURES for v in VARIANTS], axis=1)
     )
@@ -340,7 +334,7 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
         flags=[tuple(flags[j]) for j in order],
         correlations=_correlation_table(values, md, k),
         fits=fits,
-        n=d.n,
+        n=n,
         p=d.p,
         k=k,
     )
@@ -350,35 +344,25 @@ def _correlation_table(
     values: np.ndarray, md: np.ndarray, k: int
 ) -> dict[str, dict[str, list[float]]]:
     """Spearman correlations of SRIS against each target, per variant, per
-    direction and of the direction averages, each pair on the rows where both
-    vectors are finite.  ``values`` and ``md`` are the report's arrays.
+    direction and of the direction averages.  ``values`` and ``md`` are the
+    report's arrays.
 
-    A vector is ranked once per distinct finite mask: the ranks are cached
-    by the bytes of the masked vector, for this call only.
+    Every correlation uses the same rows: those whose values and md are all
+    finite.  These are the rows without a ``degenerate_leverage`` flag, since
+    SRIS and HRIS are NaN exactly there and ERIS and md are finite on every
+    row.  Each vector is ranked once; the direction average of md is md.
     """
-    cache: dict[bytes, np.ndarray] = {}
-
-    def ranks(a: np.ndarray) -> np.ndarray:
-        key = a.tobytes()
-        if key not in cache:
-            cache[key] = _centred_ranks(a)
-        return cache[key]
-
-    def masked(a: np.ndarray, b: np.ndarray) -> float:
-        keep = np.isfinite(a) & np.isfinite(b)
-        return _rank_correlation(a[keep], b[keep], ranks)
-
+    keep = np.isfinite(values).all(axis=1) & np.isfinite(md)
+    values = values[keep]
+    md_ranks = _centred_ranks(md[keep])
     table = {}
     for v in VARIANTS:
-        sris_mat = _column(values, k, "sris", v)
-        target_mats = {
-            "eris": _column(values, k, "eris", v),
-            "hris": _column(values, k, "hris", v),
-            "md": np.repeat(md[:, None], k, axis=1),
-        }
+        ranks = {"md": [md_ranks] * (k + 1)}
+        for t in _MEASURES:
+            mat = _column(values, k, t, v)
+            ranks[t] = [_centred_ranks(a) for a in (*mat.T, mat.mean(axis=1))]
         table[v] = {
-            t: [masked(sris_mat[:, i], target_mats[t][:, i]) for i in range(k)]
-            + [masked(sris_mat.mean(axis=1), target_mats[t].mean(axis=1))]
+            t: [_rank_correlation(a, b) for a, b in zip(ranks["sris"], ranks[t])]
             for t in TARGETS
         }
     return table

@@ -206,9 +206,10 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
 
 def write_dataset_csv(path, d: Dataset) -> None:
     """Full-precision CSV, response column ``y`` first, that round-trips
-    bit-exactly through ingest_csv."""
+    bit-exactly through ingest_csv.  The header is written through ``csv``,
+    which quotes only a name that holds a comma, a quote or a line break."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["y", *d.names]) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(["y", *d.names])
         for i in range(d.n):
             cells = [f"{d.y[i]:.17g}"] + [f"{v:.17g}" for v in d.x[i]]
             fh.write(",".join(cells) + "\n")

@@ -66,6 +66,8 @@ class SimSpec:
             beta = np.zeros(self.p)
             beta[0] = 1.0
         beta = np.asarray(beta, dtype=float)
+        if not np.isfinite(beta).all():
+            raise InvalidArgument(f"beta must be finite, got {beta.tolist()!r}")
         if self.model == "custom_index":
             if beta.ndim != 2 or beta.shape[0] != self.p or beta.shape[1] < 1:
                 raise InvalidArgument(f"beta must be p x K for custom_index, got {beta.shape}")

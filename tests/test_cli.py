@@ -1,13 +1,15 @@
+import csv
 import json
 import os
 import sys
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from phdinfluence import Dataset
 from phdinfluence.cli import _THREAD_ENV_VARS, main
-from phdinfluence.ingest import write_dataset_csv
+from phdinfluence.ingest import IngestConfig, ingest_csv, write_dataset_csv
 from phdinfluence.simulation import SimSpec, simulate
 from conftest import run_python
 
@@ -170,6 +172,15 @@ def test_usage_error_exit_code():
                       "1", "--link", "product"], id="link-for-cosine"),
         pytest.param(["simulate", "--model", "quadratic_first", "--n", "30", "--p", "3",
                       "--seed", "1", "--beta", "0,1,0"], id="beta-for-quadratic-first"),
+        # a NaN beta also passes the unit-norm test, since abs(nan - 1) > tol is False
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "nan,0,0"],
+                     id="nan-beta-cosine"),
+        pytest.param(["simulate", "--model", "linear_index", "--n", "50", "--p", "3", "--seed",
+                      "1", "--beta", "nan,0,0"], id="nan-beta-linear"),
+        pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",
+                      "1", "--beta", "1,nan,0", "--link", "linear"], id="nan-beta-custom"),
+        pytest.param(["simulate", "--model", "linear_index", "--n", "50", "--p", "3", "--seed",
+                      "1", "--beta", "inf,0,0"], id="infinite-beta"),
         pytest.param(["surface", "--threads", "0"], id="zero-threads"),
         # the input does not exist: the thread check comes before any read
         pytest.param(["fit", "--input", "missing.csv", "--response", "y", "--variant", "y",
@@ -279,3 +290,50 @@ def test_influence_runs_on_predictors_in_units_far_apart(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "inf" / "report.json").read_text())
     assert sorted(rec["j"] for rec in report["records"]) == list(range(40))
+
+
+def test_manifest_start_precedes_reading_the_input(tmp_path, monkeypatch):
+    # started_at is stamped when the command starts, not after its work
+    import phdinfluence.ingest
+
+    run(["simulate", "--n", 60, "--p", 3, "--seed", 2, "--output-dir", tmp_path])
+    read_at = []
+    ingest_csv = phdinfluence.ingest.ingest_csv
+
+    def timed(*args, **kwargs):
+        read_at.append(datetime.now(timezone.utc))
+        return ingest_csv(*args, **kwargs)
+
+    monkeypatch.setattr(phdinfluence.ingest, "ingest_csv", timed)
+    for command, extra in (("fit", ["--variant", "y"]), ("influence", [])):
+        code = run([command, "--input", tmp_path / "dataset.csv", "--response", "y",
+                    "--k", 1, *extra, "--output-dir", tmp_path / command])
+        assert code == 0
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        started = datetime.fromisoformat(manifest["started_at"])
+        assert started <= read_at[-1] <= datetime.fromisoformat(manifest["finished_at"])
+
+
+def test_names_that_need_quoting_round_trip_through_dataset_and_basis(tmp_path):
+    # a comma or a quote in a column name is quoted by csv; plain names keep
+    # their bytes
+    names = ("a,b", 'say "hi"', "plain")
+    d = simulate(SimSpec(model="cosine_index", n=40, p=3, seed=3))
+    d = Dataset(y=d.y, x=d.x, names=names)
+    write_dataset_csv(tmp_path / "named.csv", d)
+    header = (tmp_path / "named.csv").read_text().splitlines()[0]
+    assert header == 'y,"a,b","say ""hi""",plain'
+    back = ingest_csv(tmp_path / "named.csv", IngestConfig(response_column="y"))
+    assert back.names == names
+    assert np.array_equal(back.y, d.y) and np.array_equal(back.x, d.x)
+
+    code = run(["fit", "--input", tmp_path / "named.csv", "--response", "y", "--variant", "y",
+                "--k", 2, "--output-dir", tmp_path / "fit"])
+    assert code == 0
+    with open(tmp_path / "fit" / "basis.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["predictor", "direction1", "direction2"]
+    assert [row[0] for row in rows[1:]] == list(names)
+    assert all(len(row) == 3 for row in rows)
+    plain = (tmp_path / "fit" / "basis.csv").read_text().splitlines()[3]
+    assert plain == ",".join(rows[3])

@@ -23,13 +23,16 @@ from phdinfluence import (
 )
 from phdinfluence.diagnostics import (
     WRITE_CHUNK,
-    _deletion_table,
+    _hris_rows,
+    _loo_hessians,
+    _sris_rows,
     write_records_csv,
     write_report_json,
 )
 from phdinfluence.errors import (
     DegenerateEigenvalue,
     DegenerateLeverage,
+    InvalidRank,
     UndefinedCorrelation,
 )
 from phdinfluence.linalg import project_out
@@ -105,6 +108,8 @@ def test_spearman_average_ranks_for_ties():
 def test_spearman_rejects_constant_input():
     with pytest.raises(UndefinedCorrelation):
         spearman(np.ones(5), np.arange(5.0))
+    with pytest.raises(UndefinedCorrelation):  # inf - inf is no test of constancy
+        spearman(np.full(5, np.inf), np.arange(5.0))
 
 
 def test_package_imports_and_ranks_without_scipy():
@@ -211,6 +216,32 @@ def test_zero_eigenvalue_decision_ignores_units(y_scale, x_scale):
         eris(d, fit, m)
     with pytest.raises(DegenerateEigenvalue):
         hris(d, fit, m)
+
+
+def test_every_measure_rejects_a_numerically_zero_eigenvalue():
+    # the design of test_eris_rejects_numerically_zero_eigenvalue: SRIS,
+    # HRIS and the report pass the same gate as ERIS
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    d = Dataset(y=np.tile([0.0, 1.0, 2.0], 4), x=np.tile(pts, (4, 1)))
+    m = compute_moments(d)
+    fit = fit_from_moments(m, "r", 1)
+    for measure in (lambda: sris(d, fit), lambda: hris(d, fit, m), lambda: eris(d, fit, m),
+                    lambda: influence_report(d, 1)):
+        with pytest.raises(DegenerateEigenvalue):
+            measure()
+
+
+def test_every_measure_rejects_rank_equal_to_p():
+    # at k = p the span is the whole space and every measure rounding noise
+    d = simulate(SimSpec("cosine_index", n=40, p=3, seed=1))
+    m = compute_moments(d)
+    for variant in ("y", "r"):
+        fit = fit_from_moments(m, variant, 3)
+        for measure in (lambda: sris(d, fit), lambda: hris(d, fit, m), lambda: eris(d, fit, m)):
+            with pytest.raises(InvalidRank):
+                measure()
+    with pytest.raises(InvalidRank):
+        influence_report(d, 3)
 
 
 def test_sris_cross_flags_top_observation():
@@ -690,25 +721,50 @@ def test_records_csv_is_the_per_cell_layout(design, tmp_path):
     assert (",nan," in want) == (design is not _order_swap_design)
 
 
+def walk_table(d, m, fits):
+    """(sris, hris, swapped, degenerate) of every observation, assembled from
+    the leave-one-out walk: n x K arrays keyed by variant, NaN (sris, hris)
+    or False (swapped) at the leverage singularity, and the n-vector of
+    degenerate rows.  Checks that the walk visits every observation once, in
+    order, and stacks the Hessians of exactly its regular rows."""
+    n = d.n
+    sris_ = {v: np.full((n, f.k), np.nan) for v, f in fits.items()}
+    hris_ = {v: np.full((n, f.k), np.nan) for v, f in fits.items()}
+    swapped = {v: np.zeros((n, f.k), dtype=bool) for v, f in fits.items()}
+    degenerate = np.zeros(n, dtype=bool)
+    visited = []
+    for lm, rows, h in _loo_hessians(d, m, fits):
+        visited += lm.j.tolist()
+        assert rows.tolist() == lm.j[~lm.degenerate].tolist()
+        assert set(h) == set(fits)
+        degenerate[lm.j] = lm.degenerate
+        for v, fit in fits.items():
+            assert h[v].shape == (rows.size, d.p, d.p)
+            hris_[v][rows] = _hris_rows(fit, h[v], n)
+            sris_[v][rows], swapped[v][rows] = _sris_rows(fit, h[v], n)
+    assert visited == list(range(n))
+    return sris_, hris_, swapped, degenerate
+
+
 @pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three])
 def test_report_arrays_are_built_from_the_deletion_table(design):
     d, k = design()
     report = influence_report(d, k)
     m = compute_moments(d)
-    table = _deletion_table(d, m, report.fits)
+    sris_, hris_, swapped, degenerate = walk_table(d, m, report.fits)
     measures = {
-        "sris": table.sris,
+        "sris": sris_,
         "eris": {v: eris(d, report.fits[v], m) for v in ("y", "r")},
-        "hris": table.hris,
+        "hris": hris_,
     }
     md = mahalanobis(d, m)
-    avg = table.sris["y"].mean(axis=1)
+    avg = sris_["y"].mean(axis=1)
     order = sorted(range(d.n), key=lambda j: (np.isnan(avg[j]), np.nan_to_num(avg[j]), j))
     assert report.j.tolist() == order
     for r, j in enumerate(order):
-        want_flags = ["degenerate_leverage"] if table.degenerate[j] else []
+        want_flags = ["degenerate_leverage"] if degenerate[j] else []
         for v in ("y", "r"):
-            want_flags += [f"order_swap:{v}:{i + 1}" for i in np.flatnonzero(table.swapped[v][j])]
+            want_flags += [f"order_swap:{v}:{i + 1}" for i in np.flatnonzero(swapped[v][j])]
         assert report.flags[r] == tuple(want_flags)
         assert report.md[r] == md[j]
         for measure, by_variant in measures.items():
@@ -771,7 +827,8 @@ def test_sris_and_hris_match_a_high_precision_refit_on_mixed_units(variant):
     fit = fit_from_moments(m, variant, 2)
     g = fit.gamma_hat.columns
     h = getattr(hitters_refit(None), f"h_{variant}")
-    table = _deletion_table(d, m, {variant: fit})
+    walk_sris, walk_hris, _, _ = walk_table(d, m, {variant: fit})
+    sris_, hris_ = sris(d, fit), hris(d, fit, m)
     for j in (33, 231):
         h_j = getattr(hitters_refit(j), f"h_{variant}")
         leading = mp_eigh(h_j)[1][:, : fit.k]
@@ -780,6 +837,6 @@ def test_sris_and_hris_match_a_high_precision_refit_on_mixed_units(variant):
         want_hris = np.linalg.norm(project_out(fit.gamma_hat, sif @ g), axis=0) / np.abs(
             fit.lambda_hat
         )
-        for got, want in ((table.sris[variant][j], want_sris),
-                          (table.hris[variant][j], want_hris)):
+        for got, want in ((walk_sris[variant][j], want_sris), (sris_[j], want_sris),
+                          (walk_hris[variant][j], want_hris), (hris_[j], want_hris)):
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max(), j
