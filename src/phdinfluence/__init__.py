@@ -55,7 +55,6 @@ _EXPORTS = {
     "write_surface_csv": "population",
     "InfluenceReport": "diagnostics",
     "eris": "diagnostics",
-    "estimated_model": "diagnostics",
     "hris": "diagnostics",
     "influence_report": "diagnostics",
     "spearman": "diagnostics",

@@ -8,17 +8,21 @@ subspace, all scaled so they estimate the same population rate:
   the eigenvectors of the leave-one-out Hessian H_(j) = S_(j)^-1 M_(j) S_(j)^-1.
 * ERIS: the closed-form population influence rate with every parameter
   replaced by its full-sample estimate and (y_j, x_j) as the contamination
-  point.  One call of the vectorised closed form ``ris_rows`` for all n
-  observations, no refits.
+  point: one call, for all n observations, of the kernel behind ``ris_rows``
+  on the fit itself (Gamma-hat, lambda-hat and the moments' S^-1, so S is
+  inverted once per report), with weights y_j - ybar (y variant, which also
+  reads the slope coordinates Gamma-hat' S^-1 s_xy) or the fitted OLS
+  residuals (r variant).  No refits.
 * HRIS: like ERIS but with the influence matrix of the Hessian replaced by
   the exact deletion effect (n-1)(H - H_(j)).
 
 Every measure accepts the same fits.  One gate, ``_require_measurable``,
 raises InvalidRank unless 1 <= k < p (at k = p every measure is rounding
-noise) and DegenerateEigenvalue when a fitted eigenvalue is numerically
-zero.  ``sris``, ``hris`` and ``eris`` (through ``estimated_model``) call
-it; ``influence_report`` checks the rank before any work and meets the rest
-of the gate through ``eris``.
+noise), DegenerateEigenvalue when a fitted eigenvalue is numerically zero
+and DegenerateSpectrum when two are tied (the tie rule ``PopulationModel``
+applies to its own eigenvalues).  ``sris``, ``hris`` and ``eris`` call it;
+``influence_report`` checks the rank before any work and meets the rest of
+the gate through ``eris``.
 
 SRIS, HRIS and the order_swap flags all read one leave-one-out walk,
 ``_loo_hessians``: per block of ``loo_block_rows(p)`` observations (a fixed
@@ -37,15 +41,6 @@ against ERIS, HRIS and the Mahalanobis distance as a plain dict; the three
 writers serialize that report and nothing else.  Every correlation is taken
 over the same rows, the records without a ``degenerate_leverage`` flag, and
 each vector is ranked once.
-
-The plug-in model behind ERIS uses the rank-K reconstruction of the Hessian
-and projects the fitted OLS slope onto the estimated span, which is the
-plug-in that satisfies the population model's own constraints.  The reported
-value is unchanged by that projection (it only enters through inner products
-with basis vectors), and it makes the alpha-display route and the
-influence-matrix route (a test oracle) agree to rounding, which the
-acceptance suite checks.
-ERIS for the r variant plugs in the observation's fitted OLS residual.
 """
 
 from __future__ import annotations
@@ -69,7 +64,7 @@ from .moments import (
     require_regular,
 )
 from .phd import VARIANTS, PhdFit, fit_from_moments
-from .population import PopulationModel, ris_rows
+from .population import _require_untied, _ris_kernel
 
 #: a leave-one-out direction whose overlap with its full-sample partner is
 #: beaten by another refit direction by more than this is flagged order_swap.
@@ -90,8 +85,9 @@ def _require_rank(k: int, p: int) -> None:
 
 
 def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
-    """The gate on the fits every influence measure accepts: rank 1 <= k < p
-    and no fitted eigenvalue numerically zero (DegenerateEigenvalue).
+    """The gate on the fits every influence measure accepts: rank 1 <= k < p,
+    no fitted eigenvalue numerically zero (DegenerateEigenvalue), none tied
+    (DegenerateSpectrum, the tie rule of ``PopulationModel``).
 
     The Hessian carries the units of y over those of x squared, so the zero
     test is made against sd(y) ||S^-1||_F, with var(y) = s_xy' S^-1 s_xy +
@@ -108,22 +104,7 @@ def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
                 f"fitted eigenvalue {lam!r} is numerically zero against "
                 f"sd(y) ||S^-1||_F = {scale:.6e}; the plug-in influence is undefined"
             )
-
-
-def estimated_model(fit: PhdFit, m: MomentSet) -> PopulationModel:
-    """The fitted population model that the plug-in diagnostics evaluate."""
-    _require_measurable(fit, m)
-    g = fit.gamma_hat.columns
-    beta_hat = m.s_inv @ m.s_xy
-    sigma_xy_proj = m.s @ (g @ (g.T @ beta_hat))
-    return PopulationModel(
-        mu=m.xbar,
-        sigma=m.s,
-        gamma=fit.gamma_hat,
-        lam=fit.lambda_hat,
-        mu_y=m.ybar,
-        sigma_xy=sigma_xy_proj,
-    )
+    _require_untied(fit.lambda_hat)
 
 
 def _loo_hessians(d: Dataset, m: MomentSet, variants):
@@ -190,9 +171,12 @@ def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
 
 def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Plug-in closed-form influence of every observation, an n x K matrix."""
-    model = estimated_model(fit, m)
-    w0 = d.y if fit.variant == "y" else m.residuals
-    return ris_rows(model, fit.variant, d.x, w0)
+    _require_measurable(fit, m)
+    gamma, lam, dx = fit.gamma_hat, fit.lambda_hat, d.x - m.xbar
+    if fit.variant == "r":
+        return _ris_kernel(gamma, lam, m.s_inv, dx, m.residuals, 0.0)
+    slope = gamma.columns.T @ (m.s_inv @ m.s_xy)
+    return _ris_kernel(gamma, lam, m.s_inv, dx, d.y - m.ybar, slope)
 
 
 def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:

@@ -89,7 +89,7 @@ def _resolve_response(header: list[str], ref: str | int) -> int:
         return ref
     if ref in header:
         return header.index(ref)
-    if ref.isdigit() and int(ref) < len(header):
+    if ref.isdecimal() and int(ref) < len(header):
         return int(ref)
     raise MissingColumn(f"response column {ref!r} not found in header {header}")
 
@@ -207,7 +207,11 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
 def write_dataset_csv(path, d: Dataset) -> None:
     """Full-precision CSV, response column ``y`` first, that round-trips
     bit-exactly through ingest_csv.  The header is written through ``csv``,
-    which quotes only a name that holds a comma, a quote or a line break."""
+    which quotes only a name that holds a comma, a quote or a line break.
+    Names with edge whitespace, which ingest_csv strips, raise InvalidArgument."""
+    edged = [name for name in d.names if name != name.strip()]
+    if edged:
+        raise InvalidArgument(f"column names {edged} have leading or trailing whitespace")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["y", *d.names])
         for i in range(d.n):

@@ -19,10 +19,11 @@ The code evaluates Sigma^{-1/2} alpha_k through Sigma^{-1} only: with
 d = x0 - mu, Sigma^{-1/2} z0 = Sigma^{-1} d, g_k' Sigma^{-1/2} z0 =
 g_k' Sigma^{-1} d and g_k' Sigma^{1/2} z0 = g_k' d.
 
-The alpha displays are evaluated in one place, :func:`ris_rows`, for a whole
-array of contamination points at once: ``ris_y``/``ris_r`` are its one-row
-views, the sample plug-in ERIS calls it once for all n observations, and the
-influence surface once for all grid cells.
+The alpha displays are evaluated in one place, the kernel behind
+:func:`ris_rows`, for a whole array of contamination points at once:
+``ris_y``/``ris_r`` are one-row views of ``ris_rows``, the influence surface
+calls it once for all grid cells, and the sample plug-in ERIS calls the
+kernel itself on the fit, once for all n observations.
 
 A second route to the same number, through the influence matrix of the
 Hessian estimator, is kept outside the package as a test oracle (the test
@@ -82,6 +83,19 @@ MATCH_TOL = 1e-8
 DEFAULT_ORACLE_EPS = 1e-6
 
 
+def _require_untied(lam: np.ndarray) -> None:
+    """Raise DegenerateSpectrum when two of the eigenvalues ``lam``, ordered by
+    descending magnitude, are tied: closer than SPECTRUM_RTOL |lam[0]|."""
+    lam = lam.tolist()
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            if abs(lam[i] - lam[j]) < SPECTRUM_RTOL * abs(lam[0]):
+                raise DegenerateSpectrum(
+                    f"eigenvalues {i + 1} and {j + 1} coincide ({lam[i]!r} vs "
+                    f"{lam[j]!r}); the eigenvector influence is undefined for tied spectra"
+                )
+
+
 @dataclass(frozen=True)
 class PopulationModel:
     """Exact model parameters at which the closed forms are evaluated.
@@ -119,14 +133,7 @@ class PopulationModel:
             raise ValueError("all reduction eigenvalues must be nonzero")
         if np.any(np.diff(np.abs(lam)) > 0):
             raise ValueError("eigenvalues must be ordered by descending magnitude")
-        for i in range(k):
-            for j in range(i + 1, k):
-                if abs(lam[i] - lam[j]) < SPECTRUM_RTOL * abs(lam[0]):
-                    raise DegenerateSpectrum(
-                        f"eigenvalues {i + 1} and {j + 1} coincide "
-                        f"({lam[i]!r} vs {lam[j]!r}); the eigenvector influence "
-                        "is undefined for tied spectra"
-                    )
+        _require_untied(lam)
         sigma_inv = spd_inverse(sigma)
         beta = sigma_inv @ sigma_xy
         leak = float(np.abs(project_out(self.gamma, beta)).max())
@@ -202,18 +209,24 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
         )
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(w))):
         raise ValueError("contamination points must be finite")
-    if variant == "y":
-        w = w - model.mu_y
-    g = model.gamma.columns
     d = x0 - model.mu
-    u = d @ model.sigma_inv
-    scal = w[:, None] * (u @ g) - model.lam * (d @ g)
-    if variant == "y":
-        scal = scal - g.T @ model.beta
+    if variant == "r":
+        return _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w, 0.0)
+    slope = model.gamma.columns.T @ model.beta
+    return _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w - model.mu_y, slope)
+
+
+def _ris_kernel(gamma: Basis, lam, sigma_inv, d, w, slope) -> np.ndarray:
+    """:func:`ris_rows` without input checks, from the offsets d = x0 - mu and
+    the weights w (y0 - mu_y or r0); ``slope`` is Gamma' Sigma^{-1} sigma_xy
+    for the y variant and 0 for the r variant."""
+    g = gamma.columns
+    u = d @ sigma_inv
+    scal = w[:, None] * (u @ g) - lam * (d @ g) - slope
     # Sigma^{-1/2} alpha_k of every point, an m x p x K stack
-    root_alpha = u[:, :, None] * scal[:, None, :] - w[:, None, None] * (model.sigma_inv @ g)
-    resid = project_out(model.gamma, root_alpha)
-    return np.linalg.norm(resid, axis=-2) / np.abs(model.lam)
+    root_alpha = u[:, :, None] * scal[:, None, :] - w[:, None, None] * (sigma_inv @ g)
+    resid = project_out(gamma, root_alpha)
+    return np.linalg.norm(resid, axis=-2) / np.abs(lam)
 
 
 def ris_y(model: PopulationModel, pt: ContaminationPoint, k: int) -> RisValue:

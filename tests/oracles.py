@@ -20,6 +20,8 @@ the package.
   40-digit arithmetic (:func:`mp_refit`), and the 40-digit eigensystem of a
   symmetric matrix (:func:`mp_eigh`): the references for the accuracy of the
   closed-form leave-one-out downdates and of everything built on S^-1.
+* ERIS of chosen rows from the alpha display in 40-digit arithmetic, on the
+  fit's own Gamma and lambda (:func:`mp_eris`).
 * The influence report as one JSON document (:func:`report_to_json_dict`),
   whose ``json.dumps(indent=2)`` is the byte layout that
   ``diagnostics.write_report_json`` streams.
@@ -33,10 +35,10 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from phdinfluence.diagnostics import _correlations_json, _f, _head_json, estimated_model
+from phdinfluence.diagnostics import _correlations_json, _f, _head_json
 from phdinfluence.linalg import project_out
 from phdinfluence.phd import VARIANTS, population_h
-from phdinfluence.population import ContaminationPoint, population_ols_residual
+from phdinfluence.population import ContaminationPoint, PopulationModel, population_ols_residual
 
 
 def if_h_y(model, pt: ContaminationPoint) -> np.ndarray:
@@ -75,8 +77,21 @@ def ris_from_if_matrix(model, f: np.ndarray, k: int) -> float:
 
 def eris_matrix_route(d, fit, m) -> np.ndarray:
     """ERIS, an n x K matrix, through the influence matrix of the Hessian
-    estimator at the plug-in model, one observation at a time."""
-    model = estimated_model(fit, m)
+    estimator at the plug-in model, one observation at a time.
+
+    The plug-in model has the fit's Gamma and lambda and the sample mean and
+    covariance; its sigma_xy is S times the fitted OLS slope projected onto
+    span(Gamma), which satisfies the model's span check and leaves ERIS
+    unchanged (the slope enters only through Gamma' S^-1 sigma_xy)."""
+    g = fit.gamma_hat.columns
+    model = PopulationModel(
+        mu=m.xbar,
+        sigma=m.s,
+        gamma=fit.gamma_hat,
+        lam=fit.lambda_hat,
+        mu_y=m.ybar,
+        sigma_xy=m.s @ (g @ (g.T @ (m.s_inv @ m.s_xy))),
+    )
     out = np.empty((d.n, fit.k))
     for j in range(d.n):
         pt = ContaminationPoint(y0=float(d.y[j]), x0=d.x[j])
@@ -152,6 +167,32 @@ def mp_eigh(a: np.ndarray, dps: int = 40) -> tuple[np.ndarray, np.ndarray]:
         v = np.array(v.tolist(), dtype=float)
     order = np.argsort(-np.abs(w), kind="stable")
     return w[order], v[:, order]
+
+
+def mp_eris(d, fit, m, rows, dps=40) -> np.ndarray:
+    """ERIS of the given rows from the alpha display, evaluated in dps-digit
+    arithmetic with the exact inverse of the float S, on the fit's own
+    Gamma and lambda (the float moments taken as exact)."""
+    with mpmath.workdps(dps):
+        mp = np.vectorize(mpmath.mpf, otypes=[object])
+        s_inv = np.array(mpmath.inverse(mpmath.matrix(m.s.tolist())).tolist())
+        g, lam = mp(fit.gamma_hat.columns), mp(fit.lambda_hat)
+        beta_hat = s_inv @ mp(m.s_xy)
+        out = np.empty((len(rows), fit.k))
+        for i, j in enumerate(rows):
+            dj = mp(d.x[j]) - mp(m.xbar)
+            w = mpmath.mpf(d.y[j]) - mpmath.mpf(m.ybar)
+            if fit.variant == "r":
+                w -= dj @ beta_hat
+            u = s_inv @ dj
+            scal = w * (u @ g) - lam * (dj @ g)
+            if fit.variant == "y":
+                scal -= g.T @ beta_hat  # the fitted OLS slope's coordinates in Gamma
+            for k in range(fit.k):
+                ra = scal[k] * u - w * (s_inv @ g[:, k])
+                resid = ra - g @ (g.T @ ra)
+                out[i, k] = float(mpmath.sqrt(resid @ resid) / abs(lam[k]))
+    return out
 
 
 def report_to_json_dict(report) -> dict:

@@ -7,11 +7,12 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from phdinfluence import Dataset
+from phdinfluence import Dataset, compute_moments, fit_from_moments
 from phdinfluence.cli import _THREAD_ENV_VARS, main
 from phdinfluence.ingest import IngestConfig, ingest_csv, write_dataset_csv
 from phdinfluence.simulation import SimSpec, simulate
 from conftest import run_python
+from oracles import mp_eris
 
 
 def run(args):
@@ -211,6 +212,17 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert "error" in record and "message" in record
 
 
+def test_response_given_as_a_superscript_digit_is_a_missing_column(tmp_path, capsys):
+    # "\u00b2".isdigit() is true, but int("\u00b2") raises
+    run(["simulate", "--n", 30, "--p", 3, "--seed", 1, "--output-dir", tmp_path])
+    code = run(["fit", "--input", tmp_path / "dataset.csv", "--response", "\u00b2",
+                "--variant", "y", "--k", 1, "--output-dir", tmp_path / "out"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "MissingColumn"
+
+
 def test_duplicate_header_exits_with_one_json_error_line(tmp_path, capsys):
     path = tmp_path / "dupes.csv"
     path.write_text("y,a,a,b\n" + "".join(f"{i},{i % 3},{i * i % 5},{i % 4}\n" for i in range(12)))
@@ -290,6 +302,30 @@ def test_influence_runs_on_predictors_in_units_far_apart(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "inf" / "report.json").read_text())
     assert sorted(rec["j"] for rec in report["records"]) == list(range(40))
+
+
+def test_influence_runs_on_moderately_collinear_predictors(tmp_path):
+    # x4 is x3 plus 3e-3 noise, so cond(C) is about 4.2e5.  ERIS is evaluated
+    # on the fit itself; no population model is built from the sample, so
+    # no span check rejects the fitted OLS slope's 1.7e-8 rounding leak.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((200, 4))
+    x[:, 3] = x[:, 2] + 3e-3 * rng.standard_normal(200)
+    y = np.cos(x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(200)
+    d = Dataset(y=y, x=x)
+    write_dataset_csv(tmp_path / "collinear.csv", d)
+    code = run(["influence", "--input", tmp_path / "collinear.csv", "--response", "y",
+                "--k", 2, "--output-dir", tmp_path / "inf"])
+    assert code == 0
+    records = json.loads((tmp_path / "inf" / "report.json").read_text())["records"]
+    by_j = {rec["j"]: rec["eris"] for rec in records}
+    assert sorted(by_j) == list(range(200))
+    m = compute_moments(d)
+    rows = [0, 57, 101, 158, 199]
+    for variant in ("y", "r"):
+        want = mp_eris(d, fit_from_moments(m, variant, 2), m, rows)
+        got = np.array([by_j[j][variant] for j in rows])
+        assert (np.abs(got - want).max(axis=1) <= 1e-5 * np.abs(want).max(axis=1)).all()
 
 
 def test_manifest_start_precedes_reading_the_input(tmp_path, monkeypatch):

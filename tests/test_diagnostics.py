@@ -2,7 +2,6 @@ import functools
 import json
 from dataclasses import replace
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +31,7 @@ from phdinfluence.diagnostics import (
 from phdinfluence.errors import (
     DegenerateEigenvalue,
     DegenerateLeverage,
+    DegenerateSpectrum,
     InvalidRank,
     UndefinedCorrelation,
 )
@@ -39,7 +39,7 @@ from phdinfluence.linalg import project_out
 from phdinfluence.moments import loo_block_rows
 from phdinfluence.simulation import SimSpec, simulate
 from conftest import hitters_like, hitters_refit, run_python
-from oracles import eris_matrix_route, mp_eigh, report_to_json_dict
+from oracles import eris_matrix_route, mp_eigh, mp_eris, report_to_json_dict
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +242,41 @@ def test_every_measure_rejects_rank_equal_to_p():
                 measure()
     with pytest.raises(InvalidRank):
         influence_report(d, 3)
+
+
+def test_every_measure_rejects_tied_eigenvalues():
+    # eight equally spaced angles make the sample rotation-symmetric in
+    # (x1, x2), and y = x1^2 + x2^2 + 0.3 x3 gives both variants a Hessian
+    # whose two leading eigenvalues are equal
+    angle, radius, x3 = np.meshgrid(2 * np.pi * np.arange(8) / 8 + 0.1,
+                                    np.arange(1, 6) * 0.5, [-1.0, 0.3, 1.2], indexing="ij")
+    x = np.column_stack([(radius * np.cos(angle)).ravel(), (radius * np.sin(angle)).ravel(),
+                         x3.ravel()])
+    d = Dataset(y=x[:, 0] ** 2 + x[:, 1] ** 2 + 0.3 * x[:, 2], x=x)
+    m = compute_moments(d)
+    for variant in ("y", "r"):
+        fit = fit_from_moments(m, variant, 2)
+        for measure in (lambda: sris(d, fit), lambda: hris(d, fit, m), lambda: eris(d, fit, m)):
+            with pytest.raises(DegenerateSpectrum):
+                measure()
+    with pytest.raises(DegenerateSpectrum):
+        influence_report(d, 2)
+
+
+def test_report_inverts_the_covariance_once(monkeypatch):
+    # ERIS reads the MomentSet's S^-1; nothing inverts S a second time
+    import phdinfluence.moments
+    import phdinfluence.population
+
+    calls = []
+    for module in (phdinfluence.moments, phdinfluence.population):
+        def counted(a, _inverse=module.spd_inverse):
+            calls.append(a.shape)
+            return _inverse(a)
+
+        monkeypatch.setattr(module, "spd_inverse", counted)
+    influence_report(simulate(SimSpec("cosine_index", n=60, p=4, seed=2)), 2)
+    assert calls == [(4, 4)]
 
 
 def test_sris_cross_flags_top_observation():
@@ -776,33 +811,6 @@ def test_report_arrays_are_built_from_the_deletion_table(design):
 # ----------------------------------------------------------------------
 # accuracy on mixed-unit predictors, against 40-digit references
 # ----------------------------------------------------------------------
-
-def mp_eris(d, fit, m, rows, dps=40):
-    """ERIS of the given rows from the alpha display, evaluated in dps-digit
-    arithmetic with the exact inverse of the float S, on the fit's own
-    Gamma and lambda (the float moments taken as exact)."""
-    with mpmath.workdps(dps):
-        mp = np.vectorize(mpmath.mpf, otypes=[object])
-        s_inv = np.array(mpmath.inverse(mpmath.matrix(m.s.tolist())).tolist())
-        g, lam = mp(fit.gamma_hat.columns), mp(fit.lambda_hat)
-        beta_hat = s_inv @ mp(m.s_xy)
-        beta = g @ (g.T @ beta_hat)  # the plug-in model's OLS slope
-        out = np.empty((len(rows), fit.k))
-        for i, j in enumerate(rows):
-            dj = mp(d.x[j]) - mp(m.xbar)
-            w = mpmath.mpf(d.y[j]) - mpmath.mpf(m.ybar)
-            if fit.variant == "r":
-                w -= dj @ beta_hat
-            u = s_inv @ dj
-            scal = w * (u @ g) - lam * (dj @ g)
-            if fit.variant == "y":
-                scal -= g.T @ beta
-            for k in range(fit.k):
-                ra = scal[k] * u - w * (s_inv @ g[:, k])
-                resid = ra - g @ (g.T @ ra)
-                out[i, k] = float(mpmath.sqrt(resid @ resid) / abs(lam[k]))
-    return out
-
 
 @pytest.mark.parametrize("variant", ["y", "r"])
 def test_eris_matches_a_high_precision_closed_form_on_mixed_units(variant):

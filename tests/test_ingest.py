@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from phdinfluence import IngestConfig, SimSpec, ingest_csv, simulate, write_dataset_csv
+from phdinfluence import Dataset, IngestConfig, SimSpec, ingest_csv, simulate, write_dataset_csv
 from phdinfluence.errors import (
     DuplicateColumn,
     InvalidArgument,
@@ -137,6 +137,15 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back.y, d.y)
     assert np.array_equal(back.x, d.x)
     assert back.names == d.names
+
+
+def test_writer_rejects_names_that_the_reader_would_strip(tmp_path):
+    # ingest_csv strips header cells, so (' a', 'b ') would read back as ('a', 'b')
+    d = simulate(SimSpec(model="cosine_index", n=20, p=2, seed=1))
+    path = tmp_path / "edged.csv"
+    with pytest.raises(InvalidArgument):
+        write_dataset_csv(path, Dataset(y=d.y, x=d.x, names=(" a", "b ")))
+    assert not path.exists()
 
 
 SMALL = "y,a,b\n1,2,3\n2,3,5\n3,5,4\n4,1,1\n5,8,2\n"
