@@ -27,13 +27,17 @@ the gate through ``eris``.
 SRIS, HRIS and the order_swap flags all read one leave-one-out walk,
 ``_loo_hessians``: per block of ``loo_block_rows(p)`` observations (a fixed
 byte budget per (rows, p, p) stack, see ``moments``) it yields the
-``LooMoments`` of one closed-form downdate, the block's regular rows and,
-per variant, the stack of their leave-one-out Hessians H_(j).  Each caller
-applies the row kernels itself: ``hris`` reads the stack and makes no
-eigendecomposition; ``sris`` and the report make one ``eigh`` per H_(j) and
-keep its K leading eigenvectors.  At a row on the leverage singularity
-``sris`` and ``hris`` raise DegenerateLeverage, while the report leaves
-SRIS and HRIS NaN and flags the row ``degenerate_leverage``.
+``LooMoments`` of one closed-form downdate, the block's regular rows and
+one (rows, V, p, p) stack of their leave-one-out Hessians H_(j), with a
+variant axis: V = 2 for the report, which walks both variants in one pass,
+and V = 1 for ``sris`` and ``hris``.  The row kernels take the V fits
+stacked on the same axis and return (rows, V, K); each caller applies them
+itself.  ``hris`` reads the stack and makes no eigendecomposition; ``sris``
+and the report make one ``eigh`` call per observation, on the (V, p, p)
+stack of its Hessians, and keep the K leading eigenvectors of each.  At a
+row on the leverage singularity ``sris`` and ``hris`` raise
+DegenerateLeverage, while the report leaves SRIS and HRIS NaN and flags the
+row ``degenerate_leverage``.
 
 :func:`influence_report` returns all of it as one :class:`InfluenceReport`
 of read-only arrays in report order, with the Spearman correlations of SRIS
@@ -109,31 +113,45 @@ def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
 
 def _loo_hessians(d: Dataset, m: MomentSet, variants):
     """Per block of ``loo_block_rows(p)`` observations, yield its
-    ``LooMoments``, the indices of its regular rows (not ``degenerate``) and,
-    per variant in ``variants``, the stack of their leave-one-out Hessians
-    H_(j) = S_(j)^-1 M_(j) S_(j)^-1."""
+    ``LooMoments``, the indices of its regular rows (not ``degenerate``) and
+    the (rows, V, p, p) stack of their leave-one-out Hessians
+    H_(j) = S_(j)^-1 M_(j) S_(j)^-1, one per variant in ``variants``, in that
+    order."""
     step = loo_block_rows(d.p)
     for start in range(0, d.n, step):
         lm = loo_downdates(d, m, np.arange(start, min(start + step, d.n)))
         degenerate = lm.degenerate
         keep = ~degenerate if degenerate.any() else slice(None)  # a slice copies nothing
         s_inv = lm.s_inv_j[keep]
-        yield lm, lm.j[keep], {
-            v: mirror(s_inv @ (lm.sigma_yxx_j if v == "y" else lm.sigma_rxx_j)[keep] @ s_inv)
-            for v in variants
-        }
+        h = np.empty((len(s_inv), len(variants), d.p, d.p))
+        for a, v in enumerate(variants):
+            mat = (lm.sigma_yxx_j if v == "y" else lm.sigma_rxx_j)[keep]
+            np.matmul(s_inv @ mat, s_inv, out=h[:, a])
+        yield lm, lm.j[keep], mirror(h)
 
 
-def _hris_rows(fit: PhdFit, h: np.ndarray, n: int) -> np.ndarray:
-    """HRIS of a stack of leave-one-out Hessians."""
-    sif = (n - 1) * (fit.h - h)
-    resid = project_out(fit.gamma_hat, sif @ fit.gamma_hat.columns)
-    return np.linalg.norm(resid, axis=-2) / np.abs(fit.lambda_hat)
+def _stack_fits(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gamma-hat (V, p, K), |lambda-hat| (V, K) and H (V, p, p) of fits of one
+    rank, stacked on the variant axis of ``_loo_hessians`` in the given order."""
+    return (
+        np.stack([f.gamma_hat.columns for f in fits]),
+        np.abs(np.stack([f.lambda_hat for f in fits])),
+        np.stack([f.h for f in fits]),
+    )
 
 
-def _sris_rows(fit: PhdFit, h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(SRIS, order_swap flags) of a stack of leave-one-out Hessians, from one
-    eigendecomposition per Hessian.
+def _hris_rows(gamma: np.ndarray, lam: np.ndarray, h_fit: np.ndarray, h: np.ndarray,
+               n: int) -> np.ndarray:
+    """HRIS, (rows, V, K), of a (rows, V, p, p) stack of leave-one-out
+    Hessians against the V fits' Gamma-hat, |lambda-hat| and H."""
+    sif = (n - 1) * (h_fit - h)
+    return np.linalg.norm(project_out(gamma, sif @ gamma), axis=-2) / lam
+
+
+def _sris_rows(gamma: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(SRIS, order_swap flags), each (rows, V, K), of a (rows, V, p, p) stack
+    of leave-one-out Hessians against the V fits' Gamma-hat, from one ``eigh``
+    call per observation on its (V, p, p) stack.
 
     Only the K leading eigenvectors are picked out (by ``eigen_order``); the
     order_swap maximum runs over the unsorted ones, and no output reads the
@@ -144,12 +162,12 @@ def _sris_rows(fit: PhdFit, h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     for i, h_j in enumerate(h):
         w[i], v[i] = np.linalg.eigh(h_j)
     check_orthonormal(v)
-    leading = eigen_order(w)[:, None, : fit.k]
+    leading = eigen_order(w)[..., None, : gamma.shape[-1]]
     sines = np.linalg.norm(
-        project_out(fit.gamma_hat, np.take_along_axis(v, leading, axis=-1)), axis=-2
+        project_out(gamma, np.take_along_axis(v, leading, axis=-1)), axis=-2
     )
-    overlaps = np.abs(np.swapaxes(v, -1, -2) @ fit.gamma_hat.columns)
-    own = np.take_along_axis(overlaps, leading, axis=-2)[:, 0]
+    overlaps = np.abs(np.swapaxes(v, -1, -2) @ gamma)
+    own = np.take_along_axis(overlaps, leading, axis=-2)[..., 0, :]
     swapped = overlaps.max(axis=-2) - own > ORDER_SWAP_TOL
     return (n - 1) * np.clip(sines, 0.0, 1.0), swapped
 
@@ -162,10 +180,11 @@ def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
     """
     m = compute_moments(d)
     _require_measurable(fit, m)
+    gamma = _stack_fits((fit,))[0]
     out = np.empty((d.n, fit.k))
     for lm, rows, h in _loo_hessians(d, m, (fit.variant,)):
         require_regular(lm)
-        out[rows] = _sris_rows(fit, h[fit.variant], d.n)[0]
+        out[rows] = _sris_rows(gamma, h, d.n)[0][:, 0]
     return out
 
 
@@ -186,10 +205,11 @@ def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     Reads only the Hessian stack: no eigendecomposition.
     """
     _require_measurable(fit, m)
+    stacked = _stack_fits((fit,))
     out = np.empty((d.n, fit.k))
     for lm, rows, h in _loo_hessians(d, m, (fit.variant,)):
         require_regular(lm)
-        out[rows] = _hris_rows(fit, h[fit.variant], d.n)
+        out[rows] = _hris_rows(*stacked, h, d.n)[:, 0]
     return out
 
 
@@ -285,31 +305,28 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     fits = {v: fit_from_moments(m, v, k) for v in VARIANTS}
     md = mahalanobis(d, m)
 
-    eris_vals = {v: eris(d, fits[v], m) for v in VARIANTS}
-    n = d.n
-    sris_vals = {v: np.full((n, k), np.nan) for v in VARIANTS}
-    hris_vals = {v: np.full((n, k), np.nan) for v in VARIANTS}
-    swapped = {v: np.zeros((n, k), dtype=bool) for v in VARIANTS}
+    n, nv = d.n, len(VARIANTS)
+    eris_vals = np.stack([eris(d, fits[v], m) for v in VARIANTS], axis=1)
+    sris_vals = np.full((n, nv, k), np.nan)
+    hris_vals = np.full((n, nv, k), np.nan)
+    swapped = np.zeros((n, nv, k), dtype=bool)
     degenerate = np.zeros(n, dtype=bool)
+    gamma, lam, h_fit = _stack_fits(fits.values())
     for lm, rows, h in _loo_hessians(d, m, VARIANTS):
         degenerate[lm.j] = lm.degenerate
-        for v, fit in fits.items():
-            hris_vals[v][rows] = _hris_rows(fit, h[v], n)
-            sris_vals[v][rows], swapped[v][rows] = _sris_rows(fit, h[v], n)
+        hris_vals[rows] = _hris_rows(gamma, lam, h_fit, h, n)
+        sris_vals[rows], swapped[rows] = _sris_rows(gamma, h, n)
 
     flags: list[list[str]] = [[] for _ in range(n)]
     for j in np.flatnonzero(degenerate):
         flags[j].append("degenerate_leverage")
-    for v in VARIANTS:
-        for j, i in zip(*np.nonzero(swapped[v])):
-            flags[j].append(f"order_swap:{v}:{i + 1}")
+    for j, a, i in zip(*np.nonzero(swapped)):  # per row, variants in VARIANTS order
+        flags[j].append(f"order_swap:{VARIANTS[a]}:{i + 1}")
 
-    avg = sris_vals["y"].mean(axis=1)
+    avg = sris_vals[:, VARIANTS.index("y")].mean(axis=1)
     order = np.lexsort((avg, np.isnan(avg)))
-    measures = {"sris": sris_vals, "eris": eris_vals, "hris": hris_vals}
-    values = _read_only(
-        np.concatenate([measures[t][v][order] for t in _MEASURES for v in VARIANTS], axis=1)
-    )
+    # (measure, variant, direction) order, as _MEASURES, VARIANTS and _column read it
+    values = _read_only(np.stack((sris_vals, eris_vals, hris_vals), axis=1)[order].reshape(n, -1))
     md = _read_only(md[order])
     return InfluenceReport(
         j=_read_only(order),

@@ -5,7 +5,8 @@ finite number, a missing marker (MISSING_MARKERS, with ``nan``) or bad.  The
 reader is strict: a bad or missing predictor cell raises with its row and
 column, the first such row winning (ties in predictor-list order), and only
 rows whose response is missing can be dropped (when configured).  A header
-or predictor list that names a column twice is rejected, and a leading UTF-8
+or predictor list that names a column twice, and a predictor list that names
+the response column, are rejected, and a leading UTF-8
 byte order mark is not part of the first column name.  Without an explicit
 predictor list, every other column that is numeric in all retained rows is
 used, and the resolved list travels with the dataset so runs are auditable.
@@ -94,8 +95,12 @@ def _resolve_response(header: list[str], ref: str | int) -> int:
     raise MissingColumn(f"response column {ref!r} not found in header {header}")
 
 
+def _repeated(names: list[str]) -> list[str]:
+    return sorted({name for name in names if names.count(name) > 1})
+
+
 def _reject_duplicates(names: list[str], what: str) -> None:
-    duplicates = sorted({name for name in names if names.count(name) > 1})
+    duplicates = _repeated(names)
     if duplicates:
         raise DuplicateColumn(f"{what} names {duplicates} more than once")
 
@@ -166,6 +171,8 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
     if cfg.predictor_columns is not None:
         candidates = list(cfg.predictor_columns)
         _reject_duplicates(candidates, "predictor list")
+        if resp_name in candidates:
+            raise DuplicateColumn(f"predictor list names the response column {resp_name!r}")
     else:
         candidates = [name for c, name in enumerate(header) if c != resp_idx]
     cells = list(zip(*rows))
@@ -208,12 +215,18 @@ def write_dataset_csv(path, d: Dataset) -> None:
     """Full-precision CSV, response column ``y`` first, that round-trips
     bit-exactly through ingest_csv.  The header is written through ``csv``,
     which quotes only a name that holds a comma, a quote or a line break.
-    Names with edge whitespace, which ingest_csv strips, raise InvalidArgument."""
+    Names that ingest_csv would not read back raise InvalidArgument: a name
+    with edge whitespace, which it strips, and a name that repeats or is
+    ``y``, which make a header it rejects as a DuplicateColumn."""
     edged = [name for name in d.names if name != name.strip()]
     if edged:
         raise InvalidArgument(f"column names {edged} have leading or trailing whitespace")
+    header = ["y", *d.names]
+    repeated = _repeated(header)
+    if repeated:
+        raise InvalidArgument(f"column names {repeated} repeat in the header {header}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(["y", *d.names])
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for i in range(d.n):
             cells = [f"{d.y[i]:.17g}"] + [f"{v:.17g}" for v in d.x[i]]
             fh.write(",".join(cells) + "\n")

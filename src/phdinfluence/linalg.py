@@ -174,9 +174,11 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     return mirror(x + x @ (np.eye(a.shape[0]) - c @ x)) * scale
 
 
-def project_out(b: Basis, v: np.ndarray) -> np.ndarray:
-    """(I - B B') v without forming the projector."""
-    return v - b.columns @ (b.columns.T @ v)
+def project_out(b: Basis | np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(I - B B') v without forming the projector.  ``b`` is a Basis or the
+    columns of a stack of them, (..., p, k), which broadcast against v."""
+    g = b.columns if isinstance(b, Basis) else b
+    return v - g @ (np.swapaxes(g, -1, -2) @ v)
 
 
 def sine_to_subspace(v: np.ndarray, b: Basis) -> float:

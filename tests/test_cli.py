@@ -236,6 +236,24 @@ def test_duplicate_header_exits_with_one_json_error_line(tmp_path, capsys):
     assert "'a'" in record["message"]
 
 
+@pytest.mark.parametrize("command", ["fit", "influence"])
+@pytest.mark.parametrize("response", ["y", "0"])
+def test_response_listed_as_a_predictor_exits_3(tmp_path, capsys, command, response):
+    # fit would print eigenvalues of rounding size and influence would stop
+    # at a DegenerateEigenvalue: y regressed on itself
+    run(["simulate", "--n", 30, "--p", 3, "--seed", 1, "--output-dir", tmp_path])
+    capsys.readouterr()
+    variant = ["--variant", "r"] if command == "fit" else []
+    code = run([command, "--input", tmp_path / "dataset.csv", "--response", response,
+                "--predictors", "y,x1,x2", *variant, "--k", 1, "--output-dir", tmp_path / "out"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "DuplicateColumn"
+    assert "'y'" in record["message"]
+
+
 def test_non_finite_predictor_cell_exits_3_naming_its_cell(tmp_path, capsys):
     rows = [f"{i},{i * i % 7},{'inf' if i == 4 else i % 3}\n" for i in range(8)]
     path = tmp_path / "inf.csv"

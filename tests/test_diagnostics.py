@@ -25,6 +25,7 @@ from phdinfluence.diagnostics import (
     _hris_rows,
     _loo_hessians,
     _sris_rows,
+    _stack_fits,
     write_records_csv,
     write_report_json,
 )
@@ -758,27 +759,31 @@ def test_records_csv_is_the_per_cell_layout(design, tmp_path):
 
 def walk_table(d, m, fits):
     """(sris, hris, swapped, degenerate) of every observation, assembled from
-    the leave-one-out walk: n x K arrays keyed by variant, NaN (sris, hris)
+    the leave-one-out walk over the variants of ``fits`` (a dict keyed by
+    variant, all of one rank): n x K arrays keyed by variant, NaN (sris, hris)
     or False (swapped) at the leverage singularity, and the n-vector of
     degenerate rows.  Checks that the walk visits every observation once, in
-    order, and stacks the Hessians of exactly its regular rows."""
+    order, and stacks the Hessians of exactly its regular rows, one per
+    variant."""
     n = d.n
-    sris_ = {v: np.full((n, f.k), np.nan) for v, f in fits.items()}
-    hris_ = {v: np.full((n, f.k), np.nan) for v, f in fits.items()}
-    swapped = {v: np.zeros((n, f.k), dtype=bool) for v, f in fits.items()}
+    variants = tuple(fits)
+    gamma, lam, h_fit = _stack_fits(fits.values())
+    k = gamma.shape[-1]
+    sris_ = np.full((n, len(variants), k), np.nan)
+    hris_ = np.full((n, len(variants), k), np.nan)
+    swapped = np.zeros((n, len(variants), k), dtype=bool)
     degenerate = np.zeros(n, dtype=bool)
     visited = []
-    for lm, rows, h in _loo_hessians(d, m, fits):
+    for lm, rows, h in _loo_hessians(d, m, variants):
         visited += lm.j.tolist()
         assert rows.tolist() == lm.j[~lm.degenerate].tolist()
-        assert set(h) == set(fits)
         degenerate[lm.j] = lm.degenerate
-        for v, fit in fits.items():
-            assert h[v].shape == (rows.size, d.p, d.p)
-            hris_[v][rows] = _hris_rows(fit, h[v], n)
-            sris_[v][rows], swapped[v][rows] = _sris_rows(fit, h[v], n)
+        assert h.shape == (rows.size, len(variants), d.p, d.p)
+        hris_[rows] = _hris_rows(gamma, lam, h_fit, h, n)
+        sris_[rows], swapped[rows] = _sris_rows(gamma, h, n)
     assert visited == list(range(n))
-    return sris_, hris_, swapped, degenerate
+    by_variant = [{v: a[:, i] for i, v in enumerate(variants)} for a in (sris_, hris_, swapped)]
+    return (*by_variant, degenerate)
 
 
 @pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three])
@@ -806,6 +811,50 @@ def test_report_arrays_are_built_from_the_deletion_table(design):
             for v in ("y", "r"):
                 got = report.column(measure, v)[r]
                 assert np.array_equal(got, by_variant[v][j], equal_nan=True)
+
+
+@pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three, _spiked_across_chunks])
+def test_report_pairs_each_variant_with_its_own_fit(design):
+    # the report walks both variants at once; each variant's SRIS, HRIS and
+    # order_swap flags must be those of a walk over that variant alone, the
+    # walk sris() and hris() make, so a Hessian paired with the other
+    # variant's Gamma-hat, |lambda-hat| or H would show
+    d, k = design()
+    report = influence_report(d, k)
+    m = compute_moments(d)
+    at = np.argsort(report.j)  # at[j] is the report row of observation j
+    assert not np.allclose(report.column("sris", "y"), report.column("sris", "r"), equal_nan=True)
+    for v in ("y", "r"):
+        fit = report.fits[v]
+        alone_sris, alone_hris, alone_swapped, degenerate = walk_table(d, m, {v: fit})
+        got_sris, got_hris = report.column("sris", v)[at], report.column("hris", v)[at]
+        assert np.array_equal(got_sris, alone_sris[v], equal_nan=True)
+        assert np.array_equal(got_hris, alone_hris[v], equal_nan=True)
+        for j in range(d.n):
+            own = [f for f in report.flags[at[j]] if f.startswith(f"order_swap:{v}:")]
+            assert own == [f"order_swap:{v}:{i + 1}" for i in np.flatnonzero(alone_swapped[v][j])]
+        if not degenerate.any():  # sris() and hris() raise at the leverage singularity
+            assert np.array_equal(got_sris, sris(d, fit))
+            assert np.array_equal(got_hris, hris(d, fit, m))
+
+
+@pytest.mark.parametrize("design", [lambda: (cosine_data(3, n=60, p=4), 2), _spiked_rank_three])
+def test_report_makes_one_eigh_call_per_regular_observation(design, monkeypatch):
+    # S once and each variant's fit once, then one call per regular
+    # observation on the (2, p, p) stack of its two leave-one-out Hessians;
+    # rows at the leverage singularity make none
+    d, k = design()
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a, *args, **kw: shapes.append(np.shape(a)) or eigh(a, *args, **kw)
+    )
+    report = influence_report(d, k)
+    regular = sum("degenerate_leverage" not in f for f in report.flags)
+    assert regular < d.n if design is _spiked_rank_three else regular == d.n
+    assert len(shapes) == regular + 3
+    assert shapes.count((2, d.p, d.p)) == regular
+    assert sum(int(np.prod(s[:-2])) for s in shapes) == 2 * regular + 3
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,17 @@ def test_writer_rejects_names_that_the_reader_would_strip(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("names", [("a", "a", "c"), ("a", "y", "c")])
+def test_writer_rejects_names_that_make_a_header_the_reader_rejects(tmp_path, names):
+    # the header is y followed by the names: a repeat, or a predictor named
+    # y, would read back as a DuplicateColumn
+    d = simulate(SimSpec(model="cosine_index", n=20, p=3, seed=1))
+    path = tmp_path / "repeated.csv"
+    with pytest.raises(InvalidArgument):
+        write_dataset_csv(path, Dataset(y=d.y, x=d.x, names=names))
+    assert not path.exists()
+
+
 SMALL = "y,a,b\n1,2,3\n2,3,5\n3,5,4\n4,1,1\n5,8,2\n"
 
 
@@ -171,6 +182,15 @@ def test_duplicate_predictor_names_are_a_data_error(tmp_path):
     path = write(tmp_path, SMALL)
     with pytest.raises(DuplicateColumn, match="'a'"):
         ingest_csv(path, IngestConfig(response_column="y", predictor_columns=("a", "a")))
+
+
+@pytest.mark.parametrize("response", ["y", 0, "0"])
+def test_a_predictor_list_that_names_the_response_is_a_data_error(tmp_path, response):
+    # by name or by index, y would be regressed on itself
+    path = write(tmp_path, SMALL)
+    with pytest.raises(DuplicateColumn, match="'y'") as err:
+        ingest_csv(path, IngestConfig(response_column=response, predictor_columns=("y", "a", "b")))
+    assert err.value.exit_code == 3
 
 
 # ----------------------------------------------------------------------
