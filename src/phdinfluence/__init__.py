@@ -42,7 +42,6 @@ _EXPORTS = {
     "ContaminatedMoments": "population",
     "ContaminationPoint": "population",
     "PopulationModel": "population",
-    "RisValue": "population",
     "contaminated_moments": "population",
     "cosine_model_constants": "population",
     "cosine_model": "population",

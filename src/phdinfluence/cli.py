@@ -100,7 +100,7 @@ def _ingest_config(args):
     from .ingest import IngestConfig
 
     predictors = None
-    if args.predictors:
+    if args.predictors is not None:
         predictors = tuple(name.strip() for name in args.predictors.split(","))
     return IngestConfig(
         response_column=args.response,
@@ -121,7 +121,9 @@ def _load_dataset(args):
         "response": args.response,
         "log_response": args.log_response,
         "drop_rows_with_missing_response": not args.keep_missing_response,
-        "predictors_requested": args.predictors or "all numeric except response",
+        "predictors_requested": (
+            "all numeric except response" if args.predictors is None else args.predictors
+        ),
         "predictors_resolved": list(dataset.names),
         "delimiter": args.delimiter,
         "n": dataset.n,
@@ -205,7 +207,7 @@ def cmd_influence(args) -> int:
 def cmd_surface(args) -> int:
     import numpy as np
 
-    from .population import cosine_model, influence_surface, write_surface_csv
+    from .population import influence_surface, write_surface_csv
 
     manifest = _Manifest("surface")
     if args.grid < 1:
@@ -214,11 +216,10 @@ def cmd_surface(args) -> int:
         raise InvalidArgument(f"--norm-max must be finite and nonnegative, got {args.norm_max}")
     if args.p < 2:
         raise InvalidArgument(f"--p must be at least 2 for the cosine example, got {args.p}")
-    model = cosine_model(p=args.p)
     norms = np.linspace(0.0, args.norm_max, args.grid)
     costhetas = np.linspace(-1.0, 1.0, args.grid)
-    grid_y = influence_surface(model, "y", norms, costhetas)
-    grid_r = influence_surface(model, "r", norms, costhetas)
+    grid_y = influence_surface(args.p, "y", norms, costhetas)
+    grid_r = influence_surface(args.p, "r", norms, costhetas)
 
     out = _outdir(args)
     config = {"norm_max": args.norm_max, "grid": args.grid, "p": args.p}

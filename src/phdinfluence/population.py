@@ -25,6 +25,11 @@ The alpha displays are evaluated in one place, the kernel behind
 calls it once for all grid cells, and the sample plug-in ERIS calls the
 kernel itself on the fit, once for all n observations.
 
+The cosine single-index example Y = cos(2 beta_1'X - pi/4) + sigma eps is
+stated once, at the end of this module: its link ``_cosine_response`` (which
+the simulation module imports), its constants and :func:`cosine_model`.  The
+influence surface is that model's surface, so it takes p, not a model.
+
 A second route to the same number, through the influence matrix of the
 Hessian estimator, is kept outside the package as a test oracle (the test
 suite's ``oracles`` module); the two agree to rounding.
@@ -174,13 +179,6 @@ class ContaminationPoint:
         object.__setattr__(self, "x0", x0)
 
 
-@dataclass(frozen=True)
-class RisValue:
-    variant: str
-    k: int
-    value: float
-
-
 def _direction_index(model: PopulationModel, k: int) -> int:
     """Directions are indexed 1..K as in the math."""
     if not 1 <= k <= model.k:
@@ -229,19 +227,17 @@ def _ris_kernel(gamma: Basis, lam, sigma_inv, d, w, slope) -> np.ndarray:
     return np.linalg.norm(resid, axis=-2) / np.abs(lam)
 
 
-def ris_y(model: PopulationModel, pt: ContaminationPoint, k: int) -> RisValue:
+def ris_y(model: PopulationModel, pt: ContaminationPoint, k: int) -> float:
     """Closed-form influence rate on the k-th y-based direction (k is 1-based)."""
     i = _direction_index(model, k)
-    value = ris_rows(model, "y", pt.x0[None], [pt.y0])[0, i]
-    return RisValue("y", k, float(value))
+    return float(ris_rows(model, "y", pt.x0[None], [pt.y0])[0, i])
 
 
-def ris_r(model: PopulationModel, pt: ContaminationPoint, k: int) -> RisValue:
+def ris_r(model: PopulationModel, pt: ContaminationPoint, k: int) -> float:
     """Closed-form influence rate on the k-th r-based direction (k is 1-based),
     at the population OLS residual of (y0, x0)."""
     i = _direction_index(model, k)
-    value = ris_rows(model, "r", pt.x0[None], [population_ols_residual(model, pt)])[0, i]
-    return RisValue("r", k, float(value))
+    return float(ris_rows(model, "r", pt.x0[None], [population_ols_residual(model, pt)])[0, i])
 
 
 @dataclass(frozen=True)
@@ -344,6 +340,12 @@ def ris_numeric_oracle(
 # The cosine single-index example and its influence surface
 # ----------------------------------------------------------------------
 
+def _cosine_response(t):
+    """The noiseless response cos(2 t - pi/4) of the cosine single-index
+    model at the index t = beta_1'X."""
+    return np.cos(2.0 * t - math.pi / 4.0)
+
+
 #: E(Y), the coefficient of beta_1 in cov(X, Y), and the nonzero Hessian
 #: eigenvalue of the model Y = cos(2 beta_1'X - pi/4) + sigma eps with
 #: standard normal X.  Derived via the moment generating function; the
@@ -378,43 +380,17 @@ def cosine_model(p: int = 3) -> PopulationModel:
     )
 
 
-def _unit_perpendicular(beta1: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to beta1."""
-    e = np.zeros_like(beta1)
-    e[int(np.argmin(np.abs(beta1)))] = 1.0
-    u = e - beta1 * float(beta1 @ e)
-    return u / np.linalg.norm(u)
+def influence_surface(p: int, variant: str, norm_grid, costheta_grid) -> np.ndarray:
+    """Influence surface over (||x0||, cos theta0) of :func:`cosine_model` (p).
 
-
-def _check_surface_model(model: PopulationModel) -> np.ndarray:
-    if model.k != 1:
-        raise UnsupportedModel("the influence surface needs a rank-1 model")
-    if model.p < 2:
-        raise UnsupportedModel("the influence surface needs p >= 2")
-    if float(np.abs(model.mu).max()) > 1e-12:
-        raise UnsupportedModel("the influence surface needs mu = 0")
-    if float(np.abs(model.sigma - np.eye(model.p)).max()) > 1e-12:
-        raise UnsupportedModel("the influence surface needs identity covariance")
-    return model.gamma.columns[:, 0]
-
-
-def influence_surface(
-    model: PopulationModel,
-    variant: str,
-    norm_grid,
-    costheta_grid,
-) -> np.ndarray:
-    """Influence surface over (||x0||, cos theta0) for the cosine model.
-
-    x0 = ||x0|| (cos(theta0) beta_1 + sin(theta0) u) for a fixed unit u
-    orthogonal to beta_1, with y0 on the noiseless curve.  All cells go
-    through one :func:`ris_rows` call.  The single-index shortcut of this
-    model (the c_y / c_r factorisation) is not evaluated here; it is the
+    x0 = ||x0|| (cos(theta0) e_1 + sin(theta0) e_2) lies in the plane of
+    beta_1 = e_1 and the second axis, with y0 on the noiseless curve.  All
+    cells go through one :func:`ris_rows` call.  The single-index shortcut of
+    this model (the c_y / c_r factorisation) is not evaluated here; it is the
     test suite's oracle for this function.
     """
     check_variant(variant)
-    beta1 = _check_surface_model(model)
-    u = _unit_perpendicular(beta1)
+    model = cosine_model(p)
     norms = np.asarray(list(norm_grid), dtype=float)
     costhetas = np.asarray(list(costheta_grid), dtype=float)
     if not (np.all(np.isfinite(norms)) and np.all(np.abs(costhetas) <= 1.0)):
@@ -422,10 +398,12 @@ def influence_surface(
     nrm = norms[:, None]
     ct = costhetas[None, :]
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    x0 = nrm[..., None] * (ct[..., None] * beta1 + st[..., None] * u)
-    y0 = np.cos(2.0 * nrm * ct - math.pi / 4.0)
-    w0 = y0 if variant == "y" else y0 - model.mu_y - (x0 - model.mu) @ model.beta
-    return ris_rows(model, variant, x0.reshape(-1, model.p), w0.ravel())[:, 0].reshape(w0.shape)
+    x0 = np.zeros((norms.size, costhetas.size, p))
+    x0[..., 0] = nrm * ct
+    x0[..., 1] = nrm * st
+    y0 = _cosine_response(x0[..., 0])
+    w0 = y0 if variant == "y" else y0 - model.mu_y - x0 @ model.beta
+    return ris_rows(model, variant, x0.reshape(-1, p), w0.ravel())[:, 0].reshape(w0.shape)
 
 
 def write_surface_csv(path, norm_grid, costheta_grid, ris_y_grid, ris_r_grid) -> None:

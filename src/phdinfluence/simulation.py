@@ -4,8 +4,12 @@ Predictors are always i.i.d. standard p-variate normal and the noise is
 independent N(0, sigma^2); streams come from numpy's PCG64 generator so a
 (seed, spec) pair reproduces the dataset bit for bit on any platform.  The
 link catalog is closed: simulations stay reproducible artifacts, this is not
-a modeling framework.  :class:`SimSpec` is the one judge of a request: it
-rejects sizes no dataset can have and a parameter its model would not read.
+a modeling framework.  Every model draws its response through a catalog
+link; the cosine link is the population module's, so the simulator, the
+Monte Carlo check of the cosine constants and the influence surface share
+one statement of the example.  :class:`SimSpec` is the one judge of a
+request: it rejects sizes no dataset can have and a parameter its model
+would not read.
 """
 
 from __future__ import annotations
@@ -17,18 +21,22 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .moments import Dataset
+from .population import _cosine_response
 
 MODELS = ("cosine_index", "quadratic_first", "linear_index", "custom_index")
 
-#: Closed catalog of link functions for custom_index specs.  Each maps the
-#: n x K index matrix B'X to the noiseless response.
+#: Closed catalog of link functions.  Each maps the n x K index matrix B'X to
+#: the noiseless response; custom_index names its link, the other models have
+#: theirs in _MODEL_LINKS.
 LINK_CATALOG = {
-    "cosine": lambda t: np.cos(2.0 * t[:, 0] - math.pi / 4.0),
+    "cosine": lambda t: _cosine_response(t[:, 0]),
     "linear": lambda t: t.sum(axis=1),
     "quadratic": lambda t: t[:, 0] ** 2,
     "product": lambda t: t[:, 0] * t[:, -1],
     "sum_squares": lambda t: (t**2).sum(axis=1),
 }
+
+_MODEL_LINKS = {"cosine_index": "cosine", "linear_index": "linear", "quadratic_first": "quadratic"}
 
 
 @dataclass(frozen=True)
@@ -36,8 +44,9 @@ class SimSpec:
     """One reproducible simulation: model family, sizes, parameters, seed.
 
     ``beta`` is a length-p vector (or p x 1 matrix) for cosine_index and
-    linear_index and a p x K matrix for custom_index; quadratic_first reads
-    none.  ``link``, a LINK_CATALOG name, is read by custom_index only.
+    linear_index and a p x K matrix for custom_index; quadratic_first takes
+    none, its beta is the first axis.  ``link``, a LINK_CATALOG name, is
+    read by custom_index only.
     """
 
     model: str
@@ -87,13 +96,9 @@ class SimSpec:
 
 
 def _noiseless(spec: SimSpec, x: np.ndarray) -> np.ndarray:
-    if spec.model == "cosine_index":
-        return np.cos(2.0 * (x @ spec.beta) - math.pi / 4.0)
-    if spec.model == "quadratic_first":
-        return x[:, 0] ** 2
-    if spec.model == "linear_index":
-        return x @ spec.beta
-    return LINK_CATALOG[spec.link](x @ spec.beta)
+    # a single-index beta is a vector: its index is the n x 1 matrix B'X
+    link = LINK_CATALOG[_MODEL_LINKS.get(spec.model, spec.link)]
+    return link((x @ spec.beta).reshape(len(x), -1))
 
 
 def simulate(spec: SimSpec) -> Dataset:
@@ -134,7 +139,7 @@ def mc_constants(n_mc: int, seed: int, sigma: float) -> McConstants:
         raise InvalidArgument(f"sigma must be finite and nonnegative, got {sigma!r}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_mc)
-    y = np.cos(2.0 * z - math.pi / 4.0)
+    y = _cosine_response(z)
     if sigma > 0:
         y = y + sigma * rng.standard_normal(n_mc)
 
@@ -148,6 +153,11 @@ def mc_constants(n_mc: int, seed: int, sigma: float) -> McConstants:
     lam_terms = (y - ybar) * z**2
     lam_hat = float(lam_terms.mean())
     se_lam = float(lam_terms.std(ddof=1) / math.sqrt(n_mc))
+    if 0.0 in (se_mu, se_cov, se_lam):
+        raise InvalidArgument(
+            f"a Monte Carlo standard error is zero at n_mc={n_mc}, sigma={sigma!r}, "
+            f"seed={seed}: the z-scores against the targets are undefined"
+        )
 
     return McConstants(
         n_mc=n_mc,

@@ -63,8 +63,8 @@ def test_criterion_1_theorem_vs_oracle():
                 )
                 for kk in range(1, k + 1):
                     for variant, closed in (
-                        ("y", ris_y(model, pt, kk).value),
-                        ("r", ris_r(model, pt, kk).value),
+                        ("y", ris_y(model, pt, kk)),
+                        ("r", ris_r(model, pt, kk)),
                     ):
                         oracle = ris_numeric_oracle(model, pt, kk, variant, eps=1e-6)
                         rel = abs(closed - oracle) / max(closed, 1e-8)
@@ -123,8 +123,8 @@ def test_criterion_3_exact_special_cases():
             for k in (1, 2):
                 g = model.gamma.columns[:, k - 1]
                 expected = abs(c * float(model.sigma_xy @ g) / model.lam[k - 1])
-                assert abs(ris_y(model, pt, k).value - expected) <= 1e-12
-                assert ris_r(model, pt, k).value <= 1e-12
+                assert abs(ris_y(model, pt, k) - expected) <= 1e-12
+                assert ris_r(model, pt, k) <= 1e-12
 
         null_model = random_model(rng, 4, 2, zero_sigma_xy=True)
         for _ in range(10):
@@ -133,7 +133,7 @@ def test_criterion_3_exact_special_cases():
             )
             for k in (1, 2):
                 assert abs(
-                    ris_y(null_model, pt, k).value - ris_r(null_model, pt, k).value
+                    ris_y(null_model, pt, k) - ris_r(null_model, pt, k)
                 ) <= 1e-12
         assert time.monotonic() - t0 <= 1.0
         ok = True
@@ -152,8 +152,8 @@ def test_criterion_4_surface_checkpoints():
         model = cosine_model(p=3)
         norms = np.linspace(0.0, 3.0, 13)
         costhetas = np.linspace(-1.0, 1.0, 9)
-        grid_y = influence_surface(model, "y", norms, costhetas)
-        grid_r = influence_surface(model, "r", norms, costhetas)
+        grid_y = influence_surface(3, "y", norms, costhetas)
+        grid_r = influence_surface(3, "r", norms, costhetas)
         a = int(np.flatnonzero(np.isclose(norms, 2.0))[0])
         b = int(np.flatnonzero(np.isclose(costhetas, 0.0))[0])
         assert abs(grid_y[a, b] - 1.0) <= 1e-9
@@ -165,12 +165,12 @@ def test_criterion_4_surface_checkpoints():
         norms61 = np.linspace(0.0, 3.0, 61)
         costhetas61 = np.linspace(-1.0, 1.0, 61)
         for variant in ("y", "r"):
-            general = influence_surface(model, variant, norms61, costhetas61)
+            general = influence_surface(3, variant, norms61, costhetas61)
             shortcut = surface_shortcut(model, variant, norms61, costhetas61)
             assert np.abs(general - shortcut).max() <= 1e-9
         cross = np.linspace(-1.0, 1.0, 201)
-        max_y = influence_surface(model, "y", [2.0], cross).max()
-        max_r = influence_surface(model, "r", [2.0], cross).max()
+        max_y = influence_surface(3, "y", [2.0], cross).max()
+        max_r = influence_surface(3, "r", [2.0], cross).max()
         assert max_r > max_y
         assert time.monotonic() - t0 <= 5.0
         ok = True

@@ -163,6 +163,9 @@ def test_usage_error_exit_code():
         pytest.param(["validate-constants", "--n", "1"], id="one-mc-sample"),
         pytest.param(["validate-constants", "--n", "1000", "--sigma", "-1"],
                      id="validate-negative-sigma"),
+        # two noiseless draws make a standard error zero: no z-score exists
+        pytest.param(["validate-constants", "--n", "2", "--sigma", "0", "--seed", "2"],
+                     id="validate-zero-standard-error"),
         pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,0,0;0,1,0"],
                      id="two-index-vectors-for-cosine"),
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",
@@ -221,6 +224,21 @@ def test_response_given_as_a_superscript_digit_is_a_missing_column(tmp_path, cap
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "MissingColumn"
+
+
+@pytest.mark.parametrize("predictors", ["", " "], ids=["empty", "blank"])
+def test_an_empty_predictor_list_is_a_missing_column(tmp_path, capsys, predictors):
+    # an explicit empty list names no column; it is not "all numeric columns"
+    run(["simulate", "--n", 30, "--p", 3, "--seed", 1, "--output-dir", tmp_path])
+    capsys.readouterr()
+    code = run(["fit", "--input", tmp_path / "dataset.csv", "--response", "y",
+                "--predictors", predictors, "--variant", "y", "--k", 1,
+                "--output-dir", tmp_path / "out"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "MissingColumn"
+    assert not (tmp_path / "out").exists()
 
 
 def test_duplicate_header_exits_with_one_json_error_line(tmp_path, capsys):

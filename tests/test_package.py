@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "ContaminatedMoments",
     "ContaminationPoint",
     "PopulationModel",
-    "RisValue",
     "contaminated_moments",
     "cosine_model_constants",
     "cosine_model",
@@ -125,4 +124,18 @@ _SIMULATE_IS_THE_FUNCTION = (
 )
 def test_simulate_is_the_function_in_either_import_order(imports):
     proc = run_python(["-c", imports + _SIMULATE_IS_THE_FUNCTION], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_diagnostics_does_not_load_the_simulator():
+    # the influence command imports diagnostics, which reaches the cosine
+    # example through population; the simulator imports population, not the
+    # other way round
+    code = (
+        "import sys\n"
+        "import phdinfluence.diagnostics\n"
+        "assert 'phdinfluence.population' in sys.modules\n"
+        "assert 'phdinfluence.simulation' not in sys.modules, sorted(sys.modules)\n"
+    )
+    proc = run_python(["-c", code], timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -82,8 +82,8 @@ def test_orthogonal_contamination_splits_the_variants(rng):
             g = model.gamma.columns[:, k - 1]
             lam = model.lam[k - 1]
             expected = abs(c * float(model.sigma_xy @ g) / lam)
-            assert ris_y(model, pt, k).value == pytest.approx(expected, abs=1e-12)
-            assert ris_r(model, pt, k).value <= 1e-12
+            assert ris_y(model, pt, k) == pytest.approx(expected, abs=1e-12)
+            assert ris_r(model, pt, k) <= 1e-12
 
 
 def test_orthogonal_contamination_scales_linearly(rng):
@@ -92,8 +92,8 @@ def test_orthogonal_contamination_scales_linearly(rng):
     u -= model.gamma.columns @ (model.gamma.columns.T @ u)
     u /= np.linalg.norm(u)
     y0 = 0.3
-    base = ris_y(model, ContaminationPoint(y0=y0, x0=u), 1).value
-    tripled = ris_y(model, ContaminationPoint(y0=y0, x0=3.0 * u), 1).value
+    base = ris_y(model, ContaminationPoint(y0=y0, x0=u), 1)
+    tripled = ris_y(model, ContaminationPoint(y0=y0, x0=3.0 * u), 1)
     assert abs(tripled - 3.0 * base) <= 1e-12
 
 
@@ -101,8 +101,8 @@ def test_contamination_at_the_center_is_harmless(rng):
     model = random_model(rng, 5, 2)
     pt = ContaminationPoint(y0=model.mu_y, x0=model.mu)
     for k in (1, 2):
-        assert ris_y(model, pt, k).value <= 1e-12
-        assert ris_r(model, pt, k).value <= 1e-12
+        assert ris_y(model, pt, k) <= 1e-12
+        assert ris_r(model, pt, k) <= 1e-12
 
 
 def test_variants_agree_when_response_is_uncorrelated(rng):
@@ -113,7 +113,7 @@ def test_variants_agree_when_response_is_uncorrelated(rng):
         )
         for k in (1, 2):
             assert abs(
-                ris_y(model, pt, k).value - ris_r(model, pt, k).value
+                ris_y(model, pt, k) - ris_r(model, pt, k)
             ) <= 1e-12
 
 
@@ -122,8 +122,8 @@ def test_cosine_checkpoint_norm_two_orthogonal():
     u = np.array([0.0, 1.0, 0.0])
     y0 = math.cos(-math.pi / 4.0)  # noiseless response at cos(theta0) = 0
     pt = ContaminationPoint(y0=y0, x0=2.0 * u)
-    assert ris_y(model, pt, 1).value == pytest.approx(1.0, abs=1e-9)
-    assert ris_r(model, pt, 1).value <= 1e-9
+    assert ris_y(model, pt, 1) == pytest.approx(1.0, abs=1e-9)
+    assert ris_r(model, pt, 1) <= 1e-9
 
 
 def test_rotation_invariance(rng):
@@ -142,11 +142,11 @@ def test_rotation_invariance(rng):
         y0 = float(rng.standard_normal())
         pt, pt_rot = ContaminationPoint(y0, x0), ContaminationPoint(y0, q @ x0)
         for k in (1, 2):
-            assert ris_y(model, pt, k).value == pytest.approx(
-                ris_y(rotated, pt_rot, k).value, abs=1e-10
+            assert ris_y(model, pt, k) == pytest.approx(
+                ris_y(rotated, pt_rot, k), abs=1e-10
             )
-            assert ris_r(model, pt, k).value == pytest.approx(
-                ris_r(rotated, pt_rot, k).value, abs=1e-10
+            assert ris_r(model, pt, k) == pytest.approx(
+                ris_r(rotated, pt_rot, k), abs=1e-10
             )
 
 
@@ -174,10 +174,10 @@ def test_ris_rows_matches_the_influence_matrix_route(rng):
             for k in (1, 2):
                 want = ris_from_if_matrix(model, f[v], k)
                 assert got[v][i, k - 1] == pytest.approx(want, rel=1e-9, abs=1e-12)
-        assert got["y"][i, 1] == pytest.approx(ris_y(model, pt, 2).value, rel=1e-12)
+        assert got["y"][i, 1] == pytest.approx(ris_y(model, pt, 2), rel=1e-12)
         # ris_r is the one-row view at the population OLS residual
         r_pop = population_ols_residual(model, pt)
-        assert ris_r(model, pt, 1).value == pytest.approx(
+        assert ris_r(model, pt, 1) == pytest.approx(
             ris_rows(model, "r", x0[i][None], [r_pop])[0, 0], rel=1e-12
         )
 
@@ -311,7 +311,7 @@ def test_oracle_vanishes_where_closed_form_does(rng):
     u -= model.gamma.columns @ (model.gamma.columns.T @ u)
     u /= np.linalg.norm(u)
     pt = ContaminationPoint(y0=0.4, x0=2.0 * u)
-    assert ris_r(model, pt, 1).value <= 1e-12
+    assert ris_r(model, pt, 1) <= 1e-12
     assert ris_numeric_oracle(model, pt, 1, "r") <= 1e-4
 
 
@@ -331,8 +331,8 @@ def test_oracle_matches_closed_forms(model_seed, p, k, identity):
         )
         for kk in range(1, k + 1):
             for variant, closed in (
-                ("y", ris_y(model, pt, kk).value),
-                ("r", ris_r(model, pt, kk).value),
+                ("y", ris_y(model, pt, kk)),
+                ("r", ris_r(model, pt, kk)),
             ):
                 oracle = ris_numeric_oracle(model, pt, kk, variant)
                 rel_errors.append(abs(closed - oracle) / max(closed, 1e-8))
@@ -348,7 +348,7 @@ def test_oracle_converges_first_order():
             y0=model.mu_y + float(rng.standard_normal()),
             x0=model.mu + rng.standard_normal(4),
         )
-        closed = ris_y(model, pt, 1).value
+        closed = ris_y(model, pt, 1)
         err_big = abs(ris_numeric_oracle(model, pt, 1, "y", eps=1e-4) - closed)
         err_small = abs(ris_numeric_oracle(model, pt, 1, "y", eps=5e-5) - closed)
         shrink.append(err_small / err_big)
@@ -377,10 +377,10 @@ def test_matrix_route_agrees_with_alpha_route(rng):
         fr = if_h_r(model, pt)
         for k in (1, 2):
             assert ris_from_if_matrix(model, fy, k) == pytest.approx(
-                ris_y(model, pt, k).value, abs=1e-9
+                ris_y(model, pt, k), abs=1e-9
             )
             assert ris_from_if_matrix(model, fr, k) == pytest.approx(
-                ris_r(model, pt, k).value, abs=1e-9
+                ris_r(model, pt, k), abs=1e-9
             )
 
 
@@ -403,11 +403,10 @@ def test_influence_matrix_matches_finite_difference(rng):
 # ----------------------------------------------------------------------
 
 def test_surface_checkpoints(tmp_path):
-    model = cosine_model(p=3)
     norms = np.linspace(0.0, 3.0, 13)   # includes 2.0
     costhetas = np.linspace(-1.0, 1.0, 9)  # includes -1, 0, 1
-    grid_y = influence_surface(model, "y", norms, costhetas)
-    grid_r = influence_surface(model, "r", norms, costhetas)
+    grid_y = influence_surface(3, "y", norms, costhetas)
+    grid_r = influence_surface(3, "r", norms, costhetas)
 
     a = int(np.where(np.isclose(norms, 2.0))[0][0])
     b = int(np.where(np.isclose(costhetas, 0.0))[0][0])
@@ -431,11 +430,10 @@ def test_surface_checkpoints(tmp_path):
 
 
 def test_surface_csv_is_the_per_cell_layout(tmp_path):
-    model = cosine_model(p=3)
     norms = np.linspace(0.0, 3.0, 8)
     costhetas = np.linspace(-1.0, 1.0, 6)
-    grid_y = influence_surface(model, "y", norms, costhetas)
-    grid_r = influence_surface(model, "r", norms, costhetas)
+    grid_y = influence_surface(3, "y", norms, costhetas)
+    grid_r = influence_surface(3, "r", norms, costhetas)
     path = tmp_path / "surface.csv"
     write_surface_csv(path, norms, costhetas, grid_y, grid_r)
     want = "norm_x0,cos_theta0,ris_y,ris_r\n" + "".join(
@@ -447,10 +445,9 @@ def test_surface_csv_is_the_per_cell_layout(tmp_path):
 
 
 def test_surface_cross_section_peak_favors_residual_variant():
-    model = cosine_model(p=3)
     costhetas = np.linspace(-1.0, 1.0, 201)
-    grid_y = influence_surface(model, "y", [2.0], costhetas)
-    grid_r = influence_surface(model, "r", [2.0], costhetas)
+    grid_y = influence_surface(3, "y", [2.0], costhetas)
+    grid_r = influence_surface(3, "r", [2.0], costhetas)
     assert grid_r.max() > grid_y.max()
 
 
@@ -460,7 +457,7 @@ def test_surface_matches_the_single_index_shortcut(variant):
     model = cosine_model(p=3)
     norms = np.linspace(0.0, 3.0, 61)
     costhetas = np.linspace(-1.0, 1.0, 61)
-    got = influence_surface(model, variant, norms, costhetas)
+    got = influence_surface(3, variant, norms, costhetas)
     want = surface_shortcut(model, variant, norms, costhetas)
     assert got.shape == want.shape == (61, 61)
     assert np.abs(got - want).max() <= 1e-9
@@ -476,13 +473,13 @@ def test_ris_rows_and_surface_reject_bad_points():
         ris_rows(model, "r", np.full((1, 3), np.inf), [0.0])
     for norms, costhetas in (([np.nan], [0.0]), ([1.0], [np.nan]), ([1.0], [1.5])):
         with pytest.raises(ValueError):
-            influence_surface(model, "y", norms, costhetas)
+            influence_surface(3, "y", norms, costhetas)
 
 
-def test_surface_rejects_wrong_shape(rng):
-    model = random_model(rng, 4, 2, identity_sigma=True)
+def test_surface_needs_p_at_least_2():
+    # the surface is the cosine model's, which needs a second axis for x0
     with pytest.raises(UnsupportedModel):
-        influence_surface(model, "y", [1.0], [0.0])
+        influence_surface(1, "y", [1.0], [0.0])
 
 
 def test_constants_match_their_decimal_values():

@@ -13,6 +13,15 @@ def test_noiseless_cosine_is_deterministic_in_x():
     assert np.array_equal(d.y, np.cos(2.0 * d.x @ beta - np.pi / 4))
 
 
+def test_single_index_models_keep_their_noiseless_response():
+    # each named model draws through its catalog link on x @ beta
+    beta = np.array([1.0, -0.5, 2.0])
+    d = simulate(SimSpec(model="linear_index", n=200, p=3, seed=6, sigma=0.0, beta=beta))
+    assert np.array_equal(d.y, d.x @ beta)
+    d = simulate(SimSpec(model="quadratic_first", n=200, p=3, seed=6, sigma=0.0))
+    assert np.array_equal(d.y, d.x[:, 0] ** 2)
+
+
 def test_linear_model_ols_recovery():
     beta = np.array([1.0, -0.5, 2.0, 0.0])
     spec = SimSpec(model="linear_index", n=10_000, p=4, seed=5, sigma=1.0, beta=beta)
@@ -120,3 +129,11 @@ def test_mc_constants_insensitive_to_noise_level():
         va, vb = getattr(a, field), getattr(b, field)
         se = np.hypot(getattr(a, "se_" + field), getattr(b, "se_" + field))
         assert abs(va - vb) <= 3 * se
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_mc_constants_reject_a_zero_standard_error(seed):
+    # two noiseless draws: a standard error is exactly zero, so a z-score
+    # against its target would divide by zero
+    with pytest.raises(InvalidArgument, match="standard error is zero"):
+        mc_constants(2, seed=seed, sigma=0.0)
