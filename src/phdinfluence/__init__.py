@@ -30,10 +30,8 @@ _EXPORTS = {
     "sym_eigen": "linalg",
     "symmetrize": "linalg",
     "Dataset": "moments",
-    "LooMoments": "moments",
     "MomentSet": "moments",
     "compute_moments": "moments",
-    "loo_downdates": "moments",
     "mahalanobis": "moments",
     "PhdFit": "phd",
     "fit_from_moments": "phd",

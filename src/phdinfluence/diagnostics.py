@@ -25,17 +25,14 @@ applies to its own eigenvalues).  ``sris``, ``hris`` and ``eris`` call it;
 the gate through ``eris``.
 
 SRIS, HRIS and the order_swap flags all read one leave-one-out walk,
-``_loo_hessians``: per block of ``loo_block_rows(p)`` observations (a fixed
-byte budget per (rows, p, p) stack, see ``moments``) it yields the
-``LooMoments`` of one closed-form downdate, the block's regular rows and
-one (rows, V, p, p) stack of their leave-one-out Hessians H_(j), with a
-variant axis: V = 2 for the report, which walks both variants in one pass,
-and V = 1 for ``sris`` and ``hris``.  The row kernels take the V fits
-stacked on the same axis and return (rows, V, K); each caller applies them
-itself.  ``hris`` reads the stack and makes no eigendecomposition; ``sris``
-and the report make one ``eigh`` call per observation, on the (V, p, p)
-stack of its Hessians, and keep the K leading eigenvectors of each.  At a
-row on the leverage singularity ``sris`` and ``hris`` raise
+``_LooWalk``, over V fits stacked on a variant axis (2 for the report, which
+walks both variants in one pass, 1 for ``sris`` and ``hris``).  Per block of
+``loo_block_rows(p)`` observations it yields the block's ``LooLeverage`` and
+the terms of each regular row's leave-one-out Hessian H_(j), a closed form
+in the full-sample fit, per-row scalars and a rank-2 term; no leave-one-out
+moment is formed.  ``sris`` and the report make one ``eigh`` call per
+observation, on the (V, p, p) stack of its H_(j); ``hris`` builds no stack.
+At a row on the leverage singularity ``sris`` and ``hris`` raise
 DegenerateLeverage, while the report leaves SRIS and HRIS NaN and flags the
 row ``degenerate_leverage``.
 
@@ -63,7 +60,7 @@ from .moments import (
     MomentSet,
     compute_moments,
     loo_block_rows,
-    loo_downdates,
+    loo_leverage,
     mahalanobis,
     require_regular,
 )
@@ -111,65 +108,130 @@ def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
     _require_untied(fit.lambda_hat)
 
 
-def _loo_hessians(d: Dataset, m: MomentSet, variants):
-    """Per block of ``loo_block_rows(p)`` observations, yield its
-    ``LooMoments``, the indices of its regular rows (not ``degenerate``) and
-    the (rows, V, p, p) stack of their leave-one-out Hessians
-    H_(j) = S_(j)^-1 M_(j) S_(j)^-1, one per variant in ``variants``, in that
-    order."""
-    step = loo_block_rows(d.p)
-    for start in range(0, d.n, step):
-        lm = loo_downdates(d, m, np.arange(start, min(start + step, d.n)))
-        degenerate = lm.degenerate
-        keep = ~degenerate if degenerate.any() else slice(None)  # a slice copies nothing
-        s_inv = lm.s_inv_j[keep]
-        h = np.empty((len(s_inv), len(variants), d.p, d.p))
-        for a, v in enumerate(variants):
-            mat = (lm.sigma_yxx_j if v == "y" else lm.sigma_rxx_j)[keep]
-            np.matmul(s_inv @ mat, s_inv, out=h[:, a])
-        yield lm, lm.j[keep], mirror(h)
+@dataclass(frozen=True)
+class _LooTerms:
+    """The terms of ``_LooWalk``'s closed form for a block's regular rows:
+    their indices ``rows``, ``u`` (R, p), ``a`` and ``e`` (R, V), ``w``
+    (R, V, p) and ``g``, the (R, p, p) stack of G(u), None without r."""
+
+    rows: np.ndarray
+    u: np.ndarray
+    a: np.ndarray
+    e: np.ndarray
+    w: np.ndarray
+    g: np.ndarray | None
 
 
-def _stack_fits(fits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gamma-hat (V, p, K), |lambda-hat| (V, K) and H (V, p, p) of fits of one
-    rank, stacked on the variant axis of ``_loo_hessians`` in the given order."""
-    return (
-        np.stack([f.gamma_hat.columns for f in fits]),
-        np.abs(np.stack([f.lambda_hat for f in fits])),
-        np.stack([f.h for f in fits]),
-    )
+class _LooWalk:
+    """The leave-one-out walk over fits of one rank, stacked on a variant
+    axis in the given order: Gamma-hat (V, p, K), |lambda-hat| (V, K) and
+    H (V, p, p).
 
+    With d = x_j - xbar, u = S^-1 d and D = (n-1)^2/n - d'u, deleting row j
+    gives S_(j)^-1 = (n-2)/(n-1) (S^-1 + u u'/D) and, with L = n(n+1)/(n-1)^2,
+    (n-1) M_(j) = N = n M - e T(u) + a S + g d' + d g' - b d d', T the
+    contraction of the predictor third moment X3.  For y, a = y_j - ybar,
+    e = 0, g = s_xy and b = a L; for r, a = r_j (n-1)^2/(n D), e = -n r_j/D,
+    g = 0 and b = a L - 2 r_j/D, since deleting the row moves the OLS slope
+    by -r_j u/D.  Sandwiching N gives
 
-def _hris_rows(gamma: np.ndarray, lam: np.ndarray, h_fit: np.ndarray, h: np.ndarray,
-               n: int) -> np.ndarray:
-    """HRIS, (rows, V, K), of a (rows, V, p, p) stack of leave-one-out
-    Hessians against the V fits' Gamma-hat, |lambda-hat| and H."""
-    sif = (n - 1) * (h_fit - h)
-    return np.linalg.norm(project_out(gamma, sif @ gamma), axis=-2) / lam
+        H_(j) = c [n H + a S^-1 - e G(u) + u w' + w u'],
 
-
-def _sris_rows(gamma: np.ndarray, h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(SRIS, order_swap flags), each (rows, V, K), of a (rows, V, p, p) stack
-    of leave-one-out Hessians against the V fits' Gamma-hat, from one ``eigh``
-    call per observation on its (V, p, p) stack.
-
-    Only the K leading eigenvectors are picked out (by ``eigen_order``); the
-    order_swap maximum runs over the unsorted ones, and no output reads the
-    sign of a leave-one-out eigenvector, so no sign rule is applied.
+    c = ((n-2)/(n-1))^2/(n-1), G(u) = S^-1 T(u) S^-1, v = S^-1 N u and
+    w = S^-1 g + v/D + (d'v/D^2 - b) u/2.  Each variant's terms are computed
+    on their own, so its values do not depend on which others share the walk.
     """
-    w = np.empty(h.shape[:-1])
-    v = np.empty_like(h)
-    for i, h_j in enumerate(h):
-        w[i], v[i] = np.linalg.eigh(h_j)
-    check_orthonormal(v)
-    leading = eigen_order(w)[..., None, : gamma.shape[-1]]
-    sines = np.linalg.norm(
-        project_out(gamma, np.take_along_axis(v, leading, axis=-1)), axis=-2
-    )
-    overlaps = np.abs(np.swapaxes(v, -1, -2) @ gamma)
-    own = np.take_along_axis(overlaps, leading, axis=-2)[..., 0, :]
-    swapped = overlaps.max(axis=-2) - own > ORDER_SWAP_TOL
-    return (n - 1) * np.clip(sines, 0.0, 1.0), swapped
+
+    def __init__(self, d: Dataset, m: MomentSet, fits):
+        fits = tuple(fits)
+        self.d, self.m, self.n = d, m, d.n
+        self.variants = tuple(f.variant for f in fits)
+        self.gamma = np.stack([f.gamma_hat.columns for f in fits])
+        self.lam = np.abs(np.stack([f.lambda_hat for f in fits]))
+        self.h = np.stack([f.h for f in fits])
+        # S^-1 g per variant: the y variant's N carries s_xy d' + d s_xy'
+        beta = m.s_inv @ m.s_xy
+        self.slope = np.stack([beta if v == "y" else 0.0 * beta for v in self.variants])
+        self.scale = ((d.n - 2) / (d.n - 1)) ** 2 / (d.n - 1)
+        self.p_s_inv = project_out(self.gamma, m.s_inv @ self.gamma)
+
+    def blocks(self):
+        """Per block of ``loo_block_rows(p)`` observations, yield its
+        ``LooLeverage`` and the ``_LooTerms`` of its regular rows (those
+        not ``degenerate``)."""
+        d, m, n = self.d, self.m, self.n
+        full = (n - 1) ** 2 / n
+        lever = n * (n + 1) / (n - 1) ** 2
+        step = loo_block_rows(d.p)
+        for start in range(0, n, step):
+            lev = loo_leverage(d, m, np.arange(start, min(start + step, n)))
+            keep = ~lev.degenerate
+            rows, dj, u, denom = lev.j[keep], lev.d[keep], lev.u[keep], lev.denom[keep]
+            q = full - denom
+            dy = d.y[rows] - m.ybar
+            r_d = m.residuals[rows] / denom
+            by_variant = {"y": (dy, 0.0 * dy, lever * dy),
+                          "r": (full * r_d, -n * r_d, (lever * full - 2.0) * r_d)}
+            a, e, b = (np.stack([by_variant[v][i] for v in self.variants], axis=1)
+                       for i in range(3))
+            d_slope = (dj @ self.slope[..., None])[..., 0].T  # one product per variant
+            v = (n * np.swapaxes(dj @ self.h, 0, 1)
+                 + (a - b * q[:, None] + d_slope)[..., None] * u[:, None]
+                 + q[:, None, None] * self.slope)
+            g = None
+            if "r" in self.variants:
+                g = mirror(m.s_inv @ np.tensordot(u, m.x_third, axes=1) @ m.s_inv)
+                v -= e[..., None] * (g @ dj[..., None])[:, None, :, 0]
+            dv = np.einsum("rp,rvp->rv", dj, v) / (denom**2)[:, None]
+            w = self.slope + v / denom[:, None, None] + ((dv - b) / 2)[..., None] * u[:, None]
+            yield lev, _LooTerms(rows=rows, u=u, a=a, e=e, w=w, g=g)
+
+    def hessians(self, t: _LooTerms) -> np.ndarray:
+        """The (rows, V, p, p) stack of the leave-one-out Hessians H_(j)."""
+        u, w = t.u[:, None], t.w
+        h = (self.n * self.h + t.a[..., None, None] * self.m.s_inv
+             + u[..., :, None] * w[..., None, :] + w[..., :, None] * u[..., None, :])
+        if t.g is not None:  # e = 0 for y
+            h -= t.e[..., None, None] * t.g[:, None]
+        return self.scale * h
+
+    def sris(self, t: _LooTerms) -> tuple[np.ndarray, np.ndarray]:
+        """(SRIS, order_swap flags), each (rows, V, K), from one ``eigh``
+        call per observation on its (V, p, p) stack of H_(j).
+
+        Only the K leading eigenvectors are picked out (by ``eigen_order``);
+        the order_swap maximum runs over the unsorted ones, and no output
+        reads the sign of a leave-one-out eigenvector, so no sign rule is
+        applied.
+        """
+        h, gamma = self.hessians(t), self.gamma
+        w = np.empty(h.shape[:-1])
+        v = np.empty_like(h)
+        for i, h_j in enumerate(h):
+            w[i], v[i] = np.linalg.eigh(h_j)
+        check_orthonormal(v)
+        leading = eigen_order(w)[..., None, : gamma.shape[-1]]
+        sines = np.linalg.norm(
+            project_out(gamma, np.take_along_axis(v, leading, axis=-1)), axis=-2
+        )
+        overlaps = np.abs(np.swapaxes(v, -1, -2) @ gamma)
+        own = np.take_along_axis(overlaps, leading, axis=-2)[..., 0, :]
+        swapped = overlaps.max(axis=-2) - own > ORDER_SWAP_TOL
+        return (self.n - 1) * np.clip(sines, 0.0, 1.0), swapped
+
+    def hris(self, t: _LooTerms) -> np.ndarray:
+        """HRIS, (rows, V, K), with no Hessian stack: P = I - Gamma Gamma'
+        removes the n H term, so the columns of P (n-1)(H - H_(j)) Gamma are
+        -(n-1) c P [a S^-1 - e G(u) + u w' + w u'] Gamma."""
+        gamma = self.gamma[:, None]  # every product below is (V, rows, ...)
+        u, w = t.u[..., None], np.swapaxes(t.w, 0, 1)[..., None]
+        gu, gw = np.swapaxes(u, -1, -2) @ gamma, np.swapaxes(w, -1, -2) @ gamma
+        cols = (t.a.T[..., None, None] * self.p_s_inv[:, None]
+                + project_out(gamma, u) * gw + project_out(gamma, w) * gu)
+        if t.g is not None:  # e = 0 for y
+            cols -= t.e.T[..., None, None] * project_out(gamma, t.g @ gamma)
+        hris = (self.n - 1) * self.scale * np.linalg.norm(cols, axis=-2) / self.lam[:, None]
+        return np.swapaxes(hris, 0, 1)
 
 
 def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
@@ -180,11 +242,11 @@ def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
     """
     m = compute_moments(d)
     _require_measurable(fit, m)
-    gamma = _stack_fits((fit,))[0]
+    walk = _LooWalk(d, m, (fit,))
     out = np.empty((d.n, fit.k))
-    for lm, rows, h in _loo_hessians(d, m, (fit.variant,)):
-        require_regular(lm)
-        out[rows] = _sris_rows(gamma, h, d.n)[0][:, 0]
+    for lev, t in walk.blocks():
+        require_regular(lev)
+        out[t.rows] = walk.sris(t)[0][:, 0]
     return out
 
 
@@ -202,14 +264,15 @@ def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Hybrid influence via the closed-form leave-one-out Hessian, n x K.
 
     Equals the value obtained by recomputing the Hessian on the n-1 subset.
-    Reads only the Hessian stack: no eigendecomposition.
+    Reads the per-row terms of the leave-one-out walk: no Hessian stack and
+    no eigendecomposition.
     """
     _require_measurable(fit, m)
-    stacked = _stack_fits((fit,))
+    walk = _LooWalk(d, m, (fit,))
     out = np.empty((d.n, fit.k))
-    for lm, rows, h in _loo_hessians(d, m, (fit.variant,)):
-        require_regular(lm)
-        out[rows] = _hris_rows(*stacked, h, d.n)[:, 0]
+    for lev, t in walk.blocks():
+        require_regular(lev)
+        out[t.rows] = walk.hris(t)[:, 0]
     return out
 
 
@@ -311,11 +374,11 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     hris_vals = np.full((n, nv, k), np.nan)
     swapped = np.zeros((n, nv, k), dtype=bool)
     degenerate = np.zeros(n, dtype=bool)
-    gamma, lam, h_fit = _stack_fits(fits.values())
-    for lm, rows, h in _loo_hessians(d, m, VARIANTS):
-        degenerate[lm.j] = lm.degenerate
-        hris_vals[rows] = _hris_rows(gamma, lam, h_fit, h, n)
-        sris_vals[rows], swapped[rows] = _sris_rows(gamma, h, n)
+    walk = _LooWalk(d, m, fits.values())
+    for lev, t in walk.blocks():
+        degenerate[lev.j] = lev.degenerate
+        hris_vals[t.rows] = walk.hris(t)
+        sris_vals[t.rows], swapped[t.rows] = walk.sris(t)
 
     flags: list[list[str]] = [[] for _ in range(n)]
     for j in np.flatnonzero(degenerate):

@@ -1,4 +1,4 @@
-"""Sample moments, OLS byproducts and closed-form leave-one-out downdates.
+"""Sample moments, OLS byproducts and the leave-one-out leverage.
 
 Conventions (they matter downstream, do not mix):
 
@@ -7,34 +7,24 @@ Conventions (they matter downstream, do not mix):
   moments (divide by n);
 * OLS residuals are ``r_i = y_i - ybar - (x_i - xbar)' s_inv s_xy``.
 
-The leave-one-out quantities are computed by exact rank-one downdates of the
-full-sample moments (Sherman-Morrison for the inverse), never by re-scanning
-the data.  With ``d = x_j - xbar``, ``dy = y_j - ybar`` and ``u = S^{-1} d``:
+No leave-one-out moment is formed: ``diagnostics`` builds each leave-one-out
+Hessian from the full-sample fit and the leverage of the row.  With
+``d = x_j - xbar`` and ``u = S^{-1} d``, deleting row j gives
 
-    S_(j)^{-1} = (n-2)/(n-1) * [S^{-1} + u u' / ((n-1)^2/n - d'u)]
+    S_(j)^{-1} = (n-2)/(n-1) * [S^{-1} + u u' / D],   D = (n-1)^2/n - d'u.
 
-    Sigma_yxx,(j) = [ n Sigma_yxx + s_xy d' + d s_xy'
-                      + dy (S - n(n+1)/(n-1)^2 * d d') ] / (n-1)
-
-and the residual-weighted analogue subtracts the same-shaped downdate of the
-predictor third moment contracted with the leave-one-out OLS slope
-S_(j)^{-1} s_xy,(j).  The formulas are validated against brute-force and
-high-precision refits in the test suite.
-
-Blocked evaluation: :func:`loo_downdates` evaluates these closed forms once
-for a whole block of rows, as (rows, p, p) stacks; a single row is a block
-of one.  Callers walk the sample in blocks of :func:`loo_block_rows` rows,
+:func:`loo_leverage` computes u, D and the margin below for a block of rows
+at once.  Callers walk the sample in blocks of :func:`loo_block_rows` rows,
 sized so that one (rows, p, p) float64 stack fits in LOO_BLOCK_BYTES; the
 byte budget, not the sample size, bounds the memory of a leave-one-out pass.
 
-Leverage criterion: with z'z = d'S^{-1}d = d'u, the scalar (n-1)^2/n - z'z is
-zero exactly when deleting row j leaves a singular covariance (the leverage
-singularity).  Its whitened margin, (n-1)^2/n - z'z divided by (n-1)^2/n, is
-the smallest eigenvalue of the whitened leave-one-out covariance relative to
-the others and lies in [0, 1].  A margin at or below LEVERAGE_RTOL puts the
-row in :attr:`LooMoments.degenerate`, which :func:`require_regular` turns
-into DegenerateLeverage; that property is the only place the leverage
-singularity is decided.
+Leverage criterion: D is zero exactly when deleting row j leaves a singular
+covariance (the leverage singularity).  Its whitened margin, D divided by
+(n-1)^2/n, is the smallest eigenvalue of the whitened leave-one-out
+covariance relative to the others and lies in [0, 1].  A margin at or below
+LEVERAGE_RTOL puts the row in :attr:`LooLeverage.degenerate`, which
+:func:`require_regular` turns into DegenerateLeverage; that property is the
+only place the leverage singularity is decided.
 """
 
 from __future__ import annotations
@@ -46,13 +36,13 @@ import numpy as np
 from .errors import DegenerateLeverage, InsufficientData
 from .linalg import mirror, spd_inverse
 
-#: smallest whitened leverage margin a downdate accepts.  The u u' / denom
-#: term amplifies the rounding error in denom by 1/margin, so below sqrt(eps)
-#: the leave-one-out inverse keeps fewer than half of its significant digits.
+#: smallest whitened leverage margin the leave-one-out walk accepts.  The
+#: u u' / D term amplifies the rounding error in D by 1/margin, so below
+#: sqrt(eps) a leave-one-out Hessian keeps fewer than half of its digits.
 LEVERAGE_RTOL = float(np.sqrt(np.finfo(float).eps))
 
-#: byte budget of one (rows, p, p) float64 stack in a blocked downdate: 32
-#: rows at p = 16.  Larger blocks buy little speed and raise peak memory.
+#: byte budget of one (rows, p, p) float64 stack in a leave-one-out block:
+#: 32 rows at p = 16.  Larger blocks buy little speed and raise peak memory.
 LOO_BLOCK_BYTES = 64 * 1024
 
 
@@ -105,11 +95,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Every moment a PHD fit or downdate needs, computed in one pass.
+    """Every moment a PHD fit or leave-one-out Hessian needs, computed in one
+    pass.
 
     ``x_third`` is the p x p x p maximum-likelihood third central moment
-    tensor of the predictors; it powers the closed-form downdate of the
-    residual-weighted third moment.
+    tensor of the predictors; the residual-based leave-one-out Hessians
+    read it, because deleting a row moves the OLS slope.
     """
 
     xbar: np.ndarray
@@ -132,21 +123,15 @@ class MomentSet:
 
 
 @dataclass(frozen=True)
-class LooMoments:
-    """Moments of the sample with each row of a block removed, from
-    closed-form downdates (:func:`loo_downdates`).
-
-    Every field carries a leading axis over the block's rows: ``j`` holds
-    their observation indices and ``margin`` their whitened leverage margins.
-    Rows at the leverage singularity (``degenerate``) hold NaN in ``s_inv_j``
-    and ``sigma_rxx_j``, the quantities that need S_(j)^-1.
-    """
+class LooLeverage:
+    """Leverage of each row of a block (:func:`loo_leverage`): observation
+    indices ``j``, d_j = x_j - xbar, u_j = S^-1 d_j, ``denom``
+    D_j = (n-1)^2/n - d_j'u_j and ``margin`` D_j / ((n-1)^2/n)."""
 
     j: np.ndarray
-    s_inv_j: np.ndarray
-    s_xy_j: np.ndarray
-    sigma_yxx_j: np.ndarray
-    sigma_rxx_j: np.ndarray
+    d: np.ndarray
+    u: np.ndarray
+    denom: np.ndarray
     margin: np.ndarray
 
     @property
@@ -195,85 +180,35 @@ def compute_moments(d: Dataset) -> MomentSet:
 
 
 def loo_block_rows(p: int) -> int:
-    """Rows per block of :func:`loo_downdates` callers at p predictors: as
-    many as fit one (rows, p, p) float64 stack into LOO_BLOCK_BYTES."""
+    """Rows per leave-one-out block at p predictors: as many as fit one
+    (rows, p, p) float64 stack into LOO_BLOCK_BYTES."""
     return max(1, LOO_BLOCK_BYTES // (8 * p * p))
 
 
-def loo_downdates(d: Dataset, m: MomentSet, rows) -> LooMoments:
-    """Closed-form moments of the sample without each observation in ``rows``,
-    with a leading axis over ``rows``."""
+def loo_leverage(d: Dataset, m: MomentSet, rows) -> LooLeverage:
+    """Leave-one-out leverage of each observation in ``rows``, with a
+    leading axis over ``rows``."""
     n = d.n
     rows = np.asarray(rows, dtype=np.intp)
     if rows.ndim != 1 or np.any((rows < 0) | (rows >= n)):
         raise IndexError(f"observation indices {rows.tolist()} out of range for n={n}")
-
     dj = d.x[rows] - m.xbar
-    dyj = d.y[rows] - m.ybar
-
     u = dj @ m.s_inv
     full = (n - 1) ** 2 / n
     denom = full - np.einsum("ij,ij->i", dj, u)
-    margin = denom / full
-    # A denominator at or below LEVERAGE_RTOL * full is a row at the leverage
-    # singularity (LooMoments.degenerate): the floor keeps it finite until it
-    # is set to NaN below.
-    denom = np.maximum(denom, LEVERAGE_RTOL * full)
-    s_inv_j = (n - 2) / (n - 1) * (m.s_inv + u[:, :, None] * u[:, None, :] / denom[:, None, None])
-
-    s_xy_j = ((n - 1) * m.s_xy - (n / (n - 1)) * dyj[:, None] * dj) / (n - 2)
-
-    lever = n * (n + 1) / (n - 1) ** 2
-    s_lever = m.s - lever * (dj[:, :, None] * dj[:, None, :])
-    sigma_yxx_j = mirror(
-        (
-            n * m.sigma_yxx_hat
-            + m.s_xy[:, None] * dj[:, None, :]
-            + dj[:, :, None] * m.s_xy
-            + dyj[:, None, None] * s_lever
-        )
-        / (n - 1)
-    )
-
-    # Residual-weighted analogue: subtract the downdated predictor third
-    # moment contracted with the leave-one-out OLS slope.
-    beta_j = np.einsum("rab,rb->ra", s_inv_j, s_xy_j)
-    t_beta = np.tensordot(beta_j, m.x_third, axes=([1], [0]))
-    s_beta = beta_j @ m.s
-    d_beta = np.einsum("ra,ra->r", dj, beta_j)
-    sigma_rxx_j = mirror(
-        sigma_yxx_j
-        - (
-            n * t_beta
-            + s_beta[:, :, None] * dj[:, None, :]
-            + dj[:, :, None] * s_beta[:, None, :]
-            + d_beta[:, None, None] * s_lever
-        )
-        / (n - 1)
-    )
-    lm = LooMoments(
-        j=rows,
-        s_inv_j=s_inv_j,
-        s_xy_j=s_xy_j,
-        sigma_yxx_j=sigma_yxx_j,
-        sigma_rxx_j=sigma_rxx_j,
-        margin=margin,
-    )
-    s_inv_j[lm.degenerate] = np.nan
-    sigma_rxx_j[lm.degenerate] = np.nan
-    return lm
+    return LooLeverage(j=rows, d=dj, u=u, denom=denom, margin=denom / full)
 
 
-def require_regular(lm: LooMoments) -> None:
+def require_regular(lev: LooLeverage) -> None:
     """Raise DegenerateLeverage for the first row of a block that sits at the
     leverage singularity."""
-    degenerate = lm.degenerate
+    degenerate = lev.degenerate
     if degenerate.any():
         i = int(np.argmax(degenerate))
-        j = int(lm.j[i])
+        j = int(lev.j[i])
         raise DegenerateLeverage(
             f"observation {j} sits at the leverage singularity: "
-            f"whitened margin ((n-1)^2/n - z'z) / ((n-1)^2/n) = {lm.margin[i]:.3e}",
+            f"whitened margin ((n-1)^2/n - z'z) / ((n-1)^2/n) = {lev.margin[i]:.3e}",
             index=j,
         )
 

@@ -133,8 +133,9 @@ def mc_constants(n_mc: int, seed: int, sigma: float) -> McConstants:
     The three targets depend on (Z, Y) only, so sampling Z instead of the
     full predictor vector is exact and keeps 1e7-sample runs cheap.
     """
-    if n_mc < 2:
-        raise InvalidArgument(f"n_mc must be at least 2, got {n_mc}")
+    if n_mc < 3:
+        raise InvalidArgument(f"n_mc must be at least 3, got {n_mc}: with two draws the covariance "
+                              "terms are equal, so their standard error is zero or rounding")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidArgument(f"sigma must be finite and nonnegative, got {sigma!r}")
     rng = np.random.default_rng(seed)

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phdinfluence import Basis, Dataset, LooMoments, PopulationModel, loo_downdates
-from phdinfluence.moments import require_regular
+from phdinfluence import Basis, Dataset, PopulationModel
+from phdinfluence.diagnostics import _LooWalk
 from oracles import MpRefit, mp_refit
 
 
@@ -81,13 +81,18 @@ def hitters_refit(j: int | None) -> MpRefit:
     return refit
 
 
-def loo_row(d, m, j: int) -> LooMoments:
-    """Closed-form downdate of observation j alone: a block of one row,
-    required regular (DegenerateLeverage otherwise), with its leading axis
-    dropped."""
-    lm = loo_downdates(d, m, [j])
-    require_regular(lm)
-    return LooMoments(**{name: value[0] for name, value in vars(lm).items()})
+def loo_hessians(d, m, fits) -> tuple[np.ndarray, np.ndarray]:
+    """The leave-one-out Hessians H_(j) the walk builds for every
+    observation, as an (n, V, p, p) array with one entry per fit in the given
+    order (NaN at rows on the leverage singularity), and the n-vector mask
+    of those rows."""
+    walk = _LooWalk(d, m, fits)
+    h = np.full((d.n, len(walk.variants), d.p, d.p), np.nan)
+    degenerate = np.zeros(d.n, dtype=bool)
+    for lev, t in walk.blocks():
+        degenerate[lev.j] = lev.degenerate
+        h[t.rows] = walk.hessians(t)
+    return h, degenerate
 
 
 def run_python(args: list[str], timeout: float, unset=()) -> subprocess.CompletedProcess:

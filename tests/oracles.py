@@ -19,7 +19,7 @@ the package.
 * The moments of the sample without one row, refitted from scratch in
   40-digit arithmetic (:func:`mp_refit`), and the 40-digit eigensystem of a
   symmetric matrix (:func:`mp_eigh`): the references for the accuracy of the
-  closed-form leave-one-out downdates and of everything built on S^-1.
+  closed-form leave-one-out Hessians and of everything built on S^-1.
 * ERIS of chosen rows from the alpha display in 40-digit arithmetic, on the
   fit's own Gamma and lambda (:func:`mp_eris`).
 * The influence report as one JSON document (:func:`report_to_json_dict`),

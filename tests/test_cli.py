@@ -166,6 +166,10 @@ def test_usage_error_exit_code():
         # two noiseless draws make a standard error zero: no z-score exists
         pytest.param(["validate-constants", "--n", "2", "--sigma", "0", "--seed", "2"],
                      id="validate-zero-standard-error"),
+        # at seeds 5 and 6 that standard error is rounding, not zero, and the
+        # z-score was of order 1e16
+        pytest.param(["validate-constants", "--n", "2", "--sigma", "0", "--seed", "5"],
+                     id="validate-rounding-standard-error"),
         pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,0,0;0,1,0"],
                      id="two-index-vectors-for-cosine"),
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",

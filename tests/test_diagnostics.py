@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,10 +23,7 @@ from phdinfluence import (
 )
 from phdinfluence.diagnostics import (
     WRITE_CHUNK,
-    _hris_rows,
-    _loo_hessians,
-    _sris_rows,
-    _stack_fits,
+    _LooWalk,
     write_records_csv,
     write_report_json,
 )
@@ -353,16 +351,18 @@ def test_hris_matches_brute_force_refit():
                 assert rel.max() <= 1e-9, (variant, measure, j)
 
 
-def test_hris_reads_the_hessian_stack_without_eigendecompositions(monkeypatch):
+def test_hris_builds_no_hessian_stack_and_no_eigendecomposition(monkeypatch):
     d = cosine_data(31, n=40, p=4)
     m = compute_moments(d)
-    fit = fit_from_moments(m, "y", 2)
+    fits = [fit_from_moments(m, v, 2) for v in ("y", "r")]
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
-    vals = hris(d, fit, m)
+    monkeypatch.setattr(_LooWalk, "hessians", lambda *a: pytest.fail("hris built a stack"))
+    for fit in fits:
+        vals = hris(d, fit, m)
+        assert vals.shape == (40, 2) and np.isfinite(vals).all()
     assert calls == []
-    assert vals.shape == (40, 2) and np.isfinite(vals).all()
 
 
 def test_hris_small_at_an_exactly_average_observation():
@@ -767,27 +767,27 @@ def walk_table(d, m, fits):
     variant."""
     n = d.n
     variants = tuple(fits)
-    gamma, lam, h_fit = _stack_fits(fits.values())
-    k = gamma.shape[-1]
+    walk = _LooWalk(d, m, fits.values())
+    k = walk.gamma.shape[-1]
     sris_ = np.full((n, len(variants), k), np.nan)
     hris_ = np.full((n, len(variants), k), np.nan)
     swapped = np.zeros((n, len(variants), k), dtype=bool)
     degenerate = np.zeros(n, dtype=bool)
     visited = []
-    for lm, rows, h in _loo_hessians(d, m, variants):
-        visited += lm.j.tolist()
-        assert rows.tolist() == lm.j[~lm.degenerate].tolist()
-        degenerate[lm.j] = lm.degenerate
-        assert h.shape == (rows.size, len(variants), d.p, d.p)
-        hris_[rows] = _hris_rows(gamma, lam, h_fit, h, n)
-        sris_[rows], swapped[rows] = _sris_rows(gamma, h, n)
+    for lev, t in walk.blocks():
+        visited += lev.j.tolist()
+        assert t.rows.tolist() == lev.j[~lev.degenerate].tolist()
+        degenerate[lev.j] = lev.degenerate
+        assert walk.hessians(t).shape == (t.rows.size, len(variants), d.p, d.p)
+        hris_[t.rows] = walk.hris(t)
+        sris_[t.rows], swapped[t.rows] = walk.sris(t)
     assert visited == list(range(n))
     by_variant = [{v: a[:, i] for i, v in enumerate(variants)} for a in (sris_, hris_, swapped)]
     return (*by_variant, degenerate)
 
 
 @pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three])
-def test_report_arrays_are_built_from_the_deletion_table(design):
+def test_report_arrays_are_built_from_the_loo_walk(design):
     d, k = design()
     report = influence_report(d, k)
     m = compute_moments(d)
@@ -855,6 +855,24 @@ def test_report_makes_one_eigh_call_per_regular_observation(design, monkeypatch)
     assert len(shapes) == regular + 3
     assert shapes.count((2, d.p, d.p)) == regular
     assert sum(int(np.prod(s[:-2])) for s in shapes) == 2 * regular + 3
+
+
+def test_report_memory_grows_by_less_than_one_hessian_stack_per_2000_rows():
+    # the leave-one-out walk holds O(p^2) per row of one block, so doubling n
+    # adds only the report's O(n K) arrays and the O(n p) data, far less
+    # than one (2000, 16, 16) float64 stack (4000 KiB) of whole-sample
+    # p x p intermediates
+    influence_report(cosine_data(1, n=100, p=16), 2)  # imports and caches outside the trace
+    peaks = []
+    for n in (2000, 4000):
+        d = cosine_data(5, n=n, p=16)
+        tracemalloc.start()
+        try:
+            influence_report(d, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2000 * 16 * 16 * 8, peaks
 
 
 # ----------------------------------------------------------------------

@@ -5,19 +5,20 @@ from hypothesis import strategies as st
 
 from phdinfluence import (
     Dataset,
-    LooMoments,
     MomentSet,
     compute_moments,
+    fit_from_moments,
     mahalanobis,
 )
 from phdinfluence.linalg import spd_inverse
-from phdinfluence.moments import LOO_BLOCK_BYTES, loo_block_rows, loo_downdates
+from phdinfluence.moments import LOO_BLOCK_BYTES, loo_block_rows, loo_leverage, require_regular
+from phdinfluence.phd import VARIANTS
 from phdinfluence.errors import (
     DegenerateLeverage,
     InsufficientData,
     NotPositiveDefinite,
 )
-from conftest import hitters_like, hitters_refit, loo_row
+from conftest import hitters_like, hitters_refit, loo_hessians
 
 
 # ----------------------------------------------------------------------
@@ -39,20 +40,30 @@ def bf_third_moment(y, x, weights=None):
 
 
 def bf_loo(y, x, j):
-    """Recompute every leave-one-out moment from scratch on the subset."""
+    """S_(j) and the y- and r-weighted third moments M_(j) of the sample
+    without row j, recomputed from scratch on the subset."""
     mask = np.ones(len(y), bool)
     mask[j] = False
     ys, xs = y[mask], x[mask]
     m = len(ys)
-    xbar, ybar = xs.mean(axis=0), ys.mean()
-    xc, yc = xs - xbar, ys - ybar
+    xc, yc = xs - xs.mean(axis=0), ys - ys.mean()
     s = xc.T @ xc / (m - 1)
-    s_xy = xc.T @ yc / (m - 1)
-    yxx = (xc.T * yc) @ xc / m
-    beta = np.linalg.solve(s, s_xy)
-    resid = yc - xc @ beta
-    rxx = (xc.T * resid) @ xc / m
-    return xbar, ybar, s, s_xy, yxx, rxx
+    resid = yc - xc @ np.linalg.solve(s, xc.T @ yc / (m - 1))
+    return s, [(xc.T * w) @ xc / m for w in (yc, resid)]
+
+
+def bf_loo_hessians(y, x, j):
+    """The y- and r-based Hessians S_(j)^-1 M_(j) S_(j)^-1 of the sample
+    without row j, refitted from scratch."""
+    s, thirds = bf_loo(y, x, j)
+    s_inv = np.linalg.inv(s)
+    return [s_inv @ t @ s_inv for t in thirds]
+
+
+def walk_hessians(d, m=None):
+    """loo_hessians of both variants, in VARIANTS order, with their mask."""
+    m = compute_moments(d) if m is None else m
+    return loo_hessians(d, m, [fit_from_moments(m, v, 1) for v in VARIANTS])
 
 
 def make_data(rng, n, p, link=None):
@@ -173,95 +184,94 @@ def test_singular_design_rejected(rng):
 
 
 # ----------------------------------------------------------------------
-# leave-one-out downdates
+# leave-one-out leverage and Hessians
 # ----------------------------------------------------------------------
 
 def test_downdate_matches_brute_force_everywhere(rng):
-    # every row as a block of one, and all rows as one block in
-    # reverse order
+    # the leverage of every row as a block of one and of all rows as one
+    # block in reverse order, and the walk's Hessians against refits
     d = make_data(rng, 30, 4)
     m = compute_moments(d)
-    block = loo_downdates(d, m, np.arange(d.n)[::-1])
+    block = loo_leverage(d, m, np.arange(d.n)[::-1])
     assert not block.degenerate.any()
-    assert block.s_inv_j.shape == (d.n, 4, 4) and block.margin.shape == (d.n,)
+    assert block.u.shape == (d.n, 4) and block.margin.shape == (d.n,)
+    h, degenerate = walk_hessians(d, m)
+    assert not degenerate.any()
     for j in range(d.n):
         i = d.n - 1 - j
         assert block.j[i] == j
-        _, _, s, s_xy, yxx, rxx = bf_loo(d.y, d.x, j)
-        row_i = LooMoments(**{name: value[i] for name, value in vars(block).items()})
-        for lm in (loo_row(d, m, j), row_i):
-            assert np.abs(lm.s_inv_j @ s - np.eye(4)).max() <= 1e-9
-            assert np.abs(lm.s_xy_j - s_xy).max() <= 1e-9 * (1 + np.abs(s_xy).max())
-            assert np.abs(lm.sigma_yxx_j - yxx).max() <= 1e-9 * (1 + np.abs(yxx).max())
-            assert np.abs(lm.sigma_rxx_j - rxx).max() <= 1e-9 * (1 + np.abs(rxx).max())
+        one = loo_leverage(d, m, [j])
+        for name in ("d", "u", "denom", "margin"):
+            got, want = getattr(one, name)[0], getattr(block, name)[i]
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+        for got, want in zip(h[j], bf_loo_hessians(d.y, d.x, j)):
+            assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
 
 
 #: rows of hitters_like() where an eigenbasis inverse of S puts the
-#: closed-form downdates furthest from a high-precision refit
+#: closed-form leave-one-out quantities furthest from a high-precision refit
 HITTERS_ROWS = (33, 40, 114, 231)
 
 
-def test_downdated_inverse_matches_a_high_precision_refit():
-    # Sherman-Morrison of an accurate S^-1 keeps S_(j)^-1 at rounding of its
-    # largest entry on this mixed-unit input (cond(S) about 4.5e6); from an
-    # eigenbasis inverse of S alone it is off by 5.7e-11
+def test_y_loo_hessian_matches_a_high_precision_refit():
+    # built from the accurate full-sample S^-1 and H, the y-based H_(j)
+    # stays at rounding of its largest entry on this mixed-unit input
+    # (cond(S) about 4.5e6)
     d = hitters_like()
-    m = compute_moments(d)
+    h, _ = walk_hessians(d)
     for j in HITTERS_ROWS:
-        want = hitters_refit(j).s_inv
-        got = loo_row(d, m, j).s_inv_j
+        want = hitters_refit(j).h_y
+        got = h[j, VARIANTS.index("y")]
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), j
 
 
-def test_residual_downdate_matches_a_high_precision_refit():
-    # n T_beta in the residual-weighted downdate amplifies the error of the
-    # leave-one-out OLS slope S_(j)^-1 s_xy,(j); with S_(j)^-1 accurate the
-    # plain slope keeps Sigma_rxx,(j) within 2e-14 of its largest entry
+def test_r_loo_hessian_matches_a_high_precision_refit():
+    # the r-based H_(j) also carries the moved OLS slope, through
+    # e_j G(u_j) and the rank-2 term
     d = hitters_like()
-    m = compute_moments(d)
+    h, _ = walk_hessians(d)
     for j in HITTERS_ROWS:
-        want = hitters_refit(j).sigma_rxx
-        got = loo_row(d, m, j).sigma_rxx_j
+        want = hitters_refit(j).h_r
+        got = h[j, VARIANTS.index("r")]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), j
 
 
 def test_downdate_of_only_distinct_point_hits_leverage_singularity():
     # five identical rows plus one distinct one: deleting the distinct row
     # leaves a zero-variance sample, which is exactly the configuration the
-    # downdate denominator detects
+    # leverage denominator detects
     x = np.array([[1.0], [1.0], [1.0], [1.0], [1.0], [4.0]])
     y = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 7.0])
     d = Dataset(y=y, x=x)
     m = compute_moments(d)
     with pytest.raises(DegenerateLeverage) as err:
-        loo_row(d, m, 5)
+        require_regular(loo_leverage(d, m, [5]))
     assert err.value.index == 5
     # removing one of the duplicates instead is fine and matches brute force
-    lm = loo_row(d, m, 2)
-    _, _, s, s_xy, yxx, rxx = bf_loo(d.y, d.x, 2)
-    assert np.abs(lm.s_inv_j - np.linalg.inv(s)).max() <= 1e-9 * np.abs(
-        np.linalg.inv(s)
-    ).max()
-    assert np.abs(lm.sigma_yxx_j - yxx).max() <= 1e-9
+    require_regular(loo_leverage(d, m, [2]))
+    h, _ = walk_hessians(d, m)
+    for got, want in zip(h[2], bf_loo_hessians(y, x, 2)):
+        assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
 
 
 def test_downdate_index_out_of_range(rng):
     d = make_data(rng, 10, 2)
     m = compute_moments(d)
     with pytest.raises(IndexError):
-        loo_row(d, m, 10)
+        loo_leverage(d, m, [10])
     with pytest.raises(IndexError):
-        loo_downdates(d, m, [3, -1])
+        loo_leverage(d, m, [3, -1])
 
 
 def test_block_downdate_masks_the_leverage_singularity():
     x = np.array([[1.0], [1.0], [1.0], [1.0], [1.0], [4.0]])
     y = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 7.0])
     d = Dataset(y=y, x=x)
-    lm = loo_downdates(d, compute_moments(d), np.arange(6))
-    assert lm.degenerate.tolist() == [False] * 5 + [True]
-    assert np.isnan(lm.s_inv_j[5]).all() and np.isnan(lm.sigma_rxx_j[5]).all()
-    assert np.isfinite(lm.s_inv_j[:5]).all() and np.isfinite(lm.sigma_rxx_j[:5]).all()
+    lev = loo_leverage(d, compute_moments(d), np.arange(6))
+    assert lev.degenerate.tolist() == [False] * 5 + [True]
+    h, degenerate = walk_hessians(d)
+    assert degenerate.tolist() == lev.degenerate.tolist()
+    assert np.isnan(h[5]).all() and np.isfinite(h[:5]).all()
 
 
 def test_block_rows_follow_the_byte_budget():
@@ -339,10 +349,12 @@ SCALED_DESIGN_COND = 1e9
     ))
 )
 def test_downdate_equals_a_refit_on_random_scaled_designs(case):
-    # every row as one block against compute_moments on the sample without
-    # it, with each predictor in its own unit c = 10^u; each quantity is
-    # compared in the unit-free coordinates x / c, where the tolerances of
-    # test_downdate_matches_brute_force_everywhere apply unchanged
+    # every row against compute_moments on the sample without it, with each
+    # predictor in its own unit c = 10^u, compared in the unit-free
+    # coordinates x / c where the tolerances of
+    # test_downdate_matches_brute_force_everywhere apply unchanged: the
+    # leverage (u, D) gives S_(j)^-1, and each H_(j) maps back through
+    # S_(j) to the refitted third moment M_(j) = S_(j) H_(j) S_(j)
     n, p, seed, u = case
     c = 10.0 ** np.array(u)
     rng = np.random.default_rng(seed)
@@ -352,13 +364,42 @@ def test_downdate_equals_a_refit_on_random_scaled_designs(case):
     m = _moments_or_reject(d)
     w = np.linalg.eigvalsh(m.s)
     assume(w[-1] <= SCALED_DESIGN_COND * w[0])
-    lm = loo_downdates(d, m, np.arange(n))
+    lev = loo_leverage(d, m, np.arange(n))
+    h, degenerate = walk_hessians(d, m)
+    assert degenerate.tolist() == lev.degenerate.tolist()
     cc = np.outer(c, c)
-    for j in np.flatnonzero(~lm.degenerate):
+    for j in np.flatnonzero(~degenerate):
         keep = np.arange(n) != j
         refit = _moments_or_reject(Dataset(y=y[keep], x=d.x[keep]))
-        assert np.abs((lm.s_inv_j[j] * cc) @ (refit.s / cc) - np.eye(p)).max() <= 1e-9
-        for got, want in ((lm.s_xy_j[j] / c, refit.s_xy / c),
-                          (lm.sigma_yxx_j[j] / cc, refit.sigma_yxx_hat / cc),
-                          (lm.sigma_rxx_j[j] / cc, refit.sigma_rxx_hat / cc)):
+        s_inv_j = (n - 2) / (n - 1) * (m.s_inv + np.outer(lev.u[j], lev.u[j]) / lev.denom[j])
+        assert np.abs((s_inv_j * cc) @ (refit.s / cc) - np.eye(p)).max() <= 1e-9
+        for a, want in enumerate((refit.sigma_yxx_hat / cc, refit.sigma_rxx_hat / cc)):
+            got = refit.s @ h[j, a] @ refit.s / cc
             assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda p: st.tuples(
+        st.integers(p + 3, 30),
+        st.just(p),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    ))
+)
+def test_loo_hessians_equal_brute_force_refits(case):
+    # each H_(j) of both variants against S_(j)^-1 M_(j) S_(j)^-1 refitted
+    # from scratch, in the metric of S_(j): S_(j) H_(j) S_(j) = M_(j).  At
+    # small n the factors c, f_j and n(n+1)/(n-1)^2 of the closed form are
+    # far from 1; predictors on a small integer grid repeat rows, so some
+    # deletions hit the leverage singularity, which the walk skips
+    n, p, seed, grid = case
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-1, 3, (n, p)).astype(float) if grid else rng.standard_normal((n, p))
+    y = np.sin(x[:, 0]) + 0.5 * rng.standard_normal(n)
+    d = Dataset(y=y, x=x)
+    h, degenerate = walk_hessians(d, _moments_or_reject(d))
+    for j in np.flatnonzero(~degenerate):
+        s, thirds = bf_loo(y, x, j)
+        for got, want in zip(h[j], thirds):
+            assert np.abs(s @ got @ s - want).max() <= 1e-9 * (1 + np.abs(want).max()), j
