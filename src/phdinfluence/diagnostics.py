@@ -187,13 +187,20 @@ class _LooWalk:
             yield lev, _LooTerms(rows=rows, u=u, a=a, e=e, w=w, g=g)
 
     def hessians(self, t: _LooTerms) -> np.ndarray:
-        """The (rows, V, p, p) stack of the leave-one-out Hessians H_(j)."""
+        """The (rows, V, p, p) stack of the leave-one-out Hessians H_(j),
+        summed in place with one scratch stack: a S^-1, + n H, + u w', + w u',
+        then - e G(u) on the r variant only (e = 0 for y)."""
         u, w = t.u[:, None], t.w
-        h = (self.n * self.h + t.a[..., None, None] * self.m.s_inv
-             + u[..., :, None] * w[..., None, :] + w[..., :, None] * u[..., None, :])
-        if t.g is not None:  # e = 0 for y
-            h -= t.e[..., None, None] * t.g[:, None]
-        return self.scale * h
+        h = t.a[..., None, None] * self.m.s_inv
+        h += self.n * self.h
+        scratch = u[..., :, None] * w[..., None, :]
+        h += scratch
+        h += np.multiply(w[..., :, None], u[..., None, :], out=scratch)
+        if t.g is not None:
+            r = self.variants.index("r")
+            h[:, r] -= np.multiply(t.e[:, r, None, None], t.g, out=scratch[:, r])
+        h *= self.scale
+        return h
 
     def sris(self, t: _LooTerms) -> tuple[np.ndarray, np.ndarray]:
         """(SRIS, order_swap flags), each (rows, V, K), from one ``eigh``
@@ -204,10 +211,9 @@ class _LooWalk:
         reads the sign of a leave-one-out eigenvector, so no sign rule is
         applied.
         """
-        h, gamma = self.hessians(t), self.gamma
-        w = np.empty(h.shape[:-1])
-        v = np.empty_like(h)
-        for i, h_j in enumerate(h):
+        v, gamma = self.hessians(t), self.gamma
+        w = np.empty(v.shape[:-1])
+        for i, h_j in enumerate(v):  # each row's eigenvectors overwrite its Hessians
             w[i], v[i] = np.linalg.eigh(h_j)
         check_orthonormal(v)
         leading = eigen_order(w)[..., None, : gamma.shape[-1]]

@@ -35,7 +35,7 @@ from phdinfluence.errors import (
     UndefinedCorrelation,
 )
 from phdinfluence.linalg import project_out
-from phdinfluence.moments import loo_block_rows
+from phdinfluence.moments import LOO_BLOCK_BYTES, loo_block_rows
 from phdinfluence.simulation import SimSpec, simulate
 from conftest import hitters_like, hitters_refit, run_python
 from oracles import eris_matrix_route, mp_eigh, mp_eris, report_to_json_dict
@@ -873,6 +873,25 @@ def test_report_memory_grows_by_less_than_one_hessian_stack_per_2000_rows():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2000 * 16 * 16 * 8, peaks
+
+
+def test_the_block_budget_bounds_the_report_memory():
+    # at p = 16 a block of 64 rows dwarfs the O(n p) data and O(n K) results
+    # of a 128-row report, so its peak is the walk's.  One (rows, 2, p, p)
+    # stack of both variants' Hessians is two budgets, and the walk holds
+    # fewer than four at once (the Hessians, one scratch stack, the r
+    # variant's G(u) at half a stack, numpy's broadcast buffers); one more
+    # budget covers the rest of the report
+    influence_report(cosine_data(1, n=100, p=16), 2)  # imports and caches outside the trace
+    d = cosine_data(5, n=128, p=16)
+    assert loo_block_rows(d.p) < d.n
+    tracemalloc.start()
+    try:
+        influence_report(d, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 * 2 + 1) * LOO_BLOCK_BYTES, peak / LOO_BLOCK_BYTES
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phdinfluence import (
@@ -275,8 +275,8 @@ def test_block_downdate_masks_the_leverage_singularity():
 
 
 def test_block_rows_follow_the_byte_budget():
-    assert loo_block_rows(16) == 32
-    assert loo_block_rows(100) == 1  # one 80 kB matrix exceeds the budget
+    assert loo_block_rows(16) == 64
+    assert loo_block_rows(130) == 1  # one 135 kB matrix exceeds the budget
     for p in (1, 3, 16, 32):
         stack = 8 * p * p
         assert loo_block_rows(p) * stack <= LOO_BLOCK_BYTES < (loo_block_rows(p) + 1) * stack
@@ -348,6 +348,7 @@ SCALED_DESIGN_COND = 1e9
         st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p),
     ))
 )
+@example((7, 4, 24, [0.0, 0.0, 0.0, 1.0]))  # row 3: S_(j) nearly singular
 def test_downdate_equals_a_refit_on_random_scaled_designs(case):
     # every row against compute_moments on the sample without it, with each
     # predictor in its own unit c = 10^u, compared in the unit-free
@@ -373,7 +374,12 @@ def test_downdate_equals_a_refit_on_random_scaled_designs(case):
         refit = _moments_or_reject(Dataset(y=y[keep], x=d.x[keep]))
         s_inv_j = (n - 2) / (n - 1) * (m.s_inv + np.outer(lev.u[j], lev.u[j]) / lev.denom[j])
         assert np.abs((s_inv_j * cc) @ (refit.s / cc) - np.eye(p)).max() <= 1e-9
-        for a, want in enumerate((refit.sigma_yxx_hat / cc, refit.sigma_rxx_hat / cc)):
+        # the refit's residuals by least squares on its centred design: the
+        # normal equations of a nearly singular S_(j) lose the OLS slope
+        xc, yc = d.x[keep] - d.x[keep].mean(axis=0), y[keep] - y[keep].mean()
+        resid = yc - xc @ np.linalg.lstsq(xc, yc, rcond=None)[0]
+        sigma_rxx = (xc.T * resid) @ xc / (n - 1)
+        for a, want in enumerate((refit.sigma_yxx_hat / cc, sigma_rxx / cc)):
             got = refit.s @ h[j, a] @ refit.s / cc
             assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
 
