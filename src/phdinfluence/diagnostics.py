@@ -26,15 +26,16 @@ the gate through ``eris``.
 
 SRIS, HRIS and the order_swap flags all read one leave-one-out walk,
 ``_LooWalk``, over V fits stacked on a variant axis (2 for the report, which
-walks both variants in one pass, 1 for ``sris`` and ``hris``).  Per block of
-``loo_block_rows(p)`` observations it yields the block's ``LooLeverage`` and
-the terms of each regular row's leave-one-out Hessian H_(j), a closed form
-in the full-sample fit, per-row scalars and a rank-2 term; no leave-one-out
-moment is formed.  ``sris`` and the report make one ``eigh`` call per
-observation, on the (V, p, p) stack of its H_(j); ``hris`` builds no stack.
-At a row on the leverage singularity ``sris`` and ``hris`` raise
-DegenerateLeverage, while the report leaves SRIS and HRIS NaN and flags the
-row ``degenerate_leverage``.
+walks both variants in one pass, 1 for ``sris`` and ``hris``).  It yields one
+``_LooBlock`` per ``loo_block_rows(p)`` observations, so the byte budget
+LOO_BLOCK_BYTES, not n, bounds the memory of the pass.  A block holds its
+rows' leverage margins and the terms of each regular row's leave-one-out
+Hessian H_(j), a closed form in the full-sample fit, per-row scalars and a
+rank-2 term; no leave-one-out moment is formed.  ``sris`` and the report
+make one ``eigh`` call per observation, on the (V, p, p) stack of its H_(j);
+``hris`` builds no stack.  At a ``degenerate`` row, one on the leverage
+singularity, ``sris`` and ``hris`` raise DegenerateLeverage, while the
+report leaves SRIS and HRIS NaN and flags the row ``degenerate_leverage``.
 
 :func:`influence_report` returns all of it as one :class:`InfluenceReport`
 of read-only arrays in report order, with the Spearman correlations of SRIS
@@ -53,17 +54,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateEigenvalue, InvalidRank, UndefinedCorrelation
+from .errors import DegenerateEigenvalue, DegenerateLeverage, InvalidRank, UndefinedCorrelation
 from .linalg import check_orthonormal, eigen_order, mirror, project_out
-from .moments import (
-    Dataset,
-    MomentSet,
-    compute_moments,
-    loo_block_rows,
-    loo_leverage,
-    mahalanobis,
-    require_regular,
-)
+from .moments import Dataset, MomentSet, compute_moments, mahalanobis
 from .phd import VARIANTS, PhdFit, fit_from_moments
 from .population import _require_untied, _ris_kernel
 
@@ -75,7 +68,26 @@ ORDER_SWAP_TOL = 0.2
 #: numerically zero (see _require_measurable).
 ZERO_EIGENVALUE_RTOL = 1e-12
 
+#: smallest whitened leverage margin the leave-one-out walk accepts.  The
+#: u u' / D term amplifies the rounding error in D by 1/margin, so below
+#: sqrt(eps) a leave-one-out Hessian keeps fewer than half of its digits.
+LEVERAGE_RTOL = float(np.sqrt(np.finfo(float).eps))
+
+#: byte budget of one (rows, p, p) float64 stack in a leave-one-out block:
+#: 64 rows at p = 16, 16 at p = 32.  Raised from 64 KiB as the walk's
+#: blocks shrank to about 3.3 Hessian stacks, it took about 6% off the
+#: 2000 x 16 influence op and 18% off the 10000 x 32 report, for 0.1% more
+#: peak RSS; the outputs are bit-identical at 64, 128 and 256 KiB on the
+#: inputs tried.
+LOO_BLOCK_BYTES = 128 * 1024
+
 TARGETS = ("eris", "hris", "md")
+
+
+def loo_block_rows(p: int) -> int:
+    """Rows per leave-one-out block at p predictors: as many as fit one
+    (rows, p, p) float64 stack into LOO_BLOCK_BYTES."""
+    return max(1, LOO_BLOCK_BYTES // (8 * p * p))
 
 
 def _require_rank(k: int, p: int) -> None:
@@ -109,17 +121,42 @@ def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
 
 
 @dataclass(frozen=True)
-class _LooTerms:
-    """The terms of ``_LooWalk``'s closed form for a block's regular rows:
-    their indices ``rows``, ``u`` (R, p), ``a`` and ``e`` (R, V), ``w``
-    (R, V, p) and ``g``, the (R, p, p) stack of G(u), None without r."""
+class _LooBlock:
+    """One block of ``_LooWalk``: observation indices ``j`` and their
+    whitened leverage ``margin``, then the terms of the closed form for the
+    block's regular rows: their indices ``rows``, ``u`` (R, p), ``a`` and
+    ``e`` (R, V), ``w`` (R, V, p) and ``g``, the (R, p, p) stack of G(u),
+    None without r."""
 
+    j: np.ndarray
+    margin: np.ndarray
     rows: np.ndarray
     u: np.ndarray
     a: np.ndarray
     e: np.ndarray
     w: np.ndarray
     g: np.ndarray | None
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Mask of the rows at the leverage singularity: whitened margin at
+        or below LEVERAGE_RTOL.  D of ``_LooWalk`` is zero exactly when
+        deleting row j leaves a singular covariance; the margin, D over
+        (n-1)^2/n, is the smallest eigenvalue of the whitened leave-one-out
+        covariance relative to the others and lies in [0, 1]."""
+        return self.margin <= LEVERAGE_RTOL
+
+    def require_regular(self) -> None:
+        """Raise DegenerateLeverage for the first row of the block that sits
+        at the leverage singularity."""
+        if self.degenerate.any():
+            i = int(np.argmax(self.degenerate))
+            j = int(self.j[i])
+            raise DegenerateLeverage(
+                f"observation {j} sits at the leverage singularity: "
+                f"whitened margin ((n-1)^2/n - z'z) / ((n-1)^2/n) = {self.margin[i]:.3e}",
+                index=j,
+            )
 
 
 class _LooWalk:
@@ -156,17 +193,20 @@ class _LooWalk:
         self.p_s_inv = project_out(self.gamma, m.s_inv @ self.gamma)
 
     def blocks(self):
-        """Per block of ``loo_block_rows(p)`` observations, yield its
-        ``LooLeverage`` and the ``_LooTerms`` of its regular rows (those
-        not ``degenerate``)."""
+        """Yield one ``_LooBlock`` per block of ``loo_block_rows(p)``
+        observations; its terms cover the rows not ``degenerate``."""
         d, m, n = self.d, self.m, self.n
         full = (n - 1) ** 2 / n
         lever = n * (n + 1) / (n - 1) ** 2
         step = loo_block_rows(d.p)
         for start in range(0, n, step):
-            lev = loo_leverage(d, m, np.arange(start, min(start + step, n)))
-            keep = ~lev.degenerate
-            rows, dj, u, denom = lev.j[keep], lev.d[keep], lev.u[keep], lev.denom[keep]
+            j = np.arange(start, min(start + step, n))
+            dj = d.x[j] - m.xbar
+            u = dj @ m.s_inv
+            denom = full - np.einsum("ij,ij->i", dj, u)
+            margin = denom / full
+            keep = ~(margin <= LEVERAGE_RTOL)  # as _LooBlock.degenerate
+            rows, dj, u, denom = j[keep], dj[keep], u[keep], denom[keep]
             q = full - denom
             dy = d.y[rows] - m.ybar
             r_d = m.residuals[rows] / denom
@@ -184,9 +224,9 @@ class _LooWalk:
                 v -= e[..., None] * (g @ dj[..., None])[:, None, :, 0]
             dv = np.einsum("rp,rvp->rv", dj, v) / (denom**2)[:, None]
             w = self.slope + v / denom[:, None, None] + ((dv - b) / 2)[..., None] * u[:, None]
-            yield lev, _LooTerms(rows=rows, u=u, a=a, e=e, w=w, g=g)
+            yield _LooBlock(j, margin, rows, u, a, e, w, g)
 
-    def hessians(self, t: _LooTerms) -> np.ndarray:
+    def hessians(self, t: _LooBlock) -> np.ndarray:
         """The (rows, V, p, p) stack of the leave-one-out Hessians H_(j),
         summed in place with one scratch stack: a S^-1, + n H, + u w', + w u',
         then - e G(u) on the r variant only (e = 0 for y)."""
@@ -202,7 +242,7 @@ class _LooWalk:
         h *= self.scale
         return h
 
-    def sris(self, t: _LooTerms) -> tuple[np.ndarray, np.ndarray]:
+    def sris(self, t: _LooBlock) -> tuple[np.ndarray, np.ndarray]:
         """(SRIS, order_swap flags), each (rows, V, K), from one ``eigh``
         call per observation on its (V, p, p) stack of H_(j).
 
@@ -225,7 +265,7 @@ class _LooWalk:
         swapped = overlaps.max(axis=-2) - own > ORDER_SWAP_TOL
         return (self.n - 1) * np.clip(sines, 0.0, 1.0), swapped
 
-    def hris(self, t: _LooTerms) -> np.ndarray:
+    def hris(self, t: _LooBlock) -> np.ndarray:
         """HRIS, (rows, V, K), with no Hessian stack: P = I - Gamma Gamma'
         removes the n H term, so the columns of P (n-1)(H - H_(j)) Gamma are
         -(n-1) c P [a S^-1 - e G(u) + u w' + w u'] Gamma."""
@@ -240,20 +280,26 @@ class _LooWalk:
         return np.swapaxes(hris, 0, 1)
 
 
+def _strict_walk(d: Dataset, m: MomentSet, fit: PhdFit, measure) -> np.ndarray:
+    """The n x K matrix of ``measure(walk, block)`` over the leave-one-out
+    walk of one fit, raising DegenerateLeverage at the first row on the
+    leverage singularity."""
+    _require_measurable(fit, m)
+    walk = _LooWalk(d, m, (fit,))
+    out = np.empty((d.n, fit.k))
+    for b in walk.blocks():
+        b.require_regular()
+        out[b.rows] = measure(walk, b)[:, 0]
+    return out
+
+
 def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
     """Leave-one-out refit influence, an n x K matrix.
 
     Row j refits the same PHD variant on the sample without observation j and
     measures (n-1) |sin| of each direction against the full-sample span.
     """
-    m = compute_moments(d)
-    _require_measurable(fit, m)
-    walk = _LooWalk(d, m, (fit,))
-    out = np.empty((d.n, fit.k))
-    for lev, t in walk.blocks():
-        require_regular(lev)
-        out[t.rows] = walk.sris(t)[0][:, 0]
-    return out
+    return _strict_walk(d, compute_moments(d), fit, lambda walk, b: walk.sris(b)[0])
 
 
 def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
@@ -273,13 +319,7 @@ def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     Reads the per-row terms of the leave-one-out walk: no Hessian stack and
     no eigendecomposition.
     """
-    _require_measurable(fit, m)
-    walk = _LooWalk(d, m, (fit,))
-    out = np.empty((d.n, fit.k))
-    for lev, t in walk.blocks():
-        require_regular(lev)
-        out[t.rows] = walk.hris(t)[:, 0]
-    return out
+    return _strict_walk(d, m, fit, _LooWalk.hris)
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
@@ -381,10 +421,10 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     swapped = np.zeros((n, nv, k), dtype=bool)
     degenerate = np.zeros(n, dtype=bool)
     walk = _LooWalk(d, m, fits.values())
-    for lev, t in walk.blocks():
-        degenerate[lev.j] = lev.degenerate
-        hris_vals[t.rows] = walk.hris(t)
-        sris_vals[t.rows], swapped[t.rows] = walk.sris(t)
+    for b in walk.blocks():
+        degenerate[b.j] = b.degenerate
+        hris_vals[b.rows] = walk.hris(b)
+        sris_vals[b.rows], swapped[b.rows] = walk.sris(b)
 
     flags: list[list[str]] = [[] for _ in range(n)]
     for j in np.flatnonzero(degenerate):

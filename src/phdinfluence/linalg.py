@@ -86,11 +86,7 @@ class Basis:
         c = np.asarray(self.columns, dtype=float)
         if c.ndim != 2 or c.shape[1] < 1 or c.shape[1] > c.shape[0]:
             raise InvalidMatrix(f"basis must be p x k with 1 <= k <= p, got {c.shape}")
-        gram_err = float(np.abs(c.T @ c - np.eye(c.shape[1])).max())
-        if gram_err > ORTHONORMAL_TOL:
-            raise InvalidMatrix(
-                f"basis columns are not orthonormal: max |B'B - I| = {gram_err:.3e}"
-            )
+        check_orthonormal(c)
         object.__setattr__(self, "columns", c)
 
     @property
@@ -110,16 +106,14 @@ def eigen_order(w: np.ndarray) -> np.ndarray:
 
 def check_orthonormal(v: np.ndarray) -> None:
     """Raise InvalidMatrix unless the columns of v, or of every matrix in a
-    (..., p, p) stack, are orthonormal to ORTHONORMAL_TOL.  V'V is one
+    (..., p, k) stack, are orthonormal to ORTHONORMAL_TOL.  V'V is one
     matmul (an einsum Gram is slower) and |V'V - I| is taken in place, so the
     check holds one stack beside v."""
     gram = np.swapaxes(v, -1, -2) @ v
     gram -= np.eye(v.shape[-1])
     gram_err = float(np.abs(gram, out=gram).max(initial=0.0))
-    if gram_err > ORTHONORMAL_TOL:
-        raise InvalidMatrix(
-            f"eigenvector columns are not orthonormal: max |V'V - I| = {gram_err:.3e}"
-        )
+    if not gram_err <= ORTHONORMAL_TOL:  # a NaN entry fails too
+        raise InvalidMatrix(f"columns are not orthonormal: max |V'V - I| = {gram_err:.3e}")
 
 
 def sym_eigen(a: np.ndarray) -> EigenSystem:

@@ -1,4 +1,4 @@
-"""Sample moments, OLS byproducts and the leave-one-out leverage.
+"""Sample moments and OLS byproducts.
 
 Conventions (they matter downstream, do not mix):
 
@@ -8,23 +8,7 @@ Conventions (they matter downstream, do not mix):
 * OLS residuals are ``r_i = y_i - ybar - (x_i - xbar)' s_inv s_xy``.
 
 No leave-one-out moment is formed: ``diagnostics`` builds each leave-one-out
-Hessian from the full-sample fit and the leverage of the row.  With
-``d = x_j - xbar`` and ``u = S^{-1} d``, deleting row j gives
-
-    S_(j)^{-1} = (n-2)/(n-1) * [S^{-1} + u u' / D],   D = (n-1)^2/n - d'u.
-
-:func:`loo_leverage` computes u, D and the margin below for a block of rows
-at once.  Callers walk the sample in blocks of :func:`loo_block_rows` rows,
-sized so that one (rows, p, p) float64 stack fits in LOO_BLOCK_BYTES; the
-byte budget, not the sample size, bounds the memory of a leave-one-out pass.
-
-Leverage criterion: D is zero exactly when deleting row j leaves a singular
-covariance (the leverage singularity).  Its whitened margin, D divided by
-(n-1)^2/n, is the smallest eigenvalue of the whitened leave-one-out
-covariance relative to the others and lies in [0, 1].  A margin at or below
-LEVERAGE_RTOL puts the row in :attr:`LooLeverage.degenerate`, which
-:func:`require_regular` turns into DegenerateLeverage; that property is the
-only place the leverage singularity is decided.
+Hessian from these full-sample moments and the leverage of the row.
 """
 
 from __future__ import annotations
@@ -33,21 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLeverage, InsufficientData
+from .errors import InsufficientData
 from .linalg import mirror, spd_inverse
-
-#: smallest whitened leverage margin the leave-one-out walk accepts.  The
-#: u u' / D term amplifies the rounding error in D by 1/margin, so below
-#: sqrt(eps) a leave-one-out Hessian keeps fewer than half of its digits.
-LEVERAGE_RTOL = float(np.sqrt(np.finfo(float).eps))
-
-#: byte budget of one (rows, p, p) float64 stack in a leave-one-out block:
-#: 64 rows at p = 16, 16 at p = 32.  Raised from 64 KiB as the walk's
-#: blocks shrank to about 3.3 Hessian stacks, it took about 6% off the
-#: 2000 x 16 influence op and 18% off the 10000 x 32 report, for 0.1% more
-#: peak RSS; the outputs are bit-identical at 64, 128 and 256 KiB on the
-#: inputs tried.
-LOO_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -126,25 +97,6 @@ class MomentSet:
         return self.xbar.shape[0]
 
 
-@dataclass(frozen=True)
-class LooLeverage:
-    """Leverage of each row of a block (:func:`loo_leverage`): observation
-    indices ``j``, d_j = x_j - xbar, u_j = S^-1 d_j, ``denom``
-    D_j = (n-1)^2/n - d_j'u_j and ``margin`` D_j / ((n-1)^2/n)."""
-
-    j: np.ndarray
-    d: np.ndarray
-    u: np.ndarray
-    denom: np.ndarray
-    margin: np.ndarray
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        """Mask of the rows at the leverage singularity: whitened margin at
-        or below LEVERAGE_RTOL."""
-        return self.margin <= LEVERAGE_RTOL
-
-
 def compute_moments(d: Dataset) -> MomentSet:
     """All first/second/third-order sample moments of a dataset.
 
@@ -181,40 +133,6 @@ def compute_moments(d: Dataset) -> MomentSet:
         residuals=residuals,
         x_third=x_third,
     )
-
-
-def loo_block_rows(p: int) -> int:
-    """Rows per leave-one-out block at p predictors: as many as fit one
-    (rows, p, p) float64 stack into LOO_BLOCK_BYTES."""
-    return max(1, LOO_BLOCK_BYTES // (8 * p * p))
-
-
-def loo_leverage(d: Dataset, m: MomentSet, rows) -> LooLeverage:
-    """Leave-one-out leverage of each observation in ``rows``, with a
-    leading axis over ``rows``."""
-    n = d.n
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.ndim != 1 or np.any((rows < 0) | (rows >= n)):
-        raise IndexError(f"observation indices {rows.tolist()} out of range for n={n}")
-    dj = d.x[rows] - m.xbar
-    u = dj @ m.s_inv
-    full = (n - 1) ** 2 / n
-    denom = full - np.einsum("ij,ij->i", dj, u)
-    return LooLeverage(j=rows, d=dj, u=u, denom=denom, margin=denom / full)
-
-
-def require_regular(lev: LooLeverage) -> None:
-    """Raise DegenerateLeverage for the first row of a block that sits at the
-    leverage singularity."""
-    degenerate = lev.degenerate
-    if degenerate.any():
-        i = int(np.argmax(degenerate))
-        j = int(lev.j[i])
-        raise DegenerateLeverage(
-            f"observation {j} sits at the leverage singularity: "
-            f"whitened margin ((n-1)^2/n - z'z) / ((n-1)^2/n) = {lev.margin[i]:.3e}",
-            index=j,
-        )
 
 
 def mahalanobis(d: Dataset, m: MomentSet) -> np.ndarray:

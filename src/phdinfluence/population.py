@@ -134,6 +134,8 @@ class PopulationModel:
             raise ValueError("sigma must be p x p")
         if lam.shape != (k,):
             raise ValueError("lam must have one eigenvalue per basis column")
+        if not all(np.isfinite(a).all() for a in (mu, lam, sigma_xy, self.mu_y)):
+            raise ValueError("mu, lam, mu_y and sigma_xy must be finite")
         if np.any(np.abs(lam) <= 0.0):
             raise ValueError("all reduction eigenvalues must be nonzero")
         if np.any(np.diff(np.abs(lam)) > 0):

@@ -15,6 +15,7 @@ would not read.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,7 @@ class SimSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidArgument(f"model must be one of {MODELS}, got {self.model!r}")
+        _require_seed(self.seed)
         if self.p < 1 or self.n < self.p + 2:
             raise InvalidArgument(f"need p >= 1 and n >= p + 2, got n={self.n}, p={self.p}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
@@ -93,6 +95,12 @@ class SimSpec:
                 raise InvalidArgument("the cosine model requires a unit-norm beta")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
+
+
+def _require_seed(seed: int) -> None:
+    """Raise InvalidArgument for a seed numpy's generators do not take."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidArgument(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _noiseless(spec: SimSpec, x: np.ndarray) -> np.ndarray:
@@ -138,6 +146,7 @@ def mc_constants(n_mc: int, seed: int, sigma: float) -> McConstants:
                               "terms are equal, so their standard error is zero or rounding")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise InvalidArgument(f"sigma must be finite and nonnegative, got {sigma!r}")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_mc)
     y = _cosine_response(z)

@@ -89,9 +89,9 @@ def loo_hessians(d, m, fits) -> tuple[np.ndarray, np.ndarray]:
     walk = _LooWalk(d, m, fits)
     h = np.full((d.n, len(walk.variants), d.p, d.p), np.nan)
     degenerate = np.zeros(d.n, dtype=bool)
-    for lev, t in walk.blocks():
-        degenerate[lev.j] = lev.degenerate
-        h[t.rows] = walk.hessians(t)
+    for b in walk.blocks():
+        degenerate[b.j] = b.degenerate
+        h[b.rows] = walk.hessians(b)
     return h, degenerate
 
 

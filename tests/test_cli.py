@@ -160,7 +160,10 @@ def test_usage_error_exit_code():
                      id="negative-sigma"),
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3",
                       "--seed", "1"], id="custom-index-without-beta"),
+        pytest.param(["simulate", "--n", "30", "--p", "3", "--seed", "-1"], id="negative-seed"),
         pytest.param(["validate-constants", "--n", "1"], id="one-mc-sample"),
+        pytest.param(["validate-constants", "--n", "100", "--seed", "-1"],
+                     id="validate-negative-seed"),
         pytest.param(["validate-constants", "--n", "1000", "--sigma", "-1"],
                      id="validate-negative-sigma"),
         # two noiseless draws make a standard error zero: no z-score exists

@@ -12,6 +12,7 @@ from phdinfluence import (
     Basis,
     Dataset,
     compute_moments,
+    diagnostics,
     eris,
     fit_from_moments,
     fit_phd,
@@ -22,8 +23,10 @@ from phdinfluence import (
     sris,
 )
 from phdinfluence.diagnostics import (
+    LOO_BLOCK_BYTES,
     WRITE_CHUNK,
     _LooWalk,
+    loo_block_rows,
     write_records_csv,
     write_report_json,
 )
@@ -35,7 +38,6 @@ from phdinfluence.errors import (
     UndefinedCorrelation,
 )
 from phdinfluence.linalg import project_out
-from phdinfluence.moments import LOO_BLOCK_BYTES, loo_block_rows
 from phdinfluence.simulation import SimSpec, simulate
 from conftest import hitters_like, hitters_refit, run_python
 from oracles import eris_matrix_route, mp_eigh, mp_eris, report_to_json_dict
@@ -485,10 +487,9 @@ def test_leverage_flag_iff_refit_and_hybrid_are_undefined():
     assert set(report.j[flagged].tolist()) == {7}
 
 
-def _spiked_p16(n, spike):
-    # a 16-predictor cosine sample whose last predictor is 1e-6 noise except
+def _spiked(n, spike, p=16):
+    # a p-predictor cosine sample whose last predictor is 1e-6 noise except
     # at the spiked row, which sits at the leverage singularity
-    p = 16
     d0 = cosine_data(0, n=n, p=p)
     x = d0.x.copy()
     x[:, p - 1] = 1e-6 * np.random.default_rng(0).standard_normal(n)
@@ -521,7 +522,7 @@ def test_leverage_flag_at_a_block_boundary(side):
     # first block boundary and a short third block
     rows = loo_block_rows(16)
     spike = rows - 1 if side == "last_of_first_block" else rows
-    d = _spiked_p16(2 * rows + 3, spike)
+    d = _spiked(2 * rows + 3, spike)
     report = _check_spiked_report_against_refits(d, spike)
     with pytest.raises(DegenerateLeverage) as err:
         hris(d, report.fits["y"], compute_moments(d))
@@ -533,7 +534,7 @@ def test_residual_measures_match_refits_on_a_larger_spiked_sample():
     # n T_beta in the residual-weighted downdate amplifies any error of the
     # leave-one-out OLS slope S_(j)^-1 s_xy,(j), so the r-variant HRIS of
     # row 243 (3e-11 from the refit) watches the accuracy of S_(j)^-1
-    _check_spiked_report_against_refits(_spiked_p16(259, 127), 127)
+    _check_spiked_report_against_refits(_spiked(259, 127), 127)
 
 
 #: a 16-predictor sample that crosses the first loo_block_rows boundary
@@ -774,13 +775,13 @@ def walk_table(d, m, fits):
     swapped = np.zeros((n, len(variants), k), dtype=bool)
     degenerate = np.zeros(n, dtype=bool)
     visited = []
-    for lev, t in walk.blocks():
-        visited += lev.j.tolist()
-        assert t.rows.tolist() == lev.j[~lev.degenerate].tolist()
-        degenerate[lev.j] = lev.degenerate
-        assert walk.hessians(t).shape == (t.rows.size, len(variants), d.p, d.p)
-        hris_[t.rows] = walk.hris(t)
-        sris_[t.rows], swapped[t.rows] = walk.sris(t)
+    for b in walk.blocks():
+        visited += b.j.tolist()
+        assert b.rows.tolist() == b.j[~b.degenerate].tolist()
+        degenerate[b.j] = b.degenerate
+        assert walk.hessians(b).shape == (b.rows.size, len(variants), d.p, d.p)
+        hris_[b.rows] = walk.hris(b)
+        sris_[b.rows], swapped[b.rows] = walk.sris(b)
     assert visited == list(range(n))
     by_variant = [{v: a[:, i] for i, v in enumerate(variants)} for a in (sris_, hris_, swapped)]
     return (*by_variant, degenerate)
@@ -873,6 +874,25 @@ def test_report_memory_grows_by_less_than_one_hessian_stack_per_2000_rows():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2000 * 16 * 16 * 8, peaks
+
+
+@pytest.mark.parametrize("design", ["hitters", "spiked"])
+def test_the_block_budget_does_not_change_the_report(design, monkeypatch):
+    # 64, 128 and 256 KiB cut hitters_like() (p = 16) into 9, 5 and 3 blocks
+    # and the spiked 300 x 6 sample into 2, 1 and 1, with its degenerate row
+    # in the second block at 64 KiB.  Blocks of one row are not among them:
+    # a one-row stack takes another BLAS path and moves the values at rounding
+    d = hitters_like() if design == "hitters" else _spiked(300, 250, p=6)
+    reports = []
+    for kib in (64, 128, 256):
+        monkeypatch.setattr(diagnostics, "LOO_BLOCK_BYTES", kib * 1024)
+        reports.append(influence_report(d, 2))
+    base = reports[0]
+    assert flagged_with(base, "degenerate_leverage") == ({250} if design == "spiked" else set())
+    for report in reports[1:]:
+        assert np.array_equal(report.values, base.values, equal_nan=True)
+        assert np.array_equal(report.j, base.j)
+        assert report.flags == base.flags
 
 
 def test_the_block_budget_bounds_the_report_memory():

@@ -147,6 +147,8 @@ def test_sine_matches_cosine_identity(rng):
 def test_basis_rejects_non_orthonormal():
     with pytest.raises(InvalidMatrix):
         Basis(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(InvalidMatrix):  # |B'B - I| is NaN, not above the tolerance
+        Basis(np.array([[np.nan], [0.0], [0.0]]))
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +243,8 @@ def test_check_orthonormal_rejects_non_orthonormal_columns():
     check_orthonormal(np.broadcast_to(np.eye(3), (2, 3, 3)))
     with pytest.raises(InvalidMatrix):
         check_orthonormal(np.ones((2, 2, 2)))
+    with pytest.raises(InvalidMatrix):
+        check_orthonormal(np.full((2, 2), np.nan))
 
 
 def test_spd_roots_are_symmetric_inverse_and_roots(rng):

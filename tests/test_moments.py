@@ -7,11 +7,14 @@ from phdinfluence import (
     Dataset,
     MomentSet,
     compute_moments,
+    diagnostics,
     fit_from_moments,
+    hris,
     mahalanobis,
+    sris,
 )
+from phdinfluence.diagnostics import LEVERAGE_RTOL, LOO_BLOCK_BYTES, _LooWalk, loo_block_rows
 from phdinfluence.linalg import spd_inverse
-from phdinfluence.moments import LOO_BLOCK_BYTES, loo_block_rows, loo_leverage, require_regular
 from phdinfluence.phd import VARIANTS
 from phdinfluence.errors import (
     DegenerateLeverage,
@@ -187,22 +190,27 @@ def test_singular_design_rejected(rng):
 # leave-one-out leverage and Hessians
 # ----------------------------------------------------------------------
 
-def test_downdate_matches_brute_force_everywhere(rng):
-    # the leverage of every row as a block of one and of all rows as one
-    # block in reverse order, and the walk's Hessians against refits
+def test_downdate_matches_brute_force_everywhere(rng, monkeypatch):
+    # the walk in blocks of one row and in one block of all rows gives every
+    # row the same leverage and closed-form terms, and its Hessians match
+    # refits
     d = make_data(rng, 30, 4)
     m = compute_moments(d)
-    block = loo_leverage(d, m, np.arange(d.n)[::-1])
+    fits = [fit_from_moments(m, v, 1) for v in VARIANTS]
+    walks = []
+    for budget in (1, 8 * d.p * d.p * d.n):
+        monkeypatch.setattr(diagnostics, "LOO_BLOCK_BYTES", budget)
+        walks.append(list(_LooWalk(d, m, fits).blocks()))
+    ones, (block,) = walks
     assert not block.degenerate.any()
+    assert block.j.tolist() == block.rows.tolist() == list(range(d.n))
     assert block.u.shape == (d.n, 4) and block.margin.shape == (d.n,)
     h, degenerate = walk_hessians(d, m)
     assert not degenerate.any()
-    for j in range(d.n):
-        i = d.n - 1 - j
-        assert block.j[i] == j
-        one = loo_leverage(d, m, [j])
-        for name in ("d", "u", "denom", "margin"):
-            got, want = getattr(one, name)[0], getattr(block, name)[i]
+    for j, one in enumerate(ones):
+        assert one.j.tolist() == one.rows.tolist() == [j]
+        for name in ("margin", "u", "a", "e", "w", "g"):
+            got, want = getattr(one, name)[0], getattr(block, name)[j]
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
         for got, want in zip(h[j], bf_loo_hessians(d.y, d.x, j)):
             assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
@@ -237,40 +245,34 @@ def test_r_loo_hessian_matches_a_high_precision_refit():
 
 
 def test_downdate_of_only_distinct_point_hits_leverage_singularity():
-    # five identical rows plus one distinct one: deleting the distinct row
-    # leaves a zero-variance sample, which is exactly the configuration the
-    # leverage denominator detects
-    x = np.array([[1.0], [1.0], [1.0], [1.0], [1.0], [4.0]])
-    y = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 7.0])
+    # five rows on a line plus one distinct point off it: deleting that
+    # point leaves a rank-one sample, which is exactly the configuration the
+    # leverage denominator detects, and both leave-one-out measures name it
+    x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0], [2.0, 5.0]])
+    y = np.array([2.0, 1.0, 3.0, 0.0, 5.0, 7.0])
     d = Dataset(y=y, x=x)
     m = compute_moments(d)
-    with pytest.raises(DegenerateLeverage) as err:
-        require_regular(loo_leverage(d, m, [5]))
-    assert err.value.index == 5
-    # removing one of the duplicates instead is fine and matches brute force
-    require_regular(loo_leverage(d, m, [2]))
-    h, _ = walk_hessians(d, m)
+    for v in VARIANTS:
+        fit = fit_from_moments(m, v, 1)
+        with pytest.raises(DegenerateLeverage) as err:
+            sris(d, fit)
+        assert err.value.index == 5
+        with pytest.raises(DegenerateLeverage) as err:
+            hris(d, fit, m)
+        assert err.value.index == 5
+    # removing a row on the line instead is fine and matches brute force
+    h, degenerate = walk_hessians(d, m)
+    assert degenerate.tolist() == [False] * 5 + [True]
     for got, want in zip(h[2], bf_loo_hessians(y, x, 2)):
         assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
-
-
-def test_downdate_index_out_of_range(rng):
-    d = make_data(rng, 10, 2)
-    m = compute_moments(d)
-    with pytest.raises(IndexError):
-        loo_leverage(d, m, [10])
-    with pytest.raises(IndexError):
-        loo_leverage(d, m, [3, -1])
 
 
 def test_block_downdate_masks_the_leverage_singularity():
     x = np.array([[1.0], [1.0], [1.0], [1.0], [1.0], [4.0]])
     y = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 7.0])
     d = Dataset(y=y, x=x)
-    lev = loo_leverage(d, compute_moments(d), np.arange(6))
-    assert lev.degenerate.tolist() == [False] * 5 + [True]
     h, degenerate = walk_hessians(d)
-    assert degenerate.tolist() == lev.degenerate.tolist()
+    assert degenerate.tolist() == [False] * 5 + [True]
     assert np.isnan(h[5]).all() and np.isfinite(h[:5]).all()
 
 
@@ -365,14 +367,17 @@ def test_downdate_equals_a_refit_on_random_scaled_designs(case):
     m = _moments_or_reject(d)
     w = np.linalg.eigvalsh(m.s)
     assume(w[-1] <= SCALED_DESIGN_COND * w[0])
-    lev = loo_leverage(d, m, np.arange(n))
+    dx = d.x - m.xbar
+    u = dx @ m.s_inv
+    full = (n - 1) ** 2 / n
+    denom = full - np.einsum("ij,ij->i", dx, u)
     h, degenerate = walk_hessians(d, m)
-    assert degenerate.tolist() == lev.degenerate.tolist()
+    assert degenerate.tolist() == (denom / full <= LEVERAGE_RTOL).tolist()
     cc = np.outer(c, c)
     for j in np.flatnonzero(~degenerate):
         keep = np.arange(n) != j
         refit = _moments_or_reject(Dataset(y=y[keep], x=d.x[keep]))
-        s_inv_j = (n - 2) / (n - 1) * (m.s_inv + np.outer(lev.u[j], lev.u[j]) / lev.denom[j])
+        s_inv_j = (n - 2) / (n - 1) * (m.s_inv + np.outer(u[j], u[j]) / denom[j])
         assert np.abs((s_inv_j * cc) @ (refit.s / cc) - np.eye(p)).max() <= 1e-9
         # the refit's residuals by least squares on its centred design: the
         # normal equations of a nearly singular S_(j) lose the OLS slope

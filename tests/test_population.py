@@ -208,6 +208,19 @@ def test_spectrum_tie_is_decided_relative_to_the_leading_eigenvalue(rng, scale):
         model([1.5, 1.5 * (1.0 - 1e-10)])
 
 
+@pytest.mark.parametrize("field", ["mu", "lam", "sigma_xy", "mu_y"])
+def test_non_finite_parameters_are_rejected(field):
+    # each passed every other check, and ris_y then returned NaN
+    params = dict(mu=np.zeros(3), sigma=np.eye(3), gamma=Basis(np.eye(3)[:, :1]),
+                  lam=np.array([1.0]), mu_y=0.0, sigma_xy=np.array([0.5, 0.0, 0.0]))
+    PopulationModel(**params)
+    bad = {"mu": [np.nan, 0.0, 0.0], "lam": [np.nan], "sigma_xy": [np.nan, 0.0, 0.0],
+           "mu_y": np.inf}
+    params[field] = np.array(bad[field])
+    with pytest.raises(ValueError, match="finite"):
+        PopulationModel(**params)
+
+
 def test_membership_violation_is_rejected(rng):
     gamma = np.zeros((4, 1))
     gamma[0, 0] = 1.0

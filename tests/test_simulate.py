@@ -73,6 +73,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SimSpec(model="custom_index", n=10, p=2, seed=0,
                 beta=np.eye(2), link="nope")
+    with pytest.raises(InvalidArgument):
+        SimSpec(model="cosine_index", n=10, p=2, seed=-1)  # numpy takes no negative seed
+    with pytest.raises(InvalidArgument):
+        SimSpec(model="cosine_index", n=10, p=2, seed=1.5)
 
 
 @pytest.mark.parametrize(
@@ -138,3 +142,8 @@ def test_mc_constants_reject_a_zero_standard_error(seed):
     # target would divide by zero or by noise
     with pytest.raises(InvalidArgument, match="standard error is zero"):
         mc_constants(2, seed=seed, sigma=0.0)
+
+
+def test_mc_constants_reject_a_negative_seed():
+    with pytest.raises(InvalidArgument, match="seed"):
+        mc_constants(100, seed=-1, sigma=0.5)
