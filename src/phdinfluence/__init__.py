@@ -25,10 +25,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": None,
     "Basis": "linalg",
-    "EigenSystem": "linalg",
-    "sine_to_subspace": "linalg",
-    "sym_eigen": "linalg",
-    "symmetrize": "linalg",
     "Dataset": "moments",
     "MomentSet": "moments",
     "compute_moments": "moments",

@@ -103,13 +103,13 @@ def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
     (DegenerateSpectrum, the tie rule of ``PopulationModel``).
 
     The Hessian carries the units of y over those of x squared, so the zero
-    test is made against sd(y) ||S^-1||_F, with var(y) = s_xy' S^-1 s_xy +
-    r'r/(n-1) read from the moments: rescaling y or x leaves the decision
-    unchanged.  It does not use the fit's own |lambda_1|, which is zero
-    when the whole Hessian is.
+    test is made against sd(y) ||S^-1||_F, with var(y) = s_xy' beta +
+    r'r/(n-1) read from the moments (beta = S^-1 s_xy, the OLS slope):
+    rescaling y or x leaves the decision unchanged.  It does not use the
+    fit's own |lambda_1|, which is zero when the whole Hessian is.
     """
     _require_rank(fit.k, m.p)
-    var_y = float(m.s_xy @ m.s_inv @ m.s_xy) + float(m.residuals @ m.residuals) / (m.n - 1)
+    var_y = float(m.s_xy @ m.beta) + float(m.residuals @ m.residuals) / (m.n - 1)
     scale = math.sqrt(var_y) * float(np.linalg.norm(m.s_inv))
     for lam in fit.lambda_hat.tolist():
         if abs(lam) <= ZERO_EIGENVALUE_RTOL * scale:
@@ -187,8 +187,7 @@ class _LooWalk:
         self.lam = np.abs(np.stack([f.lambda_hat for f in fits]))
         self.h = np.stack([f.h for f in fits])
         # S^-1 g per variant: the y variant's N carries s_xy d' + d s_xy'
-        beta = m.s_inv @ m.s_xy
-        self.slope = np.stack([beta if v == "y" else 0.0 * beta for v in self.variants])
+        self.slope = np.stack([m.beta if v == "y" else 0.0 * m.beta for v in self.variants])
         self.scale = ((d.n - 2) / (d.n - 1)) ** 2 / (d.n - 1)
         self.p_s_inv = project_out(self.gamma, m.s_inv @ self.gamma)
 
@@ -308,7 +307,7 @@ def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     gamma, lam, dx = fit.gamma_hat, fit.lambda_hat, d.x - m.xbar
     if fit.variant == "r":
         return _ris_kernel(gamma, lam, m.s_inv, dx, m.residuals, 0.0)
-    slope = gamma.columns.T @ (m.s_inv @ m.s_xy)
+    slope = gamma.columns.T @ m.beta
     return _ris_kernel(gamma, lam, m.s_inv, dx, d.y - m.ybar, slope)
 
 
@@ -539,41 +538,6 @@ def write_correlations_csv(path, report: InfluenceReport) -> None:
                 fh.write(f"{v},{t},average,{row[-1]:.17g}\n")
 
 
-def _f(x) -> float | None:
-    """Finite float or None; flagged NaN entries become JSON null."""
-    x = float(x)
-    return x if np.isfinite(x) else None
-
-
-def _head_json(report: InfluenceReport) -> dict:
-    return {
-        "n": report.n,
-        "p": report.p,
-        "k": report.k,
-        "fits": {
-            v: {
-                "eigenvalues": [float(x) for x in report.fits[v].eig.values],
-                "lambda_hat": [float(x) for x in report.fits[v].lambda_hat],
-                "k": report.fits[v].k,
-            }
-            for v in VARIANTS
-        },
-    }
-
-
-def _correlations_json(report: InfluenceReport) -> dict:
-    return {
-        v: {
-            t: {
-                "directions": [_f(x) for x in report.correlations[v][t][:-1]],
-                "average": _f(report.correlations[v][t][-1]),
-            }
-            for t in TARGETS
-        }
-        for v in VARIANTS
-    }
-
-
 def _record_template(k: int) -> str:
     """%-template of one record at rank k, laid out as json.dumps(indent=2)
     lays out an element of the top-level "records" list.  Its fields are j,
@@ -607,9 +571,24 @@ def write_report_json(path, report: InfluenceReport) -> None:
         raise ValueError(
             f"Out of range float values are not JSON compliant: {float(report.md[bad[0]])!r}"
         )
+    fits = {
+        v: {
+            "eigenvalues": report.fits[v].eig.values.tolist(),
+            "lambda_hat": report.fits[v].lambda_hat.tolist(),
+            "k": report.fits[v].k,
+        }
+        for v in VARIANTS
+    }
+    # every correlation is finite: it is taken over the rows without NaN
+    c = report.correlations
+    correlations = {
+        v: {t: {"directions": c[v][t][:-1], "average": c[v][t][-1]} for t in TARGETS}
+        for v in VARIANTS
+    }
     record = _record_template(report.k)
-    head = json.dumps(_head_json(report), indent=2, allow_nan=False)[:-2]
-    tail = json.dumps(_correlations_json(report), indent=2, allow_nan=False)
+    head = json.dumps({"n": report.n, "p": report.p, "k": report.k, "fits": fits},
+                      indent=2, allow_nan=False)[:-2]
+    tail = json.dumps(correlations, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + ',\n  "records": [\n')
         sep = ""

@@ -61,10 +61,6 @@ class InvalidMatrix(PhdError):
     exit_code = 4
 
 
-class InvalidVector(PhdError):
-    exit_code = 4
-
-
 class NotPositiveDefinite(PhdError):
     exit_code = 4
 

@@ -1,9 +1,14 @@
 """Dense symmetric linear algebra primitives.
 
 All matrices are plain float64 numpy arrays. Matrices that are symmetric by
-contract are stored *exactly* symmetric (the upper triangle is mirrored onto
-the lower one), so equality checks downstream never trip over last-ulp
-asymmetry from matrix products.
+contract are stored *exactly* symmetric: :func:`mirror` copies the upper
+triangle onto the lower one, so equality checks downstream never trip over
+last-ulp asymmetry from matrix products.  :func:`sym_eigen` and
+:func:`spd_inverse` take their input through :func:`mirror` as well, which
+checks that it is square and finite and reads only its upper triangle; they
+do not test symmetry, because every caller passes a matrix it built with
+``mirror``.  The one symmetric matrix that comes from outside the package,
+``PopulationModel.sigma``, is tested where it enters, in ``population``.
 
 Eigendecompositions are ordered by descending absolute eigenvalue, with ties
 broken by descending signed value and then position, and every eigenvector is
@@ -18,7 +23,8 @@ the first two alone.
 
 A positive definite matrix is inverted by one routine, :func:`spd_inverse`
 (scaling to unit diagonal, one eigendecomposition and one Newton step); no
-matrix square root is needed.
+matrix square root is needed.  The sine between a direction and a span is
+the norm of :func:`project_out`.
 """
 
 from __future__ import annotations
@@ -27,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, InvalidVector, NotPositiveDefinite
+from .errors import InvalidMatrix, NotPositiveDefinite
 
-SYMMETRY_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-10
 PD_RTOL = 1e-12
 
@@ -47,20 +52,6 @@ def mirror(a: np.ndarray) -> np.ndarray:
     p = a.shape[-1]
     upper = np.arange(p)[:, None] <= np.arange(p)
     return np.where(upper, a, np.swapaxes(a, -1, -2))
-
-
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Check `a` is square, finite and symmetric to absolute SYMMETRY_TOL;
-    return the exactly symmetric copy."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidMatrix("matrix has non-finite entries")
-    skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-    if skew > SYMMETRY_TOL:
-        raise InvalidMatrix(f"matrix is not symmetric: max |a - a'| = {skew:.3e}")
-    return mirror(a)
 
 
 @dataclass(frozen=True)
@@ -117,7 +108,8 @@ def check_orthonormal(v: np.ndarray) -> None:
 
 
 def sym_eigen(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a symmetric matrix, ordered by :func:`eigen_order`.
+    """Eigendecomposition of a symmetric matrix, ordered by :func:`eigen_order`;
+    only the upper triangle of ``a`` is read.
 
     Each eigenvector is flipped so its entry of largest magnitude (the first
     one on ties) is positive.  Raises InvalidMatrix when the columns are not
@@ -125,7 +117,7 @@ def sym_eigen(a: np.ndarray) -> EigenSystem:
     order]`` would make them F-ordered and change how BLAS rounds the
     products callers form with them.
     """
-    w, v = np.linalg.eigh(symmetrize(a))
+    w, v = np.linalg.eigh(mirror(a))
     order = eigen_order(w)
     w = w[order]
     v = np.take_along_axis(v, order[None, :], axis=1)
@@ -136,7 +128,8 @@ def sym_eigen(a: np.ndarray) -> EigenSystem:
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Exactly symmetric inverse of a symmetric positive definite matrix.
+    """Exactly symmetric inverse of a symmetric positive definite matrix, of
+    which only the upper triangle is read.
 
     The matrix is first scaled to unit diagonal, C = D^-1 a D^-1 with
     D = diag(a)^1/2, so that neither the decision nor the accuracy depends
@@ -149,7 +142,7 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     Raises NotPositiveDefinite when a diagonal entry is not positive or the
     smallest eigenvalue of C is not above PD_RTOL times the largest.
     """
-    a = symmetrize(a)
+    a = mirror(a)
     diag = np.diag(a)
     if not (diag > 0.0).all():
         i = int(np.argmin(diag > 0.0))
@@ -177,19 +170,3 @@ def project_out(b: Basis | np.ndarray, v: np.ndarray) -> np.ndarray:
     columns of a stack of them, (..., p, k), which broadcast against v."""
     g = b.columns if isinstance(b, Basis) else b
     return v - g @ (np.swapaxes(g, -1, -2) @ v)
-
-
-def sine_to_subspace(v: np.ndarray, b: Basis) -> float:
-    """|sin| of the angle between unit vector v and its projection onto span(b).
-
-    Equals ||(I - P) v|| which lies in [0, 1] for unit v.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] != b.dim:
-        raise InvalidVector(f"expected a vector of length {b.dim}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidVector("vector has non-finite entries")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-10:
-        raise InvalidVector(f"expected a unit vector, got norm {nrm!r}")
-    return float(min(1.0, max(0.0, np.linalg.norm(project_out(b, v)))))

@@ -71,11 +71,12 @@ class Dataset:
 @dataclass(frozen=True)
 class MomentSet:
     """Every moment a PHD fit or leave-one-out Hessian needs, computed in one
-    pass.
+    pass and stored read-only.
 
-    ``x_third`` is the p x p x p maximum-likelihood third central moment
-    tensor of the predictors; the residual-based leave-one-out Hessians
-    read it, because deleting a row moves the OLS slope.
+    ``beta`` is the OLS slope S^-1 s_xy behind ``residuals``.  ``x_third``
+    is the p x p x p maximum-likelihood third central moment tensor of the
+    predictors; the residual-based leave-one-out Hessians read it, because
+    deleting a row moves the OLS slope.
     """
 
     xbar: np.ndarray
@@ -83,6 +84,7 @@ class MomentSet:
     s: np.ndarray
     s_inv: np.ndarray
     s_xy: np.ndarray
+    beta: np.ndarray
     sigma_yxx_hat: np.ndarray
     sigma_rxx_hat: np.ndarray
     residuals: np.ndarray
@@ -122,17 +124,20 @@ def compute_moments(d: Dataset) -> MomentSet:
     for a in range(p):
         x_third[a] = mirror((xc.T * xc[:, a]) @ xc / n)
 
-    return MomentSet(
+    arrays = dict(
         xbar=xbar,
-        ybar=ybar,
         s=s,
         s_inv=s_inv,
         s_xy=s_xy,
+        beta=beta,
         sigma_yxx_hat=sigma_yxx,
         sigma_rxx_hat=sigma_rxx,
         residuals=residuals,
         x_third=x_third,
     )
+    for a in arrays.values():
+        a.setflags(write=False)
+    return MomentSet(ybar=ybar, **arrays)
 
 
 def mahalanobis(d: Dataset, m: MomentSet) -> np.ndarray:

@@ -68,17 +68,10 @@ from .errors import (
     AmbiguousMatch,
     DegenerateSpectrum,
     InvalidEpsilon,
+    InvalidMatrix,
     UnsupportedModel,
 )
-from .linalg import (
-    Basis,
-    mirror,
-    project_out,
-    sine_to_subspace,
-    spd_inverse,
-    sym_eigen,
-    symmetrize,
-)
+from .linalg import Basis, mirror, project_out, spd_inverse, sym_eigen
 from .phd import check_variant, population_h
 
 #: two reduction eigenvalues closer than this share of |lambda_1| are tied;
@@ -110,6 +103,12 @@ class PopulationModel:
     Sigma^{-1} sigma_xy must lie inside span(gamma): that membership is what
     makes the r-based residual blind to contamination orthogonal to the
     subspace.
+
+    ``sigma`` is the one symmetric matrix the package takes from outside, and
+    the only one whose symmetry it tests: each skew |sigma_ij - sigma_ji| must
+    be within 1e-12 sqrt(sigma_ii sigma_jj), the diagonal scaling of
+    ``spd_inverse``, so the decision does not depend on units.  It is stored
+    exactly symmetric.
     """
 
     mu: np.ndarray
@@ -126,12 +125,23 @@ class PopulationModel:
         mu = np.asarray(self.mu, dtype=float)
         lam = np.asarray(self.lam, dtype=float)
         sigma_xy = np.asarray(self.sigma_xy, dtype=float)
-        sigma = symmetrize(self.sigma)
+        given = np.asarray(self.sigma, dtype=float)
+        sigma = mirror(given)
         p, k = self.gamma.dim, self.gamma.rank
         if mu.shape != (p,) or sigma_xy.shape != (p,):
             raise ValueError("mu and sigma_xy must be length-p vectors")
         if sigma.shape != (p, p):
             raise ValueError("sigma must be p x p")
+        # abs: a non-positive diagonal entry is spd_inverse's to reject, not a NaN here
+        root = np.sqrt(np.abs(np.diag(sigma)))
+        skewed = np.argwhere(np.abs(given - given.T) > 1e-12 * np.outer(root, root))
+        if skewed.size:
+            i, j = skewed[0]
+            raise InvalidMatrix(
+                f"sigma is not symmetric: sigma[{i}, {j}] = {given[i, j]:.17g} and "
+                f"sigma[{j}, {i}] = {given[j, i]:.17g} differ by more than "
+                f"1e-12 sqrt(sigma[{i}, {i}] sigma[{j}, {j}])"
+            )
         if lam.shape != (k,):
             raise ValueError("lam must have one eigenvalue per basis column")
         if not all(np.isfinite(a).all() for a in (mu, lam, sigma_xy, self.mu_y)):
@@ -335,7 +345,7 @@ def ris_numeric_oracle(
             f"({inner[order[0]]:.12f} vs {inner[order[1]]:.12f})"
         )
     matched = eig.vectors[:, order[0]]
-    return sine_to_subspace(matched, model.gamma) / eps
+    return min(1.0, float(np.linalg.norm(project_out(model.gamma, matched)))) / eps
 
 
 # ----------------------------------------------------------------------

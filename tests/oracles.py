@@ -35,7 +35,6 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from phdinfluence.diagnostics import _correlations_json, _f, _head_json
 from phdinfluence.linalg import project_out
 from phdinfluence.phd import VARIANTS, population_h
 from phdinfluence.population import ContaminationPoint, PopulationModel, population_ols_residual
@@ -197,21 +196,46 @@ def mp_eris(d, fit, m, rows, dps=40) -> np.ndarray:
 
 def report_to_json_dict(report) -> dict:
     """The full influence report as one strictly-JSON-serializable document,
-    one record per row of the report's arrays."""
+    one record per row of the report's arrays, built from the report's
+    fields alone: n, p, k, each fit's spectrum, the records (NaN values as
+    null) and the correlations."""
+
+    def finite(x):
+        return x if math.isfinite(x) else None
+
     rows = zip(report.j.tolist(), report.md.tolist(), report.flags)
     return {
-        **_head_json(report),
+        "n": report.n,
+        "p": report.p,
+        "k": report.k,
+        "fits": {
+            v: {
+                "eigenvalues": [float(x) for x in report.fits[v].eig.values],
+                "lambda_hat": [float(x) for x in report.fits[v].lambda_hat],
+                "k": report.fits[v].k,
+            }
+            for v in VARIANTS
+        },
         "records": [
             {
                 "j": j,
                 "md": md,
                 "flags": list(flags),
                 **{
-                    t: {v: [_f(x) for x in report.column(t, v)[i]] for v in VARIANTS}
+                    t: {v: [finite(float(x)) for x in report.column(t, v)[i]] for v in VARIANTS}
                     for t in ("sris", "eris", "hris")
                 },
             }
             for i, (j, md, flags) in enumerate(rows)
         ],
-        "correlations": _correlations_json(report),
+        "correlations": {
+            v: {
+                t: {
+                    "directions": report.correlations[v][t][:-1],
+                    "average": report.correlations[v][t][-1],
+                }
+                for t in ("eris", "hris", "md")
+            }
+            for v in VARIANTS
+        },
     }

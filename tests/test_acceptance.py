@@ -182,7 +182,7 @@ def test_criterion_4_surface_checkpoints():
 # 5. closed-form leave-one-out Hessians against brute force
 # ----------------------------------------------------------------------
 
-def test_criterion_5_downdates_match_refits():
+def test_criterion_5_loo_hessians_match_refits():
     ok = False
     t0 = time.monotonic()
     try:

@@ -6,19 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phdinfluence import (
-    Basis,
-    sine_to_subspace,
-    sym_eigen,
-    symmetrize,
-)
-from phdinfluence.errors import InvalidMatrix, InvalidVector, NotPositiveDefinite
+from phdinfluence import Basis
+from phdinfluence.errors import InvalidMatrix, NotPositiveDefinite
 from phdinfluence.linalg import (
     check_orthonormal,
     eigen_order,
     mirror,
     project_out,
     spd_inverse,
+    sym_eigen,
 )
 from conftest import random_orthonormal, random_spd
 
@@ -72,12 +68,7 @@ def test_sym_eigen_rejects_nonfinite():
         sym_eigen(bad)
 
 
-def test_symmetrize_rejects_asymmetric():
-    with pytest.raises(InvalidMatrix):
-        symmetrize(np.array([[1.0, 2.0], [0.5, 3.0]]))
-
-
-def test_inv_sqrt_rejects_non_pd():
+def test_spd_inverse_rejects_non_pd():
     with pytest.raises(NotPositiveDefinite) as err:
         spd_inverse(np.diag([1.0, -2.0]))
     assert err.value.eigenvalue == pytest.approx(-2.0)
@@ -108,40 +99,6 @@ def test_residual_projector_idempotent_and_annihilating(rng):
     assert np.abs(q @ b.columns).max() <= 1e-12
     v = np.random.default_rng(3).standard_normal((6, 5))
     assert np.allclose(project_out(b, v), q @ v, rtol=0, atol=1e-12)
-
-
-def test_sine_inside_and_orthogonal(rng):
-    cols = random_orthonormal(rng, 5, 2)
-    b = Basis(cols)
-    inside = cols @ np.array([0.6, 0.8])
-    assert sine_to_subspace(inside, b) <= 1e-10
-    # orthogonal complement vector
-    v = rng.standard_normal(5)
-    v -= cols @ (cols.T @ v)
-    v /= np.linalg.norm(v)
-    assert sine_to_subspace(v, b) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_sine_at_thirty_degrees():
-    b = Basis(np.array([[1.0], [0.0]]))
-    v = np.array([np.cos(np.pi / 6), np.sin(np.pi / 6)])
-    assert sine_to_subspace(v, b) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_sine_rejects_non_unit():
-    b = Basis(np.array([[1.0], [0.0]]))
-    with pytest.raises(InvalidVector):
-        sine_to_subspace(np.array([1.0, 1.0]), b)
-
-
-def test_sine_matches_cosine_identity(rng):
-    b = Basis(random_orthonormal(rng, 6, 3))
-    for _ in range(25):
-        v = rng.standard_normal(6)
-        v /= np.linalg.norm(v)
-        proj = b.columns @ (b.columns.T @ v)
-        expected = np.sqrt(max(0.0, 1.0 - float(proj @ proj)))
-        assert sine_to_subspace(v, b) == pytest.approx(expected, abs=1e-10)
 
 
 def test_basis_rejects_non_orthonormal():
@@ -247,7 +204,7 @@ def test_check_orthonormal_rejects_non_orthonormal_columns():
         check_orthonormal(np.full((2, 2), np.nan))
 
 
-def test_spd_roots_are_symmetric_inverse_and_roots(rng):
+def test_spd_inverse_is_an_exactly_symmetric_inverse(rng):
     a = random_spd(rng, 6, spread=0.01)
     inverse = spd_inverse(a)
     assert np.array_equal(inverse, inverse.T)
@@ -255,7 +212,16 @@ def test_spd_roots_are_symmetric_inverse_and_roots(rng):
     assert np.array_equal(spd_inverse(np.eye(3)), np.eye(3))
 
 
-def test_spd_roots_decompose_once(rng, monkeypatch):
+def test_sym_eigen_and_spd_inverse_read_only_the_upper_triangle(rng):
+    a = random_spd(rng, 5)
+    skewed = a + np.tril(rng.standard_normal((5, 5)), -1)
+    assert np.array_equal(spd_inverse(skewed), spd_inverse(a))
+    got, want = sym_eigen(skewed), sym_eigen(a)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.vectors, want.vectors)
+
+
+def test_spd_inverse_decomposes_once(rng, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -109,6 +111,19 @@ def test_moments_decompose_the_covariance_once(rng, monkeypatch):
     assert np.array_equal(m.s_inv, spd_inverse(m.s))
 
 
+def test_moment_arrays_are_read_only_and_hold_the_ols_slope(rng):
+    d = make_data(rng, 30, 4)
+    m = compute_moments(d)
+    assert np.array_equal(m.beta, m.s_inv @ m.s_xy)
+    assert np.array_equal(m.residuals, (d.y - m.ybar) - (d.x - m.xbar) @ m.beta)
+    arrays = [f.name for f in dataclasses.fields(m) if isinstance(getattr(m, f.name), np.ndarray)]
+    assert len(arrays) == 9
+    for name in arrays:
+        a = getattr(m, name)
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
 def test_third_moment_matches_triple_loop(rng):
     d = make_data(rng, 50, 3)
     m = compute_moments(d)
@@ -190,7 +205,7 @@ def test_singular_design_rejected(rng):
 # leave-one-out leverage and Hessians
 # ----------------------------------------------------------------------
 
-def test_downdate_matches_brute_force_everywhere(rng, monkeypatch):
+def test_loo_walk_is_blocking_invariant_and_matches_refits(rng, monkeypatch):
     # the walk in blocks of one row and in one block of all rows gives every
     # row the same leverage and closed-form terms, and its Hessians match
     # refits
@@ -244,7 +259,7 @@ def test_r_loo_hessian_matches_a_high_precision_refit():
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), j
 
 
-def test_downdate_of_only_distinct_point_hits_leverage_singularity():
+def test_deleting_the_only_distinct_point_hits_leverage_singularity():
     # five rows on a line plus one distinct point off it: deleting that
     # point leaves a rank-one sample, which is exactly the configuration the
     # leverage denominator detects, and both leave-one-out measures name it
@@ -267,7 +282,7 @@ def test_downdate_of_only_distinct_point_hits_leverage_singularity():
         assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
 
 
-def test_block_downdate_masks_the_leverage_singularity():
+def test_loo_walk_masks_the_leverage_singularity():
     x = np.array([[1.0], [1.0], [1.0], [1.0], [1.0], [4.0]])
     y = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 7.0])
     d = Dataset(y=y, x=x)
@@ -308,6 +323,7 @@ def test_mahalanobis_euclidean_case(rng):
         s=np.eye(3),
         s_inv=np.eye(3),
         s_xy=np.zeros(3),
+        beta=np.zeros(3),
         sigma_yxx_hat=np.zeros((3, 3)),
         sigma_rxx_hat=np.zeros((3, 3)),
         residuals=np.zeros(8),
@@ -351,12 +367,12 @@ SCALED_DESIGN_COND = 1e9
     ))
 )
 @example((7, 4, 24, [0.0, 0.0, 0.0, 1.0]))  # row 3: S_(j) nearly singular
-def test_downdate_equals_a_refit_on_random_scaled_designs(case):
+def test_loo_hessians_equal_a_refit_on_random_scaled_designs(case):
     # every row against compute_moments on the sample without it, with each
     # predictor in its own unit c = 10^u, compared in the unit-free
     # coordinates x / c where the tolerances of
-    # test_downdate_matches_brute_force_everywhere apply unchanged: the
-    # leverage (u, D) gives S_(j)^-1, and each H_(j) maps back through
+    # test_loo_walk_is_blocking_invariant_and_matches_refits apply unchanged:
+    # the leverage (u, D) gives S_(j)^-1, and each H_(j) maps back through
     # S_(j) to the refitted third moment M_(j) = S_(j) H_(j) S_(j)
     n, p, seed, u = case
     c = 10.0 ** np.array(u)

@@ -12,10 +12,6 @@ PUBLIC_NAMES = [
     "__version__",
     "errors",
     "Basis",
-    "EigenSystem",
-    "sine_to_subspace",
-    "sym_eigen",
-    "symmetrize",
     "Dataset",
     "MomentSet",
     "compute_moments",
@@ -54,7 +50,8 @@ PUBLIC_NAMES = [
 ]
 
 #: none of these is package API; the first five are test oracles
-#: (tests/oracles.py), and the rest were deleted from the package
+#: (tests/oracles.py), the last two are helpers only the package uses, and
+#: the rest were deleted from the package
 NOT_PUBLIC = [
     "eris_matrix_route",
     "if_h_y",
@@ -65,6 +62,10 @@ NOT_PUBLIC = [
     "estimated_model",
     "LooMoments",
     "loo_downdates",
+    "symmetrize",
+    "sine_to_subspace",
+    "EigenSystem",
+    "sym_eigen",
 ]
 
 

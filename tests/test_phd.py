@@ -9,10 +9,9 @@ from phdinfluence import (
     fit_from_moments,
     fit_phd,
     population_h,
-    sine_to_subspace,
-    sym_eigen,
 )
 from phdinfluence.errors import InvalidRank
+from phdinfluence.linalg import project_out, sym_eigen
 from phdinfluence.population import COSINE_MODEL_LAMBDA1, cosine_model
 from phdinfluence.simulation import SimSpec, simulate
 from conftest import hitters_like, hitters_refit, random_orthonormal
@@ -42,7 +41,7 @@ def test_population_h_eigen_round_trip(rng):
     assert np.allclose(es.values[:2], lam, atol=1e-10)
     assert np.abs(es.values[2:]).max() <= 1e-10
     for k in range(2):
-        assert sine_to_subspace(es.vectors[:, k], model.gamma) <= 1e-10
+        assert np.linalg.norm(project_out(model.gamma, es.vectors[:, k])) <= 1e-10
 
 
 def test_fit_structure_and_sandwich(rng):
@@ -84,7 +83,7 @@ def test_cosine_model_recovers_eigenvalue_and_direction(variant):
     fit = fit_phd(d, variant, 1)
     assert fit.lambda_hat[0] == pytest.approx(COSINE_MODEL_LAMBDA1, abs=0.01)
     beta1 = np.array([1.0, 0.0, 0.0])
-    gap = sine_to_subspace(beta1, fit.gamma_hat)
+    gap = np.linalg.norm(project_out(fit.gamma_hat, beta1))
     assert gap <= 0.02
 
 
@@ -124,7 +123,7 @@ def test_residual_variant_resists_added_linear_trend():
         for variant, acc in (("y", dist_y), ("r", dist_r)):
             base = fit_phd(d, variant, 1)
             mod = fit_phd(d_mod, variant, 1)
-            acc.append(sine_to_subspace(mod.gamma_hat.columns[:, 0], base.gamma_hat))
+            acc.append(np.linalg.norm(project_out(base.gamma_hat, mod.gamma_hat.columns[:, 0])))
     assert np.median(dist_r) < np.median(dist_y)
 
 

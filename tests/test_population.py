@@ -23,6 +23,8 @@ from phdinfluence.population import ris_rows
 from phdinfluence.errors import (
     DegenerateSpectrum,
     InvalidEpsilon,
+    InvalidMatrix,
+    NotPositiveDefinite,
     UnsupportedModel,
 )
 from conftest import random_model, random_orthonormal
@@ -234,6 +236,31 @@ def test_membership_violation_is_rejected(rng):
             mu_y=0.0,
             sigma_xy=off_span,
         )
+
+
+#: a covariance whose only skew is one ulp at an entry near 1e6
+ONE_ULP_SKEW = np.array([[1.0, 0.0, 0.0],
+                         [0.0, 4e6, 1e6],
+                         [0.0, np.nextafter(1e6, np.inf), 9e6]])
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_sigma_symmetry_is_judged_against_its_diagonal(scale):
+    # each skew is compared with sqrt(sigma_ii sigma_jj), so the decision
+    # does not depend on units; a non-positive diagonal is still a
+    # positive-definiteness fault
+    def model(sigma):
+        p = sigma.shape[0]
+        return PopulationModel(mu=np.zeros(p), sigma=scale * sigma, gamma=Basis(np.eye(p)[:, :1]),
+                               lam=np.array([1.0]), mu_y=0.0, sigma_xy=np.zeros(p))
+
+    sigma = model(ONE_ULP_SKEW).sigma
+    assert np.array_equal(sigma, sigma.T)
+    with pytest.raises(InvalidMatrix):
+        model(np.array([[1.0, 2.0], [0.5, 3.0]]))
+    for diag in ([1.0, -2.0], [1.0, 0.0]):
+        with pytest.raises(NotPositiveDefinite):
+            model(np.diag(diag))
 
 
 # ----------------------------------------------------------------------
