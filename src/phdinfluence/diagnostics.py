@@ -29,13 +29,14 @@ SRIS, HRIS and the order_swap flags all read one leave-one-out walk,
 walks both variants in one pass, 1 for ``sris`` and ``hris``).  It yields one
 ``_LooBlock`` per ``loo_block_rows(p)`` observations, so the byte budget
 LOO_BLOCK_BYTES, not n, bounds the memory of the pass.  A block holds its
-rows' leverage margins and the terms of each regular row's leave-one-out
-Hessian H_(j), a closed form in the full-sample fit, per-row scalars and a
-rank-2 term; no leave-one-out moment is formed.  ``sris`` and the report
-make one ``eigh`` call per observation, on the (V, p, p) stack of its H_(j);
-``hris`` builds no stack.  At a ``degenerate`` row, one on the leverage
-singularity, ``sris`` and ``hris`` raise DegenerateLeverage, while the
-report leaves SRIS and HRIS NaN and flags the row ``degenerate_leverage``.
+rows' leverage margins and the (rows, V, p, p) stack of each regular row's
+leave-one-out Hessian H_(j), built from a closed form in the full-sample
+fit, per-row scalars and a rank-2 term; no leave-one-out moment is formed.
+``hris`` reads the stack with no eigendecomposition, then ``sris`` and the
+report make one ``eigh`` call per observation on its (V, p, p) stack.  At a
+``degenerate`` row, one on the leverage singularity, ``sris`` and ``hris``
+raise DegenerateLeverage, while the report leaves SRIS and HRIS NaN and
+flags the row ``degenerate_leverage``.
 
 :func:`influence_report` returns all of it as one :class:`InfluenceReport`
 of read-only arrays in report order, with the Spearman correlations of SRIS
@@ -68,9 +69,11 @@ ORDER_SWAP_TOL = 0.2
 #: numerically zero (see _require_measurable).
 ZERO_EIGENVALUE_RTOL = 1e-12
 
-#: smallest whitened leverage margin the leave-one-out walk accepts.  The
-#: u u' / D term amplifies the rounding error in D by 1/margin, so below
-#: sqrt(eps) a leave-one-out Hessian keeps fewer than half of its digits.
+#: smallest whitened leverage margin the leave-one-out walk accepts.  It
+#: decides the singularity only: above it the closed form of H_(j) can lose
+#: digits faster than margin^-3 (ROADMAP item 1).  At a planted outlier with
+#: margin 1e-2, 1.7e-3, 1e-4 or 1.7e-5, SRIS or HRIS is off by up to 4.9e-10,
+#: 1.5e-6, 1.8e-2 or 71 times the row's largest value, with no flag.
 LEVERAGE_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 #: byte budget of one (rows, p, p) float64 stack in a leave-one-out block:
@@ -123,19 +126,13 @@ def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
 @dataclass(frozen=True)
 class _LooBlock:
     """One block of ``_LooWalk``: observation indices ``j`` and their
-    whitened leverage ``margin``, then the terms of the closed form for the
-    block's regular rows: their indices ``rows``, ``u`` (R, p), ``a`` and
-    ``e`` (R, V), ``w`` (R, V, p) and ``g``, the (R, p, p) stack of G(u),
-    None without r."""
+    whitened leverage ``margin``, then the block's regular rows, ``rows``, and
+    ``h``, the (R, V, p, p) stack of their leave-one-out Hessians H_(j)."""
 
     j: np.ndarray
     margin: np.ndarray
     rows: np.ndarray
-    u: np.ndarray
-    a: np.ndarray
-    e: np.ndarray
-    w: np.ndarray
-    g: np.ndarray | None
+    h: np.ndarray
 
     @property
     def degenerate(self) -> np.ndarray:
@@ -175,8 +172,9 @@ class _LooWalk:
         H_(j) = c [n H + a S^-1 - e G(u) + u w' + w u'],
 
     c = ((n-2)/(n-1))^2/(n-1), G(u) = S^-1 T(u) S^-1, v = S^-1 N u and
-    w = S^-1 g + v/D + (d'v/D^2 - b) u/2.  Each variant's terms are computed
-    on their own, so its values do not depend on which others share the walk.
+    w = S^-1 g + v/D + (d'v/D^2 - b) u/2.  SRIS and HRIS both read each
+    block's stack of H_(j).  Each variant's terms are computed on their own,
+    so its values do not depend on which others share the walk.
     """
 
     def __init__(self, d: Dataset, m: MomentSet, fits):
@@ -186,14 +184,17 @@ class _LooWalk:
         self.gamma = np.stack([f.gamma_hat.columns for f in fits])
         self.lam = np.abs(np.stack([f.lambda_hat for f in fits]))
         self.h = np.stack([f.h for f in fits])
+        self.h_gamma = self.h @ self.gamma
         # S^-1 g per variant: the y variant's N carries s_xy d' + d s_xy'
         self.slope = np.stack([m.beta if v == "y" else 0.0 * m.beta for v in self.variants])
         self.scale = ((d.n - 2) / (d.n - 1)) ** 2 / (d.n - 1)
-        self.p_s_inv = project_out(self.gamma, m.s_inv @ self.gamma)
 
     def blocks(self):
         """Yield one ``_LooBlock`` per block of ``loo_block_rows(p)``
-        observations; its terms cover the rows not ``degenerate``."""
+        observations, with H_(j) of the rows not ``degenerate`` summed in place
+        beside one scratch stack: n H, + a S^-1, + u w', + w u', - e G(u)
+        (e = 0 for y), times c.  Outer and scalar-times-matrix products are
+        matmuls over a length-1 axis, so numpy adds no broadcast buffer."""
         d, m, n = self.d, self.m, self.n
         full = (n - 1) ** 2 / n
         lever = n * (n + 1) / (n - 1) ** 2
@@ -223,34 +224,33 @@ class _LooWalk:
                 v -= e[..., None] * (g @ dj[..., None])[:, None, :, 0]
             dv = np.einsum("rp,rvp->rv", dj, v) / (denom**2)[:, None]
             w = self.slope + v / denom[:, None, None] + ((dv - b) / 2)[..., None] * u[:, None]
-            yield _LooBlock(j, margin, rows, u, a, e, w, g)
-
-    def hessians(self, t: _LooBlock) -> np.ndarray:
-        """The (rows, V, p, p) stack of the leave-one-out Hessians H_(j),
-        summed in place with one scratch stack: a S^-1, + n H, + u w', + w u',
-        then - e G(u) on the r variant only (e = 0 for y)."""
-        u, w = t.u[:, None], t.w
-        h = t.a[..., None, None] * self.m.s_inv
-        h += self.n * self.h
-        scratch = u[..., :, None] * w[..., None, :]
-        h += scratch
-        h += np.multiply(w[..., :, None], u[..., None, :], out=scratch)
-        if t.g is not None:
-            r = self.variants.index("r")
-            h[:, r] -= np.multiply(t.e[:, r, None, None], t.g, out=scratch[:, r])
-        h *= self.scale
-        return h
+            stack = (rows.size, len(self.variants), d.p, d.p)
+            h = np.broadcast_to(n * self.h, stack).copy()
+            scratch = (a.reshape(-1, 1) @ m.s_inv.reshape(1, -1)).reshape(stack)
+            h += scratch  # n H + a S^-1 equals a S^-1 + n H bit for bit
+            h += np.matmul(u[:, None, :, None], w[..., None, :], out=scratch)
+            h += np.matmul(w[..., None], u[:, None, None, :], out=scratch)
+            if g is not None:  # e = 0 for y, so its slice subtracts zeros
+                flat = (rows.size, 1, 1, d.p * d.p)  # one G(u) per row
+                np.matmul(e[..., None, None], g.reshape(flat),
+                          out=scratch.reshape(stack[:2] + flat[2:]))
+                h -= scratch
+            h *= self.scale
+            del scratch, g  # the consumer holds only the block's stack
+            yield _LooBlock(j, margin, rows, h)
+            del h  # so the next block is built without it
 
     def sris(self, t: _LooBlock) -> tuple[np.ndarray, np.ndarray]:
         """(SRIS, order_swap flags), each (rows, V, K), from one ``eigh``
-        call per observation on its (V, p, p) stack of H_(j).
+        call per observation on its (V, p, p) stack of H_(j).  The
+        eigenvectors overwrite the block's stack.
 
         Only the K leading eigenvectors are picked out (by ``eigen_order``);
         the order_swap maximum runs over the unsorted ones, and no output
         reads the sign of a leave-one-out eigenvector, so no sign rule is
         applied.
         """
-        v, gamma = self.hessians(t), self.gamma
+        v, gamma = t.h, self.gamma
         w = np.empty(v.shape[:-1])
         for i, h_j in enumerate(v):  # each row's eigenvectors overwrite its Hessians
             w[i], v[i] = np.linalg.eigh(h_j)
@@ -265,18 +265,12 @@ class _LooWalk:
         return (self.n - 1) * np.clip(sines, 0.0, 1.0), swapped
 
     def hris(self, t: _LooBlock) -> np.ndarray:
-        """HRIS, (rows, V, K), with no Hessian stack: P = I - Gamma Gamma'
-        removes the n H term, so the columns of P (n-1)(H - H_(j)) Gamma are
-        -(n-1) c P [a S^-1 - e G(u) + u w' + w u'] Gamma."""
-        gamma = self.gamma[:, None]  # every product below is (V, rows, ...)
-        u, w = t.u[..., None], np.swapaxes(t.w, 0, 1)[..., None]
-        gu, gw = np.swapaxes(u, -1, -2) @ gamma, np.swapaxes(w, -1, -2) @ gamma
-        cols = (t.a.T[..., None, None] * self.p_s_inv[:, None]
-                + project_out(gamma, u) * gw + project_out(gamma, w) * gu)
-        if t.g is not None:  # e = 0 for y
-            cols -= t.e.T[..., None, None] * project_out(gamma, t.g @ gamma)
-        hris = (self.n - 1) * self.scale * np.linalg.norm(cols, axis=-2) / self.lam[:, None]
-        return np.swapaxes(hris, 0, 1)
+        """HRIS, (rows, V, K), read from the block's stack with no ``eigh``:
+        (n-1) ||P (H Gamma - H_(j) Gamma)|| / |lambda| per column,
+        P = I - Gamma Gamma'.  Call it before ``sris``, which overwrites the
+        stack."""
+        cols = project_out(self.gamma, self.h_gamma - t.h @ self.gamma)
+        return (self.n - 1) * np.linalg.norm(cols, axis=-2) / self.lam
 
 
 def _strict_walk(d: Dataset, m: MomentSet, fit: PhdFit, measure) -> np.ndarray:
@@ -289,6 +283,7 @@ def _strict_walk(d: Dataset, m: MomentSet, fit: PhdFit, measure) -> np.ndarray:
     for b in walk.blocks():
         b.require_regular()
         out[b.rows] = measure(walk, b)[:, 0]
+        del b  # the walk builds the next stack without this one
     return out
 
 
@@ -315,8 +310,7 @@ def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Hybrid influence via the closed-form leave-one-out Hessian, n x K.
 
     Equals the value obtained by recomputing the Hessian on the n-1 subset.
-    Reads the per-row terms of the leave-one-out walk: no Hessian stack and
-    no eigendecomposition.
+    Reads the leave-one-out walk's stack of H_(j) with no eigendecomposition.
     """
     return _strict_walk(d, m, fit, _LooWalk.hris)
 
@@ -424,6 +418,7 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
         degenerate[b.j] = b.degenerate
         hris_vals[b.rows] = walk.hris(b)
         sris_vals[b.rows], swapped[b.rows] = walk.sris(b)
+        del b  # the walk builds the next stack without this one
 
     flags: list[list[str]] = [[] for _ in range(n)]
     for j in np.flatnonzero(degenerate):

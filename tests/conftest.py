@@ -91,7 +91,7 @@ def loo_hessians(d, m, fits) -> tuple[np.ndarray, np.ndarray]:
     degenerate = np.zeros(d.n, dtype=bool)
     for b in walk.blocks():
         degenerate[b.j] = b.degenerate
-        h[b.rows] = walk.hessians(b)
+        h[b.rows] = b.h
     return h, degenerate
 
 

@@ -207,8 +207,7 @@ def test_singular_design_rejected(rng):
 
 def test_loo_walk_is_blocking_invariant_and_matches_refits(rng, monkeypatch):
     # the walk in blocks of one row and in one block of all rows gives every
-    # row the same leverage and closed-form terms, and its Hessians match
-    # refits
+    # row the same leverage and leave-one-out Hessians, and they match refits
     d = make_data(rng, 30, 4)
     m = compute_moments(d)
     fits = [fit_from_moments(m, v, 1) for v in VARIANTS]
@@ -219,15 +218,13 @@ def test_loo_walk_is_blocking_invariant_and_matches_refits(rng, monkeypatch):
     ones, (block,) = walks
     assert not block.degenerate.any()
     assert block.j.tolist() == block.rows.tolist() == list(range(d.n))
-    assert block.u.shape == (d.n, 4) and block.margin.shape == (d.n,)
-    h, degenerate = walk_hessians(d, m)
-    assert not degenerate.any()
+    assert block.h.shape == (d.n, len(VARIANTS), 4, 4) and block.margin.shape == (d.n,)
     for j, one in enumerate(ones):
         assert one.j.tolist() == one.rows.tolist() == [j]
-        for name in ("margin", "u", "a", "e", "w", "g"):
+        for name in ("margin", "h"):
             got, want = getattr(one, name)[0], getattr(block, name)[j]
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
-        for got, want in zip(h[j], bf_loo_hessians(d.y, d.x, j)):
+        for got, want in zip(block.h[j], bf_loo_hessians(d.y, d.x, j)):
             assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
 
 
