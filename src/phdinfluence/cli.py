@@ -331,7 +331,7 @@ def cmd_validate_constants(args) -> int:
         json.dump(
             {"n_mc": args.n, "sigma": args.sigma, "seed": args.seed,
              "results": results, "all_pass": all_pass},
-            fh, indent=2,
+            fh, indent=2, allow_nan=False,
         )
         fh.write("\n")
     manifest.add_output(report_path)

@@ -26,17 +26,18 @@ the gate through ``eris``.
 
 SRIS, HRIS and the order_swap flags all read one leave-one-out walk,
 ``_LooWalk``, over V fits stacked on a variant axis (2 for the report, which
-walks both variants in one pass, 1 for ``sris`` and ``hris``).  It yields one
-``_LooBlock`` per ``loo_block_rows(p)`` observations, so the byte budget
-LOO_BLOCK_BYTES, not n, bounds the memory of the pass.  A block holds its
-rows' leverage margins and the (rows, V, p, p) stack of each regular row's
-leave-one-out Hessian H_(j), built from a closed form in the full-sample
-fit, per-row scalars and a rank-2 term; no leave-one-out moment is formed.
-``hris`` reads the stack with no eigendecomposition, then ``sris`` and the
-report make one ``eigh`` call per observation on its (V, p, p) stack.  At a
-``degenerate`` row, one on the leverage singularity, ``sris`` and ``hris``
-raise DegenerateLeverage, while the report leaves SRIS and HRIS NaN and
-flags the row ``degenerate_leverage``.
+walks both variants in one pass, 1 for ``sris`` and ``hris``).  The walk
+computes every row's leverage once and marks the ``degenerate`` rows, those
+on the leverage singularity.  Its one loop, ``measures()``, builds the
+(rows, V, p, p) stack of the regular rows' leave-one-out Hessians H_(j) one
+block of ``loo_block_rows(p)`` observations at a time, so the byte budget
+LOO_BLOCK_BYTES, not n, bounds the memory of the pass.  H_(j) comes from a
+closed form in the full-sample fit, per-row scalars and a rank-2 term; no
+leave-one-out moment is formed.  HRIS reads each stack with no
+eigendecomposition, then SRIS makes one ``eigh`` call per observation on
+its (V, p, p) stack.  ``sris`` and ``hris`` raise DegenerateLeverage at the
+first degenerate row before any stack is built, while the report leaves
+SRIS and HRIS NaN there and flags the row ``degenerate_leverage``.
 
 :func:`influence_report` returns all of it as one :class:`InfluenceReport`
 of read-only arrays in report order, with the Spearman correlations of SRIS
@@ -123,39 +124,6 @@ def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
     _require_untied(fit.lambda_hat)
 
 
-@dataclass(frozen=True)
-class _LooBlock:
-    """One block of ``_LooWalk``: observation indices ``j`` and their
-    whitened leverage ``margin``, then the block's regular rows, ``rows``, and
-    ``h``, the (R, V, p, p) stack of their leave-one-out Hessians H_(j)."""
-
-    j: np.ndarray
-    margin: np.ndarray
-    rows: np.ndarray
-    h: np.ndarray
-
-    @property
-    def degenerate(self) -> np.ndarray:
-        """Mask of the rows at the leverage singularity: whitened margin at
-        or below LEVERAGE_RTOL.  D of ``_LooWalk`` is zero exactly when
-        deleting row j leaves a singular covariance; the margin, D over
-        (n-1)^2/n, is the smallest eigenvalue of the whitened leave-one-out
-        covariance relative to the others and lies in [0, 1]."""
-        return self.margin <= LEVERAGE_RTOL
-
-    def require_regular(self) -> None:
-        """Raise DegenerateLeverage for the first row of the block that sits
-        at the leverage singularity."""
-        if self.degenerate.any():
-            i = int(np.argmax(self.degenerate))
-            j = int(self.j[i])
-            raise DegenerateLeverage(
-                f"observation {j} sits at the leverage singularity: "
-                f"whitened margin ((n-1)^2/n - z'z) / ((n-1)^2/n) = {self.margin[i]:.3e}",
-                index=j,
-            )
-
-
 class _LooWalk:
     """The leave-one-out walk over fits of one rank, stacked on a variant
     axis in the given order: Gamma-hat (V, p, K), |lambda-hat| (V, K) and
@@ -172,9 +140,14 @@ class _LooWalk:
         H_(j) = c [n H + a S^-1 - e G(u) + u w' + w u'],
 
     c = ((n-2)/(n-1))^2/(n-1), G(u) = S^-1 T(u) S^-1, v = S^-1 N u and
-    w = S^-1 g + v/D + (d'v/D^2 - b) u/2.  SRIS and HRIS both read each
-    block's stack of H_(j).  Each variant's terms are computed on their own,
-    so its values do not depend on which others share the walk.
+    w = S^-1 g + v/D + (d'v/D^2 - b) u/2.  Each variant's terms are computed
+    on their own, so its values do not depend on which others share the walk.
+
+    Every row's leverage is computed once, on construction: ``u`` (n, p),
+    ``denom`` D, the whitened ``margin`` D / ((n-1)^2/n) and the ``degenerate``
+    mask, margin <= LEVERAGE_RTOL.  D is zero exactly when deleting row j
+    leaves a singular covariance; the margin, in [0, 1], is the smallest
+    eigenvalue of the whitened leave-one-out covariance over the largest.
     """
 
     def __init__(self, d: Dataset, m: MomentSet, fits):
@@ -185,28 +158,41 @@ class _LooWalk:
         self.lam = np.abs(np.stack([f.lambda_hat for f in fits]))
         self.h = np.stack([f.h for f in fits])
         self.h_gamma = self.h @ self.gamma
+        self.n_h = d.n * self.h
         # S^-1 g per variant: the y variant's N carries s_xy d' + d s_xy'
         self.slope = np.stack([m.beta if v == "y" else 0.0 * m.beta for v in self.variants])
         self.scale = ((d.n - 2) / (d.n - 1)) ** 2 / (d.n - 1)
+        self.full = (d.n - 1) ** 2 / d.n
+        dx = d.x - m.xbar
+        self.u = dx @ m.s_inv
+        self.denom = self.full - np.einsum("ij,ij->i", dx, self.u)
+        self.margin = self.denom / self.full
+        self.degenerate = self.margin <= LEVERAGE_RTOL
+
+    def require_regular(self) -> None:
+        """Raise DegenerateLeverage for the first row that sits at the
+        leverage singularity."""
+        if self.degenerate.any():
+            j = int(np.argmax(self.degenerate))
+            raise DegenerateLeverage(
+                f"observation {j} sits at the leverage singularity: "
+                f"whitened margin ((n-1)^2/n - z'z) / ((n-1)^2/n) = {self.margin[j]:.3e}",
+                index=j,
+            )
 
     def blocks(self):
-        """Yield one ``_LooBlock`` per block of ``loo_block_rows(p)``
-        observations, with H_(j) of the rows not ``degenerate`` summed in place
-        beside one scratch stack: n H, + a S^-1, + u w', + w u', - e G(u)
-        (e = 0 for y), times c.  Outer and scalar-times-matrix products are
-        matmuls over a length-1 axis, so numpy adds no broadcast buffer."""
-        d, m, n = self.d, self.m, self.n
-        full = (n - 1) ** 2 / n
+        """Yield ``(rows, h)`` per block of ``loo_block_rows(p)`` observations:
+        the block's rows that are not ``degenerate`` and the (R, V, p, p) stack
+        of their H_(j), summed in place beside one scratch stack: a S^-1, + n H,
+        + u w', + w u', - e G(u) (e = 0 for y), times c.  The einsum products
+        write straight into their stack, with no broadcast buffer; u w' stays a
+        matmul over a length-1 axis, since einsum would buffer that operand."""
+        d, m, n, full = self.d, self.m, self.n, self.full
         lever = n * (n + 1) / (n - 1) ** 2
         step = loo_block_rows(d.p)
         for start in range(0, n, step):
-            j = np.arange(start, min(start + step, n))
-            dj = d.x[j] - m.xbar
-            u = dj @ m.s_inv
-            denom = full - np.einsum("ij,ij->i", dj, u)
-            margin = denom / full
-            keep = ~(margin <= LEVERAGE_RTOL)  # as _LooBlock.degenerate
-            rows, dj, u, denom = j[keep], dj[keep], u[keep], denom[keep]
+            rows = start + np.flatnonzero(~self.degenerate[start : start + step])
+            dj, u, denom = d.x[rows] - m.xbar, self.u[rows], self.denom[rows]
             q = full - denom
             dy = d.y[rows] - m.ybar
             r_d = m.residuals[rows] / denom
@@ -224,33 +210,43 @@ class _LooWalk:
                 v -= e[..., None] * (g @ dj[..., None])[:, None, :, 0]
             dv = np.einsum("rp,rvp->rv", dj, v) / (denom**2)[:, None]
             w = self.slope + v / denom[:, None, None] + ((dv - b) / 2)[..., None] * u[:, None]
-            stack = (rows.size, len(self.variants), d.p, d.p)
-            h = np.broadcast_to(n * self.h, stack).copy()
-            scratch = (a.reshape(-1, 1) @ m.s_inv.reshape(1, -1)).reshape(stack)
-            h += scratch  # n H + a S^-1 equals a S^-1 + n H bit for bit
-            h += np.matmul(u[:, None, :, None], w[..., None, :], out=scratch)
-            h += np.matmul(w[..., None], u[:, None, None, :], out=scratch)
+            h = np.einsum("rv,pq->rvpq", a, m.s_inv)
+            h += self.n_h  # a S^-1 + n H equals n H + a S^-1 bit for bit
+            scratch = np.matmul(u[:, None, :, None], w[..., None, :])
+            h += scratch
+            h += np.einsum("rvp,rq->rvpq", w, u, out=scratch)
             if g is not None:  # e = 0 for y, so its slice subtracts zeros
-                flat = (rows.size, 1, 1, d.p * d.p)  # one G(u) per row
-                np.matmul(e[..., None, None], g.reshape(flat),
-                          out=scratch.reshape(stack[:2] + flat[2:]))
-                h -= scratch
+                h -= np.einsum("rv,rpq->rvpq", e, g, out=scratch)
             h *= self.scale
             del scratch, g  # the consumer holds only the block's stack
-            yield _LooBlock(j, margin, rows, h)
+            yield rows, h
             del h  # so the next block is built without it
 
-    def sris(self, t: _LooBlock) -> tuple[np.ndarray, np.ndarray]:
-        """(SRIS, order_swap flags), each (rows, V, K), from one ``eigh``
-        call per observation on its (V, p, p) stack of H_(j).  The
-        eigenvectors overwrite the block's stack.
+    def measures(self, with_sris: bool = True):
+        """(HRIS, SRIS, order_swap flags) of every row, each (n, V, K), NaN or
+        False at the ``degenerate`` rows: the one loop over ``blocks()``.
+        Without ``with_sris`` no ``eigh`` call is made and SRIS stays NaN."""
+        shape = (self.n, *self.lam.shape)
+        hris_vals, sris_vals = np.full(shape, np.nan), np.full(shape, np.nan)
+        swapped = np.zeros(shape, dtype=bool)
+        for rows, h in self.blocks():
+            hris_vals[rows] = self.hris(h)
+            if with_sris:
+                sris_vals[rows], swapped[rows] = self.sris(h)
+            del h  # the walk builds the next stack without this one
+        return hris_vals, sris_vals, swapped
+
+    def sris(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(SRIS, order_swap flags), each (R, V, K), from one ``eigh`` call
+        per observation on its (V, p, p) stack of H_(j).  The eigenvectors
+        overwrite the stack ``h``.
 
         Only the K leading eigenvectors are picked out (by ``eigen_order``);
         the order_swap maximum runs over the unsorted ones, and no output
         reads the sign of a leave-one-out eigenvector, so no sign rule is
         applied.
         """
-        v, gamma = t.h, self.gamma
+        v, gamma = h, self.gamma
         w = np.empty(v.shape[:-1])
         for i, h_j in enumerate(v):  # each row's eigenvectors overwrite its Hessians
             w[i], v[i] = np.linalg.eigh(h_j)
@@ -264,27 +260,13 @@ class _LooWalk:
         swapped = overlaps.max(axis=-2) - own > ORDER_SWAP_TOL
         return (self.n - 1) * np.clip(sines, 0.0, 1.0), swapped
 
-    def hris(self, t: _LooBlock) -> np.ndarray:
-        """HRIS, (rows, V, K), read from the block's stack with no ``eigh``:
-        (n-1) ||P (H Gamma - H_(j) Gamma)|| / |lambda| per column,
+    def hris(self, h: np.ndarray) -> np.ndarray:
+        """HRIS, (R, V, K), read from the stack ``h`` of H_(j) with no
+        ``eigh``: (n-1) ||P (H Gamma - H_(j) Gamma)|| / |lambda| per column,
         P = I - Gamma Gamma'.  Call it before ``sris``, which overwrites the
         stack."""
-        cols = project_out(self.gamma, self.h_gamma - t.h @ self.gamma)
+        cols = project_out(self.gamma, self.h_gamma - h @ self.gamma)
         return (self.n - 1) * np.linalg.norm(cols, axis=-2) / self.lam
-
-
-def _strict_walk(d: Dataset, m: MomentSet, fit: PhdFit, measure) -> np.ndarray:
-    """The n x K matrix of ``measure(walk, block)`` over the leave-one-out
-    walk of one fit, raising DegenerateLeverage at the first row on the
-    leverage singularity."""
-    _require_measurable(fit, m)
-    walk = _LooWalk(d, m, (fit,))
-    out = np.empty((d.n, fit.k))
-    for b in walk.blocks():
-        b.require_regular()
-        out[b.rows] = measure(walk, b)[:, 0]
-        del b  # the walk builds the next stack without this one
-    return out
 
 
 def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
@@ -293,7 +275,11 @@ def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
     Row j refits the same PHD variant on the sample without observation j and
     measures (n-1) |sin| of each direction against the full-sample span.
     """
-    return _strict_walk(d, compute_moments(d), fit, lambda walk, b: walk.sris(b)[0])
+    m = compute_moments(d)
+    _require_measurable(fit, m)
+    walk = _LooWalk(d, m, (fit,))
+    walk.require_regular()
+    return walk.measures()[1][:, 0]
 
 
 def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
@@ -312,7 +298,10 @@ def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     Equals the value obtained by recomputing the Hessian on the n-1 subset.
     Reads the leave-one-out walk's stack of H_(j) with no eigendecomposition.
     """
-    return _strict_walk(d, m, fit, _LooWalk.hris)
+    _require_measurable(fit, m)
+    walk = _LooWalk(d, m, (fit,))
+    walk.require_regular()
+    return walk.measures(with_sris=False)[0][:, 0]
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
@@ -407,21 +396,13 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     fits = {v: fit_from_moments(m, v, k) for v in VARIANTS}
     md = mahalanobis(d, m)
 
-    n, nv = d.n, len(VARIANTS)
+    n = d.n
     eris_vals = np.stack([eris(d, fits[v], m) for v in VARIANTS], axis=1)
-    sris_vals = np.full((n, nv, k), np.nan)
-    hris_vals = np.full((n, nv, k), np.nan)
-    swapped = np.zeros((n, nv, k), dtype=bool)
-    degenerate = np.zeros(n, dtype=bool)
     walk = _LooWalk(d, m, fits.values())
-    for b in walk.blocks():
-        degenerate[b.j] = b.degenerate
-        hris_vals[b.rows] = walk.hris(b)
-        sris_vals[b.rows], swapped[b.rows] = walk.sris(b)
-        del b  # the walk builds the next stack without this one
+    hris_vals, sris_vals, swapped = walk.measures()
 
     flags: list[list[str]] = [[] for _ in range(n)]
-    for j in np.flatnonzero(degenerate):
+    for j in np.flatnonzero(walk.degenerate):
         flags[j].append("degenerate_leverage")
     for j, a, i in zip(*np.nonzero(swapped)):  # per row, variants in VARIANTS order
         flags[j].append(f"order_swap:{VARIANTS[a]}:{i + 1}")

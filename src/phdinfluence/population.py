@@ -67,6 +67,7 @@ import numpy as np
 from .errors import (
     AmbiguousMatch,
     DegenerateSpectrum,
+    InvalidArgument,
     InvalidEpsilon,
     InvalidMatrix,
     UnsupportedModel,
@@ -218,7 +219,7 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
             f"need an m x {model.p} x0 and a length-m w0, got {x0.shape} and {w.shape}"
         )
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(w))):
-        raise ValueError("contamination points must be finite")
+        raise InvalidArgument("contamination points must be finite")
     d = x0 - model.mu
     if variant == "r":
         return _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w, 0.0)
@@ -413,9 +414,21 @@ def influence_surface(p: int, variant: str, norm_grid, costheta_grid) -> np.ndar
     x0 = np.zeros((norms.size, costhetas.size, p))
     x0[..., 0] = nrm * ct
     x0[..., 1] = nrm * st
-    y0 = _cosine_response(x0[..., 0])
-    w0 = y0 if variant == "y" else y0 - model.mu_y - x0 @ model.beta
-    return ris_rows(model, variant, x0.reshape(-1, p), w0.ravel())[:, 0].reshape(w0.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        y0 = _cosine_response(x0[..., 0])
+        w0 = y0 if variant == "y" else y0 - model.mu_y - x0 @ model.beta
+        bad = ~np.isfinite(w0)  # x0 is as finite as the norms
+        if not bad.any():
+            surface = ris_rows(model, variant, x0.reshape(-1, p), w0.ravel())[:, 0]
+            surface = surface.reshape(w0.shape)
+            bad = ~np.isfinite(surface)
+    if bad.any():
+        norm = norms[np.argmax(bad.any(axis=1))]
+        raise InvalidArgument(
+            f"the contamination point or its {variant}-based influence overflows float64 "
+            f"at ||x0|| = {norm:.6g}"
+        )
+    return surface
 
 
 def write_surface_csv(path, norm_grid, costheta_grid, ris_y_grid, ris_r_grid) -> None:

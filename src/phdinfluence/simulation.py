@@ -148,25 +148,28 @@ def mc_constants(n_mc: int, seed: int, sigma: float) -> McConstants:
         raise InvalidArgument(f"sigma must be finite and nonnegative, got {sigma!r}")
     _require_seed(seed)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n_mc)
-    y = _cosine_response(z)
-    if sigma > 0:
-        y = y + sigma * rng.standard_normal(n_mc)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        z = rng.standard_normal(n_mc)
+        y = _cosine_response(z)
+        if sigma > 0:
+            y = y + sigma * rng.standard_normal(n_mc)
 
-    ybar = float(y.mean())
-    se_mu = float(y.std(ddof=1) / math.sqrt(n_mc))
+        ybar = float(y.mean())
+        se_mu = float(y.std(ddof=1) / math.sqrt(n_mc))
 
-    cov_terms = (z - z.mean()) * (y - ybar)
-    cov_hat = float(cov_terms.mean())
-    se_cov = float(cov_terms.std(ddof=1) / math.sqrt(n_mc))
+        cov_terms = (z - z.mean()) * (y - ybar)
+        cov_hat = float(cov_terms.mean())
+        se_cov = float(cov_terms.std(ddof=1) / math.sqrt(n_mc))
 
-    lam_terms = (y - ybar) * z**2
-    lam_hat = float(lam_terms.mean())
-    se_lam = float(lam_terms.std(ddof=1) / math.sqrt(n_mc))
-    if 0.0 in (se_mu, se_cov, se_lam):
+        lam_terms = (y - ybar) * z**2
+        lam_hat = float(lam_terms.mean())
+        se_lam = float(lam_terms.std(ddof=1) / math.sqrt(n_mc))
+    ses = (se_mu, se_cov, se_lam)
+    if 0.0 in ses or not all(map(math.isfinite, (ybar, cov_hat, lam_hat, *ses))):
         raise InvalidArgument(
-            f"a Monte Carlo standard error is zero at n_mc={n_mc}, sigma={sigma!r}, "
-            f"seed={seed}: the z-scores against the targets are undefined"
+            f"a Monte Carlo standard error is zero, or an estimate or standard error overflows "
+            f"float64, at n_mc={n_mc}, sigma={sigma!r}, seed={seed}: the z-scores against the "
+            "targets are undefined"
         )
 
     return McConstants(

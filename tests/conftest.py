@@ -88,11 +88,9 @@ def loo_hessians(d, m, fits) -> tuple[np.ndarray, np.ndarray]:
     of those rows."""
     walk = _LooWalk(d, m, fits)
     h = np.full((d.n, len(walk.variants), d.p, d.p), np.nan)
-    degenerate = np.zeros(d.n, dtype=bool)
-    for b in walk.blocks():
-        degenerate[b.j] = b.degenerate
-        h[b.rows] = b.h
-    return h, degenerate
+    for rows, stack in walk.blocks():
+        h[rows] = stack
+    return h, walk.degenerate
 
 
 def run_python(args: list[str], timeout: float, unset=()) -> subprocess.CompletedProcess:

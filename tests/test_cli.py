@@ -173,11 +173,21 @@ def test_usage_error_exit_code():
         # z-score was of order 1e16
         pytest.param(["validate-constants", "--n", "2", "--sigma", "0", "--seed", "5"],
                      id="validate-rounding-standard-error"),
+        # the standard errors overflow to inf, every z-score to -0.00: no check means anything
+        pytest.param(["validate-constants", "--n", "1000", "--sigma", "1e160"],
+                     id="validate-overflowing-standard-error"),
+        # the estimates overflow to NaN, which JSON cannot hold
+        pytest.param(["validate-constants", "--n", "100", "--sigma", "1e308"],
+                     id="validate-overflowing-estimate"),
         pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,0,0;0,1,0"],
                      id="two-index-vectors-for-cosine"),
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",
                       "1", "--beta", "1,0,0;0,1", "--link", "product"], id="ragged-beta"),
         pytest.param(["surface", "--p", "1"], id="surface-p1"),
+        # the surface overflows at the finite points of ||x0|| = 5e159 and 1e160
+        pytest.param(["surface", "--grid", "3", "--norm-max", "1e160"], id="surface-overflow"),
+        # 2 ||x0|| overflows, so the cosine curve puts y0 at NaN
+        pytest.param(["surface", "--grid", "3", "--norm-max", "1e308"], id="surface-point-overflow"),
         pytest.param(["simulate", "--n", "3", "--p", "3", "--seed", "1"], id="n-below-p-plus-2"),
         pytest.param(["simulate", "--model", "cosine_index", "--n", "30", "--p", "3", "--seed",
                       "1", "--link", "product"], id="link-for-cosine"),

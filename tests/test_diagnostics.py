@@ -528,6 +528,54 @@ def test_leverage_flag_at_a_block_boundary(side):
     assert err.value.index == spike
 
 
+def test_sris_and_hris_raise_before_building_any_stack(monkeypatch):
+    # the spiked row sits in the third and last block: the walk decides the
+    # leverage singularity for every row before it builds the first block,
+    # so no leave-one-out stack is built or eigendecomposed
+    spike = 2 * loo_block_rows(16) + 1
+    d = _spiked(2 * loo_block_rows(16) + 3, spike)
+    m = compute_moments(d)
+    fit = fit_from_moments(m, "y", 1)
+    built, shapes = [], []
+    blocks, eigh = diagnostics._LooWalk.blocks, np.linalg.eigh
+
+    def spy_blocks(walk):
+        for rows, h in blocks(walk):
+            built.append(rows.size)
+            yield rows, h
+
+    monkeypatch.setattr(diagnostics._LooWalk, "blocks", spy_blocks)
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a, *args, **kw: shapes.append(np.shape(a)) or eigh(a, *args, **kw)
+    )
+    for measure in (lambda: sris(d, fit), lambda: hris(d, fit, m)):
+        with pytest.raises(DegenerateLeverage) as err:
+            measure()
+        assert err.value.index == spike
+    assert built == []
+    assert all(len(s) == 2 for s in shapes), shapes  # S alone, in sris's compute_moments
+
+
+@pytest.mark.parametrize("design", ["planted", "hitters", "normal"])
+def test_loo_margin_is_the_whitened_loo_covariance_eigenvalue_ratio(design):
+    # the margin of row j is lambda_min / lambda_max of S^-1 S_(j), the
+    # whitened covariance of the sample without row j; the planted outlier
+    # has margin 1.7e-3 at row 0, where the two agree to 6.1e-13
+    if design == "planted":
+        d = _planted_outlier(100)
+    elif design == "hitters":
+        d = hitters_like()
+    else:
+        rng = np.random.default_rng(4)
+        d = Dataset(y=rng.standard_normal(50), x=rng.standard_normal((50, 4)))
+    m = compute_moments(d)
+    walk = _LooWalk(d, m, [fit_from_moments(m, "y", 2)])
+    for j in range(d.n):
+        s_j = np.cov(np.delete(d.x, j, axis=0), rowvar=False)
+        lam = np.linalg.eigvals(np.linalg.solve(m.s, s_j)).real
+        assert abs(walk.margin[j] - lam.min() / lam.max()) <= 1e-12, j
+
+
 def test_residual_measures_match_refits_on_a_larger_spiked_sample():
     # the same construction at a fixed n = 259 with the spike at row 127:
     # n T_beta in the residual-weighted downdate amplifies any error of the
@@ -758,32 +806,21 @@ def test_records_csv_is_the_per_cell_layout(design, tmp_path):
 
 
 def walk_table(d, m, fits):
-    """(sris, hris, swapped, degenerate) of every observation, assembled from
-    the leave-one-out walk over the variants of ``fits`` (a dict keyed by
+    """(sris, hris, swapped, degenerate) of every observation, read from the
+    leave-one-out walk over the variants of ``fits`` (a dict keyed by
     variant, all of one rank): n x K arrays keyed by variant, NaN (sris, hris)
     or False (swapped) at the leverage singularity, and the n-vector of
-    degenerate rows.  Checks that the walk visits every observation once, in
-    order, and stacks the Hessians of exactly its regular rows, one per
-    variant.  HRIS reads each block's stack before SRIS overwrites it."""
-    n = d.n
-    variants = tuple(fits)
+    degenerate rows.  Checks that the walk's blocks visit exactly its regular
+    rows once, in order, each with one Hessian per variant."""
     walk = _LooWalk(d, m, fits.values())
-    k = walk.gamma.shape[-1]
-    sris_ = np.full((n, len(variants), k), np.nan)
-    hris_ = np.full((n, len(variants), k), np.nan)
-    swapped = np.zeros((n, len(variants), k), dtype=bool)
-    degenerate = np.zeros(n, dtype=bool)
     visited = []
-    for b in walk.blocks():
-        visited += b.j.tolist()
-        assert b.rows.tolist() == b.j[~b.degenerate].tolist()
-        degenerate[b.j] = b.degenerate
-        assert b.h.shape == (b.rows.size, len(variants), d.p, d.p)
-        hris_[b.rows] = walk.hris(b)
-        sris_[b.rows], swapped[b.rows] = walk.sris(b)
-    assert visited == list(range(n))
-    by_variant = [{v: a[:, i] for i, v in enumerate(variants)} for a in (sris_, hris_, swapped)]
-    return (*by_variant, degenerate)
+    for rows, h in walk.blocks():
+        visited += rows.tolist()
+        assert h.shape == (rows.size, len(fits), d.p, d.p)
+    assert visited == np.flatnonzero(~walk.degenerate).tolist()
+    hris_, sris_, swapped = walk.measures()
+    by_variant = [{v: a[:, i] for i, v in enumerate(fits)} for a in (sris_, hris_, swapped)]
+    return (*by_variant, walk.degenerate)
 
 
 @pytest.mark.parametrize("design", [_order_swap_design, _spiked_rank_three])
@@ -920,9 +957,9 @@ def test_the_block_budget_bounds_the_report_memory():
     # and a half such stacks at once (the block's Hessians, one scratch
     # stack, the r variant's G(u) at half a stack) and drops each block
     # before it builds the next; every outer or scalar-times-matrix product
-    # is a matmul into the scratch stack, so numpy adds no broadcast buffer.
-    # Two more budgets cover the block's per-row terms and the rest of the
-    # report
+    # is an einsum or a length-1 matmul written into a stack, so numpy adds
+    # no broadcast buffer.  Two more budgets cover the block's per-row terms,
+    # the walk's per-row leverage and the rest of the report
     influence_report(cosine_data(1, n=100, p=16), 2)  # imports and caches outside the trace
     d = cosine_data(5, n=128, p=16)
     assert loo_block_rows(d.p) < d.n
