@@ -3,7 +3,9 @@
 Subcommands: fit, influence, surface, simulate, validate-constants.  Every
 run writes its numeric artifacts plus a manifest.json recording the resolved
 configuration, seeds, input digest and timestamps, so identical inputs can be
-shown to reproduce identical numeric files.
+shown to reproduce identical numeric files.  A command returns its exit code,
+its configuration (read off the objects it ran) and the paths it wrote;
+``main`` writes the manifest from them.
 
 Exit codes: 0 success, 1 validation failure (validate-constants), 2 usage
 error, 3 data error, 4 numeric degeneracy.  Errors go to stderr as one-line
@@ -26,6 +28,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,6 +43,10 @@ _THREAD_ENV_VARS = (
 )
 
 
+#: what a command returns: its exit code, its config and the paths it wrote
+_Ran = tuple[int, dict, list[Path]]
+
+
 def _sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -52,42 +59,30 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-class _Manifest:
-    """Collects run metadata and writes manifest.json next to the outputs.
+def _write_manifest(args, started_at: str, config: dict, outputs: list[Path]) -> None:
+    """Write manifest.json next to the outputs of a command that ran.
 
-    A command makes its manifest first, before it reads any input, so
-    ``started_at`` spans the whole run; the resolved configuration and the
-    input digest are recorded by ``write``.  ``thread_env`` holds the BLAS
-    thread variables as the run sees them, after any --threads cap (None
-    where unset)."""
-
-    def __init__(self, command: str, seed=None):
-        self.data = {
-            "command": command,
-            "config": None,
-            "config_sha256": None,
-            "seed": seed,
-            "version": __version__,
-            "thread_env": {var: os.environ.get(var) for var in _THREAD_ENV_VARS},
-            "input": None,
-            "outputs": [],
-            "started_at": _utcnow(),
-        }
-
-    def add_output(self, path) -> None:
-        self.data["outputs"].append(Path(path).name)
-
-    def write(self, outdir: Path, config: dict, input_path=None) -> None:
-        self.data["config"] = config
-        self.data["config_sha256"] = hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()
-        ).hexdigest()
-        if input_path is not None:
-            self.data["input"] = {"path": str(input_path), "sha256": _sha256_file(input_path)}
-        self.data["finished_at"] = _utcnow()
-        with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=2)
-            fh.write("\n")
+    ``config`` is read off the objects the command ran; ``thread_env`` holds
+    the BLAS thread variables as the run saw them, after any --threads cap
+    (None where unset)."""
+    input_path = getattr(args, "input", None)
+    manifest = {
+        "command": args.command,
+        "config": config,
+        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "seed": config.get("seed"),
+        "version": __version__,
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_ENV_VARS},
+        "input": None if input_path is None else {
+            "path": str(input_path), "sha256": _sha256_file(input_path)
+        },
+        "outputs": [path.name for path in outputs],
+        "started_at": started_at,
+        "finished_at": _utcnow(),
+    }
+    with open(Path(args.output_dir) / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
 
 
 def _outdir(args) -> Path:
@@ -96,48 +91,31 @@ def _outdir(args) -> Path:
     return out
 
 
-def _ingest_config(args):
-    from .ingest import IngestConfig
+def _load_dataset(args):
+    """The dataset and its manifest config: the IngestConfig fields, the
+    predictors they resolved to, n and p."""
+    from .ingest import IngestConfig, ingest_csv
 
-    predictors = None
-    if args.predictors is not None:
-        predictors = tuple(name.strip() for name in args.predictors.split(","))
-    return IngestConfig(
+    cfg = IngestConfig(
         response_column=args.response,
         log_response=args.log_response,
         drop_rows_with_missing_response=not args.keep_missing_response,
-        predictor_columns=predictors,
+        predictor_columns=None if args.predictors is None else tuple(
+            name.strip() for name in args.predictors.split(",")
+        ),
         delimiter=args.delimiter,
     )
-
-
-def _load_dataset(args):
-    from .ingest import ingest_csv
-
-    cfg = _ingest_config(args)
     dataset = ingest_csv(args.input, cfg)
-    config = {
-        "input": str(args.input),
-        "response": args.response,
-        "log_response": args.log_response,
-        "drop_rows_with_missing_response": not args.keep_missing_response,
-        "predictors_requested": (
-            "all numeric except response" if args.predictors is None else args.predictors
-        ),
-        "predictors_resolved": list(dataset.names),
-        "delimiter": args.delimiter,
-        "n": dataset.n,
-        "p": dataset.p,
+    config = asdict(cfg) | {
+        "predictors_resolved": list(dataset.names), "n": dataset.n, "p": dataset.p
     }
     return dataset, config
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> _Ran:
     from .phd import fit_phd
 
-    manifest = _Manifest("fit")
     dataset, config = _load_dataset(args)
-    config.update({"variant": args.variant, "k": args.k})
     fit = fit_phd(dataset, args.variant, args.k)
 
     out = _outdir(args)
@@ -152,7 +130,6 @@ def cmd_fit(args) -> int:
             else:
                 ratio = ""
             fh.write(f"{i + 1},{lam:.17g},{abs(lam):.17g},{ratio}\n")
-    manifest.add_output(eig_path)
 
     basis_path = out / "basis.csv"
     with open(basis_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -160,16 +137,14 @@ def cmd_fit(args) -> int:
         rows = csv.writer(fh, lineterminator="\n")  # quotes a name only where csv needs it
         for r, name in enumerate(dataset.names):
             rows.writerow([name, *(f"{fit.gamma_hat.columns[r, c]:.17g}" for c in range(args.k))])
-    manifest.add_output(basis_path)
-    manifest.write(out, config, input_path=args.input)
 
     print(f"fit: variant={args.variant} n={dataset.n} p={dataset.p} k={args.k}")
     shown = ", ".join(f"{v:.6g}" for v in fit.eig.values[: min(5, dataset.p)])
     print(f"leading eigenvalues: {shown}")
-    return 0
+    return 0, config | {"variant": args.variant, "k": args.k}, [eig_path, basis_path]
 
 
-def cmd_influence(args) -> int:
+def cmd_influence(args) -> _Ran:
     from .diagnostics import (
         influence_report,
         write_correlations_csv,
@@ -177,22 +152,16 @@ def cmd_influence(args) -> int:
         write_report_json,
     )
 
-    manifest = _Manifest("influence")
     dataset, config = _load_dataset(args)
-    config.update({"k": args.k})
     report = influence_report(dataset, args.k)
 
     out = _outdir(args)
     records_path = out / "records.csv"
     write_records_csv(records_path, report)
-    manifest.add_output(records_path)
     corr_path = out / "correlations.csv"
     write_correlations_csv(corr_path, report)
-    manifest.add_output(corr_path)
     json_path = out / "report.json"
     write_report_json(json_path, report)
-    manifest.add_output(json_path)
-    manifest.write(out, config, input_path=args.input)
 
     print(f"influence: n={report.n} p={report.p} k={report.k}")
     for v in ("y", "r"):
@@ -201,15 +170,14 @@ def cmd_influence(args) -> int:
             f"  {v}-based spearman(SRIS, .) avg-direction: "
             f"eris={row['eris'][-1]:.3f} hris={row['hris'][-1]:.3f} md={row['md'][-1]:.3f}"
         )
-    return 0
+    return 0, config | {"k": args.k}, [records_path, corr_path, json_path]
 
 
-def cmd_surface(args) -> int:
+def cmd_surface(args) -> _Ran:
     import numpy as np
 
     from .population import influence_surface, write_surface_csv
 
-    manifest = _Manifest("surface")
     if args.grid < 1:
         raise InvalidArgument(f"--grid must be at least 1, got {args.grid}")
     if not (math.isfinite(args.norm_max) and args.norm_max >= 0):
@@ -221,26 +189,21 @@ def cmd_surface(args) -> int:
     grid_y = influence_surface(args.p, "y", norms, costhetas)
     grid_r = influence_surface(args.p, "r", norms, costhetas)
 
-    out = _outdir(args)
-    config = {"norm_max": args.norm_max, "grid": args.grid, "p": args.p}
-    surf_path = out / "surface.csv"
+    surf_path = _outdir(args) / "surface.csv"
     write_surface_csv(surf_path, norms, costhetas, grid_y, grid_r)
-    manifest.add_output(surf_path)
-    manifest.write(out, config)
 
     print(f"surface: {args.grid}x{args.grid} grid written to {surf_path}")
-    return 0
+    return 0, {"norm_max": args.norm_max, "grid": args.grid, "p": args.p}, [surf_path]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> _Ran:
     import numpy as np
 
     from .ingest import write_dataset_csv
     from .simulation import SimSpec, simulate
 
-    manifest = _Manifest("simulate", seed=args.seed)
     beta = None
-    if args.beta:
+    if args.beta is not None:
         try:
             vectors = [[float(v) for v in part.split(",")] for part in args.beta.split(";")]
             beta = np.array(vectors).T
@@ -260,29 +223,17 @@ def cmd_simulate(args) -> int:
     )
     dataset = simulate(spec)
 
-    out = _outdir(args)
-    config = {
-        "model": args.model,
-        "n": args.n,
-        "p": args.p,
-        "sigma": args.sigma,
-        "beta": None if beta is None else spec.beta.tolist(),
-        "link": args.link,
-    }
-    data_path = out / "dataset.csv"
+    data_path = _outdir(args) / "dataset.csv"
     write_dataset_csv(data_path, dataset)
-    manifest.add_output(data_path)
-    manifest.write(out, config)
 
     print(f"simulate: wrote n={dataset.n} p={dataset.p} rows to {data_path}")
-    return 0
+    return 0, asdict(spec) | {"beta": spec.beta.tolist()}, [data_path]
 
 
-def cmd_validate_constants(args) -> int:
+def cmd_validate_constants(args) -> _Ran:
     from .population import cosine_model_constants
     from .simulation import mc_constants
 
-    manifest = _Manifest("validate-constants", seed=args.seed)
     est = mc_constants(args.n, args.seed, args.sigma)
     mu_y, cov_zy, lam1 = cosine_model_constants()
     wrong_lam1 = -cov_zy  # the factor-two-off eigenvalue the validator must reject
@@ -292,8 +243,6 @@ def cmd_validate_constants(args) -> int:
         ("cov_zy", est.cov_zy, est.se_cov_zy, cov_zy, None),
         ("lambda1", est.lambda1, est.se_lambda1, lam1, wrong_lam1),
     ]
-    out = _outdir(args)
-    config = {"n": args.n, "sigma": args.sigma}
 
     all_pass = True
     results = []
@@ -326,7 +275,7 @@ def cmd_validate_constants(args) -> int:
         for line in lines:
             print(line)
 
-    report_path = out / "constants.json"
+    report_path = _outdir(args) / "constants.json"
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(
             {"n_mc": args.n, "sigma": args.sigma, "seed": args.seed,
@@ -334,9 +283,8 @@ def cmd_validate_constants(args) -> int:
             fh, indent=2, allow_nan=False,
         )
         fh.write("\n")
-    manifest.add_output(report_path)
-    manifest.write(out, config)
-    return 0 if all_pass else 1
+    config = {"n": args.n, "sigma": args.sigma, "seed": args.seed}
+    return (0 if all_pass else 1), config, [report_path]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -430,13 +378,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    started_at = _utcnow()
     try:
         if args.threads is not None:
             if args.threads < 1:
                 raise InvalidArgument(f"--threads must be at least 1, got {args.threads}")
             if "numpy" not in sys.modules:
                 os.environ.update(dict.fromkeys(_THREAD_ENV_VARS, str(args.threads)))
-        return args.handler(args)
+        code, config, outputs = args.handler(args)
+        _write_manifest(args, started_at, config, outputs)
+        return code
     except (PhdError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

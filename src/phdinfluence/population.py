@@ -210,6 +210,8 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
     Row i is contaminated at x0[i]; ``w0[i]`` is its response y0 for the y
     variant and its OLS residual r0 for the r variant.  Column k - 1 holds
     RIS_k, evaluated through the alpha display of the module docstring.
+    A finite point whose rates overflow float64 raises InvalidArgument
+    naming its row.
     """
     check_variant(variant)
     x0 = np.asarray(x0, dtype=float)
@@ -220,11 +222,19 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
         )
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(w))):
         raise InvalidArgument("contamination points must be finite")
-    d = x0 - model.mu
-    if variant == "r":
-        return _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w, 0.0)
-    slope = model.gamma.columns.T @ model.beta
-    return _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w - model.mu_y, slope)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        d = x0 - model.mu
+        if variant == "r":
+            rates = _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w, 0.0)
+        else:
+            slope = model.gamma.columns.T @ model.beta
+            rates = _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w - model.mu_y, slope)
+    bad = ~np.isfinite(rates).all(axis=1)
+    if bad.any():
+        raise InvalidArgument(
+            f"the {variant}-based influence rates overflow float64 at row {np.argmax(bad)} of x0"
+        )
+    return rates
 
 
 def _ris_kernel(gamma: Basis, lam, sigma_inv, d, w, slope) -> np.ndarray:
@@ -414,21 +424,10 @@ def influence_surface(p: int, variant: str, norm_grid, costheta_grid) -> np.ndar
     x0 = np.zeros((norms.size, costhetas.size, p))
     x0[..., 0] = nrm * ct
     x0[..., 1] = nrm * st
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+    with np.errstate(over="ignore", invalid="ignore"):  # ris_rows rejects a w0 that overflowed
         y0 = _cosine_response(x0[..., 0])
         w0 = y0 if variant == "y" else y0 - model.mu_y - x0 @ model.beta
-        bad = ~np.isfinite(w0)  # x0 is as finite as the norms
-        if not bad.any():
-            surface = ris_rows(model, variant, x0.reshape(-1, p), w0.ravel())[:, 0]
-            surface = surface.reshape(w0.shape)
-            bad = ~np.isfinite(surface)
-    if bad.any():
-        norm = norms[np.argmax(bad.any(axis=1))]
-        raise InvalidArgument(
-            f"the contamination point or its {variant}-based influence overflows float64 "
-            f"at ||x0|| = {norm:.6g}"
-        )
-    return surface
+    return ris_rows(model, variant, x0.reshape(-1, p), w0.ravel())[:, 0].reshape(w0.shape)
 
 
 def write_surface_csv(path, norm_grid, costheta_grid, ris_y_grid, ris_r_grid) -> None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -156,6 +157,11 @@ def test_usage_error_exit_code():
                      id="short-beta"),
         pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,x,0"],
                      id="text-beta"),
+        # an empty --beta is malformed, not an absent one
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", ""],
+                     id="empty-beta-cosine"),
+        pytest.param(["simulate", "--model", "quadratic_first", "--n", "50", "--p", "3",
+                      "--seed", "1", "--beta", ""], id="empty-beta-quadratic-first"),
         pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--sigma", "-1"],
                      id="negative-sigma"),
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3",
@@ -379,6 +385,61 @@ def test_influence_runs_on_moderately_collinear_predictors(tmp_path):
         want = mp_eris(d, fit_from_moments(m, variant, 2), m, rows)
         got = np.array([by_j[j][variant] for j in rows])
         assert (np.abs(got - want).max(axis=1) <= 1e-5 * np.abs(want).max(axis=1)).all()
+
+
+_INGEST_DEFAULTS = {"response_column": "y", "log_response": False,
+                    "drop_rows_with_missing_response": True, "predictor_columns": None,
+                    "delimiter": ","}
+
+
+@pytest.mark.parametrize(
+    "argv, config, outputs",
+    [
+        pytest.param(
+            ["fit", "--response", "y", "--predictors", "x1, x3", "--variant", "r", "--k", 1],
+            {**_INGEST_DEFAULTS, "predictor_columns": ["x1", "x3"],
+             "predictors_resolved": ["x1", "x3"], "n": 40, "p": 2, "variant": "r", "k": 1},
+            ["eigenvalues.csv", "basis.csv"], id="fit"),
+        pytest.param(
+            ["influence", "--response", "0", "--keep-missing-response", "--k", 1],
+            {**_INGEST_DEFAULTS, "response_column": "0", "drop_rows_with_missing_response": False,
+             "predictors_resolved": ["x1", "x2", "x3"], "n": 40, "p": 3, "k": 1},
+            ["records.csv", "correlations.csv", "report.json"], id="influence"),
+        pytest.param(["surface", "--grid", 3], {"norm_max": 3.0, "grid": 3, "p": 3},
+                     ["surface.csv"], id="surface"),
+        # without --beta the manifest records the first axis, the beta the model read
+        pytest.param(
+            ["simulate", "--n", 30, "--p", 3, "--seed", 2],
+            {"model": "cosine_index", "n": 30, "p": 3, "seed": 2, "sigma": 1.0,
+             "beta": [1.0, 0.0, 0.0], "link": None},
+            ["dataset.csv"], id="simulate-cosine-index"),
+        pytest.param(
+            ["simulate", "--model", "quadratic_first", "--n", 30, "--p", 3, "--seed", 2,
+             "--sigma", 0.5],
+            {"model": "quadratic_first", "n": 30, "p": 3, "seed": 2, "sigma": 0.5,
+             "beta": [1.0, 0.0, 0.0], "link": None},
+            ["dataset.csv"], id="simulate-quadratic-first"),
+        pytest.param(["validate-constants", "--n", 200000, "--seed", 7, "--sigma", 0.5],
+                     {"n": 200000, "sigma": 0.5, "seed": 7}, ["constants.json"],
+                     id="validate-constants"),
+    ],
+)
+def test_manifest_records_what_the_command_ran(tmp_path, argv, config, outputs):
+    data = tmp_path / "data.csv"
+    write_dataset_csv(data, simulate(SimSpec(model="cosine_index", n=40, p=3, seed=5)))
+    reads_input = argv[0] in ("fit", "influence")
+    out = tmp_path / "out"
+    assert run([*argv, *(["--input", data] if reads_input else []), "--output-dir", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["config"] == config
+    assert manifest["seed"] == config.get("seed")
+    assert sorted(manifest["outputs"]) == sorted(outputs)
+    assert {path.name for path in out.iterdir()} == {*outputs, "manifest.json"}
+    want_input = {"path": str(data), "sha256": hashlib.sha256(data.read_bytes()).hexdigest()}
+    assert manifest["input"] == (want_input if reads_input else None)
+    started = datetime.fromisoformat(manifest["started_at"])
+    assert started <= datetime.fromisoformat(manifest["finished_at"])
 
 
 def test_manifest_start_precedes_reading_the_input(tmp_path, monkeypatch):

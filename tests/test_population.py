@@ -22,6 +22,7 @@ from phdinfluence.linalg import spd_inverse
 from phdinfluence.population import ris_rows
 from phdinfluence.errors import (
     DegenerateSpectrum,
+    InvalidArgument,
     InvalidEpsilon,
     InvalidMatrix,
     NotPositiveDefinite,
@@ -514,6 +515,19 @@ def test_ris_rows_and_surface_reject_bad_points():
     for norms, costhetas in (([np.nan], [0.0]), ([1.0], [np.nan]), ([1.0], [1.5])):
         with pytest.raises(ValueError):
             influence_surface(3, "y", norms, costhetas)
+
+
+@pytest.mark.parametrize("variant", ["y", "r"])
+def test_ris_rows_rejects_finite_points_whose_rates_overflow(variant):
+    # the kernel's products overflow at ||x0|| = 5e159: NaN or inf, once with
+    # numpy warnings, which pytest makes errors here
+    model = cosine_model(p=2)
+    with pytest.raises(InvalidArgument, match="at row 0 of x0"):
+        ris_rows(model, variant, [[5e159, 0.0], [0.0, 5e159]], [0.5, 0.5])
+    with pytest.raises(InvalidArgument, match="at row 1 of x0"):
+        ris_rows(model, variant, [[1.0, 0.0], [5e159, 0.0]], [0.5, 0.5])
+    with pytest.raises(InvalidArgument):
+        ris_r(model, ContaminationPoint(y0=0.5, x0=np.array([5e159, 0.0])), 1)
 
 
 def test_surface_needs_p_at_least_2():
