@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -34,6 +33,14 @@ from pathlib import Path
 
 from . import __version__
 from .errors import InvalidArgument, PhdError
+
+try:  # from _sha2 on 3.12+, from _sha256 on 3.10/3.11: hashlib would load OpenSSL
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _THREAD_ENV_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -48,7 +55,7 @@ _Ran = tuple[int, dict, list[Path]]
 
 
 def _sha256_file(path) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
@@ -69,7 +76,7 @@ def _write_manifest(args, started_at: str, config: dict, outputs: list[Path]) ->
     manifest = {
         "command": args.command,
         "config": config,
-        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "config_sha256": sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "seed": config.get("seed"),
         "version": __version__,
         "thread_env": {var: os.environ.get(var) for var in _THREAD_ENV_VARS},

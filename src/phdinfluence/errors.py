@@ -15,9 +15,14 @@ class PhdError(Exception):
 
 class InvalidArgument(PhdError, ValueError):
     """A parameter outside its domain (a size, a scale, a vector's shape).
-    Also a ValueError, the type such checks raise in plain Python."""
+    Also a ValueError, the type such checks raise in plain Python.  ``row``,
+    where given, is the first offending row of an array argument."""
 
     exit_code = 2
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class InvalidRank(PhdError):

@@ -210,8 +210,8 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
     Row i is contaminated at x0[i]; ``w0[i]`` is its response y0 for the y
     variant and its OLS residual r0 for the r variant.  Column k - 1 holds
     RIS_k, evaluated through the alpha display of the module docstring.
-    A finite point whose rates overflow float64 raises InvalidArgument
-    naming its row.
+    A point that is not finite, or whose rates overflow float64, raises
+    InvalidArgument naming the first such row, also as its ``row``.
     """
     check_variant(variant)
     x0 = np.asarray(x0, dtype=float)
@@ -220,19 +220,21 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
         raise ValueError(
             f"need an m x {model.p} x0 and a length-m w0, got {x0.shape} and {w.shape}"
         )
-    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(w))):
-        raise InvalidArgument("contamination points must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+    finite = np.isfinite(x0).all(axis=1) & np.isfinite(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # rates that are not finite raise below
         d = x0 - model.mu
         if variant == "r":
             rates = _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w, 0.0)
         else:
             slope = model.gamma.columns.T @ model.beta
             rates = _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w - model.mu_y, slope)
-    bad = ~np.isfinite(rates).all(axis=1)
+    bad = ~(finite & np.isfinite(rates).all(axis=1))
     if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            raise InvalidArgument(f"the contamination point at row {i} of x0 is not finite", row=i)
         raise InvalidArgument(
-            f"the {variant}-based influence rates overflow float64 at row {np.argmax(bad)} of x0"
+            f"the {variant}-based influence rates overflow float64 at row {i} of x0", row=i
         )
     return rates
 
@@ -410,7 +412,8 @@ def influence_surface(p: int, variant: str, norm_grid, costheta_grid) -> np.ndar
     beta_1 = e_1 and the second axis, with y0 on the noiseless curve.  All
     cells go through one :func:`ris_rows` call.  The single-index shortcut of
     this model (the c_y / c_r factorisation) is not evaluated here; it is the
-    test suite's oracle for this function.
+    test suite's oracle for this function.  A cell whose value overflows
+    float64 raises InvalidArgument naming its ||x0|| and cos theta0.
     """
     check_variant(variant)
     model = cosine_model(p)
@@ -427,7 +430,15 @@ def influence_surface(p: int, variant: str, norm_grid, costheta_grid) -> np.ndar
     with np.errstate(over="ignore", invalid="ignore"):  # ris_rows rejects a w0 that overflowed
         y0 = _cosine_response(x0[..., 0])
         w0 = y0 if variant == "y" else y0 - model.mu_y - x0 @ model.beta
-    return ris_rows(model, variant, x0.reshape(-1, p), w0.ravel())[:, 0].reshape(w0.shape)
+    try:
+        rates = ris_rows(model, variant, x0.reshape(-1, p), w0.ravel())
+    except InvalidArgument as exc:  # name the grid cell, not the row of the flattened grid
+        i, c = divmod(exc.row, costhetas.size)
+        raise InvalidArgument(
+            f"the {variant}-based influence surface overflows float64 at "
+            f"||x0|| = {norms[i]:g}, cos theta0 = {costhetas[c]:g}"
+        ) from exc
+    return rates[:, 0].reshape(w0.shape)
 
 
 def write_surface_csv(path, norm_grid, costheta_grid, ris_y_grid, ris_r_grid) -> None:

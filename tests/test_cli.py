@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -148,84 +149,91 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        pytest.param(["surface", "--grid", "-1"], id="negative-grid"),
-        pytest.param(["surface", "--norm-max", "nan"], id="nan-norm-max"),
-        pytest.param(["simulate", "--n", "0", "--p", "3", "--seed", "1"], id="zero-n"),
-        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,2"],
+        pytest.param(["surface", "--grid", "-1"], "", id="negative-grid"),
+        pytest.param(["surface", "--norm-max", "nan"], "", id="nan-norm-max"),
+        pytest.param(["simulate", "--n", "0", "--p", "3", "--seed", "1"], "", id="zero-n"),
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,2"], "",
                      id="short-beta"),
-        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,x,0"],
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,x,0"], "",
                      id="text-beta"),
         # an empty --beta is malformed, not an absent one
-        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", ""],
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", ""], "",
                      id="empty-beta-cosine"),
         pytest.param(["simulate", "--model", "quadratic_first", "--n", "50", "--p", "3",
-                      "--seed", "1", "--beta", ""], id="empty-beta-quadratic-first"),
-        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--sigma", "-1"],
+                      "--seed", "1", "--beta", ""], "", id="empty-beta-quadratic-first"),
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--sigma", "-1"], "",
                      id="negative-sigma"),
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3",
-                      "--seed", "1"], id="custom-index-without-beta"),
-        pytest.param(["simulate", "--n", "30", "--p", "3", "--seed", "-1"], id="negative-seed"),
-        pytest.param(["validate-constants", "--n", "1"], id="one-mc-sample"),
-        pytest.param(["validate-constants", "--n", "100", "--seed", "-1"],
+                      "--seed", "1"], "", id="custom-index-without-beta"),
+        pytest.param(["simulate", "--n", "30", "--p", "3", "--seed", "-1"], "",
+                     id="negative-seed"),
+        pytest.param(["validate-constants", "--n", "1"], "", id="one-mc-sample"),
+        pytest.param(["validate-constants", "--n", "100", "--seed", "-1"], "",
                      id="validate-negative-seed"),
-        pytest.param(["validate-constants", "--n", "1000", "--sigma", "-1"],
+        pytest.param(["validate-constants", "--n", "1000", "--sigma", "-1"], "",
                      id="validate-negative-sigma"),
         # two noiseless draws make a standard error zero: no z-score exists
-        pytest.param(["validate-constants", "--n", "2", "--sigma", "0", "--seed", "2"],
+        pytest.param(["validate-constants", "--n", "2", "--sigma", "0", "--seed", "2"], "",
                      id="validate-zero-standard-error"),
         # at seeds 5 and 6 that standard error is rounding, not zero, and the
         # z-score was of order 1e16
-        pytest.param(["validate-constants", "--n", "2", "--sigma", "0", "--seed", "5"],
+        pytest.param(["validate-constants", "--n", "2", "--sigma", "0", "--seed", "5"], "",
                      id="validate-rounding-standard-error"),
         # the standard errors overflow to inf, every z-score to -0.00: no check means anything
-        pytest.param(["validate-constants", "--n", "1000", "--sigma", "1e160"],
+        pytest.param(["validate-constants", "--n", "1000", "--sigma", "1e160"], "",
                      id="validate-overflowing-standard-error"),
         # the estimates overflow to NaN, which JSON cannot hold
-        pytest.param(["validate-constants", "--n", "100", "--sigma", "1e308"],
+        pytest.param(["validate-constants", "--n", "100", "--sigma", "1e308"], "",
                      id="validate-overflowing-estimate"),
         pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,0,0;0,1,0"],
-                     id="two-index-vectors-for-cosine"),
+                     "", id="two-index-vectors-for-cosine"),
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",
-                      "1", "--beta", "1,0,0;0,1", "--link", "product"], id="ragged-beta"),
-        pytest.param(["surface", "--p", "1"], id="surface-p1"),
-        # the surface overflows at the finite points of ||x0|| = 5e159 and 1e160
-        pytest.param(["surface", "--grid", "3", "--norm-max", "1e160"], id="surface-overflow"),
-        # 2 ||x0|| overflows, so the cosine curve puts y0 at NaN
-        pytest.param(["surface", "--grid", "3", "--norm-max", "1e308"], id="surface-point-overflow"),
-        pytest.param(["simulate", "--n", "3", "--p", "3", "--seed", "1"], id="n-below-p-plus-2"),
+                      "1", "--beta", "1,0,0;0,1", "--link", "product"], "", id="ragged-beta"),
+        pytest.param(["surface", "--p", "1"], "", id="surface-p1"),
+        # the surface overflows at the finite points of ||x0|| = 5e159 and 1e160;
+        # the message names the first such grid cell, not a row of the flattened grid
+        pytest.param(["surface", "--grid", "3", "--norm-max", "1e160"],
+                     "||x0|| = 5e+159, cos theta0 = -1", id="surface-overflow"),
+        # 2 ||x0|| overflows at 1e308, so the cosine curve puts y0 at NaN there;
+        # the rates already overflow at 5e307
+        pytest.param(["surface", "--grid", "3", "--norm-max", "1e308"],
+                     "||x0|| = 5e+307, cos theta0 = -1", id="surface-point-overflow"),
+        pytest.param(["simulate", "--n", "3", "--p", "3", "--seed", "1"], "",
+                     id="n-below-p-plus-2"),
         pytest.param(["simulate", "--model", "cosine_index", "--n", "30", "--p", "3", "--seed",
-                      "1", "--link", "product"], id="link-for-cosine"),
+                      "1", "--link", "product"], "", id="link-for-cosine"),
         pytest.param(["simulate", "--model", "quadratic_first", "--n", "30", "--p", "3",
-                      "--seed", "1", "--beta", "0,1,0"], id="beta-for-quadratic-first"),
+                      "--seed", "1", "--beta", "0,1,0"], "", id="beta-for-quadratic-first"),
         # a NaN beta also passes the unit-norm test, since abs(nan - 1) > tol is False
-        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "nan,0,0"],
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "nan,0,0"], "",
                      id="nan-beta-cosine"),
         pytest.param(["simulate", "--model", "linear_index", "--n", "50", "--p", "3", "--seed",
-                      "1", "--beta", "nan,0,0"], id="nan-beta-linear"),
+                      "1", "--beta", "nan,0,0"], "", id="nan-beta-linear"),
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",
-                      "1", "--beta", "1,nan,0", "--link", "linear"], id="nan-beta-custom"),
+                      "1", "--beta", "1,nan,0", "--link", "linear"], "", id="nan-beta-custom"),
         pytest.param(["simulate", "--model", "linear_index", "--n", "50", "--p", "3", "--seed",
-                      "1", "--beta", "inf,0,0"], id="infinite-beta"),
-        pytest.param(["surface", "--threads", "0"], id="zero-threads"),
+                      "1", "--beta", "inf,0,0"], "", id="infinite-beta"),
+        pytest.param(["surface", "--threads", "0"], "", id="zero-threads"),
         # the input does not exist: the thread check comes before any read
         pytest.param(["fit", "--input", "missing.csv", "--response", "y", "--variant", "y",
-                      "--k", "1", "--threads", "-1"], id="fit-negative-threads"),
+                      "--k", "1", "--threads", "-1"], "", id="fit-negative-threads"),
         # the delimiter is checked where the ingest config is built, before any read
         pytest.param(["fit", "--input", "missing.csv", "--response", "y", "--variant", "y",
-                      "--k", "1", "--delimiter", ";;"], id="two-character-delimiter"),
+                      "--k", "1", "--delimiter", ";;"], "", id="two-character-delimiter"),
         pytest.param(["fit", "--input", "missing.csv", "--response", "y", "--variant", "y",
-                      "--k", "1", "--delimiter", ""], id="empty-delimiter"),
+                      "--k", "1", "--delimiter", ""], "", id="empty-delimiter"),
     ],
 )
-def test_bad_argument_exits_2_with_one_json_error_line(argv, tmp_path, capsys):
+def test_bad_argument_exits_2_with_one_json_error_line(argv, message, tmp_path, capsys):
     code = run([*argv, "--output-dir", tmp_path / "out"])
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["error"] == "InvalidArgument"
+    assert message in record["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -438,8 +446,68 @@ def test_manifest_records_what_the_command_ran(tmp_path, argv, config, outputs):
     assert {path.name for path in out.iterdir()} == {*outputs, "manifest.json"}
     want_input = {"path": str(data), "sha256": hashlib.sha256(data.read_bytes()).hexdigest()}
     assert manifest["input"] == (want_input if reads_input else None)
+    assert manifest["config_sha256"] == _config_sha256(config)
     started = datetime.fromisoformat(manifest["started_at"])
     assert started <= datetime.fromisoformat(manifest["finished_at"])
+
+
+def _config_sha256(config: dict) -> str:
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+
+
+def _run_child(argv, before: str = "") -> list[str]:
+    """Run ``main(argv)`` in a fresh interpreter after the statements
+    ``before``; the modules of interest it loaded, by name."""
+    code = (
+        f"import sys\n{before}"
+        "from phdinfluence.cli import main\n"
+        f"assert main({[str(a) for a in argv]!r}) == 0\n"
+        "print(*(name for name in ('hashlib', '_hashlib', 'phdinfluence.diagnostics')"
+        " if name in sys.modules))\n"
+    )
+    proc = run_python(["-c", code], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["fit", "--response", "y", "--variant", "y", "--k", 1], id="fit"),
+        pytest.param(["influence", "--response", "y", "--k", 1], id="influence"),
+        pytest.param(["surface", "--grid", 3], id="surface"),
+    ],
+)
+def test_a_cli_child_loads_no_openssl(tmp_path, argv):
+    # hashlib loads OpenSSL's libcrypto through _hashlib, megabytes of resident
+    # memory, for nothing but the manifest's two digests
+    data = tmp_path / "data.csv"
+    write_dataset_csv(data, simulate(SimSpec(model="cosine_index", n=40, p=3, seed=5)))
+    reads_input = argv[0] in ("fit", "influence")
+    loaded = _run_child([*argv, *(["--input", data] if reads_input else []),
+                         "--output-dir", tmp_path / "out"])
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        assert "_hashlib" not in loaded
+    assert ("phdinfluence.diagnostics" in loaded) == (argv[0] == "influence")
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["builtin", "hashlib-fallback"])
+def test_manifest_digests_equal_hashlib_over_several_chunks(tmp_path, fallback):
+    # the input takes three of _sha256_file's 64 KiB reads
+    data = tmp_path / "data.csv"
+    write_dataset_csv(data, simulate(SimSpec(model="cosine_index", n=2000, p=3, seed=5)))
+    assert data.stat().st_size > 2 << 16
+    out = tmp_path / "out"
+    loaded = _run_child(
+        ["fit", "--input", data, "--response", "y", "--variant", "y", "--k", 1,
+         "--output-dir", out],
+        before="sys.modules['_sha2'] = sys.modules['_sha256'] = None\n" if fallback else "",
+    )
+    if fallback:
+        assert "hashlib" in loaded
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input"]["sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    assert manifest["config_sha256"] == _config_sha256(manifest["config"])
 
 
 def test_manifest_start_precedes_reading_the_input(tmp_path, monkeypatch):

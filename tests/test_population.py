@@ -512,6 +512,9 @@ def test_ris_rows_and_surface_reject_bad_points():
         ris_rows(model, "y", np.zeros((2, 3)), [0.0])
     with pytest.raises(ValueError):
         ris_rows(model, "r", np.full((1, 3), np.inf), [0.0])
+    with pytest.raises(InvalidArgument, match="row 1 of x0 is not finite") as exc:
+        ris_rows(model, "y", np.zeros((2, 3)), [0.0, np.nan])
+    assert exc.value.row == 1
     for norms, costhetas in (([np.nan], [0.0]), ([1.0], [np.nan]), ([1.0], [1.5])):
         with pytest.raises(ValueError):
             influence_surface(3, "y", norms, costhetas)
@@ -524,8 +527,12 @@ def test_ris_rows_rejects_finite_points_whose_rates_overflow(variant):
     model = cosine_model(p=2)
     with pytest.raises(InvalidArgument, match="at row 0 of x0"):
         ris_rows(model, variant, [[5e159, 0.0], [0.0, 5e159]], [0.5, 0.5])
-    with pytest.raises(InvalidArgument, match="at row 1 of x0"):
+    with pytest.raises(InvalidArgument, match="at row 1 of x0") as exc:
         ris_rows(model, variant, [[1.0, 0.0], [5e159, 0.0]], [0.5, 0.5])
+    assert exc.value.row == 1
+    # the first offending row is named, whichever way the later ones fail
+    with pytest.raises(InvalidArgument, match="overflow float64 at row 0 of x0"):
+        ris_rows(model, variant, [[5e159, 0.0], [np.inf, 0.0]], [0.5, 0.5])
     with pytest.raises(InvalidArgument):
         ris_r(model, ContaminationPoint(y0=0.5, x0=np.array([5e159, 0.0])), 1)
 
