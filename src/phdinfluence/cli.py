@@ -189,18 +189,16 @@ def cmd_surface(args) -> _Ran:
         raise InvalidArgument(f"--grid must be at least 1, got {args.grid}")
     if not (math.isfinite(args.norm_max) and args.norm_max >= 0):
         raise InvalidArgument(f"--norm-max must be finite and nonnegative, got {args.norm_max}")
-    if args.p < 2:
-        raise InvalidArgument(f"--p must be at least 2 for the cosine example, got {args.p}")
     norms = np.linspace(0.0, args.norm_max, args.grid)
     costhetas = np.linspace(-1.0, 1.0, args.grid)
-    grid_y = influence_surface(args.p, "y", norms, costhetas)
-    grid_r = influence_surface(args.p, "r", norms, costhetas)
+    grid_y = influence_surface("y", norms, costhetas)
+    grid_r = influence_surface("r", norms, costhetas)
 
     surf_path = _outdir(args) / "surface.csv"
     write_surface_csv(surf_path, norms, costhetas, grid_y, grid_r)
 
     print(f"surface: {args.grid}x{args.grid} grid written to {surf_path}")
-    return 0, {"norm_max": args.norm_max, "grid": args.grid, "p": args.p}, [surf_path]
+    return 0, {"norm_max": args.norm_max, "grid": args.grid}, [surf_path]
 
 
 def cmd_simulate(args) -> _Ran:
@@ -243,44 +241,23 @@ def cmd_validate_constants(args) -> _Ran:
 
     est = mc_constants(args.n, args.seed, args.sigma)
     mu_y, cov_zy, lam1 = cosine_model_constants()
-    wrong_lam1 = -cov_zy  # the factor-two-off eigenvalue the validator must reject
 
-    checks = [
-        ("mu_y", est.mu_y, est.se_mu_y, mu_y, None),
-        ("cov_zy", est.cov_zy, est.se_cov_zy, cov_zy, None),
-        ("lambda1", est.lambda1, est.se_lambda1, lam1, wrong_lam1),
-    ]
-
-    all_pass = True
     results = []
-    for name, value, se, target, excluded in checks:
+    for name, value, se, target in (("mu_y", est.mu_y, est.se_mu_y, mu_y),
+                                    ("cov_zy", est.cov_zy, est.se_cov_zy, cov_zy),
+                                    ("lambda1", est.lambda1, est.se_lambda1, lam1)):
         z = (value - target) / se
         ok = abs(z) <= 3.0
-        lines = [f"{'PASS' if ok else 'FAIL'} {name}: estimate {value:.7f} "
-                 f"target {target:.7f} z {z:+.2f} (3 s.e. band)"]
-        result = {
-            "name": name,
-            "estimate": value,
-            "se": se,
-            "target": target,
-            "z": z,
-            "pass": ok,
-        }
-        if excluded is not None:
-            z_ex = (value - excluded) / se
-            ok_ex = abs(z_ex) > 3.0
-            lines.append(
-                f"{'PASS' if ok_ex else 'FAIL'} {name}: excludes {excluded:.7f} "
-                f"z {z_ex:+.2f}"
-            )
-            result["excluded_value"] = excluded
-            result["excluded_z"] = z_ex
-            result["excludes"] = ok_ex
-            ok = ok and ok_ex
-        all_pass = all_pass and ok
-        results.append(result)
-        for line in lines:
-            print(line)
+        print(f"{'PASS' if ok else 'FAIL'} {name}: estimate {value:.7f} "
+              f"target {target:.7f} z {z:+.2f} (3 s.e. band)")
+        results.append({"name": name, "estimate": value, "se": se, "target": target, "z": z,
+                        "pass": ok})
+    # lambda1 must also exclude -cov_zy, the eigenvalue off by a factor of two
+    z_ex = (est.lambda1 + cov_zy) / est.se_lambda1
+    excludes = abs(z_ex) > 3.0
+    print(f"{'PASS' if excludes else 'FAIL'} lambda1: excludes {-cov_zy:.7f} z {z_ex:+.2f}")
+    results[-1] |= {"excluded_value": -cov_zy, "excluded_z": z_ex, "excludes": excludes}
+    all_pass = excludes and all(result["pass"] for result in results)
 
     report_path = _outdir(args) / "constants.json"
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -350,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_surf.add_argument("--norm-max", type=float, default=3.0)
     p_surf.add_argument("--grid", type=int, default=61, help="points per axis")
-    p_surf.add_argument("--p", type=int, default=3, help="predictor dimension")
     _add_common(p_surf)
     p_surf.set_defaults(handler=cmd_surface)
 

@@ -10,9 +10,9 @@ subspace, all scaled so they estimate the same population rate:
   replaced by its full-sample estimate and (y_j, x_j) as the contamination
   point: one call, for all n observations, of the kernel behind ``ris_rows``
   on the fit itself (Gamma-hat, lambda-hat and the moments' S^-1, so S is
-  inverted once per report), with weights y_j - ybar (y variant, which also
-  reads the slope coordinates Gamma-hat' S^-1 s_xy) or the fitted OLS
-  residuals (r variant).  No refits.
+  inverted once per report, and OLS slope), with weights y_j - ybar (y
+  variant, whose slope coordinates Gamma-hat' S^-1 s_xy the kernel forms) or
+  the fitted OLS residuals (r variant).  No refits.
 * HRIS: like ERIS but with the influence matrix of the Hessian replaced by
   the exact deletion effect (n-1)(H - H_(j)).
 
@@ -44,7 +44,9 @@ of read-only arrays in report order, with the Spearman correlations of SRIS
 against ERIS, HRIS and the Mahalanobis distance as a plain dict; the three
 writers serialize that report and nothing else.  Every correlation is taken
 over the same rows, the records without a ``degenerate_leverage`` flag, and
-each vector is ranked once.
+each vector is ranked once.  A correlation against a vector that is constant
+to within 1e-12 of its largest magnitude is undefined: NaN in the report,
+null in report.json, nan in correlations.csv.
 """
 
 from __future__ import annotations
@@ -285,11 +287,8 @@ def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
 def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Plug-in closed-form influence of every observation, an n x K matrix."""
     _require_measurable(fit, m)
-    gamma, lam, dx = fit.gamma_hat, fit.lambda_hat, d.x - m.xbar
-    if fit.variant == "r":
-        return _ris_kernel(gamma, lam, m.s_inv, dx, m.residuals, 0.0)
-    slope = gamma.columns.T @ m.beta
-    return _ris_kernel(gamma, lam, m.s_inv, dx, d.y - m.ybar, slope)
+    w = d.y - m.ybar if fit.variant == "y" else m.residuals
+    return _ris_kernel(fit.variant, fit.gamma_hat, fit.lambda_hat, m.s_inv, m.beta, d.x - m.xbar, w)
 
 
 def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
@@ -316,28 +315,44 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 
 
 def _centred_ranks(a: np.ndarray) -> np.ndarray:
-    """Average ranks of a vector minus their mean, (a.size + 1) / 2."""
+    """Average ranks of a vector minus their mean, (a.size + 1) / 2: all zero,
+    every entry tied, when the vector is constant.
+
+    A vector counts as constant when max - min <= 1e-12 max|a|.  The bound is
+    relative, so the decision does not depend on units, and it is the share
+    of the symmetry and zero-eigenvalue tests: about 4500 ulp, above the few
+    ulp by which rounding spreads values that are equal in exact arithmetic
+    (the Mahalanobis distances of a balanced design), and far below any
+    spread that has an order worth ranking.  A vector with an infinite entry
+    is not constant by the bound; the test runs on Python floats, which take
+    inf - inf and an overflowing spread without a numpy warning."""
+    if float(a.max()) - float(a.min()) <= 1e-12 * float(np.abs(a).max()) < math.inf:
+        return np.zeros(a.size)
     return _average_ranks(a) - (a.size + 1) / 2.0
 
 
 def _rank_correlation(ra: np.ndarray, rb: np.ndarray) -> float:
-    """Spearman rank correlation from two vectors' centred ranks.  A constant
-    vector's centred ranks are all zero, and its correlation is undefined."""
+    """Spearman rank correlation from two vectors' centred ranks; NaN when
+    either vector is constant, since its centred ranks are all zero."""
     norms = (ra @ ra) * (rb @ rb)
     if norms == 0.0:
-        raise UndefinedCorrelation("rank correlation is undefined for a constant vector")
+        return math.nan
     return float((ra @ rb) / np.sqrt(norms))
 
 
 def spearman(a, b) -> float:
     """Spearman rank correlation with average ranks for ties; NaN if either
-    vector holds a NaN."""
+    vector holds a NaN.  A constant vector, as ``_centred_ranks`` decides it,
+    raises UndefinedCorrelation."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or a.size < 2:
         raise ValueError("spearman needs two equal-length vectors of size >= 2")
     if np.isnan(a).any() or np.isnan(b).any():
-        return float("nan")
-    return _rank_correlation(_centred_ranks(a), _centred_ranks(b))
+        return math.nan
+    rho = _rank_correlation(_centred_ranks(a), _centred_ranks(b))
+    if math.isnan(rho):
+        raise UndefinedCorrelation("rank correlation is undefined for a constant vector")
+    return rho
 
 
 _MEASURES = ("sris", "eris", "hris")
@@ -435,7 +450,8 @@ def _correlation_table(
     Every correlation uses the same rows: those whose values and md are all
     finite.  These are the rows without a ``degenerate_leverage`` flag, since
     SRIS and HRIS are NaN exactly there and ERIS and md are finite on every
-    row.  Each vector is ranked once; the direction average of md is md.
+    row.  Each vector is ranked once; the direction average of md is md.  A
+    correlation against a constant vector (see ``_centred_ranks``) is NaN.
     """
     keep = np.isfinite(values).all(axis=1) & np.isfinite(md)
     values = values[keep]
@@ -555,8 +571,9 @@ def write_report_json(path, report: InfluenceReport) -> None:
         }
         for v in VARIANTS
     }
-    # every correlation is finite: it is taken over the rows without NaN
-    c = report.correlations
+    # a correlation against a constant vector is NaN, written as null
+    c = {v: {t: [None if math.isnan(x) else x for x in row] for t, row in table.items()}
+         for v, table in report.correlations.items()}
     correlations = {
         v: {t: {"directions": c[v][t][:-1], "average": c[v][t][-1]} for t in TARGETS}
         for v in VARIANTS

@@ -12,7 +12,10 @@ predictor list, every other column that is numeric in all retained rows is
 used, and the resolved list travels with the dataset so runs are auditable.
 Every cell fault counts rows the same way: its ``row`` is the 0-based index
 among the non-blank data rows, and its message says "at row N", 1-based,
-whether or not rows with a missing response were dropped before it.
+whether or not rows with a missing response were dropped before it.  A file
+the reader cannot read, a byte that is not UTF-8 or a cell over csv's field
+limit, raises NonNumericCell naming the file and the reader's reason, with
+the line where csv knows it.
 """
 
 from __future__ import annotations
@@ -110,10 +113,16 @@ def ingest_csv(path, cfg: IngestConfig) -> Dataset:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=cfg.delimiter)
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise TooFewRows(f"{path}: file is empty") from None
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+            header = next(reader, None)
+            rows = [row for row in reader if any(cell.strip() for cell in row)]
+        except UnicodeDecodeError as exc:  # decoded ahead of csv, so no line is known
+            bad = exc.object[exc.start : exc.end]
+            raise NonNumericCell(f"{path}: not UTF-8 text: {exc.reason} {bad!r}") from None
+        except csv.Error as exc:
+            raise NonNumericCell(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise TooFewRows(f"{path}: file is empty")
+    header = [h.strip() for h in header]
 
     _reject_duplicates(header, f"{path}: header")
 

@@ -28,7 +28,10 @@ kernel itself on the fit, once for all n observations.
 The cosine single-index example Y = cos(2 beta_1'X - pi/4) + sigma eps is
 stated once, at the end of this module: its link ``_cosine_response`` (which
 the simulation module imports), its constants and :func:`cosine_model`.  The
-influence surface is that model's surface, so it takes p, not a model.
+influence surface is that model's surface.  It places x0 in the e_1-e_2 plane
+of a model with Sigma = I and Gamma = e_1, so every term of the closed form
+lies in that plane and the surface is the same at every p >= 2: it is
+evaluated at p = 2 and takes no p.
 
 A second route to the same number, through the influence matrix of the
 Hessian estimator, is kept outside the package as a test oracle (the test
@@ -222,12 +225,8 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
         )
     finite = np.isfinite(x0).all(axis=1) & np.isfinite(w)
     with np.errstate(over="ignore", invalid="ignore"):  # rates that are not finite raise below
-        d = x0 - model.mu
-        if variant == "r":
-            rates = _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w, 0.0)
-        else:
-            slope = model.gamma.columns.T @ model.beta
-            rates = _ris_kernel(model.gamma, model.lam, model.sigma_inv, d, w - model.mu_y, slope)
+        rates = _ris_kernel(variant, model.gamma, model.lam, model.sigma_inv, model.beta,
+                            x0 - model.mu, w - model.mu_y if variant == "y" else w)
     bad = ~(finite & np.isfinite(rates).all(axis=1))
     if bad.any():
         i = int(np.argmax(bad))
@@ -239,13 +238,14 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
     return rates
 
 
-def _ris_kernel(gamma: Basis, lam, sigma_inv, d, w, slope) -> np.ndarray:
-    """:func:`ris_rows` without input checks, from the offsets d = x0 - mu and
-    the weights w (y0 - mu_y or r0); ``slope`` is Gamma' Sigma^{-1} sigma_xy
-    for the y variant and 0 for the r variant."""
+def _ris_kernel(variant: str, gamma: Basis, lam, sigma_inv, beta, d, w) -> np.ndarray:
+    """:func:`ris_rows` without input checks, from the OLS slope beta =
+    Sigma^{-1} sigma_xy, the offsets d = x0 - mu and the weights w (y0 - mu_y
+    or r0).  The y variant's scalar reads the slope coordinates Gamma' beta,
+    the r variant's none."""
     g = gamma.columns
     u = d @ sigma_inv
-    scal = w[:, None] * (u @ g) - lam * (d @ g) - slope
+    scal = w[:, None] * (u @ g) - lam * (d @ g) - (g.T @ beta if variant == "y" else 0.0)
     # Sigma^{-1/2} alpha_k of every point, an m x p x K stack
     root_alpha = u[:, :, None] * scal[:, None, :] - w[:, None, None] * (sigma_inv @ g)
     resid = project_out(gamma, root_alpha)
@@ -405,18 +405,20 @@ def cosine_model(p: int = 3) -> PopulationModel:
     )
 
 
-def influence_surface(p: int, variant: str, norm_grid, costheta_grid) -> np.ndarray:
-    """Influence surface over (||x0||, cos theta0) of :func:`cosine_model` (p).
+def influence_surface(variant: str, norm_grid, costheta_grid) -> np.ndarray:
+    """Influence surface over (||x0||, cos theta0) of :func:`cosine_model`.
 
     x0 = ||x0|| (cos(theta0) e_1 + sin(theta0) e_2) lies in the plane of
-    beta_1 = e_1 and the second axis, with y0 on the noiseless curve.  All
+    beta_1 = e_1 and the second axis, with y0 on the noiseless curve.  With
+    Sigma = I every term of the closed form lies in that plane, so the
+    surface is the same at every p >= 2; it is evaluated at p = 2.  All
     cells go through one :func:`ris_rows` call.  The single-index shortcut of
     this model (the c_y / c_r factorisation) is not evaluated here; it is the
     test suite's oracle for this function.  A cell whose value overflows
     float64 raises InvalidArgument naming its ||x0|| and cos theta0.
     """
     check_variant(variant)
-    model = cosine_model(p)
+    model = cosine_model(2)
     norms = np.asarray(list(norm_grid), dtype=float)
     costhetas = np.asarray(list(costheta_grid), dtype=float)
     if not (np.all(np.isfinite(norms)) and np.all(np.abs(costhetas) <= 1.0)):
@@ -424,14 +426,12 @@ def influence_surface(p: int, variant: str, norm_grid, costheta_grid) -> np.ndar
     nrm = norms[:, None]
     ct = costhetas[None, :]
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    x0 = np.zeros((norms.size, costhetas.size, p))
-    x0[..., 0] = nrm * ct
-    x0[..., 1] = nrm * st
+    x0 = np.stack((nrm * ct, nrm * st), axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):  # ris_rows rejects a w0 that overflowed
         y0 = _cosine_response(x0[..., 0])
         w0 = y0 if variant == "y" else y0 - model.mu_y - x0 @ model.beta
     try:
-        rates = ris_rows(model, variant, x0.reshape(-1, p), w0.ravel())
+        rates = ris_rows(model, variant, x0.reshape(-1, 2), w0.ravel())
     except InvalidArgument as exc:  # name the grid cell, not the row of the flattened grid
         i, c = divmod(exc.row, costhetas.size)
         raise InvalidArgument(

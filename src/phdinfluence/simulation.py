@@ -154,30 +154,14 @@ def mc_constants(n_mc: int, seed: int, sigma: float) -> McConstants:
         if sigma > 0:
             y = y + sigma * rng.standard_normal(n_mc)
 
-        ybar = float(y.mean())
-        se_mu = float(y.std(ddof=1) / math.sqrt(n_mc))
-
-        cov_terms = (z - z.mean()) * (y - ybar)
-        cov_hat = float(cov_terms.mean())
-        se_cov = float(cov_terms.std(ddof=1) / math.sqrt(n_mc))
-
-        lam_terms = (y - ybar) * z**2
-        lam_hat = float(lam_terms.mean())
-        se_lam = float(lam_terms.std(ddof=1) / math.sqrt(n_mc))
-    ses = (se_mu, se_cov, se_lam)
-    if 0.0 in ses or not all(map(math.isfinite, (ybar, cov_hat, lam_hat, *ses))):
+        dy = y - y.mean()
+        # (mean, s.e.) of the terms of E(Y), cov(Z, Y) and E[(Y - mu_y) Z^2]
+        pairs = [(float(t.mean()), float(t.std(ddof=1) / math.sqrt(n_mc)))
+                 for t in (y, (z - z.mean()) * dy, dy * z**2)]
+    if any(se == 0.0 for _, se in pairs) or not np.isfinite(pairs).all():
         raise InvalidArgument(
             f"a Monte Carlo standard error is zero, or an estimate or standard error overflows "
             f"float64, at n_mc={n_mc}, sigma={sigma!r}, seed={seed}: the z-scores against the "
             "targets are undefined"
         )
-
-    return McConstants(
-        n_mc=n_mc,
-        mu_y=ybar,
-        se_mu_y=se_mu,
-        cov_zy=cov_hat,
-        se_cov_zy=se_cov,
-        lambda1=lam_hat,
-        se_lambda1=se_lam,
-    )
+    return McConstants(n_mc, *(v for pair in pairs for v in pair))

@@ -93,15 +93,16 @@ def loo_hessians(d, m, fits) -> tuple[np.ndarray, np.ndarray]:
     return h, walk.degenerate
 
 
-def run_python(args: list[str], timeout: float, unset=()) -> subprocess.CompletedProcess:
+def run_python(args: list[str], timeout: float, unset=(), cwd=None) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a fresh interpreter that imports this checkout's
-    src/ first, without the environment variables named in ``unset``; stdout
-    and stderr are captured as text."""
+    src/ first, without the environment variables named in ``unset``, in the
+    directory ``cwd`` (the current one when None); stdout and stderr are
+    captured as text."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {name: value for name, value in os.environ.items() if name not in unset}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=timeout)
+                          timeout=timeout, cwd=cwd)
 
 
 @pytest.fixture

@@ -152,8 +152,8 @@ def test_criterion_4_surface_checkpoints():
         model = cosine_model(p=3)
         norms = np.linspace(0.0, 3.0, 13)
         costhetas = np.linspace(-1.0, 1.0, 9)
-        grid_y = influence_surface(3, "y", norms, costhetas)
-        grid_r = influence_surface(3, "r", norms, costhetas)
+        grid_y = influence_surface("y", norms, costhetas)
+        grid_r = influence_surface("r", norms, costhetas)
         a = int(np.flatnonzero(np.isclose(norms, 2.0))[0])
         b = int(np.flatnonzero(np.isclose(costhetas, 0.0))[0])
         assert abs(grid_y[a, b] - 1.0) <= 1e-9
@@ -165,12 +165,12 @@ def test_criterion_4_surface_checkpoints():
         norms61 = np.linspace(0.0, 3.0, 61)
         costhetas61 = np.linspace(-1.0, 1.0, 61)
         for variant in ("y", "r"):
-            general = influence_surface(3, variant, norms61, costhetas61)
+            general = influence_surface(variant, norms61, costhetas61)
             shortcut = surface_shortcut(model, variant, norms61, costhetas61)
             assert np.abs(general - shortcut).max() <= 1e-9
         cross = np.linspace(-1.0, 1.0, 201)
-        max_y = influence_surface(3, "y", [2.0], cross).max()
-        max_r = influence_surface(3, "r", [2.0], cross).max()
+        max_y = influence_surface("y", [2.0], cross).max()
+        max_r = influence_surface("r", [2.0], cross).max()
         assert max_r > max_y
         assert time.monotonic() - t0 <= 5.0
         ok = True

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import importlib.util
+import itertools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -12,7 +14,8 @@ import pytest
 from phdinfluence import Dataset, compute_moments, fit_from_moments
 from phdinfluence.cli import _THREAD_ENV_VARS, main
 from phdinfluence.ingest import IngestConfig, ingest_csv, write_dataset_csv
-from phdinfluence.simulation import SimSpec, simulate
+from phdinfluence.population import cosine_model_constants
+from phdinfluence.simulation import SimSpec, mc_constants, simulate
 from conftest import run_python
 from oracles import mp_eris
 
@@ -142,6 +145,45 @@ def test_validate_constants_small_run(tmp_path, capsys):
     assert {r["name"] for r in report["results"]} == {"mu_y", "cov_zy", "lambda1"}
 
 
+@pytest.mark.parametrize("n, seed, sigma, code", [(200000, 7, 0.5, 0), (50, 3, 0.0, 1)],
+                         ids=["passing", "failing"])
+def test_validate_constants_prints_and_writes_each_check(tmp_path, capsys, n, seed, sigma, code):
+    # the expected lines and constants.json are built here from mc_constants,
+    # so their order and format are pinned, not the numbers
+    est = mc_constants(n, seed, sigma)
+    mu_y, cov_zy, lam1 = cosine_model_constants()
+    lines, results = [], []
+    for name, value, se, target in (("mu_y", est.mu_y, est.se_mu_y, mu_y),
+                                    ("cov_zy", est.cov_zy, est.se_cov_zy, cov_zy),
+                                    ("lambda1", est.lambda1, est.se_lambda1, lam1)):
+        z = (value - target) / se
+        lines.append(f"{'PASS' if abs(z) <= 3 else 'FAIL'} {name}: estimate {value:.7f} "
+                     f"target {target:.7f} z {z:+.2f} (3 s.e. band)")
+        results.append({"name": name, "estimate": value, "se": se, "target": target, "z": z,
+                        "pass": abs(z) <= 3})
+    z_ex = (est.lambda1 + cov_zy) / est.se_lambda1
+    lines.append(f"{'PASS' if abs(z_ex) > 3 else 'FAIL'} lambda1: excludes {-cov_zy:.7f} "
+                 f"z {z_ex:+.2f}")
+    results[-1] |= {"excluded_value": -cov_zy, "excluded_z": z_ex, "excludes": abs(z_ex) > 3}
+    all_pass = all(r["pass"] for r in results) and abs(z_ex) > 3
+    assert all_pass == (code == 0)
+
+    assert run(["validate-constants", "--n", n, "--seed", seed, "--sigma", sigma,
+                "--output-dir", tmp_path]) == code
+    assert capsys.readouterr().out.splitlines() == lines
+    doc = {"n_mc": n, "sigma": sigma, "seed": seed, "results": results, "all_pass": all_pass}
+    assert (tmp_path / "constants.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_surface_takes_no_p(tmp_path, capsys):
+    # the surface is the cosine model's at p = 2, the same grid at every p
+    with pytest.raises(SystemExit) as exc:
+        run(["surface", "--p", 3, "--output-dir", tmp_path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --p 3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["fit", "--no-such-flag"])
@@ -191,7 +233,6 @@ def test_usage_error_exit_code():
                      "", id="two-index-vectors-for-cosine"),
         pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",
                       "1", "--beta", "1,0,0;0,1", "--link", "product"], "", id="ragged-beta"),
-        pytest.param(["surface", "--p", "1"], "", id="surface-p1"),
         # the surface overflows at the finite points of ||x0|| = 5e159 and 1e160;
         # the message names the first such grid cell, not a row of the flattened grid
         pytest.param(["surface", "--grid", "3", "--norm-max", "1e160"],
@@ -244,6 +285,56 @@ def test_data_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     record = json.loads(err.splitlines()[-1])
     assert "error" in record and "message" in record
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        pytest.param(b"y,a,b\n1,2,3\n\xff\xfe,1,2\n", "not UTF-8 text: invalid start byte",
+                     id="not-utf8"),
+        # csv's default field limit is 131072 characters
+        pytest.param(b"y,a,b\n1,2,3\n1," + b"9" * 131073 + b",2\n",
+                     "line 3: field larger than field limit", id="oversized-cell"),
+    ],
+)
+def test_malformed_file_exits_3_with_one_json_error_line(tmp_path, capsys, content, reason):
+    data = tmp_path / "data.csv"
+    data.write_bytes(content)
+    code = run(["fit", "--input", data, "--response", "y", "--variant", "y", "--k", 1,
+                "--output-dir", tmp_path / "out"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "NonNumericCell"
+    assert record["message"].startswith(f"{data}: ")
+    assert reason in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("levels", [(-1.0, 1.0), (0.3, 0.7)], ids=["levels-1-1", "levels-0.3-0.7"])
+def test_influence_on_a_factorial_reports_the_md_correlations_as_undefined(tmp_path, levels):
+    # every row of a replicated 2^4 factorial has the same Mahalanobis
+    # distance; at levels 0.3 and 0.7 rounding spreads it over three values
+    # 2 ulp apart, whose ranks are noise.  SRIS, ERIS and HRIS are defined.
+    x = np.array(list(itertools.product(levels, repeat=4)) * 2)
+    noise = np.random.default_rng(0).standard_normal(32)
+    y = np.cos(x[:, 0] + 0.3 * x[:, 1]) + 0.5 * x[:, 2] * x[:, 3] + 0.1 * noise
+    data = tmp_path / "data.csv"
+    write_dataset_csv(data, Dataset(y=y, x=x))
+    assert run(["influence", "--input", data, "--response", "y", "--k", 2,
+                "--output-dir", tmp_path]) == 0
+    correlations = json.loads((tmp_path / "report.json").read_text())["correlations"]
+    for v in ("y", "r"):
+        for target, row in correlations[v].items():
+            got = [*row["directions"], row["average"]]
+            if target == "md":
+                assert got == [None, None, None]
+            else:
+                assert all(math.isfinite(c) for c in got), (v, target, got)
+    with open(tmp_path / "correlations.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["spearman"] == "nan" for r in rows] == [r["target"] == "md" for r in rows]
 
 
 def test_response_given_as_a_superscript_digit_is_a_missing_column(tmp_path, capsys):
@@ -413,7 +504,7 @@ _INGEST_DEFAULTS = {"response_column": "y", "log_response": False,
             {**_INGEST_DEFAULTS, "response_column": "0", "drop_rows_with_missing_response": False,
              "predictors_resolved": ["x1", "x2", "x3"], "n": 40, "p": 3, "k": 1},
             ["records.csv", "correlations.csv", "report.json"], id="influence"),
-        pytest.param(["surface", "--grid", 3], {"norm_max": 3.0, "grid": 3, "p": 3},
+        pytest.param(["surface", "--grid", 3], {"norm_max": 3.0, "grid": 3},
                      ["surface.csv"], id="surface"),
         # without --beta the manifest records the first axis, the beta the model read
         pytest.param(

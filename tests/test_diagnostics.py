@@ -111,6 +111,21 @@ def test_spearman_rejects_constant_input():
         spearman(np.ones(5), np.arange(5.0))
     with pytest.raises(UndefinedCorrelation):  # inf - inf is no test of constancy
         spearman(np.full(5, np.inf), np.arange(5.0))
+    # a spread of 2 ulp is rounding, not an order to rank
+    noise = np.array([1.968501968502952, 1.9685019685029521, 1.9685019685029523] * 2)
+    with pytest.raises(UndefinedCorrelation):
+        spearman(noise, np.arange(6.0))
+    with pytest.raises(UndefinedCorrelation):
+        spearman(np.arange(6.0), -noise)
+
+
+def test_spearman_decides_constancy_without_units():
+    # tiny and huge values with a real spread are ranked; one infinite entry
+    # makes no finite vector constant
+    assert spearman(1e-300 * np.arange(5.0), np.arange(5.0)) == pytest.approx(1.0)
+    assert spearman(1e300 * np.arange(5.0), np.arange(5.0)) == pytest.approx(1.0)
+    assert spearman([1.0, 1.0, 1.0, 1.0, np.inf], np.arange(5.0)) == pytest.approx(
+        spearman([1.0, 1.0, 1.0, 1.0, 2.0], np.arange(5.0)))
 
 
 def test_package_imports_and_ranks_without_scipy():

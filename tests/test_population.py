@@ -446,8 +446,8 @@ def test_influence_matrix_matches_finite_difference(rng):
 def test_surface_checkpoints(tmp_path):
     norms = np.linspace(0.0, 3.0, 13)   # includes 2.0
     costhetas = np.linspace(-1.0, 1.0, 9)  # includes -1, 0, 1
-    grid_y = influence_surface(3, "y", norms, costhetas)
-    grid_r = influence_surface(3, "r", norms, costhetas)
+    grid_y = influence_surface("y", norms, costhetas)
+    grid_r = influence_surface("r", norms, costhetas)
 
     a = int(np.where(np.isclose(norms, 2.0))[0][0])
     b = int(np.where(np.isclose(costhetas, 0.0))[0][0])
@@ -473,8 +473,8 @@ def test_surface_checkpoints(tmp_path):
 def test_surface_csv_is_the_per_cell_layout(tmp_path):
     norms = np.linspace(0.0, 3.0, 8)
     costhetas = np.linspace(-1.0, 1.0, 6)
-    grid_y = influence_surface(3, "y", norms, costhetas)
-    grid_r = influence_surface(3, "r", norms, costhetas)
+    grid_y = influence_surface("y", norms, costhetas)
+    grid_r = influence_surface("r", norms, costhetas)
     path = tmp_path / "surface.csv"
     write_surface_csv(path, norms, costhetas, grid_y, grid_r)
     want = "norm_x0,cos_theta0,ris_y,ris_r\n" + "".join(
@@ -487,19 +487,20 @@ def test_surface_csv_is_the_per_cell_layout(tmp_path):
 
 def test_surface_cross_section_peak_favors_residual_variant():
     costhetas = np.linspace(-1.0, 1.0, 201)
-    grid_y = influence_surface(3, "y", [2.0], costhetas)
-    grid_r = influence_surface(3, "r", [2.0], costhetas)
+    grid_y = influence_surface("y", [2.0], costhetas)
+    grid_r = influence_surface("r", [2.0], costhetas)
     assert grid_r.max() > grid_y.max()
 
 
+@pytest.mark.parametrize("p", [2, 3, 16])
 @pytest.mark.parametrize("variant", ["y", "r"])
-def test_surface_matches_the_single_index_shortcut(variant):
-    # the CLI's default grid: p = 3, ||x0|| <= 3, 61 x 61
-    model = cosine_model(p=3)
+def test_surface_matches_the_single_index_shortcut(variant, p):
+    # the CLI's default grid, ||x0|| <= 3, 61 x 61, is the surface of the
+    # cosine model at every p
     norms = np.linspace(0.0, 3.0, 61)
     costhetas = np.linspace(-1.0, 1.0, 61)
-    got = influence_surface(3, variant, norms, costhetas)
-    want = surface_shortcut(model, variant, norms, costhetas)
+    got = influence_surface(variant, norms, costhetas)
+    want = surface_shortcut(cosine_model(p), variant, norms, costhetas)
     assert got.shape == want.shape == (61, 61)
     assert np.abs(got - want).max() <= 1e-9
 
@@ -517,7 +518,7 @@ def test_ris_rows_and_surface_reject_bad_points():
     assert exc.value.row == 1
     for norms, costhetas in (([np.nan], [0.0]), ([1.0], [np.nan]), ([1.0], [1.5])):
         with pytest.raises(ValueError):
-            influence_surface(3, "y", norms, costhetas)
+            influence_surface("y", norms, costhetas)
 
 
 @pytest.mark.parametrize("variant", ["y", "r"])
@@ -540,7 +541,7 @@ def test_ris_rows_rejects_finite_points_whose_rates_overflow(variant):
 def test_surface_needs_p_at_least_2():
     # the surface is the cosine model's, which needs a second axis for x0
     with pytest.raises(UnsupportedModel):
-        influence_surface(1, "y", [1.0], [0.0])
+        cosine_model(1)
 
 
 def test_constants_match_their_decimal_values():
