@@ -35,18 +35,21 @@ LOO_BLOCK_BYTES, not n, bounds the memory of the pass.  H_(j) comes from a
 closed form in the full-sample fit, per-row scalars and a rank-2 term; no
 leave-one-out moment is formed.  HRIS reads each stack with no
 eigendecomposition, then SRIS makes one ``eigh`` call per observation on
-its (V, p, p) stack.  ``sris`` and ``hris`` raise DegenerateLeverage at the
-first degenerate row before any stack is built, while the report leaves
-SRIS and HRIS NaN there and flags the row ``degenerate_leverage``.
+its (V, p, p) stack, not one per block: perfbench/test_perfbench.py asserts
+more than n ``eigh`` calls at n = 40, so batching waits for the benchmark
+change and the ROADMAP item on leading-K SRIS.  ``sris`` and ``hris`` raise
+DegenerateLeverage at the first degenerate row before any stack is built,
+while the report leaves SRIS and HRIS NaN there and flags the row
+``degenerate_leverage``.
 
 :func:`influence_report` returns all of it as one :class:`InfluenceReport`
 of read-only arrays in report order, with the Spearman correlations of SRIS
 against ERIS, HRIS and the Mahalanobis distance as a plain dict; the three
 writers serialize that report and nothing else.  Every correlation is taken
 over the same rows, the records without a ``degenerate_leverage`` flag, and
-each vector is ranked once.  A correlation against a vector that is constant
-to within 1e-12 of its largest magnitude is undefined: NaN in the report,
-null in report.json, nan in correlations.csv.
+each vector is ranked once; neighbours within RANK_TIE_RTOL of the larger
+magnitude tie.  A correlation against an all-tied vector is undefined: NaN
+in the report, null in report.json, nan in correlations.csv.
 """
 
 from __future__ import annotations
@@ -73,10 +76,10 @@ ORDER_SWAP_TOL = 0.2
 ZERO_EIGENVALUE_RTOL = 1e-12
 
 #: smallest whitened leverage margin the leave-one-out walk accepts.  It
-#: decides the singularity only: above it the closed form of H_(j) can lose
-#: digits faster than margin^-3 (ROADMAP item 1).  At a planted outlier with
-#: margin 1e-2, 1.7e-3, 1e-4 or 1.7e-5, SRIS or HRIS is off by up to 4.9e-10,
-#: 1.5e-6, 1.8e-2 or 71 times the row's largest value, with no flag.
+#: decides the singularity only: above it H_(j)'s closed form can lose digits
+#: faster than margin^-3 (the ROADMAP item on accurate fits at gross outliers):
+#: at margin 1e-2, 1.7e-3, 1e-4 or 1.7e-5 a planted outlier's SRIS or HRIS is
+#: off by up to 4.9e-10, 1.5e-6, 1.8e-2 or 71 times the row's largest value.
 LEVERAGE_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 #: byte budget of one (rows, p, p) float64 stack in a leave-one-out block:
@@ -86,6 +89,11 @@ LEVERAGE_RTOL = float(np.sqrt(np.finfo(float).eps))
 #: peak RSS; the outputs are bit-identical at 64, 128 and 256 KiB on the
 #: inputs tried.
 LOO_BLOCK_BYTES = 128 * 1024
+
+#: neighbours in sorted order within this share of the larger magnitude tie
+#: in a rank: above the 6.0e-16 rounding spread of equal Mahalanobis distances
+#: on factorials, below the 8.8e-13 gap of two distinct SRIS near the cap.
+RANK_TIE_RTOL = 1e-14
 
 TARGETS = ("eris", "hris", "md")
 
@@ -240,8 +248,8 @@ class _LooWalk:
 
     def sris(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(SRIS, order_swap flags), each (R, V, K), from one ``eigh`` call
-        per observation on its (V, p, p) stack of H_(j).  The eigenvectors
-        overwrite the stack ``h``.
+        per observation on its (V, p, p) stack of H_(j), not one per block
+        (see the module docstring).  The eigenvectors overwrite ``h``.
 
         Only the K leading eigenvectors are picked out (by ``eigen_order``);
         the order_swap maximum runs over the unsorted ones, and no output
@@ -303,37 +311,28 @@ def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     return walk.measures(with_sris=False)[0][:, 0]
 
 
-def _average_ranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks of a vector; tied entries share their average rank."""
+def _centred_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks of a NaN-free vector minus their mean, (a.size + 1) / 2: sorted
+    neighbours within RANK_TIE_RTOL times the larger magnitude of the two
+    share their average rank, so an all-tied vector ranks all zero.  Being
+    relative, the bound ignores units; a chain of tied gaps can tie values
+    further apart, and rounding noise about an exact zero is not tied.  Equal
+    infinities tie; an infinity never ties a finite value."""
     order = np.argsort(a, kind="stable")
-    ordered = a[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    lo, hi = a[order[:-1]], a[order[1:]]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 + 1e308
+        gap = hi - lo
+    near = np.isfinite(gap) & (gap <= RANK_TIE_RTOL * np.maximum(abs(lo), abs(hi)))
+    starts = np.flatnonzero(np.r_[True, (hi != lo) & ~near])
     ends = np.r_[starts[1:], a.size]
     ranks = np.empty(a.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    ranks[order] = np.repeat((starts + ends - a.size) / 2.0, ends - starts)
     return ranks
-
-
-def _centred_ranks(a: np.ndarray) -> np.ndarray:
-    """Average ranks of a vector minus their mean, (a.size + 1) / 2: all zero,
-    every entry tied, when the vector is constant.
-
-    A vector counts as constant when max - min <= 1e-12 max|a|.  The bound is
-    relative, so the decision does not depend on units, and it is the share
-    of the symmetry and zero-eigenvalue tests: about 4500 ulp, above the few
-    ulp by which rounding spreads values that are equal in exact arithmetic
-    (the Mahalanobis distances of a balanced design), and far below any
-    spread that has an order worth ranking.  A vector with an infinite entry
-    is not constant by the bound; the test runs on Python floats, which take
-    inf - inf and an overflowing spread without a numpy warning."""
-    if float(a.max()) - float(a.min()) <= 1e-12 * float(np.abs(a).max()) < math.inf:
-        return np.zeros(a.size)
-    return _average_ranks(a) - (a.size + 1) / 2.0
 
 
 def _rank_correlation(ra: np.ndarray, rb: np.ndarray) -> float:
     """Spearman rank correlation from two vectors' centred ranks; NaN when
-    either vector is constant, since its centred ranks are all zero."""
+    either vector is all tied, since its centred ranks are all zero."""
     norms = (ra @ ra) * (rb @ rb)
     if norms == 0.0:
         return math.nan
@@ -341,9 +340,10 @@ def _rank_correlation(ra: np.ndarray, rb: np.ndarray) -> float:
 
 
 def spearman(a, b) -> float:
-    """Spearman rank correlation with average ranks for ties; NaN if either
-    vector holds a NaN.  A constant vector, as ``_centred_ranks`` decides it,
-    raises UndefinedCorrelation."""
+    """Spearman rank correlation, ties as ``_centred_ranks`` decides them (a
+    chain of gaps within RANK_TIE_RTOL can tie values further apart; rounding
+    noise about an exact zero is not tied); NaN if either vector holds a NaN.
+    An all-tied vector raises UndefinedCorrelation."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or a.size < 2:
         raise ValueError("spearman needs two equal-length vectors of size >= 2")
@@ -351,7 +351,7 @@ def spearman(a, b) -> float:
         return math.nan
     rho = _rank_correlation(_centred_ranks(a), _centred_ranks(b))
     if math.isnan(rho):
-        raise UndefinedCorrelation("rank correlation is undefined for a constant vector")
+        raise UndefinedCorrelation("rank correlation is undefined for an all-tied vector")
     return rho
 
 
@@ -451,7 +451,7 @@ def _correlation_table(
     finite.  These are the rows without a ``degenerate_leverage`` flag, since
     SRIS and HRIS are NaN exactly there and ERIS and md are finite on every
     row.  Each vector is ranked once; the direction average of md is md.  A
-    correlation against a constant vector (see ``_centred_ranks``) is NaN.
+    correlation against an all-tied vector (see ``_centred_ranks``) is NaN.
     """
     keep = np.isfinite(values).all(axis=1) & np.isfinite(md)
     values = values[keep]
@@ -571,7 +571,7 @@ def write_report_json(path, report: InfluenceReport) -> None:
         }
         for v in VARIANTS
     }
-    # a correlation against a constant vector is NaN, written as null
+    # a correlation against an all-tied vector is NaN, written as null
     c = {v: {t: [None if math.isnan(x) else x for x in row] for t, row in table.items()}
          for v, table in report.correlations.items()}
     correlations = {

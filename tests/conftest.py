@@ -1,22 +1,35 @@
 """Shared builders for seeded models, matrices and the hitters-shaped sample
-(with its cached high-precision refits), and a runner for fresh
-interpreters."""
+(with its cached high-precision refits), a runner for fresh interpreters,
+and hypothesis's storage for the session."""
 
 from __future__ import annotations
 
 import functools
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from phdinfluence import Basis, Dataset, PopulationModel
 from phdinfluence.diagnostics import _LooWalk
 from oracles import MpRefit, mp_refit
+
+#: hypothesis's storage (example database, constants cache, failure patches)
+#: for this session, in place of .hypothesis under the working directory, so
+#: the suite writes nothing into the checkout; removed when pytest exits
+HYPOTHESIS_HOME = Path(tempfile.mkdtemp(prefix="hypothesis-"))
+set_hypothesis_home_dir(HYPOTHESIS_HOME)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def random_spd(rng: np.random.Generator, p: int, spread: float = 1.0) -> np.ndarray:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -126,6 +127,17 @@ def test_spearman_decides_constancy_without_units():
     assert spearman(1e300 * np.arange(5.0), np.arange(5.0)) == pytest.approx(1.0)
     assert spearman([1.0, 1.0, 1.0, 1.0, np.inf], np.arange(5.0)) == pytest.approx(
         spearman([1.0, 1.0, 1.0, 1.0, 2.0], np.arange(5.0)))
+
+
+def test_spearman_ties_rounding_noise_but_ranks_close_distinct_values():
+    # two distinct SRIS values beside the (n - 1) cap, 8.8e-13 apart relative
+    # to their size, keep their order; two Mahalanobis distances equal in
+    # exact arithmetic, which rounding leaves 2 ulp apart, tie
+    b = [1.0, 2.0, 0.0]
+    near_cap = [1998.999977241863, 1998.9999772436147, 3.0]
+    assert spearman(near_cap, b) == spearman([1.0, 2.0, 0.0], b)
+    md = [2.0310096011589893, 2.0310096011589898, 0.0]
+    assert spearman(md, b) == spearman([1.0, 1.0, 0.0], b)
 
 
 def test_package_imports_and_ranks_without_scipy():
@@ -678,11 +690,24 @@ def test_scaling_x_leaves_the_report_unchanged(u):
     _assert_invariant(lambda y, x: (y, c * x))
 
 
+def _centred_factorial():
+    # a {0.3, 0.7} replicated 2^4 factorial plus two centre rows: md is 0 at
+    # the centre and, on the factorial rows, equal in exact arithmetic but
+    # spread over two values 2 ulp apart by rounding
+    x = np.array(list(itertools.product((0.3, 0.7), repeat=4)) * 2 + [[0.5] * 4] * 2)
+    noise = np.random.default_rng(0).standard_normal(len(x))
+    y = np.cos(x[:, 0] + 0.3 * x[:, 1]) + 0.5 * x[:, 2] * x[:, 3] + 0.1 * noise
+    return Dataset(y=y, x=x), 2
+
+
 def test_report_correlations_match_recomputation():
     # every (variant, target, direction or average) entry against spearman()
-    # on the rows where both vectors are finite, on a clean design and on one
-    # whose SRIS and HRIS hold NaN at the leverage singularity
-    for (d, k), spiked in (((cosine_data(55, n=60, p=3), 2), False), (_spiked_rank_three(), True)):
+    # on the rows where both vectors are finite, on a clean design, on one
+    # whose SRIS and HRIS hold NaN at the leverage singularity and on one
+    # whose md is tied by rounding
+    designs = (((cosine_data(55, n=60, p=3), 2), False), (_spiked_rank_three(), True),
+               (_centred_factorial(), False))
+    for (d, k), spiked in designs:
         report = influence_report(d, k)
         assert spiked == bool(np.isnan(report.column("sris", "y")).any())
         assert spiked == bool(np.isnan(report.column("hris", "r")).any())
@@ -701,6 +726,17 @@ def test_report_correlations_match_recomputation():
                     keep = np.isfinite(a) & np.isfinite(b)
                     want = spearman(a[keep], b[keep])
                     assert report.correlations[v][t][i] == want, (v, t, i)
+
+
+def test_md_tied_by_rounding_gives_both_variants_one_md_correlation():
+    # ranked as two levels, centre and factorial, md correlates alike with
+    # both variants' SRIS; ranked in rounding order it read 0.184 (y) and
+    # 0.442 (r)
+    report = influence_report(*_centred_factorial())
+    assert sorted(set(report.md.tolist())) == [0.0, 2.0310096011589893, 2.0310096011589898]
+    y_average, r_average = (report.correlations[v]["md"][-1] for v in ("y", "r"))
+    assert y_average == r_average
+    assert round(y_average, 3) == 0.408
 
 
 # ----------------------------------------------------------------------
