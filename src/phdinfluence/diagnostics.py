@@ -9,8 +9,8 @@ subspace, all scaled so they estimate the same population rate:
 * ERIS: the closed-form population influence rate with every parameter
   replaced by its full-sample estimate and (y_j, x_j) as the contamination
   point: one call, for all n observations, of the kernel behind ``ris_rows``
-  on the fit itself (Gamma-hat, lambda-hat and the moments' S^-1, so S is
-  inverted once per report, and OLS slope), with weights y_j - ybar (y
+  on the fit itself (Gamma-hat, lambda-hat and the moments' S^-1, u and OLS
+  slope, so S is inverted once per report), with weights y_j - ybar (y
   variant, whose slope coordinates Gamma-hat' S^-1 s_xy the kernel forms) or
   the fitted OLS residuals (r variant).  No refits.
 * HRIS: like ERIS but with the influence matrix of the Hessian replaced by
@@ -27,8 +27,8 @@ the gate through ``eris``.
 SRIS, HRIS and the order_swap flags all read one leave-one-out walk,
 ``_LooWalk``, over V fits stacked on a variant axis (2 for the report, which
 walks both variants in one pass, 1 for ``sris`` and ``hris``).  The walk
-computes every row's leverage once and marks the ``degenerate`` rows, those
-on the leverage singularity.  Its one loop, ``measures()``, builds the
+reads each row's leverage from the moments and marks the ``degenerate`` rows,
+those on the leverage singularity.  Its one loop, ``measures()``, builds the
 (rows, V, p, p) stack of the regular rows' leave-one-out Hessians H_(j) one
 block of ``loo_block_rows(p)`` observations at a time, so the byte budget
 LOO_BLOCK_BYTES, not n, bounds the memory of the pass.  H_(j) comes from a
@@ -153,7 +153,7 @@ class _LooWalk:
     w = S^-1 g + v/D + (d'v/D^2 - b) u/2.  Each variant's terms are computed
     on their own, so its values do not depend on which others share the walk.
 
-    Every row's leverage is computed once, on construction: ``u`` (n, p),
+    u and d'u are the moments' ``u`` and ``q``; from q it takes every row's
     ``denom`` D, the whitened ``margin`` D / ((n-1)^2/n) and the ``degenerate``
     mask, margin <= LEVERAGE_RTOL.  D is zero exactly when deleting row j
     leaves a singular covariance; the margin, in [0, 1], is the smallest
@@ -173,9 +173,7 @@ class _LooWalk:
         self.slope = np.stack([m.beta if v == "y" else 0.0 * m.beta for v in self.variants])
         self.scale = ((d.n - 2) / (d.n - 1)) ** 2 / (d.n - 1)
         self.full = (d.n - 1) ** 2 / d.n
-        dx = d.x - m.xbar
-        self.u = dx @ m.s_inv
-        self.denom = self.full - np.einsum("ij,ij->i", dx, self.u)
+        self.denom = self.full - m.q
         self.margin = self.denom / self.full
         self.degenerate = self.margin <= LEVERAGE_RTOL
 
@@ -202,7 +200,7 @@ class _LooWalk:
         step = loo_block_rows(d.p)
         for start in range(0, n, step):
             rows = start + np.flatnonzero(~self.degenerate[start : start + step])
-            dj, u, denom = d.x[rows] - m.xbar, self.u[rows], self.denom[rows]
+            dj, u, denom = d.x[rows] - m.xbar, m.u[rows], self.denom[rows]
             q = full - denom
             dy = d.y[rows] - m.ybar
             r_d = m.residuals[rows] / denom
@@ -296,7 +294,8 @@ def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Plug-in closed-form influence of every observation, an n x K matrix."""
     _require_measurable(fit, m)
     w = d.y - m.ybar if fit.variant == "y" else m.residuals
-    return _ris_kernel(fit.variant, fit.gamma_hat, fit.lambda_hat, m.s_inv, m.beta, d.x - m.xbar, w)
+    return _ris_kernel(fit.variant, fit.gamma_hat, fit.lambda_hat, m.s_inv, m.beta,
+                       d.x - m.xbar, m.u, w)
 
 
 def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:

@@ -2,13 +2,13 @@
 
 Conventions (they matter downstream, do not mix):
 
-* ``s`` and ``s_xy`` are the unbiased estimators (divide by n - 1);
+* S (inverted as ``s_inv``) and ``s_xy`` are unbiased (divide by n - 1);
 * ``sigma_yxx_hat`` and ``sigma_rxx_hat`` are maximum-likelihood third
   moments (divide by n);
 * OLS residuals are ``r_i = y_i - ybar - (x_i - xbar)' s_inv s_xy``.
 
-No leave-one-out moment is formed: ``diagnostics`` builds each leave-one-out
-Hessian from these full-sample moments and the leverage of the row.
+``u`` and ``q``, each row's S^-1 (x_j - xbar) and (x_j - xbar)'u_j, are formed
+once for md, ERIS and the ``diagnostics`` walk (no leave-one-out moment).
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ class MomentSet:
 
     xbar: np.ndarray
     ybar: float
-    s: np.ndarray
     s_inv: np.ndarray
     s_xy: np.ndarray
     beta: np.ndarray
@@ -89,6 +88,8 @@ class MomentSet:
     sigma_rxx_hat: np.ndarray
     residuals: np.ndarray
     x_third: np.ndarray
+    u: np.ndarray
+    q: np.ndarray
 
     @property
     def n(self) -> int:
@@ -111,8 +112,8 @@ def compute_moments(d: Dataset) -> MomentSet:
     xc = x - xbar
     yc = y - ybar
 
-    s = mirror(xc.T @ xc / (n - 1))
-    s_inv = spd_inverse(s)
+    s_inv = spd_inverse(xc.T @ xc / (n - 1))
+    u = xc @ s_inv
     s_xy = xc.T @ yc / (n - 1)
 
     sigma_yxx = mirror((xc.T * yc) @ xc / n)
@@ -126,7 +127,6 @@ def compute_moments(d: Dataset) -> MomentSet:
 
     arrays = dict(
         xbar=xbar,
-        s=s,
         s_inv=s_inv,
         s_xy=s_xy,
         beta=beta,
@@ -134,6 +134,8 @@ def compute_moments(d: Dataset) -> MomentSet:
         sigma_rxx_hat=sigma_rxx,
         residuals=residuals,
         x_third=x_third,
+        u=u,
+        q=np.einsum("ij,ij->i", xc, u),
     )
     for a in arrays.values():
         a.setflags(write=False)
@@ -141,8 +143,5 @@ def compute_moments(d: Dataset) -> MomentSet:
 
 
 def mahalanobis(d: Dataset, m: MomentSet) -> np.ndarray:
-    """Mahalanobis distance of every observation from the predictor mean:
-    sqrt((x_i - xbar)' S^{-1} (x_i - xbar))."""
-    xc = d.x - m.xbar
-    q = np.einsum("ij,jk,ik->i", xc, m.s_inv, xc)
-    return np.sqrt(np.maximum(q, 0.0))
+    """Mahalanobis distance sqrt((x_i - xbar)' S^-1 (x_i - xbar)) of every row: sqrt(m.q)."""
+    return np.sqrt(np.maximum(m.q, 0.0))

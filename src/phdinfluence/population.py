@@ -225,8 +225,9 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
         )
     finite = np.isfinite(x0).all(axis=1) & np.isfinite(w)
     with np.errstate(over="ignore", invalid="ignore"):  # rates that are not finite raise below
+        d = x0 - model.mu
         rates = _ris_kernel(variant, model.gamma, model.lam, model.sigma_inv, model.beta,
-                            x0 - model.mu, w - model.mu_y if variant == "y" else w)
+                            d, d @ model.sigma_inv, w - model.mu_y if variant == "y" else w)
     bad = ~(finite & np.isfinite(rates).all(axis=1))
     if bad.any():
         i = int(np.argmax(bad))
@@ -238,13 +239,12 @@ def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
     return rates
 
 
-def _ris_kernel(variant: str, gamma: Basis, lam, sigma_inv, beta, d, w) -> np.ndarray:
+def _ris_kernel(variant: str, gamma: Basis, lam, sigma_inv, beta, d, u, w) -> np.ndarray:
     """:func:`ris_rows` without input checks, from the OLS slope beta =
-    Sigma^{-1} sigma_xy, the offsets d = x0 - mu and the weights w (y0 - mu_y
-    or r0).  The y variant's scalar reads the slope coordinates Gamma' beta,
-    the r variant's none."""
+    Sigma^{-1} sigma_xy, the offsets d = x0 - mu, their images u = d Sigma^{-1}
+    and the weights w (y0 - mu_y or r0).  The y variant's scalar reads the
+    slope coordinates Gamma' beta, the r variant's none."""
     g = gamma.columns
-    u = d @ sigma_inv
     scal = w[:, None] * (u @ g) - lam * (d @ g) - (g.T @ beta if variant == "y" else 0.0)
     # Sigma^{-1/2} alpha_k of every point, an m x p x K stack
     root_alpha = u[:, :, None] * scal[:, None, :] - w[:, None, None] * (sigma_inv @ g)
@@ -421,8 +421,8 @@ def influence_surface(variant: str, norm_grid, costheta_grid) -> np.ndarray:
     model = cosine_model(2)
     norms = np.asarray(list(norm_grid), dtype=float)
     costhetas = np.asarray(list(costheta_grid), dtype=float)
-    if not (np.all(np.isfinite(norms)) and np.all(np.abs(costhetas) <= 1.0)):
-        raise ValueError("norm grid must be finite and cos(theta0) grid must lie in [-1, 1]")
+    if not (np.all(np.isfinite(norms) & (norms >= 0.0)) and np.all(np.abs(costhetas) <= 1.0)):
+        raise ValueError("norm grid must be finite and nonnegative, cos(theta0) grid in [-1, 1]")
     nrm = norms[:, None]
     ct = costhetas[None, :]
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))

@@ -62,6 +62,7 @@ class SimSpec:
         if self.model not in MODELS:
             raise InvalidArgument(f"model must be one of {MODELS}, got {self.model!r}")
         _require_seed(self.seed)
+        _require_sizes(n=self.n, p=self.p)
         if self.p < 1 or self.n < self.p + 2:
             raise InvalidArgument(f"need p >= 1 and n >= p + 2, got n={self.n}, p={self.p}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
@@ -103,6 +104,14 @@ def _require_seed(seed: int) -> None:
         raise InvalidArgument(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _require_sizes(**sizes) -> None:
+    """Raise InvalidArgument for a size that is not an integer, by the rule of
+    ``_require_seed``: numpy's generators take no other."""
+    for name, size in sizes.items():
+        if not isinstance(size, numbers.Integral):
+            raise InvalidArgument(f"{name} must be an integer, got {size!r}")
+
+
 def _noiseless(spec: SimSpec, x: np.ndarray) -> np.ndarray:
     # a single-index beta is a vector: its index is the n x 1 matrix B'X
     link = LINK_CATALOG[_MODEL_LINKS.get(spec.model, spec.link)]
@@ -141,6 +150,7 @@ def mc_constants(n_mc: int, seed: int, sigma: float) -> McConstants:
     The three targets depend on (Z, Y) only, so sampling Z instead of the
     full predictor vector is exact and keeps 1e7-sample runs cheap.
     """
+    _require_sizes(n_mc=n_mc)
     if n_mc < 3:
         raise InvalidArgument(f"n_mc must be at least 3, got {n_mc}: with two draws the covariance "
                               "terms are equal, so their standard error is zero or rounding")

@@ -22,6 +22,8 @@ the package.
   closed-form leave-one-out Hessians and of everything built on S^-1.
 * ERIS of chosen rows from the alpha display in 40-digit arithmetic, on the
   fit's own Gamma and lambda (:func:`mp_eris`).
+* The float sample covariance S that ``compute_moments`` inverts, which the
+  package does not keep (:func:`sample_covariance`).
 * The influence report as one JSON document (:func:`report_to_json_dict`),
   whose ``json.dumps(indent=2)`` is the byte layout that
   ``diagnostics.write_report_json`` streams.
@@ -35,7 +37,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from phdinfluence.linalg import project_out
+from phdinfluence.linalg import mirror, project_out
 from phdinfluence.phd import VARIANTS, population_h
 from phdinfluence.population import ContaminationPoint, PopulationModel, population_ols_residual
 
@@ -74,6 +76,13 @@ def ris_from_if_matrix(model, f: np.ndarray, k: int) -> float:
     return float(np.linalg.norm(resid)) / abs(float(model.lam[k - 1]))
 
 
+def sample_covariance(d) -> np.ndarray:
+    """The float S of a dataset exactly as ``compute_moments`` forms it before
+    inverting it: mirror((x - xbar)'(x - xbar) / (n - 1))."""
+    xc = d.x - d.x.mean(axis=0)
+    return mirror(xc.T @ xc / (d.n - 1))
+
+
 def eris_matrix_route(d, fit, m) -> np.ndarray:
     """ERIS, an n x K matrix, through the influence matrix of the Hessian
     estimator at the plug-in model, one observation at a time.
@@ -83,13 +92,14 @@ def eris_matrix_route(d, fit, m) -> np.ndarray:
     span(Gamma), which satisfies the model's span check and leaves ERIS
     unchanged (the slope enters only through Gamma' S^-1 sigma_xy)."""
     g = fit.gamma_hat.columns
+    s = sample_covariance(d)
     model = PopulationModel(
         mu=m.xbar,
-        sigma=m.s,
+        sigma=s,
         gamma=fit.gamma_hat,
         lam=fit.lambda_hat,
         mu_y=m.ybar,
-        sigma_xy=m.s @ (g @ (g.T @ (m.s_inv @ m.s_xy))),
+        sigma_xy=s @ (g @ (g.T @ (m.s_inv @ m.s_xy))),
     )
     out = np.empty((d.n, fit.k))
     for j in range(d.n):
@@ -174,7 +184,7 @@ def mp_eris(d, fit, m, rows, dps=40) -> np.ndarray:
     Gamma and lambda (the float moments taken as exact)."""
     with mpmath.workdps(dps):
         mp = np.vectorize(mpmath.mpf, otypes=[object])
-        s_inv = np.array(mpmath.inverse(mpmath.matrix(m.s.tolist())).tolist())
+        s_inv = np.array(mpmath.inverse(mpmath.matrix(sample_covariance(d).tolist())).tolist())
         g, lam = mp(fit.gamma_hat.columns), mp(fit.lambda_hat)
         beta_hat = s_inv @ mp(m.s_xy)
         out = np.empty((len(rows), fit.k))

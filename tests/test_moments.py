@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from phdinfluence import (
     Dataset,
-    MomentSet,
     compute_moments,
     diagnostics,
     fit_from_moments,
@@ -24,6 +23,7 @@ from phdinfluence.errors import (
     NotPositiveDefinite,
 )
 from conftest import hitters_like, hitters_refit, loo_hessians
+from oracles import sample_covariance
 
 
 # ----------------------------------------------------------------------
@@ -108,16 +108,19 @@ def test_moments_decompose_the_covariance_once(rng, monkeypatch):
     m = compute_moments(d)
     assert len(calls) == 1
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    assert np.array_equal(m.s_inv, spd_inverse(m.s))
+    assert np.array_equal(m.s_inv, spd_inverse(sample_covariance(d)))
 
 
 def test_moment_arrays_are_read_only_and_hold_the_ols_slope(rng):
     d = make_data(rng, 30, 4)
     m = compute_moments(d)
+    xc = d.x - m.xbar
     assert np.array_equal(m.beta, m.s_inv @ m.s_xy)
-    assert np.array_equal(m.residuals, (d.y - m.ybar) - (d.x - m.xbar) @ m.beta)
+    assert np.array_equal(m.residuals, (d.y - m.ybar) - xc @ m.beta)
+    assert np.array_equal(m.u, xc @ m.s_inv)
+    assert np.array_equal(m.q, np.einsum("ij,ij->i", xc, m.u))
     arrays = [f.name for f in dataclasses.fields(m) if isinstance(getattr(m, f.name), np.ndarray)]
-    assert len(arrays) == 9
+    assert len(arrays) == 10
     for name in arrays:
         a = getattr(m, name)
         with pytest.raises(ValueError, match="read-only"):
@@ -156,7 +159,7 @@ def test_mle_vs_unbiased_conventions(rng):
     d = make_data(rng, 30, 2)
     m = compute_moments(d)
     xc = d.x - d.x.mean(axis=0)
-    assert np.allclose(m.s, xc.T @ xc / (d.n - 1))
+    assert np.allclose(m.s_inv @ (xc.T @ xc / (d.n - 1)), np.eye(d.p))
     yc = d.y - d.y.mean()
     direct = sum(
         yc[i] * np.outer(xc[i], xc[i]) for i in range(d.n)
@@ -307,23 +310,14 @@ def test_mahalanobis_zero_at_the_mean(rng):
 
 
 def test_mahalanobis_euclidean_case(rng):
-    # with identity covariance and zero mean the distance is euclidean
-    x = rng.standard_normal((8, 3))
-    x[0] = [3.0, 4.0, 0.0]
+    # a sample with zero mean and identity covariance: orthonormal columns,
+    # orthogonal to the ones vector, scaled by sqrt(n - 1).  Its distance is
+    # euclidean
+    z = rng.standard_normal((8, 3))
+    x = np.linalg.qr(z - z.mean(axis=0))[0] * np.sqrt(7.0)
     d = Dataset(y=np.zeros(8), x=x)
-    fabricated = MomentSet(
-        xbar=np.zeros(3),
-        ybar=0.0,
-        s=np.eye(3),
-        s_inv=np.eye(3),
-        s_xy=np.zeros(3),
-        beta=np.zeros(3),
-        sigma_yxx_hat=np.zeros((3, 3)),
-        sigma_rxx_hat=np.zeros((3, 3)),
-        residuals=np.zeros(8),
-        x_third=np.zeros((3, 3, 3)),
-    )
-    assert mahalanobis(d, fabricated)[0] == pytest.approx(5.0, abs=1e-12)
+    m = compute_moments(d)
+    assert np.abs(mahalanobis(d, m) - np.linalg.norm(x, axis=1)).max() <= 1e-12
 
 
 def test_mahalanobis_matches_quadratic_form(rng):
@@ -375,7 +369,7 @@ def test_loo_hessians_equal_a_refit_on_random_scaled_designs(case):
     y = np.sin(z[:, 0]) + 0.5 * rng.standard_normal(n)
     d = Dataset(y=y, x=z * c)
     m = _moments_or_reject(d)
-    w = np.linalg.eigvalsh(m.s)
+    w = np.linalg.eigvalsh(sample_covariance(d))
     assume(w[-1] <= SCALED_DESIGN_COND * w[0])
     dx = d.x - m.xbar
     u = dx @ m.s_inv
@@ -386,16 +380,17 @@ def test_loo_hessians_equal_a_refit_on_random_scaled_designs(case):
     cc = np.outer(c, c)
     for j in np.flatnonzero(~degenerate):
         keep = np.arange(n) != j
-        refit = _moments_or_reject(Dataset(y=y[keep], x=d.x[keep]))
+        d_j = Dataset(y=y[keep], x=d.x[keep])
+        refit, s_j = _moments_or_reject(d_j), sample_covariance(d_j)
         s_inv_j = (n - 2) / (n - 1) * (m.s_inv + np.outer(u[j], u[j]) / denom[j])
-        assert np.abs((s_inv_j * cc) @ (refit.s / cc) - np.eye(p)).max() <= 1e-9
+        assert np.abs((s_inv_j * cc) @ (s_j / cc) - np.eye(p)).max() <= 1e-9
         # the refit's residuals by least squares on its centred design: the
         # normal equations of a nearly singular S_(j) lose the OLS slope
         xc, yc = d.x[keep] - d.x[keep].mean(axis=0), y[keep] - y[keep].mean()
         resid = yc - xc @ np.linalg.lstsq(xc, yc, rcond=None)[0]
         sigma_rxx = (xc.T * resid) @ xc / (n - 1)
         for a, want in enumerate((refit.sigma_yxx_hat / cc, sigma_rxx / cc)):
-            got = refit.s @ h[j, a] @ refit.s / cc
+            got = s_j @ h[j, a] @ s_j / cc
             assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
 
 

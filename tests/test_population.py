@@ -516,7 +516,10 @@ def test_ris_rows_and_surface_reject_bad_points():
     with pytest.raises(InvalidArgument, match="row 1 of x0 is not finite") as exc:
         ris_rows(model, "y", np.zeros((2, 3)), [0.0, np.nan])
     assert exc.value.row == 1
-    for norms, costhetas in (([np.nan], [0.0]), ([1.0], [np.nan]), ([1.0], [1.5])):
+    # a negative norm is the mirrored cell: (-1, 0.5) would read the value of
+    # (1, -0.5) and be written to the CSV as norm_x0 = -1
+    for norms, costhetas in (([np.nan], [0.0]), ([1.0], [np.nan]), ([1.0], [1.5]),
+                             ([-1.0, 1.0], [0.5, -0.5]), ([0.0, -1e-300], [0.0])):
         with pytest.raises(ValueError):
             influence_surface("y", norms, costhetas)
 

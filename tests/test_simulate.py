@@ -90,11 +90,20 @@ def test_spec_validation():
                      id="link-for-quadratic-first"),
         pytest.param(dict(model="quadratic_first", n=10, p=3, beta=[0.0, 1.0, 0.0]),
                      id="beta-for-quadratic-first"),
+        # sizes numpy takes only as integers: simulate would raise its TypeError
+        pytest.param(dict(model="cosine_index", n=10.5, p=3), id="fractional-n"),
+        pytest.param(dict(model="cosine_index", n=10, p=3.0), id="float-p"),
+        pytest.param(dict(model="cosine_index", n="10", p=3), id="string-n"),
     ],
 )
 def test_spec_rejects_what_its_model_does_not_allow(kwargs):
     with pytest.raises(InvalidArgument):
         SimSpec(seed=0, **kwargs)
+
+
+def test_spec_takes_numpy_integer_sizes():
+    spec = SimSpec(model="cosine_index", n=np.int64(10), p=np.int32(3), seed=1)
+    assert simulate(spec).x.shape == (10, 3)
 
 
 def test_single_index_models_take_a_p_by_1_beta():
@@ -147,3 +156,9 @@ def test_mc_constants_reject_a_zero_standard_error(seed):
 def test_mc_constants_reject_a_negative_seed():
     with pytest.raises(InvalidArgument, match="seed"):
         mc_constants(100, seed=-1, sigma=0.5)
+
+
+@pytest.mark.parametrize("n_mc", [10.5, 100.0])
+def test_mc_constants_reject_a_sample_size_that_is_not_an_integer(n_mc):
+    with pytest.raises(InvalidArgument, match="n_mc must be an integer"):
+        mc_constants(n_mc, seed=1, sigma=0.5)
