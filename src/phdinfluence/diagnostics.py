@@ -14,7 +14,9 @@ subspace, all scaled so they estimate the same population rate:
   variant, whose slope coordinates Gamma-hat' S^-1 s_xy the kernel forms) or
   the fitted OLS residuals (r variant).  No refits.
 * HRIS: like ERIS but with the influence matrix of the Hessian replaced by
-  the exact deletion effect (n-1)(H - H_(j)).
+  the exact deletion effect (n-1)(H - H_(j)).  Only its part off the fitted
+  span counts, P (H - H_(j)) Gamma-hat with P = I - Gamma-hat Gamma-hat', and
+  P H Gamma-hat = P Gamma-hat Lambda-hat = 0, so HRIS reads P H_(j) Gamma-hat.
 
 Every measure accepts the same fits.  One gate, ``_require_measurable``,
 raises InvalidRank unless 1 <= k < p (at k = p every measure is rounding
@@ -33,14 +35,14 @@ those on the leverage singularity.  Its one loop, ``measures()``, builds the
 block of ``loo_block_rows(p)`` observations at a time, so the byte budget
 LOO_BLOCK_BYTES, not n, bounds the memory of the pass.  H_(j) comes from a
 closed form in the full-sample fit, per-row scalars and a rank-2 term; no
-leave-one-out moment is formed.  HRIS reads each stack with no
-eigendecomposition, then SRIS makes one ``eigh`` call per observation on
-its (V, p, p) stack, not one per block: perfbench/test_perfbench.py asserts
-more than n ``eigh`` calls at n = 40, so batching waits for the benchmark
-change and the ROADMAP item on leading-K SRIS.  ``sris`` and ``hris`` raise
-DegenerateLeverage at the first degenerate row before any stack is built,
-while the report leaves SRIS and HRIS NaN there and flags the row
-``degenerate_leverage``.
+leave-one-out moment is formed, and the scalars of every row are formed once
+per walk.  HRIS reads each stack with no eigendecomposition, then SRIS makes
+one ``eigh`` call per observation on its (V, p, p) stack, not one per block:
+perfbench/test_perfbench.py asserts more than n ``eigh`` calls at n = 40, so
+batching waits for the benchmark change and the ROADMAP item on leading-K
+SRIS.  ``sris`` and ``hris`` raise DegenerateLeverage at the first degenerate
+row before any stack is built, while the report leaves SRIS and HRIS NaN
+there and flags the row ``degenerate_leverage``.
 
 :func:`influence_report` returns all of it as one :class:`InfluenceReport`
 of read-only arrays in report order, with the Spearman correlations of SRIS
@@ -61,8 +63,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateEigenvalue, DegenerateLeverage, InvalidRank, UndefinedCorrelation
-from .linalg import check_orthonormal, eigen_order, mirror, project_out
+from .errors import (DegenerateEigenvalue, DegenerateLeverage, InvalidRank, UndefinedCorrelation,
+                     is_integer)
+from .linalg import check_orthonormal, eigen_order, project_out
 from .moments import Dataset, MomentSet, compute_moments, mahalanobis
 from .phd import VARIANTS, PhdFit, fit_from_moments
 from .population import _require_untied, _ris_kernel
@@ -105,10 +108,11 @@ def loo_block_rows(p: int) -> int:
 
 
 def _require_rank(k: int, p: int) -> None:
-    """Raise InvalidRank unless 1 <= k < p: at k = p the span is the whole
-    space and every measure is rounding noise."""
-    if not 1 <= k < p:
-        raise InvalidRank(f"influence needs rank 1 <= k < p={p}, got {k}")
+    """Raise InvalidRank unless k is an integer (``is_integer``) with
+    1 <= k < p: at k = p the span is the whole space and every measure is
+    rounding noise."""
+    if not (is_integer(k) and 1 <= k < p):
+        raise InvalidRank(f"influence needs an integer rank 1 <= k < p={p}, got {k!r}")
 
 
 def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
@@ -136,8 +140,8 @@ def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
 
 class _LooWalk:
     """The leave-one-out walk over fits of one rank, stacked on a variant
-    axis in the given order: Gamma-hat (V, p, K), |lambda-hat| (V, K) and
-    H (V, p, p).
+    axis in the given order: Gamma-hat (V, p, K), |lambda-hat| (V, K) and,
+    as ``shared``, c n H (V, p, p).
 
     With d = x_j - xbar, u = S^-1 d and D = (n-1)^2/n - d'u, deleting row j
     gives S_(j)^-1 = (n-2)/(n-1) (S^-1 + u u'/D) and, with L = n(n+1)/(n-1)^2,
@@ -149,9 +153,13 @@ class _LooWalk:
 
         H_(j) = c [n H + a S^-1 - e G(u) + u w' + w u'],
 
-    c = ((n-2)/(n-1))^2/(n-1), G(u) = S^-1 T(u) S^-1, v = S^-1 N u and
-    w = S^-1 g + v/D + (d'v/D^2 - b) u/2.  Each variant's terms are computed
-    on their own, so its values do not depend on which others share the walk.
+    c = ((n-2)/(n-1))^2/(n-1), G(u) = S^-1 T(u) S^-1 = sum_a u_a g_third[a]
+    (the moments' ``g_third``), v = S^-1 N u and w = S^-1 g + v/D +
+    (d'v/D^2 - b) u/2.  The walk takes c in once: it holds c n H, c S^-1 g and
+    every row's c a, c e, c b and c d'S^-1 g (c u's_xy for y, 0 for r), so a
+    block forms c v and c w from them and does only row-specific work.  Each
+    variant's terms are computed on their own, so its values do not depend on
+    which others share the walk.
 
     u and d'u are the moments' ``u`` and ``q``; from q it takes every row's
     ``denom`` D, the whitened ``margin`` D / ((n-1)^2/n) and the ``degenerate``
@@ -162,20 +170,26 @@ class _LooWalk:
 
     def __init__(self, d: Dataset, m: MomentSet, fits):
         fits = tuple(fits)
-        self.d, self.m, self.n = d, m, d.n
+        n = d.n
+        self.d, self.m, self.n = d, m, n
         self.variants = tuple(f.variant for f in fits)
         self.gamma = np.stack([f.gamma_hat.columns for f in fits])
         self.lam = np.abs(np.stack([f.lambda_hat for f in fits]))
-        self.h = np.stack([f.h for f in fits])
-        self.h_gamma = self.h @ self.gamma
-        self.n_h = d.n * self.h
-        # S^-1 g per variant: the y variant's N carries s_xy d' + d s_xy'
-        self.slope = np.stack([m.beta if v == "y" else 0.0 * m.beta for v in self.variants])
-        self.scale = ((d.n - 2) / (d.n - 1)) ** 2 / (d.n - 1)
-        self.full = (d.n - 1) ** 2 / d.n
-        self.denom = self.full - m.q
-        self.margin = self.denom / self.full
+        full = (n - 1) ** 2 / n
+        self.denom = full - m.q
+        self.margin = self.denom / full
         self.degenerate = self.margin <= LEVERAGE_RTOL
+        # all times c: every row's a, e, b and d'S^-1 g as one (4, n, V) stack
+        # (no block reads a degenerate row's), n H and S^-1 g per variant
+        c = ((n - 2) / (n - 1)) ** 2 / (n - 1)
+        lever = n * (n + 1) / (n - 1) ** 2
+        dy, zero = d.y - m.ybar, np.zeros(n)
+        r_d = np.divide(m.residuals, self.denom, out=zero.copy(), where=~self.degenerate)
+        by_variant = {"y": (dy, zero, lever * dy, m.u @ m.s_xy),
+                      "r": (full * r_d, -n * r_d, (lever * full - 2.0) * r_d, zero)}
+        self.scalars = c * np.stack([by_variant[v] for v in self.variants], axis=-1)
+        self.shared = (c * n) * np.stack([f.h for f in fits])
+        self.slope = c * np.stack([m.beta if v == "y" else 0.0 * m.beta for v in self.variants])
 
     def require_regular(self) -> None:
         """Raise DegenerateLeverage for the first row that sits at the
@@ -191,41 +205,33 @@ class _LooWalk:
     def blocks(self):
         """Yield ``(rows, h)`` per block of ``loo_block_rows(p)`` observations:
         the block's rows that are not ``degenerate`` and the (R, V, p, p) stack
-        of their H_(j), summed in place beside one scratch stack: a S^-1, + n H,
-        + u w', + w u', - e G(u) (e = 0 for y), times c.  The einsum products
-        write straight into their stack, with no broadcast buffer; u w' stays a
-        matmul over a length-1 axis, since einsum would buffer that operand."""
-        d, m, n, full = self.d, self.m, self.n, self.full
-        lever = n * (n + 1) / (n - 1) ** 2
-        step = loo_block_rows(d.p)
-        for start in range(0, n, step):
+        of their H_(j), summed in place beside one scratch stack: c a S^-1,
+        + c n H, + u (c w)', + (c w) u', - c e G(u) (e = 0 for y).  The einsum
+        products write straight into their stack, with no broadcast buffer;
+        u w' stays a matmul over a length-1 axis, since einsum would buffer that
+        operand."""
+        d, m, p = self.d, self.m, self.d.p
+        step = loo_block_rows(p)
+        for start in range(0, self.n, step):
             rows = start + np.flatnonzero(~self.degenerate[start : start + step])
-            dj, u, denom = d.x[rows] - m.xbar, m.u[rows], self.denom[rows]
-            q = full - denom
-            dy = d.y[rows] - m.ybar
-            r_d = m.residuals[rows] / denom
-            by_variant = {"y": (dy, 0.0 * dy, lever * dy),
-                          "r": (full * r_d, -n * r_d, (lever * full - 2.0) * r_d)}
-            a, e, b = (np.stack([by_variant[v][i] for v in self.variants], axis=1)
-                       for i in range(3))
-            d_slope = (dj @ self.slope[..., None])[..., 0].T  # one product per variant
-            v = (n * np.swapaxes(dj @ self.h, 0, 1)
+            dj, u, q, denom = d.x[rows] - m.xbar, m.u[rows], m.q[rows], self.denom[rows]
+            a, e, b, d_slope = self.scalars[:, rows]
+            v = (np.swapaxes(dj @ self.shared, 0, 1)  # c v, per variant
                  + (a - b * q[:, None] + d_slope)[..., None] * u[:, None]
                  + q[:, None, None] * self.slope)
             g = None
             if "r" in self.variants:
-                g = mirror(m.s_inv @ np.tensordot(u, m.x_third, axes=1) @ m.s_inv)
+                g = (u @ m.g_third.reshape(p, p * p)).reshape(-1, p, p)
                 v -= e[..., None] * (g @ dj[..., None])[:, None, :, 0]
             dv = np.einsum("rp,rvp->rv", dj, v) / (denom**2)[:, None]
             w = self.slope + v / denom[:, None, None] + ((dv - b) / 2)[..., None] * u[:, None]
             h = np.einsum("rv,pq->rvpq", a, m.s_inv)
-            h += self.n_h  # a S^-1 + n H equals n H + a S^-1 bit for bit
+            h += self.shared  # c a S^-1 + c n H equals c n H + c a S^-1 bit for bit
             scratch = np.matmul(u[:, None, :, None], w[..., None, :])
             h += scratch
             h += np.einsum("rvp,rq->rvpq", w, u, out=scratch)
             if g is not None:  # e = 0 for y, so its slice subtracts zeros
                 h -= np.einsum("rv,rpq->rvpq", e, g, out=scratch)
-            h *= self.scale
             del scratch, g  # the consumer holds only the block's stack
             yield rows, h
             del h  # so the next block is built without it
@@ -270,10 +276,11 @@ class _LooWalk:
 
     def hris(self, h: np.ndarray) -> np.ndarray:
         """HRIS, (R, V, K), read from the stack ``h`` of H_(j) with no
-        ``eigh``: (n-1) ||P (H Gamma - H_(j) Gamma)|| / |lambda| per column,
-        P = I - Gamma Gamma'.  Call it before ``sris``, which overwrites the
-        stack."""
-        cols = project_out(self.gamma, self.h_gamma - h @ self.gamma)
+        ``eigh``: (n-1) ||P (H - H_(j)) Gamma|| / |lambda| per column,
+        P = I - Gamma Gamma', which is (n-1) ||P H_(j) Gamma|| / |lambda|
+        since H Gamma = Gamma Lambda, the fit's own eigenvectors, and P Gamma
+        = 0.  Call it before ``sris``, which overwrites the stack."""
+        cols = project_out(self.gamma, h @ self.gamma)
         return (self.n - 1) * np.linalg.norm(cols, axis=-2) / self.lam
 
 
@@ -435,7 +442,7 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
         fits=fits,
         n=n,
         p=d.p,
-        k=k,
+        k=int(k),
     )
 
 

@@ -1,10 +1,19 @@
 """Exception hierarchy.
 
 Every domain error derives from :class:`PhdError` and carries the CLI exit
-code of its class: 2 usage, 3 data, 4 numeric degeneracy.
+code of its class: 2 usage, 3 data, 4 numeric degeneracy.  The usage checks
+share one integer rule, :func:`is_integer`.
 """
 
 from __future__ import annotations
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """The integer rule of every size, rank, seed and index argument: a
+    ``numbers.Integral`` that is not a bool (True is not taken for 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class PhdError(Exception):

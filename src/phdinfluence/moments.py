@@ -8,7 +8,9 @@ Conventions (they matter downstream, do not mix):
 * OLS residuals are ``r_i = y_i - ybar - (x_i - xbar)' s_inv s_xy``.
 
 ``u`` and ``q``, each row's S^-1 (x_j - xbar) and (x_j - xbar)'u_j, are formed
-once for md, ERIS and the ``diagnostics`` walk (no leave-one-out moment).
+once for md, ERIS and the ``diagnostics`` walk (no leave-one-out moment).  So
+is ``g_third``, the predictor third moment X3 sandwiched by S^-1, the one
+full-sample term of the walk that carries the r variant's moved OLS slope.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ class MomentSet:
     """Every moment a PHD fit or leave-one-out Hessian needs, computed in one
     pass and stored read-only.
 
-    ``beta`` is the OLS slope S^-1 s_xy behind ``residuals``.  ``x_third``
-    is the p x p x p maximum-likelihood third central moment tensor of the
-    predictors; the residual-based leave-one-out Hessians read it, because
-    deleting a row moves the OLS slope.
+    ``beta`` is the OLS slope S^-1 s_xy behind ``residuals``.  ``g_third``
+    is the p x p x p stack S^-1 X3[a] S^-1 = sum_j (x_ja - xbar_a) u_j u_j' / n,
+    X3 the maximum-likelihood third central moment tensor of the predictors;
+    the residual-based leave-one-out Hessians read it, because deleting a row
+    moves the OLS slope.
     """
 
     xbar: np.ndarray
@@ -87,7 +90,7 @@ class MomentSet:
     sigma_yxx_hat: np.ndarray
     sigma_rxx_hat: np.ndarray
     residuals: np.ndarray
-    x_third: np.ndarray
+    g_third: np.ndarray
     u: np.ndarray
     q: np.ndarray
 
@@ -121,10 +124,6 @@ def compute_moments(d: Dataset) -> MomentSet:
     residuals = yc - xc @ beta
     sigma_rxx = mirror((xc.T * residuals) @ xc / n)
 
-    x_third = np.empty((p, p, p))
-    for a in range(p):
-        x_third[a] = mirror((xc.T * xc[:, a]) @ xc / n)
-
     arrays = dict(
         xbar=xbar,
         s_inv=s_inv,
@@ -133,7 +132,7 @@ def compute_moments(d: Dataset) -> MomentSet:
         sigma_yxx_hat=sigma_yxx,
         sigma_rxx_hat=sigma_rxx,
         residuals=residuals,
-        x_third=x_third,
+        g_third=mirror(np.stack([(u.T * xc[:, a]) @ u for a in range(p)]) / n),
         u=u,
         q=np.einsum("ij,ij->i", xc, u),
     )

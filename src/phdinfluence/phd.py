@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRank
+from .errors import InvalidRank, is_integer
 from .linalg import Basis, EigenSystem, mirror, sym_eigen
 from .moments import Dataset, MomentSet, compute_moments
 
@@ -50,8 +50,8 @@ def fit_from_moments(m: MomentSet, variant: str, k: int) -> PhdFit:
     """Fit a PHD variant directly from a MomentSet."""
     check_variant(variant)
     p = m.p
-    if not 1 <= k <= p:
-        raise InvalidRank(f"rank k must satisfy 1 <= k <= p={p}, got {k}")
+    if not (is_integer(k) and 1 <= k <= p):
+        raise InvalidRank(f"rank k must be an integer with 1 <= k <= p={p}, got {k!r}")
     mat = m.sigma_yxx_hat if variant == "y" else m.sigma_rxx_hat
     h = mirror(m.s_inv @ mat @ m.s_inv)
     eig = sym_eigen(h)
@@ -59,7 +59,7 @@ def fit_from_moments(m: MomentSet, variant: str, k: int) -> PhdFit:
         variant=variant,
         h=h,
         eig=eig,
-        k=k,
+        k=int(k),
         gamma_hat=Basis(eig.vectors[:, :k]),
         lambda_hat=eig.values[:k].copy(),
     )

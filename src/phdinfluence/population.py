@@ -74,6 +74,7 @@ from .errors import (
     InvalidEpsilon,
     InvalidMatrix,
     UnsupportedModel,
+    is_integer,
 )
 from .linalg import Basis, mirror, project_out, spd_inverse, sym_eigen
 from .phd import check_variant, population_h
@@ -196,9 +197,9 @@ class ContaminationPoint:
 
 
 def _direction_index(model: PopulationModel, k: int) -> int:
-    """Directions are indexed 1..K as in the math."""
-    if not 1 <= k <= model.k:
-        raise IndexError(f"direction index must satisfy 1 <= k <= {model.k}, got {k}")
+    """Directions are indexed 1..K as in the math, by an integer (``is_integer``)."""
+    if not (is_integer(k) and 1 <= k <= model.k):
+        raise IndexError(f"direction index must be an integer 1 <= k <= {model.k}, got {k!r}")
     return k - 1
 
 
@@ -391,6 +392,8 @@ def cosine_model_constants() -> tuple[float, float, float]:
 def cosine_model(p: int = 3) -> PopulationModel:
     """The cosine single-index population model on standard normal
     predictors, with beta_1 the first coordinate axis."""
+    if not is_integer(p):
+        raise InvalidArgument(f"p must be an integer, got {p!r}")
     if p < 2:
         raise UnsupportedModel("the cosine example needs p >= 2")
     beta1 = np.zeros(p)

@@ -15,12 +15,11 @@ would not read.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, is_integer
 from .moments import Dataset
 from .population import _cosine_response
 
@@ -100,15 +99,15 @@ class SimSpec:
 
 def _require_seed(seed: int) -> None:
     """Raise InvalidArgument for a seed numpy's generators do not take."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise InvalidArgument(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _require_sizes(**sizes) -> None:
-    """Raise InvalidArgument for a size that is not an integer, by the rule of
-    ``_require_seed``: numpy's generators take no other."""
+    """Raise InvalidArgument for a size that is not an integer (``is_integer``,
+    the rule of ``_require_seed``): numpy's generators take no other."""
     for name, size in sizes.items():
-        if not isinstance(size, numbers.Integral):
+        if not is_integer(size):
             raise InvalidArgument(f"{name} must be an integer, got {size!r}")
 
 

@@ -815,6 +815,13 @@ def test_report_json_is_the_json_module_layout(design, tmp_path):
     assert (b"null" in path.read_bytes()) == (design is not _order_swap_design)
 
 
+def test_a_numpy_integer_rank_is_written_as_a_json_integer(tmp_path):
+    report = influence_report(cosine_data(1, n=20), np.int64(1))
+    write_report_json(tmp_path / "report.json", report)
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert [doc["k"], doc["fits"]["y"]["k"], doc["fits"]["r"]["k"]] == [1, 1, 1]
+
+
 def test_report_json_rejects_a_non_finite_distance(tmp_path):
     report = influence_report(cosine_data(1, n=20), 1)
     md = report.md.copy()

@@ -136,6 +136,19 @@ def test_third_moment_matches_triple_loop(rng):
     ).max() <= 1e-12
 
 
+def test_predictor_third_moment_matches_triple_loop(rng):
+    # g_third[a] = S^-1 X3[a] S^-1, where X3[a] is the triple loop weighted
+    # by the centred a-th predictor
+    d = make_data(rng, 50, 3)
+    m = compute_moments(d)
+    s_inv = np.linalg.inv(sample_covariance(d))
+    xc = d.x - d.x.mean(axis=0)
+    want = np.stack([s_inv @ bf_third_moment(d.y, d.x, weights=xc[:, a]) @ s_inv
+                     for a in range(d.p)])
+    assert np.abs(m.g_third - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(m.g_third, np.swapaxes(m.g_third, 1, 2))
+
+
 def test_residual_invariants(rng):
     d = make_data(rng, 60, 4)
     m = compute_moments(d)

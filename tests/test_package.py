@@ -1,11 +1,24 @@
 """The package's public names."""
 
 import ast
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phdinfluence
+from phdinfluence import (
+    ContaminationPoint,
+    SimSpec,
+    cosine_model,
+    fit_phd,
+    influence_report,
+    mc_constants,
+    ris_y,
+    simulate,
+)
+from phdinfluence.errors import InvalidArgument, InvalidRank
 from conftest import run_python
 
 PUBLIC_NAMES = [
@@ -140,3 +153,65 @@ def test_diagnostics_does_not_load_the_simulator():
     )
     proc = run_python(["-c", code], timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_submodule_imports_no_third_party_module_but_numpy():
+    # the baseline is what the bare interpreter already holds: the
+    # environment's .pth files may load modules of their own at start-up
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import importlib, json, pkgutil\n"
+        "import phdinfluence\n"
+        "names = [info.name for info in pkgutil.iter_modules(phdinfluence.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('phdinfluence.' + name)\n"
+        "top = {module.partition('.')[0] for module in set(sys.modules) - before}\n"
+        "print(json.dumps([names, sorted(top - set(sys.stdlib_module_names))]))\n"
+    )
+    proc = run_python(["-c", code], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names, third_party = json.loads(proc.stdout)
+    assert sorted(names) == sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+    assert third_party == ["numpy", "phdinfluence"]
+
+
+def _sample():
+    return simulate(SimSpec(model="cosine_index", n=40, p=4, seed=1))
+
+
+def _point():
+    return ContaminationPoint(y0=0.3, x0=np.array([0.0, 2.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: influence_report(_sample(), 2.0), InvalidRank, id="report-float-rank"),
+        pytest.param(lambda: influence_report(_sample(), True), InvalidRank, id="report-bool-rank"),
+        pytest.param(lambda: fit_phd(_sample(), "y", 2.0), InvalidRank, id="fit-float-rank"),
+        pytest.param(lambda: fit_phd(_sample(), "y", True), InvalidRank, id="fit-bool-rank"),
+        pytest.param(lambda: ris_y(cosine_model(3), _point(), 1.0), IndexError,
+                     id="ris-float-direction"),
+        pytest.param(lambda: ris_y(cosine_model(3), _point(), True), IndexError,
+                     id="ris-bool-direction"),
+        pytest.param(lambda: cosine_model(2.5), InvalidArgument, id="cosine-float-p"),
+        pytest.param(lambda: cosine_model(True), InvalidArgument, id="cosine-bool-p"),
+        pytest.param(lambda: SimSpec(model="cosine_index", n=40, p=4, seed=True),
+                     InvalidArgument, id="spec-bool-seed"),
+        pytest.param(lambda: SimSpec(model="cosine_index", n=40, p=True, seed=1),
+                     InvalidArgument, id="spec-bool-p"),
+        pytest.param(lambda: mc_constants(1000, True, 0.5), InvalidArgument, id="mc-bool-seed"),
+    ],
+)
+def test_an_integer_argument_is_an_integral_that_is_not_a_bool(call, error):
+    # one rule, errors.is_integer; numpy's own messages ("slice indices must
+    # be integers", "only integers, slices ...") do not match
+    with pytest.raises(error, match=r"(must be|needs) an? (nonnegative )?integer\b"):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    assert fit_phd(_sample(), "y", np.int64(2)).k == 2
+    want = ris_y(cosine_model(3), _point(), 1)
+    assert ris_y(cosine_model(np.int32(3)), _point(), np.int64(1)) == want
