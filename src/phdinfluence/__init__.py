@@ -37,10 +37,8 @@ _EXPORTS = {
     "ContaminationPoint": "population",
     "PopulationModel": "population",
     "contaminated_moments": "population",
-    "cosine_model_constants": "population",
     "cosine_model": "population",
     "influence_surface": "population",
-    "population_ols_residual": "population",
     "ris_numeric_oracle": "population",
     "ris_r": "population",
     "ris_rows": "population",

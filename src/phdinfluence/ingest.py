@@ -33,6 +33,7 @@ from .errors import (
     MissingColumn,
     NonNumericCell,
     TooFewRows,
+    is_integer,
 )
 from .moments import Dataset
 
@@ -42,6 +43,11 @@ MISSING_MARKERS = frozenset({"", "NA", "NaN", "nan", "N/A", "null"})
 
 @dataclass(frozen=True)
 class IngestConfig:
+    """How :func:`ingest_csv` reads a file.  ``response_column`` is a column
+    name or an integer index (``errors.is_integer``); a name made of digits
+    that the header lacks also reads as an index.  ``predictor_columns`` is a
+    sequence of names, or None for every other column that is numeric."""
+
     response_column: str | int = "y"
     log_response: bool = False
     drop_rows_with_missing_response: bool = True
@@ -49,6 +55,10 @@ class IngestConfig:
     delimiter: str = ","
 
     def __post_init__(self):
+        if not (isinstance(self.response_column, str) or is_integer(self.response_column)):
+            raise InvalidArgument(f"response_column {self.response_column!r} is not a str or int")
+        if isinstance(self.predictor_columns, str):
+            raise InvalidArgument(f"predictor_columns {self.predictor_columns!r} must not be a str")
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise InvalidArgument(f"delimiter must be one character, got {self.delimiter!r}")
 
@@ -87,10 +97,10 @@ def _parse_column(cells) -> tuple[np.ndarray, int | None]:
 
 
 def _resolve_response(header: list[str], ref: str | int) -> int:
-    if isinstance(ref, int):
+    if is_integer(ref):
         if not 0 <= ref < len(header):
             raise MissingColumn(f"response column index {ref} out of range")
-        return ref
+        return int(ref)
     if ref in header:
         return header.index(ref)
     if ref.isdecimal() and int(ref) < len(header):

@@ -7,8 +7,8 @@ k-th direction of either PHD variant it has the closed form
 
     RIS_k = || (I - P) Sigma^{-1/2} alpha_k || / |lambda_k|,    P = Gamma Gamma'
 
-with, writing z0 = Sigma^{-1/2}(x0 - mu) and r0 for the population OLS
-residual of (y0, x0),
+with, writing z0 = Sigma^{-1/2}(x0 - mu) and r0 = y0 - mu_y - (x0 - mu)'beta
+for the population OLS residual of (y0, x0), beta = Sigma^{-1} sigma_xy,
 
     alpha_{y,k} = { (y0 - mu_y) g_k' Sigma^{-1/2} z0 - lambda_k g_k' Sigma^{1/2} z0
                     - g_k' Sigma^{-1} sigma_xy } z0  -  (y0 - mu_y) Sigma^{-1/2} g_k
@@ -20,10 +20,12 @@ d = x0 - mu, Sigma^{-1/2} z0 = Sigma^{-1} d, g_k' Sigma^{-1/2} z0 =
 g_k' Sigma^{-1} d and g_k' Sigma^{1/2} z0 = g_k' d.
 
 The alpha displays are evaluated in one place, the kernel behind
-:func:`ris_rows`, for a whole array of contamination points at once:
+:func:`ris_rows`, for a whole array of contamination points at once.  Both
+variants take the same points (y0, x0), and ``ris_rows`` forms r0 itself:
 ``ris_y``/``ris_r`` are one-row views of ``ris_rows``, the influence surface
 calls it once for all grid cells, and the sample plug-in ERIS calls the
-kernel itself on the fit, once for all n observations.
+kernel itself on the fit, once for all n observations, with the sample OLS
+residuals of the moments.
 
 The cosine single-index example Y = cos(2 beta_1'X - pi/4) + sigma eps is
 stated once, at the end of this module: its link ``_cosine_response`` (which
@@ -203,32 +205,29 @@ def _direction_index(model: PopulationModel, k: int) -> int:
     return k - 1
 
 
-def population_ols_residual(model: PopulationModel, pt: ContaminationPoint) -> float:
-    """OLS residual of (y0, x0) under the population regression of Y on X."""
-    return float(pt.y0 - model.mu_y - (pt.x0 - model.mu) @ model.beta)
-
-
-def ris_rows(model: PopulationModel, variant: str, x0, w0) -> np.ndarray:
+def ris_rows(model: PopulationModel, variant: str, x0, y0) -> np.ndarray:
     """Closed-form influence rates of m contamination points, an m x K array.
 
-    Row i is contaminated at x0[i]; ``w0[i]`` is its response y0 for the y
-    variant and its OLS residual r0 for the r variant.  Column k - 1 holds
-    RIS_k, evaluated through the alpha display of the module docstring.
-    A point that is not finite, or whose rates overflow float64, raises
-    InvalidArgument naming the first such row, also as its ``row``.
+    Row i is contaminated at (y0[i], x0[i]) for either variant; the r variant
+    weights it by its population OLS residual y0 - mu_y - (x0 - mu)'beta,
+    formed here.  Column k - 1 holds RIS_k, evaluated through the alpha
+    display of the module docstring.  A point that is not finite, or whose
+    residual or rates overflow float64, raises InvalidArgument naming the
+    first such row, also as its ``row``.
     """
     check_variant(variant)
     x0 = np.asarray(x0, dtype=float)
-    w = np.asarray(w0, dtype=float)
-    if x0.ndim != 2 or x0.shape[1] != model.p or w.shape != x0.shape[:1]:
+    y0 = np.asarray(y0, dtype=float)
+    if x0.ndim != 2 or x0.shape[1] != model.p or y0.shape != x0.shape[:1]:
         raise ValueError(
-            f"need an m x {model.p} x0 and a length-m w0, got {x0.shape} and {w.shape}"
+            f"need an m x {model.p} x0 and a length-m y0, got {x0.shape} and {y0.shape}"
         )
-    finite = np.isfinite(x0).all(axis=1) & np.isfinite(w)
+    finite = np.isfinite(x0).all(axis=1) & np.isfinite(y0)
     with np.errstate(over="ignore", invalid="ignore"):  # rates that are not finite raise below
         d = x0 - model.mu
+        w = y0 - model.mu_y if variant == "y" else y0 - model.mu_y - d @ model.beta
         rates = _ris_kernel(variant, model.gamma, model.lam, model.sigma_inv, model.beta,
-                            d, d @ model.sigma_inv, w - model.mu_y if variant == "y" else w)
+                            d, d @ model.sigma_inv, w)
     bad = ~(finite & np.isfinite(rates).all(axis=1))
     if bad.any():
         i = int(np.argmax(bad))
@@ -260,10 +259,9 @@ def ris_y(model: PopulationModel, pt: ContaminationPoint, k: int) -> float:
 
 
 def ris_r(model: PopulationModel, pt: ContaminationPoint, k: int) -> float:
-    """Closed-form influence rate on the k-th r-based direction (k is 1-based),
-    at the population OLS residual of (y0, x0)."""
+    """Closed-form influence rate on the k-th r-based direction (k is 1-based)."""
     i = _direction_index(model, k)
-    return float(ris_rows(model, "r", pt.x0[None], [population_ols_residual(model, pt)])[0, i])
+    return float(ris_rows(model, "r", pt.x0[None], [pt.y0])[0, i])
 
 
 @dataclass(frozen=True)
@@ -384,11 +382,6 @@ COSINE_MODEL_SIGMA_XY_COEF = math.sqrt(2.0) * math.exp(-2.0)
 COSINE_MODEL_LAMBDA1 = -2.0 * math.sqrt(2.0) * math.exp(-2.0)
 
 
-def cosine_model_constants() -> tuple[float, float, float]:
-    """(mu_y, sigma_xy coefficient, lambda_1) of the cosine single-index model."""
-    return (COSINE_MODEL_MU_Y, COSINE_MODEL_SIGMA_XY_COEF, COSINE_MODEL_LAMBDA1)
-
-
 def cosine_model(p: int = 3) -> PopulationModel:
     """The cosine single-index population model on standard normal
     predictors, with beta_1 the first coordinate axis."""
@@ -430,18 +423,17 @@ def influence_surface(variant: str, norm_grid, costheta_grid) -> np.ndarray:
     ct = costhetas[None, :]
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
     x0 = np.stack((nrm * ct, nrm * st), axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):  # ris_rows rejects a w0 that overflowed
+    with np.errstate(over="ignore", invalid="ignore"):  # ris_rows rejects a y0 that overflowed
         y0 = _cosine_response(x0[..., 0])
-        w0 = y0 if variant == "y" else y0 - model.mu_y - x0 @ model.beta
     try:
-        rates = ris_rows(model, variant, x0.reshape(-1, 2), w0.ravel())
+        rates = ris_rows(model, variant, x0.reshape(-1, 2), y0.ravel())
     except InvalidArgument as exc:  # name the grid cell, not the row of the flattened grid
         i, c = divmod(exc.row, costhetas.size)
         raise InvalidArgument(
             f"the {variant}-based influence surface overflows float64 at "
             f"||x0|| = {norms[i]:g}, cos theta0 = {costhetas[c]:g}"
         ) from exc
-    return rates[:, 0].reshape(w0.shape)
+    return rates[:, 0].reshape(y0.shape)
 
 
 def write_surface_csv(path, norm_grid, costheta_grid, ris_y_grid, ris_r_grid) -> None:

@@ -39,7 +39,7 @@ import numpy as np
 
 from phdinfluence.linalg import mirror, project_out
 from phdinfluence.phd import VARIANTS, population_h
-from phdinfluence.population import ContaminationPoint, PopulationModel, population_ols_residual
+from phdinfluence.population import ContaminationPoint, PopulationModel
 
 
 def if_h_y(model, pt: ContaminationPoint) -> np.ndarray:
@@ -57,11 +57,12 @@ def if_h_y(model, pt: ContaminationPoint) -> np.ndarray:
 def if_h_r(model, pt: ContaminationPoint, residual: float | None = None) -> np.ndarray:
     """Influence matrix of the r-based Hessian estimator.  Identical shape to
     the y-based one with the covariance-with-Y terms absent and the OLS
-    residual replacing the centered response."""
+    residual replacing the centered response: ``residual`` when given, else
+    the population residual y0 - mu_y - (x0 - mu)' Sigma^{-1} sigma_xy."""
     h = population_h(model)
     d = pt.x0 - model.mu
-    r0 = population_ols_residual(model, pt) if residual is None else float(residual)
     si = model.sigma_inv
+    r0 = pt.y0 - model.mu_y - d @ si @ model.sigma_xy if residual is None else float(residual)
     bracket = np.outer(si @ d, d @ h)
     tail = r0 * si @ (np.outer(d, d) - model.sigma) @ si
     return h - bracket - bracket.T + tail

@@ -14,7 +14,11 @@ import pytest
 from phdinfluence import Dataset, compute_moments, fit_from_moments
 from phdinfluence.cli import _THREAD_ENV_VARS, main
 from phdinfluence.ingest import IngestConfig, ingest_csv, write_dataset_csv
-from phdinfluence.population import cosine_model_constants
+from phdinfluence.population import (
+    COSINE_MODEL_LAMBDA1,
+    COSINE_MODEL_MU_Y,
+    COSINE_MODEL_SIGMA_XY_COEF,
+)
 from phdinfluence.simulation import SimSpec, mc_constants, simulate
 from conftest import run_python
 from oracles import mp_eris
@@ -151,11 +155,11 @@ def test_validate_constants_prints_and_writes_each_check(tmp_path, capsys, n, se
     # the expected lines and constants.json are built here from mc_constants,
     # so their order and format are pinned, not the numbers
     est = mc_constants(n, seed, sigma)
-    mu_y, cov_zy, lam1 = cosine_model_constants()
+    cov_zy = COSINE_MODEL_SIGMA_XY_COEF
     lines, results = [], []
-    for name, value, se, target in (("mu_y", est.mu_y, est.se_mu_y, mu_y),
+    for name, value, se, target in (("mu_y", est.mu_y, est.se_mu_y, COSINE_MODEL_MU_Y),
                                     ("cov_zy", est.cov_zy, est.se_cov_zy, cov_zy),
-                                    ("lambda1", est.lambda1, est.se_lambda1, lam1)):
+                                    ("lambda1", est.lambda1, est.se_lambda1, COSINE_MODEL_LAMBDA1)):
         z = (value - target) / se
         lines.append(f"{'PASS' if abs(z) <= 3 else 'FAIL'} {name}: estimate {value:.7f} "
                      f"target {target:.7f} z {z:+.2f} (3 s.e. band)")

@@ -114,6 +114,27 @@ def test_delimiter_must_be_one_character(delimiter):
         IngestConfig(delimiter=delimiter)
 
 
+@pytest.mark.parametrize(
+    "response, predictors, accepted",
+    [
+        (np.int64(1), None, True),
+        (True, None, False),  # would read column 1
+        (np.int64(0), "ab", False),  # would read columns a and b
+        (1.0, None, False),
+        (None, None, False),
+    ],
+    ids=["numpy-integer", "bool", "bare-string-predictors", "float", "none"],
+)
+def test_ingest_config_checks_its_field_types(tmp_path, response, predictors, accepted):
+    if not accepted:
+        with pytest.raises(InvalidArgument):
+            IngestConfig(response_column=response, predictor_columns=predictors)
+        return
+    d = ingest_csv(write(tmp_path, TOY), IngestConfig(response_column=response))
+    assert d.names == ("AtBat", "Hits")
+    assert d.y.tolist() == [1000.0, 2500.0, 800.0, 1500.0]
+
+
 @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
 def test_a_non_finite_number_is_a_bad_cell(tmp_path, cell):
     rows = [f"{i},{i * i % 7},{cell if i == 1 else i % 3},{i % 4}\n" for i in range(6)]

@@ -37,10 +37,8 @@ PUBLIC_NAMES = [
     "ContaminationPoint",
     "PopulationModel",
     "contaminated_moments",
-    "cosine_model_constants",
     "cosine_model",
     "influence_surface",
-    "population_ols_residual",
     "ris_numeric_oracle",
     "ris_r",
     "ris_rows",
@@ -77,6 +75,8 @@ NOT_PUBLIC = [
     "loo_downdates",
     "symmetrize",
     "sine_to_subspace",
+    "population_ols_residual",
+    "cosine_model_constants",
     "EigenSystem",
     "sym_eigen",
 ]
@@ -215,3 +215,13 @@ def test_numpy_integers_are_integers():
     assert fit_phd(_sample(), "y", np.int64(2)).k == 2
     want = ris_y(cosine_model(3), _point(), 1)
     assert ris_y(cosine_model(np.int32(3)), _point(), np.int64(1)) == want
+
+
+def test_the_readme_library_example_runs():
+    # the python block of README's "## Library" section, as a user would run it
+    readme = (PACKAGE_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "ris_r(" in code
+    proc = run_python(["-c", code], timeout=120)
+    assert proc.returncode == 0, proc.stderr

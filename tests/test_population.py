@@ -8,18 +8,21 @@ from phdinfluence import (
     ContaminationPoint,
     PopulationModel,
     contaminated_moments,
-    cosine_model_constants,
     cosine_model,
     influence_surface,
     population_h,
-    population_ols_residual,
     ris_numeric_oracle,
     ris_r,
     ris_y,
     write_surface_csv,
 )
 from phdinfluence.linalg import spd_inverse
-from phdinfluence.population import ris_rows
+from phdinfluence.population import (
+    COSINE_MODEL_LAMBDA1,
+    COSINE_MODEL_MU_Y,
+    COSINE_MODEL_SIGMA_XY_COEF,
+    ris_rows,
+)
 from phdinfluence.errors import (
     DegenerateSpectrum,
     InvalidArgument,
@@ -39,33 +42,40 @@ def identity_cov_model(rng, p=4, k=2):
 
 
 # ----------------------------------------------------------------------
-# population OLS residual
+# the population OLS residual that ris_r weights by
 # ----------------------------------------------------------------------
 
 def test_residual_zero_at_the_center(rng):
+    # at (mu_y, mu) the residual and the offset d are zero, so is every rate
     model = random_model(rng, 4, 2)
     pt = ContaminationPoint(y0=model.mu_y, x0=model.mu)
-    assert population_ols_residual(model, pt) == 0.0
+    for k in (1, 2):
+        assert ris_r(model, pt, k) == 0.0
+        assert ris_from_if_matrix(model, if_h_r(model, pt, residual=0.0), k) <= 1e-12
 
 
 def test_residual_reduces_to_centered_response_when_uncorrelated(rng):
+    # with sigma_xy = 0 the residual is y0 - mu_y, and the r rate is the y rate
     model = random_model(rng, 4, 2, zero_sigma_xy=True)
     pt = ContaminationPoint(y0=1.7, x0=rng.standard_normal(4))
-    assert population_ols_residual(model, pt) == pytest.approx(
-        1.7 - model.mu_y, abs=1e-14
-    )
+    f = if_h_r(model, pt, residual=1.7 - model.mu_y)
+    for k in (1, 2):
+        want = ris_from_if_matrix(model, f, k)
+        assert ris_r(model, pt, k) == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert ris_r(model, pt, k) == pytest.approx(ris_y(model, pt, k), rel=1e-12)
 
 
 def test_residual_on_the_cosine_model():
+    # y0 on the noiseless curve at index 2, x0 off the subspace so the rate is
+    # not zero: ris_r weights by y0 - mu_y - 2 c with the model's constants
     model = cosine_model(p=3)
-    beta1 = model.gamma.columns[:, 0]
-    x0 = 2.0 * beta1
+    x0 = np.array([2.0, 1.0, 0.0])
     y0 = math.cos(4.0 - math.pi / 4.0)
-    mu_y, coef, _ = cosine_model_constants()
-    expected = y0 - mu_y - 2.0 * coef
-    assert population_ols_residual(
-        model, ContaminationPoint(y0=y0, x0=x0)
-    ) == pytest.approx(expected, abs=1e-14)
+    expected = y0 - COSINE_MODEL_MU_Y - 2.0 * COSINE_MODEL_SIGMA_XY_COEF
+    pt = ContaminationPoint(y0=y0, x0=x0)
+    want = ris_from_if_matrix(model, if_h_r(model, pt, residual=expected), 1)
+    assert want > 0.1
+    assert ris_r(model, pt, 1) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -164,25 +174,21 @@ def test_model_decomposes_sigma_once(rng, monkeypatch):
 
 
 def test_ris_rows_matches_the_influence_matrix_route(rng):
+    # both variants take the points (y0, x0); the oracle forms r0 itself
     model = random_model(rng, 5, 2)
     x0 = model.mu + 2.0 * rng.standard_normal((30, 5))
     y0 = model.mu_y + rng.standard_normal(30)
-    r0 = rng.standard_normal(30)
-    got = {"y": ris_rows(model, "y", x0, y0), "r": ris_rows(model, "r", x0, r0)}
+    got = {v: ris_rows(model, v, x0, y0) for v in ("y", "r")}
     assert got["y"].shape == got["r"].shape == (30, 2)
     for i in range(30):
         pt = ContaminationPoint(y0=float(y0[i]), x0=x0[i])
-        f = {"y": if_h_y(model, pt), "r": if_h_r(model, pt, residual=float(r0[i]))}
+        f = {"y": if_h_y(model, pt), "r": if_h_r(model, pt)}
         for v in ("y", "r"):
             for k in (1, 2):
                 want = ris_from_if_matrix(model, f[v], k)
                 assert got[v][i, k - 1] == pytest.approx(want, rel=1e-9, abs=1e-12)
         assert got["y"][i, 1] == pytest.approx(ris_y(model, pt, 2), rel=1e-12)
-        # ris_r is the one-row view at the population OLS residual
-        r_pop = population_ols_residual(model, pt)
-        assert ris_r(model, pt, 1) == pytest.approx(
-            ris_rows(model, "r", x0[i][None], [r_pop])[0, 0], rel=1e-12
-        )
+        assert got["r"][i, 0] == pytest.approx(ris_r(model, pt, 1), rel=1e-12)
 
 
 def test_degenerate_spectrum_is_rejected(rng):
@@ -327,7 +333,7 @@ def test_residual_moment_derivative_recenters_at_the_ols_solution(rng):
     cm = contaminated_moments(model, pt, eps)
     sigma_rxx = model.sigma @ population_h(model) @ model.sigma
     d = x0 - model.mu
-    r0 = population_ols_residual(model, pt)
+    r0 = y0 - model.mu_y - d @ model.beta
     coeff = r0 * (np.outer(d, d) - model.sigma)
     got = (cm.sigma_rxx_eps - (1 - eps) * sigma_rxx) / eps
     rel = np.abs(got - coeff).max() / max(1.0, np.abs(coeff).max())
@@ -539,6 +545,14 @@ def test_ris_rows_rejects_finite_points_whose_rates_overflow(variant):
         ris_rows(model, variant, [[5e159, 0.0], [np.inf, 0.0]], [0.5, 0.5])
     with pytest.raises(InvalidArgument):
         ris_r(model, ContaminationPoint(y0=0.5, x0=np.array([5e159, 0.0])), 1)
+    # the residual y0 - mu_y - x0'beta = -1e309 of a finite point overflows
+    # before the kernel's products do
+    steep = PopulationModel(mu=np.zeros(3), sigma=np.eye(3), gamma=Basis(np.eye(3)[:, :1]),
+                            lam=[1.0], mu_y=0.0, sigma_xy=[10.0, 0.0, 0.0])
+    with pytest.raises(InvalidArgument, match="r-based influence rates overflow float64 "
+                                              "at row 0 of x0") as exc:
+        ris_r(steep, ContaminationPoint(y0=0.0, x0=np.array([1e308, 0.0, 0.0])), 1)
+    assert exc.value.row == 0
 
 
 def test_surface_needs_p_at_least_2():
@@ -548,7 +562,6 @@ def test_surface_needs_p_at_least_2():
 
 
 def test_constants_match_their_decimal_values():
-    mu_y, coef, lam1 = cosine_model_constants()
-    assert mu_y == pytest.approx(0.0956965, abs=1e-6)
-    assert coef == pytest.approx(0.1913931, abs=1e-6)
-    assert lam1 == pytest.approx(-0.3827862, abs=1e-6)
+    assert COSINE_MODEL_MU_Y == pytest.approx(0.0956965, abs=1e-6)
+    assert COSINE_MODEL_SIGMA_XY_COEF == pytest.approx(0.1913931, abs=1e-6)
+    assert COSINE_MODEL_LAMBDA1 == pytest.approx(-0.3827862, abs=1e-6)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from phdinfluence import SimSpec, cosine_model_constants, mc_constants, simulate
+from phdinfluence import SimSpec, mc_constants, simulate
+from phdinfluence.population import (
+    COSINE_MODEL_LAMBDA1,
+    COSINE_MODEL_MU_Y,
+    COSINE_MODEL_SIGMA_XY_COEF,
+)
 from phdinfluence.errors import InvalidArgument
 from phdinfluence.moments import Dataset, compute_moments
 
@@ -125,14 +130,13 @@ def test_returns_dataset_type():
 # ----------------------------------------------------------------------
 
 def test_mc_constants_hit_their_targets():
-    mu_y, cov_zy, lam1 = cosine_model_constants()
     est = mc_constants(1_000_000, seed=7, sigma=0.0)
-    assert abs(est.mu_y - mu_y) <= 3 * est.se_mu_y
-    assert abs(est.cov_zy - cov_zy) <= 3 * est.se_cov_zy
-    assert abs(est.lambda1 - lam1) <= 3 * est.se_lambda1
+    assert abs(est.mu_y - COSINE_MODEL_MU_Y) <= 3 * est.se_mu_y
+    assert abs(est.cov_zy - COSINE_MODEL_SIGMA_XY_COEF) <= 3 * est.se_cov_zy
+    assert abs(est.lambda1 - COSINE_MODEL_LAMBDA1) <= 3 * est.se_lambda1
     # the estimate must discriminate the true eigenvalue from the
     # factor-two-off value
-    assert abs(est.lambda1 - (-cov_zy)) > 3 * est.se_lambda1
+    assert abs(est.lambda1 - (-COSINE_MODEL_SIGMA_XY_COEF)) > 3 * est.se_lambda1
 
 
 def test_mc_constants_insensitive_to_noise_level():
