@@ -45,9 +45,11 @@ row before any stack is built, while the report leaves SRIS and HRIS NaN
 there and flags the row ``degenerate_leverage``.
 
 :func:`influence_report` returns all of it as one :class:`InfluenceReport`
-of read-only arrays in report order, with the Spearman correlations of SRIS
-against ERIS, HRIS and the Mahalanobis distance as a plain dict; the three
-writers serialize that report and nothing else.  Every correlation is taken
+of read-only arrays in report order, its values one (n, 3, 2, K) array with
+axes (record, measure, variant, direction), with the Spearman correlations of
+SRIS against ERIS, HRIS and the Mahalanobis distance as a plain dict; the
+three writers serialize that report and nothing else, each reading the
+values' axes in the order it writes them.  Every correlation is taken
 over the same rows, the records without a ``degenerate_leverage`` flag, and
 each vector is ranked once; neighbours within RANK_TIE_RTOL of the larger
 magnitude tie.  A correlation against an all-tied vector is undefined: NaN
@@ -236,17 +238,15 @@ class _LooWalk:
             yield rows, h
             del h  # so the next block is built without it
 
-    def measures(self, with_sris: bool = True):
+    def measures(self):
         """(HRIS, SRIS, order_swap flags) of every row, each (n, V, K), NaN or
-        False at the ``degenerate`` rows: the one loop over ``blocks()``.
-        Without ``with_sris`` no ``eigh`` call is made and SRIS stays NaN."""
+        False at the ``degenerate`` rows: the one loop over ``blocks()``."""
         shape = (self.n, *self.lam.shape)
         hris_vals, sris_vals = np.full(shape, np.nan), np.full(shape, np.nan)
         swapped = np.zeros(shape, dtype=bool)
         for rows, h in self.blocks():
             hris_vals[rows] = self.hris(h)
-            if with_sris:
-                sris_vals[rows], swapped[rows] = self.sris(h)
+            sris_vals[rows], swapped[rows] = self.sris(h)
             del h  # the walk builds the next stack without this one
         return hris_vals, sris_vals, swapped
 
@@ -309,12 +309,13 @@ def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Hybrid influence via the closed-form leave-one-out Hessian, n x K.
 
     Equals the value obtained by recomputing the Hessian on the n-1 subset.
-    Reads the leave-one-out walk's stack of H_(j) with no eigendecomposition.
+    Reads the leave-one-out walk's stacks of H_(j), whose blocks hold every
+    row once no row is degenerate, with no eigendecomposition.
     """
     _require_measurable(fit, m)
     walk = _LooWalk(d, m, (fit,))
     walk.require_regular()
-    return walk.measures(with_sris=False)[0][:, 0]
+    return np.concatenate([walk.hris(h) for _, h in walk.blocks()])[:, 0]
 
 
 def _centred_ranks(a: np.ndarray) -> np.ndarray:
@@ -364,24 +365,17 @@ def spearman(a, b) -> float:
 _MEASURES = ("sris", "eris", "hris")
 
 
-def _column(values: np.ndarray, k: int, measure: str, variant: str) -> np.ndarray:
-    """The n x K block of a report's value matrix holding one measure of one
-    variant."""
-    start = (_MEASURES.index(measure) * len(VARIANTS) + VARIANTS.index(variant)) * k
-    return values[:, start : start + k]
-
-
 @dataclass
 class InfluenceReport:
     """Everything cmd_influence serializes, as read-only arrays in report
     order (ascending y-based average SRIS, flagged records last).
 
     Row i is one record: ``j[i]`` is its observation index, ``md[i]`` its
-    Mahalanobis distance, ``flags[i]`` its flags, and ``values[i]`` its 6K
-    values of SRIS, ERIS and HRIS in (measure, variant, direction) order, the
-    order report.json writes them.  ``correlations[variant][target]`` holds
-    Spearman(SRIS, target) per direction followed by that of the direction
-    averages, for the targets in TARGETS.
+    Mahalanobis distance, ``flags[i]`` its flags, and ``values[i]`` its
+    (3, 2, K) array of SRIS, ERIS and HRIS, with axes (measure in _MEASURES
+    order, variant in VARIANTS order, direction).  ``correlations[variant]
+    [target]`` holds Spearman(SRIS, target) per direction followed by that of
+    the direction averages, for the targets in TARGETS.
     """
 
     j: np.ndarray
@@ -396,7 +390,7 @@ class InfluenceReport:
 
     def column(self, measure: str, variant: str) -> np.ndarray:
         """The n x K block of ``values`` holding one measure of one variant."""
-        return _column(self.values, self.k, measure, variant)
+        return self.values[:, _MEASURES.index(measure), VARIANTS.index(variant)]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -430,15 +424,14 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
 
     avg = sris_vals[:, VARIANTS.index("y")].mean(axis=1)
     order = np.lexsort((avg, np.isnan(avg)))
-    # (measure, variant, direction) order, as _MEASURES, VARIANTS and _column read it
-    values = _read_only(np.stack((sris_vals, eris_vals, hris_vals), axis=1)[order].reshape(n, -1))
+    values = _read_only(np.stack((sris_vals, eris_vals, hris_vals), axis=1)[order])
     md = _read_only(md[order])
     return InfluenceReport(
         j=_read_only(order),
         values=values,
         md=md,
         flags=[tuple(flags[j]) for j in order],
-        correlations=_correlation_table(values, md, k),
+        correlations=_correlation_table(values, md),
         fits=fits,
         n=n,
         p=d.p,
@@ -446,9 +439,7 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     )
 
 
-def _correlation_table(
-    values: np.ndarray, md: np.ndarray, k: int
-) -> dict[str, dict[str, list[float]]]:
+def _correlation_table(values: np.ndarray, md: np.ndarray) -> dict[str, dict[str, list[float]]]:
     """Spearman correlations of SRIS against each target, per variant, per
     direction and of the direction averages.  ``values`` and ``md`` are the
     report's arrays.
@@ -459,14 +450,14 @@ def _correlation_table(
     row.  Each vector is ranked once; the direction average of md is md.  A
     correlation against an all-tied vector (see ``_centred_ranks``) is NaN.
     """
-    keep = np.isfinite(values).all(axis=1) & np.isfinite(md)
+    keep = np.isfinite(values).all(axis=(1, 2, 3)) & np.isfinite(md)
     values = values[keep]
     md_ranks = _centred_ranks(md[keep])
     table = {}
-    for v in VARIANTS:
-        ranks = {"md": [md_ranks] * (k + 1)}
-        for t in _MEASURES:
-            mat = _column(values, k, t, v)
+    # per variant, a (measure, record, direction) array
+    for v, by_measure in zip(VARIANTS, values.transpose(2, 1, 0, 3)):
+        ranks = {"md": [md_ranks] * (values.shape[-1] + 1)}
+        for t, mat in zip(_MEASURES, by_measure):
             ranks[t] = [_centred_ranks(a) for a in (*mat.T, mat.mean(axis=1))]
         table[v] = {
             t: [_rank_correlation(a, b) for a, b in zip(ranks["sris"], ranks[t])]
@@ -484,32 +475,35 @@ def _correlation_table(
 WRITE_CHUNK = 64
 
 
-def _record_chunks(report: InfluenceReport):
+def _record_chunks(report: InfluenceReport, axes: tuple[int, ...]):
     """The records in report order, WRITE_CHUNK at a time: per record its j,
-    md, flags and 6K values, as Python scalars."""
+    md, flags and 6K values, as Python scalars.  The values are read from
+    ``report.values`` with its axes in the order ``axes``, a transpose whose
+    first axis is the record."""
+    values = report.values.transpose(axes)
     for start in range(0, report.n, WRITE_CHUNK):
         rows = slice(start, start + WRITE_CHUNK)
+        chunk = values[rows]
         yield list(zip(
             report.j[rows].tolist(),
             report.md[rows].tolist(),
             report.flags[rows],
-            report.values[rows].tolist(),
+            chunk.reshape(len(chunk), -1).tolist(),
         ))
 
 
 def _csv_record(k: int):
-    """(%-template, argument picker) of one record's 2K lines of records.csv.
+    """(%-template, argument picker) of one record's 2K lines of records.csv,
+    one line per (variant, direction).
 
-    The picker takes the record's 6K values in (measure, variant, direction)
-    order followed by j and the record's ``md,flags`` text, and returns the
-    template's fields line by line: j, the three ``.17g`` values, the text.
+    The picker takes the record's 6K values in (variant, direction, measure)
+    order, so each line's three values follow one another, then j and the
+    record's ``md,flags`` text, and returns the template's fields line by
+    line: j, the line's SRIS, ERIS and HRIS as ``.17g``, the text.
     """
-    lines, fields = [], []
-    for a, v in enumerate(VARIANTS):
-        for i in range(k):
-            lines.append(f"%d,{v},{i + 1},%.17g,%.17g,%.17g,%s\n")
-            values = ((t * len(VARIANTS) + a) * k + i for t in range(len(_MEASURES)))
-            fields += [6 * k, *values, 6 * k + 1]
+    lines = [f"%d,{v},{i + 1},%.17g,%.17g,%.17g,%s\n" for v in VARIANTS for i in range(k)]
+    end = 3 * len(lines)
+    fields = [f for s in range(0, end, 3) for f in (end, s, s + 1, s + 2, end + 1)]
     return "".join(lines), itemgetter(*fields)
 
 
@@ -518,7 +512,7 @@ def write_records_csv(path, report: InfluenceReport) -> None:
     template, pick = _csv_record(report.k)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("j,variant,direction,sris,eris,hris,md,flags\n")
-        for chunk in _record_chunks(report):
+        for chunk in _record_chunks(report, (0, 2, 3, 1)):  # (record, variant, direction, measure)
             fh.write("".join([
                 template % pick([*row, j, "%.17g,%s" % (md, ";".join(flags))])
                 for j, md, flags, row in chunk
@@ -539,7 +533,8 @@ def write_correlations_csv(path, report: InfluenceReport) -> None:
 def _record_template(k: int) -> str:
     """%-template of one record at rank k, laid out as json.dumps(indent=2)
     lays out an element of the top-level "records" list.  Its fields are j,
-    md, the flags text, then the 6k values in (measure, variant) order."""
+    md, the flags text, then the 6k values in the report's array order:
+    (measure, variant, direction)."""
     values = ",\n".join(["          %s"] * k)
     lists = ",\n".join(f'        "{v}": [\n{values}\n        ]' for v in VARIANTS)
     measures = ",\n".join(f'      "{m}": {{\n{lists}\n      }}' for m in _MEASURES)
@@ -559,7 +554,7 @@ def write_report_json(path, report: InfluenceReport) -> None:
     plus a newline, where ``doc`` holds n, p, k and the fits, the records in
     report order (j, md, flags, then sris, eris and hris lists per variant,
     non-finite values as null) and the correlations.  The records are
-    formatted WRITE_CHUNK at a time from the report's value matrix, with one
+    formatted WRITE_CHUNK at a time from the report's value array, with one
     template per chunk; only the head and the correlations go through
     ``json``.  A non-finite Mahalanobis distance raises ValueError before the
     file is opened.
@@ -591,7 +586,7 @@ def write_report_json(path, report: InfluenceReport) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + ',\n  "records": [\n')
         sep = ""
-        for chunk in _record_chunks(report):
+        for chunk in _record_chunks(report, (0, 1, 2, 3)):  # (record, measure, variant, direction)
             template = ",\n".join([record] * len(chunk))
             fields = []
             for j, md, flags, row in chunk:

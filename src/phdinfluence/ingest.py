@@ -46,7 +46,10 @@ class IngestConfig:
     """How :func:`ingest_csv` reads a file.  ``response_column`` is a column
     name or an integer index (``errors.is_integer``); a name made of digits
     that the header lacks also reads as an index.  ``predictor_columns`` is a
-    sequence of names, or None for every other column that is numeric."""
+    sequence of names, or None for every other column that is numeric.
+    ``log_response`` and ``drop_rows_with_missing_response`` are bools, a
+    Python or a numpy one; any other value, 0, 1 and "no" included, is
+    rejected rather than read by its truth value."""
 
     response_column: str | int = "y"
     log_response: bool = False
@@ -57,6 +60,9 @@ class IngestConfig:
     def __post_init__(self):
         if not (isinstance(self.response_column, str) or is_integer(self.response_column)):
             raise InvalidArgument(f"response_column {self.response_column!r} is not a str or int")
+        for name in ("log_response", "drop_rows_with_missing_response"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise InvalidArgument(f"{name} must be a bool, got {getattr(self, name)!r}")
         if isinstance(self.predictor_columns, str):
             raise InvalidArgument(f"predictor_columns {self.predictor_columns!r} must not be a str")
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:

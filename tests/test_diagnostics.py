@@ -388,15 +388,19 @@ def test_hris_matches_brute_force_refit():
 
 
 def test_hris_makes_no_eigendecomposition(monkeypatch):
-    d = cosine_data(31, n=40, p=4)
+    # over three blocks, hris reads every row's H_(j) with no eigh call and
+    # gives the HRIS of the walk's one loop, which runs SRIS beside it
+    d = cosine_data(31, n=2 * loo_block_rows(16) + 5, p=16)
     m = compute_moments(d)
     fits = [fit_from_moments(m, v, 2) for v in ("y", "r")]
+    want = [_LooWalk(d, m, (fit,)).measures()[0][:, 0] for fit in fits]
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
-    for fit in fits:
+    for fit, w in zip(fits, want):
         vals = hris(d, fit, m)
-        assert vals.shape == (40, 2) and np.isfinite(vals).all()
+        assert vals.shape == (d.n, 2) and np.isfinite(vals).all()
+        assert np.array_equal(vals, w)
     assert calls == []
 
 

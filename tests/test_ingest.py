@@ -115,24 +115,33 @@ def test_delimiter_must_be_one_character(delimiter):
 
 
 @pytest.mark.parametrize(
-    "response, predictors, accepted",
+    "fields, accepted",
     [
-        (np.int64(1), None, True),
-        (True, None, False),  # would read column 1
-        (np.int64(0), "ab", False),  # would read columns a and b
-        (1.0, None, False),
-        (None, None, False),
+        ({"response_column": np.int64(1)}, True),
+        ({"response_column": True}, False),  # would read column 1
+        ({"response_column": np.int64(0), "predictor_columns": "ab"}, False),  # columns a and b
+        ({"response_column": 1.0}, False),
+        ({"response_column": None}, False),
+        ({"response_column": 1, "log_response": np.True_}, True),
+        # a non-empty string or a nonzero int is true: each would log-transform
+        ({"log_response": "no"}, False),
+        ({"log_response": "False"}, False),
+        ({"log_response": 1}, False),
+        ({"drop_rows_with_missing_response": "no"}, False),
+        ({"drop_rows_with_missing_response": 0}, False),
     ],
-    ids=["numpy-integer", "bool", "bare-string-predictors", "float", "none"],
+    ids=["numpy-integer", "bool", "bare-string-predictors", "float", "none", "numpy-bool-log",
+         "log-no", "log-False-string", "log-one", "drop-no", "drop-zero"],
 )
-def test_ingest_config_checks_its_field_types(tmp_path, response, predictors, accepted):
+def test_ingest_config_checks_its_field_types(tmp_path, fields, accepted):
     if not accepted:
         with pytest.raises(InvalidArgument):
-            IngestConfig(response_column=response, predictor_columns=predictors)
+            IngestConfig(**fields)
         return
-    d = ingest_csv(write(tmp_path, TOY), IngestConfig(response_column=response))
+    d = ingest_csv(write(tmp_path, TOY), IngestConfig(**fields))
     assert d.names == ("AtBat", "Hits")
-    assert d.y.tolist() == [1000.0, 2500.0, 800.0, 1500.0]
+    want = np.array([1000.0, 2500.0, 800.0, 1500.0])
+    assert d.y.tolist() == (np.log(want) if fields.get("log_response") else want).tolist()
 
 
 @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])

@@ -368,6 +368,7 @@ SCALED_DESIGN_COND = 1e9
     ))
 )
 @example((7, 4, 24, [0.0, 0.0, 0.0, 1.0]))  # row 3: S_(j) nearly singular
+@example((20, 4, 5, [0.0, 2.2, -2.2, 1.0]))  # mixed units: cond(S) 5.8e8
 def test_loo_hessians_equal_a_refit_on_random_scaled_designs(case):
     # every row against compute_moments on the sample without it, with each
     # predictor in its own unit c = 10^u, compared in the unit-free
