@@ -87,7 +87,7 @@ def _write_manifest(args, started_at: str, config: dict, outputs: list[Path]) ->
         "started_at": started_at,
         "finished_at": _utcnow(),
     }
-    with open(Path(args.output_dir) / "manifest.json", "w", encoding="utf-8") as fh:
+    with open(Path(args.output_dir) / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
@@ -120,10 +120,13 @@ def _load_dataset(args):
 
 
 def cmd_fit(args) -> _Ran:
-    from .phd import fit_phd
+    from .moments import compute_moments
+    from .phd import fit_from_moments, require_nonzero
 
     dataset, config = _load_dataset(args)
-    fit = fit_phd(dataset, args.variant, args.k)
+    m = compute_moments(dataset)
+    fit = fit_from_moments(m, args.variant, args.k)
+    require_nonzero(fit, m)  # before any file: a zero eigenvalue's direction is arbitrary
 
     out = _outdir(args)
 
@@ -260,7 +263,7 @@ def cmd_validate_constants(args) -> _Ran:
     all_pass = excludes and all(result["pass"] for result in results)
 
     report_path = _outdir(args) / "constants.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(
             {"n_mc": args.n, "sigma": args.sigma, "seed": args.seed,
              "results": results, "all_pass": all_pass},

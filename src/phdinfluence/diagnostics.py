@@ -21,10 +21,11 @@ subspace, all scaled so they estimate the same population rate:
 Every measure accepts the same fits.  One gate, ``_require_measurable``,
 raises InvalidRank unless 1 <= k < p (at k = p every measure is rounding
 noise), DegenerateEigenvalue when a fitted eigenvalue is numerically zero
-and DegenerateSpectrum when two are tied (the tie rule ``PopulationModel``
-applies to its own eigenvalues).  ``sris``, ``hris`` and ``eris`` call it;
-``influence_report`` checks the rank before any work and meets the rest of
-the gate through ``eris``.
+(the zero rule ``phd.require_nonzero``, which the ``fit`` command applies
+too) and DegenerateSpectrum when two are tied (the tie rule
+``PopulationModel`` applies to its own eigenvalues).  ``sris``, ``hris`` and
+``eris`` call it; ``influence_report`` checks the rank before any work and
+meets the rest of the gate through ``eris``.
 
 SRIS, HRIS and the order_swap flags all read one leave-one-out walk,
 ``_LooWalk``, over V fits stacked on a variant axis (2 for the report, which
@@ -65,20 +66,16 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (DegenerateEigenvalue, DegenerateLeverage, InvalidRank, UndefinedCorrelation,
+from .errors import (DegenerateLeverage, InvalidArgument, InvalidRank, UndefinedCorrelation,
                      is_integer)
 from .linalg import check_orthonormal, eigen_order, project_out
 from .moments import Dataset, MomentSet, compute_moments, mahalanobis
-from .phd import VARIANTS, PhdFit, fit_from_moments
+from .phd import VARIANTS, PhdFit, fit_from_moments, require_nonzero
 from .population import _require_untied, _ris_kernel
 
 #: a leave-one-out direction whose overlap with its full-sample partner is
 #: beaten by another refit direction by more than this is flagged order_swap.
 ORDER_SWAP_TOL = 0.2
-
-#: a fitted eigenvalue at or below this share of sd(y) ||S^-1||_F is
-#: numerically zero (see _require_measurable).
-ZERO_EIGENVALUE_RTOL = 1e-12
 
 #: smallest whitened leverage margin the leave-one-out walk accepts.  It
 #: decides the singularity only: above it H_(j)'s closed form can lose digits
@@ -119,24 +116,11 @@ def _require_rank(k: int, p: int) -> None:
 
 def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
     """The gate on the fits every influence measure accepts: rank 1 <= k < p,
-    no fitted eigenvalue numerically zero (DegenerateEigenvalue), none tied
-    (DegenerateSpectrum, the tie rule of ``PopulationModel``).
-
-    The Hessian carries the units of y over those of x squared, so the zero
-    test is made against sd(y) ||S^-1||_F, with var(y) = s_xy' beta +
-    r'r/(n-1) read from the moments (beta = S^-1 s_xy, the OLS slope):
-    rescaling y or x leaves the decision unchanged.  It does not use the
-    fit's own |lambda_1|, which is zero when the whole Hessian is.
-    """
+    no fitted eigenvalue numerically zero (DegenerateEigenvalue, the zero
+    rule ``phd.require_nonzero``), none tied (DegenerateSpectrum, the tie
+    rule of ``PopulationModel``)."""
     _require_rank(fit.k, m.p)
-    var_y = float(m.s_xy @ m.beta) + float(m.residuals @ m.residuals) / (m.n - 1)
-    scale = math.sqrt(var_y) * float(np.linalg.norm(m.s_inv))
-    for lam in fit.lambda_hat.tolist():
-        if abs(lam) <= ZERO_EIGENVALUE_RTOL * scale:
-            raise DegenerateEigenvalue(
-                f"fitted eigenvalue {lam!r} is numerically zero against "
-                f"sd(y) ||S^-1||_F = {scale:.6e}; the plug-in influence is undefined"
-            )
+    require_nonzero(fit, m)
     _require_untied(fit.lambda_hat)
 
 
@@ -350,10 +334,11 @@ def spearman(a, b) -> float:
     """Spearman rank correlation, ties as ``_centred_ranks`` decides them (a
     chain of gaps within RANK_TIE_RTOL can tie values further apart; rounding
     noise about an exact zero is not tied); NaN if either vector holds a NaN.
-    An all-tied vector raises UndefinedCorrelation."""
+    Two vectors that are not of one length of at least 2 raise
+    InvalidArgument; an all-tied vector raises UndefinedCorrelation."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or a.size < 2:
-        raise ValueError("spearman needs two equal-length vectors of size >= 2")
+        raise InvalidArgument("spearman needs two equal-length vectors of size >= 2")
     if np.isnan(a).any() or np.isnan(b).any():
         return math.nan
     rho = _rank_correlation(_centred_ranks(a), _centred_ranks(b))

@@ -3,6 +3,14 @@
 Every domain error derives from :class:`PhdError` and carries the CLI exit
 code of its class: 2 usage, 3 data, 4 numeric degeneracy.  The usage checks
 share one integer rule, :func:`is_integer`.
+
+One error rule: a check on a caller's argument raises a class of this
+module, never a bare ValueError, TypeError or IndexError, which carry no
+exit code.  A value outside its domain (a variant name, a shape, a grid)
+raises :class:`InvalidArgument`, a ValueError with exit code 2.  Two
+exceptions keep the builtin type a Python caller expects: a direction index
+out of range is an IndexError, as for any sequence, and ``write_report_json``
+rejects a non-finite Mahalanobis distance with json's own ValueError.
 """
 
 from __future__ import annotations
@@ -23,8 +31,9 @@ class PhdError(Exception):
 # -- usage -------------------------------------------------------------
 
 class InvalidArgument(PhdError, ValueError):
-    """A parameter outside its domain (a size, a scale, a vector's shape).
-    Also a ValueError, the type such checks raise in plain Python.  ``row``,
+    """A parameter outside its domain (a size, a scale, a vector's shape, a
+    variant name).  Also a ValueError, the type such checks raise in plain
+    Python, so ``except ValueError`` still catches it.  ``row``,
     where given, is the first offending row of an array argument."""
 
     exit_code = 2

@@ -9,6 +9,12 @@ third-moment matrix between inverse covariances:
 The estimated reduction basis is the first K eigenvectors of H ranked by
 absolute eigenvalue.  All p eigenvalues are retained on the fit so users can
 judge K from the spectrum gap; no automatic rank selection is attempted.
+
+A fit whose K leading eigenvalues include a numerically zero one estimates
+no direction: its basis is an arbitrary one of a null space.  The zero rule,
+:func:`require_nonzero`, is stated here once; the ``fit`` command and every
+influence measure apply it, while :func:`fit_from_moments` and
+:func:`fit_phd` return such a fit unchecked.
 """
 
 from __future__ import annotations
@@ -17,17 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRank, is_integer
+from .errors import DegenerateEigenvalue, InvalidArgument, InvalidRank, is_integer
 from .linalg import Basis, EigenSystem, mirror, sym_eigen
 from .moments import Dataset, MomentSet, compute_moments
 
 VARIANTS = ("y", "r")
 
+#: a fitted eigenvalue at or below this share of sd(y) ||S^-1||_F is
+#: numerically zero (see require_nonzero).
+ZERO_EIGENVALUE_RTOL = 1e-12
 
-def check_variant(variant: str) -> str:
+
+def check_variant(variant: str) -> None:
+    """Raise InvalidArgument unless ``variant`` is one of VARIANTS."""
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return variant
+        raise InvalidArgument(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,25 @@ def fit_phd(d: Dataset, variant: str, k: int) -> PhdFit:
     variants on the same data, compute the moments once and call
     :func:`fit_from_moments`."""
     return fit_from_moments(compute_moments(d), variant, k)
+
+
+def require_nonzero(fit: PhdFit, m: MomentSet) -> None:
+    """Raise DegenerateEigenvalue when one of the fit's K eigenvalues
+    ``lambda_hat`` is numerically zero: at or below ZERO_EIGENVALUE_RTOL
+    sd(y) ||S^-1||_F.
+
+    The Hessian carries the units of y over those of x squared, so the test
+    is made against sd(y) ||S^-1||_F, with var(y) = s_xy' beta + r'r/(n-1)
+    read from the moments ``m`` of the fit (beta = S^-1 s_xy, the OLS slope):
+    rescaling y or x leaves the decision unchanged.  It does not use the
+    fit's own |lambda_1|, which is zero when the whole Hessian is.
+    """
+    var_y = float(m.s_xy @ m.beta) + float(m.residuals @ m.residuals) / (m.n - 1)
+    scale = float(np.sqrt(var_y) * np.linalg.norm(m.s_inv))
+    for lam in fit.lambda_hat.tolist():
+        if abs(lam) <= ZERO_EIGENVALUE_RTOL * scale:
+            raise DegenerateEigenvalue(f"fitted eigenvalue {lam!r} is numerically zero "
+                                       f"against sd(y) ||S^-1||_F = {scale:.6e}")
 
 
 def population_h(model) -> np.ndarray:

@@ -116,6 +116,10 @@ class PopulationModel:
     be within 1e-12 sqrt(sigma_ii sigma_jj), the diagonal scaling of
     ``spd_inverse``, so the decision does not depend on units.  It is stored
     exactly symmetric.
+
+    A field of the wrong shape, a value that is not finite, a zero or
+    misordered eigenvalue and an OLS direction outside span(gamma) raise
+    InvalidArgument; a skewed sigma raises InvalidMatrix.
     """
 
     mu: np.ndarray
@@ -136,9 +140,9 @@ class PopulationModel:
         sigma = mirror(given)
         p, k = self.gamma.dim, self.gamma.rank
         if mu.shape != (p,) or sigma_xy.shape != (p,):
-            raise ValueError("mu and sigma_xy must be length-p vectors")
+            raise InvalidArgument("mu and sigma_xy must be length-p vectors")
         if sigma.shape != (p, p):
-            raise ValueError("sigma must be p x p")
+            raise InvalidArgument("sigma must be p x p")
         # abs: a non-positive diagonal entry is spd_inverse's to reject, not a NaN here
         root = np.sqrt(np.abs(np.diag(sigma)))
         skewed = np.argwhere(np.abs(given - given.T) > 1e-12 * np.outer(root, root))
@@ -150,19 +154,19 @@ class PopulationModel:
                 f"1e-12 sqrt(sigma[{i}, {i}] sigma[{j}, {j}])"
             )
         if lam.shape != (k,):
-            raise ValueError("lam must have one eigenvalue per basis column")
+            raise InvalidArgument("lam must have one eigenvalue per basis column")
         if not all(np.isfinite(a).all() for a in (mu, lam, sigma_xy, self.mu_y)):
-            raise ValueError("mu, lam, mu_y and sigma_xy must be finite")
+            raise InvalidArgument("mu, lam, mu_y and sigma_xy must be finite")
         if np.any(np.abs(lam) <= 0.0):
-            raise ValueError("all reduction eigenvalues must be nonzero")
+            raise InvalidArgument("all reduction eigenvalues must be nonzero")
         if np.any(np.diff(np.abs(lam)) > 0):
-            raise ValueError("eigenvalues must be ordered by descending magnitude")
+            raise InvalidArgument("eigenvalues must be ordered by descending magnitude")
         _require_untied(lam)
         sigma_inv = spd_inverse(sigma)
         beta = sigma_inv @ sigma_xy
         leak = float(np.abs(project_out(self.gamma, beta)).max())
         if leak > 1e-10 * (1.0 + float(np.abs(beta).max())):
-            raise ValueError(
+            raise InvalidArgument(
                 "the OLS direction Sigma^{-1} sigma_xy must lie in span(gamma); "
                 f"residual component {leak:.3e}"
             )
@@ -184,7 +188,8 @@ class PopulationModel:
 
 @dataclass(frozen=True)
 class ContaminationPoint:
-    """The location (y0, x0) of the contaminating point mass."""
+    """The location (y0, x0) of the contaminating point mass; an x0 that is
+    not a vector, or a point that is not finite, raises InvalidArgument."""
 
     y0: float
     x0: np.ndarray
@@ -192,9 +197,9 @@ class ContaminationPoint:
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
         if x0.ndim != 1:
-            raise ValueError(f"x0 must be a vector, got shape {x0.shape}")
+            raise InvalidArgument(f"x0 must be a vector, got shape {x0.shape}")
         if not (math.isfinite(self.y0) and np.all(np.isfinite(x0))):
-            raise ValueError("contamination point must be finite")
+            raise InvalidArgument("contamination point must be finite")
         object.__setattr__(self, "x0", x0)
 
 
@@ -211,15 +216,16 @@ def ris_rows(model: PopulationModel, variant: str, x0, y0) -> np.ndarray:
     Row i is contaminated at (y0[i], x0[i]) for either variant; the r variant
     weights it by its population OLS residual y0 - mu_y - (x0 - mu)'beta,
     formed here.  Column k - 1 holds RIS_k, evaluated through the alpha
-    display of the module docstring.  A point that is not finite, or whose
-    residual or rates overflow float64, raises InvalidArgument naming the
-    first such row, also as its ``row``.
+    display of the module docstring.  A variant outside VARIANTS or arrays
+    of the wrong shape raise InvalidArgument; a point that is not finite, or
+    whose residual or rates overflow float64, raises InvalidArgument naming
+    the first such row, also as its ``row``.
     """
     check_variant(variant)
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     if x0.ndim != 2 or x0.shape[1] != model.p or y0.shape != x0.shape[:1]:
-        raise ValueError(
+        raise InvalidArgument(
             f"need an m x {model.p} x0 and a length-m y0, got {x0.shape} and {y0.shape}"
         )
     finite = np.isfinite(x0).all(axis=1) & np.isfinite(y0)
@@ -410,15 +416,16 @@ def influence_surface(variant: str, norm_grid, costheta_grid) -> np.ndarray:
     surface is the same at every p >= 2; it is evaluated at p = 2.  All
     cells go through one :func:`ris_rows` call.  The single-index shortcut of
     this model (the c_y / c_r factorisation) is not evaluated here; it is the
-    test suite's oracle for this function.  A cell whose value overflows
-    float64 raises InvalidArgument naming its ||x0|| and cos theta0.
+    test suite's oracle for this function.  A norm that is negative or not
+    finite, or a cos theta0 outside [-1, 1], raises InvalidArgument, as does
+    a bad variant (checked once, by ``ris_rows``); a cell whose value
+    overflows float64 raises InvalidArgument naming its ||x0|| and cos theta0.
     """
-    check_variant(variant)
     model = cosine_model(2)
     norms = np.asarray(list(norm_grid), dtype=float)
     costhetas = np.asarray(list(costheta_grid), dtype=float)
     if not (np.all(np.isfinite(norms) & (norms >= 0.0)) and np.all(np.abs(costhetas) <= 1.0)):
-        raise ValueError("norm grid must be finite and nonnegative, cos(theta0) grid in [-1, 1]")
+        raise InvalidArgument("norms must be finite and nonnegative, cos(theta0) in [-1, 1]")
     nrm = norms[:, None]
     ct = costhetas[None, :]
     st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
@@ -428,6 +435,8 @@ def influence_surface(variant: str, norm_grid, costheta_grid) -> np.ndarray:
     try:
         rates = ris_rows(model, variant, x0.reshape(-1, 2), y0.ravel())
     except InvalidArgument as exc:  # name the grid cell, not the row of the flattened grid
+        if exc.row is None:  # the variant, not a cell
+            raise
         i, c = divmod(exc.row, costhetas.size)
         raise InvalidArgument(
             f"the {variant}-based influence surface overflows float64 at "

@@ -450,6 +450,25 @@ def test_influence_rank_equal_to_p_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "inf").exists()
 
 
+@pytest.mark.parametrize("response, variant", [("constant", "y"), ("constant", "r"),
+                                               ("linear", "r")])
+def test_fit_refuses_a_numerically_zero_hessian(tmp_path, capsys, response, variant):
+    # a constant y makes both Hessians zero, and a y linear in x leaves the
+    # r variant zero residuals: the eigenvalues are 0 or rounding (about
+    # 1e-15), their basis arbitrary, and influence stops there with exit 4
+    x = np.random.default_rng(3).standard_normal((40, 4))
+    y = np.ones(40) if response == "constant" else x @ [1.0, 2.0, 3.0, 4.0]
+    write_dataset_csv(tmp_path / "data.csv", Dataset(y=y, x=x))
+    for command in (["fit", "--variant", variant], ["influence"]):
+        code = run([*command, "--input", tmp_path / "data.csv", "--response", "y", "--k", 1,
+                    "--output-dir", tmp_path / command[0]])
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DegenerateEigenvalue"
+        assert not (tmp_path / command[0]).exists()
+
+
 def test_influence_runs_on_predictors_in_units_far_apart(tmp_path):
     # predictor units 10^7 apart put cond(S) near 2e14 while the correlation
     # matrix has cond(C) about 1.6: positive definiteness is a property of C.

@@ -433,3 +433,13 @@ def test_loo_hessians_equal_brute_force_refits(case):
         s, thirds = bf_loo(y, x, j)
         for got, want in zip(h[j], thirds):
             assert np.abs(s @ got @ s - want).max() <= 1e-9 * (1 + np.abs(want).max()), j
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the walk loses digits at low margins")
+def test_loo_hessians_equal_brute_force_refits_on_a_grid_design_at_cond_5e4():
+    # the one failure of the test above among 83,359 grid designs (seeds
+    # 0-2780, p 2-6, n <= 30): cond(S) 5.6e4, rows 6 and 7 degenerate, and
+    # the y-variant H_(j) of rows 0-5 and 8 (margins 0.14-0.56) misses the
+    # 1e-9 bound by 1.4-2.5 times; a float refit is within 1.1e-11 of a
+    # high-precision one, the walk off by up to 2.2e-9 of max |H_(j)|
+    test_loo_hessians_equal_brute_force_refits.hypothesis.inner_test((9, 6, 617, True))

@@ -9,14 +9,19 @@ import pytest
 
 import phdinfluence
 from phdinfluence import (
+    Basis,
     ContaminationPoint,
+    PopulationModel,
     SimSpec,
     cosine_model,
     fit_phd,
     influence_report,
+    influence_surface,
     mc_constants,
+    ris_rows,
     ris_y,
     simulate,
+    spearman,
 )
 from phdinfluence.errors import InvalidArgument, InvalidRank
 from conftest import run_python
@@ -209,6 +214,84 @@ def test_an_integer_argument_is_an_integral_that_is_not_a_bool(call, error):
     # be integers", "only integers, slices ...") do not match
     with pytest.raises(error, match=r"(must be|needs) an? (nonnegative )?integer\b"):
         call()
+
+
+def _model(**changes):
+    """A valid p = 3, K = 2 PopulationModel with ``changes`` to its fields."""
+    params = dict(mu=np.zeros(3), sigma=np.eye(3), gamma=Basis(np.eye(3)[:, :2]),
+                  lam=np.array([2.0, 1.0]), mu_y=0.0, sigma_xy=np.array([0.5, 0.0, 0.0]))
+    return PopulationModel(**(params | changes))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: fit_phd(_sample(), "x", 1), id="fit-variant"),
+        pytest.param(lambda: _model(mu=np.zeros(2)), id="model-mu-shape"),
+        pytest.param(lambda: _model(sigma=np.eye(4)), id="model-sigma-shape"),
+        pytest.param(lambda: _model(lam=np.array([2.0])), id="model-lam-shape"),
+        pytest.param(lambda: _model(mu_y=np.nan), id="model-not-finite"),
+        pytest.param(lambda: _model(lam=np.array([2.0, 0.0])), id="model-zero-eigenvalue"),
+        pytest.param(lambda: _model(lam=np.array([1.0, 2.0])), id="model-ascending"),
+        pytest.param(lambda: _model(sigma_xy=np.array([0.0, 0.0, 1.0])), id="model-ols-off-span"),
+        pytest.param(lambda: ContaminationPoint(y0=0.0, x0=np.zeros((2, 3))), id="point-shape"),
+        pytest.param(lambda: ContaminationPoint(y0=np.inf, x0=np.zeros(3)), id="point-not-finite"),
+        pytest.param(lambda: ris_rows(cosine_model(3), "y", np.zeros(3), [0.0]), id="rows-shape"),
+        pytest.param(lambda: influence_surface("y", [-1.0], [0.0]), id="surface-grid"),
+        pytest.param(lambda: influence_surface("x", [1.0], [0.0]), id="surface-variant"),
+        pytest.param(lambda: spearman([1.0], [2.0]), id="spearman-size"),
+    ],
+)
+def test_a_rejected_argument_raises_invalid_argument(call):
+    # the one error rule of the errors module: exit code 2, and still a ValueError
+    with pytest.raises(InvalidArgument) as exc:
+        call()
+    assert exc.value.exit_code == 2
+
+
+#: the builtin errors no check raises, and the two functions that keep one
+#: (the errors module's two exceptions to its rule)
+BUILTIN_ERRORS = {"ValueError", "TypeError", "IndexError"}
+BUILTIN_RAISERS = {"write_report_json", "_direction_index"}
+
+
+def _with_function(tree):
+    """Every node of ``tree`` with the name of the innermost function around
+    it (None at module level)."""
+    stack = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        yield node, owner
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+def _text_mode_write(call: ast.Call) -> bool:
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    return (isinstance(mode, ast.Constant) and any(c in mode.value for c in "wax")
+            and "b" not in mode.value)
+
+
+def test_checks_raise_typed_errors_and_writers_write_utf8_with_newline_ends():
+    # a builtin error carries no exit code; a text file opened without
+    # newline="\n" gets CRLF line ends on Windows
+    faults = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node, owner in _with_function(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)} in {owner}"
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if (isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS
+                        and owner not in BUILTIN_RAISERS):
+                    faults.append(f"raise {exc.id} at {where}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open" and _text_mode_write(node)):
+                given = {k.arg: getattr(k.value, "value", None) for k in node.keywords}
+                if given.get("encoding") != "utf-8" or given.get("newline") != "\n":
+                    faults.append(f"open at {where}")
+    assert faults == []
 
 
 def test_numpy_integers_are_integers():
