@@ -121,19 +121,21 @@ def _load_dataset(args):
 
 def cmd_fit(args) -> _Ran:
     from .moments import compute_moments
-    from .phd import fit_from_moments, require_nonzero
+    from .phd import fit_from_moments, require_gap, require_nonzero
 
     dataset, config = _load_dataset(args)
     m = compute_moments(dataset)
     fit = fit_from_moments(m, args.variant, args.k)
-    require_nonzero(fit, m)  # before any file: a zero eigenvalue's direction is arbitrary
+    # before any file: the span is arbitrary at a zero eigenvalue or a tie at the cut
+    require_nonzero(fit, m)
+    require_gap(fit)
 
     out = _outdir(args)
 
     eig_path = out / "eigenvalues.csv"
     with open(eig_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,eigenvalue,abs_eigenvalue,abs_ratio_to_next\n")
-        vals = fit.eig.values
+        vals = fit.eigenvalues
         for i, lam in enumerate(vals):
             if i + 1 < len(vals) and abs(vals[i + 1]) > 0:
                 ratio = f"{abs(lam) / abs(vals[i + 1]):.17g}"
@@ -149,7 +151,7 @@ def cmd_fit(args) -> _Ran:
             rows.writerow([name, *(f"{fit.gamma_hat.columns[r, c]:.17g}" for c in range(args.k))])
 
     print(f"fit: variant={args.variant} n={dataset.n} p={dataset.p} k={args.k}")
-    shown = ", ".join(f"{v:.6g}" for v in fit.eig.values[: min(5, dataset.p)])
+    shown = ", ".join(f"{v:.6g}" for v in fit.eigenvalues[: min(5, dataset.p)])
     print(f"leading eigenvalues: {shown}")
     return 0, config | {"variant": args.variant, "k": args.k}, [eig_path, basis_path]
 
@@ -194,11 +196,10 @@ def cmd_surface(args) -> _Ran:
         raise InvalidArgument(f"--norm-max must be finite and nonnegative, got {args.norm_max}")
     norms = np.linspace(0.0, args.norm_max, args.grid)
     costhetas = np.linspace(-1.0, 1.0, args.grid)
-    grid_y = influence_surface("y", norms, costhetas)
-    grid_r = influence_surface("r", norms, costhetas)
+    surface = influence_surface(norms, costhetas)
 
     surf_path = _outdir(args) / "surface.csv"
-    write_surface_csv(surf_path, norms, costhetas, grid_y, grid_r)
+    write_surface_csv(surf_path, norms, costhetas, surface)
 
     print(f"surface: {args.grid}x{args.grid} grid written to {surf_path}")
     return 0, {"norm_max": args.norm_max, "grid": args.grid}, [surf_path]

@@ -21,9 +21,11 @@ subspace, all scaled so they estimate the same population rate:
 Every measure accepts the same fits.  One gate, ``_require_measurable``,
 raises InvalidRank unless 1 <= k < p (at k = p every measure is rounding
 noise), DegenerateEigenvalue when a fitted eigenvalue is numerically zero
-(the zero rule ``phd.require_nonzero``, which the ``fit`` command applies
-too) and DegenerateSpectrum when two are tied (the tie rule
-``PopulationModel`` applies to its own eigenvalues).  ``sris``, ``hris`` and
+(the zero rule ``phd.require_nonzero``) and DegenerateSpectrum when two are
+tied (``phd.require_untied``, the tie rule ``PopulationModel`` applies to its
+own eigenvalues) or when |lambda_K| ties |lambda_{K+1}| at the cut
+(``phd.require_gap``).  The ``fit`` command applies the zero and cut rules
+too.  ``sris``, ``hris`` and
 ``eris`` call it; ``influence_report`` checks the rank before any work and
 meets the rest of the gate through ``eris``.
 
@@ -70,8 +72,8 @@ from .errors import (DegenerateLeverage, InvalidArgument, InvalidRank, Undefined
                      is_integer)
 from .linalg import check_orthonormal, eigen_order, project_out
 from .moments import Dataset, MomentSet, compute_moments, mahalanobis
-from .phd import VARIANTS, PhdFit, fit_from_moments, require_nonzero
-from .population import _require_untied, _ris_kernel
+from .phd import VARIANTS, PhdFit, fit_from_moments, require_gap, require_nonzero, require_untied
+from .population import _ris_kernel
 
 #: a leave-one-out direction whose overlap with its full-sample partner is
 #: beaten by another refit direction by more than this is flagged order_swap.
@@ -117,11 +119,12 @@ def _require_rank(k: int, p: int) -> None:
 def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
     """The gate on the fits every influence measure accepts: rank 1 <= k < p,
     no fitted eigenvalue numerically zero (DegenerateEigenvalue, the zero
-    rule ``phd.require_nonzero``), none tied (DegenerateSpectrum, the tie
-    rule of ``PopulationModel``)."""
+    rule ``phd.require_nonzero``), none tied and no tie at the cut
+    (DegenerateSpectrum, ``phd.require_untied`` and ``phd.require_gap``)."""
     _require_rank(fit.k, m.p)
     require_nonzero(fit, m)
-    _require_untied(fit.lambda_hat)
+    require_untied(fit.lambda_hat)
+    require_gap(fit)
 
 
 class _LooWalk:
@@ -394,7 +397,7 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     _require_rank(k, d.p)
     m = compute_moments(d)
     fits = {v: fit_from_moments(m, v, k) for v in VARIANTS}
-    md = mahalanobis(d, m)
+    md = mahalanobis(m)
 
     n = d.n
     eris_vals = np.stack([eris(d, fits[v], m) for v in VARIANTS], axis=1)
@@ -551,7 +554,7 @@ def write_report_json(path, report: InfluenceReport) -> None:
         )
     fits = {
         v: {
-            "eigenvalues": report.fits[v].eig.values.tolist(),
+            "eigenvalues": report.fits[v].eigenvalues.tolist(),
             "lambda_hat": report.fits[v].lambda_hat.tolist(),
             "k": report.fits[v].k,
         }

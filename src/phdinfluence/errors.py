@@ -7,7 +7,9 @@ share one integer rule, :func:`is_integer`.
 One error rule: a check on a caller's argument raises a class of this
 module, never a bare ValueError, TypeError or IndexError, which carry no
 exit code.  A value outside its domain (a variant name, a shape, a grid)
-raises :class:`InvalidArgument`, a ValueError with exit code 2.  Two
+raises :class:`InvalidArgument`, a ValueError with exit code 2; every
+class with exit code 2 is an InvalidArgument (:class:`InvalidRank`, the
+rank's own name in the CLI's error record, is its one subclass).  Two
 exceptions keep the builtin type a Python caller expects: a direction index
 out of range is an IndexError, as for any sequence, and ``write_report_json``
 rejects a non-finite Mahalanobis distance with json's own ValueError.
@@ -43,12 +45,9 @@ class InvalidArgument(PhdError, ValueError):
         self.row = row
 
 
-class InvalidRank(PhdError):
-    exit_code = 2
-
-
-class InvalidEpsilon(PhdError):
-    exit_code = 2
+class InvalidRank(InvalidArgument):
+    """A reduction rank k outside its domain; its own name, which the CLI
+    prints, for the one argument every fit and report takes."""
 
 
 # -- data --------------------------------------------------------------
@@ -113,8 +112,4 @@ class AmbiguousMatch(PhdError):
 
 
 class UndefinedCorrelation(PhdError):
-    exit_code = 4
-
-
-class UnsupportedModel(PhdError):
     exit_code = 4

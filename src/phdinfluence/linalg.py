@@ -17,9 +17,9 @@ ordering matches how dimension-reduction directions are ranked; the sign rule
 exists only so repeated runs print identical bases.  :func:`eigen_order` is
 the one ordering rule and :func:`check_orthonormal` the one check on
 eigenvector columns, both on a single decomposition or on a stack of them;
-:func:`sym_eigen` applies both plus the sign rule to one matrix.  Callers
-that read only some leading eigenvectors, or only sign-free quantities, use
-the first two alone.
+:func:`sym_eigen` applies both plus the sign rule to one matrix and returns
+the pair (values, vectors).  Callers that read only some leading
+eigenvectors, or only sign-free quantities, use the first two alone.
 
 A positive definite matrix is inverted by one routine, :func:`spd_inverse`
 (scaling to unit diagonal, one eigendecomposition and one Newton step); no
@@ -52,19 +52,6 @@ def mirror(a: np.ndarray) -> np.ndarray:
     p = a.shape[-1]
     upper = np.arange(p)[:, None] <= np.arange(p)
     return np.where(upper, a, np.swapaxes(a, -1, -2))
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Full ordered eigensystem of a symmetric matrix.
-
-    ``values[k]`` pairs with column ``vectors[:, k]``; values are sorted by
-    descending ``|value|`` and columns are orthonormal with canonical signs
-    (built by :func:`sym_eigen`, which checks both).
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,8 +94,9 @@ def check_orthonormal(v: np.ndarray) -> None:
         raise InvalidMatrix(f"columns are not orthonormal: max |V'V - I| = {gram_err:.3e}")
 
 
-def sym_eigen(a: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a symmetric matrix, ordered by :func:`eigen_order`;
+def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(values, vectors)`` of a symmetric matrix, ordered
+    by :func:`eigen_order`, ``values[k]`` paired with column ``vectors[:, k]``;
     only the upper triangle of ``a`` is read.
 
     Each eigenvector is flipped so its entry of largest magnitude (the first
@@ -124,7 +112,7 @@ def sym_eigen(a: np.ndarray) -> EigenSystem:
     pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     v = np.where(pivot < 0, -v, v)
     check_orthonormal(v)
-    return EigenSystem(values=w, vectors=v)
+    return w, v
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:

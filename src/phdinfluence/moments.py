@@ -141,6 +141,6 @@ def compute_moments(d: Dataset) -> MomentSet:
     return MomentSet(ybar=ybar, **arrays)
 
 
-def mahalanobis(d: Dataset, m: MomentSet) -> np.ndarray:
+def mahalanobis(m: MomentSet) -> np.ndarray:
     """Mahalanobis distance sqrt((x_i - xbar)' S^-1 (x_i - xbar)) of every row: sqrt(m.q)."""
     return np.sqrt(np.maximum(m.q, 0.0))

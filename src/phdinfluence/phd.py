@@ -11,10 +11,15 @@ absolute eigenvalue.  All p eigenvalues are retained on the fit so users can
 judge K from the spectrum gap; no automatic rank selection is attempted.
 
 A fit whose K leading eigenvalues include a numerically zero one estimates
-no direction: its basis is an arbitrary one of a null space.  The zero rule,
-:func:`require_nonzero`, is stated here once; the ``fit`` command and every
-influence measure apply it, while :func:`fit_from_moments` and
-:func:`fit_phd` return such a fit unchecked.
+no direction: its basis is an arbitrary one of a null space.  Nor does one
+whose cut falls in a tie, |lambda_K| and |lambda_{K+1}| within SPECTRUM_RTOL
+|lambda_1|: which tied eigenvector enters the span is then arbitrary.  The
+zero rule, :func:`require_nonzero`, and the cut rule, :func:`require_gap`,
+are stated here once, beside the tie rule on a set of eigenvalues,
+:func:`require_untied`; the ``fit`` command and every influence measure
+apply the first two, while :func:`fit_from_moments` and :func:`fit_phd`
+return such a fit unchecked.  The fit keeps all p eigenvalues but only the
+K leading eigenvectors.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEigenvalue, InvalidArgument, InvalidRank, is_integer
-from .linalg import Basis, EigenSystem, mirror, sym_eigen
+from .errors import (DegenerateEigenvalue, DegenerateSpectrum, InvalidArgument, InvalidRank,
+                     is_integer)
+from .linalg import Basis, mirror, sym_eigen
 from .moments import Dataset, MomentSet, compute_moments
 
 VARIANTS = ("y", "r")
@@ -32,6 +38,11 @@ VARIANTS = ("y", "r")
 #: a fitted eigenvalue at or below this share of sd(y) ||S^-1||_F is
 #: numerically zero (see require_nonzero).
 ZERO_EIGENVALUE_RTOL = 1e-12
+
+#: two eigenvalues closer than this share of |lambda_1| are tied (see
+#: require_untied and require_gap); relative, so rescaling y or x does not
+#: change the decision.
+SPECTRUM_RTOL = 1e-9
 
 
 def check_variant(variant: str) -> None:
@@ -42,15 +53,15 @@ def check_variant(variant: str) -> None:
 
 @dataclass(frozen=True)
 class PhdFit:
-    """One estimated average Hessian with its ordered eigensystem.
+    """One estimated average Hessian with its ordered spectrum.
 
-    ``eig`` holds all p eigenpairs; ``gamma_hat`` the first ``k`` eigenvectors
-    and ``lambda_hat`` the matching eigenvalues.
+    ``eigenvalues`` holds all p eigenvalues; ``gamma_hat`` the first ``k``
+    eigenvectors and ``lambda_hat`` the matching eigenvalues.
     """
 
     variant: str
     h: np.ndarray
-    eig: EigenSystem
+    eigenvalues: np.ndarray
     k: int
     gamma_hat: Basis
     lambda_hat: np.ndarray
@@ -64,14 +75,14 @@ def fit_from_moments(m: MomentSet, variant: str, k: int) -> PhdFit:
         raise InvalidRank(f"rank k must be an integer with 1 <= k <= p={p}, got {k!r}")
     mat = m.sigma_yxx_hat if variant == "y" else m.sigma_rxx_hat
     h = mirror(m.s_inv @ mat @ m.s_inv)
-    eig = sym_eigen(h)
+    values, vectors = sym_eigen(h)
     return PhdFit(
         variant=variant,
         h=h,
-        eig=eig,
+        eigenvalues=values,
         k=int(k),
-        gamma_hat=Basis(eig.vectors[:, :k]),
-        lambda_hat=eig.values[:k].copy(),
+        gamma_hat=Basis(vectors[:, :k]),
+        lambda_hat=values[:k].copy(),
     )
 
 
@@ -99,6 +110,33 @@ def require_nonzero(fit: PhdFit, m: MomentSet) -> None:
         if abs(lam) <= ZERO_EIGENVALUE_RTOL * scale:
             raise DegenerateEigenvalue(f"fitted eigenvalue {lam!r} is numerically zero "
                                        f"against sd(y) ||S^-1||_F = {scale:.6e}")
+
+
+def require_untied(lam: np.ndarray) -> None:
+    """Raise DegenerateSpectrum when two of the eigenvalues ``lam``, ordered by
+    descending magnitude, are tied: closer than SPECTRUM_RTOL |lam[0]|."""
+    lam = lam.tolist()
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            if abs(lam[i] - lam[j]) < SPECTRUM_RTOL * abs(lam[0]):
+                raise DegenerateSpectrum(
+                    f"eigenvalues {i + 1} and {j + 1} coincide ({lam[i]!r} vs "
+                    f"{lam[j]!r}); the eigenvector influence is undefined for tied spectra"
+                )
+
+
+def require_gap(fit: PhdFit) -> None:
+    """Raise DegenerateSpectrum when the cut after the fit's K eigenvalues
+    falls in a tie: K < p and |lambda_K| - |lambda_{K+1}| < SPECTRUM_RTOL
+    |lambda_1|.  The span is ranked by |lambda|, so which of the tied
+    eigenvectors enters it is then arbitrary."""
+    vals = fit.eigenvalues.tolist()
+    k = fit.k
+    if k < len(vals) and abs(vals[k - 1]) - abs(vals[k]) < SPECTRUM_RTOL * abs(vals[0]):
+        raise DegenerateSpectrum(
+            f"eigenvalues {k} and {k + 1} tie in magnitude ({vals[k - 1]!r} vs "
+            f"{vals[k]!r}); the rank-{k} span is undefined at a tied cut"
+        )
 
 
 def population_h(model) -> np.ndarray:

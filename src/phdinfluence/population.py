@@ -23,17 +23,19 @@ The alpha displays are evaluated in one place, the kernel behind
 :func:`ris_rows`, for a whole array of contamination points at once.  Both
 variants take the same points (y0, x0), and ``ris_rows`` forms r0 itself:
 ``ris_y``/``ris_r`` are one-row views of ``ris_rows``, the influence surface
-calls it once for all grid cells, and the sample plug-in ERIS calls the
-kernel itself on the fit, once for all n observations, with the sample OLS
-residuals of the moments.
+calls it once per variant for all grid cells, and the sample plug-in ERIS
+calls the kernel itself on the fit, once for all n observations, with the
+sample OLS residuals of the moments.
 
 The cosine single-index example Y = cos(2 beta_1'X - pi/4) + sigma eps is
 stated once, at the end of this module: its link ``_cosine_response`` (which
 the simulation module imports), its constants and :func:`cosine_model`.  The
-influence surface is that model's surface.  It places x0 in the e_1-e_2 plane
-of a model with Sigma = I and Gamma = e_1, so every term of the closed form
-lies in that plane and the surface is the same at every p >= 2: it is
-evaluated at p = 2 and takes no p.
+influence surface is that model's surface, both variants in one (N, C, 2)
+array so they are compared at the same points.  It places x0 in the e_1-e_2
+plane of a model with Sigma = I and Gamma = e_1, so every term of the closed
+form lies in that plane and the surface is the same at every p >= 2: it is
+evaluated at p = 2 and takes no p.  The tie rule a model's eigenvalues must
+pass is ``phd.require_untied``, the one the fitted eigenvalues pass.
 
 A second route to the same number, through the influence matrix of the
 Hessian estimator, is kept outside the package as a test oracle (the test
@@ -65,40 +67,17 @@ where the Gaussian predictor makes all centered third moments of X vanish.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AmbiguousMatch,
-    DegenerateSpectrum,
-    InvalidArgument,
-    InvalidEpsilon,
-    InvalidMatrix,
-    UnsupportedModel,
-    is_integer,
-)
+from .errors import AmbiguousMatch, InvalidArgument, InvalidMatrix, is_integer
 from .linalg import Basis, mirror, project_out, spd_inverse, sym_eigen
-from .phd import check_variant, population_h
+from .phd import VARIANTS, check_variant, population_h, require_untied
 
-#: two reduction eigenvalues closer than this share of |lambda_1| are tied;
-#: relative, so rescaling y or x does not change the decision.
-SPECTRUM_RTOL = 1e-9
 MATCH_TOL = 1e-8
 DEFAULT_ORACLE_EPS = 1e-6
-
-
-def _require_untied(lam: np.ndarray) -> None:
-    """Raise DegenerateSpectrum when two of the eigenvalues ``lam``, ordered by
-    descending magnitude, are tied: closer than SPECTRUM_RTOL |lam[0]|."""
-    lam = lam.tolist()
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            if abs(lam[i] - lam[j]) < SPECTRUM_RTOL * abs(lam[0]):
-                raise DegenerateSpectrum(
-                    f"eigenvalues {i + 1} and {j + 1} coincide ({lam[i]!r} vs "
-                    f"{lam[j]!r}); the eigenvector influence is undefined for tied spectra"
-                )
 
 
 @dataclass(frozen=True)
@@ -117,9 +96,10 @@ class PopulationModel:
     ``spd_inverse``, so the decision does not depend on units.  It is stored
     exactly symmetric.
 
-    A field of the wrong shape, a value that is not finite, a zero or
-    misordered eigenvalue and an OLS direction outside span(gamma) raise
-    InvalidArgument; a skewed sigma raises InvalidMatrix.
+    A ``gamma`` that is not a Basis, a field of the wrong shape, a value
+    that is not finite, a zero or misordered eigenvalue and an OLS direction
+    outside span(gamma) raise InvalidArgument; a skewed sigma raises
+    InvalidMatrix.
     """
 
     mu: np.ndarray
@@ -133,6 +113,8 @@ class PopulationModel:
     beta: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.gamma, Basis):
+            raise InvalidArgument(f"gamma must be a linalg.Basis, got {type(self.gamma).__name__}")
         mu = np.asarray(self.mu, dtype=float)
         lam = np.asarray(self.lam, dtype=float)
         sigma_xy = np.asarray(self.sigma_xy, dtype=float)
@@ -161,7 +143,7 @@ class PopulationModel:
             raise InvalidArgument("all reduction eigenvalues must be nonzero")
         if np.any(np.diff(np.abs(lam)) > 0):
             raise InvalidArgument("eigenvalues must be ordered by descending magnitude")
-        _require_untied(lam)
+        require_untied(lam)
         sigma_inv = spd_inverse(sigma)
         beta = sigma_inv @ sigma_xy
         leak = float(np.abs(project_out(self.gamma, beta)).max())
@@ -188,14 +170,17 @@ class PopulationModel:
 
 @dataclass(frozen=True)
 class ContaminationPoint:
-    """The location (y0, x0) of the contaminating point mass; an x0 that is
-    not a vector, or a point that is not finite, raises InvalidArgument."""
+    """The location (y0, x0) of the contaminating point mass; a y0 that is
+    not a real number, an x0 that is not a vector, or a point that is not
+    finite, raises InvalidArgument."""
 
     y0: float
     x0: np.ndarray
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
+        if not isinstance(self.y0, numbers.Real):
+            raise InvalidArgument(f"y0 must be a real number, got {self.y0!r}")
         if x0.ndim != 1:
             raise InvalidArgument(f"x0 must be a vector, got shape {x0.shape}")
         if not (math.isfinite(self.y0) and np.all(np.isfinite(x0))):
@@ -286,9 +271,13 @@ class ContaminatedMoments:
 def contaminated_moments(
     model: PopulationModel, pt: ContaminationPoint, eps: float
 ) -> ContaminatedMoments:
-    """Exact (not first-order) moments of (1 - eps) G + eps point mass."""
+    """Exact (not first-order) moments of (1 - eps) G + eps point mass.  An
+    eps outside (0, 1) or an x0 whose length is not the model's p raises
+    InvalidArgument."""
     if not 0.0 < eps < 1.0:
-        raise InvalidEpsilon(f"eps must lie strictly in (0, 1), got {eps!r}")
+        raise InvalidArgument(f"eps must lie strictly in (0, 1), got {eps!r}")
+    if pt.x0.shape != (model.p,):
+        raise InvalidArgument(f"x0 must have length p={model.p}, got {pt.x0.size}")
     d = pt.x0 - model.mu
     dy = pt.y0 - model.mu_y
     t = eps * (1.0 - eps)
@@ -345,7 +334,8 @@ def ris_numeric_oracle(
     Builds the exact mixture moments, recomputes the Hessian eigensystem,
     matches the perturbed eigenvector to the k-th direction by maximal
     absolute inner product (eigenvalue order may swap near ties, the
-    eigenvector moves continuously), and returns sine / eps.
+    eigenvector moves continuously), and returns sine / eps.  Its point and
+    eps are checked as :func:`contaminated_moments` checks them.
     """
     check_variant(variant)
     i = _direction_index(model, k)
@@ -353,8 +343,8 @@ def ris_numeric_oracle(
     mat = cm.sigma_yxx_eps if variant == "y" else cm.sigma_rxx_eps
     sig_inv_eps = spd_inverse(cm.sigma_eps)
     h_eps = mirror(sig_inv_eps @ mat @ sig_inv_eps)
-    eig = sym_eigen(h_eps)
-    inner = np.abs(eig.vectors.T @ model.gamma.columns[:, i])
+    vectors = sym_eigen(h_eps)[1]
+    inner = np.abs(vectors.T @ model.gamma.columns[:, i])
     order = np.argsort(inner)[::-1]
     if len(order) > 1 and inner[order[0]] - inner[order[1]] < MATCH_TOL:
         raise AmbiguousMatch(
@@ -362,7 +352,7 @@ def ris_numeric_oracle(
             f"|inner product| within {MATCH_TOL} of each other "
             f"({inner[order[0]]:.12f} vs {inner[order[1]]:.12f})"
         )
-    matched = eig.vectors[:, order[0]]
+    matched = vectors[:, order[0]]
     return min(1.0, float(np.linalg.norm(project_out(model.gamma, matched)))) / eps
 
 
@@ -394,7 +384,7 @@ def cosine_model(p: int = 3) -> PopulationModel:
     if not is_integer(p):
         raise InvalidArgument(f"p must be an integer, got {p!r}")
     if p < 2:
-        raise UnsupportedModel("the cosine example needs p >= 2")
+        raise InvalidArgument(f"the cosine example needs p >= 2, got {p}")
     beta1 = np.zeros(p)
     beta1[0] = 1.0
     return PopulationModel(
@@ -407,19 +397,21 @@ def cosine_model(p: int = 3) -> PopulationModel:
     )
 
 
-def influence_surface(variant: str, norm_grid, costheta_grid) -> np.ndarray:
-    """Influence surface over (||x0||, cos theta0) of :func:`cosine_model`.
+def influence_surface(norm_grid, costheta_grid) -> np.ndarray:
+    """Influence surface over (||x0||, cos theta0) of :func:`cosine_model`,
+    an (N, C, 2) array for N norms and C cosines whose last axis is the
+    variant, in VARIANTS order.
 
     x0 = ||x0|| (cos(theta0) e_1 + sin(theta0) e_2) lies in the plane of
     beta_1 = e_1 and the second axis, with y0 on the noiseless curve.  With
     Sigma = I every term of the closed form lies in that plane, so the
     surface is the same at every p >= 2; it is evaluated at p = 2.  All
-    cells go through one :func:`ris_rows` call.  The single-index shortcut of
-    this model (the c_y / c_r factorisation) is not evaluated here; it is the
-    test suite's oracle for this function.  A norm that is negative or not
-    finite, or a cos theta0 outside [-1, 1], raises InvalidArgument, as does
-    a bad variant (checked once, by ``ris_rows``); a cell whose value
-    overflows float64 raises InvalidArgument naming its ||x0|| and cos theta0.
+    cells of a variant go through one :func:`ris_rows` call.  The
+    single-index shortcut of this model (the c_y / c_r factorisation) is not
+    evaluated here; it is the test suite's oracle for this function.  A norm
+    that is negative or not finite, or a cos theta0 outside [-1, 1], raises
+    InvalidArgument, as does a cell whose value overflows float64, named by
+    its ||x0|| and cos theta0.
     """
     model = cosine_model(2)
     norms = np.asarray(list(norm_grid), dtype=float)
@@ -432,29 +424,30 @@ def influence_surface(variant: str, norm_grid, costheta_grid) -> np.ndarray:
     x0 = np.stack((nrm * ct, nrm * st), axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):  # ris_rows rejects a y0 that overflowed
         y0 = _cosine_response(x0[..., 0])
-    try:
-        rates = ris_rows(model, variant, x0.reshape(-1, 2), y0.ravel())
-    except InvalidArgument as exc:  # name the grid cell, not the row of the flattened grid
-        if exc.row is None:  # the variant, not a cell
-            raise
-        i, c = divmod(exc.row, costhetas.size)
-        raise InvalidArgument(
-            f"the {variant}-based influence surface overflows float64 at "
-            f"||x0|| = {norms[i]:g}, cos theta0 = {costhetas[c]:g}"
-        ) from exc
-    return rates[:, 0].reshape(y0.shape)
+    surface = np.empty((y0.size, len(VARIANTS)))
+    for v, variant in enumerate(VARIANTS):
+        try:
+            surface[:, v] = ris_rows(model, variant, x0.reshape(-1, 2), y0.ravel())[:, 0]
+        except InvalidArgument as exc:  # name the grid cell, not the row of the flattened grid
+            i, c = divmod(exc.row, costhetas.size)
+            raise InvalidArgument(
+                f"the {variant}-based influence surface overflows float64 at "
+                f"||x0|| = {norms[i]:g}, cos theta0 = {costhetas[c]:g}"
+            ) from exc
+    return surface.reshape(*y0.shape, len(VARIANTS))
 
 
-def write_surface_csv(path, norm_grid, costheta_grid, ris_y_grid, ris_r_grid) -> None:
-    """Serialize the two influence surfaces to CSV in row-major grid order."""
+def write_surface_csv(path, norm_grid, costheta_grid, surface) -> None:
+    """Serialize an :func:`influence_surface` to CSV in row-major grid order,
+    one line per cell with its y- and r-based rates.  A surface whose shape
+    is not (N, C, 2) for the N norms and C cosines raises InvalidArgument."""
     norms = [f"{a:.17g}" for a in np.asarray(list(norm_grid), dtype=float).tolist()]
     costhetas = [f"{b:.17g}" for b in np.asarray(list(costheta_grid), dtype=float).tolist()]
-    ys = np.asarray(ris_y_grid, dtype=float).tolist()
-    rs = np.asarray(ris_r_grid, dtype=float).tolist()
+    surface = np.asarray(surface, dtype=float)
+    shape = (len(norms), len(costhetas), len(VARIANTS))
+    if surface.shape != shape:
+        raise InvalidArgument(f"the grids need a surface of shape {shape}, got {surface.shape}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("norm_x0,cos_theta0,ris_y,ris_r\n")
-        for norm, y_row, r_row in zip(norms, ys, rs, strict=True):
-            fh.writelines(
-                f"{norm},{c},{y:.17g},{r:.17g}\n"
-                for c, y, r in zip(costhetas, y_row, r_row, strict=True)
-            )
+        for norm, row in zip(norms, surface.tolist()):
+            fh.writelines(f"{norm},{c},{y:.17g},{r:.17g}\n" for c, (y, r) in zip(costhetas, row))

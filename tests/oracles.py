@@ -221,7 +221,7 @@ def report_to_json_dict(report) -> dict:
         "k": report.k,
         "fits": {
             v: {
-                "eigenvalues": [float(x) for x in report.fits[v].eig.values],
+                "eigenvalues": [float(x) for x in report.fits[v].eigenvalues],
                 "lambda_hat": [float(x) for x in report.fits[v].lambda_hat],
                 "k": report.fits[v].k,
             }

@@ -152,8 +152,8 @@ def test_criterion_4_surface_checkpoints():
         model = cosine_model(p=3)
         norms = np.linspace(0.0, 3.0, 13)
         costhetas = np.linspace(-1.0, 1.0, 9)
-        grid_y = influence_surface("y", norms, costhetas)
-        grid_r = influence_surface("r", norms, costhetas)
+        surface = influence_surface(norms, costhetas)
+        grid_y, grid_r = surface[..., 0], surface[..., 1]
         a = int(np.flatnonzero(np.isclose(norms, 2.0))[0])
         b = int(np.flatnonzero(np.isclose(costhetas, 0.0))[0])
         assert abs(grid_y[a, b] - 1.0) <= 1e-9
@@ -164,13 +164,11 @@ def test_criterion_4_surface_checkpoints():
         # the CLI's default grid against the single-index shortcut
         norms61 = np.linspace(0.0, 3.0, 61)
         costhetas61 = np.linspace(-1.0, 1.0, 61)
-        for variant in ("y", "r"):
-            general = influence_surface(variant, norms61, costhetas61)
+        general = influence_surface(norms61, costhetas61)
+        for v, variant in enumerate(("y", "r")):
             shortcut = surface_shortcut(model, variant, norms61, costhetas61)
-            assert np.abs(general - shortcut).max() <= 1e-9
-        cross = np.linspace(-1.0, 1.0, 201)
-        max_y = influence_surface("y", [2.0], cross).max()
-        max_r = influence_surface("r", [2.0], cross).max()
+            assert np.abs(general[..., v] - shortcut).max() <= 1e-9
+        max_y, max_r = influence_surface([2.0], np.linspace(-1.0, 1.0, 201)).max(axis=(0, 1))
         assert max_r > max_y
         assert time.monotonic() - t0 <= 5.0
         ok = True
@@ -257,7 +255,7 @@ def test_criterion_6_influence_ranking_gate():
             d = ingest_csv(path, cfg)
             assert d.n == 263
             fit = fit_phd(d, "y", 2)
-            top3 = np.abs(fit.eig.values[:3])
+            top3 = np.abs(fit.eigenvalues[:3])
             for got, want in zip(top3, (0.0314, 0.0238, 0.0060)):
                 assert abs(got - want) <= 0.003
             report = influence_report(d, 2)

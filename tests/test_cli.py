@@ -469,6 +469,25 @@ def test_fit_refuses_a_numerically_zero_hessian(tmp_path, capsys, response, vari
         assert not (tmp_path / command[0]).exists()
 
 
+def test_fit_and_influence_refuse_a_tie_at_the_cut(tmp_path, capsys):
+    # a replicated 3^3 factorial with y = x1^2 + x2^2 gives both variants
+    # lambda_1 = lambda_2 to rounding: the rank-1 span is either axis, so
+    # neither command writes one
+    x = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)) * 2)
+    write_dataset_csv(tmp_path / "data.csv", Dataset(y=x[:, 0] ** 2 + x[:, 1] ** 2, x=x))
+    for command in (["fit", "--variant", "y"], ["fit", "--variant", "r"], ["influence"]):
+        out = tmp_path / "-".join(command)
+        code = run([*command, "--input", tmp_path / "data.csv", "--response", "y", "--k", 1,
+                    "--output-dir", out])
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "DegenerateSpectrum"
+        assert "eigenvalues 1 and 2 tie in magnitude" in record["message"]
+        assert not out.exists()
+
+
 def test_influence_runs_on_predictors_in_units_far_apart(tmp_path):
     # predictor units 10^7 apart put cond(S) near 2e14 while the correlation
     # matrix has cond(C) about 1.6: positive definiteness is a property of C.

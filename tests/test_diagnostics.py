@@ -296,6 +296,14 @@ def test_every_measure_rejects_tied_eigenvalues():
                 measure()
     with pytest.raises(DegenerateSpectrum):
         influence_report(d, 2)
+    # at k = 1 the cut falls between the tied pair: the span itself is arbitrary
+    for variant in ("y", "r"):
+        fit = fit_from_moments(m, variant, 1)
+        for measure in (lambda: sris(d, fit), lambda: hris(d, fit, m), lambda: eris(d, fit, m)):
+            with pytest.raises(DegenerateSpectrum, match="tie in magnitude"):
+                measure()
+    with pytest.raises(DegenerateSpectrum, match="tie in magnitude"):
+        influence_report(d, 1)
 
 
 def test_report_inverts_the_covariance_once(monkeypatch):
@@ -437,7 +445,7 @@ def test_translation_invariance():
         assert np.abs(sris(d, f1) - sris(d2, f2)).max() <= 1e-9
         assert np.abs(eris(d, f1, m1) - eris(d2, f2, m2)).max() <= 1e-9
         assert np.abs(hris(d, f1, m1) - hris(d2, f2, m2)).max() <= 1e-9
-    assert np.abs(mahalanobis(d, m1) - mahalanobis(d2, m2)).max() <= 1e-9
+    assert np.abs(mahalanobis(m1) - mahalanobis(m2)).max() <= 1e-9
 
 
 def test_rotation_invariance_of_subspace_diagnostics():
@@ -903,7 +911,7 @@ def test_report_arrays_are_built_from_the_loo_walk(design):
         "eris": {v: eris(d, report.fits[v], m) for v in ("y", "r")},
         "hris": hris_,
     }
-    md = mahalanobis(d, m)
+    md = mahalanobis(m)
     avg = sris_["y"].mean(axis=1)
     order = sorted(range(d.n), key=lambda j: (np.isnan(avg[j]), np.nan_to_num(avg[j]), j))
     assert report.j.tolist() == order

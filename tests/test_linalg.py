@@ -20,28 +20,28 @@ from conftest import random_orthonormal, random_spd
 
 
 def test_sym_eigen_diagonal_orders_by_magnitude():
-    es = sym_eigen(np.diag([3.0, -5.0, 1.0]))
-    assert np.allclose(es.values, [-5.0, 3.0, 1.0])
+    values, vectors = sym_eigen(np.diag([3.0, -5.0, 1.0]))
+    assert np.allclose(values, [-5.0, 3.0, 1.0])
     # eigenvectors are a signed permutation of identity columns; canonical
     # signs make every nonzero entry +1
     expected = np.zeros((3, 3))
     expected[1, 0] = expected[0, 1] = expected[2, 2] = 1.0
-    assert np.allclose(es.vectors, expected, atol=1e-14)
+    assert np.allclose(vectors, expected, atol=1e-14)
 
 
 def test_sym_eigen_identity():
-    es = sym_eigen(np.eye(4))
-    assert np.allclose(es.values, 1.0)
-    assert np.abs(es.vectors.T @ es.vectors - np.eye(4)).max() <= 1e-10
+    values, vectors = sym_eigen(np.eye(4))
+    assert np.allclose(values, 1.0)
+    assert np.abs(vectors.T @ vectors - np.eye(4)).max() <= 1e-10
     for k in range(4):
-        col = es.vectors[:, k]
+        col = vectors[:, k]
         assert col[np.argmax(np.abs(col))] > 0
 
 
 def test_sym_eigen_reconstructs(rng):
     a = random_spd(rng, 6) - 2.0 * np.eye(6)  # indefinite
-    es = sym_eigen(a)
-    recon = (es.vectors * es.values) @ es.vectors.T
+    values, vectors = sym_eigen(a)
+    recon = (vectors * values) @ vectors.T
     assert np.abs(recon - a).max() <= 1e-9
 
 
@@ -49,16 +49,16 @@ def test_sym_eigen_invariants_seeded_suite(rng):
     for p in (2, 5, 11, 20):
         a = rng.standard_normal((p, p))
         a = (a + a.T) / 2
-        es = sym_eigen(a)
+        values, vectors = sym_eigen(a)
         norm_a = np.linalg.norm(a, 2)
-        assert np.abs(es.vectors.T @ es.vectors - np.eye(p)).max() <= 1e-10
-        assert np.all(np.diff(np.abs(es.values)) <= 1e-14)
+        assert np.abs(vectors.T @ vectors - np.eye(p)).max() <= 1e-10
+        assert np.all(np.diff(np.abs(values)) <= 1e-14)
         for k in range(p):
-            resid = a @ es.vectors[:, k] - es.values[k] * es.vectors[:, k]
+            resid = a @ vectors[:, k] - values[k] * vectors[:, k]
             assert np.linalg.norm(resid) <= 1e-9 * (1 + norm_a)
-            col = es.vectors[:, k]
+            col = vectors[:, k]
             assert col[np.argmax(np.abs(col))] > 0
-        recon = (es.vectors * es.values) @ es.vectors.T
+        recon = (vectors * values) @ vectors.T
         assert np.abs(recon - a).max() <= 1e-9
 
 
@@ -182,18 +182,18 @@ def test_sym_eigen_and_eigen_order_follow_the_written_out_rule(stack):
     order = eigen_order(w)
     for i, a in enumerate(stack):
         assert order[i].tolist() == reference_indices(w[i])
-        es = sym_eigen(a)
+        values, vectors = sym_eigen(a)
         ref_w, ref_v = reference_order(w[i], v[i])
-        assert np.array_equal(es.values, ref_w)
-        assert np.array_equal(es.vectors, ref_v)
+        assert np.array_equal(values, ref_w)
+        assert np.array_equal(vectors, ref_v)
         # C order: BLAS rounds products with F-ordered vectors differently
-        assert es.vectors.flags.c_contiguous
+        assert vectors.flags.c_contiguous
 
 
 def test_sym_eigen_breaks_ties_by_signed_value_then_position():
-    es = sym_eigen(np.diag([1.0, -2.0, 2.0, -1.0]))
-    assert es.values.tolist() == [2.0, -2.0, 1.0, -1.0]
-    assert np.array_equal(es.vectors, np.eye(4)[:, [2, 1, 0, 3]])
+    values, vectors = sym_eigen(np.diag([1.0, -2.0, 2.0, -1.0]))
+    assert values.tolist() == [2.0, -2.0, 1.0, -1.0]
+    assert np.array_equal(vectors, np.eye(4)[:, [2, 1, 0, 3]])
 
 
 def test_check_orthonormal_rejects_non_orthonormal_columns():
@@ -216,9 +216,8 @@ def test_sym_eigen_and_spd_inverse_read_only_the_upper_triangle(rng):
     a = random_spd(rng, 5)
     skewed = a + np.tril(rng.standard_normal((5, 5)), -1)
     assert np.array_equal(spd_inverse(skewed), spd_inverse(a))
-    got, want = sym_eigen(skewed), sym_eigen(a)
-    assert np.array_equal(got.values, want.values)
-    assert np.array_equal(got.vectors, want.vectors)
+    for got, want in zip(sym_eigen(skewed), sym_eigen(a)):
+        assert np.array_equal(got, want)
 
 
 def test_spd_inverse_decomposes_once(rng, monkeypatch):

@@ -319,7 +319,7 @@ def test_mahalanobis_zero_at_the_mean(rng):
     # hence the mean of all rows
     d = Dataset(y=rng.standard_normal(12), x=x)
     m = compute_moments(d)
-    assert mahalanobis(d, m)[-1] <= 1e-10
+    assert mahalanobis(m)[-1] <= 1e-10
 
 
 def test_mahalanobis_euclidean_case(rng):
@@ -330,13 +330,13 @@ def test_mahalanobis_euclidean_case(rng):
     x = np.linalg.qr(z - z.mean(axis=0))[0] * np.sqrt(7.0)
     d = Dataset(y=np.zeros(8), x=x)
     m = compute_moments(d)
-    assert np.abs(mahalanobis(d, m) - np.linalg.norm(x, axis=1)).max() <= 1e-12
+    assert np.abs(mahalanobis(m) - np.linalg.norm(x, axis=1)).max() <= 1e-12
 
 
 def test_mahalanobis_matches_quadratic_form(rng):
     d = make_data(rng, 35, 4)
     m = compute_moments(d)
-    md = mahalanobis(d, m)
+    md = mahalanobis(m)
     for i in range(d.n):
         diff = d.x[i] - m.xbar
         assert md[i] == pytest.approx(np.sqrt(diff @ m.s_inv @ diff), abs=1e-12)

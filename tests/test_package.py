@@ -13,16 +13,19 @@ from phdinfluence import (
     ContaminationPoint,
     PopulationModel,
     SimSpec,
+    contaminated_moments,
     cosine_model,
     fit_phd,
     influence_report,
     influence_surface,
     mc_constants,
+    ris_numeric_oracle,
     ris_rows,
     ris_y,
     simulate,
     spearman,
 )
+from phdinfluence import errors
 from phdinfluence.errors import InvalidArgument, InvalidRank
 from conftest import run_python
 
@@ -234,11 +237,19 @@ def _model(**changes):
         pytest.param(lambda: _model(lam=np.array([2.0, 0.0])), id="model-zero-eigenvalue"),
         pytest.param(lambda: _model(lam=np.array([1.0, 2.0])), id="model-ascending"),
         pytest.param(lambda: _model(sigma_xy=np.array([0.0, 0.0, 1.0])), id="model-ols-off-span"),
+        pytest.param(lambda: _model(gamma=np.eye(3)[:, :2]), id="model-gamma-array"),
         pytest.param(lambda: ContaminationPoint(y0=0.0, x0=np.zeros((2, 3))), id="point-shape"),
         pytest.param(lambda: ContaminationPoint(y0=np.inf, x0=np.zeros(3)), id="point-not-finite"),
+        pytest.param(lambda: ContaminationPoint("a", np.zeros(2)), id="point-y0-string"),
+        pytest.param(lambda: contaminated_moments(cosine_model(3), _point(), 0.0),
+                     id="contaminated-eps"),
+        pytest.param(lambda: contaminated_moments(cosine_model(4), _point(), 1e-3),
+                     id="contaminated-x0-length"),
+        pytest.param(lambda: ris_numeric_oracle(cosine_model(4), _point(), 1, "y"),
+                     id="oracle-x0-length"),
+        pytest.param(lambda: cosine_model(1), id="cosine-p"),
         pytest.param(lambda: ris_rows(cosine_model(3), "y", np.zeros(3), [0.0]), id="rows-shape"),
-        pytest.param(lambda: influence_surface("y", [-1.0], [0.0]), id="surface-grid"),
-        pytest.param(lambda: influence_surface("x", [1.0], [0.0]), id="surface-variant"),
+        pytest.param(lambda: influence_surface([-1.0], [0.0]), id="surface-grid"),
         pytest.param(lambda: spearman([1.0], [2.0]), id="spearman-size"),
     ],
 )
@@ -247,6 +258,15 @@ def test_a_rejected_argument_raises_invalid_argument(call):
     with pytest.raises(InvalidArgument) as exc:
         call()
     assert exc.value.exit_code == 2
+
+
+def test_every_usage_error_is_an_invalid_argument():
+    # exit code 2 is one family: a class that carries it is an InvalidArgument,
+    # so ``except ValueError`` catches every usage error
+    usage = [cls for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, errors.PhdError) and cls.exit_code == 2]
+    assert InvalidRank in usage
+    assert [cls.__name__ for cls in usage if not issubclass(cls, InvalidArgument)] == []
 
 
 #: the builtin errors no check raises, and the two functions that keep one

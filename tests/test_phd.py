@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from phdinfluence import (
     fit_phd,
     population_h,
 )
-from phdinfluence.errors import InvalidRank
+from phdinfluence.errors import DegenerateSpectrum, InvalidRank
+from phdinfluence.phd import require_gap
 from phdinfluence.linalg import project_out, sym_eigen
 from phdinfluence.population import COSINE_MODEL_LAMBDA1, cosine_model
 from phdinfluence.simulation import SimSpec, simulate
@@ -37,11 +40,11 @@ def test_population_h_eigen_round_trip(rng):
         mu_y=0.0,
         sigma_xy=np.zeros(5),
     )
-    es = sym_eigen(population_h(model))
-    assert np.allclose(es.values[:2], lam, atol=1e-10)
-    assert np.abs(es.values[2:]).max() <= 1e-10
+    values, vectors = sym_eigen(population_h(model))
+    assert np.allclose(values[:2], lam, atol=1e-10)
+    assert np.abs(values[2:]).max() <= 1e-10
     for k in range(2):
-        assert np.linalg.norm(project_out(model.gamma, es.vectors[:, k])) <= 1e-10
+        assert np.linalg.norm(project_out(model.gamma, vectors[:, k])) <= 1e-10
 
 
 def test_fit_structure_and_sandwich(rng):
@@ -52,9 +55,11 @@ def test_fit_structure_and_sandwich(rng):
     fit = fit_from_moments(m, "y", 2)
     assert np.array_equal(fit.h, fit.h.T)
     assert np.abs(fit.h - m.s_inv @ m.sigma_yxx_hat @ m.s_inv).max() <= 1e-10
-    assert np.array_equal(fit.gamma_hat.columns, fit.eig.vectors[:, :2])
-    assert np.array_equal(fit.lambda_hat, fit.eig.values[:2])
-    assert len(fit.eig.values) == 4  # full spectrum retained
+    values, vectors = sym_eigen(fit.h)
+    assert np.array_equal(fit.gamma_hat.columns, vectors[:, :2])
+    assert np.array_equal(fit.eigenvalues, values)  # full spectrum retained
+    assert np.array_equal(fit.lambda_hat, values[:2])
+    assert len(fit.eigenvalues) == 4
     fit_r = fit_from_moments(m, "r", 2)
     assert np.abs(fit_r.h - m.s_inv @ m.sigma_rxx_hat @ m.s_inv).max() <= 1e-10
 
@@ -68,12 +73,31 @@ def test_fit_rejects_bad_rank(rng):
         fit_phd(d, "y", 0)
 
 
+def test_the_cut_rule_compares_magnitudes_at_k_only(rng):
+    # the span is ranked by |lambda|, so lambda_K = -lambda_{K+1} ties at the
+    # cut; ties inside the K fitted values or past K + 1 are not the cut's
+    d = Dataset(y=rng.standard_normal(30), x=rng.standard_normal((30, 3)))
+    fit = fit_phd(d, "y", 1)
+    for values, k, tied in (([1.0, -1.0 + 1e-12, 0.3], 1, True),
+                            ([1.0, 1.0 - 1e-12, 0.3], 1, True),
+                            ([1.0, -0.9, 0.3], 1, False),
+                            ([1.0, 1.0, 0.3], 2, False),
+                            ([1.0, 0.3, -0.3], 2, True),
+                            ([1.0, 0.3, 0.3], 3, False)):
+        tie = dataclasses.replace(fit, eigenvalues=np.array(values), k=k)
+        if tied:
+            with pytest.raises(DegenerateSpectrum, match=f"eigenvalues {k} and {k + 1}"):
+                require_gap(tie)
+        else:
+            require_gap(tie)
+
+
 def test_independent_response_gives_null_spectrum():
     spec = SimSpec(model="linear_index", n=100_000, p=3, seed=77, sigma=1.0,
                    beta=np.zeros(3))
     d = simulate(spec)  # y is pure noise, independent of x
     fit = fit_phd(d, "y", 1)
-    assert np.abs(fit.eig.values).max() <= 0.05 * d.y.std()
+    assert np.abs(fit.eigenvalues).max() <= 0.05 * d.y.std()
 
 
 @pytest.mark.parametrize("variant", ["y", "r"])
@@ -96,7 +120,7 @@ def test_projector_invariant_to_sign_flips(rng):
     p_flipped = flipped @ flipped.T
     p_hat = fit.gamma_hat.columns @ fit.gamma_hat.columns.T
     assert np.abs(p_flipped - p_hat).max() <= 1e-12
-    assert np.array_equal(np.abs(fit.lambda_hat), np.abs(fit.eig.values[:2]))
+    assert np.array_equal(np.abs(fit.lambda_hat), np.abs(fit.eigenvalues[:2]))
 
 
 def test_variants_converge_to_the_same_matrix():
@@ -133,4 +157,4 @@ def test_fitted_spectrum_matches_a_high_precision_fit_on_mixed_units(variant):
     # every fitted eigenvalue sits at rounding of |lambda_1|
     fit = fit_phd(hitters_like(), variant, 2)
     want = mp_eigh(getattr(hitters_refit(None), f"h_{variant}"))[0]
-    assert np.abs(fit.eig.values - want).max() <= 1e-13 * abs(want[0])
+    assert np.abs(fit.eigenvalues - want).max() <= 1e-13 * abs(want[0])

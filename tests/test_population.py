@@ -17,6 +17,7 @@ from phdinfluence import (
     write_surface_csv,
 )
 from phdinfluence.linalg import spd_inverse
+from phdinfluence.phd import VARIANTS
 from phdinfluence.population import (
     COSINE_MODEL_LAMBDA1,
     COSINE_MODEL_MU_Y,
@@ -26,10 +27,8 @@ from phdinfluence.population import (
 from phdinfluence.errors import (
     DegenerateSpectrum,
     InvalidArgument,
-    InvalidEpsilon,
     InvalidMatrix,
     NotPositiveDefinite,
-    UnsupportedModel,
 )
 from conftest import random_model, random_orthonormal
 from oracles import if_h_r, if_h_y, ris_from_if_matrix, surface_shortcut
@@ -344,7 +343,7 @@ def test_epsilon_bounds(rng):
     model = random_model(rng, 3, 1)
     pt = ContaminationPoint(y0=0.0, x0=np.zeros(3))
     for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(InvalidEpsilon):
+        with pytest.raises(InvalidArgument):
             contaminated_moments(model, pt, bad)
 
 
@@ -452,8 +451,8 @@ def test_influence_matrix_matches_finite_difference(rng):
 def test_surface_checkpoints(tmp_path):
     norms = np.linspace(0.0, 3.0, 13)   # includes 2.0
     costhetas = np.linspace(-1.0, 1.0, 9)  # includes -1, 0, 1
-    grid_y = influence_surface("y", norms, costhetas)
-    grid_r = influence_surface("r", norms, costhetas)
+    surface = influence_surface(norms, costhetas)
+    grid_y, grid_r = surface[..., 0], surface[..., 1]
 
     a = int(np.where(np.isclose(norms, 2.0))[0][0])
     b = int(np.where(np.isclose(costhetas, 0.0))[0][0])
@@ -466,7 +465,7 @@ def test_surface_checkpoints(tmp_path):
     assert np.abs(grid_r[:, -1]).max() <= 1e-12
 
     path = tmp_path / "surface.csv"
-    write_surface_csv(path, norms, costhetas, grid_y, grid_r)
+    write_surface_csv(path, norms, costhetas, surface)
     lines = path.read_text().splitlines()
     assert lines[0] == "norm_x0,cos_theta0,ris_y,ris_r"
     assert len(lines) == 1 + norms.size * costhetas.size
@@ -479,23 +478,47 @@ def test_surface_checkpoints(tmp_path):
 def test_surface_csv_is_the_per_cell_layout(tmp_path):
     norms = np.linspace(0.0, 3.0, 8)
     costhetas = np.linspace(-1.0, 1.0, 6)
-    grid_y = influence_surface("y", norms, costhetas)
-    grid_r = influence_surface("r", norms, costhetas)
+    surface = influence_surface(norms, costhetas)
     path = tmp_path / "surface.csv"
-    write_surface_csv(path, norms, costhetas, grid_y, grid_r)
+    write_surface_csv(path, norms, costhetas, surface)
     want = "norm_x0,cos_theta0,ris_y,ris_r\n" + "".join(
-        f"{norms[a]:.17g},{costhetas[b]:.17g},{grid_y[a, b]:.17g},{grid_r[a, b]:.17g}\n"
+        f"{norms[a]:.17g},{costhetas[b]:.17g},{surface[a, b, 0]:.17g},{surface[a, b, 1]:.17g}\n"
         for a in range(norms.size)
         for b in range(costhetas.size)
     )
     assert path.read_bytes() == want.encode("utf-8")
 
 
+def test_surface_csv_rejects_a_surface_that_does_not_fit_the_grids(tmp_path):
+    # one array per grid: the paired grids of another shape, or a surface
+    # missing its variant axis, raise before the file is opened
+    norms, costhetas = np.linspace(0.0, 3.0, 4), np.linspace(-1.0, 1.0, 3)
+    surface = influence_surface(norms, costhetas)
+    path = tmp_path / "surface.csv"
+    for bad in (surface[:3], surface[:, :2], surface[..., 0], surface[..., :1]):
+        with pytest.raises(InvalidArgument, match=r"need a surface of shape \(4, 3, 2\)"):
+            write_surface_csv(path, norms, costhetas, bad)
+    assert not path.exists()
+
+
+def test_surface_holds_both_variants_of_ris_rows_bit_for_bit():
+    # the last axis is the variant, in VARIANTS order, each cell the rate of
+    # ris_rows on cosine_model(2) at the cell's (y0, x0)
+    norms, costhetas = np.linspace(0.0, 3.0, 7), np.linspace(-1.0, 1.0, 5)
+    surface = influence_surface(norms, costhetas)
+    assert surface.shape == (7, 5, 2)
+    sines = np.sqrt(1.0 - costhetas * costhetas)
+    x0 = np.stack((norms[:, None] * costhetas, norms[:, None] * sines), axis=-1)
+    y0 = np.cos(2.0 * x0[..., 0] - math.pi / 4.0)  # on the noiseless curve
+    for v, variant in enumerate(VARIANTS):
+        want = ris_rows(cosine_model(2), variant, x0.reshape(-1, 2), y0.ravel())[:, 0]
+        assert np.array_equal(surface[..., v], want.reshape(7, 5))
+
+
 def test_surface_cross_section_peak_favors_residual_variant():
     costhetas = np.linspace(-1.0, 1.0, 201)
-    grid_y = influence_surface("y", [2.0], costhetas)
-    grid_r = influence_surface("r", [2.0], costhetas)
-    assert grid_r.max() > grid_y.max()
+    surface = influence_surface([2.0], costhetas)
+    assert surface[..., VARIANTS.index("r")].max() > surface[..., VARIANTS.index("y")].max()
 
 
 @pytest.mark.parametrize("p", [2, 3, 16])
@@ -505,7 +528,7 @@ def test_surface_matches_the_single_index_shortcut(variant, p):
     # cosine model at every p
     norms = np.linspace(0.0, 3.0, 61)
     costhetas = np.linspace(-1.0, 1.0, 61)
-    got = influence_surface(variant, norms, costhetas)
+    got = influence_surface(norms, costhetas)[..., VARIANTS.index(variant)]
     want = surface_shortcut(cosine_model(p), variant, norms, costhetas)
     assert got.shape == want.shape == (61, 61)
     assert np.abs(got - want).max() <= 1e-9
@@ -527,7 +550,7 @@ def test_ris_rows_and_surface_reject_bad_points():
     for norms, costhetas in (([np.nan], [0.0]), ([1.0], [np.nan]), ([1.0], [1.5]),
                              ([-1.0, 1.0], [0.5, -0.5]), ([0.0, -1e-300], [0.0])):
         with pytest.raises(ValueError):
-            influence_surface("y", norms, costhetas)
+            influence_surface(norms, costhetas)
 
 
 @pytest.mark.parametrize("variant", ["y", "r"])
@@ -557,7 +580,7 @@ def test_ris_rows_rejects_finite_points_whose_rates_overflow(variant):
 
 def test_surface_needs_p_at_least_2():
     # the surface is the cosine model's, which needs a second axis for x0
-    with pytest.raises(UnsupportedModel):
+    with pytest.raises(InvalidArgument, match="needs p >= 2"):
         cosine_model(1)
 
 
