@@ -121,14 +121,13 @@ def _load_dataset(args):
 
 def cmd_fit(args) -> _Ran:
     from .moments import compute_moments
-    from .phd import fit_from_moments, require_gap, require_nonzero
+    from .phd import fit_from_moments, require_determined
 
     dataset, config = _load_dataset(args)
     m = compute_moments(dataset)
     fit = fit_from_moments(m, args.variant, args.k)
-    # before any file: the span is arbitrary at a zero eigenvalue or a tie at the cut
-    require_nonzero(fit, m)
-    require_gap(fit)
+    # before any file: a direction is arbitrary at a zero eigenvalue or a tie
+    require_determined(fit, m)
 
     out = _outdir(args)
 
@@ -221,15 +220,8 @@ def cmd_simulate(args) -> _Ran:
                 "--beta must be ';'-separated index vectors of comma-separated numbers, "
                 f"all of one length, got {args.beta!r}"
             ) from None
-    spec = SimSpec(
-        model=args.model,
-        n=args.n,
-        p=args.p,
-        seed=args.seed,
-        sigma=args.sigma,
-        beta=beta,
-        link=args.link,
-    )
+    spec = SimSpec(n=args.n, p=args.p, seed=args.seed, sigma=args.sigma, beta=beta,
+                   link=args.link)
     dataset = simulate(spec)
 
     data_path = _outdir(args) / "dataset.csv"
@@ -335,18 +327,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_surf.set_defaults(handler=cmd_surface)
 
     p_sim = sub.add_parser("simulate", help="draw a seeded dataset and write it as CSV")
-    p_sim.add_argument(
-        "--model",
-        choices=("cosine_index", "quadratic_first", "linear_index", "custom_index"),
-        default="cosine_index",
-    )
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--p", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--sigma", type=float, default=1.0)
-    p_sim.add_argument("--beta", default=None, help="index vector of p comma-separated "
-                       "numbers; custom_index takes K of them, separated by ';'")
-    p_sim.add_argument("--link", default=None, help="link name for custom_index")
+    p_sim.add_argument("--beta", default=None, help="index matrix B: K vectors of p "
+                       "comma-separated numbers, separated by ';' (default: the first axis)")
+    p_sim.add_argument("--link", default="cosine", help="catalog link applied to x B: "
+                       "cosine, linear, quadratic, product or sum_squares")
     _add_common(p_sim)
     p_sim.set_defaults(handler=cmd_simulate)
 

@@ -20,12 +20,12 @@ subspace, all scaled so they estimate the same population rate:
 
 Every measure accepts the same fits.  One gate, ``_require_measurable``,
 raises InvalidRank unless 1 <= k < p (at k = p every measure is rounding
-noise), DegenerateEigenvalue when a fitted eigenvalue is numerically zero
-(the zero rule ``phd.require_nonzero``) and DegenerateSpectrum when two are
-tied (``phd.require_untied``, the tie rule ``PopulationModel`` applies to its
-own eigenvalues) or when |lambda_K| ties |lambda_{K+1}| at the cut
-(``phd.require_gap``).  The ``fit`` command applies the zero and cut rules
-too.  ``sris``, ``hris`` and
+noise), then applies the ``fit`` command's gate ``phd.require_determined``:
+DegenerateEigenvalue when a fitted eigenvalue is numerically zero (the zero
+rule ``phd.require_nonzero``) and DegenerateSpectrum when two are tied
+(``phd.require_untied``, the tie rule ``PopulationModel`` applies to its own
+eigenvalues) or when |lambda_K| ties |lambda_{K+1}| at the cut
+(``phd.require_gap``).  ``sris``, ``hris`` and
 ``eris`` call it; ``influence_report`` checks the rank before any work and
 meets the rest of the gate through ``eris``.
 
@@ -72,7 +72,7 @@ from .errors import (DegenerateLeverage, InvalidArgument, InvalidRank, Undefined
                      is_integer)
 from .linalg import check_orthonormal, eigen_order, project_out
 from .moments import Dataset, MomentSet, compute_moments, mahalanobis
-from .phd import VARIANTS, PhdFit, fit_from_moments, require_gap, require_nonzero, require_untied
+from .phd import VARIANTS, PhdFit, fit_from_moments, require_determined
 from .population import _ris_kernel
 
 #: a leave-one-out direction whose overlap with its full-sample partner is
@@ -117,14 +117,10 @@ def _require_rank(k: int, p: int) -> None:
 
 
 def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
-    """The gate on the fits every influence measure accepts: rank 1 <= k < p,
-    no fitted eigenvalue numerically zero (DegenerateEigenvalue, the zero
-    rule ``phd.require_nonzero``), none tied and no tie at the cut
-    (DegenerateSpectrum, ``phd.require_untied`` and ``phd.require_gap``)."""
+    """The gate on the fits every influence measure accepts: rank 1 <= k < p
+    and the ``fit`` command's gate, ``phd.require_determined``."""
     _require_rank(fit.k, m.p)
-    require_nonzero(fit, m)
-    require_untied(fit.lambda_hat)
-    require_gap(fit)
+    require_determined(fit, m)
 
 
 class _LooWalk:

@@ -2,7 +2,9 @@
 
 Every domain error derives from :class:`PhdError` and carries the CLI exit
 code of its class: 2 usage, 3 data, 4 numeric degeneracy.  The usage checks
-share one integer rule, :func:`is_integer`.
+share one integer rule, :func:`is_integer`, and one real-number rule,
+:func:`as_real` for a scalar and :func:`as_real_array` for an array, each
+applied once, where the argument enters.
 
 One error rule: a check on a caller's argument raises a class of this
 module, never a bare ValueError, TypeError or IndexError, which carry no
@@ -24,6 +26,34 @@ def is_integer(value) -> bool:
     """The integer rule of every size, rank, seed and index argument: a
     ``numbers.Integral`` that is not a bool (True is not taken for 1)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def as_real(value, name: str) -> float:
+    """The real-number rule of every scalar parameter: a ``numbers.Real`` or a
+    0-d array of a bool, integer or float dtype (a numeric string is
+    neither), returned as a float; InvalidArgument otherwise."""
+    if not isinstance(value, numbers.Real):
+        import numpy as np  # lazily: the package itself loads no numpy
+
+        if not (isinstance(value, np.ndarray) and value.ndim == 0
+                and value.dtype.kind in "biuf"):
+            raise InvalidArgument(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def as_real_array(value, name: str):
+    """The real-number rule of every array parameter: numbers of a bool,
+    integer or float dtype (not strings, objects or ragged rows), returned as
+    a float64 array; InvalidArgument otherwise."""
+    import numpy as np
+
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged rows
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise InvalidArgument(f"{name} must hold real numbers, got {value!r}")
+    return array.astype(float, copy=False)
 
 
 class PhdError(Exception):

@@ -16,10 +16,11 @@ whose cut falls in a tie, |lambda_K| and |lambda_{K+1}| within SPECTRUM_RTOL
 |lambda_1|: which tied eigenvector enters the span is then arbitrary.  The
 zero rule, :func:`require_nonzero`, and the cut rule, :func:`require_gap`,
 are stated here once, beside the tie rule on a set of eigenvalues,
-:func:`require_untied`; the ``fit`` command and every influence measure
-apply the first two, while :func:`fit_from_moments` and :func:`fit_phd`
-return such a fit unchecked.  The fit keeps all p eigenvalues but only the
-K leading eigenvectors.
+:func:`require_untied`: a tie among the K fitted eigenvalues leaves each of
+their eigenvectors arbitrary.  :func:`require_determined` applies all three
+to a fit; the ``fit`` command and every influence measure call it, while
+:func:`fit_from_moments` and :func:`fit_phd` return such a fit unchecked.
+The fit keeps all p eigenvalues but only the K leading eigenvectors.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def require_untied(lam: np.ndarray) -> None:
             if abs(lam[i] - lam[j]) < SPECTRUM_RTOL * abs(lam[0]):
                 raise DegenerateSpectrum(
                     f"eigenvalues {i + 1} and {j + 1} coincide ({lam[i]!r} vs "
-                    f"{lam[j]!r}); the eigenvector influence is undefined for tied spectra"
+                    f"{lam[j]!r}); each eigenvector of a tied pair, and its influence, is "
+                    "arbitrary"
                 )
 
 
@@ -137,6 +139,15 @@ def require_gap(fit: PhdFit) -> None:
             f"eigenvalues {k} and {k + 1} tie in magnitude ({vals[k - 1]!r} vs "
             f"{vals[k]!r}); the rank-{k} span is undefined at a tied cut"
         )
+
+
+def require_determined(fit: PhdFit, m: MomentSet) -> None:
+    """The gate on a fit whose K eigenvectors are each determined: no fitted
+    eigenvalue numerically zero (:func:`require_nonzero`), no two of them
+    tied (:func:`require_untied`) and no tie at the cut (:func:`require_gap`)."""
+    require_nonzero(fit, m)
+    require_untied(fit.lambda_hat)
+    require_gap(fit)
 
 
 def population_h(model) -> np.ndarray:

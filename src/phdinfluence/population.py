@@ -67,12 +67,12 @@ where the Gaussian predictor makes all centered third moments of X vanish.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguousMatch, InvalidArgument, InvalidMatrix, is_integer
+from .errors import (AmbiguousMatch, InvalidArgument, InvalidMatrix, as_real, as_real_array,
+                     is_integer)
 from .linalg import Basis, mirror, project_out, spd_inverse, sym_eigen
 from .phd import VARIANTS, check_variant, population_h, require_untied
 
@@ -96,10 +96,11 @@ class PopulationModel:
     ``spd_inverse``, so the decision does not depend on units.  It is stored
     exactly symmetric.
 
-    A ``gamma`` that is not a Basis, a field of the wrong shape, a value
-    that is not finite, a zero or misordered eigenvalue and an OLS direction
-    outside span(gamma) raise InvalidArgument; a skewed sigma raises
-    InvalidMatrix.
+    A ``gamma`` that is not a Basis, a field that is not real numbers
+    (``errors.as_real`` and ``as_real_array``), a field of the wrong shape, a
+    value that is not finite, a zero or misordered eigenvalue and an OLS
+    direction outside span(gamma) raise InvalidArgument; a skewed sigma
+    raises InvalidMatrix.
     """
 
     mu: np.ndarray
@@ -115,10 +116,9 @@ class PopulationModel:
     def __post_init__(self):
         if not isinstance(self.gamma, Basis):
             raise InvalidArgument(f"gamma must be a linalg.Basis, got {type(self.gamma).__name__}")
-        mu = np.asarray(self.mu, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
-        sigma_xy = np.asarray(self.sigma_xy, dtype=float)
-        given = np.asarray(self.sigma, dtype=float)
+        mu, lam, sigma_xy, given = (as_real_array(getattr(self, name), name)
+                                    for name in ("mu", "lam", "sigma_xy", "sigma"))
+        mu_y = as_real(self.mu_y, "mu_y")
         sigma = mirror(given)
         p, k = self.gamma.dim, self.gamma.rank
         if mu.shape != (p,) or sigma_xy.shape != (p,):
@@ -137,7 +137,7 @@ class PopulationModel:
             )
         if lam.shape != (k,):
             raise InvalidArgument("lam must have one eigenvalue per basis column")
-        if not all(np.isfinite(a).all() for a in (mu, lam, sigma_xy, self.mu_y)):
+        if not all(np.isfinite(a).all() for a in (mu, lam, sigma_xy, mu_y)):
             raise InvalidArgument("mu, lam, mu_y and sigma_xy must be finite")
         if np.any(np.abs(lam) <= 0.0):
             raise InvalidArgument("all reduction eigenvalues must be nonzero")
@@ -153,6 +153,7 @@ class PopulationModel:
                 f"residual component {leak:.3e}"
             )
         object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu_y", mu_y)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "sigma_xy", sigma_xy)
@@ -171,20 +172,19 @@ class PopulationModel:
 @dataclass(frozen=True)
 class ContaminationPoint:
     """The location (y0, x0) of the contaminating point mass; a y0 that is
-    not a real number, an x0 that is not a vector, or a point that is not
-    finite, raises InvalidArgument."""
+    not a real number, an x0 that is not a vector of them, or a point that is
+    not finite, raises InvalidArgument."""
 
     y0: float
     x0: np.ndarray
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        if not isinstance(self.y0, numbers.Real):
-            raise InvalidArgument(f"y0 must be a real number, got {self.y0!r}")
+        y0, x0 = as_real(self.y0, "y0"), as_real_array(self.x0, "x0")
         if x0.ndim != 1:
             raise InvalidArgument(f"x0 must be a vector, got shape {x0.shape}")
-        if not (math.isfinite(self.y0) and np.all(np.isfinite(x0))):
+        if not (math.isfinite(y0) and np.all(np.isfinite(x0))):
             raise InvalidArgument("contamination point must be finite")
+        object.__setattr__(self, "y0", y0)
         object.__setattr__(self, "x0", x0)
 
 
@@ -207,8 +207,7 @@ def ris_rows(model: PopulationModel, variant: str, x0, y0) -> np.ndarray:
     the first such row, also as its ``row``.
     """
     check_variant(variant)
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    x0, y0 = as_real_array(x0, "x0"), as_real_array(y0, "y0")
     if x0.ndim != 2 or x0.shape[1] != model.p or y0.shape != x0.shape[:1]:
         raise InvalidArgument(
             f"need an m x {model.p} x0 and a length-m y0, got {x0.shape} and {y0.shape}"
@@ -272,8 +271,9 @@ def contaminated_moments(
     model: PopulationModel, pt: ContaminationPoint, eps: float
 ) -> ContaminatedMoments:
     """Exact (not first-order) moments of (1 - eps) G + eps point mass.  An
-    eps outside (0, 1) or an x0 whose length is not the model's p raises
-    InvalidArgument."""
+    eps that is not a real number in (0, 1) or an x0 whose length is not the
+    model's p raises InvalidArgument."""
+    eps = as_real(eps, "eps")
     if not 0.0 < eps < 1.0:
         raise InvalidArgument(f"eps must lie strictly in (0, 1), got {eps!r}")
     if pt.x0.shape != (model.p,):

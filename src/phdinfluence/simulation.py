@@ -1,15 +1,15 @@
-"""Seeded generators for multi-index regression models.
+"""Seeded generator of multi-index regression data.
 
-Predictors are always i.i.d. standard p-variate normal and the noise is
-independent N(0, sigma^2); streams come from numpy's PCG64 generator so a
-(seed, spec) pair reproduces the dataset bit for bit on any platform.  The
-link catalog is closed: simulations stay reproducible artifacts, this is not
-a modeling framework.  Every model draws its response through a catalog
-link; the cosine link is the population module's, so the simulator, the
-Monte Carlo check of the cosine constants and the influence surface share
-one statement of the example.  :class:`SimSpec` is the one judge of a
-request: it rejects sizes no dataset can have and a parameter its model
-would not read.
+One model: y = LINK_CATALOG[link](x B) + sigma eps.  Predictors are always
+i.i.d. standard p-variate normal and the noise is independent N(0, sigma^2);
+streams come from numpy's PCG64 generator so a (seed, spec) pair reproduces
+the dataset bit for bit on any platform.  The link catalog is closed:
+simulations stay reproducible artifacts, this is not a modeling framework.
+The cosine link is the population module's, so the simulator, the Monte
+Carlo check of the cosine constants and the influence surface share one
+statement of the example.  :class:`SimSpec` is the one judge of a request:
+it rejects sizes no dataset can have, a link outside the catalog and an
+index matrix B of the wrong shape.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, is_integer
+from .errors import InvalidArgument, as_real, as_real_array, is_integer
 from .moments import Dataset
 from .population import _cosine_response
 
-MODELS = ("cosine_index", "quadratic_first", "linear_index", "custom_index")
-
-#: Closed catalog of link functions.  Each maps the n x K index matrix B'X to
-#: the noiseless response; custom_index names its link, the other models have
-#: theirs in _MODEL_LINKS.
+#: Closed catalog of link functions.  Each maps the n x K index matrix x B to
+#: the noiseless response.
 LINK_CATALOG = {
     "cosine": lambda t: _cosine_response(t[:, 0]),
     "linear": lambda t: t.sum(axis=1),
@@ -36,64 +33,44 @@ LINK_CATALOG = {
     "sum_squares": lambda t: (t**2).sum(axis=1),
 }
 
-_MODEL_LINKS = {"cosine_index": "cosine", "linear_index": "linear", "quadratic_first": "quadratic"}
-
 
 @dataclass(frozen=True)
 class SimSpec:
-    """One reproducible simulation: model family, sizes, parameters, seed.
+    """One reproducible simulation: sizes, seed, noise sd, index matrix, link.
 
-    ``beta`` is a length-p vector (or p x 1 matrix) for cosine_index and
-    linear_index and a p x K matrix for custom_index; quadratic_first takes
-    none, its beta is the first axis.  ``link``, a LINK_CATALOG name, is
-    read by custom_index only.
+    ``beta`` is the index matrix B, a length-p vector or a p x K matrix; it
+    is stored p x K, read-only, and defaults to the first axis e_1 as p x 1.
+    ``link`` is a LINK_CATALOG name.  The one rule that ties two fields
+    together: the cosine link needs a unit-norm first column of B.
     """
 
-    model: str
     n: int
     p: int
     seed: int
     sigma: float = 1.0
     beta: np.ndarray | None = None
-    link: str | None = None
+    link: str = "cosine"
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise InvalidArgument(f"model must be one of {MODELS}, got {self.model!r}")
         _require_seed(self.seed)
         _require_sizes(n=self.n, p=self.p)
         if self.p < 1 or self.n < self.p + 2:
             raise InvalidArgument(f"need p >= 1 and n >= p + 2, got n={self.n}, p={self.p}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise InvalidArgument(f"sigma must be finite and nonnegative, got {self.sigma!r}")
-        if self.link is not None and self.model != "custom_index":
-            raise InvalidArgument(f"link is read by custom_index only, not {self.model}")
-        if self.beta is not None and self.model == "quadratic_first":
-            raise InvalidArgument("quadratic_first reads no beta: its index is the first axis")
-        beta = self.beta
-        if beta is None:
-            if self.model == "custom_index":
-                raise InvalidArgument("custom_index needs an explicit p x K beta matrix")
-            beta = np.zeros(self.p)
-            beta[0] = 1.0
-        beta = np.asarray(beta, dtype=float)
+        sigma = _require_sigma(self.sigma)
+        if not (isinstance(self.link, str) and self.link in LINK_CATALOG):
+            raise InvalidArgument(f"link must be one of {sorted(LINK_CATALOG)}, got {self.link!r}")
+        beta = np.eye(self.p, 1) if self.beta is None else as_real_array(self.beta, "beta")
+        if beta.ndim == 1:
+            beta = beta[:, None]
+        if beta.ndim != 2 or beta.shape[0] != self.p or beta.shape[1] < 1:
+            raise InvalidArgument(f"beta must be a length-p vector or a p x K matrix with "
+                                  f"p={self.p}, got shape {beta.shape}")
         if not np.isfinite(beta).all():
             raise InvalidArgument(f"beta must be finite, got {beta.tolist()!r}")
-        if self.model == "custom_index":
-            if beta.ndim != 2 or beta.shape[0] != self.p or beta.shape[1] < 1:
-                raise InvalidArgument(f"beta must be p x K for custom_index, got {beta.shape}")
-            if self.link not in LINK_CATALOG:
-                raise InvalidArgument(
-                    f"link must be one of {sorted(LINK_CATALOG)}, got {self.link!r}"
-                )
-        else:
-            if beta.ndim == 2 and beta.shape[1] == 1:
-                beta = beta[:, 0]
-            if beta.shape != (self.p,):
-                raise InvalidArgument(f"beta must be a length-p vector, got shape {beta.shape}")
-            if self.model == "cosine_index" and abs(np.linalg.norm(beta) - 1.0) > 1e-10:
-                raise InvalidArgument("the cosine model requires a unit-norm beta")
+        if self.link == "cosine" and abs(np.linalg.norm(beta[:, 0]) - 1.0) > 1e-10:
+            raise InvalidArgument("the cosine link requires a unit-norm first beta column")
         beta.setflags(write=False)
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "beta", beta)
 
 
@@ -111,17 +88,20 @@ def _require_sizes(**sizes) -> None:
             raise InvalidArgument(f"{name} must be an integer, got {size!r}")
 
 
-def _noiseless(spec: SimSpec, x: np.ndarray) -> np.ndarray:
-    # a single-index beta is a vector: its index is the n x 1 matrix B'X
-    link = LINK_CATALOG[_MODEL_LINKS.get(spec.model, spec.link)]
-    return link((x @ spec.beta).reshape(len(x), -1))
+def _require_sigma(sigma: float) -> float:
+    """The noise sd as a float; InvalidArgument unless a finite, nonnegative
+    real number."""
+    sigma = as_real(sigma, "sigma")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidArgument(f"sigma must be finite and nonnegative, got {sigma!r}")
+    return sigma
 
 
 def simulate(spec: SimSpec) -> Dataset:
     """Draw a dataset from the spec.  Same (seed, spec) gives identical bytes."""
     rng = np.random.default_rng(spec.seed)
     x = rng.standard_normal((spec.n, spec.p))
-    y = _noiseless(spec, x)
+    y = LINK_CATALOG[spec.link](x @ spec.beta)
     if spec.sigma > 0:
         y = y + spec.sigma * rng.standard_normal(spec.n)
     return Dataset(y=y, x=x)
@@ -153,8 +133,7 @@ def mc_constants(n_mc: int, seed: int, sigma: float) -> McConstants:
     if n_mc < 3:
         raise InvalidArgument(f"n_mc must be at least 3, got {n_mc}: with two draws the covariance "
                               "terms are equal, so their standard error is zero or rounding")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise InvalidArgument(f"sigma must be finite and nonnegative, got {sigma!r}")
+    sigma = _require_sigma(sigma)
     _require_seed(seed)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below

@@ -278,7 +278,7 @@ def test_criterion_6_influence_ranking_gate():
             meds = {t: [] for t in ("eris", "hris", "md")}
             for seed in range(10):
                 d = simulate(
-                    SimSpec(model="cosine_index", n=263, p=4, seed=1000 + seed,
+                    SimSpec(n=263, p=4, seed=1000 + seed,
                             sigma=0.5)
                 )
                 rep = influence_report(d, 1)
@@ -300,7 +300,7 @@ def test_criterion_7_plug_in_route_agreement():
     ok = False
     t0 = time.monotonic()
     try:
-        d = simulate(SimSpec(model="cosine_index", n=80, p=4, seed=707, sigma=0.4))
+        d = simulate(SimSpec(n=80, p=4, seed=707, sigma=0.4))
         m = compute_moments(d)
         for variant in ("y", "r"):
             fit = fit_from_moments(m, variant, 2)
@@ -335,7 +335,7 @@ def test_criterion_8_thread_count_determinism(tmp_path):
     ok = False
     try:
         jobs = {
-            "simulate": ["simulate", "--model", "cosine_index", "--n", "500",
+            "simulate": ["simulate", "--n", "500",
                          "--p", "3", "--seed", "42", "--sigma", "0.5"],
             "surface": ["surface", "--norm-max", "3", "--grid", "21"],
             "validate": ["validate-constants", "--n", "1000000", "--seed", "7",

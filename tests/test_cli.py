@@ -29,7 +29,7 @@ def run(args):
 
 
 def test_simulate_writes_dataset_and_manifest(tmp_path):
-    code = run(["simulate", "--model", "cosine_index", "--n", 50, "--p", 3,
+    code = run(["simulate", "--n", 50, "--p", 3,
                 "--seed", 4, "--sigma", 0.5, "--output-dir", tmp_path])
     assert code == 0
     assert (tmp_path / "dataset.csv").exists()
@@ -49,10 +49,10 @@ def test_simulate_writes_dataset_and_manifest(tmp_path):
     ],
 )
 def test_simulate_custom_index_reads_beta_as_index_vectors(tmp_path, beta, link, matrix):
-    code = run(["simulate", "--model", "custom_index", "--n", 50, "--p", 3, "--seed", 1,
+    code = run(["simulate", "--n", 50, "--p", 3, "--seed", 1,
                 "--beta", beta, "--link", link, "--output-dir", tmp_path / "cli"])
     assert code == 0
-    spec = SimSpec(model="custom_index", n=50, p=3, seed=1, beta=matrix, link=link)
+    spec = SimSpec(n=50, p=3, seed=1, beta=matrix, link=link)
     write_dataset_csv(tmp_path / "want.csv", simulate(spec))
     assert (tmp_path / "cli" / "dataset.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
@@ -60,14 +60,14 @@ def test_simulate_custom_index_reads_beta_as_index_vectors(tmp_path, beta, link,
 
 
 def test_simulate_single_index_reads_one_beta_vector(tmp_path):
-    code = run(["simulate", "--model", "cosine_index", "--n", 50, "--p", 3, "--seed", 1,
+    code = run(["simulate", "--n", 50, "--p", 3, "--seed", 1,
                 "--beta", "1,0,0", "--output-dir", tmp_path / "cli"])
     assert code == 0
-    spec = SimSpec(model="cosine_index", n=50, p=3, seed=1, beta=[1.0, 0.0, 0.0])
+    spec = SimSpec(n=50, p=3, seed=1, beta=[1.0, 0.0, 0.0])
     write_dataset_csv(tmp_path / "want.csv", simulate(spec))
     assert (tmp_path / "cli" / "dataset.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text())
-    assert manifest["config"]["beta"] == [1.0, 0.0, 0.0]
+    assert manifest["config"]["beta"] == [[1.0], [0.0], [0.0]]
 
 
 def test_threads_equals_spelling_caps_every_thread_variable(tmp_path):
@@ -86,7 +86,7 @@ def test_threads_is_a_no_op_once_numpy_is_loaded(tmp_path):
 
 
 def test_fit_pipeline(tmp_path, capsys):
-    run(["simulate", "--model", "cosine_index", "--n", 400, "--p", 3,
+    run(["simulate", "--n", 400, "--p", 3,
          "--seed", 10, "--sigma", 0.3, "--output-dir", tmp_path])
     code = run(["fit", "--input", tmp_path / "dataset.csv", "--response", "y",
                 "--variant", "y", "--k", 1, "--output-dir", tmp_path / "fit"])
@@ -106,7 +106,7 @@ def test_fit_pipeline(tmp_path, capsys):
 
 
 def test_influence_pipeline(tmp_path):
-    run(["simulate", "--model", "cosine_index", "--n", 60, "--p", 3,
+    run(["simulate", "--n", 60, "--p", 3,
          "--seed", 20, "--sigma", 0.3, "--output-dir", tmp_path])
     code = run(["influence", "--input", tmp_path / "dataset.csv", "--response", "y",
                 "--k", 1, "--output-dir", tmp_path / "inf"])
@@ -207,12 +207,10 @@ def test_usage_error_exit_code():
         # an empty --beta is malformed, not an absent one
         pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", ""], "",
                      id="empty-beta-cosine"),
-        pytest.param(["simulate", "--model", "quadratic_first", "--n", "50", "--p", "3",
+        pytest.param(["simulate", "--link", "quadratic", "--n", "50", "--p", "3",
                       "--seed", "1", "--beta", ""], "", id="empty-beta-quadratic-first"),
         pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--sigma", "-1"], "",
                      id="negative-sigma"),
-        pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3",
-                      "--seed", "1"], "", id="custom-index-without-beta"),
         pytest.param(["simulate", "--n", "30", "--p", "3", "--seed", "-1"], "",
                      id="negative-seed"),
         pytest.param(["validate-constants", "--n", "1"], "", id="one-mc-sample"),
@@ -233,10 +231,11 @@ def test_usage_error_exit_code():
         # the estimates overflow to NaN, which JSON cannot hold
         pytest.param(["validate-constants", "--n", "100", "--sigma", "1e308"], "",
                      id="validate-overflowing-estimate"),
-        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,0,0;0,1,0"],
+        # the cosine link reads the first index vector, which needs unit norm
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "0,1,1;1,0,0"],
                      "", id="two-index-vectors-for-cosine"),
-        pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",
-                      "1", "--beta", "1,0,0;0,1", "--link", "product"], "", id="ragged-beta"),
+        pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "1,0,0;0,1",
+                      "--link", "product"], "", id="ragged-beta"),
         # the surface overflows at the finite points of ||x0|| = 5e159 and 1e160;
         # the message names the first such grid cell, not a row of the flattened grid
         pytest.param(["surface", "--grid", "3", "--norm-max", "1e160"],
@@ -247,19 +246,15 @@ def test_usage_error_exit_code():
                      "||x0|| = 5e+307, cos theta0 = -1", id="surface-point-overflow"),
         pytest.param(["simulate", "--n", "3", "--p", "3", "--seed", "1"], "",
                      id="n-below-p-plus-2"),
-        pytest.param(["simulate", "--model", "cosine_index", "--n", "30", "--p", "3", "--seed",
-                      "1", "--link", "product"], "", id="link-for-cosine"),
-        pytest.param(["simulate", "--model", "quadratic_first", "--n", "30", "--p", "3",
-                      "--seed", "1", "--beta", "0,1,0"], "", id="beta-for-quadratic-first"),
         # a NaN beta also passes the unit-norm test, since abs(nan - 1) > tol is False
         pytest.param(["simulate", "--n", "50", "--p", "3", "--seed", "1", "--beta", "nan,0,0"], "",
                      id="nan-beta-cosine"),
-        pytest.param(["simulate", "--model", "linear_index", "--n", "50", "--p", "3", "--seed",
-                      "1", "--beta", "nan,0,0"], "", id="nan-beta-linear"),
-        pytest.param(["simulate", "--model", "custom_index", "--n", "50", "--p", "3", "--seed",
-                      "1", "--beta", "1,nan,0", "--link", "linear"], "", id="nan-beta-custom"),
-        pytest.param(["simulate", "--model", "linear_index", "--n", "50", "--p", "3", "--seed",
-                      "1", "--beta", "inf,0,0"], "", id="infinite-beta"),
+        pytest.param(["simulate", "--link", "linear", "--n", "50", "--p", "3", "--seed", "1",
+                      "--beta", "nan,0,0"], "", id="nan-beta-linear"),
+        pytest.param(["simulate", "--link", "linear", "--n", "50", "--p", "3", "--seed", "1",
+                      "--beta", "1,0,0;1,nan,0"], "", id="nan-beta-custom"),
+        pytest.param(["simulate", "--link", "linear", "--n", "50", "--p", "3", "--seed", "1",
+                      "--beta", "inf,0,0"], "", id="infinite-beta"),
         pytest.param(["surface", "--threads", "0"], "", id="zero-threads"),
         # the input does not exist: the thread check comes before any read
         pytest.param(["fit", "--input", "missing.csv", "--response", "y", "--variant", "y",
@@ -429,7 +424,7 @@ def test_numeric_error_exit_code(tmp_path, capsys):
 
 
 def test_invalid_rank_maps_to_usage_error(tmp_path, capsys):
-    run(["simulate", "--model", "cosine_index", "--n", 30, "--p", 2,
+    run(["simulate", "--n", 30, "--p", 2,
          "--seed", 1, "--sigma", 0.1, "--output-dir", tmp_path])
     code = run(["fit", "--input", tmp_path / "dataset.csv", "--response", "y",
                 "--variant", "y", "--k", 5, "--output-dir", tmp_path])
@@ -440,7 +435,7 @@ def test_invalid_rank_maps_to_usage_error(tmp_path, capsys):
 
 def test_influence_rank_equal_to_p_is_a_usage_error(tmp_path, capsys):
     # at k = p the span is the whole space and every measure is rounding noise
-    run(["simulate", "--model", "cosine_index", "--n", 40, "--p", 3,
+    run(["simulate", "--n", 40, "--p", 3,
          "--seed", 1, "--output-dir", tmp_path])
     code = run(["influence", "--input", tmp_path / "dataset.csv", "--response", "y",
                 "--k", 3, "--output-dir", tmp_path / "inf"])
@@ -485,6 +480,24 @@ def test_fit_and_influence_refuse_a_tie_at_the_cut(tmp_path, capsys):
         record = json.loads(lines[0])
         assert record["error"] == "DegenerateSpectrum"
         assert "eigenvalues 1 and 2 tie in magnitude" in record["message"]
+        assert not out.exists()
+
+
+def test_fit_and_influence_refuse_a_tie_inside_the_fitted_values(tmp_path, capsys):
+    # on the same factorial at k = 2 the span is e1-e2, but each printed
+    # direction is an arbitrary basis of it, so neither command writes one
+    x = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)) * 2)
+    write_dataset_csv(tmp_path / "data.csv", Dataset(y=x[:, 0] ** 2 + x[:, 1] ** 2, x=x))
+    for command in (["fit", "--variant", "y"], ["influence"]):
+        out = tmp_path / command[0]
+        code = run([*command, "--input", tmp_path / "data.csv", "--response", "y", "--k", 2,
+                    "--output-dir", out])
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "DegenerateSpectrum"
+        assert "eigenvalues 1 and 2 coincide" in record["message"]
         assert not out.exists()
 
 
@@ -548,17 +561,18 @@ _INGEST_DEFAULTS = {"response_column": "y", "log_response": False,
             ["records.csv", "correlations.csv", "report.json"], id="influence"),
         pytest.param(["surface", "--grid", 3], {"norm_max": 3.0, "grid": 3},
                      ["surface.csv"], id="surface"),
-        # without --beta the manifest records the first axis, the beta the model read
+        # without --beta the manifest records the first axis as a p x 1 list, the
+        # beta the link read
         pytest.param(
             ["simulate", "--n", 30, "--p", 3, "--seed", 2],
-            {"model": "cosine_index", "n": 30, "p": 3, "seed": 2, "sigma": 1.0,
-             "beta": [1.0, 0.0, 0.0], "link": None},
+            {"n": 30, "p": 3, "seed": 2, "sigma": 1.0, "beta": [[1.0], [0.0], [0.0]],
+             "link": "cosine"},
             ["dataset.csv"], id="simulate-cosine-index"),
         pytest.param(
-            ["simulate", "--model", "quadratic_first", "--n", 30, "--p", 3, "--seed", 2,
+            ["simulate", "--link", "quadratic", "--n", 30, "--p", 3, "--seed", 2,
              "--sigma", 0.5],
-            {"model": "quadratic_first", "n": 30, "p": 3, "seed": 2, "sigma": 0.5,
-             "beta": [1.0, 0.0, 0.0], "link": None},
+            {"n": 30, "p": 3, "seed": 2, "sigma": 0.5, "beta": [[1.0], [0.0], [0.0]],
+             "link": "quadratic"},
             ["dataset.csv"], id="simulate-quadratic-first"),
         pytest.param(["validate-constants", "--n", 200000, "--seed", 7, "--sigma", 0.5],
                      {"n": 200000, "sigma": 0.5, "seed": 7}, ["constants.json"],
@@ -567,7 +581,7 @@ _INGEST_DEFAULTS = {"response_column": "y", "log_response": False,
 )
 def test_manifest_records_what_the_command_ran(tmp_path, argv, config, outputs):
     data = tmp_path / "data.csv"
-    write_dataset_csv(data, simulate(SimSpec(model="cosine_index", n=40, p=3, seed=5)))
+    write_dataset_csv(data, simulate(SimSpec(n=40, p=3, seed=5)))
     reads_input = argv[0] in ("fit", "influence")
     out = tmp_path / "out"
     assert run([*argv, *(["--input", data] if reads_input else []), "--output-dir", out]) == 0
@@ -615,7 +629,7 @@ def test_a_cli_child_loads_no_openssl(tmp_path, argv):
     # hashlib loads OpenSSL's libcrypto through _hashlib, megabytes of resident
     # memory, for nothing but the manifest's two digests
     data = tmp_path / "data.csv"
-    write_dataset_csv(data, simulate(SimSpec(model="cosine_index", n=40, p=3, seed=5)))
+    write_dataset_csv(data, simulate(SimSpec(n=40, p=3, seed=5)))
     reads_input = argv[0] in ("fit", "influence")
     loaded = _run_child([*argv, *(["--input", data] if reads_input else []),
                          "--output-dir", tmp_path / "out"])
@@ -628,7 +642,7 @@ def test_a_cli_child_loads_no_openssl(tmp_path, argv):
 def test_manifest_digests_equal_hashlib_over_several_chunks(tmp_path, fallback):
     # the input takes three of _sha256_file's 64 KiB reads
     data = tmp_path / "data.csv"
-    write_dataset_csv(data, simulate(SimSpec(model="cosine_index", n=2000, p=3, seed=5)))
+    write_dataset_csv(data, simulate(SimSpec(n=2000, p=3, seed=5)))
     assert data.stat().st_size > 2 << 16
     out = tmp_path / "out"
     loaded = _run_child(
@@ -669,7 +683,7 @@ def test_names_that_need_quoting_round_trip_through_dataset_and_basis(tmp_path):
     # a comma or a quote in a column name is quoted by csv; plain names keep
     # their bytes
     names = ("a,b", 'say "hi"', "plain")
-    d = simulate(SimSpec(model="cosine_index", n=40, p=3, seed=3))
+    d = simulate(SimSpec(n=40, p=3, seed=3))
     d = Dataset(y=d.y, x=d.x, names=names)
     write_dataset_csv(tmp_path / "named.csv", d)
     header = (tmp_path / "named.csv").read_text().splitlines()[0]

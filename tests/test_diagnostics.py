@@ -84,7 +84,7 @@ def bf_sris_hris(d, fit, j):
 
 
 def cosine_data(seed, n=80, p=3, sigma=0.3):
-    return simulate(SimSpec(model="cosine_index", n=n, p=p, seed=seed, sigma=sigma))
+    return simulate(SimSpec(n=n, p=p, seed=seed, sigma=sigma))
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +268,7 @@ def test_every_measure_rejects_a_numerically_zero_eigenvalue():
 
 def test_every_measure_rejects_rank_equal_to_p():
     # at k = p the span is the whole space and every measure rounding noise
-    d = simulate(SimSpec("cosine_index", n=40, p=3, seed=1))
+    d = simulate(SimSpec(n=40, p=3, seed=1))
     m = compute_moments(d)
     for variant in ("y", "r"):
         fit = fit_from_moments(m, variant, 3)
@@ -318,7 +318,7 @@ def test_report_inverts_the_covariance_once(monkeypatch):
             return _inverse(a)
 
         monkeypatch.setattr(module, "spd_inverse", counted)
-    influence_report(simulate(SimSpec("cosine_index", n=60, p=4, seed=2)), 2)
+    influence_report(simulate(SimSpec(n=60, p=4, seed=2)), 2)
     assert calls == [(4, 4)]
 
 
@@ -357,7 +357,7 @@ def test_eris_variants_close_when_response_covariance_vanishes():
     # so the two variants differ only through the sampling error of s_xy
     gaps = []
     for n in (200, 2000):
-        d = simulate(SimSpec(model="quadratic_first", n=n, p=3, seed=21, sigma=0.5))
+        d = simulate(SimSpec(n=n, p=3, seed=21, sigma=0.5, link="quadratic"))
         m = compute_moments(d)
         fit_y = fit_from_moments(m, "y", 1)
         fit_r = fit_from_moments(m, "r", 1)
@@ -483,8 +483,8 @@ def flagged_with(report, flag: str) -> set[int]:
 
 
 def test_report_on_independent_noise_completes():
-    d = simulate(SimSpec(model="linear_index", n=80, p=3, seed=44, sigma=1.0,
-                         beta=np.zeros(3)))
+    d = simulate(SimSpec(n=80, p=3, seed=44, sigma=1.0, beta=np.zeros(3),
+                         link="linear"))
     report = influence_report(d, 2)
     assert sorted(report.j.tolist()) == list(range(80))
     avgs = report.column("sris", "y").mean(axis=1).tolist()
@@ -780,7 +780,7 @@ def _spiked_rank_three():
     # at k = 3 several records carry several order_swap flags; the last
     # predictor is 1e-6 noise except at row 4, which sits at the leverage
     # singularity
-    d0 = simulate(SimSpec(model="cosine_index", n=40, p=4, seed=0, sigma=0.5))
+    d0 = simulate(SimSpec(n=40, p=4, seed=0, sigma=0.5))
     x = d0.x.copy()
     x[:, 3] = 1e-6 * np.random.default_rng(0).standard_normal(40)
     x[4, 3] = 1.0
@@ -792,7 +792,7 @@ def _spiked_across_chunks():
     # row 4 sits at the leverage singularity and a dozen records carry
     # order_swap flags
     n = 2 * WRITE_CHUNK + 2
-    d0 = simulate(SimSpec(model="cosine_index", n=n, p=4, seed=1, sigma=0.5))
+    d0 = simulate(SimSpec(n=n, p=4, seed=1, sigma=0.5))
     x = d0.x.copy()
     x[:, 3] = 1e-6 * np.random.default_rng(1).standard_normal(n)
     x[4, 3] = 1.0

@@ -159,7 +159,7 @@ def test_a_non_finite_number_is_a_bad_cell(tmp_path, cell):
 
 
 def test_round_trip_is_bit_exact(tmp_path):
-    d = simulate(SimSpec(model="cosine_index", n=120, p=4, seed=99, sigma=0.5))
+    d = simulate(SimSpec(n=120, p=4, seed=99, sigma=0.5))
     path = tmp_path / "sim.csv"
     write_dataset_csv(path, d)
     back = ingest_csv(path, IngestConfig(response_column="y"))
@@ -171,7 +171,7 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 def test_writer_rejects_names_that_the_reader_would_strip(tmp_path):
     # ingest_csv strips header cells, so (' a', 'b ') would read back as ('a', 'b')
-    d = simulate(SimSpec(model="cosine_index", n=20, p=2, seed=1))
+    d = simulate(SimSpec(n=20, p=2, seed=1))
     path = tmp_path / "edged.csv"
     with pytest.raises(InvalidArgument):
         write_dataset_csv(path, Dataset(y=d.y, x=d.x, names=(" a", "b ")))
@@ -182,7 +182,7 @@ def test_writer_rejects_names_that_the_reader_would_strip(tmp_path):
 def test_writer_rejects_names_that_make_a_header_the_reader_rejects(tmp_path, names):
     # the header is y followed by the names: a repeat, or a predictor named
     # y, would read back as a DuplicateColumn
-    d = simulate(SimSpec(model="cosine_index", n=20, p=3, seed=1))
+    d = simulate(SimSpec(n=20, p=3, seed=1))
     path = tmp_path / "repeated.csv"
     with pytest.raises(InvalidArgument):
         write_dataset_csv(path, Dataset(y=d.y, x=d.x, names=names))

@@ -130,7 +130,7 @@ _SIMULATE_IS_THE_FUNCTION = (
     "import phdinfluence\n"
     "assert not isinstance(simulate, types.ModuleType), simulate\n"
     "assert simulate is phdinfluence.simulate is phdinfluence.simulation.simulate\n"
-    "d = simulate(phdinfluence.SimSpec(model='cosine_index', n=6, p=2, seed=1))\n"
+    "d = simulate(phdinfluence.SimSpec(n=6, p=2, seed=1))\n"
     "assert d.x.shape == (6, 2)\n"
 )
 
@@ -185,7 +185,7 @@ def test_every_submodule_imports_no_third_party_module_but_numpy():
 
 
 def _sample():
-    return simulate(SimSpec(model="cosine_index", n=40, p=4, seed=1))
+    return simulate(SimSpec(n=40, p=4, seed=1))
 
 
 def _point():
@@ -205,9 +205,9 @@ def _point():
                      id="ris-bool-direction"),
         pytest.param(lambda: cosine_model(2.5), InvalidArgument, id="cosine-float-p"),
         pytest.param(lambda: cosine_model(True), InvalidArgument, id="cosine-bool-p"),
-        pytest.param(lambda: SimSpec(model="cosine_index", n=40, p=4, seed=True),
+        pytest.param(lambda: SimSpec(n=40, p=4, seed=True),
                      InvalidArgument, id="spec-bool-seed"),
-        pytest.param(lambda: SimSpec(model="cosine_index", n=40, p=True, seed=1),
+        pytest.param(lambda: SimSpec(n=40, p=True, seed=1),
                      InvalidArgument, id="spec-bool-p"),
         pytest.param(lambda: mc_constants(1000, True, 0.5), InvalidArgument, id="mc-bool-seed"),
     ],
@@ -251,6 +251,21 @@ def _model(**changes):
         pytest.param(lambda: ris_rows(cosine_model(3), "y", np.zeros(3), [0.0]), id="rows-shape"),
         pytest.param(lambda: influence_surface([-1.0], [0.0]), id="surface-grid"),
         pytest.param(lambda: spearman([1.0], [2.0]), id="spearman-size"),
+        # arguments that are not real numbers, numeric strings included
+        pytest.param(lambda: _model(mu_y="a"), id="model-mu-y-string"),
+        pytest.param(lambda: _model(mu_y="0.5"), id="model-mu-y-numeric-string"),
+        pytest.param(lambda: _model(lam=["a"]), id="model-lam-string"),
+        pytest.param(lambda: ContaminationPoint(0.0, ["a", "b"]), id="point-x0-strings"),
+        pytest.param(lambda: contaminated_moments(cosine_model(3), _point(), "x"),
+                     id="contaminated-eps-string"),
+        pytest.param(lambda: ris_rows(cosine_model(3), "y", [["a", "b", "c"]], [0.0]),
+                     id="rows-x0-strings"),
+        pytest.param(lambda: SimSpec(n=40, p=4, seed=1, sigma="x"), id="spec-sigma-string"),
+        pytest.param(lambda: SimSpec(n=40, p=4, seed=1, sigma=None), id="spec-sigma-none"),
+        pytest.param(lambda: SimSpec(n=40, p=2, seed=1, beta=["a", "b"]), id="spec-beta-strings"),
+        pytest.param(lambda: SimSpec(n=40, p=2, seed=1, beta=[[1.0], [0.0, 1.0]]),
+                     id="spec-beta-ragged"),
+        pytest.param(lambda: mc_constants(100, 1, "x"), id="mc-sigma-string"),
     ],
 )
 def test_a_rejected_argument_raises_invalid_argument(call):

@@ -93,8 +93,8 @@ def test_the_cut_rule_compares_magnitudes_at_k_only(rng):
 
 
 def test_independent_response_gives_null_spectrum():
-    spec = SimSpec(model="linear_index", n=100_000, p=3, seed=77, sigma=1.0,
-                   beta=np.zeros(3))
+    spec = SimSpec(n=100_000, p=3, seed=77, sigma=1.0, beta=np.zeros(3),
+                   link="linear")
     d = simulate(spec)  # y is pure noise, independent of x
     fit = fit_phd(d, "y", 1)
     assert np.abs(fit.eigenvalues).max() <= 0.05 * d.y.std()
@@ -102,7 +102,7 @@ def test_independent_response_gives_null_spectrum():
 
 @pytest.mark.parametrize("variant", ["y", "r"])
 def test_cosine_model_recovers_eigenvalue_and_direction(variant):
-    spec = SimSpec(model="cosine_index", n=1_000_000, p=3, seed=11, sigma=0.5)
+    spec = SimSpec(n=1_000_000, p=3, seed=11, sigma=0.5)
     d = simulate(spec)
     fit = fit_phd(d, variant, 1)
     assert fit.lambda_hat[0] == pytest.approx(COSINE_MODEL_LAMBDA1, abs=0.01)
@@ -128,7 +128,7 @@ def test_variants_converge_to_the_same_matrix():
     for n in (1_000, 10_000, 100_000):
         gaps = []
         for seed in range(10):
-            d = simulate(SimSpec(model="cosine_index", n=n, p=3, seed=seed, sigma=0.5))
+            d = simulate(SimSpec(n=n, p=3, seed=seed, sigma=0.5))
             m = compute_moments(d)
             fit_y = fit_from_moments(m, "y", 1)
             fit_r = fit_from_moments(m, "r", 1)
@@ -140,7 +140,7 @@ def test_variants_converge_to_the_same_matrix():
 def test_residual_variant_resists_added_linear_trend():
     dist_y, dist_r = [], []
     for seed in range(8):
-        d = simulate(SimSpec(model="cosine_index", n=2_000, p=3, seed=300 + seed,
+        d = simulate(SimSpec(n=2_000, p=3, seed=300 + seed,
                              sigma=0.2))
         trend = 2.0 * d.x[:, 0]
         d_mod = Dataset(y=d.y + trend, x=d.x)

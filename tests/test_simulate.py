@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phdinfluence import SimSpec, mc_constants, simulate
+from phdinfluence import LINK_CATALOG, SimSpec, mc_constants, simulate
 from phdinfluence.population import (
     COSINE_MODEL_LAMBDA1,
     COSINE_MODEL_MU_Y,
@@ -13,23 +13,39 @@ from phdinfluence.moments import Dataset, compute_moments
 
 def test_noiseless_cosine_is_deterministic_in_x():
     beta = np.array([0.6, 0.8, 0.0])
-    spec = SimSpec(model="cosine_index", n=500, p=3, seed=42, sigma=0.0, beta=beta)
+    spec = SimSpec(n=500, p=3, seed=42, sigma=0.0, beta=beta)
     d = simulate(spec)
     assert np.array_equal(d.y, np.cos(2.0 * d.x @ beta - np.pi / 4))
 
 
-def test_single_index_models_keep_their_noiseless_response():
-    # each named model draws through its catalog link on x @ beta
-    beta = np.array([1.0, -0.5, 2.0])
-    d = simulate(SimSpec(model="linear_index", n=200, p=3, seed=6, sigma=0.0, beta=beta))
-    assert np.array_equal(d.y, d.x @ beta)
-    d = simulate(SimSpec(model="quadratic_first", n=200, p=3, seed=6, sigma=0.0))
-    assert np.array_equal(d.y, d.x[:, 0] ** 2)
+#: each catalog link's formula on the n x K index matrix t = x B
+LINK_FORMULAS = {
+    "cosine": lambda t: np.cos(2.0 * t[:, 0] - np.pi / 4),
+    "linear": lambda t: t.sum(axis=1),
+    "quadratic": lambda t: t[:, 0] ** 2,
+    "product": lambda t: t[:, 0] * t[:, -1],
+    "sum_squares": lambda t: (t**2).sum(axis=1),
+}
+
+
+@pytest.mark.parametrize("link", sorted(LINK_CATALOG))
+def test_every_link_draws_its_formula_on_x_b(link):
+    # the first column has unit norm, as the cosine link needs
+    vector = np.array([0.6, 0.8, 0.0, 0.0])
+    matrix = np.column_stack([vector, [1.0, -0.5, 2.0, 0.25]])
+    for beta in (vector, matrix):
+        d = simulate(SimSpec(n=100, p=4, seed=1, sigma=0.0, beta=beta, link=link))
+        assert np.array_equal(d.y, LINK_FORMULAS[link](d.x @ beta.reshape(4, -1)))
+    # a p-vector is its p x 1 column: same stored beta, same bytes drawn
+    flat = SimSpec(n=40, p=4, seed=8, beta=vector, link=link)
+    column = SimSpec(n=40, p=4, seed=8, beta=vector[:, None], link=link)
+    assert flat.beta.shape == column.beta.shape == (4, 1)
+    assert simulate(flat).y.tobytes() == simulate(column).y.tobytes()
 
 
 def test_linear_model_ols_recovery():
     beta = np.array([1.0, -0.5, 2.0, 0.0])
-    spec = SimSpec(model="linear_index", n=10_000, p=4, seed=5, sigma=1.0, beta=beta)
+    spec = SimSpec(n=10_000, p=4, seed=5, sigma=1.0, beta=beta, link="linear")
     d = simulate(spec)
     m = compute_moments(d)
     beta_hat = m.s_inv @ m.s_xy
@@ -37,31 +53,23 @@ def test_linear_model_ols_recovery():
 
 
 def test_quadratic_first_has_null_response_covariance():
-    spec = SimSpec(model="quadratic_first", n=100_000, p=3, seed=9)
+    spec = SimSpec(n=100_000, p=3, seed=9, link="quadratic")
     d = simulate(spec)
     m = compute_moments(d)
     assert np.linalg.norm(m.s_xy) <= 0.02
 
 
-def test_custom_index_link():
-    beta = np.column_stack([np.eye(4)[:, 0], np.eye(4)[:, 1]])
-    spec = SimSpec(model="custom_index", n=100, p=4, seed=1, sigma=0.0,
-                   beta=beta, link="product")
-    d = simulate(spec)
-    assert np.array_equal(d.y, d.x[:, 0] * d.x[:, 1])
-
-
 def test_same_seed_same_bytes():
-    spec = SimSpec(model="cosine_index", n=200, p=3, seed=123, sigma=0.7)
+    spec = SimSpec(n=200, p=3, seed=123, sigma=0.7)
     a, b = simulate(spec), simulate(spec)
     assert a.x.tobytes() == b.x.tobytes()
     assert a.y.tobytes() == b.y.tobytes()
-    other = simulate(SimSpec(model="cosine_index", n=200, p=3, seed=124, sigma=0.7))
+    other = simulate(SimSpec(n=200, p=3, seed=124, sigma=0.7))
     assert a.x.tobytes() != other.x.tobytes()
 
 
 def test_predictors_look_standard_normal():
-    spec = SimSpec(model="cosine_index", n=20_000, p=4, seed=31, sigma=0.0)
+    spec = SimSpec(n=20_000, p=4, seed=31, sigma=0.0)
     d = simulate(spec)
     root_n = np.sqrt(d.n)
     assert np.abs(d.x.mean(axis=0)).max() <= 4.0 / root_n
@@ -71,34 +79,24 @@ def test_predictors_look_standard_normal():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        SimSpec(model="nope", n=10, p=2, seed=0)
+        SimSpec(n=10, p=2, seed=0, beta=np.array([1.0, 1.0]))  # not unit norm
     with pytest.raises(ValueError):
-        SimSpec(model="cosine_index", n=10, p=2, seed=0,
-                beta=np.array([1.0, 1.0]))  # not unit norm
-    with pytest.raises(ValueError):
-        SimSpec(model="custom_index", n=10, p=2, seed=0,
-                beta=np.eye(2), link="nope")
+        SimSpec(n=10, p=2, seed=0, beta=np.eye(2), link="nope")
     with pytest.raises(InvalidArgument):
-        SimSpec(model="cosine_index", n=10, p=2, seed=-1)  # numpy takes no negative seed
+        SimSpec(n=10, p=2, seed=-1)  # numpy takes no negative seed
     with pytest.raises(InvalidArgument):
-        SimSpec(model="cosine_index", n=10, p=2, seed=1.5)
+        SimSpec(n=10, p=2, seed=1.5)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        pytest.param(dict(model="cosine_index", n=3, p=2), id="n-below-p-plus-2"),
-        pytest.param(dict(model="linear_index", n=4, p=3), id="linear-n-below-p-plus-2"),
-        pytest.param(dict(model="cosine_index", n=10, p=2, link="product"), id="link-for-cosine"),
-        pytest.param(dict(model="linear_index", n=10, p=2, link="linear"), id="link-for-linear"),
-        pytest.param(dict(model="quadratic_first", n=10, p=2, link="quadratic"),
-                     id="link-for-quadratic-first"),
-        pytest.param(dict(model="quadratic_first", n=10, p=3, beta=[0.0, 1.0, 0.0]),
-                     id="beta-for-quadratic-first"),
+        pytest.param(dict(n=3, p=2), id="n-below-p-plus-2"),
+        pytest.param(dict(n=4, p=3, link="linear"), id="linear-n-below-p-plus-2"),
         # sizes numpy takes only as integers: simulate would raise its TypeError
-        pytest.param(dict(model="cosine_index", n=10.5, p=3), id="fractional-n"),
-        pytest.param(dict(model="cosine_index", n=10, p=3.0), id="float-p"),
-        pytest.param(dict(model="cosine_index", n="10", p=3), id="string-n"),
+        pytest.param(dict(n=10.5, p=3), id="fractional-n"),
+        pytest.param(dict(n=10, p=3.0), id="float-p"),
+        pytest.param(dict(n="10", p=3), id="string-n"),
     ],
 )
 def test_spec_rejects_what_its_model_does_not_allow(kwargs):
@@ -107,20 +105,12 @@ def test_spec_rejects_what_its_model_does_not_allow(kwargs):
 
 
 def test_spec_takes_numpy_integer_sizes():
-    spec = SimSpec(model="cosine_index", n=np.int64(10), p=np.int32(3), seed=1)
+    spec = SimSpec(n=np.int64(10), p=np.int32(3), seed=1)
     assert simulate(spec).x.shape == (10, 3)
 
 
-def test_single_index_models_take_a_p_by_1_beta():
-    for model, beta in (("cosine_index", [0.6, 0.8, 0.0]), ("linear_index", [1.0, -0.5, 2.0])):
-        flat = simulate(SimSpec(model=model, n=40, p=3, seed=8, beta=beta))
-        column = SimSpec(model=model, n=40, p=3, seed=8, beta=[[v] for v in beta])
-        assert column.beta.shape == (3,)
-        assert simulate(column).y.tobytes() == flat.y.tobytes()
-
-
 def test_returns_dataset_type():
-    d = simulate(SimSpec(model="cosine_index", n=50, p=3, seed=2, sigma=0.1))
+    d = simulate(SimSpec(n=50, p=3, seed=2, sigma=0.1))
     assert isinstance(d, Dataset)
     assert d.names == ("x1", "x2", "x3")
 
