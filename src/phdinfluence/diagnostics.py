@@ -69,7 +69,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (DegenerateLeverage, InvalidArgument, InvalidRank, UndefinedCorrelation,
-                     is_integer)
+                     is_integer, owned)
 from .linalg import check_orthonormal, eigen_order, project_out
 from .moments import Dataset, MomentSet, compute_moments, mahalanobis
 from .phd import VARIANTS, PhdFit, fit_from_moments, require_determined
@@ -351,8 +351,9 @@ _MEASURES = ("sris", "eris", "hris")
 
 @dataclass
 class InfluenceReport:
-    """Everything cmd_influence serializes, as read-only arrays in report
-    order (ascending y-based average SRIS, flagged records last).
+    """Everything cmd_influence serializes, as read-only arrays
+    (``errors.owned``) and a tuple of flags, in report order (ascending
+    y-based average SRIS, flagged records last).
 
     Row i is one record: ``j[i]`` is its observation index, ``md[i]`` its
     Mahalanobis distance, ``flags[i]`` its flags, and ``values[i]`` its
@@ -365,7 +366,7 @@ class InfluenceReport:
     j: np.ndarray
     values: np.ndarray
     md: np.ndarray
-    flags: list[tuple[str, ...]]
+    flags: tuple[tuple[str, ...], ...]
     correlations: dict[str, dict[str, list[float]]]
     fits: dict[str, PhdFit]
     n: int
@@ -375,11 +376,6 @@ class InfluenceReport:
     def column(self, measure: str, variant: str) -> np.ndarray:
         """The n x K block of ``values`` holding one measure of one variant."""
         return self.values[:, _MEASURES.index(measure), VARIANTS.index(variant)]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def influence_report(d: Dataset, k: int) -> InfluenceReport:
@@ -408,13 +404,13 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
 
     avg = sris_vals[:, VARIANTS.index("y")].mean(axis=1)
     order = np.lexsort((avg, np.isnan(avg)))
-    values = _read_only(np.stack((sris_vals, eris_vals, hris_vals), axis=1)[order])
-    md = _read_only(md[order])
+    values = owned(np.stack((sris_vals, eris_vals, hris_vals), axis=1)[order])
+    md = owned(md[order])
     return InfluenceReport(
-        j=_read_only(order),
+        j=owned(order),
         values=values,
         md=md,
-        flags=[tuple(flags[j]) for j in order],
+        flags=tuple(tuple(flags[j]) for j in order),
         correlations=_correlation_table(values, md),
         fits=fits,
         n=n,

@@ -4,7 +4,10 @@ Every domain error derives from :class:`PhdError` and carries the CLI exit
 code of its class: 2 usage, 3 data, 4 numeric degeneracy.  The usage checks
 share one integer rule, :func:`is_integer`, and one real-number rule,
 :func:`as_real` for a scalar and :func:`as_real_array` for an array, each
-applied once, where the argument enters.
+applied once, where the argument enters.  Beside them stands one ownership
+rule, :func:`owned`: every array a result type stores is a read-only copy
+that shares no memory with the caller's, made by that one helper where it is
+stored.
 
 One error rule: a check on a caller's argument raises a class of this
 module, never a bare ValueError, TypeError or IndexError, which carry no
@@ -44,7 +47,7 @@ def as_real(value, name: str) -> float:
 def as_real_array(value, name: str):
     """The real-number rule of every array parameter: numbers of a bool,
     integer or float dtype (not strings, objects or ragged rows), returned as
-    a float64 array; InvalidArgument otherwise."""
+    a read-only float64 copy (:func:`owned`); InvalidArgument otherwise."""
     import numpy as np
 
     try:
@@ -53,7 +56,19 @@ def as_real_array(value, name: str):
         array = None
     if array is None or array.dtype.kind not in "biuf":
         raise InvalidArgument(f"{name} must hold real numbers, got {value!r}")
-    return array.astype(float, copy=False)
+    return owned(array, float)
+
+
+def owned(value, dtype=None):
+    """The ownership rule of every array a result type stores: a read-only
+    copy of ``value`` in its memory order, of its dtype unless ``dtype`` is
+    given, sharing no memory with it, so neither the caller nor the holder
+    can change what the other reads."""
+    import numpy as np
+
+    array = np.array(value, dtype=dtype, order="K")
+    array.setflags(write=False)
+    return array
 
 
 class PhdError(Exception):

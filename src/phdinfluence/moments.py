@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import InsufficientData, owned
 from .linalg import mirror, spd_inverse
 
 
@@ -28,8 +28,8 @@ class Dataset:
     """n observations of (scalar response, p-vector predictor).
 
     Requires n >= p + 2 so that every leave-one-out covariance can still be
-    invertible.  Arrays are stored read-only.  ``names`` defaults to
-    x1, ..., xp.
+    invertible.  Arrays are stored as read-only float64 copies
+    (``errors.owned``).  ``names`` defaults to x1, ..., xp.
     """
 
     y: np.ndarray
@@ -37,8 +37,7 @@ class Dataset:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        y = np.array(self.y, dtype=float)
+        x, y = owned(self.x, float), owned(self.y, float)
         if x.ndim != 2:
             raise InsufficientData(f"x must be an n x p matrix, got shape {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
@@ -55,8 +54,6 @@ class Dataset:
         names = tuple(f"x{i + 1}" for i in range(p)) if self.names is None else self.names
         if len(names) != p:
             raise InsufficientData(f"got {len(names)} column names for p={p} predictors")
-        x.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "names", names)
@@ -136,9 +133,7 @@ def compute_moments(d: Dataset) -> MomentSet:
         u=u,
         q=np.einsum("ij,ij->i", xc, u),
     )
-    for a in arrays.values():
-        a.setflags(write=False)
-    return MomentSet(ybar=ybar, **arrays)
+    return MomentSet(ybar=ybar, **{name: owned(a) for name, a in arrays.items()})
 
 
 def mahalanobis(m: MomentSet) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateEigenvalue, DegenerateSpectrum, InvalidArgument, InvalidRank,
-                     is_integer)
+                     is_integer, owned)
 from .linalg import Basis, mirror, sym_eigen
 from .moments import Dataset, MomentSet, compute_moments
 
@@ -57,7 +57,8 @@ class PhdFit:
     """One estimated average Hessian with its ordered spectrum.
 
     ``eigenvalues`` holds all p eigenvalues; ``gamma_hat`` the first ``k``
-    eigenvectors and ``lambda_hat`` the matching eigenvalues.
+    eigenvectors and ``lambda_hat`` the matching eigenvalues, a view of
+    ``eigenvalues``.  Every array is read-only (``errors.owned``).
     """
 
     variant: str
@@ -77,13 +78,14 @@ def fit_from_moments(m: MomentSet, variant: str, k: int) -> PhdFit:
     mat = m.sigma_yxx_hat if variant == "y" else m.sigma_rxx_hat
     h = mirror(m.s_inv @ mat @ m.s_inv)
     values, vectors = sym_eigen(h)
+    values = owned(values)
     return PhdFit(
         variant=variant,
-        h=h,
+        h=owned(h),
         eigenvalues=values,
         k=int(k),
         gamma_hat=Basis(vectors[:, :k]),
-        lambda_hat=values[:k].copy(),
+        lambda_hat=values[:k],
     )
 
 

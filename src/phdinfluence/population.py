@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AmbiguousMatch, InvalidArgument, InvalidMatrix, as_real, as_real_array,
-                     is_integer)
+                     is_integer, owned)
 from .linalg import Basis, mirror, project_out, spd_inverse, sym_eigen
 from .phd import VARIANTS, check_variant, population_h, require_untied
 
@@ -94,7 +94,9 @@ class PopulationModel:
     the only one whose symmetry it tests: each skew |sigma_ij - sigma_ji| must
     be within 1e-12 sqrt(sigma_ii sigma_jj), the diagonal scaling of
     ``spd_inverse``, so the decision does not depend on units.  It is stored
-    exactly symmetric.
+    exactly symmetric.  Every array is stored as a read-only copy
+    (``errors.owned``), so no later write to the caller's arrays can undo
+    these checks.
 
     A ``gamma`` that is not a Basis, a field that is not real numbers
     (``errors.as_real`` and ``as_real_array``), a field of the wrong shape, a
@@ -154,11 +156,11 @@ class PopulationModel:
             )
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "mu_y", mu_y)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", owned(sigma))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "sigma_xy", sigma_xy)
-        object.__setattr__(self, "sigma_inv", sigma_inv)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "sigma_inv", owned(sigma_inv))
+        object.__setattr__(self, "beta", owned(beta))
 
     @property
     def p(self) -> int:
@@ -256,7 +258,8 @@ def ris_r(model: PopulationModel, pt: ContaminationPoint, k: int) -> float:
 
 @dataclass(frozen=True)
 class ContaminatedMoments:
-    """Exact moments of the eps-mixture of the model and a point mass."""
+    """Exact moments of the eps-mixture of the model and a point mass, as
+    read-only arrays (``errors.owned``)."""
 
     eps: float
     mu_eps: np.ndarray
@@ -313,12 +316,12 @@ def contaminated_moments(
     )
     return ContaminatedMoments(
         eps=eps,
-        mu_eps=mu_eps,
-        sigma_eps=sigma_eps,
-        sigma_yxx_eps=sigma_yxx_eps,
-        sigma_rxx_eps=sigma_rxx_eps,
+        mu_eps=owned(mu_eps),
+        sigma_eps=owned(sigma_eps),
+        sigma_yxx_eps=owned(sigma_yxx_eps),
+        sigma_rxx_eps=owned(sigma_rxx_eps),
         mu_y_eps=mu_y_eps,
-        sigma_xy_eps=sigma_xy_eps,
+        sigma_xy_eps=owned(sigma_xy_eps),
     )
 
 

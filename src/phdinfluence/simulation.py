@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, as_real, as_real_array, is_integer
+from .errors import InvalidArgument, as_real, as_real_array, is_integer, owned
 from .moments import Dataset
 from .population import _cosine_response
 
@@ -39,7 +39,8 @@ class SimSpec:
     """One reproducible simulation: sizes, seed, noise sd, index matrix, link.
 
     ``beta`` is the index matrix B, a length-p vector or a p x K matrix; it
-    is stored p x K, read-only, and defaults to the first axis e_1 as p x 1.
+    is stored p x K as a read-only copy in the caller's memory order
+    (``errors.owned``), and defaults to the first axis e_1 as p x 1.
     ``link`` is a LINK_CATALOG name.  The one rule that ties two fields
     together: the cosine link needs a unit-norm first column of B.
     """
@@ -59,7 +60,7 @@ class SimSpec:
         sigma = _require_sigma(self.sigma)
         if not (isinstance(self.link, str) and self.link in LINK_CATALOG):
             raise InvalidArgument(f"link must be one of {sorted(LINK_CATALOG)}, got {self.link!r}")
-        beta = np.eye(self.p, 1) if self.beta is None else as_real_array(self.beta, "beta")
+        beta = owned(np.eye(self.p, 1)) if self.beta is None else as_real_array(self.beta, "beta")
         if beta.ndim == 1:
             beta = beta[:, None]
         if beta.ndim != 2 or beta.shape[0] != self.p or beta.shape[1] < 1:
@@ -69,7 +70,6 @@ class SimSpec:
             raise InvalidArgument(f"beta must be finite, got {beta.tolist()!r}")
         if self.link == "cosine" and abs(np.linalg.norm(beta[:, 0]) - 1.0) > 1e-10:
             raise InvalidArgument("the cosine link requires a unit-norm first beta column")
-        beta.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "beta", beta)
 

@@ -358,7 +358,7 @@ def _moments_or_reject(d):
 SCALED_DESIGN_COND = 1e9
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, print_blob=True)
 @given(
     st.integers(2, 6).flatmap(lambda p: st.tuples(
         st.integers(p + 3, 40),
@@ -408,7 +408,7 @@ def test_loo_hessians_equal_a_refit_on_random_scaled_designs(case):
             assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, print_blob=True)
 @given(
     st.integers(2, 6).flatmap(lambda p: st.tuples(
         st.integers(p + 3, 30),

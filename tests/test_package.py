@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -11,8 +12,10 @@ import phdinfluence
 from phdinfluence import (
     Basis,
     ContaminationPoint,
+    Dataset,
     PopulationModel,
     SimSpec,
+    compute_moments,
     contaminated_moments,
     cosine_model,
     fit_phd,
@@ -333,6 +336,110 @@ def test_numpy_integers_are_integers():
     assert fit_phd(_sample(), "y", np.int64(2)).k == 2
     want = ris_y(cosine_model(3), _point(), 1)
     assert ris_y(cosine_model(np.int32(3)), _point(), np.int64(1)) == want
+
+
+def _caller_sample():
+    """(x, y) of a 40 x 4 sample as the caller's own writeable float64 arrays."""
+    d = _sample()
+    return np.array(d.x), np.array(d.y)
+
+
+def _dataset_case():
+    x, y = _caller_sample()
+    return Dataset(y=y, x=x), [x, y]
+
+
+def _moments_case():
+    x, y = _caller_sample()
+    return compute_moments(Dataset(y=y, x=x)), [x, y]
+
+
+def _fit_case():
+    x, y = _caller_sample()
+    return fit_phd(Dataset(y=y, x=x), "y", 2), [x, y]
+
+
+def _basis_case():
+    g = np.eye(4)[:, :2]
+    return Basis(g), [g]
+
+
+def _model_case():
+    caller = [np.zeros(3), np.eye(3), np.array([2.0, 1.0]), np.array([0.5, 0.0, 0.0])]
+    return _model(**dict(zip(("mu", "sigma", "lam", "sigma_xy"), caller))), caller
+
+
+def _point_case():
+    x0 = np.array([0.0, 2.0, 0.0])
+    return ContaminationPoint(y0=0.3, x0=x0), [x0]
+
+
+def _contaminated_case():
+    x0 = np.array([0.0, 2.0, 0.0])
+    return contaminated_moments(cosine_model(3), ContaminationPoint(0.3, x0), 1e-3), [x0]
+
+
+def _spec_case():
+    beta = np.asfortranarray([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+    return SimSpec(n=40, p=4, seed=1, beta=beta, link="product"), [beta]
+
+
+def _report_case():
+    x, y = _caller_sample()
+    return influence_report(Dataset(y=y, x=x), 2), [x, y]
+
+
+def _stored_arrays(obj):
+    """Every ndarray a result holds, through nested dataclasses and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _stored_arrays(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _stored_arrays(value)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_dataset_case, id="Dataset"),
+    pytest.param(_moments_case, id="MomentSet"),
+    pytest.param(_fit_case, id="PhdFit"),
+    pytest.param(_basis_case, id="Basis"),
+    pytest.param(_model_case, id="PopulationModel"),
+    pytest.param(_point_case, id="ContaminationPoint"),
+    pytest.param(_contaminated_case, id="ContaminatedMoments"),
+    pytest.param(_spec_case, id="SimSpec"),
+    pytest.param(_report_case, id="InfluenceReport"),
+])
+def test_every_stored_array_is_a_read_only_copy(case):
+    # the one ownership rule, errors.owned: read-only, sharing no memory with
+    # what the caller passed, and the caller's arrays stay writeable, so a
+    # write to them after construction (Basis(g), then g[0, 0] = 5.0) leaves
+    # the result unchanged
+    result, caller = case()
+    stored = list(_stored_arrays(result))
+    assert stored
+    for a in stored:
+        assert not a.flags.writeable
+        assert not any(np.shares_memory(a, c) for c in caller)
+    assert all(c.flags.writeable for c in caller)
+    before = [a.copy() for a in stored]
+    for c in caller:
+        c[...] = 5.0
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(stored, before))
+
+
+def test_a_simspec_keeps_the_memory_order_of_its_beta():
+    spec, (beta,) = _spec_case()
+    assert spec.beta.flags.f_contiguous and not spec.beta.flags.c_contiguous
+    assert np.array_equal(spec.beta, beta)
+
+
+def test_report_flags_are_a_tuple_of_tuples():
+    report, _ = _report_case()
+    assert isinstance(report.flags, tuple)
+    assert all(isinstance(f, tuple) for f in report.flags)
 
 
 def test_the_readme_library_example_runs():
