@@ -176,11 +176,9 @@ def cmd_influence(args) -> _Ran:
 
     print(f"influence: n={report.n} p={report.p} k={report.k}")
     for v in ("y", "r"):
-        row = report.correlations[v]
-        print(
-            f"  {v}-based spearman(SRIS, .) avg-direction: "
-            f"eris={row['eris'][-1]:.3f} hris={row['hris'][-1]:.3f} md={row['md'][-1]:.3f}"
-        )
+        eris, hris, md = (report.correlation(v, t)[-1] for t in ("eris", "hris", "md"))
+        print(f"  {v}-based spearman(SRIS, .) avg-direction: "
+              f"eris={eris:.3f} hris={hris:.3f} md={md:.3f}")
     return 0, config | {"k": args.k}, [records_path, corr_path, json_path]
 
 

@@ -49,10 +49,11 @@ there and flags the row ``degenerate_leverage``.
 
 :func:`influence_report` returns all of it as one :class:`InfluenceReport`
 of read-only arrays in report order, its values one (n, 3, 2, K) array with
-axes (record, measure, variant, direction), with the Spearman correlations of
-SRIS against ERIS, HRIS and the Mahalanobis distance as a plain dict; the
-three writers serialize that report and nothing else, each reading the
-values' axes in the order it writes them.  Every correlation is taken
+axes (record, measure, variant, direction) and its Spearman correlations of
+SRIS against ERIS, HRIS and the Mahalanobis distance one (2, 3, K + 1) array
+with axes (variant, target, direction then average); the three writers
+serialize that report and nothing else, each reading the arrays' axes in the
+order it writes them.  Every correlation is taken
 over the same rows, the records without a ``degenerate_leverage`` flag, and
 each vector is ranked once; neighbours within RANK_TIE_RTOL of the larger
 magnitude tie.  A correlation against an all-tied vector is undefined: NaN
@@ -69,7 +70,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (DegenerateLeverage, InvalidArgument, InvalidRank, UndefinedCorrelation,
-                     is_integer, owned)
+                     is_integer, own_arrays)
 from .linalg import check_orthonormal, eigen_order, project_out
 from .moments import Dataset, MomentSet, compute_moments, mahalanobis
 from .phd import VARIANTS, PhdFit, fit_from_moments, require_determined
@@ -154,7 +155,6 @@ class _LooWalk:
     """
 
     def __init__(self, d: Dataset, m: MomentSet, fits):
-        fits = tuple(fits)
         n = d.n
         self.d, self.m, self.n = d, m, n
         self.variants = tuple(f.variant for f in fits)
@@ -349,33 +349,41 @@ def spearman(a, b) -> float:
 _MEASURES = ("sris", "eris", "hris")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InfluenceReport:
-    """Everything cmd_influence serializes, as read-only arrays
-    (``errors.owned``) and a tuple of flags, in report order (ascending
-    y-based average SRIS, flagged records last).
+    """Everything cmd_influence serializes, as read-only copies
+    (``errors.own_arrays``) and tuples, in report order (ascending y-based
+    average SRIS, flagged records last).
 
     Row i is one record: ``j[i]`` is its observation index, ``md[i]`` its
     Mahalanobis distance, ``flags[i]`` its flags, and ``values[i]`` its
     (3, 2, K) array of SRIS, ERIS and HRIS, with axes (measure in _MEASURES
-    order, variant in VARIANTS order, direction).  ``correlations[variant]
-    [target]`` holds Spearman(SRIS, target) per direction followed by that of
-    the direction averages, for the targets in TARGETS.
+    order, variant in VARIANTS order, direction).  ``correlations`` holds
+    Spearman(SRIS, target) per direction followed by that of the direction
+    averages, with axes (variant in VARIANTS order, target in TARGETS order,
+    direction then average).  ``fits`` holds the two fits in VARIANTS order.
     """
 
     j: np.ndarray
     values: np.ndarray
     md: np.ndarray
     flags: tuple[tuple[str, ...], ...]
-    correlations: dict[str, dict[str, list[float]]]
-    fits: dict[str, PhdFit]
+    correlations: np.ndarray
+    fits: tuple[PhdFit, ...]
     n: int
     p: int
     k: int
 
+    __post_init__ = own_arrays
+
     def column(self, measure: str, variant: str) -> np.ndarray:
         """The n x K block of ``values`` holding one measure of one variant."""
         return self.values[:, _MEASURES.index(measure), VARIANTS.index(variant)]
+
+    def correlation(self, variant: str, target: str) -> np.ndarray:
+        """The K + 1 Spearman correlations of SRIS against one target for one
+        variant: per direction, then of the direction averages."""
+        return self.correlations[VARIANTS.index(variant), TARGETS.index(target)]
 
 
 def influence_report(d: Dataset, k: int) -> InfluenceReport:
@@ -388,12 +396,12 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     """
     _require_rank(k, d.p)
     m = compute_moments(d)
-    fits = {v: fit_from_moments(m, v, k) for v in VARIANTS}
+    fits = tuple(fit_from_moments(m, v, k) for v in VARIANTS)
     md = mahalanobis(m)
 
     n = d.n
-    eris_vals = np.stack([eris(d, fits[v], m) for v in VARIANTS], axis=1)
-    walk = _LooWalk(d, m, fits.values())
+    eris_vals = np.stack([eris(d, fit, m) for fit in fits], axis=1)
+    walk = _LooWalk(d, m, fits)
     hris_vals, sris_vals, swapped = walk.measures()
 
     flags: list[list[str]] = [[] for _ in range(n)]
@@ -404,10 +412,10 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
 
     avg = sris_vals[:, VARIANTS.index("y")].mean(axis=1)
     order = np.lexsort((avg, np.isnan(avg)))
-    values = owned(np.stack((sris_vals, eris_vals, hris_vals), axis=1)[order])
-    md = owned(md[order])
+    values = np.stack((sris_vals, eris_vals, hris_vals), axis=1)[order]
+    md = md[order]
     return InfluenceReport(
-        j=owned(order),
+        j=order,
         values=values,
         md=md,
         flags=tuple(tuple(flags[j]) for j in order),
@@ -419,10 +427,10 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     )
 
 
-def _correlation_table(values: np.ndarray, md: np.ndarray) -> dict[str, dict[str, list[float]]]:
+def _correlation_table(values: np.ndarray, md: np.ndarray) -> np.ndarray:
     """Spearman correlations of SRIS against each target, per variant, per
-    direction and of the direction averages.  ``values`` and ``md`` are the
-    report's arrays.
+    direction and of the direction averages: the report's (2, 3, K + 1)
+    ``correlations``.  ``values`` and ``md`` are the report's arrays.
 
     Every correlation uses the same rows: those whose values and md are all
     finite.  These are the rows without a ``degenerate_leverage`` flag, since
@@ -433,17 +441,15 @@ def _correlation_table(values: np.ndarray, md: np.ndarray) -> dict[str, dict[str
     keep = np.isfinite(values).all(axis=(1, 2, 3)) & np.isfinite(md)
     values = values[keep]
     md_ranks = _centred_ranks(md[keep])
-    table = {}
+    table = []
     # per variant, a (measure, record, direction) array
-    for v, by_measure in zip(VARIANTS, values.transpose(2, 1, 0, 3)):
+    for by_measure in values.transpose(2, 1, 0, 3):
         ranks = {"md": [md_ranks] * (values.shape[-1] + 1)}
         for t, mat in zip(_MEASURES, by_measure):
             ranks[t] = [_centred_ranks(a) for a in (*mat.T, mat.mean(axis=1))]
-        table[v] = {
-            t: [_rank_correlation(a, b) for a, b in zip(ranks["sris"], ranks[t])]
-            for t in TARGETS
-        }
-    return table
+        table.append([[_rank_correlation(a, b) for a, b in zip(ranks["sris"], ranks[t])]
+                      for t in TARGETS])
+    return np.array(table)
 
 
 # ----------------------------------------------------------------------
@@ -502,9 +508,8 @@ def write_records_csv(path, report: InfluenceReport) -> None:
 def write_correlations_csv(path, report: InfluenceReport) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("variant,target,direction,spearman\n")
-        for v in VARIANTS:
-            for t in TARGETS:
-                row = report.correlations[v][t]
+        for v, table in zip(VARIANTS, report.correlations.tolist()):
+            for t, row in zip(TARGETS, table):
                 for i in range(report.k):
                     fh.write(f"{v},{t},{i + 1},{row[i]:.17g}\n")
                 fh.write(f"{v},{t},average,{row[-1]:.17g}\n")
@@ -545,19 +550,16 @@ def write_report_json(path, report: InfluenceReport) -> None:
             f"Out of range float values are not JSON compliant: {float(report.md[bad[0]])!r}"
         )
     fits = {
-        v: {
-            "eigenvalues": report.fits[v].eigenvalues.tolist(),
-            "lambda_hat": report.fits[v].lambda_hat.tolist(),
-            "k": report.fits[v].k,
-        }
-        for v in VARIANTS
+        v: {"eigenvalues": fit.eigenvalues.tolist(), "lambda_hat": fit.lambda_hat.tolist(),
+            "k": fit.k}
+        for v, fit in zip(VARIANTS, report.fits)
     }
     # a correlation against an all-tied vector is NaN, written as null
-    c = {v: {t: [None if math.isnan(x) else x for x in row] for t, row in table.items()}
-         for v, table in report.correlations.items()}
+    c = [[[None if math.isnan(x) else x for x in row] for row in table]
+         for table in report.correlations.tolist()]
     correlations = {
-        v: {t: {"directions": c[v][t][:-1], "average": c[v][t][-1]} for t in TARGETS}
-        for v in VARIANTS
+        v: {t: {"directions": row[:-1], "average": row[-1]} for t, row in zip(TARGETS, table)}
+        for v, table in zip(VARIANTS, c)
     }
     record = _record_template(report.k)
     head = json.dumps({"n": report.n, "p": report.p, "k": report.k, "fits": fits},

@@ -6,8 +6,9 @@ share one integer rule, :func:`is_integer`, and one real-number rule,
 :func:`as_real` for a scalar and :func:`as_real_array` for an array, each
 applied once, where the argument enters.  Beside them stands one ownership
 rule, :func:`owned`: every array a result type stores is a read-only copy
-that shares no memory with the caller's, made by that one helper where it is
-stored.
+that shares no memory with the caller's, made by each type at construction
+(:func:`own_arrays` is the ``__post_init__`` of the types that check
+nothing else), so ``dataclasses.replace`` keeps the rule too.
 
 One error rule: a check on a caller's argument raises a class of this
 module, never a bare ValueError, TypeError or IndexError, which carry no
@@ -22,6 +23,7 @@ rejects a non-finite Mahalanobis distance with json's own ValueError.
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 
 
@@ -69,6 +71,15 @@ def owned(value, dtype=None):
     array = np.array(value, dtype=dtype, order="K")
     array.setflags(write=False)
     return array
+
+
+def own_arrays(result) -> None:
+    """The ``__post_init__`` of a frozen result type: every field annotated
+    ``np.ndarray`` is replaced by its :func:`owned` copy, whether the value
+    came from a builder, a caller or ``dataclasses.replace``."""
+    for f in dataclasses.fields(result):
+        if f.type == "np.ndarray":
+            object.__setattr__(result, f.name, owned(getattr(result, f.name)))
 
 
 class PhdError(Exception):

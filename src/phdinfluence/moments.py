@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, owned
+from .errors import InsufficientData, own_arrays, owned
 from .linalg import mirror, spd_inverse
 
 
@@ -70,7 +70,7 @@ class Dataset:
 @dataclass(frozen=True)
 class MomentSet:
     """Every moment a PHD fit or leave-one-out Hessian needs, computed in one
-    pass and stored read-only.
+    pass and stored as read-only copies (``errors.own_arrays``).
 
     ``beta`` is the OLS slope S^-1 s_xy behind ``residuals``.  ``g_third``
     is the p x p x p stack S^-1 X3[a] S^-1 = sum_j (x_ja - xbar_a) u_j u_j' / n,
@@ -90,6 +90,8 @@ class MomentSet:
     g_third: np.ndarray
     u: np.ndarray
     q: np.ndarray
+
+    __post_init__ = own_arrays
 
     @property
     def n(self) -> int:
@@ -121,8 +123,9 @@ def compute_moments(d: Dataset) -> MomentSet:
     residuals = yc - xc @ beta
     sigma_rxx = mirror((xc.T * residuals) @ xc / n)
 
-    arrays = dict(
+    return MomentSet(
         xbar=xbar,
+        ybar=ybar,
         s_inv=s_inv,
         s_xy=s_xy,
         beta=beta,
@@ -133,7 +136,6 @@ def compute_moments(d: Dataset) -> MomentSet:
         u=u,
         q=np.einsum("ij,ij->i", xc, u),
     )
-    return MomentSet(ybar=ybar, **{name: owned(a) for name, a in arrays.items()})
 
 
 def mahalanobis(m: MomentSet) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateEigenvalue, DegenerateSpectrum, InvalidArgument, InvalidRank,
-                     is_integer, owned)
+                     is_integer, own_arrays)
 from .linalg import Basis, mirror, sym_eigen
 from .moments import Dataset, MomentSet, compute_moments
 
@@ -56,9 +56,11 @@ def check_variant(variant: str) -> None:
 class PhdFit:
     """One estimated average Hessian with its ordered spectrum.
 
-    ``eigenvalues`` holds all p eigenvalues; ``gamma_hat`` the first ``k``
-    eigenvectors and ``lambda_hat`` the matching eigenvalues, a view of
-    ``eigenvalues``.  Every array is read-only (``errors.owned``).
+    ``eigenvalues`` holds all p eigenvalues and ``gamma_hat`` the first ``k``
+    eigenvectors.  ``lambda_hat``, the matching eigenvalues, is read from
+    ``eigenvalues`` rather than stored, so a fit built with
+    ``dataclasses.replace`` reads one spectrum.  Every array is a read-only
+    copy made at construction (``errors.own_arrays``).
     """
 
     variant: str
@@ -66,7 +68,13 @@ class PhdFit:
     eigenvalues: np.ndarray
     k: int
     gamma_hat: Basis
-    lambda_hat: np.ndarray
+
+    __post_init__ = own_arrays
+
+    @property
+    def lambda_hat(self) -> np.ndarray:
+        """The K leading eigenvalues, a read-only view of ``eigenvalues``."""
+        return self.eigenvalues[: self.k]
 
 
 def fit_from_moments(m: MomentSet, variant: str, k: int) -> PhdFit:
@@ -78,15 +86,8 @@ def fit_from_moments(m: MomentSet, variant: str, k: int) -> PhdFit:
     mat = m.sigma_yxx_hat if variant == "y" else m.sigma_rxx_hat
     h = mirror(m.s_inv @ mat @ m.s_inv)
     values, vectors = sym_eigen(h)
-    values = owned(values)
-    return PhdFit(
-        variant=variant,
-        h=owned(h),
-        eigenvalues=values,
-        k=int(k),
-        gamma_hat=Basis(vectors[:, :k]),
-        lambda_hat=values[:k],
-    )
+    return PhdFit(variant=variant, h=h, eigenvalues=values, k=int(k),
+                  gamma_hat=Basis(vectors[:, :k]))
 
 
 def fit_phd(d: Dataset, variant: str, k: int) -> PhdFit:

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AmbiguousMatch, InvalidArgument, InvalidMatrix, as_real, as_real_array,
-                     is_integer, owned)
+                     is_integer, own_arrays, owned)
 from .linalg import Basis, mirror, project_out, spd_inverse, sym_eigen
 from .phd import VARIANTS, check_variant, population_h, require_untied
 
@@ -259,7 +259,7 @@ def ris_r(model: PopulationModel, pt: ContaminationPoint, k: int) -> float:
 @dataclass(frozen=True)
 class ContaminatedMoments:
     """Exact moments of the eps-mixture of the model and a point mass, as
-    read-only arrays (``errors.owned``)."""
+    read-only copies (``errors.own_arrays``)."""
 
     eps: float
     mu_eps: np.ndarray
@@ -268,6 +268,8 @@ class ContaminatedMoments:
     sigma_rxx_eps: np.ndarray
     mu_y_eps: float
     sigma_xy_eps: np.ndarray
+
+    __post_init__ = own_arrays
 
 
 def contaminated_moments(
@@ -316,12 +318,12 @@ def contaminated_moments(
     )
     return ContaminatedMoments(
         eps=eps,
-        mu_eps=owned(mu_eps),
-        sigma_eps=owned(sigma_eps),
-        sigma_yxx_eps=owned(sigma_yxx_eps),
-        sigma_rxx_eps=owned(sigma_rxx_eps),
+        mu_eps=mu_eps,
+        sigma_eps=sigma_eps,
+        sigma_yxx_eps=sigma_yxx_eps,
+        sigma_rxx_eps=sigma_rxx_eps,
         mu_y_eps=mu_y_eps,
-        sigma_xy_eps=owned(sigma_xy_eps),
+        sigma_xy_eps=sigma_xy_eps,
     )
 
 

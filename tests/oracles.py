@@ -221,11 +221,11 @@ def report_to_json_dict(report) -> dict:
         "k": report.k,
         "fits": {
             v: {
-                "eigenvalues": [float(x) for x in report.fits[v].eigenvalues],
-                "lambda_hat": [float(x) for x in report.fits[v].lambda_hat],
-                "k": report.fits[v].k,
+                "eigenvalues": [float(x) for x in fit.eigenvalues],
+                "lambda_hat": [float(x) for x in fit.lambda_hat],
+                "k": fit.k,
             }
-            for v in VARIANTS
+            for v, fit in zip(VARIANTS, report.fits)
         },
         "records": [
             {
@@ -242,8 +242,8 @@ def report_to_json_dict(report) -> dict:
         "correlations": {
             v: {
                 t: {
-                    "directions": report.correlations[v][t][:-1],
-                    "average": report.correlations[v][t][-1],
+                    "directions": report.correlation(v, t).tolist()[:-1],
+                    "average": report.correlation(v, t).tolist()[-1],
                 }
                 for t in ("eris", "hris", "md")
             }

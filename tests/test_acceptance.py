@@ -268,7 +268,7 @@ def test_criterion_6_influence_ranking_gate():
                 ("r", "md"): (0.388, 0.544, 0.564),
             }
             for (variant, target), wanted in table.items():
-                row = report.correlations[variant][target]
+                row = report.correlation(variant, target)
                 for got, want in zip(row, wanted):
                     assert abs(got - want) <= 0.05, (variant, target, row, wanted)
             max_y = np.nanmax(report.column("sris", "y").mean(axis=1))
@@ -283,7 +283,7 @@ def test_criterion_6_influence_ranking_gate():
                 )
                 rep = influence_report(d, 1)
                 for t in meds:
-                    meds[t].append(rep.correlations["y"][t][-1])
+                    meds[t].append(rep.correlation("y", t)[-1])
             med = {t: float(np.median(v)) for t, v in meds.items()}
             assert med["hris"] >= med["eris"] >= 0.8, med
             assert med["md"] < med["eris"], med

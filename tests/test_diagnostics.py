@@ -491,7 +491,7 @@ def test_report_on_independent_noise_completes():
     assert avgs == sorted(avgs)
     for variant in ("y", "r"):
         for target in ("eris", "hris", "md"):
-            row = report.correlations[variant][target]
+            row = report.correlation(variant, target)
             assert len(row) == 3  # two directions plus the average
             assert all(-1.0 <= v <= 1.0 for v in row)
 
@@ -511,7 +511,7 @@ def test_report_flags_leverage_singularity_without_aborting():
         assert np.isfinite(report.column(measure, "y")[~flagged]).all()
     assert np.isfinite(report.column("eris", "y")[flagged]).all()
     for target in ("eris", "hris", "md"):
-        val = report.correlations["y"][target][-1]
+        val = report.correlation("y", target)[-1]
         assert -1.0 <= val <= 1.0
 
 
@@ -546,10 +546,9 @@ def _check_spiked_report_against_refits(d, spike):
     report = influence_report(d, 1)
     assert flagged_with(report, "degenerate_leverage") == {spike}
     at = np.argsort(report.j)  # at[j] is the report row of observation j
-    for v in ("y", "r"):
+    for v, fit in zip(("y", "r"), report.fits):
         got_sris, got_hris = report.column("sris", v)[at], report.column("hris", v)[at]
         assert np.isnan(got_sris[spike]).all() and np.isnan(got_hris[spike]).all()
-        fit = report.fits[v]
         for j in range(d.n):
             if j == spike:
                 continue
@@ -570,7 +569,7 @@ def test_leverage_flag_at_a_block_boundary(side):
     d = _spiked(2 * rows + 3, spike)
     report = _check_spiked_report_against_refits(d, spike)
     with pytest.raises(DegenerateLeverage) as err:
-        hris(d, report.fits["y"], compute_moments(d))
+        hris(d, report.fits[0], compute_moments(d))
     assert err.value.index == spike
 
 
@@ -655,8 +654,8 @@ def test_row_permutation_permutes_the_report(perm):
     for v in ("y", "r"):
         for target in ("eris", "hris", "md"):
             np.testing.assert_allclose(
-                moved.correlations[v][target],
-                base.correlations[v][target],
+                moved.correlation(v, target),
+                base.correlation(v, target),
                 rtol=1e-9,
                 atol=0,
             )
@@ -744,7 +743,7 @@ def test_report_correlations_match_recomputation():
                 for i, (a, b) in enumerate(pairs):
                     keep = np.isfinite(a) & np.isfinite(b)
                     want = spearman(a[keep], b[keep])
-                    assert report.correlations[v][t][i] == want, (v, t, i)
+                    assert report.correlation(v, t)[i] == want, (v, t, i)
 
 
 def test_md_tied_by_rounding_gives_both_variants_one_md_correlation():
@@ -753,7 +752,7 @@ def test_md_tied_by_rounding_gives_both_variants_one_md_correlation():
     # 0.442 (r)
     report = influence_report(*_centred_factorial())
     assert sorted(set(report.md.tolist())) == [0.0, 2.0310096011589893, 2.0310096011589898]
-    y_average, r_average = (report.correlations[v]["md"][-1] for v in ("y", "r"))
+    y_average, r_average = (report.correlation(v, "md")[-1] for v in ("y", "r"))
     assert y_average == r_average
     assert round(y_average, 3) == 0.408
 
@@ -884,19 +883,20 @@ def test_records_csv_is_the_per_cell_layout(design, tmp_path):
 
 def walk_table(d, m, fits):
     """(sris, hris, swapped, degenerate) of every observation, read from the
-    leave-one-out walk over the variants of ``fits`` (a dict keyed by
-    variant, all of one rank): n x K arrays keyed by variant, NaN (sris, hris)
+    leave-one-out walk over ``fits`` (a sequence of fits of one rank): n x K
+    arrays keyed by the fits' variants, NaN (sris, hris)
     or False (swapped) at the leverage singularity, and the n-vector of
     degenerate rows.  Checks that the walk's blocks visit exactly its regular
     rows once, in order, each with one Hessian per variant."""
-    walk = _LooWalk(d, m, fits.values())
+    walk = _LooWalk(d, m, fits)
     visited = []
     for rows, h in walk.blocks():
         visited += rows.tolist()
         assert h.shape == (rows.size, len(fits), d.p, d.p)
     assert visited == np.flatnonzero(~walk.degenerate).tolist()
     hris_, sris_, swapped = walk.measures()
-    by_variant = [{v: a[:, i] for i, v in enumerate(fits)} for a in (sris_, hris_, swapped)]
+    by_variant = [{f.variant: a[:, i] for i, f in enumerate(fits)}
+                  for a in (sris_, hris_, swapped)]
     return (*by_variant, walk.degenerate)
 
 
@@ -908,7 +908,7 @@ def test_report_arrays_are_built_from_the_loo_walk(design):
     sris_, hris_, swapped, degenerate = walk_table(d, m, report.fits)
     measures = {
         "sris": sris_,
-        "eris": {v: eris(d, report.fits[v], m) for v in ("y", "r")},
+        "eris": {fit.variant: eris(d, fit, m) for fit in report.fits},
         "hris": hris_,
     }
     md = mahalanobis(m)
@@ -938,9 +938,8 @@ def test_report_pairs_each_variant_with_its_own_fit(design):
     m = compute_moments(d)
     at = np.argsort(report.j)  # at[j] is the report row of observation j
     assert not np.allclose(report.column("sris", "y"), report.column("sris", "r"), equal_nan=True)
-    for v in ("y", "r"):
-        fit = report.fits[v]
-        alone_sris, alone_hris, alone_swapped, degenerate = walk_table(d, m, {v: fit})
+    for v, fit in zip(("y", "r"), report.fits):
+        alone_sris, alone_hris, alone_swapped, degenerate = walk_table(d, m, (fit,))
         got_sris, got_hris = report.column("sris", v)[at], report.column("hris", v)[at]
         assert np.array_equal(got_sris, alone_sris[v], equal_nan=True)
         assert np.array_equal(got_hris, alone_hris[v], equal_nan=True)
@@ -959,9 +958,9 @@ def test_report_hris_is_the_deletion_effect_on_the_loo_hessians(design):
     d, k = design()
     report = influence_report(d, k)
     m = compute_moments(d)
-    h, degenerate = loo_hessians(d, m, report.fits.values())
+    h, degenerate = loo_hessians(d, m, report.fits)
     at = np.argsort(report.j)  # at[j] is the report row of observation j
-    for i, (v, fit) in enumerate(report.fits.items()):
+    for i, (v, fit) in enumerate(zip(("y", "r"), report.fits)):
         sif = (d.n - 1) * (fit.h - h[~degenerate, i])
         want = np.linalg.norm(project_out(fit.gamma_hat, sif @ fit.gamma_hat.columns),
                               axis=-2) / np.abs(fit.lambda_hat)
@@ -1076,7 +1075,7 @@ def test_sris_and_hris_match_a_high_precision_refit_on_mixed_units(variant):
     fit = fit_from_moments(m, variant, 2)
     g = fit.gamma_hat.columns
     h = getattr(hitters_refit(None), f"h_{variant}")
-    walk_sris, walk_hris, _, _ = walk_table(d, m, {variant: fit})
+    walk_sris, walk_hris, _, _ = walk_table(d, m, (fit,))
     sris_, hris_ = sris(d, fit), hris(d, fit, m)
     for j in (33, 231):
         h_j = getattr(hitters_refit(j), f"h_{variant}")
@@ -1122,7 +1121,7 @@ def test_sris_and_hris_match_a_high_precision_refit_at_a_planted_outlier(t):
     report = influence_report(d, 2)
     row = int(np.flatnonzero(report.j == 0)[0])
     full, loo = mp_refit(d, None), mp_refit(d, 0)
-    for v, fit in report.fits.items():
+    for v, fit in zip(("y", "r"), report.fits):
         g = fit.gamma_hat.columns
         h, h_j = getattr(full, f"h_{v}"), getattr(loo, f"h_{v}")
         leading = mp_eigh(h_j)[1][:, : fit.k]

@@ -2,7 +2,10 @@
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -389,15 +392,28 @@ def _report_case():
     return influence_report(Dataset(y=y, x=x), 2), [x, y]
 
 
+def _replaced(case, name):
+    """The result of ``case`` rebuilt by ``dataclasses.replace`` with its
+    field ``name`` set to a writeable copy owned by the caller."""
+    def replaced_case():
+        result, _ = case()
+        caller = np.array(getattr(result, name))
+        return dataclasses.replace(result, **{name: caller}), [caller]
+    return replaced_case
+
+
 def _stored_arrays(obj):
-    """Every ndarray a result holds, through nested dataclasses and dicts."""
+    """Every ndarray a result holds, through nested dataclasses, dicts and
+    tuples."""
     if isinstance(obj, np.ndarray):
         yield obj
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from _stored_arrays(getattr(obj, f.name))
     elif isinstance(obj, dict):
-        for value in obj.values():
+        yield from _stored_arrays(tuple(obj.values()))
+    elif isinstance(obj, tuple):
+        for value in obj:
             yield from _stored_arrays(value)
 
 
@@ -411,6 +427,11 @@ def _stored_arrays(obj):
     pytest.param(_contaminated_case, id="ContaminatedMoments"),
     pytest.param(_spec_case, id="SimSpec"),
     pytest.param(_report_case, id="InfluenceReport"),
+    pytest.param(_replaced(_fit_case, "h"), id="replace-PhdFit.h"),
+    pytest.param(_replaced(_moments_case, "u"), id="replace-MomentSet.u"),
+    pytest.param(_replaced(_contaminated_case, "sigma_eps"),
+                 id="replace-ContaminatedMoments.sigma_eps"),
+    pytest.param(_replaced(_report_case, "md"), id="replace-InfluenceReport.md"),
 ])
 def test_every_stored_array_is_a_read_only_copy(case):
     # the one ownership rule, errors.owned: read-only, sharing no memory with
@@ -440,6 +461,35 @@ def test_report_flags_are_a_tuple_of_tuples():
     report, _ = _report_case()
     assert isinstance(report.flags, tuple)
     assert all(isinstance(f, tuple) for f in report.flags)
+
+
+def test_a_report_is_frozen_and_its_correlations_read_only():
+    # what the writers serialize cannot be changed after the report is built
+    report, _ = _report_case()
+    with pytest.raises(ValueError):
+        report.correlations[0, 0, 0] = 5.0
+    for f in dataclasses.fields(report):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, f.name, getattr(report, f.name))
+    assert isinstance(report.fits, tuple)
+
+
+def test_every_type_that_stores_an_array_is_frozen_and_owns_it():
+    # the ownership rule is applied by the type, at construction, so a
+    # dataclass annotating an ndarray field needs a __post_init__, and frozen
+    # so that no field is rebound past it
+    faults, checked = [], 0
+    for info in pkgutil.iter_modules(phdinfluence.__path__):
+        module = importlib.import_module(f"phdinfluence.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != module.__name__ or not dataclasses.is_dataclass(cls):
+                continue
+            if any("ndarray" in str(f.type) for f in dataclasses.fields(cls)):
+                checked += 1
+                if not (cls.__dataclass_params__.frozen and "__post_init__" in vars(cls)):
+                    faults.append(f"{module.__name__}.{name}")
+    assert checked == 9
+    assert faults == []
 
 
 def test_the_readme_library_example_runs():

@@ -12,8 +12,8 @@ from phdinfluence import (
     fit_phd,
     population_h,
 )
-from phdinfluence.errors import DegenerateSpectrum, InvalidRank
-from phdinfluence.phd import require_gap
+from phdinfluence.errors import DegenerateEigenvalue, DegenerateSpectrum, InvalidRank
+from phdinfluence.phd import require_gap, require_nonzero
 from phdinfluence.linalg import project_out, sym_eigen
 from phdinfluence.population import COSINE_MODEL_LAMBDA1, cosine_model
 from phdinfluence.simulation import SimSpec, simulate
@@ -90,6 +90,20 @@ def test_the_cut_rule_compares_magnitudes_at_k_only(rng):
                 require_gap(tie)
         else:
             require_gap(tie)
+
+
+def test_lambda_hat_is_read_from_the_spectrum_of_a_replaced_fit(rng):
+    # lambda_hat is eigenvalues[:k], not a second stored copy, so a fit built
+    # by dataclasses.replace gives the zero rule and the cut rule one spectrum
+    d = Dataset(y=rng.standard_normal(30), x=rng.standard_normal((30, 3)))
+    m = compute_moments(d)
+    fit = fit_from_moments(m, "y", 2)
+    values = np.array([3.0, 0.0, -0.5])
+    moved = dataclasses.replace(fit, eigenvalues=values)
+    assert np.array_equal(moved.lambda_hat, values[:2])
+    assert not moved.lambda_hat.flags.writeable
+    with pytest.raises(DegenerateEigenvalue):
+        require_nonzero(moved, m)
 
 
 def test_independent_response_gives_null_spectrum():
