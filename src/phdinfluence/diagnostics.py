@@ -10,17 +10,19 @@ subspace, all scaled so they estimate the same population rate:
   replaced by its full-sample estimate and (y_j, x_j) as the contamination
   point: one call, for all n observations, of the kernel behind ``ris_rows``
   on the fit itself (Gamma-hat, lambda-hat and the moments' S^-1, u and OLS
-  slope, so S is inverted once per report), with weights y_j - ybar (y
-  variant, whose slope coordinates Gamma-hat' S^-1 s_xy the kernel forms) or
-  the fitted OLS residuals (r variant).  No refits.
+  slope, so S is inverted once per report), at the moments' centred rows
+  ``xc`` with weights their ``yc`` (y variant, whose slope coordinates
+  Gamma-hat' S^-1 s_xy the kernel forms) or the fitted OLS residuals (r
+  variant).  No refits.
 * HRIS: like ERIS but with the influence matrix of the Hessian replaced by
   the exact deletion effect (n-1)(H - H_(j)).  Only its part off the fitted
   span counts, P (H - H_(j)) Gamma-hat with P = I - Gamma-hat Gamma-hat', and
   P H Gamma-hat = P Gamma-hat Lambda-hat = 0, so HRIS reads P H_(j) Gamma-hat.
 
 Every measure accepts the same fits.  One gate, ``_require_measurable``,
-raises InvalidRank unless 1 <= k < p (at k = p every measure is rounding
-noise), then applies the ``fit`` command's gate ``phd.require_determined``:
+raises InvalidArgument unless the dataset, the moments and the fit share one
+shape (n, p), then InvalidRank unless 1 <= k < p (at k = p every measure is
+rounding noise), then applies the ``fit`` command's gate ``phd.require_determined``:
 DegenerateEigenvalue when a fitted eigenvalue is numerically zero (the zero
 rule ``phd.require_nonzero``) and DegenerateSpectrum when two are tied
 (``phd.require_untied``, the tie rule ``PopulationModel`` applies to its own
@@ -42,8 +44,8 @@ leave-one-out moment is formed, and the scalars of every row are formed once
 per walk.  HRIS reads each stack with no eigendecomposition, then SRIS makes
 one ``eigh`` call per observation on its (V, p, p) stack, not one per block:
 perfbench/test_perfbench.py asserts more than n ``eigh`` calls at n = 40, so
-batching waits for the benchmark change and the ROADMAP item on leading-K
-SRIS.  ``sris`` and ``hris`` raise DegenerateLeverage at the first degenerate
+batching waits for the benchmark change and the ROADMAP item on the cost
+of SRIS's ``eigh``.  ``sris`` and ``hris`` raise DegenerateLeverage at the first degenerate
 row before any stack is built, while the report leaves SRIS and HRIS NaN
 there and flags the row ``degenerate_leverage``.
 
@@ -117,9 +119,15 @@ def _require_rank(k: int, p: int) -> None:
         raise InvalidRank(f"influence needs an integer rank 1 <= k < p={p}, got {k!r}")
 
 
-def _require_measurable(fit: PhdFit, m: MomentSet) -> None:
-    """The gate on the fits every influence measure accepts: rank 1 <= k < p
-    and the ``fit`` command's gate, ``phd.require_determined``."""
+def _require_measurable(d: Dataset, fit: PhdFit, m: MomentSet) -> None:
+    """The gate on the arguments every influence measure accepts: ``d``,
+    ``m`` and ``fit`` of one shape (n, p), else InvalidArgument; rank
+    1 <= k < p; and the ``fit`` command's gate, ``phd.require_determined``."""
+    if (d.n, d.p, fit.gamma_hat.dim) != (m.n, m.p, m.p):
+        raise InvalidArgument(
+            f"dataset (n={d.n}, p={d.p}), moments (n={m.n}, p={m.p}) and fit "
+            f"(p={fit.gamma_hat.dim}) must come from one sample"
+        )
     _require_rank(fit.k, m.p)
     require_determined(fit, m)
 
@@ -147,16 +155,17 @@ class _LooWalk:
     variant's terms are computed on their own, so its values do not depend on
     which others share the walk.
 
-    u and d'u are the moments' ``u`` and ``q``; from q it takes every row's
+    d, u, d'u and y_j - ybar are the moments' ``xc``, ``u``, ``q`` and ``yc``,
+    so the walk reads no Dataset; from q it takes every row's
     ``denom`` D, the whitened ``margin`` D / ((n-1)^2/n) and the ``degenerate``
     mask, margin <= LEVERAGE_RTOL.  D is zero exactly when deleting row j
     leaves a singular covariance; the margin, in [0, 1], is the smallest
     eigenvalue of the whitened leave-one-out covariance over the largest.
     """
 
-    def __init__(self, d: Dataset, m: MomentSet, fits):
-        n = d.n
-        self.d, self.m, self.n = d, m, n
+    def __init__(self, m: MomentSet, fits):
+        n = m.n
+        self.m, self.n = m, n
         self.variants = tuple(f.variant for f in fits)
         self.gamma = np.stack([f.gamma_hat.columns for f in fits])
         self.lam = np.abs(np.stack([f.lambda_hat for f in fits]))
@@ -168,7 +177,7 @@ class _LooWalk:
         # (no block reads a degenerate row's), n H and S^-1 g per variant
         c = ((n - 2) / (n - 1)) ** 2 / (n - 1)
         lever = n * (n + 1) / (n - 1) ** 2
-        dy, zero = d.y - m.ybar, np.zeros(n)
+        dy, zero = m.yc, np.zeros(n)
         r_d = np.divide(m.residuals, self.denom, out=zero.copy(), where=~self.degenerate)
         by_variant = {"y": (dy, zero, lever * dy, m.u @ m.s_xy),
                       "r": (full * r_d, -n * r_d, (lever * full - 2.0) * r_d, zero)}
@@ -195,11 +204,11 @@ class _LooWalk:
         products write straight into their stack, with no broadcast buffer;
         u w' stays a matmul over a length-1 axis, since einsum would buffer that
         operand."""
-        d, m, p = self.d, self.m, self.d.p
+        m, p = self.m, self.m.p
         step = loo_block_rows(p)
         for start in range(0, self.n, step):
             rows = start + np.flatnonzero(~self.degenerate[start : start + step])
-            dj, u, q, denom = d.x[rows] - m.xbar, m.u[rows], m.q[rows], self.denom[rows]
+            dj, u, q, denom = m.xc[rows], m.u[rows], m.q[rows], self.denom[rows]
             a, e, b, d_slope = self.scalars[:, rows]
             v = (np.swapaxes(dj @ self.shared, 0, 1)  # c v, per variant
                  + (a - b * q[:, None] + d_slope)[..., None] * u[:, None]
@@ -274,18 +283,18 @@ def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
     measures (n-1) |sin| of each direction against the full-sample span.
     """
     m = compute_moments(d)
-    _require_measurable(fit, m)
-    walk = _LooWalk(d, m, (fit,))
+    _require_measurable(d, fit, m)
+    walk = _LooWalk(m, (fit,))
     walk.require_regular()
     return walk.measures()[1][:, 0]
 
 
 def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     """Plug-in closed-form influence of every observation, an n x K matrix."""
-    _require_measurable(fit, m)
-    w = d.y - m.ybar if fit.variant == "y" else m.residuals
+    _require_measurable(d, fit, m)
+    w = m.yc if fit.variant == "y" else m.residuals
     return _ris_kernel(fit.variant, fit.gamma_hat, fit.lambda_hat, m.s_inv, m.beta,
-                       d.x - m.xbar, m.u, w)
+                       m.xc, m.u, w)
 
 
 def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
@@ -295,8 +304,8 @@ def hris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
     Reads the leave-one-out walk's stacks of H_(j), whose blocks hold every
     row once no row is degenerate, with no eigendecomposition.
     """
-    _require_measurable(fit, m)
-    walk = _LooWalk(d, m, (fit,))
+    _require_measurable(d, fit, m)
+    walk = _LooWalk(m, (fit,))
     walk.require_regular()
     return np.concatenate([walk.hris(h) for _, h in walk.blocks()])[:, 0]
 
@@ -401,7 +410,7 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
 
     n = d.n
     eris_vals = np.stack([eris(d, fit, m) for fit in fits], axis=1)
-    walk = _LooWalk(d, m, fits)
+    walk = _LooWalk(m, fits)
     hris_vals, sris_vals, swapped = walk.measures()
 
     flags: list[list[str]] = [[] for _ in range(n)]

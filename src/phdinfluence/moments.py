@@ -7,9 +7,11 @@ Conventions (they matter downstream, do not mix):
   moments (divide by n);
 * OLS residuals are ``r_i = y_i - ybar - (x_i - xbar)' s_inv s_xy``.
 
-``u`` and ``q``, each row's S^-1 (x_j - xbar) and (x_j - xbar)'u_j, are formed
-once for md, ERIS and the ``diagnostics`` walk (no leave-one-out moment).  So
-is ``g_third``, the predictor third moment X3 sandwiched by S^-1, the one
+The data are centred once, here, and nowhere else: ``xc`` and ``yc``, the
+rows of x - xbar and y - ybar, are what every moment, ERIS and the
+``diagnostics`` walk read, so no other module subtracts a mean.  ``u`` and
+``q``, each row's S^-1 (x_j - xbar) and (x_j - xbar)'u_j, are formed once for
+md, ERIS and the walk (no leave-one-out moment).  So is ``g_third``, the predictor third moment X3 sandwiched by S^-1, the one
 full-sample term of the walk that carries the r variant's moved OLS slope.
 """
 
@@ -72,6 +74,9 @@ class MomentSet:
     """Every moment a PHD fit or leave-one-out Hessian needs, computed in one
     pass and stored as read-only copies (``errors.own_arrays``).
 
+    ``xc`` (n x p) and ``yc`` (n) are the centred data, x - xbar and
+    y - ybar, formed once by ``compute_moments``; every centred quantity
+    downstream reads them.
     ``beta`` is the OLS slope S^-1 s_xy behind ``residuals``.  ``g_third``
     is the p x p x p stack S^-1 X3[a] S^-1 = sum_j (x_ja - xbar_a) u_j u_j' / n,
     X3 the maximum-likelihood third central moment tensor of the predictors;
@@ -81,6 +86,8 @@ class MomentSet:
 
     xbar: np.ndarray
     ybar: float
+    xc: np.ndarray
+    yc: np.ndarray
     s_inv: np.ndarray
     s_xy: np.ndarray
     beta: np.ndarray
@@ -126,6 +133,8 @@ def compute_moments(d: Dataset) -> MomentSet:
     return MomentSet(
         xbar=xbar,
         ybar=ybar,
+        xc=xc,
+        yc=yc,
         s_inv=s_inv,
         s_xy=s_xy,
         beta=beta,

@@ -94,13 +94,13 @@ def hitters_refit(j: int | None) -> MpRefit:
     return refit
 
 
-def loo_hessians(d, m, fits) -> tuple[np.ndarray, np.ndarray]:
+def loo_hessians(m, fits) -> tuple[np.ndarray, np.ndarray]:
     """The leave-one-out Hessians H_(j) the walk builds for every
     observation, as an (n, V, p, p) array with one entry per fit in the given
     order (NaN at rows on the leverage singularity), and the n-vector mask
     of those rows."""
-    walk = _LooWalk(d, m, fits)
-    h = np.full((d.n, len(walk.variants), d.p, d.p), np.nan)
+    walk = _LooWalk(m, fits)
+    h = np.full((m.n, len(walk.variants), m.p, m.p), np.nan)
     for rows, stack in walk.blocks():
         h[rows] = stack
     return h, walk.degenerate

@@ -195,7 +195,7 @@ def test_criterion_5_loo_hessians_match_refits():
         def rel(a, b):
             return np.abs(a - b).max() / max(1e-12, np.abs(b).max())
 
-        h, degenerate = loo_hessians(d, m, fits.values())
+        h, degenerate = loo_hessians(m, fits.values())
         assert not degenerate.any()
         for j in range(d.n):
             mask = np.ones(d.n, bool)

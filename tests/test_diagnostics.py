@@ -401,7 +401,7 @@ def test_hris_makes_no_eigendecomposition(monkeypatch):
     d = cosine_data(31, n=2 * loo_block_rows(16) + 5, p=16)
     m = compute_moments(d)
     fits = [fit_from_moments(m, v, 2) for v in ("y", "r")]
-    want = [_LooWalk(d, m, (fit,)).measures()[0][:, 0] for fit in fits]
+    want = [_LooWalk(m, (fit,)).measures()[0][:, 0] for fit in fits]
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
@@ -614,7 +614,7 @@ def test_loo_margin_is_the_whitened_loo_covariance_eigenvalue_ratio(design):
         rng = np.random.default_rng(4)
         d = Dataset(y=rng.standard_normal(50), x=rng.standard_normal((50, 4)))
     m = compute_moments(d)
-    walk = _LooWalk(d, m, [fit_from_moments(m, "y", 2)])
+    walk = _LooWalk(m, [fit_from_moments(m, "y", 2)])
     for j in range(d.n):
         s_j = np.cov(np.delete(d.x, j, axis=0), rowvar=False)
         lam = np.linalg.eigvals(np.linalg.solve(sample_covariance(d), s_j)).real
@@ -881,18 +881,18 @@ def test_records_csv_is_the_per_cell_layout(design, tmp_path):
     assert (",nan," in want) == (design is not _order_swap_design)
 
 
-def walk_table(d, m, fits):
+def walk_table(m, fits):
     """(sris, hris, swapped, degenerate) of every observation, read from the
     leave-one-out walk over ``fits`` (a sequence of fits of one rank): n x K
     arrays keyed by the fits' variants, NaN (sris, hris)
     or False (swapped) at the leverage singularity, and the n-vector of
     degenerate rows.  Checks that the walk's blocks visit exactly its regular
     rows once, in order, each with one Hessian per variant."""
-    walk = _LooWalk(d, m, fits)
+    walk = _LooWalk(m, fits)
     visited = []
     for rows, h in walk.blocks():
         visited += rows.tolist()
-        assert h.shape == (rows.size, len(fits), d.p, d.p)
+        assert h.shape == (rows.size, len(fits), m.p, m.p)
     assert visited == np.flatnonzero(~walk.degenerate).tolist()
     hris_, sris_, swapped = walk.measures()
     by_variant = [{f.variant: a[:, i] for i, f in enumerate(fits)}
@@ -905,7 +905,7 @@ def test_report_arrays_are_built_from_the_loo_walk(design):
     d, k = design()
     report = influence_report(d, k)
     m = compute_moments(d)
-    sris_, hris_, swapped, degenerate = walk_table(d, m, report.fits)
+    sris_, hris_, swapped, degenerate = walk_table(m, report.fits)
     measures = {
         "sris": sris_,
         "eris": {fit.variant: eris(d, fit, m) for fit in report.fits},
@@ -939,7 +939,7 @@ def test_report_pairs_each_variant_with_its_own_fit(design):
     at = np.argsort(report.j)  # at[j] is the report row of observation j
     assert not np.allclose(report.column("sris", "y"), report.column("sris", "r"), equal_nan=True)
     for v, fit in zip(("y", "r"), report.fits):
-        alone_sris, alone_hris, alone_swapped, degenerate = walk_table(d, m, (fit,))
+        alone_sris, alone_hris, alone_swapped, degenerate = walk_table(m, (fit,))
         got_sris, got_hris = report.column("sris", v)[at], report.column("hris", v)[at]
         assert np.array_equal(got_sris, alone_sris[v], equal_nan=True)
         assert np.array_equal(got_hris, alone_hris[v], equal_nan=True)
@@ -958,7 +958,7 @@ def test_report_hris_is_the_deletion_effect_on_the_loo_hessians(design):
     d, k = design()
     report = influence_report(d, k)
     m = compute_moments(d)
-    h, degenerate = loo_hessians(d, m, report.fits)
+    h, degenerate = loo_hessians(m, report.fits)
     at = np.argsort(report.j)  # at[j] is the report row of observation j
     for i, (v, fit) in enumerate(zip(("y", "r"), report.fits)):
         sif = (d.n - 1) * (fit.h - h[~degenerate, i])
@@ -1075,7 +1075,7 @@ def test_sris_and_hris_match_a_high_precision_refit_on_mixed_units(variant):
     fit = fit_from_moments(m, variant, 2)
     g = fit.gamma_hat.columns
     h = getattr(hitters_refit(None), f"h_{variant}")
-    walk_sris, walk_hris, _, _ = walk_table(d, m, (fit,))
+    walk_sris, walk_hris, _, _ = walk_table(m, (fit,))
     sris_, hris_ = sris(d, fit), hris(d, fit, m)
     for j in (33, 231):
         h_j = getattr(hitters_refit(j), f"h_{variant}")

@@ -68,7 +68,7 @@ def bf_loo_hessians(y, x, j):
 def walk_hessians(d, m=None):
     """loo_hessians of both variants, in VARIANTS order, with their mask."""
     m = compute_moments(d) if m is None else m
-    return loo_hessians(d, m, [fit_from_moments(m, v, 1) for v in VARIANTS])
+    return loo_hessians(m, [fit_from_moments(m, v, 1) for v in VARIANTS])
 
 
 def make_data(rng, n, p, link=None):
@@ -114,13 +114,16 @@ def test_moments_decompose_the_covariance_once(rng, monkeypatch):
 def test_moment_arrays_are_read_only_and_hold_the_ols_slope(rng):
     d = make_data(rng, 30, 4)
     m = compute_moments(d)
-    xc = d.x - m.xbar
+    # the centred data every other moment is built from
+    xc, eps = m.xc, np.finfo(float).eps
+    assert np.abs(xc - (d.x - m.xbar)).max() <= 4 * eps * np.abs(d.x).max()
+    assert np.abs(m.yc - (d.y - m.ybar)).max() <= 4 * eps * np.abs(d.y).max()
     assert np.array_equal(m.beta, m.s_inv @ m.s_xy)
-    assert np.array_equal(m.residuals, (d.y - m.ybar) - xc @ m.beta)
+    assert np.array_equal(m.residuals, m.yc - xc @ m.beta)
     assert np.array_equal(m.u, xc @ m.s_inv)
     assert np.array_equal(m.q, np.einsum("ij,ij->i", xc, m.u))
     arrays = [f.name for f in dataclasses.fields(m) if isinstance(getattr(m, f.name), np.ndarray)]
-    assert len(arrays) == 10
+    assert len(arrays) == 12
     for name in arrays:
         a = getattr(m, name)
         with pytest.raises(ValueError, match="read-only"):
@@ -230,7 +233,7 @@ def test_loo_walk_is_blocking_invariant_and_matches_refits(rng, monkeypatch):
     walks = []
     for budget in (1, 8 * d.p * d.p * d.n):
         monkeypatch.setattr(diagnostics, "LOO_BLOCK_BYTES", budget)
-        walks.append(list(_LooWalk(d, m, fits).blocks()))
+        walks.append(list(_LooWalk(m, fits).blocks()))
     ones, ((rows, block),) = walks
     assert rows.tolist() == list(range(d.n))
     assert block.shape == (d.n, len(VARIANTS), 4, 4)
