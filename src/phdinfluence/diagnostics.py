@@ -22,8 +22,8 @@ subspace, all scaled so they estimate the same population rate:
 Every measure accepts the same fits.  One gate, ``_require_measurable``,
 raises InvalidArgument unless the dataset, the moments and the fit share one
 shape (n, p), then InvalidRank unless 1 <= k < p (at k = p every measure is
-rounding noise), then applies the ``fit`` command's gate ``phd.require_determined``:
-DegenerateEigenvalue when a fitted eigenvalue is numerically zero (the zero
+rounding noise), then applies the ``fit`` command's gate
+``phd.require_determined``: DegenerateEigenvalue when a fitted eigenvalue is numerically zero (the zero
 rule ``phd.require_nonzero``) and DegenerateSpectrum when two are tied
 (``phd.require_untied``, the tie rule ``PopulationModel`` applies to its own
 eigenvalues) or when |lambda_K| ties |lambda_{K+1}| at the cut
@@ -44,9 +44,9 @@ leave-one-out moment is formed, and the scalars of every row are formed once
 per walk.  HRIS reads each stack with no eigendecomposition, then SRIS makes
 one ``eigh`` call per observation on its (V, p, p) stack, not one per block:
 perfbench/test_perfbench.py asserts more than n ``eigh`` calls at n = 40, so
-batching waits for the benchmark change and the ROADMAP item on the cost
-of SRIS's ``eigh``.  ``sris`` and ``hris`` raise DegenerateLeverage at the first degenerate
-row before any stack is built, while the report leaves SRIS and HRIS NaN
+batching waits for the benchmark change and the ROADMAP item on the cost of
+SRIS's ``eigh``.  ``sris`` and ``hris`` raise DegenerateLeverage at the first
+degenerate row before any stack is built, while the report leaves SRIS and HRIS NaN
 there and flags the row ``degenerate_leverage``.
 
 :func:`influence_report` returns all of it as one :class:`InfluenceReport`
@@ -290,7 +290,8 @@ def sris(d: Dataset, fit: PhdFit) -> np.ndarray:
 
 
 def eris(d: Dataset, fit: PhdFit, m: MomentSet) -> np.ndarray:
-    """Plug-in closed-form influence of every observation, an n x K matrix."""
+    """Plug-in closed-form influence of every observation, an n x K matrix,
+    read from ``m``, the moments of ``d``."""
     _require_measurable(d, fit, m)
     w = m.yc if fit.variant == "y" else m.residuals
     return _ris_kernel(fit.variant, fit.gamma_hat, fit.lambda_hat, m.s_inv, m.beta,

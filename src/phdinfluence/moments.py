@@ -7,12 +7,20 @@ Conventions (they matter downstream, do not mix):
   moments (divide by n);
 * OLS residuals are ``r_i = y_i - ybar - (x_i - xbar)' s_inv s_xy``.
 
-The data are centred once, here, and nowhere else: ``xc`` and ``yc``, the
-rows of x - xbar and y - ybar, are what every moment, ERIS and the
-``diagnostics`` walk read, so no other module subtracts a mean.  ``u`` and
-``q``, each row's S^-1 (x_j - xbar) and (x_j - xbar)'u_j, are formed once for
-md, ERIS and the walk (no leave-one-out moment).  So is ``g_third``, the predictor third moment X3 sandwiched by S^-1, the one
-full-sample term of the walk that carries the r variant's moved OLS slope.
+The data are centred once, here, and nowhere else: ``xc`` and ``yc``, x - xbar
+and y - ybar, are what every moment, ERIS and the ``diagnostics`` walk read.
+They are formed by the corrected two-pass rule (Chan, Golub & LeVeque, Amer.
+Statist. 37, 1983): subtract the rounded mean, then subtract the mean of what
+is left, which is the rounding error of the first mean.  Without the second
+pass a constant c added to x or y leaves xbar correct only to the ulp of c,
+and that error enters the third moments as delta s_xy and delta_y S (x + 2^30
+kept about six correct digits); with it, offsets up to 2^40 leave every report
+value unchanged within rounding.
+
+``u`` and ``q``, each row's S^-1 (x_j - xbar) and (x_j - xbar)'u_j, are formed
+once for md, ERIS and the walk (no leave-one-out moment).  So is ``g_third``,
+the predictor third moment X3 sandwiched by S^-1, the one full-sample term of
+the walk that carries the r variant's moved OLS slope.
 """
 
 from __future__ import annotations
@@ -75,8 +83,11 @@ class MomentSet:
     pass and stored as read-only copies (``errors.own_arrays``).
 
     ``xc`` (n x p) and ``yc`` (n) are the centred data, x - xbar and
-    y - ybar, formed once by ``compute_moments``; every centred quantity
+    y - ybar each centred a second time (the module's two-pass rule), so
+    their columns sum to zero within rounding even where ``xbar`` and
+    ``ybar`` are rounded to a large offset's ulp; every centred quantity
     downstream reads them.
+
     ``beta`` is the OLS slope S^-1 s_xy behind ``residuals``.  ``g_third``
     is the p x p x p stack S^-1 X3[a] S^-1 = sum_j (x_ja - xbar_a) u_j u_j' / n,
     X3 the maximum-likelihood third central moment tensor of the predictors;
@@ -118,8 +129,11 @@ def compute_moments(d: Dataset) -> MomentSet:
     n, p = x.shape
     xbar = x.mean(axis=0)
     ybar = float(y.mean())
+    # corrected two-pass: the mean of x - xbar is the rounding error of xbar
     xc = x - xbar
+    xc -= xc.mean(axis=0)
     yc = y - ybar
+    yc -= yc.mean()
 
     s_inv = spd_inverse(xc.T @ xc / (n - 1))
     u = xc @ s_inv

@@ -60,7 +60,9 @@ class PhdFit:
     eigenvectors.  ``lambda_hat``, the matching eigenvalues, is read from
     ``eigenvalues`` rather than stored, so a fit built with
     ``dataclasses.replace`` reads one spectrum.  Every array is a read-only
-    copy made at construction (``errors.own_arrays``).
+    copy made at construction (``errors.own_arrays``).  The parts must agree,
+    else InvalidArgument: ``gamma_hat`` a Basis of p rows and ``k`` columns,
+    p ``eigenvalues`` and a p x p ``h``.
     """
 
     variant: str
@@ -69,7 +71,19 @@ class PhdFit:
     k: int
     gamma_hat: Basis
 
-    __post_init__ = own_arrays
+    def __post_init__(self):
+        own_arrays(self)
+        if not isinstance(self.gamma_hat, Basis):
+            raise InvalidArgument(
+                f"gamma_hat must be a linalg.Basis, got {type(self.gamma_hat).__name__}")
+        p, rank = self.gamma_hat.dim, self.gamma_hat.rank
+        if not (is_integer(self.k) and self.k == rank and self.eigenvalues.shape == (p,)
+                and self.h.shape == (p, p)):
+            raise InvalidArgument(
+                f"a fit with a {p} x {rank} gamma_hat needs k = {rank}, {p} eigenvalues and "
+                f"a {p} x {p} h; got k = {self.k!r}, eigenvalues of shape "
+                f"{self.eigenvalues.shape} and h of shape {self.h.shape}"
+            )
 
     @property
     def lambda_hat(self) -> np.ndarray:

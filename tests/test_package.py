@@ -21,7 +21,10 @@ from phdinfluence import (
     compute_moments,
     contaminated_moments,
     cosine_model,
+    eris,
+    fit_from_moments,
     fit_phd,
+    hris,
     influence_report,
     influence_surface,
     mc_constants,
@@ -198,6 +201,19 @@ def _point():
     return ContaminationPoint(y0=0.3, x0=np.array([0.0, 2.0, 0.0]))
 
 
+def _unpaired(measure, rows=40, columns=4, fit_columns=4):
+    """``measure`` called with the moments of ``_sample()`` beside its first
+    ``rows`` rows and ``columns`` predictors and a k = 1 fit of its first
+    ``fit_columns`` predictors."""
+    d = _sample()
+
+    def cut(n, p):
+        return Dataset(y=d.y[:n], x=d.x[:n, :p])
+
+    fit = fit_from_moments(compute_moments(cut(40, fit_columns)), "y", 1)
+    return measure(cut(rows, columns), fit, compute_moments(d))
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -257,6 +273,11 @@ def _model(**changes):
         pytest.param(lambda: ris_rows(cosine_model(3), "y", np.zeros(3), [0.0]), id="rows-shape"),
         pytest.param(lambda: influence_surface([-1.0], [0.0]), id="surface-grid"),
         pytest.param(lambda: spearman([1.0], [2.0]), id="spearman-size"),
+        # a dataset that is not the one behind the moments and the fit
+        pytest.param(lambda: _unpaired(eris, rows=39), id="eris-unpaired-n"),
+        pytest.param(lambda: _unpaired(hris, rows=39), id="hris-unpaired-n"),
+        pytest.param(lambda: _unpaired(eris, columns=3), id="eris-unpaired-p"),
+        pytest.param(lambda: _unpaired(hris, fit_columns=3), id="hris-unpaired-fit"),
         # arguments that are not real numbers, numeric strings included
         pytest.param(lambda: _model(mu_y="a"), id="model-mu-y-string"),
         pytest.param(lambda: _model(mu_y="0.5"), id="model-mu-y-numeric-string"),
@@ -333,6 +354,16 @@ def test_checks_raise_typed_errors_and_writers_write_utf8_with_newline_ends():
                 if given.get("encoding") != "utf-8" or given.get("newline") != "\n":
                     faults.append(f"open at {where}")
     assert faults == []
+
+
+def test_only_the_moments_module_reads_the_sample_means():
+    # the data are centred once, in compute_moments (two passes, so a large
+    # offset does not cost digits); everything else reads MomentSet.xc/.yc
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "moments.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in ("xbar", "ybar")]
+    assert readers == []
 
 
 def test_numpy_integers_are_integers():

@@ -12,7 +12,8 @@ from phdinfluence import (
     fit_phd,
     population_h,
 )
-from phdinfluence.errors import DegenerateEigenvalue, DegenerateSpectrum, InvalidRank
+from phdinfluence.errors import (DegenerateEigenvalue, DegenerateSpectrum, InvalidArgument,
+                                 InvalidRank)
 from phdinfluence.phd import require_gap, require_nonzero
 from phdinfluence.linalg import project_out, sym_eigen
 from phdinfluence.population import COSINE_MODEL_LAMBDA1, cosine_model
@@ -77,14 +78,14 @@ def test_the_cut_rule_compares_magnitudes_at_k_only(rng):
     # the span is ranked by |lambda|, so lambda_K = -lambda_{K+1} ties at the
     # cut; ties inside the K fitted values or past K + 1 are not the cut's
     d = Dataset(y=rng.standard_normal(30), x=rng.standard_normal((30, 3)))
-    fit = fit_phd(d, "y", 1)
+    fits = {k: fit_phd(d, "y", k) for k in (1, 2, 3)}
     for values, k, tied in (([1.0, -1.0 + 1e-12, 0.3], 1, True),
                             ([1.0, 1.0 - 1e-12, 0.3], 1, True),
                             ([1.0, -0.9, 0.3], 1, False),
                             ([1.0, 1.0, 0.3], 2, False),
                             ([1.0, 0.3, -0.3], 2, True),
                             ([1.0, 0.3, 0.3], 3, False)):
-        tie = dataclasses.replace(fit, eigenvalues=np.array(values), k=k)
+        tie = dataclasses.replace(fits[k], eigenvalues=np.array(values))
         if tied:
             with pytest.raises(DegenerateSpectrum, match=f"eigenvalues {k} and {k + 1}"):
                 require_gap(tie)
@@ -104,6 +105,23 @@ def test_lambda_hat_is_read_from_the_spectrum_of_a_replaced_fit(rng):
     assert not moved.lambda_hat.flags.writeable
     with pytest.raises(DegenerateEigenvalue):
         require_nonzero(moved, m)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"k": 1}, id="k-below-basis"),
+    pytest.param({"k": 3}, id="k-above-basis"),
+    pytest.param({"k": 0}, id="k-zero"),
+    pytest.param({"eigenvalues": np.array([3.0])}, id="eigenvalues-not-p"),
+    pytest.param({"h": np.eye(4)}, id="h-shape"),
+    pytest.param({"gamma_hat": np.eye(3)[:, :2]}, id="gamma-array"),
+])
+def test_a_fit_whose_parts_disagree_is_rejected(rng, change):
+    # with k = 1 and a two-column basis, eris and hris returned n x 2
+    # matrices, hris's second column divided by |lambda_1|
+    d = Dataset(y=rng.standard_normal(30), x=rng.standard_normal((30, 3)))
+    fit = fit_phd(d, "y", 2)
+    with pytest.raises(InvalidArgument):
+        dataclasses.replace(fit, **change)
 
 
 def test_independent_response_gives_null_spectrum():
