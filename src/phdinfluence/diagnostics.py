@@ -23,11 +23,11 @@ Every measure accepts the same fits.  One gate, ``_require_measurable``,
 raises InvalidArgument unless the dataset, the moments and the fit share one
 shape (n, p), then InvalidRank unless 1 <= k < p (at k = p every measure is
 rounding noise), then applies the ``fit`` command's gate
-``phd.require_determined``: DegenerateEigenvalue when a fitted eigenvalue is numerically zero (the zero
-rule ``phd.require_nonzero``) and DegenerateSpectrum when two are tied
-(``phd.require_untied``, the tie rule ``PopulationModel`` applies to its own
-eigenvalues) or when |lambda_K| ties |lambda_{K+1}| at the cut
-(``phd.require_gap``).  ``sris``, ``hris`` and
+``phd.require_determined``: DegenerateEigenvalue when a fitted eigenvalue is
+numerically zero (the zero rule ``phd.require_nonzero``) and
+DegenerateSpectrum when two are tied (``phd.require_untied``, the tie rule
+``PopulationModel`` applies to its own eigenvalues) or when |lambda_K| ties
+|lambda_{K+1}| at the cut (``phd.require_gap``).  ``sris``, ``hris`` and
 ``eris`` call it; ``influence_report`` checks the rank before any work and
 meets the rest of the gate through ``eris``.
 
@@ -177,9 +177,9 @@ class _LooWalk:
         # (no block reads a degenerate row's), n H and S^-1 g per variant
         c = ((n - 2) / (n - 1)) ** 2 / (n - 1)
         lever = n * (n + 1) / (n - 1) ** 2
-        dy, zero = m.yc, np.zeros(n)
+        zero = np.zeros(n)
         r_d = np.divide(m.residuals, self.denom, out=zero.copy(), where=~self.degenerate)
-        by_variant = {"y": (dy, zero, lever * dy, m.u @ m.s_xy),
+        by_variant = {"y": (m.yc, zero, lever * m.yc, m.u @ m.s_xy),
                       "r": (full * r_d, -n * r_d, (lever * full - 2.0) * r_d, zero)}
         self.scalars = c * np.stack([by_variant[v] for v in self.variants], axis=-1)
         self.shared = (c * n) * np.stack([f.h for f in fits])
