@@ -53,13 +53,14 @@ there and flags the row ``degenerate_leverage``.
 of read-only arrays in report order, its values one (n, 3, 2, K) array with
 axes (record, measure, variant, direction) and its Spearman correlations of
 SRIS against ERIS, HRIS and the Mahalanobis distance one (2, 3, K + 1) array
-with axes (variant, target, direction then average); the three writers
-serialize that report and nothing else, each reading the arrays' axes in the
-order it writes them.  Every correlation is taken
-over the same rows, the records without a ``degenerate_leverage`` flag, and
-each vector is ranked once; neighbours within RANK_TIE_RTOL of the larger
-magnitude tie.  A correlation against an all-tied vector is undefined: NaN
-in the report, null in report.json, nan in correlations.csv.
+with axes (variant, target, direction then average); its n, p and K are
+read from the arrays' shapes.  The three writers serialize that report and
+nothing else, and both record writers read ``values`` in its own axis order.
+Every correlation is taken over the same rows, the records without a
+``degenerate_leverage`` flag, and each vector is ranked once; neighbours
+within RANK_TIE_RTOL of the larger magnitude tie.  A correlation against an
+all-tied vector is undefined: NaN in the report, null in report.json, nan in
+correlations.csv.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -372,6 +372,11 @@ class InfluenceReport:
     Spearman(SRIS, target) per direction followed by that of the direction
     averages, with axes (variant in VARIANTS order, target in TARGETS order,
     direction then average).  ``fits`` holds the two fits in VARIANTS order.
+    The sizes n, p and K are read from ``j``, ``fits`` and ``values``, not
+    stored.  The parts must agree, else InvalidArgument: ``j``, ``md``,
+    ``flags`` and ``values`` of one length n, ``values`` of shape
+    (n, 3, 2, K), ``correlations`` of shape (2, 3, K + 1), and one rank-K fit
+    per variant, in VARIANTS order, all of one p.
     """
 
     j: np.ndarray
@@ -380,11 +385,35 @@ class InfluenceReport:
     flags: tuple[tuple[str, ...], ...]
     correlations: np.ndarray
     fits: tuple[PhdFit, ...]
-    n: int
-    p: int
-    k: int
 
-    __post_init__ = own_arrays
+    def __post_init__(self):
+        own_arrays(self)
+        n, k = len(self.flags), self.values.shape[-1]
+        fits = [(f.variant, f.k, f.gamma_hat.dim) for f in self.fits]
+        if not (self.j.shape == self.md.shape == (n,)
+                and self.values.shape == (n, len(_MEASURES), len(VARIANTS), k)
+                and self.correlations.shape == (len(VARIANTS), len(TARGETS), k + 1)
+                and [f[:2] for f in fits] == [(v, k) for v in VARIANTS]
+                and len({f[2] for f in fits}) == 1):
+            raise InvalidArgument(
+                f"a report's parts disagree: j {self.j.shape}, md {self.md.shape}, {n} flags, "
+                f"values {self.values.shape}, correlations {self.correlations.shape}, "
+                f"(variant, k, p) fits {fits}")
+
+    @property
+    def n(self) -> int:
+        """The number of records, the length of ``j``."""
+        return self.j.shape[0]
+
+    @property
+    def p(self) -> int:
+        """The number of predictors, the row count of the fits' Gamma-hat."""
+        return self.fits[0].gamma_hat.dim
+
+    @property
+    def k(self) -> int:
+        """The rank K, the last axis of ``values``."""
+        return self.values.shape[-1]
 
     def column(self, measure: str, variant: str) -> np.ndarray:
         """The n x K block of ``values`` holding one measure of one variant."""
@@ -409,12 +438,11 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
     fits = tuple(fit_from_moments(m, v, k) for v in VARIANTS)
     md = mahalanobis(m)
 
-    n = d.n
     eris_vals = np.stack([eris(d, fit, m) for fit in fits], axis=1)
     walk = _LooWalk(m, fits)
     hris_vals, sris_vals, swapped = walk.measures()
 
-    flags: list[list[str]] = [[] for _ in range(n)]
+    flags: list[list[str]] = [[] for _ in range(d.n)]
     for j in np.flatnonzero(walk.degenerate):
         flags[j].append("degenerate_leverage")
     for j, a, i in zip(*np.nonzero(swapped)):  # per row, variants in VARIANTS order
@@ -431,9 +459,6 @@ def influence_report(d: Dataset, k: int) -> InfluenceReport:
         flags=tuple(tuple(flags[j]) for j in order),
         correlations=_correlation_table(values, md),
         fits=fits,
-        n=n,
-        p=d.p,
-        k=int(k),
     )
 
 
@@ -471,15 +496,13 @@ def _correlation_table(values: np.ndarray, md: np.ndarray) -> np.ndarray:
 WRITE_CHUNK = 64
 
 
-def _record_chunks(report: InfluenceReport, axes: tuple[int, ...]):
+def _record_chunks(report: InfluenceReport):
     """The records in report order, WRITE_CHUNK at a time: per record its j,
-    md, flags and 6K values, as Python scalars.  The values are read from
-    ``report.values`` with its axes in the order ``axes``, a transpose whose
-    first axis is the record."""
-    values = report.values.transpose(axes)
+    md, flags and 6K values, as Python scalars, the values in the order of
+    ``report.values``: (measure, variant, direction)."""
     for start in range(0, report.n, WRITE_CHUNK):
         rows = slice(start, start + WRITE_CHUNK)
-        chunk = values[rows]
+        chunk = report.values[rows]
         yield list(zip(
             report.j[rows].tolist(),
             report.md[rows].tolist(),
@@ -488,29 +511,25 @@ def _record_chunks(report: InfluenceReport, axes: tuple[int, ...]):
         ))
 
 
-def _csv_record(k: int):
-    """(%-template, argument picker) of one record's 2K lines of records.csv,
-    one line per (variant, direction).
-
-    The picker takes the record's 6K values in (variant, direction, measure)
-    order, so each line's three values follow one another, then j and the
-    record's ``md,flags`` text, and returns the template's fields line by
-    line: j, the line's SRIS, ERIS and HRIS as ``.17g``, the text.
-    """
-    lines = [f"%d,{v},{i + 1},%.17g,%.17g,%.17g,%s\n" for v in VARIANTS for i in range(k)]
-    end = 3 * len(lines)
-    fields = [f for s in range(0, end, 3) for f in (end, s, s + 1, s + 2, end + 1)]
-    return "".join(lines), itemgetter(*fields)
-
-
 def write_records_csv(path, report: InfluenceReport) -> None:
-    """Long-format CSV: one row per (observation, variant, direction)."""
-    template, pick = _csv_record(report.k)
+    """Long-format CSV: one row per (observation, variant, direction).
+
+    Each record is one ``str.format`` call on a template of its 2K lines.
+    The template's positional fields are the record's 6K values in the
+    report's array order, (measure, variant, direction), then j and the
+    record's ``md,flags`` text, formatted once per record; each line points
+    at its own SRIS, ERIS and HRIS, written as ``.17g``.
+    """
+    place = np.arange(report.values[0].size).reshape(report.values.shape[1:])
+    end = place.size  # the fields after the values: j, then the md,flags text
+    template = "".join(
+        "{%d},%s,%d,{%d:.17g},{%d:.17g},{%d:.17g},{%d}\n" % (end, v, i + 1, *place[:, a, i], end + 1)
+        for a, v in enumerate(VARIANTS) for i in range(report.k))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("j,variant,direction,sris,eris,hris,md,flags\n")
-        for chunk in _record_chunks(report, (0, 2, 3, 1)):  # (record, variant, direction, measure)
+        for chunk in _record_chunks(report):
             fh.write("".join([
-                template % pick([*row, j, "%.17g,%s" % (md, ";".join(flags))])
+                template.format(*row, j, "%.17g,%s" % (md, ";".join(flags)))
                 for j, md, flags, row in chunk
             ]))
 
@@ -578,7 +597,7 @@ def write_report_json(path, report: InfluenceReport) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head + ',\n  "records": [\n')
         sep = ""
-        for chunk in _record_chunks(report, (0, 1, 2, 3)):  # (record, measure, variant, direction)
+        for chunk in _record_chunks(report):
             template = ",\n".join([record] * len(chunk))
             fields = []
             for j, md, flags, row in chunk:

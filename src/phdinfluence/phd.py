@@ -56,34 +56,37 @@ def check_variant(variant: str) -> None:
 class PhdFit:
     """One estimated average Hessian with its ordered spectrum.
 
-    ``eigenvalues`` holds all p eigenvalues and ``gamma_hat`` the first ``k``
-    eigenvectors.  ``lambda_hat``, the matching eigenvalues, is read from
-    ``eigenvalues`` rather than stored, so a fit built with
-    ``dataclasses.replace`` reads one spectrum.  Every array is a read-only
-    copy made at construction (``errors.own_arrays``).  The parts must agree,
-    else InvalidArgument: ``gamma_hat`` a Basis of p rows and ``k`` columns,
-    p ``eigenvalues`` and a p x p ``h``.
+    ``eigenvalues`` holds all p eigenvalues and ``gamma_hat`` the first K
+    eigenvectors.  p and the rank ``k`` are read from ``gamma_hat``'s shape
+    and ``lambda_hat``, the matching eigenvalues, from ``eigenvalues``, none
+    of them stored, so a fit built with ``dataclasses.replace`` reads one
+    spectrum of one rank.  Every array is a read-only copy made at
+    construction (``errors.own_arrays``).  The parts must agree, else
+    InvalidArgument: ``variant`` one of VARIANTS (``check_variant``),
+    ``gamma_hat`` a Basis of p rows, p ``eigenvalues`` and a p x p ``h``.
     """
 
     variant: str
     h: np.ndarray
     eigenvalues: np.ndarray
-    k: int
     gamma_hat: Basis
 
     def __post_init__(self):
         own_arrays(self)
+        check_variant(self.variant)
         if not isinstance(self.gamma_hat, Basis):
             raise InvalidArgument(
                 f"gamma_hat must be a linalg.Basis, got {type(self.gamma_hat).__name__}")
-        p, rank = self.gamma_hat.dim, self.gamma_hat.rank
-        if not (is_integer(self.k) and self.k == rank and self.eigenvalues.shape == (p,)
-                and self.h.shape == (p, p)):
+        p = self.gamma_hat.dim
+        if not (self.eigenvalues.shape == (p,) and self.h.shape == (p, p)):
             raise InvalidArgument(
-                f"a fit with a {p} x {rank} gamma_hat needs k = {rank}, {p} eigenvalues and "
-                f"a {p} x {p} h; got k = {self.k!r}, eigenvalues of shape "
-                f"{self.eigenvalues.shape} and h of shape {self.h.shape}"
-            )
+                f"a fit with a {p}-row gamma_hat needs {p} eigenvalues and a {p} x {p} h; "
+                f"got eigenvalues of shape {self.eigenvalues.shape} and h of {self.h.shape}")
+
+    @property
+    def k(self) -> int:
+        """The rank K, the column count of ``gamma_hat``."""
+        return self.gamma_hat.rank
 
     @property
     def lambda_hat(self) -> np.ndarray:
@@ -93,15 +96,13 @@ class PhdFit:
 
 def fit_from_moments(m: MomentSet, variant: str, k: int) -> PhdFit:
     """Fit a PHD variant directly from a MomentSet."""
-    check_variant(variant)
     p = m.p
     if not (is_integer(k) and 1 <= k <= p):
         raise InvalidRank(f"rank k must be an integer with 1 <= k <= p={p}, got {k!r}")
     mat = m.sigma_yxx_hat if variant == "y" else m.sigma_rxx_hat
     h = mirror(m.s_inv @ mat @ m.s_inv)
     values, vectors = sym_eigen(h)
-    return PhdFit(variant=variant, h=h, eigenvalues=values, k=int(k),
-                  gamma_hat=Basis(vectors[:, :k]))
+    return PhdFit(variant=variant, h=h, eigenvalues=values, gamma_hat=Basis(vectors[:, :k]))
 
 
 def fit_phd(d: Dataset, variant: str, k: int) -> PhdFit:

@@ -29,6 +29,7 @@ from phdinfluence.diagnostics import (
     WRITE_CHUNK,
     _LooWalk,
     loo_block_rows,
+    write_correlations_csv,
     write_records_csv,
     write_report_json,
 )
@@ -36,6 +37,7 @@ from phdinfluence.errors import (
     DegenerateEigenvalue,
     DegenerateLeverage,
     DegenerateSpectrum,
+    InvalidArgument,
     InvalidRank,
     UndefinedCorrelation,
 )
@@ -885,6 +887,52 @@ def test_records_csv_is_the_per_cell_layout(design, tmp_path):
     want = records_csv_reference(report)
     assert path.read_bytes() == want.encode("utf-8")
     assert (",nan," in want) == (design is not _order_swap_design)
+
+
+def _factorial_design():
+    # a replicated 2^4 factorial: every row has the same Mahalanobis
+    # distance, so each correlation against md is NaN
+    x = np.array(list(itertools.product((-1.0, 1.0), repeat=4)) * 2)
+    noise = np.random.default_rng(0).standard_normal(len(x))
+    y = np.cos(x[:, 0] + 0.3 * x[:, 1]) + 0.5 * x[:, 2] * x[:, 3] + 0.1 * noise
+    return Dataset(y=y, x=x), 2
+
+
+def correlations_csv_reference(report):
+    """correlations.csv written cell by cell with ``.17g`` f-strings."""
+    lines = ["variant,target,direction,spearman\n"]
+    for v in ("y", "r"):
+        for t in ("eris", "hris", "md"):
+            row = report.correlation(v, t).tolist()
+            names = [str(i + 1) for i in range(len(row) - 1)] + ["average"]
+            lines += [f"{v},{t},{name},{c:.17g}\n" for name, c in zip(names, row)]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "design", [_order_swap_design, _spiked_rank_three, _spiked_across_chunks, _factorial_design]
+)
+def test_correlations_csv_is_the_per_cell_layout(design, tmp_path):
+    d, k = design()
+    report = influence_report(d, k)
+    path = tmp_path / "correlations.csv"
+    write_correlations_csv(path, report)
+    want = correlations_csv_reference(report)
+    assert path.read_bytes() == want.encode("utf-8")
+    assert want.count("\n") == 1 + 2 * 3 * (k + 1)
+    assert (",nan\n" in want) == (design is _factorial_design)
+
+
+@pytest.mark.parametrize("change", [
+    # records.csv wrote 20 of 160 lines, report.json "n": 40 over 5 records
+    pytest.param(lambda r: {"md": r.md[:5]}, id="md-short"),
+    # report.json wrote the r fit's eigenvalues under "y"
+    pytest.param(lambda r: {"fits": r.fits[::-1]}, id="fits-reversed"),
+])
+def test_a_report_whose_parts_disagree_is_rejected(change):
+    report = influence_report(cosine_data(1, n=40, p=4), 2)
+    with pytest.raises(InvalidArgument):
+        replace(report, **change(report))
 
 
 def walk_table(m, fits):

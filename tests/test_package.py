@@ -505,22 +505,37 @@ def test_a_report_is_frozen_and_its_correlations_read_only():
     assert isinstance(report.fits, tuple)
 
 
+def _package_dataclasses():
+    """(qualified name, class) of every dataclass the package defines."""
+    for info in pkgutil.iter_modules(phdinfluence.__path__):
+        module = importlib.import_module(f"phdinfluence.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                yield f"{module.__name__}.{name}", cls
+
+
 def test_every_type_that_stores_an_array_is_frozen_and_owns_it():
     # the ownership rule is applied by the type, at construction, so a
     # dataclass annotating an ndarray field needs a __post_init__, and frozen
     # so that no field is rebound past it
     faults, checked = [], 0
-    for info in pkgutil.iter_modules(phdinfluence.__path__):
-        module = importlib.import_module(f"phdinfluence.{info.name}")
-        for name, cls in inspect.getmembers(module, inspect.isclass):
-            if cls.__module__ != module.__name__ or not dataclasses.is_dataclass(cls):
-                continue
-            if any("ndarray" in str(f.type) for f in dataclasses.fields(cls)):
-                checked += 1
-                if not (cls.__dataclass_params__.frozen and "__post_init__" in vars(cls)):
-                    faults.append(f"{module.__name__}.{name}")
+    for name, cls in _package_dataclasses():
+        if any("ndarray" in str(f.type) for f in dataclasses.fields(cls)):
+            checked += 1
+            if not (cls.__dataclass_params__.frozen and "__post_init__" in vars(cls)):
+                faults.append(name)
     assert checked == 9
     assert faults == []
+
+
+def test_no_type_stores_a_size_beside_the_arrays_that_fix_it():
+    # n, p and k are read from an array's shape (Dataset.n, PhdFit.k,
+    # InfluenceReport.p, ...), so no stored size can disagree with its
+    # arrays.  SimSpec's n and p are the sizes of the sample it draws, its
+    # inputs; its beta is checked against p.
+    sizes = [f"{name}.{f.name}" for name, cls in _package_dataclasses()
+             for f in dataclasses.fields(cls) if f.name in ("n", "p", "k")]
+    assert sizes == ["phdinfluence.simulation.SimSpec.n", "phdinfluence.simulation.SimSpec.p"]
 
 
 def test_the_readme_library_example_runs():

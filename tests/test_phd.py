@@ -108,16 +108,14 @@ def test_lambda_hat_is_read_from_the_spectrum_of_a_replaced_fit(rng):
 
 
 @pytest.mark.parametrize("change", [
-    pytest.param({"k": 1}, id="k-below-basis"),
-    pytest.param({"k": 3}, id="k-above-basis"),
-    pytest.param({"k": 0}, id="k-zero"),
     pytest.param({"eigenvalues": np.array([3.0])}, id="eigenvalues-not-p"),
     pytest.param({"h": np.eye(4)}, id="h-shape"),
     pytest.param({"gamma_hat": np.eye(3)[:, :2]}, id="gamma-array"),
+    pytest.param({"variant": "x"}, id="variant-unknown"),
 ])
 def test_a_fit_whose_parts_disagree_is_rejected(rng, change):
-    # with k = 1 and a two-column basis, eris and hris returned n x 2
-    # matrices, hris's second column divided by |lambda_1|
+    # an unknown variant was accepted: eris then read it as r, and sris and
+    # hris raised a bare KeyError from the leave-one-out walk
     d = Dataset(y=rng.standard_normal(30), x=rng.standard_normal((30, 3)))
     fit = fit_phd(d, "y", 2)
     with pytest.raises(InvalidArgument):
