@@ -32,17 +32,15 @@ _EXPORTS = {
     "PhdFit": "phd",
     "fit_from_moments": "phd",
     "fit_phd": "phd",
-    "population_h": "phd",
     "ContaminatedMoments": "population",
     "ContaminationPoint": "population",
     "PopulationModel": "population",
     "contaminated_moments": "population",
     "cosine_model": "population",
     "influence_surface": "population",
+    "ris": "population",
     "ris_numeric_oracle": "population",
-    "ris_r": "population",
     "ris_rows": "population",
-    "ris_y": "population",
     "write_surface_csv": "population",
     "InfluenceReport": "diagnostics",
     "eris": "diagnostics",

@@ -376,7 +376,9 @@ class InfluenceReport:
     stored.  The parts must agree, else InvalidArgument: ``j``, ``md``,
     ``flags`` and ``values`` of one length n, ``values`` of shape
     (n, 3, 2, K), ``correlations`` of shape (2, 3, K + 1), and one rank-K fit
-    per variant, in VARIANTS order, all of one p.
+    per variant, in VARIANTS order, all of one p.  Every ``md`` must be
+    finite, as every distance ``influence_report`` computes is, else
+    InvalidArgument.
     """
 
     j: np.ndarray
@@ -399,6 +401,8 @@ class InfluenceReport:
                 f"a report's parts disagree: j {self.j.shape}, md {self.md.shape}, {n} flags, "
                 f"values {self.values.shape}, correlations {self.correlations.shape}, "
                 f"(variant, k, p) fits {fits}")
+        if not np.isfinite(self.md).all():
+            raise InvalidArgument("every md of a report must be finite")
 
     @property
     def n(self) -> int:
@@ -467,13 +471,13 @@ def _correlation_table(values: np.ndarray, md: np.ndarray) -> np.ndarray:
     direction and of the direction averages: the report's (2, 3, K + 1)
     ``correlations``.  ``values`` and ``md`` are the report's arrays.
 
-    Every correlation uses the same rows: those whose values and md are all
-    finite.  These are the rows without a ``degenerate_leverage`` flag, since
-    SRIS and HRIS are NaN exactly there and ERIS and md are finite on every
-    row.  Each vector is ranked once; the direction average of md is md.  A
+    Every correlation uses the same rows: those whose values are all finite.
+    These are the rows without a ``degenerate_leverage`` flag, since SRIS and
+    HRIS are NaN exactly there and ERIS and md are finite on every row.
+    Each vector is ranked once; the direction average of md is md.  A
     correlation against an all-tied vector (see ``_centred_ranks``) is NaN.
     """
-    keep = np.isfinite(values).all(axis=(1, 2, 3)) & np.isfinite(md)
+    keep = np.isfinite(values).all(axis=(1, 2, 3))
     values = values[keep]
     md_ranks = _centred_ranks(md[keep])
     table = []
@@ -570,14 +574,9 @@ def write_report_json(path, report: InfluenceReport) -> None:
     non-finite values as null) and the correlations.  The records are
     formatted WRITE_CHUNK at a time from the report's value array, with one
     template per chunk; only the head and the correlations go through
-    ``json``.  A non-finite Mahalanobis distance raises ValueError before the
-    file is opened.
+    ``json``.  Every md and eigenvalue is finite, an invariant of the report
+    and its fits.
     """
-    bad = np.flatnonzero(~np.isfinite(report.md))
-    if bad.size:
-        raise ValueError(
-            f"Out of range float values are not JSON compliant: {float(report.md[bad[0]])!r}"
-        )
     fits = {
         v: {"eigenvalues": fit.eigenvalues.tolist(), "lambda_hat": fit.lambda_hat.tolist(),
             "k": fit.k}

@@ -10,15 +10,13 @@ that shares no memory with the caller's, made by each type at construction
 (:func:`own_arrays` is the ``__post_init__`` of the types that check
 nothing else), so ``dataclasses.replace`` keeps the rule too.
 
-One error rule: a check on a caller's argument raises a class of this
-module, never a bare ValueError, TypeError or IndexError, which carry no
-exit code.  A value outside its domain (a variant name, a shape, a grid)
-raises :class:`InvalidArgument`, a ValueError with exit code 2; every
-class with exit code 2 is an InvalidArgument (:class:`InvalidRank`, the
-rank's own name in the CLI's error record, is its one subclass).  Two
-exceptions keep the builtin type a Python caller expects: a direction index
-out of range is an IndexError, as for any sequence, and ``write_report_json``
-rejects a non-finite Mahalanobis distance with json's own ValueError.
+One error rule, with no exceptions: a check on a caller's argument raises a
+class of this module, never a bare ValueError, TypeError or IndexError,
+which carry no exit code.  A value outside its domain (a variant name, a
+shape, a grid, a value that is not finite) raises :class:`InvalidArgument`,
+a ValueError with exit code 2; every class with exit code 2 is an
+InvalidArgument (:class:`InvalidRank`, the rank's own name in the CLI's
+error record, is its one subclass).
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, NotPositiveDefinite, owned
+from .errors import InvalidMatrix, NotPositiveDefinite, as_real_array
 
 ORTHONORMAL_TOL = 1e-10
 PD_RTOL = 1e-12
@@ -58,14 +58,16 @@ def mirror(a: np.ndarray) -> np.ndarray:
 class Basis:
     """Orthonormal p x k column set spanning a k-dimensional subspace.
 
-    ``columns`` is stored as a read-only float64 copy (``errors.owned``), and
-    the orthonormality check is made on that copy, so no later write to the
-    caller's array can undo it."""
+    ``columns`` is taken through the real-number rule
+    (``errors.as_real_array``, InvalidArgument for anything but real
+    numbers) and stored as a read-only float64 copy; the orthonormality
+    check is made on that copy, so no later write to the caller's array can
+    undo it."""
 
     columns: np.ndarray
 
     def __post_init__(self):
-        c = owned(self.columns, float)
+        c = as_real_array(self.columns, "columns")
         if c.ndim != 2 or c.shape[1] < 1 or c.shape[1] > c.shape[0]:
             raise InvalidMatrix(f"basis must be p x k with 1 <= k <= p, got {c.shape}")
         check_orthonormal(c)

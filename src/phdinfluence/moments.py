@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, own_arrays, owned
+from .errors import InsufficientData, as_real_array, own_arrays
 from .linalg import mirror, spd_inverse
 
 
@@ -38,8 +38,10 @@ class Dataset:
     """n observations of (scalar response, p-vector predictor).
 
     Requires n >= p + 2 so that every leave-one-out covariance can still be
-    invertible.  Arrays are stored as read-only float64 copies
-    (``errors.owned``).  ``names`` defaults to x1, ..., xp.
+    invertible.  ``x`` and ``y`` are taken through the real-number rule
+    (``errors.as_real_array``): arrays of anything but real numbers raise
+    InvalidArgument, and they are stored as read-only float64 copies.
+    ``names`` defaults to x1, ..., xp.
     """
 
     y: np.ndarray
@@ -47,7 +49,7 @@ class Dataset:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        x, y = owned(self.x, float), owned(self.y, float)
+        x, y = as_real_array(self.x, "x"), as_real_array(self.y, "y")
         if x.ndim != 2:
             raise InsufficientData(f"x must be an n x p matrix, got shape {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:

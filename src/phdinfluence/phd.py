@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateEigenvalue, DegenerateSpectrum, InvalidArgument, InvalidRank,
-                     is_integer, own_arrays)
+                     as_real_array, is_integer)
 from .linalg import Basis, mirror, sym_eigen
 from .moments import Dataset, MomentSet, compute_moments
 
@@ -60,10 +60,11 @@ class PhdFit:
     eigenvectors.  p and the rank ``k`` are read from ``gamma_hat``'s shape
     and ``lambda_hat``, the matching eigenvalues, from ``eigenvalues``, none
     of them stored, so a fit built with ``dataclasses.replace`` reads one
-    spectrum of one rank.  Every array is a read-only copy made at
-    construction (``errors.own_arrays``).  The parts must agree, else
-    InvalidArgument: ``variant`` one of VARIANTS (``check_variant``),
-    ``gamma_hat`` a Basis of p rows, p ``eigenvalues`` and a p x p ``h``.
+    spectrum of one rank.  ``h`` and ``eigenvalues`` are taken through the
+    real-number rule (``errors.as_real_array``), as read-only copies made at
+    construction.  The parts must agree, else InvalidArgument: ``variant``
+    one of VARIANTS (``check_variant``), ``gamma_hat`` a Basis of p rows, p
+    finite ``eigenvalues`` and a finite p x p ``h``.
     """
 
     variant: str
@@ -72,7 +73,8 @@ class PhdFit:
     gamma_hat: Basis
 
     def __post_init__(self):
-        own_arrays(self)
+        for name in ("h", "eigenvalues"):
+            object.__setattr__(self, name, as_real_array(getattr(self, name), name))
         check_variant(self.variant)
         if not isinstance(self.gamma_hat, Basis):
             raise InvalidArgument(
@@ -82,6 +84,8 @@ class PhdFit:
             raise InvalidArgument(
                 f"a fit with a {p}-row gamma_hat needs {p} eigenvalues and a {p} x {p} h; "
                 f"got eigenvalues of shape {self.eigenvalues.shape} and h of {self.h.shape}")
+        if not (np.isfinite(self.eigenvalues).all() and np.isfinite(self.h).all()):
+            raise InvalidArgument("a fit's eigenvalues and h must be finite")
 
     @property
     def k(self) -> int:
@@ -167,8 +171,3 @@ def require_determined(fit: PhdFit, m: MomentSet) -> None:
     require_untied(fit.lambda_hat)
     require_gap(fit)
 
-
-def population_h(model) -> np.ndarray:
-    """Exact average Hessian of a population model: Gamma diag(lambda) Gamma'."""
-    g = model.gamma.columns
-    return mirror((g * model.lam) @ g.T)

@@ -22,10 +22,11 @@ g_k' Sigma^{-1} d and g_k' Sigma^{1/2} z0 = g_k' d.
 The alpha displays are evaluated in one place, the kernel behind
 :func:`ris_rows`, for a whole array of contamination points at once.  Both
 variants take the same points (y0, x0), and ``ris_rows`` forms r0 itself:
-``ris_y``/``ris_r`` are one-row views of ``ris_rows``, the influence surface
-calls it once per variant for all grid cells, and the sample plug-in ERIS
-calls the kernel itself on the fit, once for all n observations, with the
-sample OLS residuals of the moments.
+:func:`ris` is its one-row view, the influence surface calls it once per
+variant for all grid cells, and the sample plug-in ERIS calls the kernel
+itself on the fit, once for all n observations, with the sample OLS
+residuals of the moments.  Like every sample measure, each call returns the
+rates of all K directions at once, RIS_k at index k - 1.
 
 The cosine single-index example Y = cos(2 beta_1'X - pi/4) + sigma eps is
 stated once, at the end of this module: its link ``_cosine_response`` (which
@@ -43,9 +44,9 @@ suite's ``oracles`` module); the two agree to rounding.
 
 Everything is additionally validated against a numeric oracle that builds the
 EXACT moments of the contaminated mixture at a small finite eps, recomputes
-the Hessian eigensystem, and measures the sine directly.  The mixture moments
-(no first-order truncation anywhere) are, with dy = y0 - mu_y and
-t = eps (1 - eps):
+the Hessian eigensystem once, and measures each direction's sine directly.
+The mixture moments (no first-order truncation anywhere) are, with
+dy = y0 - mu_y and t = eps (1 - eps):
 
     mu_eps        = (1 - eps) mu + eps x0
     mu_y,eps      = (1 - eps) mu_y + eps y0
@@ -74,7 +75,7 @@ import numpy as np
 from .errors import (AmbiguousMatch, InvalidArgument, InvalidMatrix, as_real, as_real_array,
                      is_integer, own_arrays, owned)
 from .linalg import Basis, mirror, project_out, spd_inverse, sym_eigen
-from .phd import VARIANTS, check_variant, population_h, require_untied
+from .phd import VARIANTS, check_variant, require_untied
 
 MATCH_TOL = 1e-8
 DEFAULT_ORACLE_EPS = 1e-6
@@ -96,7 +97,8 @@ class PopulationModel:
     ``spd_inverse``, so the decision does not depend on units.  It is stored
     exactly symmetric.  Every array is stored as a read-only copy
     (``errors.owned``), so no later write to the caller's arrays can undo
-    these checks.
+    these checks; so are ``sigma_inv``, ``beta`` and the exact average Hessian
+    ``h``, built once here.
 
     A ``gamma`` that is not a Basis, a field that is not real numbers
     (``errors.as_real`` and ``as_real_array``), a field of the wrong shape, a
@@ -114,6 +116,8 @@ class PopulationModel:
     sigma_inv: np.ndarray = field(init=False)
     #: population OLS slope Sigma^{-1} sigma_xy
     beta: np.ndarray = field(init=False)
+    #: exact average Hessian Gamma diag(lam) Gamma'
+    h: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.gamma, Basis):
@@ -161,6 +165,8 @@ class PopulationModel:
         object.__setattr__(self, "sigma_xy", sigma_xy)
         object.__setattr__(self, "sigma_inv", owned(sigma_inv))
         object.__setattr__(self, "beta", owned(beta))
+        g = self.gamma.columns
+        object.__setattr__(self, "h", owned(mirror((g * lam) @ g.T)))
 
     @property
     def p(self) -> int:
@@ -188,13 +194,6 @@ class ContaminationPoint:
             raise InvalidArgument("contamination point must be finite")
         object.__setattr__(self, "y0", y0)
         object.__setattr__(self, "x0", x0)
-
-
-def _direction_index(model: PopulationModel, k: int) -> int:
-    """Directions are indexed 1..K as in the math, by an integer (``is_integer``)."""
-    if not (is_integer(k) and 1 <= k <= model.k):
-        raise IndexError(f"direction index must be an integer 1 <= k <= {model.k}, got {k!r}")
-    return k - 1
 
 
 def ris_rows(model: PopulationModel, variant: str, x0, y0) -> np.ndarray:
@@ -244,16 +243,11 @@ def _ris_kernel(variant: str, gamma: Basis, lam, sigma_inv, beta, d, u, w) -> np
     return np.linalg.norm(resid, axis=-2) / np.abs(lam)
 
 
-def ris_y(model: PopulationModel, pt: ContaminationPoint, k: int) -> float:
-    """Closed-form influence rate on the k-th y-based direction (k is 1-based)."""
-    i = _direction_index(model, k)
-    return float(ris_rows(model, "y", pt.x0[None], [pt.y0])[0, i])
-
-
-def ris_r(model: PopulationModel, pt: ContaminationPoint, k: int) -> float:
-    """Closed-form influence rate on the k-th r-based direction (k is 1-based)."""
-    i = _direction_index(model, k)
-    return float(ris_rows(model, "r", pt.x0[None], [pt.y0])[0, i])
+def ris(model: PopulationModel, variant: str, pt: ContaminationPoint) -> np.ndarray:
+    """Closed-form influence rates of one contamination point on the K
+    directions of a variant, RIS_k at index k - 1: the one row of
+    :func:`ris_rows` at (pt.y0, pt.x0)."""
+    return ris_rows(model, variant, pt.x0[None], [pt.y0])[0]
 
 
 @dataclass(frozen=True)
@@ -287,7 +281,7 @@ def contaminated_moments(
     dy = pt.y0 - model.mu_y
     t = eps * (1.0 - eps)
     ddt = np.outer(d, d)
-    sigma_yxx = mirror(model.sigma @ population_h(model) @ model.sigma)
+    sigma_yxx = mirror(model.sigma @ model.h @ model.sigma)
 
     mu_eps = (1.0 - eps) * model.mu + eps * pt.x0
     mu_y_eps = (1.0 - eps) * model.mu_y + eps * pt.y0
@@ -329,36 +323,43 @@ def contaminated_moments(
 
 def ris_numeric_oracle(
     model: PopulationModel,
-    pt: ContaminationPoint,
-    k: int,
     variant: str,
+    pt: ContaminationPoint,
     eps: float = DEFAULT_ORACLE_EPS,
-) -> float:
-    """Finite-eps influence rate measured directly on the contaminated model.
+) -> np.ndarray:
+    """Finite-eps influence rates of the K directions, measured directly on
+    the contaminated model, RIS_k at index k - 1.
 
-    Builds the exact mixture moments, recomputes the Hessian eigensystem,
-    matches the perturbed eigenvector to the k-th direction by maximal
-    absolute inner product (eigenvalue order may swap near ties, the
-    eigenvector moves continuously), and returns sine / eps.  Its point and
-    eps are checked as :func:`contaminated_moments` checks them.
+    Builds the exact mixture moments, recomputes the Hessian eigensystem
+    once, matches each direction to the perturbed eigenvector of maximal
+    absolute inner product with it (eigenvalue order may swap near ties, the
+    eigenvector moves continuously), and returns each sine / eps.  Two
+    candidates within MATCH_TOL of each other raise AmbiguousMatch naming
+    the first such direction.  Its point and eps are checked as
+    :func:`contaminated_moments` checks them.
     """
     check_variant(variant)
-    i = _direction_index(model, k)
     cm = contaminated_moments(model, pt, eps)
     mat = cm.sigma_yxx_eps if variant == "y" else cm.sigma_rxx_eps
     sig_inv_eps = spd_inverse(cm.sigma_eps)
     h_eps = mirror(sig_inv_eps @ mat @ sig_inv_eps)
     vectors = sym_eigen(h_eps)[1]
-    inner = np.abs(vectors.T @ model.gamma.columns[:, i])
-    order = np.argsort(inner)[::-1]
-    if len(order) > 1 and inner[order[0]] - inner[order[1]] < MATCH_TOL:
+    # |v' g_k|, a row per candidate eigenvector v and a column per direction
+    inner = np.abs(vectors.T @ model.gamma.columns)
+    top = np.sort(inner, axis=0)[-2:]  # each direction's two best candidates
+    ambiguous = np.flatnonzero(np.diff(top, axis=0) < MATCH_TOL)
+    if ambiguous.size:
+        i = ambiguous[0]
         raise AmbiguousMatch(
-            "cannot match the perturbed eigenvector: two candidates have "
-            f"|inner product| within {MATCH_TOL} of each other "
-            f"({inner[order[0]]:.12f} vs {inner[order[1]]:.12f})"
+            f"cannot match direction {i + 1} to a perturbed eigenvector: two candidates "
+            f"have |inner product| within {MATCH_TOL} of each other "
+            f"({top[1, i]:.12f} vs {top[0, i]:.12f})"
         )
-    matched = vectors[:, order[0]]
-    return min(1.0, float(np.linalg.norm(project_out(model.gamma, matched)))) / eps
+    # one matched vector at a time: a sine of order eps is a small difference
+    # of unit vectors, whose last digits a batched product would change
+    sines = [np.linalg.norm(project_out(model.gamma, vectors[:, i]))
+             for i in np.argmax(inner, axis=0)]
+    return np.minimum(1.0, sines) / eps
 
 
 # ----------------------------------------------------------------------

@@ -38,14 +38,14 @@ import mpmath
 import numpy as np
 
 from phdinfluence.linalg import mirror, project_out
-from phdinfluence.phd import VARIANTS, population_h
+from phdinfluence.phd import VARIANTS
 from phdinfluence.population import ContaminationPoint, PopulationModel
 
 
 def if_h_y(model, pt: ContaminationPoint) -> np.ndarray:
     """Influence matrix of the y-based Hessian estimator (the product-rule
     expansion of the sandwich), evaluated literally."""
-    h = population_h(model)
+    h = model.h
     d = pt.x0 - model.mu
     dy = pt.y0 - model.mu_y
     si = model.sigma_inv
@@ -59,7 +59,7 @@ def if_h_r(model, pt: ContaminationPoint, residual: float | None = None) -> np.n
     the y-based one with the covariance-with-Y terms absent and the OLS
     residual replacing the centered response: ``residual`` when given, else
     the population residual y0 - mu_y - (x0 - mu)' Sigma^{-1} sigma_xy."""
-    h = population_h(model)
+    h = model.h
     d = pt.x0 - model.mu
     si = model.sigma_inv
     r0 = pt.y0 - model.mu_y - d @ si @ model.sigma_xy if residual is None else float(residual)
@@ -68,13 +68,11 @@ def if_h_r(model, pt: ContaminationPoint, residual: float | None = None) -> np.n
     return h - bracket - bracket.T + tail
 
 
-def ris_from_if_matrix(model, f: np.ndarray, k: int) -> float:
-    """|| (I - P) F g_k || / |lambda_k| for an influence matrix F (k is 1-based)."""
-    if not 1 <= k <= model.k:
-        raise IndexError(f"direction index must satisfy 1 <= k <= {model.k}, got {k}")
-    g = model.gamma.columns[:, k - 1]
-    resid = project_out(model.gamma, f @ g)
-    return float(np.linalg.norm(resid)) / abs(float(model.lam[k - 1]))
+def ris_from_if_matrix(model, f: np.ndarray) -> np.ndarray:
+    """|| (I - P) F g_k || / |lambda_k| for an influence matrix F, the rates
+    of all K directions, RIS_k at index k - 1."""
+    resid = project_out(model.gamma, f @ model.gamma.columns)
+    return np.linalg.norm(resid, axis=0) / np.abs(model.lam)
 
 
 def sample_covariance(d) -> np.ndarray:
@@ -109,8 +107,7 @@ def eris_matrix_route(d, fit, m) -> np.ndarray:
             f = if_h_y(model, pt)
         else:
             f = if_h_r(model, pt, residual=float(m.residuals[j]))
-        for k in range(fit.k):
-            out[j, k] = ris_from_if_matrix(model, f, k + 1)
+        out[j] = ris_from_if_matrix(model, f)
     return out
 
 

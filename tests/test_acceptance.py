@@ -28,9 +28,8 @@ from phdinfluence import (
     hris,
     influence_report,
     ingest_csv,
+    ris,
     ris_numeric_oracle,
-    ris_r,
-    ris_y,
     simulate,
 )
 from phdinfluence.cli import _THREAD_ENV_VARS
@@ -63,10 +62,10 @@ def test_criterion_1_theorem_vs_oracle():
                 )
                 for kk in range(1, k + 1):
                     for variant, closed in (
-                        ("y", ris_y(model, pt, kk)),
-                        ("r", ris_r(model, pt, kk)),
+                        ("y", ris(model, "y", pt)[kk - 1]),
+                        ("r", ris(model, "r", pt)[kk - 1]),
                     ):
-                        oracle = ris_numeric_oracle(model, pt, kk, variant, eps=1e-6)
+                        oracle = ris_numeric_oracle(model, variant, pt, eps=1e-6)[kk - 1]
                         rel = abs(closed - oracle) / max(closed, 1e-8)
                         worst = max(worst, rel)
                         assert rel <= 1e-3, (variant, kk, closed, oracle)
@@ -123,8 +122,8 @@ def test_criterion_3_exact_special_cases():
             for k in (1, 2):
                 g = model.gamma.columns[:, k - 1]
                 expected = abs(c * float(model.sigma_xy @ g) / model.lam[k - 1])
-                assert abs(ris_y(model, pt, k) - expected) <= 1e-12
-                assert ris_r(model, pt, k) <= 1e-12
+                assert abs(ris(model, "y", pt)[k - 1] - expected) <= 1e-12
+                assert ris(model, "r", pt)[k - 1] <= 1e-12
 
         null_model = random_model(rng, 4, 2, zero_sigma_xy=True)
         for _ in range(10):
@@ -133,7 +132,7 @@ def test_criterion_3_exact_special_cases():
             )
             for k in (1, 2):
                 assert abs(
-                    ris_y(null_model, pt, k) - ris_r(null_model, pt, k)
+                    ris(null_model, "y", pt)[k - 1] - ris(null_model, "r", pt)[k - 1]
                 ) <= 1e-12
         assert time.monotonic() - t0 <= 1.0
         ok = True

@@ -841,15 +841,19 @@ def test_a_numpy_integer_rank_is_written_as_a_json_integer(tmp_path):
     assert [doc["k"], doc["fits"]["y"]["k"], doc["fits"]["r"]["k"]] == [1, 1, 1]
 
 
-def test_report_json_rejects_a_non_finite_distance(tmp_path):
+def test_report_json_rejects_a_non_finite_distance():
+    # JSON holds no NaN, so a finite md is a report invariant: the writer
+    # never meets one it cannot write
     report = influence_report(cosine_data(1, n=20), 1)
-    md = report.md.copy()
-    md[3] = np.nan
-    report = replace(report, md=md)
+    doc = report_to_json_dict(report)
+    doc["records"][3]["md"] = np.nan
     with pytest.raises(ValueError):
-        json.dumps(report_to_json_dict(report), allow_nan=False)
-    with pytest.raises(ValueError):
-        write_report_json(tmp_path / "report.json", report)
+        json.dumps(doc, allow_nan=False)
+    for bad in (np.nan, np.inf):
+        md = report.md.copy()
+        md[3] = bad
+        with pytest.raises(InvalidArgument):
+            replace(report, md=md)
 
 
 # ----------------------------------------------------------------------

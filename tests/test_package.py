@@ -28,9 +28,9 @@ from phdinfluence import (
     influence_report,
     influence_surface,
     mc_constants,
+    ris,
     ris_numeric_oracle,
     ris_rows,
-    ris_y,
     simulate,
     spearman,
 )
@@ -49,17 +49,15 @@ PUBLIC_NAMES = [
     "PhdFit",
     "fit_from_moments",
     "fit_phd",
-    "population_h",
     "ContaminatedMoments",
     "ContaminationPoint",
     "PopulationModel",
     "contaminated_moments",
     "cosine_model",
     "influence_surface",
+    "ris",
     "ris_numeric_oracle",
-    "ris_r",
     "ris_rows",
-    "ris_y",
     "write_surface_csv",
     "InfluenceReport",
     "eris",
@@ -93,6 +91,9 @@ NOT_PUBLIC = [
     "symmetrize",
     "sine_to_subspace",
     "population_ols_residual",
+    "population_h",
+    "ris_y",
+    "ris_r",
     "cosine_model_constants",
     "EigenSystem",
     "sym_eigen",
@@ -221,10 +222,6 @@ def _unpaired(measure, rows=40, columns=4, fit_columns=4):
         pytest.param(lambda: influence_report(_sample(), True), InvalidRank, id="report-bool-rank"),
         pytest.param(lambda: fit_phd(_sample(), "y", 2.0), InvalidRank, id="fit-float-rank"),
         pytest.param(lambda: fit_phd(_sample(), "y", True), InvalidRank, id="fit-bool-rank"),
-        pytest.param(lambda: ris_y(cosine_model(3), _point(), 1.0), IndexError,
-                     id="ris-float-direction"),
-        pytest.param(lambda: ris_y(cosine_model(3), _point(), True), IndexError,
-                     id="ris-bool-direction"),
         pytest.param(lambda: cosine_model(2.5), InvalidArgument, id="cosine-float-p"),
         pytest.param(lambda: cosine_model(True), InvalidArgument, id="cosine-bool-p"),
         pytest.param(lambda: SimSpec(n=40, p=4, seed=True),
@@ -239,6 +236,12 @@ def test_an_integer_argument_is_an_integral_that_is_not_a_bool(call, error):
     # be integers", "only integers, slices ...") do not match
     with pytest.raises(error, match=r"(must be|needs) an? (nonnegative )?integer\b"):
         call()
+
+
+def _dataset(**changes):
+    """The Dataset of ``_sample()`` with ``changes`` to its fields."""
+    d = _sample()
+    return Dataset(**(dict(y=d.y, x=d.x) | changes))
 
 
 def _model(**changes):
@@ -267,8 +270,11 @@ def _model(**changes):
                      id="contaminated-eps"),
         pytest.param(lambda: contaminated_moments(cosine_model(4), _point(), 1e-3),
                      id="contaminated-x0-length"),
-        pytest.param(lambda: ris_numeric_oracle(cosine_model(4), _point(), 1, "y"),
+        pytest.param(lambda: ris_numeric_oracle(cosine_model(4), "y", _point()),
                      id="oracle-x0-length"),
+        pytest.param(lambda: ris(cosine_model(3), "x", _point()), id="ris-variant"),
+        pytest.param(lambda: ris_numeric_oracle(cosine_model(3), "x", _point()),
+                     id="oracle-variant"),
         pytest.param(lambda: cosine_model(1), id="cosine-p"),
         pytest.param(lambda: ris_rows(cosine_model(3), "y", np.zeros(3), [0.0]), id="rows-shape"),
         pytest.param(lambda: influence_surface([-1.0], [0.0]), id="surface-grid"),
@@ -293,6 +299,16 @@ def _model(**changes):
         pytest.param(lambda: SimSpec(n=40, p=2, seed=1, beta=[[1.0], [0.0, 1.0]]),
                      id="spec-beta-ragged"),
         pytest.param(lambda: mc_constants(100, 1, "x"), id="mc-sigma-string"),
+        # Dataset and Basis took numeric strings, raised numpy's bare ValueError
+        # for other strings and ragged rows, and dropped an imaginary part
+        pytest.param(lambda: _dataset(y=[str(v) for v in _sample().y]),
+                     id="dataset-y-numeric-strings"),
+        pytest.param(lambda: _dataset(y=["a"] * 40), id="dataset-y-string"),
+        pytest.param(lambda: _dataset(x=[[0.0, 1.0]] * 39 + [[0.0]]), id="dataset-x-ragged"),
+        pytest.param(lambda: _dataset(x=_sample().x + 0j), id="dataset-x-complex"),
+        pytest.param(lambda: Basis(["a", "b"]), id="basis-string"),
+        pytest.param(lambda: Basis([[1.0, 0.0], [0.0]]), id="basis-ragged"),
+        pytest.param(lambda: Basis(np.eye(3)[:, :2] + 0j), id="basis-complex"),
     ],
 )
 def test_a_rejected_argument_raises_invalid_argument(call):
@@ -311,10 +327,8 @@ def test_every_usage_error_is_an_invalid_argument():
     assert [cls.__name__ for cls in usage if not issubclass(cls, InvalidArgument)] == []
 
 
-#: the builtin errors no check raises, and the two functions that keep one
-#: (the errors module's two exceptions to its rule)
+#: the builtin errors no check raises: the errors module's rule has no exceptions
 BUILTIN_ERRORS = {"ValueError", "TypeError", "IndexError"}
-BUILTIN_RAISERS = {"write_report_json", "_direction_index"}
 
 
 def _with_function(tree):
@@ -345,8 +359,7 @@ def test_checks_raise_typed_errors_and_writers_write_utf8_with_newline_ends():
             where = f"{path.name}:{getattr(node, 'lineno', 0)} in {owner}"
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if (isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS
-                        and owner not in BUILTIN_RAISERS):
+                if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
                     faults.append(f"raise {exc.id} at {where}")
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "open" and _text_mode_write(node)):
@@ -368,8 +381,8 @@ def test_only_the_moments_module_reads_the_sample_means():
 
 def test_numpy_integers_are_integers():
     assert fit_phd(_sample(), "y", np.int64(2)).k == 2
-    want = ris_y(cosine_model(3), _point(), 1)
-    assert ris_y(cosine_model(np.int32(3)), _point(), np.int64(1)) == want
+    want = ris(cosine_model(3), "y", _point())
+    assert np.array_equal(ris(cosine_model(np.int32(3)), "y", _point()), want)
 
 
 def _caller_sample():
@@ -543,6 +556,6 @@ def test_the_readme_library_example_runs():
     readme = (PACKAGE_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    assert "ris_r(" in code
+    assert "ris(" in code
     proc = run_python(["-c", code], timeout=120)
     assert proc.returncode == 0, proc.stderr

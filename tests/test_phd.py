@@ -10,7 +10,6 @@ from phdinfluence import (
     compute_moments,
     fit_from_moments,
     fit_phd,
-    population_h,
 )
 from phdinfluence.errors import (DegenerateEigenvalue, DegenerateSpectrum, InvalidArgument,
                                  InvalidRank)
@@ -24,7 +23,7 @@ from oracles import mp_eigh
 
 def test_population_h_rank_one():
     model = cosine_model(p=3)
-    h = population_h(model)
+    h = model.h
     expected = np.zeros((3, 3))
     expected[0, 0] = COSINE_MODEL_LAMBDA1
     assert np.allclose(h, expected)
@@ -41,7 +40,7 @@ def test_population_h_eigen_round_trip(rng):
         mu_y=0.0,
         sigma_xy=np.zeros(5),
     )
-    values, vectors = sym_eigen(population_h(model))
+    values, vectors = sym_eigen(model.h)
     assert np.allclose(values[:2], lam, atol=1e-10)
     assert np.abs(values[2:]).max() <= 1e-10
     for k in range(2):
@@ -112,10 +111,16 @@ def test_lambda_hat_is_read_from_the_spectrum_of_a_replaced_fit(rng):
     pytest.param({"h": np.eye(4)}, id="h-shape"),
     pytest.param({"gamma_hat": np.eye(3)[:, :2]}, id="gamma-array"),
     pytest.param({"variant": "x"}, id="variant-unknown"),
+    pytest.param({"eigenvalues": np.array([np.nan, 0.5, 0.1])}, id="eigenvalue-nan"),
+    pytest.param({"eigenvalues": np.array([np.inf, 0.5, 0.1])}, id="eigenvalue-inf"),
+    pytest.param({"h": np.diag([np.inf, 1.0, 1.0])}, id="h-inf"),
+    pytest.param({"eigenvalues": np.array(["3", "2", "1"])}, id="eigenvalues-strings"),
 ])
 def test_a_fit_whose_parts_disagree_is_rejected(rng, change):
     # an unknown variant was accepted: eris then read it as r, and sris and
-    # hris raised a bare KeyError from the leave-one-out walk
+    # hris raised a bare KeyError from the leave-one-out walk; a NaN
+    # eigenvalue made eris return NaN, an inf in h made hris return NaN, and
+    # an inf eigenvalue made write_report_json raise json's bare ValueError
     d = Dataset(y=rng.standard_normal(30), x=rng.standard_normal((30, 3)))
     fit = fit_phd(d, "y", 2)
     with pytest.raises(InvalidArgument):

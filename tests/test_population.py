@@ -10,10 +10,8 @@ from phdinfluence import (
     contaminated_moments,
     cosine_model,
     influence_surface,
-    population_h,
+    ris,
     ris_numeric_oracle,
-    ris_r,
-    ris_y,
     write_surface_csv,
 )
 from phdinfluence.linalg import spd_inverse
@@ -25,6 +23,7 @@ from phdinfluence.population import (
     ris_rows,
 )
 from phdinfluence.errors import (
+    AmbiguousMatch,
     DegenerateSpectrum,
     InvalidArgument,
     InvalidMatrix,
@@ -41,7 +40,7 @@ def identity_cov_model(rng, p=4, k=2):
 
 
 # ----------------------------------------------------------------------
-# the population OLS residual that ris_r weights by
+# the population OLS residual that the r variant weights by
 # ----------------------------------------------------------------------
 
 def test_residual_zero_at_the_center(rng):
@@ -49,8 +48,8 @@ def test_residual_zero_at_the_center(rng):
     model = random_model(rng, 4, 2)
     pt = ContaminationPoint(y0=model.mu_y, x0=model.mu)
     for k in (1, 2):
-        assert ris_r(model, pt, k) == 0.0
-        assert ris_from_if_matrix(model, if_h_r(model, pt, residual=0.0), k) <= 1e-12
+        assert ris(model, "r", pt)[k - 1] == 0.0
+        assert ris_from_if_matrix(model, if_h_r(model, pt, residual=0.0))[k - 1] <= 1e-12
 
 
 def test_residual_reduces_to_centered_response_when_uncorrelated(rng):
@@ -59,22 +58,22 @@ def test_residual_reduces_to_centered_response_when_uncorrelated(rng):
     pt = ContaminationPoint(y0=1.7, x0=rng.standard_normal(4))
     f = if_h_r(model, pt, residual=1.7 - model.mu_y)
     for k in (1, 2):
-        want = ris_from_if_matrix(model, f, k)
-        assert ris_r(model, pt, k) == pytest.approx(want, rel=1e-9, abs=1e-12)
-        assert ris_r(model, pt, k) == pytest.approx(ris_y(model, pt, k), rel=1e-12)
+        want = ris_from_if_matrix(model, f)[k - 1]
+        assert ris(model, "r", pt)[k - 1] == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert ris(model, "r", pt)[k - 1] == pytest.approx(ris(model, "y", pt)[k - 1], rel=1e-12)
 
 
 def test_residual_on_the_cosine_model():
     # y0 on the noiseless curve at index 2, x0 off the subspace so the rate is
-    # not zero: ris_r weights by y0 - mu_y - 2 c with the model's constants
+    # not zero: the r variant weights by y0 - mu_y - 2 c with the model's constants
     model = cosine_model(p=3)
     x0 = np.array([2.0, 1.0, 0.0])
     y0 = math.cos(4.0 - math.pi / 4.0)
     expected = y0 - COSINE_MODEL_MU_Y - 2.0 * COSINE_MODEL_SIGMA_XY_COEF
     pt = ContaminationPoint(y0=y0, x0=x0)
-    want = ris_from_if_matrix(model, if_h_r(model, pt, residual=expected), 1)
+    want = ris_from_if_matrix(model, if_h_r(model, pt, residual=expected))[0]
     assert want > 0.1
-    assert ris_r(model, pt, 1) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert ris(model, "r", pt)[0] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -94,8 +93,8 @@ def test_orthogonal_contamination_splits_the_variants(rng):
             g = model.gamma.columns[:, k - 1]
             lam = model.lam[k - 1]
             expected = abs(c * float(model.sigma_xy @ g) / lam)
-            assert ris_y(model, pt, k) == pytest.approx(expected, abs=1e-12)
-            assert ris_r(model, pt, k) <= 1e-12
+            assert ris(model, "y", pt)[k - 1] == pytest.approx(expected, abs=1e-12)
+            assert ris(model, "r", pt)[k - 1] <= 1e-12
 
 
 def test_orthogonal_contamination_scales_linearly(rng):
@@ -104,8 +103,8 @@ def test_orthogonal_contamination_scales_linearly(rng):
     u -= model.gamma.columns @ (model.gamma.columns.T @ u)
     u /= np.linalg.norm(u)
     y0 = 0.3
-    base = ris_y(model, ContaminationPoint(y0=y0, x0=u), 1)
-    tripled = ris_y(model, ContaminationPoint(y0=y0, x0=3.0 * u), 1)
+    base = ris(model, "y", ContaminationPoint(y0=y0, x0=u))[0]
+    tripled = ris(model, "y", ContaminationPoint(y0=y0, x0=3.0 * u))[0]
     assert abs(tripled - 3.0 * base) <= 1e-12
 
 
@@ -113,8 +112,8 @@ def test_contamination_at_the_center_is_harmless(rng):
     model = random_model(rng, 5, 2)
     pt = ContaminationPoint(y0=model.mu_y, x0=model.mu)
     for k in (1, 2):
-        assert ris_y(model, pt, k) <= 1e-12
-        assert ris_r(model, pt, k) <= 1e-12
+        assert ris(model, "y", pt)[k - 1] <= 1e-12
+        assert ris(model, "r", pt)[k - 1] <= 1e-12
 
 
 def test_variants_agree_when_response_is_uncorrelated(rng):
@@ -125,7 +124,7 @@ def test_variants_agree_when_response_is_uncorrelated(rng):
         )
         for k in (1, 2):
             assert abs(
-                ris_y(model, pt, k) - ris_r(model, pt, k)
+                ris(model, "y", pt)[k - 1] - ris(model, "r", pt)[k - 1]
             ) <= 1e-12
 
 
@@ -134,8 +133,8 @@ def test_cosine_checkpoint_norm_two_orthogonal():
     u = np.array([0.0, 1.0, 0.0])
     y0 = math.cos(-math.pi / 4.0)  # noiseless response at cos(theta0) = 0
     pt = ContaminationPoint(y0=y0, x0=2.0 * u)
-    assert ris_y(model, pt, 1) == pytest.approx(1.0, abs=1e-9)
-    assert ris_r(model, pt, 1) <= 1e-9
+    assert ris(model, "y", pt)[0] == pytest.approx(1.0, abs=1e-9)
+    assert ris(model, "r", pt)[0] <= 1e-9
 
 
 def test_rotation_invariance(rng):
@@ -154,11 +153,11 @@ def test_rotation_invariance(rng):
         y0 = float(rng.standard_normal())
         pt, pt_rot = ContaminationPoint(y0, x0), ContaminationPoint(y0, q @ x0)
         for k in (1, 2):
-            assert ris_y(model, pt, k) == pytest.approx(
-                ris_y(rotated, pt_rot, k), abs=1e-10
+            assert ris(model, "y", pt)[k - 1] == pytest.approx(
+                ris(rotated, "y", pt_rot)[k - 1], abs=1e-10
             )
-            assert ris_r(model, pt, k) == pytest.approx(
-                ris_r(rotated, pt_rot, k), abs=1e-10
+            assert ris(model, "r", pt)[k - 1] == pytest.approx(
+                ris(rotated, "r", pt_rot)[k - 1], abs=1e-10
             )
 
 
@@ -184,10 +183,10 @@ def test_ris_rows_matches_the_influence_matrix_route(rng):
         f = {"y": if_h_y(model, pt), "r": if_h_r(model, pt)}
         for v in ("y", "r"):
             for k in (1, 2):
-                want = ris_from_if_matrix(model, f[v], k)
+                want = ris_from_if_matrix(model, f[v])[k - 1]
                 assert got[v][i, k - 1] == pytest.approx(want, rel=1e-9, abs=1e-12)
-        assert got["y"][i, 1] == pytest.approx(ris_y(model, pt, 2), rel=1e-12)
-        assert got["r"][i, 0] == pytest.approx(ris_r(model, pt, 1), rel=1e-12)
+        assert got["y"][i, 1] == pytest.approx(ris(model, "y", pt)[1], rel=1e-12)
+        assert got["r"][i, 0] == pytest.approx(ris(model, "r", pt)[0], rel=1e-12)
 
 
 def test_degenerate_spectrum_is_rejected(rng):
@@ -218,7 +217,7 @@ def test_spectrum_tie_is_decided_relative_to_the_leading_eigenvalue(rng, scale):
 
 @pytest.mark.parametrize("field", ["mu", "lam", "sigma_xy", "mu_y"])
 def test_non_finite_parameters_are_rejected(field):
-    # each passed every other check, and ris_y then returned NaN
+    # each passed every other check, and the closed form then returned NaN
     params = dict(mu=np.zeros(3), sigma=np.eye(3), gamma=Basis(np.eye(3)[:, :1]),
                   lam=np.array([1.0]), mu_y=0.0, sigma_xy=np.array([0.5, 0.0, 0.0]))
     PopulationModel(**params)
@@ -277,7 +276,7 @@ def test_moments_continuous_at_zero(rng):
     model = random_model(rng, 4, 2)
     pt = ContaminationPoint(y0=1.0, x0=model.mu + 1.0)
     cm = contaminated_moments(model, pt, 1e-12)
-    sigma_yxx = model.sigma @ population_h(model) @ model.sigma
+    sigma_yxx = model.sigma @ model.h @ model.sigma
     for got, ref in (
         (cm.mu_eps, model.mu),
         (cm.sigma_eps, model.sigma),
@@ -310,7 +309,7 @@ def test_third_moment_derivative_matches_expansion(rng):
     pt = ContaminationPoint(y0=y0, x0=x0)
     eps = 1e-7
     cm = contaminated_moments(model, pt, eps)
-    sigma_yxx = model.sigma @ population_h(model) @ model.sigma
+    sigma_yxx = model.sigma @ model.h @ model.sigma
     d = x0 - model.mu
     dy = y0 - model.mu_y
     coeff = (
@@ -330,7 +329,7 @@ def test_residual_moment_derivative_recenters_at_the_ols_solution(rng):
     pt = ContaminationPoint(y0=y0, x0=x0)
     eps = 1e-7
     cm = contaminated_moments(model, pt, eps)
-    sigma_rxx = model.sigma @ population_h(model) @ model.sigma
+    sigma_rxx = model.sigma @ model.h @ model.sigma
     d = x0 - model.mu
     r0 = y0 - model.mu_y - d @ model.beta
     coeff = r0 * (np.outer(d, d) - model.sigma)
@@ -357,8 +356,8 @@ def test_oracle_vanishes_where_closed_form_does(rng):
     u -= model.gamma.columns @ (model.gamma.columns.T @ u)
     u /= np.linalg.norm(u)
     pt = ContaminationPoint(y0=0.4, x0=2.0 * u)
-    assert ris_r(model, pt, 1) <= 1e-12
-    assert ris_numeric_oracle(model, pt, 1, "r") <= 1e-4
+    assert ris(model, "r", pt)[0] <= 1e-12
+    assert ris_numeric_oracle(model, "r", pt)[0] <= 1e-4
 
 
 @pytest.mark.parametrize("model_seed,p,k,identity", [
@@ -377,10 +376,10 @@ def test_oracle_matches_closed_forms(model_seed, p, k, identity):
         )
         for kk in range(1, k + 1):
             for variant, closed in (
-                ("y", ris_y(model, pt, kk)),
-                ("r", ris_r(model, pt, kk)),
+                ("y", ris(model, "y", pt)[kk - 1]),
+                ("r", ris(model, "r", pt)[kk - 1]),
             ):
-                oracle = ris_numeric_oracle(model, pt, kk, variant)
+                oracle = ris_numeric_oracle(model, variant, pt)[kk - 1]
                 rel_errors.append(abs(closed - oracle) / max(closed, 1e-8))
     assert max(rel_errors) <= 1e-3
 
@@ -394,12 +393,33 @@ def test_oracle_converges_first_order():
             y0=model.mu_y + float(rng.standard_normal()),
             x0=model.mu + rng.standard_normal(4),
         )
-        closed = ris_y(model, pt, 1)
-        err_big = abs(ris_numeric_oracle(model, pt, 1, "y", eps=1e-4) - closed)
-        err_small = abs(ris_numeric_oracle(model, pt, 1, "y", eps=5e-5) - closed)
+        closed = ris(model, "y", pt)[0]
+        err_big = abs(ris_numeric_oracle(model, "y", pt, eps=1e-4)[0] - closed)
+        err_small = abs(ris_numeric_oracle(model, "y", pt, eps=5e-5)[0] - closed)
         shrink.append(err_small / err_big)
     # halving eps roughly halves the truncation error
     assert np.median(shrink) <= 0.8
+
+
+def test_oracle_names_the_first_direction_it_cannot_match():
+    # x0 in the e_2-e_3 plane leaves e_1 an exact eigenvector, so direction 1
+    # matches; the contaminated Hessian is linear in y0, and at the y0 where
+    # its (2, 2) and (3, 3) entries agree its e_2-e_3 eigenvectors lie at 45
+    # degrees to e_2, both candidates for direction 2
+    model = PopulationModel(mu=np.zeros(3), sigma=np.eye(3), gamma=Basis(np.eye(3)[:, :2]),
+                            lam=np.array([2.0, 1.0]), mu_y=0.0, sigma_xy=np.zeros(3))
+    x0, eps = np.array([0.0, 1.0, 2.0]), 0.1
+
+    def spread(y0):
+        cm = contaminated_moments(model, ContaminationPoint(y0, x0), eps)
+        si = spd_inverse(cm.sigma_eps)
+        h = si @ cm.sigma_yxx_eps @ si
+        return h[1, 1] - h[2, 2]
+
+    y0 = spread(0.0) / (spread(0.0) - spread(1.0))
+    with pytest.raises(AmbiguousMatch, match="direction 2 "):
+        ris_numeric_oracle(model, "y", ContaminationPoint(y0, x0), eps)
+    assert ris_numeric_oracle(model, "y", ContaminationPoint(y0 + 0.5, x0), eps)[0] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +429,7 @@ def test_oracle_converges_first_order():
 def test_influence_matrix_at_the_center_is_the_hessian(rng):
     model = random_model(rng, 4, 2)
     pt = ContaminationPoint(y0=model.mu_y, x0=model.mu)
-    assert np.abs(if_h_y(model, pt) - population_h(model)).max() <= 1e-14
+    assert np.abs(if_h_y(model, pt) - model.h).max() <= 1e-14
 
 
 def test_matrix_route_agrees_with_alpha_route(rng):
@@ -422,11 +442,11 @@ def test_matrix_route_agrees_with_alpha_route(rng):
         fy = if_h_y(model, pt)
         fr = if_h_r(model, pt)
         for k in (1, 2):
-            assert ris_from_if_matrix(model, fy, k) == pytest.approx(
-                ris_y(model, pt, k), abs=1e-9
+            assert ris_from_if_matrix(model, fy)[k - 1] == pytest.approx(
+                ris(model, "y", pt)[k - 1], abs=1e-9
             )
-            assert ris_from_if_matrix(model, fr, k) == pytest.approx(
-                ris_r(model, pt, k), abs=1e-9
+            assert ris_from_if_matrix(model, fr)[k - 1] == pytest.approx(
+                ris(model, "r", pt)[k - 1], abs=1e-9
             )
 
 
@@ -439,7 +459,7 @@ def test_influence_matrix_matches_finite_difference(rng):
     cm = contaminated_moments(model, pt, eps)
     sig_inv_eps = np.linalg.inv(cm.sigma_eps)
     h_eps = sig_inv_eps @ cm.sigma_yxx_eps @ sig_inv_eps
-    fd = (h_eps - population_h(model)) / eps
+    fd = (h_eps - model.h) / eps
     f = if_h_y(model, pt)
     assert np.abs(fd - f).max() / np.abs(f).max() <= 1e-4
 
@@ -567,14 +587,14 @@ def test_ris_rows_rejects_finite_points_whose_rates_overflow(variant):
     with pytest.raises(InvalidArgument, match="overflow float64 at row 0 of x0"):
         ris_rows(model, variant, [[5e159, 0.0], [np.inf, 0.0]], [0.5, 0.5])
     with pytest.raises(InvalidArgument):
-        ris_r(model, ContaminationPoint(y0=0.5, x0=np.array([5e159, 0.0])), 1)
+        ris(model, "r", ContaminationPoint(y0=0.5, x0=np.array([5e159, 0.0])))[0]
     # the residual y0 - mu_y - x0'beta = -1e309 of a finite point overflows
     # before the kernel's products do
     steep = PopulationModel(mu=np.zeros(3), sigma=np.eye(3), gamma=Basis(np.eye(3)[:, :1]),
                             lam=[1.0], mu_y=0.0, sigma_xy=[10.0, 0.0, 0.0])
     with pytest.raises(InvalidArgument, match="r-based influence rates overflow float64 "
                                               "at row 0 of x0") as exc:
-        ris_r(steep, ContaminationPoint(y0=0.0, x0=np.array([1e308, 0.0, 0.0])), 1)
+        ris(steep, "r", ContaminationPoint(y0=0.0, x0=np.array([1e308, 0.0, 0.0])))[0]
     assert exc.value.row == 0
 
 
