@@ -359,7 +359,7 @@ def spearman(a, b) -> float:
 _MEASURES = ("sris", "eris", "hris")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfluenceReport:
     """Everything cmd_influence serializes, as read-only copies
     (``errors.own_arrays``) and tuples, in report order (ascending y-based

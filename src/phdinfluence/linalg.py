@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, NotPositiveDefinite, as_real_array
+from .errors import InvalidArgument, InvalidMatrix, NotPositiveDefinite, as_real_array
 
 ORTHONORMAL_TOL = 1e-10
 PD_RTOL = 1e-12
@@ -54,22 +54,23 @@ def mirror(a: np.ndarray) -> np.ndarray:
     return np.where(upper, a, np.swapaxes(a, -1, -2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Basis:
     """Orthonormal p x k column set spanning a k-dimensional subspace.
 
     ``columns`` is taken through the real-number rule
     (``errors.as_real_array``, InvalidArgument for anything but real
-    numbers) and stored as a read-only float64 copy; the orthonormality
-    check is made on that copy, so no later write to the caller's array can
-    undo it."""
+    numbers) and stored as a read-only float64 copy; columns that are not
+    p x k with 1 <= k <= p raise InvalidArgument, and columns that are not
+    orthonormal raise InvalidMatrix.  The orthonormality check is made on
+    the stored copy, so no later write to the caller's array can undo it."""
 
     columns: np.ndarray
 
     def __post_init__(self):
         c = as_real_array(self.columns, "columns")
         if c.ndim != 2 or c.shape[1] < 1 or c.shape[1] > c.shape[0]:
-            raise InvalidMatrix(f"basis must be p x k with 1 <= k <= p, got {c.shape}")
+            raise InvalidArgument(f"basis must be p x k with 1 <= k <= p, got {c.shape}")
         check_orthonormal(c)
         object.__setattr__(self, "columns", c)
 

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, as_real_array, own_arrays
+from .errors import InsufficientData, InvalidArgument, as_real_array, own_arrays
 from .linalg import mirror, spd_inverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """n observations of (scalar response, p-vector predictor).
 
@@ -41,7 +41,11 @@ class Dataset:
     invertible.  ``x`` and ``y`` are taken through the real-number rule
     (``errors.as_real_array``): arrays of anything but real numbers raise
     InvalidArgument, and they are stored as read-only float64 copies.
-    ``names`` defaults to x1, ..., xp.
+    ``names`` defaults to x1, ..., xp.  Arguments of the wrong shape (an
+    ``x`` that is not n x p, a ``y`` that is not a length-n vector, ``names``
+    that are not p long) raise InvalidArgument; data that cannot be fitted
+    (no predictor, n < p + 2, a value that is not finite) raise
+    InsufficientData.
     """
 
     y: np.ndarray
@@ -51,11 +55,9 @@ class Dataset:
     def __post_init__(self):
         x, y = as_real_array(self.x, "x"), as_real_array(self.y, "y")
         if x.ndim != 2:
-            raise InsufficientData(f"x must be an n x p matrix, got shape {x.shape}")
+            raise InvalidArgument(f"x must be an n x p matrix, got shape {x.shape}")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise InsufficientData(
-                f"y must be a length-{x.shape[0]} vector, got shape {y.shape}"
-            )
+            raise InvalidArgument(f"y must be a length-{x.shape[0]} vector, got shape {y.shape}")
         n, p = x.shape
         if p < 1:
             raise InsufficientData("need at least one predictor column")
@@ -65,7 +67,7 @@ class Dataset:
             raise InsufficientData("dataset has non-finite entries")
         names = tuple(f"x{i + 1}" for i in range(p)) if self.names is None else self.names
         if len(names) != p:
-            raise InsufficientData(f"got {len(names)} column names for p={p} predictors")
+            raise InvalidArgument(f"got {len(names)} column names for p={p} predictors")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "names", names)
@@ -79,16 +81,16 @@ class Dataset:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSet:
     """Every moment a PHD fit or leave-one-out Hessian needs, computed in one
     pass and stored as read-only copies (``errors.own_arrays``).
 
     ``xc`` (n x p) and ``yc`` (n) are the centred data, x - xbar and
     y - ybar each centred a second time (the module's two-pass rule), so
-    their columns sum to zero within rounding even where ``xbar`` and
-    ``ybar`` are rounded to a large offset's ulp; every centred quantity
-    downstream reads them.
+    their columns sum to zero within rounding even where the means are
+    rounded to a large offset's ulp; every centred quantity downstream reads
+    them, and the means themselves are not stored.
 
     ``beta`` is the OLS slope S^-1 s_xy behind ``residuals``.  ``g_third``
     is the p x p x p stack S^-1 X3[a] S^-1 = sum_j (x_ja - xbar_a) u_j u_j' / n,
@@ -97,8 +99,6 @@ class MomentSet:
     moves the OLS slope.
     """
 
-    xbar: np.ndarray
-    ybar: float
     xc: np.ndarray
     yc: np.ndarray
     s_inv: np.ndarray
@@ -119,7 +119,7 @@ class MomentSet:
 
     @property
     def p(self) -> int:
-        return self.xbar.shape[0]
+        return self.xc.shape[1]
 
 
 def compute_moments(d: Dataset) -> MomentSet:
@@ -147,8 +147,6 @@ def compute_moments(d: Dataset) -> MomentSet:
     sigma_rxx = mirror((xc.T * residuals) @ xc / n)
 
     return MomentSet(
-        xbar=xbar,
-        ybar=ybar,
         xc=xc,
         yc=yc,
         s_inv=s_inv,

@@ -52,7 +52,7 @@ def check_variant(variant: str) -> None:
         raise InvalidArgument(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhdFit:
     """One estimated average Hessian with its ordered spectrum.
 
@@ -122,12 +122,12 @@ def require_nonzero(fit: PhdFit, m: MomentSet) -> None:
     sd(y) ||S^-1||_F.
 
     The Hessian carries the units of y over those of x squared, so the test
-    is made against sd(y) ||S^-1||_F, with var(y) = s_xy' beta + r'r/(n-1)
-    read from the moments ``m`` of the fit (beta = S^-1 s_xy, the OLS slope):
-    rescaling y or x leaves the decision unchanged.  It does not use the
-    fit's own |lambda_1|, which is zero when the whole Hessian is.
+    is made against sd(y) ||S^-1||_F, var(y) read from the centred response
+    of the moments ``m`` of the fit: rescaling y or x leaves the decision
+    unchanged.  It does not use the fit's own |lambda_1|, which is zero when
+    the whole Hessian is.
     """
-    var_y = float(m.s_xy @ m.beta) + float(m.residuals @ m.residuals) / (m.n - 1)
+    var_y = float(m.yc @ m.yc) / (m.n - 1)
     scale = float(np.sqrt(var_y) * np.linalg.norm(m.s_inv))
     for lam in fit.lambda_hat.tolist():
         if abs(lam) <= ZERO_EIGENVALUE_RTOL * scale:

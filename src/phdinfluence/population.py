@@ -81,7 +81,7 @@ MATCH_TOL = 1e-8
 DEFAULT_ORACLE_EPS = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationModel:
     """Exact model parameters at which the closed forms are evaluated.
 
@@ -125,12 +125,16 @@ class PopulationModel:
         mu, lam, sigma_xy, given = (as_real_array(getattr(self, name), name)
                                     for name in ("mu", "lam", "sigma_xy", "sigma"))
         mu_y = as_real(self.mu_y, "mu_y")
-        sigma = mirror(given)
         p, k = self.gamma.dim, self.gamma.rank
         if mu.shape != (p,) or sigma_xy.shape != (p,):
             raise InvalidArgument("mu and sigma_xy must be length-p vectors")
-        if sigma.shape != (p, p):
+        if given.shape != (p, p):
             raise InvalidArgument("sigma must be p x p")
+        if lam.shape != (k,):
+            raise InvalidArgument("lam must have one eigenvalue per basis column")
+        if not all(np.isfinite(a).all() for a in (mu, given, lam, sigma_xy, mu_y)):
+            raise InvalidArgument("mu, sigma, lam, mu_y and sigma_xy must be finite")
+        sigma = mirror(given)
         # abs: a non-positive diagonal entry is spd_inverse's to reject, not a NaN here
         root = np.sqrt(np.abs(np.diag(sigma)))
         skewed = np.argwhere(np.abs(given - given.T) > 1e-12 * np.outer(root, root))
@@ -141,10 +145,6 @@ class PopulationModel:
                 f"sigma[{j}, {i}] = {given[j, i]:.17g} differ by more than "
                 f"1e-12 sqrt(sigma[{i}, {i}] sigma[{j}, {j}])"
             )
-        if lam.shape != (k,):
-            raise InvalidArgument("lam must have one eigenvalue per basis column")
-        if not all(np.isfinite(a).all() for a in (mu, lam, sigma_xy, mu_y)):
-            raise InvalidArgument("mu, lam, mu_y and sigma_xy must be finite")
         if np.any(np.abs(lam) <= 0.0):
             raise InvalidArgument("all reduction eigenvalues must be nonzero")
         if np.any(np.diff(np.abs(lam)) > 0):
@@ -172,12 +172,8 @@ class PopulationModel:
     def p(self) -> int:
         return self.gamma.dim
 
-    @property
-    def k(self) -> int:
-        return self.gamma.rank
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContaminationPoint:
     """The location (y0, x0) of the contaminating point mass; a y0 that is
     not a real number, an x0 that is not a vector of them, or a point that is
@@ -250,12 +246,11 @@ def ris(model: PopulationModel, variant: str, pt: ContaminationPoint) -> np.ndar
     return ris_rows(model, variant, pt.x0[None], [pt.y0])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContaminatedMoments:
     """Exact moments of the eps-mixture of the model and a point mass, as
     read-only copies (``errors.own_arrays``)."""
 
-    eps: float
     mu_eps: np.ndarray
     sigma_eps: np.ndarray
     sigma_yxx_eps: np.ndarray
@@ -311,7 +306,6 @@ def contaminated_moments(
         )
     )
     return ContaminatedMoments(
-        eps=eps,
         mu_eps=mu_eps,
         sigma_eps=sigma_eps,
         sigma_yxx_eps=sigma_yxx_eps,

@@ -34,7 +34,7 @@ LINK_CATALOG = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimSpec:
     """One reproducible simulation: sizes, seed, noise sd, index matrix, link.
 
@@ -112,7 +112,6 @@ class McConstants:
     """Monte Carlo estimates of the cosine-model constants with plug-in
     standard errors (sd of the per-sample terms over sqrt(n))."""
 
-    n_mc: int
     mu_y: float
     se_mu_y: float
     cov_zy: float
@@ -152,4 +151,4 @@ def mc_constants(n_mc: int, seed: int, sigma: float) -> McConstants:
             f"float64, at n_mc={n_mc}, sigma={sigma!r}, seed={seed}: the z-scores against the "
             "targets are undefined"
         )
-    return McConstants(n_mc, *(v for pair in pairs for v in pair))
+    return McConstants(*(v for pair in pairs for v in pair))

@@ -93,11 +93,11 @@ def eris_matrix_route(d, fit, m) -> np.ndarray:
     g = fit.gamma_hat.columns
     s = sample_covariance(d)
     model = PopulationModel(
-        mu=m.xbar,
+        mu=d.x.mean(axis=0),
         sigma=s,
         gamma=fit.gamma_hat,
         lam=fit.lambda_hat,
-        mu_y=m.ybar,
+        mu_y=float(d.y.mean()),
         sigma_xy=s @ (g @ (g.T @ (m.s_inv @ m.s_xy))),
     )
     out = np.empty((d.n, fit.k))
@@ -185,10 +185,11 @@ def mp_eris(d, fit, m, rows, dps=40) -> np.ndarray:
         s_inv = np.array(mpmath.inverse(mpmath.matrix(sample_covariance(d).tolist())).tolist())
         g, lam = mp(fit.gamma_hat.columns), mp(fit.lambda_hat)
         beta_hat = s_inv @ mp(m.s_xy)
+        xbar, ybar = d.x.mean(axis=0), float(d.y.mean())
         out = np.empty((len(rows), fit.k))
         for i, j in enumerate(rows):
-            dj = mp(d.x[j]) - mp(m.xbar)
-            w = mpmath.mpf(d.y[j]) - mpmath.mpf(m.ybar)
+            dj = mp(d.x[j]) - mp(xbar)
+            w = mpmath.mpf(d.y[j]) - mpmath.mpf(ybar)
             if fit.variant == "r":
                 w -= dj @ beta_hat
             u = s_inv @ dj

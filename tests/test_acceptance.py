@@ -51,7 +51,6 @@ def test_criterion_1_theorem_vs_oracle():
     t0 = time.monotonic()
     try:
         cases = [(11, 3, 1, True), (22, 5, 2, False), (33, 4, 2, False)]
-        worst = 0.0
         for seed, p, k, identity in cases:
             rng = np.random.default_rng(seed)
             model = random_model(rng, p, k, identity_sigma=identity)
@@ -60,15 +59,12 @@ def test_criterion_1_theorem_vs_oracle():
                     y0=model.mu_y + 2.0 * float(rng.standard_normal()),
                     x0=model.mu + 2.0 * rng.standard_normal(p),
                 )
-                for kk in range(1, k + 1):
-                    for variant, closed in (
-                        ("y", ris(model, "y", pt)[kk - 1]),
-                        ("r", ris(model, "r", pt)[kk - 1]),
-                    ):
-                        oracle = ris_numeric_oracle(model, variant, pt, eps=1e-6)[kk - 1]
-                        rel = abs(closed - oracle) / max(closed, 1e-8)
-                        worst = max(worst, rel)
-                        assert rel <= 1e-3, (variant, kk, closed, oracle)
+                for variant in ("y", "r"):
+                    # all K rates of a point from one oracle eigensystem
+                    closed = ris(model, variant, pt)
+                    oracle = ris_numeric_oracle(model, variant, pt, eps=1e-6)
+                    rel = np.abs(closed - oracle) / np.maximum(closed, 1e-8)
+                    assert (rel <= 1e-3).all(), (variant, closed, oracle)
         assert time.monotonic() - t0 <= 10.0
         ok = True
     finally:

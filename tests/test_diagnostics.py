@@ -98,6 +98,10 @@ def test_spearman_perfect_agreement():
     a = np.array([3.0, 1.0, 4.0, 1.5, 9.0])
     assert spearman(a, a) == pytest.approx(1.0)
     assert spearman(a, -a) == pytest.approx(-1.0)
+    # a NaN in either vector gives NaN, before an all-tied vector would raise
+    holed = np.where(a == 4.0, np.nan, a)
+    assert np.isnan(spearman(holed, a)) and np.isnan(spearman(a, holed))
+    assert np.isnan(spearman(np.ones(5), holed))
 
 
 def test_spearman_hand_computed_swap():
